@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -110,6 +111,8 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
         raise InputError(f"cannot parse point {text!r}: {exc}") from exc
     if len(values) != dim:
         raise InputError(f"point {text!r} has {len(values)} coordinates, expected {dim}")
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"point {text!r} has a non-finite coordinate")
     return np.array(values)
 
 
@@ -260,6 +263,8 @@ def cmd_grid(args) -> int:
 
 def cmd_check(args) -> int:
     geom = _load_geometry(args.geometry)
+    if args.samples < 1:
+        raise InputError("samples must be at least 1")
     if args.method is not None:
         _resolve_method(geom, args.method)  # raises InputError when incompatible
         if args.method.startswith("wachspress") and isinstance(geom, Quadrilateral):

@@ -10,6 +10,7 @@ hat solution out of every adjacency constraint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +37,16 @@ def _locate(nodes: NodeSet1D, x: float):
     """Containing interval index for x; exact node hits take the lower interval.
 
     Returns (k, x) with x clamped into [nodes[0], nodes[-1]]; raises
-    OutOfDomain when x lies outside beyond a span-relative tolerance.
+    OutOfDomain when x is not finite or lies outside beyond a span-relative
+    tolerance.
     """
     xs = nodes.nodes
+    lo, hi = float(xs[0]), float(xs[-1])
+    x = float(x)
     tol = DOMAIN_RTOL * nodes.span
-    if x < xs[0] - tol or x > xs[-1] + tol:
-        raise OutOfDomain(f"x={x!r} outside [{xs[0]!r}, {xs[-1]!r}]")
-    x = min(max(float(x), float(xs[0])), float(xs[-1]))
+    if not math.isfinite(x) or x < lo - tol or x > hi + tol:
+        raise OutOfDomain(f"x={x!r} outside [{lo!r}, {hi!r}]")
+    x = min(max(x, lo), hi)
     idx = int(np.searchsorted(xs, x, side="left"))
     if idx < len(xs) and xs[idx] == x:
         k = max(idx - 1, 0)

@@ -124,6 +124,22 @@ class TestEval:
         assert code == 0
         assert np.allclose(json.loads(out)["weights"], [0.5, 0.5, 0])
 
+    @pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
+    def test_interval_non_finite_point_input_error(self, capsys, tmp_path, point):
+        path = tmp_path / "iv.json"
+        path.write_text(json.dumps({"kind": "interval", "nodes": [0, 0.4, 1]}))
+        for method in ("moment", "hat"):
+            code, out, err = run(
+                capsys, "eval", "--geometry", str(path), f"--point={point}", "--method", method
+            )
+            assert code == 2 and out == "" and "non-finite" in err
+
+    def test_quad_non_finite_point_input_error(self, capsys):
+        code, _, err = run(
+            capsys, "eval", "--geometry", "conv-quad", "--point", "0.5,nan", "--method", "moment"
+        )
+        assert code == 2 and "non-finite" in err
+
 
 class TestGrid:
     def test_biunit_three_by_three(self, capsys, tmp_path):
@@ -250,3 +266,9 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--geometry", str(geom), "--samples", "200")
         assert code == 0
         assert "hat oracle" in out
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("geometry", ["conv-quad", "conv-hex"])
+    def test_nonpositive_samples_input_error(self, capsys, geometry, samples):
+        code, out, err = run(capsys, "check", "--geometry", geometry, f"--samples={samples}")
+        assert code == 2 and "passed" not in out and "samples" in err

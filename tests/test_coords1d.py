@@ -137,3 +137,9 @@ class TestMomentCoords1D:
         nodes = NodeSet1D([0, 0.5, 1])
         phi = moment_coords_1d(nodes, 1.0 + 1e-16)
         assert np.allclose(phi, [0, 0, 1], atol=1e-12)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [moment_coords_1d, hat_oracle])
+    def test_non_finite_point_out_of_domain(self, fn, x):
+        with pytest.raises(OutOfDomain, match=r"outside \[0\.0, 1\.0\]"):
+            fn(NodeSet1D([0, 0.5, 1]), x)
