@@ -11,10 +11,12 @@ from .coords1d import Moment1DSystem, build_system_1d, hat_oracle, moment_coords
 from .coords2d import (
     cramer_coords_quad,
     moment_coords_quad,
+    moment_coords_quad_many,
     moment_row,
     mvc_oracle,
     triangle_barycentric,
     wachspress_coords_quad,
+    wachspress_coords_quad_many,
     wachspress_oracle,
     wachspress_row,
 )
@@ -45,13 +47,14 @@ from .geometry import (
     PointLocation,
     Quadrilateral,
     classify_point_quad,
+    classify_points_quad,
     edge_distance,
     face_of_point_hex,
     outward_normal,
     signed_area,
     validate_geometry,
 )
-from .smallsolve import SquareSystem, solve_dense, solve_square
+from .smallsolve import SquareSystem, solve_dense, solve_dense_many, solve_square
 
 __version__ = "0.1.0"
 
@@ -62,10 +65,12 @@ __all__ = [
     "moment_coords_1d",
     "cramer_coords_quad",
     "moment_coords_quad",
+    "moment_coords_quad_many",
     "moment_row",
     "mvc_oracle",
     "triangle_barycentric",
     "wachspress_coords_quad",
+    "wachspress_coords_quad_many",
     "wachspress_oracle",
     "wachspress_row",
     "Frame3",
@@ -90,6 +95,7 @@ __all__ = [
     "PointLocation",
     "Quadrilateral",
     "classify_point_quad",
+    "classify_points_quad",
     "edge_distance",
     "face_of_point_hex",
     "outward_normal",
@@ -97,5 +103,6 @@ __all__ = [
     "validate_geometry",
     "SquareSystem",
     "solve_dense",
+    "solve_dense_many",
     "solve_square",
 ]

@@ -269,8 +269,11 @@ def run_suite(geometry, samples: int, seed: int, tol_scale: float = 1.0, method:
 
     method restricts quadrilateral suites to one coordinate family
     ("wachspress" or anything else mapping to the moment family); hex and
-    interval geometries have a single family.
+    interval geometries have a single family.  Raises ValueError when
+    samples < 1, which would leave the sampled axioms out of the result.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if isinstance(geometry, Quadrilateral):
         family = None
         if method is not None:

@@ -18,10 +18,10 @@ from .geometry import (
     Hexahedron,
     NodeSet1D,
     Quadrilateral,
-    classify_point_quad,
+    classify_points_quad,
     face_of_point_hex,
 )
-from .gradients import FD_STEP_RTOL, finite_difference_gradient
+from .gradients import FD_STEP_RTOL, finite_difference_gradient_many
 from .shapes import BUILTINS
 
 EXIT_OK = 0
@@ -33,6 +33,9 @@ EXIT_DOMAIN_ERROR = 3
 ROW_PARTITION_TOL = 1e-12
 ROW_NONNEG_TOL = 1e-12
 ROW_PRECISION_RTOL = 1e-10
+# grid evaluates its points in chunks of this many, which bounds the memory
+# of the stacked solves.
+GRID_CHUNK = 512
 
 
 class InputError(Exception):
@@ -84,6 +87,13 @@ METHODS = {
     },
 }
 
+# Methods with a vectorized batch path, keyed by (geometry kind, method);
+# grid evaluates every other method point by point through METHODS.
+BATCH_METHODS = {
+    ("quad", "moment"): coords2d.moment_coords_quad_many,
+    ("quad", "wachspress"): coords2d.wachspress_coords_quad_many,
+}
+
 
 def _geometry_kind(geom) -> str:
     if isinstance(geom, Quadrilateral):
@@ -102,6 +112,12 @@ def _resolve_method(geom, name: str):
             f" (choose from {', '.join(sorted(table))})"
         )
     return table[name]
+
+
+def _require_convex(geom, method: str):
+    if method.startswith("wachspress") and isinstance(geom, Quadrilateral):
+        if not geom.is_convex:
+            raise NotConvex("Wachspress coordinates are undefined on nonconvex quadrilaterals")
 
 
 def _parse_point(text: str, dim: int) -> np.ndarray:
@@ -148,7 +164,7 @@ def cmd_eval(args) -> int:
     point = _parse_point(args.point, _geometry_dim(geom))
     weights, frame = _evaluate(geom, args.method, point)
     diameter, vertices = _geometry_size(geom)
-    if not _row_ok(weights, vertices, point, diameter):
+    if not _row_ok(weights[None], vertices, point[None], diameter)[0]:
         raise MomentCoordsError("coordinate invariants violated at write time")
     record = {
         "point": point.tolist(),
@@ -181,14 +197,43 @@ def _grid_axes(geom, n: int):
     return [np.linspace(lo[d], hi[d], n) for d in range(lo.shape[0])]
 
 
-def _inside(geom, p) -> bool:
+def _inside_many(geom, points) -> np.ndarray:
+    """Which rows of points (m, dim) lie inside or on the boundary."""
     kind = _geometry_kind(geom)
     if kind == "quad":
-        return classify_point_quad(geom, p).inside
+        return classify_points_quad(geom, points)[0] != "exterior"
     if kind == "hex":
-        return face_of_point_hex(geom, p).inside
-    x = float(p[0])
-    return geom.nodes[0] <= x <= geom.nodes[-1]
+        return np.array([face_of_point_hex(geom, p).inside for p in points], dtype=bool)
+    x = points[:, 0]
+    return (geom.nodes[0] <= x) & (x <= geom.nodes[-1])
+
+
+def _evaluator_many(geom, method_name: str):
+    """evaluate(points) -> (weights (m, n), ok (m,)) for the grid pipeline.
+
+    Methods in BATCH_METHODS run vectorized; every other method runs its
+    single-point function at each point, and ok is False where that raises
+    MomentCoordsError.
+    """
+    kind = _geometry_kind(geom)
+    fn = _resolve_method(geom, method_name)
+    many = BATCH_METHODS.get((kind, method_name))
+    if many is not None:
+        return lambda points: many(geom, points)
+    nweights = _geometry_size(geom)[1].shape[0]
+
+    def evaluate(points):
+        weights = np.full((len(points), nweights), np.nan)
+        ok = np.zeros(len(points), dtype=bool)
+        for s, p in enumerate(points):
+            try:
+                weights[s] = fn(geom, float(p[0])) if kind == "interval" else fn(geom, p)
+            except MomentCoordsError:
+                continue
+            ok[s] = True
+        return weights, ok
+
+    return evaluate
 
 
 def _geometry_size(geom) -> tuple[float, np.ndarray]:
@@ -198,25 +243,54 @@ def _geometry_size(geom) -> tuple[float, np.ndarray]:
     return geom.diameter, geom.vertices
 
 
-def _row_ok(weights, vertices, p, diameter) -> bool:
-    if abs(float(weights.sum()) - 1.0) > ROW_PARTITION_TOL:
-        return False
-    if float(weights.min()) < -ROW_NONNEG_TOL:
-        return False
-    recon = weights @ vertices
-    return bool(np.abs(recon - p).max() <= ROW_PRECISION_RTOL * diameter)
+def _row_ok(weights, vertices, points, diameter) -> np.ndarray:
+    """Write-time check of each row of weights (m, n) at points (m, dim).
+
+    Partition of unity, nonnegativity, and linear precision taken about the
+    vertex centroid c as |phi @ (v - c) - (p - c)|: the same quantity as
+    |phi @ v - p| whenever sum(phi) = 1, without the rounding of the
+    absolute coordinates of far-translated geometry.  The sum over vertices
+    runs in a fixed order, so a row's verdict does not depend on its batch.
+    """
+    c = vertices.mean(axis=0)
+    centred = vertices - c
+    recon = np.zeros(points.shape)
+    for i in range(centred.shape[0]):
+        recon += weights[:, i, None] * centred[i]
+    return (
+        (np.abs(weights.sum(axis=1) - 1.0) <= ROW_PARTITION_TOL)
+        & (weights.min(axis=1) >= -ROW_NONNEG_TOL)
+        & (np.abs(recon - (points - c)).max(axis=1) <= ROW_PRECISION_RTOL * diameter)
+    )
+
+
+def _format_rows(points, weights, ok, grad, grad_ok) -> list[str]:
+    """CSV rows, each value as format(v, ".17g") (which "%.17g" equals);
+    failed weights or derivatives leave their fields empty."""
+    m, dim = points.shape
+    blocks = [points, weights] + ([] if grad is None else [grad.reshape(m, -1)])
+    width = sum(b.shape[1] for b in blocks)
+    filled = np.where(ok, dim + weights.shape[1], dim)
+    if grad is not None:
+        filled[grad_ok] = width
+    templates = {k: ",".join(["%.17g"] * k) + "," * (width - k) for k in set(filled.tolist())}
+    return [
+        templates[k] % tuple(row[:k])
+        for k, row in zip(filled.tolist(), np.hstack(blocks).tolist())
+    ]
 
 
 def cmd_grid(args) -> int:
     geom = _load_geometry(args.geometry)
     if args.resolution < 2:
         raise InputError("resolution must be at least 2")
-    fn = _resolve_method(geom, args.method)
-    kind = _geometry_kind(geom)
+    _require_convex(geom, args.method)
+    evaluate = _evaluator_many(geom, args.method)
     axes = _grid_axes(geom, args.resolution)
     diameter, vertices = _geometry_size(geom)
     nweights = vertices.shape[0]
-    axis_names = ["x", "y", "z"][: len(axes)]
+    dim = len(axes)
+    axis_names = ["x", "y", "z"][:dim]
 
     header = axis_names + [f"phi{i + 1}" for i in range(nweights)]
     if args.derivatives:
@@ -224,35 +298,25 @@ def cmd_grid(args) -> int:
             for ax in axis_names:
                 header.append(f"dphi{i + 1}_d{ax}")
 
-    def evaluate(p):
-        if kind == "interval":
-            return fn(geom, float(p[0]))
-        return fn(geom, p)
-
     h = FD_STEP_RTOL * diameter
     failures = 0
     lines = [",".join(header)]
     grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    for p in points:
-        if not _inside(geom, p):
-            continue
-        fields = [format(c, ".17g") for c in p]
-        try:
-            weights = evaluate(p)
-            if not _row_ok(weights, vertices, p, diameter):
-                raise MomentCoordsError("coordinate invariants violated at write time")
-            fields += [format(w, ".17g") for w in weights]
-            if args.derivatives:
-                grad = finite_difference_gradient(
-                    evaluate, lambda q: _inside(geom, q), p, h
-                )
-                fields += [format(g, ".17g") for g in grad.ravel()]
-        except MomentCoordsError:
-            # Failed fields (weights or derivatives) stay empty.
-            failures += 1
-            fields += [""] * (len(header) - len(fields))
-        lines.append(",".join(fields))
+    all_points = np.stack([g.ravel() for g in grids], axis=-1)
+    for start in range(0, len(all_points), GRID_CHUNK):
+        points = all_points[start : start + GRID_CHUNK]
+        points = points[_inside_many(geom, points)]
+        weights, ok = evaluate(points)
+        ok &= _row_ok(weights, vertices, points, diameter)
+        grad = grad_ok = None
+        if args.derivatives:
+            grad = np.full((len(points), nweights, dim), np.nan)
+            grad_ok = np.zeros(len(points), dtype=bool)
+            grad[ok], grad_ok[ok] = finite_difference_gradient_many(
+                evaluate, lambda q: _inside_many(geom, q), points[ok], weights[ok], h
+            )
+        failures += int((~ok).sum()) if grad_ok is None else int((~grad_ok).sum())
+        lines += _format_rows(points, weights, ok, grad, grad_ok)
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -267,9 +331,7 @@ def cmd_check(args) -> int:
         raise InputError("samples must be at least 1")
     if args.method is not None:
         _resolve_method(geom, args.method)  # raises InputError when incompatible
-        if args.method.startswith("wachspress") and isinstance(geom, Quadrilateral):
-            if not geom.is_convex:
-                raise NotConvex("Wachspress coordinates are undefined on nonconvex quadrilaterals")
+        _require_convex(geom, args.method)
     results = checks.run_suite(geom, args.samples, args.seed, args.tol, method=args.method)
     for result in results:
         print(result.line())

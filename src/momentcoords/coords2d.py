@@ -22,8 +22,14 @@ from .errors import (
     OutsideDomain,
     SingularMatrix,
 )
-from .geometry import Quadrilateral, classify_point_quad, edge_distance, signed_area
-from .smallsolve import solve_dense
+from .geometry import (
+    Quadrilateral,
+    classify_point_quad,
+    classify_points_quad,
+    edge_distance,
+    signed_area,
+)
+from .smallsolve import solve_dense, solve_dense_many
 
 # Sign pattern of the kernel of the reproducing rows on a quadrilateral.
 ALTERNATING = np.array([1.0, -1.0, 1.0, -1.0])
@@ -68,6 +74,53 @@ def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     m[1:3] = (quad.vertices - p).T
     m[3] = moment_row(quad, p)
     return solve_dense(m, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def _coords_many(quad: Quadrilateral, points, constant_row: int, weight_rows):
+    """Batch path shared by both families.
+
+    Vertex points get the Kronecker row.  The systems of the other inside
+    points are solved as one stack, each filled as the single-point
+    function fills its own: ones in row constant_row (where the rhs holds
+    its only 1), v - p in the other two of rows 0-2, and
+    weight_rows(quad, q) in row 3.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    kind, index = classify_points_quad(quad, pts)
+    phi = np.full((len(pts), 4), np.nan)
+    ok = np.zeros(len(pts), dtype=bool)
+    vertex = np.flatnonzero(kind == "at_vertex")
+    phi[vertex] = 0.0
+    phi[vertex, index[vertex]] = 1.0
+    ok[vertex] = True
+    solve = np.flatnonzero((kind != "at_vertex") & (kind != "exterior"))
+    q = pts[solve]
+    m = np.empty((len(q), 4, 4))
+    m[:, constant_row] = 1.0
+    m[:, [r for r in range(3) if r != constant_row]] = quad.vertices.T[None] - q[:, :, None]
+    m[:, 3] = weight_rows(quad, q)
+    rhs = np.zeros((len(q), 4))
+    rhs[:, constant_row] = 1.0
+    phi[solve], ok[solve] = solve_dense_many(m, rhs)
+    return phi, ok
+
+
+def _moment_rows(quad: Quadrilateral, q) -> np.ndarray:
+    """moment_row for each row of q, through math.hypot as moment_row does."""
+    xs, ys = zip(*quad.corner_tuple)
+    dx = (np.array(xs)[None] - q[:, :1]).ravel().tolist()
+    dy = (np.array(ys)[None] - q[:, 1:]).ravel().tolist()
+    return np.array(list(map(math.hypot, dx, dy))).reshape(-1, 4) * ALTERNATING
+
+
+def moment_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
+    """moment_coords_quad at each row of points (m, 2); returns (phi, ok).
+
+    phi[s] is bitwise equal to moment_coords_quad(quad, points[s]) where
+    ok[s] is set; ok[s] is False (and phi[s] NaN) where the single-point
+    function raises: an exterior point or a singular system.
+    """
+    return _coords_many(quad, points, 0, _moment_rows)
 
 
 def mvc_oracle(quad: Quadrilateral, p) -> np.ndarray:
@@ -198,6 +251,30 @@ def wachspress_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     m[2] = 1.0
     m[3] = wachspress_row(quad, p)
     return solve_dense(m, np.array([0.0, 0.0, 1.0, 0.0]))
+
+
+def _wachspress_rows(quad: Quadrilateral, q) -> np.ndarray:
+    """wachspress_row for each row of q, in the same operation order."""
+    v = quad.vertices
+    lens = quad.edge_lengths
+    h = np.empty((len(q), 4))
+    for i in range(4):
+        a = v[i]
+        e = v[(i + 1) % 4] - a
+        h[:, i] = (e[0] * (q[:, 1] - a[1]) - e[1] * (q[:, 0] - a[0])) / float(np.linalg.norm(e))
+    rho = np.column_stack([lens[i - 1] * lens[i] * h[:, i - 1] * h[:, i] for i in range(4)])
+    return rho * ALTERNATING
+
+
+def wachspress_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
+    """wachspress_coords_quad at each row of points (m, 2); returns (phi, ok).
+
+    Same contract as moment_coords_quad_many; raises NotConvex, as the
+    single-point function does, when the quadrilateral is not convex.
+    """
+    if not quad.is_convex:
+        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
+    return _coords_many(quad, points, 2, _wachspress_rows)
 
 
 def wachspress_oracle(quad: Quadrilateral, p) -> np.ndarray:

@@ -257,6 +257,41 @@ def classify_point_quad(quad: Quadrilateral, p, tol: float | None = None) -> Poi
     return PointLocation("interior" if inside else "exterior")
 
 
+def classify_points_quad(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
+    """Classify each row of points (m, 2); returns (kind, index) arrays.
+
+    kind[s] and index[s] (-1 where the location has none) are the kind and
+    index classify_point_quad gives for points[s], by construction: a point
+    within 4 tol of an edge (so of a vertex too) goes to classify_point_quad
+    itself, because np.hypot and math.hypot differ in the last bit, and the
+    even-odd parity of the others uses classify_point_quad's own expression.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    tol = CLASSIFY_RTOL * quad.diameter
+    x, y = pts[:, 0], pts[:, 1]
+    corners = quad.corner_tuple
+    near = np.zeros(len(pts), dtype=bool)
+    parity = np.zeros(len(pts), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e in range(4):
+            ax, ay = corners[e]
+            bx, by = corners[(e + 1) % 4]
+            ex, ey = bx - ax, by - ay
+            t = np.clip(((x - ax) * ex + (y - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+            near |= np.hypot(x - ax - t * ex, y - ay - t * ey) <= 4.0 * tol
+            straddle = (ay > y) != (by > y)
+            parity ^= straddle & (x < ax + (y - ay) * (bx - ax) / (by - ay))
+    kind = np.full(len(pts), "exterior", dtype="U9")  # "at_vertex" is the longest kind
+    kind[parity] = "interior"
+    index = np.full(len(pts), -1)
+    for s in np.flatnonzero(near):
+        loc = classify_point_quad(quad, pts[s])
+        kind[s] = loc.kind
+        if loc.index is not None:
+            index[s] = loc.index
+    return kind, index
+
+
 class NodeSet1D:
     """n >= 3 strictly increasing nodes on an interval."""
 

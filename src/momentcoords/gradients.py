@@ -47,3 +47,39 @@ def finite_difference_gradient(evaluate, inside, p, h: float) -> np.ndarray:
             # At a sharp corner both offsets can leave the domain.
             raise DomainError(f"no admissible finite-difference step along axis {j}")
     return np.column_stack(cols)
+
+
+def finite_difference_gradient_many(evaluate_many, inside_many, points, base, h: float):
+    """finite_difference_gradient at each row of points (m, dim) at once.
+
+    evaluate_many(points) returns (weights (k, n), ok (k,)) and
+    inside_many(points) a (k,) bool array; base (m, n) holds the weights at
+    points themselves.  Each row takes the same central or one-sided
+    difference as the single-point function, with the same arithmetic.
+    Returns (grad (m, n, dim), ok (m,)); ok is False (and the row NaN) where
+    the single-point function raises: no admissible step along some axis,
+    or an offset point that fails to evaluate.
+    """
+    points = np.asarray(points, dtype=float)
+    m, dim = points.shape
+    grad = np.full((m, base.shape[1], dim), np.nan)
+    ok = np.ones(m, dtype=bool)
+    for j in range(dim):
+        step = np.zeros(dim)
+        step[j] = h
+        offsets = []
+        for q in (points + step, points - step):
+            admissible = inside_many(q)
+            w = np.full(base.shape, np.nan)
+            w[admissible], good = evaluate_many(q[admissible])
+            ok[np.flatnonzero(admissible)[~good]] = False
+            offsets.append((admissible, w))
+        (up_ok, up), (dn_ok, dn) = offsets
+        ok &= up_ok | dn_ok
+        grad[:, :, j] = np.where(
+            (up_ok & dn_ok)[:, None],
+            (up - dn) / (2.0 * h),
+            np.where(up_ok[:, None], (up - base) / h, (base - dn) / h),
+        )
+    grad[~ok] = np.nan
+    return grad, ok

@@ -2,11 +2,13 @@
 
 Every coordinate construction in this package bottoms out in one of these
 solves: n x n on an interval, 4 x 4 on a quadrilateral, 8 x 8 on a
-hexahedron.  There is one solver, an LU with partial (row) pivoting written
-on plain Python lists of floats.  It is scalar on purpose: at these sizes
-each numpy call costs more than the arithmetic it does, so a row-vectorized
-numpy LU spends most of its time in per-call overhead, while the list LU
-runs the same elimination three to four times faster on 4 x 4 and 8 x 8.
+hexahedron.  There is one elimination, an LU with partial (row) pivoting,
+written twice.  solve_dense runs it on plain Python lists of floats: for a
+single system each numpy call costs more than the arithmetic it does, so a
+row-vectorized numpy LU spends most of its time in per-call overhead, while
+the list LU runs the same elimination three to four times faster on 4 x 4
+and 8 x 8.  solve_dense_many runs it over a stack of systems, one numpy
+operation per step for the whole stack, with bitwise equal results.
 """
 
 from __future__ import annotations
@@ -115,6 +117,57 @@ def solve_dense(matrix, rhs) -> np.ndarray:
             f"solve residual {resid:.3e} exceeds contract"
         )
     return x
+
+
+def solve_dense_many(matrices, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of systems matrices[s] @ x[s] = rhs[s]; returns (x, ok).
+
+    matrices is (m, n, n) and rhs (m, n).  Each system goes through the same
+    elimination as solve_dense, in the same order, as elementwise numpy
+    operations over the stack axis, so every solution is bitwise equal to
+    solve_dense's.  No matmul is used to eliminate or back-substitute: a
+    stacked product rounds differently from the per-row one.  ok[s] is False
+    exactly where solve_dense would raise SingularMatrix (the pivot floor is
+    taken from each system's own max|A|); x[s] is then NaN.  Inputs are
+    copied, never modified.
+    """
+    a0 = np.asarray(matrices, dtype=float)
+    b0 = np.asarray(rhs, dtype=float)
+    if a0.ndim != 3 or a0.shape[1] != a0.shape[2] or b0.shape != a0.shape[:2]:
+        raise ValueError(
+            f"need (m, n, n) matrices and (m, n) rhs, got {a0.shape} / {b0.shape}"
+        )
+    m, n = b0.shape
+    a = a0.copy()
+    b = b0.copy()
+    rows = np.arange(m)
+    floor = PIVOT_RTOL * np.abs(a).max(axis=(1, 2))
+    ok = floor != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            col = np.abs(a[:, k:, k])
+            p = k + col.argmax(axis=1)  # the first row holding the largest |entry|
+            ok &= ~(col[rows, p - k] < floor)
+            row_k, row_p = a[rows, k], a[rows, p]
+            a[rows, k], a[rows, p] = row_p, row_k
+            b[rows, k], b[rows, p] = b[rows, p], b[rows, k]
+            mult = a[:, k + 1 :, k] / a[:, k, k, None]
+            a[:, k + 1 :, k + 1 :] -= mult[:, :, None] * a[:, k, None, k + 1 :]
+            b[:, k + 1 :] -= mult * b[:, k, None]
+        x = np.zeros((m, n))
+        for k in range(n - 1, -1, -1):
+            dot = np.zeros(m)
+            for j in range(k + 1, n):
+                dot += a[:, k, j] * x[:, j]
+            x[:, k] = (b[:, k] - dot) / a[:, k, k]
+    x[~ok] = np.nan
+    if __debug__ and ok.any():
+        resid = np.abs(np.matmul(a0[ok], x[ok, :, None])[:, :, 0] - b0[ok]).max(axis=1)
+        bound = RESIDUAL_RTOL * (1.0 + np.abs(b0[ok]).max(axis=1))
+        assert np.all(resid <= bound), (
+            f"solve residual {float((resid / bound).max()):.3e} x the contract bound"
+        )
+    return x, ok
 
 
 def solve_square(system: SquareSystem) -> np.ndarray:

@@ -1,0 +1,241 @@
+"""The batch API against the single-point API it must reproduce bit for bit."""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from momentcoords import sampling, shapes
+from momentcoords.cli import main
+from momentcoords.coords2d import (
+    moment_coords_quad,
+    moment_coords_quad_many,
+    wachspress_coords_quad,
+    wachspress_coords_quad_many,
+)
+from momentcoords.coords1d import hat_oracle
+from momentcoords.coords3d import moment_coords_hex
+from momentcoords.errors import DomainError, MomentCoordsError, NotConvex
+from momentcoords.geometry import (
+    CLASSIFY_RTOL,
+    NodeSet1D,
+    Quadrilateral,
+    classify_point_quad,
+    classify_points_quad,
+)
+from momentcoords.gradients import (
+    FD_STEP_RTOL,
+    finite_difference_gradient,
+    finite_difference_gradient_many,
+)
+
+
+def _bbox_grid(quad, n):
+    lo, hi = quad.vertices.min(axis=0), quad.vertices.max(axis=0)
+    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n))
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def _edge_points(quad):
+    """Points on each edge and within a few tolerances of it, on both sides."""
+    v = quad.vertices
+    tol = CLASSIFY_RTOL * quad.diameter
+    out = []
+    for i in range(4):
+        a, b = v[i], v[(i + 1) % 4]
+        e = b - a
+        normal = np.array([e[1], -e[0]]) / np.linalg.norm(e)
+        for t in (0.0, 1e-12, 0.25, 0.5, 0.999, 1.0):
+            for off in (0.0, 0.5, 0.99, 1.01, 3.9, 4.1, -0.5, -1.01, -5.0):
+                out.append(a + t * e + off * tol * normal)
+    return np.array(out)
+
+
+def _test_points(quad):
+    return np.vstack([_bbox_grid(quad, 41), _edge_points(quad)])
+
+
+def _offset(quad, offset):
+    return Quadrilateral(quad.vertices + np.asarray(offset))
+
+
+QUADS = {
+    "biunit": shapes.biunit_square(),
+    "convex": shapes.convex_quad(),
+    "nonconvex": shapes.nonconvex_quad(),
+    "nonconvex+1e6": _offset(shapes.nonconvex_quad(), [1e6, -0.4e6]),
+    "nonconvex+1e8": _offset(shapes.nonconvex_quad(), [1e8, 0.7e8]),
+    "convex+1e8": _offset(shapes.convex_quad(), [-1e8, 1e8]),
+}
+
+
+def _assert_classify_equal(quad, points):
+    kind, index = classify_points_quad(quad, points)
+    for s, p in enumerate(points):
+        loc = classify_point_quad(quad, p)
+        assert kind[s] == loc.kind, (p, kind[s], loc)
+        assert index[s] == (-1 if loc.index is None else loc.index), (p, index[s], loc)
+    return kind
+
+
+def _assert_many_equal(single, many, quad, points):
+    refs = []
+    for p in points:
+        try:
+            refs.append(single(quad, p))
+        except MomentCoordsError:
+            refs.append(None)
+        except AssertionError:
+            # The residual contract failed at some point: the batch, which
+            # checks the same contract, must fail it too.
+            with pytest.raises(AssertionError, match="residual"):
+                many(quad, points)
+            return
+    phi, ok = many(quad, points)
+    for s, (p, ref) in enumerate(zip(points, refs)):
+        if ref is None:
+            assert not ok[s] and np.isnan(phi[s]).all()
+        else:
+            assert ok[s] and np.array_equal(phi[s], ref), (p, phi[s], ref)
+
+
+@pytest.mark.parametrize("name", sorted(QUADS))
+def test_classify_points_quad_same_decisions(name):
+    quad = QUADS[name]
+    kind = _assert_classify_equal(quad, _test_points(quad))
+    # The grids and edge offsets do reach every kind of location.
+    assert {"interior", "exterior", "on_edge", "at_vertex"} <= set(kind.tolist())
+
+
+@pytest.mark.parametrize("name", sorted(QUADS))
+def test_many_bitwise_equal_to_single_point(name):
+    quad = QUADS[name]
+    points = _test_points(quad)
+    _assert_many_equal(moment_coords_quad, moment_coords_quad_many, quad, points)
+    if quad.is_convex:
+        _assert_many_equal(wachspress_coords_quad, wachspress_coords_quad_many, quad, points)
+
+
+def test_wachspress_many_refuses_nonconvex():
+    with pytest.raises(NotConvex):
+        wachspress_coords_quad_many(QUADS["nonconvex"], np.zeros((1, 2)))
+
+
+def test_many_empty_batch():
+    phi, ok = moment_coords_quad_many(QUADS["convex"], np.zeros((0, 2)))
+    assert phi.shape == (0, 4) and ok.shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["convex", "nonconvex", "nonconvex+1e6"])
+def test_batched_fd_equals_scalar_fd(name):
+    quad = QUADS[name]
+    h = FD_STEP_RTOL * quad.diameter
+    points = _test_points(quad)
+    points = points[classify_points_quad(quad, points)[0] != "exterior"]
+    base, ok = moment_coords_quad_many(quad, points)
+    points, base = points[ok], base[ok]
+
+    def inside_many(q):
+        return classify_points_quad(quad, q)[0] != "exterior"
+
+    grad, grad_ok = finite_difference_gradient_many(
+        lambda q: moment_coords_quad_many(quad, q), inside_many, points, base, h
+    )
+    raised = 0
+    for s, p in enumerate(points):
+        try:
+            ref = finite_difference_gradient(
+                lambda q: moment_coords_quad(quad, q),
+                lambda q: classify_point_quad(quad, q).inside,
+                p,
+                h,
+            )
+        except DomainError:
+            raised += 1
+            assert not grad_ok[s]
+            continue
+        assert grad_ok[s] and np.array_equal(grad[s], ref), p
+    assert raised > 0  # the sharp corners have no admissible step
+
+
+def _grid_rows(capsys, tmp_path, geometry, method, resolution, derivatives=False):
+    out = tmp_path / "grid.csv"
+    argv = ["grid", "--geometry", geometry, "--resolution", str(resolution),
+            "--method", method, "--out", str(out)]
+    assert main(argv + (["--derivatives"] if derivatives else [])) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+@pytest.mark.parametrize(
+    "geometry,method,fn",
+    [
+        ("nonconv-quad", "moment", moment_coords_quad),
+        ("conv-quad", "wachspress", wachspress_coords_quad),
+        ("biunit-square", "moment", moment_coords_quad),
+        ("conv-hex", "moment", moment_coords_hex),
+    ],
+)
+def test_grid_rows_equal_single_point_weights(capsys, tmp_path, geometry, method, fn):
+    geom = shapes.BUILTINS[geometry]()
+    dim = geom.vertices.shape[1]
+    rows = _grid_rows(capsys, tmp_path, geometry, method, 5 if dim == 3 else 31)
+    assert rows
+    for row in rows:
+        p = np.array([float(c) for c in row[:dim]])
+        assert row[dim:] == [format(w, ".17g") for w in fn(geom, p)]
+
+
+def test_grid_derivative_rows_equal_scalar_fd(capsys, tmp_path):
+    quad = shapes.nonconvex_quad()
+    h = FD_STEP_RTOL * quad.diameter
+    rows = _grid_rows(capsys, tmp_path, "nonconv-quad", "moment", 21, derivatives=True)
+    blank = 0
+    for row in rows:
+        p = np.array([float(c) for c in row[:2]])
+        assert row[2:6] == [format(w, ".17g") for w in moment_coords_quad(quad, p)]
+        try:
+            grad = finite_difference_gradient(
+                lambda q: moment_coords_quad(quad, q),
+                lambda q: classify_point_quad(quad, q).inside,
+                p,
+                h,
+            )
+        except DomainError:
+            blank += 1
+            assert row[6:] == [""] * 8
+            continue
+        assert row[6:] == [format(g, ".17g") for g in grad.ravel()]
+    assert blank > 0
+
+
+def test_interval_grid_rows_equal_single_point(capsys, tmp_path):
+    nodes = [0.0, 0.1, 0.25, 0.7, 1.0]
+    path = tmp_path / "iv.json"
+    path.write_text(json.dumps({"kind": "interval", "nodes": nodes}))
+    rows = _grid_rows(capsys, tmp_path, str(path), "hat", 17)
+    assert len(rows) == 17
+    for row in rows:
+        ref = hat_oracle(NodeSet1D(nodes), float(row[0]))
+        assert row[1:] == [format(w, ".17g") for w in ref]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+    offset=st.tuples(st.floats(-1e8, 1e8), st.floats(-1e8, 1e8)),
+)
+def test_property_batch_equals_single_point(seed, log_scale, offset):
+    rng = np.random.default_rng(seed)
+    base = sampling.random_simple_quad(rng)
+    quad = Quadrilateral(base.vertices * 10.0**log_scale + np.array(offset))
+    points = np.vstack([_bbox_grid(quad, 9), _edge_points(quad)[::5]])
+    _assert_classify_equal(quad, points)
+    _assert_many_equal(moment_coords_quad, moment_coords_quad_many, quad, points)
+    if quad.is_convex:
+        _assert_many_equal(wachspress_coords_quad, wachspress_coords_quad_many, quad, points)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from momentcoords.cli import main
+from momentcoords.shapes import nonconvex_quad
 
 
 def run(capsys, *argv):
@@ -141,6 +142,27 @@ class TestEval:
         assert code == 2 and "non-finite" in err
 
 
+def _far_quad(tmp_path):
+    """nonconv-quad translated by (1e8, 0.7e8), as a geometry file."""
+    path = tmp_path / "far.json"
+    vertices = nonconvex_quad().vertices + [1e8, 0.7e8]
+    path.write_text(json.dumps({"kind": "quad", "vertices": vertices.tolist()}))
+    return str(path)
+
+
+class TestEvalFarTranslated:
+    def test_centred_row_check(self, capsys, tmp_path):
+        # The absolute residual |phi @ v - p| here is 1.5e-8 against a bound
+        # of 4.1e-10; about the vertex centroid it is 0.
+        code, out, _ = run(
+            capsys, "eval", "--geometry", _far_quad(tmp_path),
+            "--point", "100000000.9,70000001.1", "--method", "moment",
+        )
+        assert code == 0
+        weights = np.array(json.loads(out)["weights"])
+        assert abs(weights.sum() - 1.0) <= 1e-12 and weights.min() >= 0.0
+
+
 class TestGrid:
     def test_biunit_three_by_three(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
@@ -217,6 +239,28 @@ class TestGrid:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5
         assert [float(v) for v in rows[0].values()] == [0.0, 1.0, 0.0, 0.0, 0.0]
+
+    def test_wachspress_on_nonconvex_refused(self, capsys, tmp_path):
+        for method in ("wachspress", "wachspress-oracle"):
+            code, _, err = run(
+                capsys, "grid", "--geometry", "nonconv-quad", "--resolution", "5",
+                "--method", method, "--out", str(tmp_path / "g.csv"),
+            )
+            assert code == 3 and "domain error" in err
+
+    def test_far_translated_rows_written(self, capsys, tmp_path):
+        # Linear precision is checked about the vertex centroid: measured in
+        # absolute coordinates, 1,864 of these 3,836 rows were left blank.
+        out_path = tmp_path / "grid.csv"
+        code, _, err = run(
+            capsys, "grid", "--geometry", _far_quad(tmp_path), "--resolution", "101",
+            "--method", "moment", "--out", str(out_path),
+        )
+        assert code == 0
+        rows = out_path.read_text().splitlines()[1:]
+        blank = sum("" in row.split(",") for row in rows)
+        assert len(rows) == 3836 and blank <= 6
+        assert f"warning: {blank} grid points" in err if blank else err == ""
 
     def test_bad_resolution(self, capsys, tmp_path):
         code, _, _ = run(

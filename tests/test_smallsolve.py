@@ -3,7 +3,8 @@ import pytest
 
 from momentcoords import smallsolve
 from momentcoords.errors import SingularMatrix
-from momentcoords.smallsolve import SquareSystem, solve_dense, solve_square
+from momentcoords.smallsolve import SquareSystem, solve_dense, solve_dense_many, solve_square
+
 
 def test_identity():
     x = solve_dense(np.eye(3), [1.0, 2.0, 3.0])
@@ -130,3 +131,69 @@ def test_solve_dense_shape_validation():
     with pytest.raises(ValueError):
         solve_dense(np.eye(3), np.zeros(4))
 
+
+
+def _scalar_oracle(a, b):
+    """solve_dense over a stack: (x, ok) with ok False where it raises."""
+    x = np.full(b.shape, np.nan)
+    ok = np.zeros(len(b), dtype=bool)
+    for s in range(len(b)):
+        try:
+            x[s] = solve_dense(a[s], b[s])
+        except SingularMatrix:
+            continue
+        ok[s] = True
+    return x, ok
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_many_bitwise_equal_to_solve_dense(n):
+    rng = np.random.default_rng(100 + n)
+    a = rng.normal(size=(40, n, n)) + rng.uniform(0, n) * np.eye(n)
+    b = rng.normal(size=(40, n))
+    a[0] = np.eye(n)[::-1]  # a row swap at column 0 and at every later one
+    a[1, 0, 0] = 0.0  # a row swap at column 0 only
+    a[2] = 0.0  # the zero matrix
+    a[3] = np.diag([1.0] * (n - 1) + [1e-20])  # a sub-floor last pivot
+    a[4, :, 1] = 2.0 * a[4, :, 0]  # dependent columns
+    a[5] *= 1e-200  # tiny but nonsingular: the floor follows max|A|
+    a0, b0 = a.copy(), b.copy()
+    x, ok = solve_dense_many(a, b)
+    x_ref, ok_ref = _scalar_oracle(a, b)
+    assert np.array_equal(ok, ok_ref)
+    assert not ok[2] and not ok[3] and not ok[4] and ok[0] and ok[1] and ok[5]
+    assert np.array_equal(x, x_ref, equal_nan=True)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+def test_many_sub_floor_pivots_match_singular_matrix():
+    # Pivots straddling PIVOT_RTOL relative to max|A|: ok is False exactly
+    # where solve_dense raises.
+    scales = np.logspace(-15, -11, 41)
+    a = np.array([np.diag([1.0, s, 1.0, 1.0]) for s in scales])
+    b = np.ones((len(scales), 4))
+    x, ok = solve_dense_many(a, b)
+    x_ref, ok_ref = _scalar_oracle(a, b)
+    assert np.array_equal(ok, ok_ref) and ok.any() and not ok.all()
+    assert np.array_equal(x, x_ref, equal_nan=True)
+
+
+def test_many_empty_stack():
+    x, ok = solve_dense_many(np.zeros((0, 4, 4)), np.zeros((0, 4)))
+    assert x.shape == (0, 4) and ok.shape == (0,)
+
+
+def test_many_shape_validation():
+    with pytest.raises(ValueError):
+        solve_dense_many(np.zeros((2, 3, 4)), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        solve_dense_many(np.zeros((2, 3, 3)), np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        solve_dense_many(np.eye(3), np.zeros(3))
+
+
+@pytest.mark.skipif(not __debug__, reason="the residual check runs only under __debug__")
+def test_many_residual_check_runs(monkeypatch):
+    monkeypatch.setattr(smallsolve, "RESIDUAL_RTOL", -1.0)
+    with pytest.raises(AssertionError, match="residual"):
+        solve_dense_many(np.eye(3)[None], np.ones((1, 3)))
