@@ -249,12 +249,15 @@ def wachspress_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     m = np.empty((4, 4))
     m[0:2] = (quad.vertices - p).T
     m[2] = 1.0
-    m[3] = wachspress_row(quad, p)
+    # The row grows as diameter**4; its right-hand side is 0, so scaling it
+    # to O(1) leaves the solution unchanged and keeps the solve well scaled.
+    m[3] = wachspress_row(quad, p) / quad.diameter**4
     return solve_dense(m, np.array([0.0, 0.0, 1.0, 0.0]))
 
 
 def _wachspress_rows(quad: Quadrilateral, q) -> np.ndarray:
-    """wachspress_row for each row of q, in the same operation order."""
+    """wachspress_row / diameter**4, as wachspress_coords_quad assembles it,
+    for each row of q, in the same operation order."""
     v = quad.vertices
     lens = quad.edge_lengths
     h = np.empty((len(q), 4))
@@ -263,7 +266,7 @@ def _wachspress_rows(quad: Quadrilateral, q) -> np.ndarray:
         e = v[(i + 1) % 4] - a
         h[:, i] = (e[0] * (q[:, 1] - a[1]) - e[1] * (q[:, 0] - a[0])) / float(np.linalg.norm(e))
     rho = np.column_stack([lens[i - 1] * lens[i] * h[:, i - 1] * h[:, i] for i in range(4)])
-    return rho * ALTERNATING
+    return rho * ALTERNATING / quad.diameter**4
 
 
 def wachspress_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:

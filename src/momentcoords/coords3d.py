@@ -4,16 +4,17 @@ The 8 x 8 system stacks a ones row, the three frame-coordinate rows of
 v_i - p, a 3 x 8 block of signed partial distances, and a signed full
 distance row.  It is nonsingular and its solution nonnegative whenever the
 frame coordinates of v_i - p match a fixed entrywise sign pattern, so each
-evaluation first searches for a unit reference frame realizing the pattern
-(the identity frame already works for box-like geometry; opposite-face
-normal bisectors cover affine images of the cube; a wedge construction
-through the intersection line of non-parallel opposite faces is the
-general fallback).
+evaluation first builds a unit reference frame realizing the pattern.  One
+rule picks each frame row per opposite-face pair: the normal of the plane
+through p and the line where the pair's supporting planes meet, or the
+pair's normal bisector when the planes are parallel.  The frame varies
+continuously with p, and so do the weights.
 
 For boundary points the pattern cannot hold on the columns of the
 containing face; those columns are exempted from the sign check and zeroed
-inside the partial-distance block, which reduces the solution to the 2D
-moment coordinates of the face.
+inside the partial-distance block, and the frame row of the face's pair is
+the face normal.  This reduces the solution to the 2D moment coordinates of
+the face.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ class Frame3:
         self.origin = np.asarray(origin, dtype=float)
         self.basis = np.column_stack([self.r1, self.r2, self.r3])
         self.rows = np.linalg.inv(self.basis) if _rows is None else _rows
-
-    @classmethod
-    def identity(cls, origin):
-        eye = np.eye(3)
-        return cls(eye[0], eye[1], eye[2], origin, _rows=eye)
 
     @classmethod
     def from_functionals(cls, rows, origin):
@@ -153,64 +149,49 @@ def _det3(rows) -> float:
     )
 
 
-def _bisector_direction(hexa, pair):
-    fa, fb = Hexahedron.OPPOSITE_PAIRS[pair]
-    na, _ = hexa.face_planes[fa]
-    nb, _ = hexa.face_planes[fb]
-    m = na - nb
-    norm = np.linalg.norm(m)
-    return m / norm if norm > 1e-12 else None
+def _pair_planes(hexa):
+    """Per opposite-face pair: (line, bisector), exactly one of them None.
 
-
-def _bisectors(hexa):
-    cached = getattr(hexa, "_mc_bisectors", None)
-    if cached is None:
-        cached = tuple(_bisector_direction(hexa, r) for r in range(3))
-        hexa._mc_bisectors = cached
-    return cached
-
-
-def _wedge_lines(hexa):
-    """Per pair: (unit line direction, point on the line, positive-face
-    centroid) for the intersection line of the supporting planes, or None
-    when the pair is parallel.  Depends only on the geometry, so cached."""
-    cached = getattr(hexa, "_mc_wedge_lines", None)
+    line is (unit direction, point on the line, positive-face centroid) of
+    the line where the pair's supporting planes meet; when the planes are
+    parallel (|n_a x n_b| < 1e-9) it is None and bisector is the unit
+    normal bisector n_a - n_b instead.  Depends only on the geometry, so
+    cached.
+    """
+    cached = getattr(hexa, "_mc_pair_planes", None)
     if cached is not None:
         return cached
     out = []
-    for pair in range(3):
-        fa, fb = Hexahedron.OPPOSITE_PAIRS[pair]
+    for fa, fb in Hexahedron.OPPOSITE_PAIRS:
         na, ca = hexa.face_planes[fa]
         nb, cb = hexa.face_planes[fb]
         u = _cross3(na, nb)
         norm_u = np.linalg.norm(u)
         if norm_u < 1e-9:
-            out.append(None)
+            m = na - nb
+            out.append((None, m / np.linalg.norm(m)))
             continue
         u = u / norm_u
         lhs = np.vstack([na, nb, u])
         rhs = np.array([na @ ca, nb @ cb, 0.0])
         x0 = np.linalg.solve(lhs, rhs)
         centroid = hexa.vertices[list(Hexahedron.FACES[fa])].mean(axis=0)
-        out.append((u, x0, centroid))
+        out.append(((u, x0, centroid), None))
     cached = tuple(out)
-    hexa._mc_wedge_lines = cached
+    hexa._mc_pair_planes = cached
     return cached
 
 
 def _wedge_direction(hexa, p, pair):
-    """Separating functional for a non-parallel opposite-face pair.
+    """Separating functional for an opposite-face pair whose supporting
+    planes meet.
 
-    The supporting planes meet in a line l bounding a wedge that contains
-    the solid; the plane spanned by l and p separates the two faces, so
-    its normal (oriented toward the pair's positive face) is a valid
-    coordinate functional.  Returns None for parallel planes or when p
-    lies on l.
+    The planes meet in a line l bounding a wedge that contains the solid;
+    the plane spanned by l and p separates the two faces, so its normal
+    (oriented toward the pair's positive face) is a valid coordinate
+    functional.  Returns None when p lies on l.
     """
-    line = _wedge_lines(hexa)[pair]
-    if line is None:
-        return None
-    u, x0, centroid = line
+    u, x0, centroid = _pair_planes(hexa)[pair][0]
     a = x0 + (u @ (p - x0)) * u  # closest point to p on the line
     d = p - a
     if np.linalg.norm(d) < 1e-12 * hexa.diameter:
@@ -223,93 +204,57 @@ def _wedge_direction(hexa, p, pair):
     return m if m @ (centroid - p) >= 0 else -m
 
 
-def _face_normal_direction(hexa, pair, exempt_faces):
+def _face_normal_direction(hexa, pair, faces):
     """Outward normal of whichever face of the pair contains p, oriented
     toward that face's positive sign-pattern side."""
     fa, fb = Hexahedron.OPPOSITE_PAIRS[pair]
-    if fa in exempt_faces:
+    if fa in faces:
         n, _ = hexa.face_planes[fa]
         return n
-    if fb in exempt_faces:
+    if fb in faces:
         n, _ = hexa.face_planes[fb]
         return -n
     return None
 
 
-def reference_frame(hexa: Hexahedron, p, exempt=()) -> Frame3:
+def reference_frame(hexa: Hexahedron, p, faces=()) -> Frame3:
     """A unit frame in which the vertex offsets match the sign pattern.
 
-    For interior points the frames are tried in order: identity, the
-    opposite-face normal-bisector frame, the wedge construction; if none
-    verifies as a whole, the three coordinate functionals are selected
-    independently per row.  Columns listed in exempt (vertices of faces
-    containing a boundary point) are excluded from sign verification, and
-    the row of a containing face's pair is pinned to that face's normal so
-    it vanishes identically on the face (the facet-reduction property then
-    lives in the remaining two coordinates).
+    Row r separates the opposite-face pair r and follows one rule:
+    - when p lies on a face of the pair (faces lists the faces containing
+      p), the row is that face's normal, so it vanishes identically on the
+      face and the facet-reduction property lives in the other two rows;
+    - otherwise, when the pair's supporting planes meet in a line, the row
+      is the normal of the plane through that line and p;
+    - otherwise the row is the pair's normal bisector.
+    The wedge normal tends to the bisector as the planes turn parallel, so
+    the frame, and with it the weights, depend continuously on p.  On an
+    axis-aligned box the bisectors are the axes and the frame is the
+    identity.
 
-    Raises FrameNotFound when every candidate fails; for a valid convex
-    hexahedron this is not expected to happen.
+    Each row must satisfy the strict sign pattern on the columns outside
+    the containing faces, and the rows must be independent with a unit
+    basis of |det| >= FRAME_DET_MIN.  Raises FrameNotFound otherwise; for
+    a valid convex hexahedron this is not expected to happen.
     """
     p = np.asarray(p, dtype=float)
-    exempt = frozenset(int(c) for c in exempt)
-    cols = [c for c in range(8) if c not in exempt]
-    tol = PATTERN_ZERO_RTOL * hexa.diameter
-    exempt_faces = [
-        f for f, idx in enumerate(Hexahedron.FACES) if exempt.issuperset(idx)
-    ]
+    cols = sorted(set(range(8)).difference(*(Hexahedron.FACES[f] for f in faces)))
     offsets = hexa.vertices[cols] - p
     pattern = SIGN_PATTERN[:, cols]
-
-    def row_ok(functional, r) -> bool:
-        return bool(np.all(pattern[r] * (offsets @ functional) > tol))
-
-    eye = np.eye(3)
-    if not exempt_faces:
-        if all(row_ok(eye[r], r) for r in range(3)):
-            return Frame3.identity(p)
-
-        def try_whole(rows):
-            if any(r is None for r in rows):
-                return None
-            if not all(row_ok(rows[r], r) for r in range(3)):
-                return None
-            if abs(_det3(rows)) < 1e-12:
-                return None
-            built = Frame3.from_functionals(np.vstack(rows), p)
-            return built if abs(built.det) >= FRAME_DET_MIN else None
-
-        frame = try_whole(_bisectors(hexa))
-        if frame is None:
-            frame = try_whole(tuple(_wedge_direction(hexa, p, r) for r in range(3)))
-        if frame is not None:
-            return frame
-
-    # Per-row selection: first verifying candidate, then check the det.
-    bisector = _bisectors(hexa)
-    chosen = []
-    for r in range(3):
-        candidates = [
-            _face_normal_direction(hexa, r, exempt_faces),
-            eye[r],
-            bisector[r],
-        ]
-        wedge = _wedge_direction(hexa, p, r)
-        if wedge is not None:
-            candidates += [wedge, -wedge]
-        picked = None
-        for cand in candidates:
-            if cand is not None and row_ok(cand, r):
-                picked = cand
-                break
-        if picked is None:
+    tol = PATTERN_ZERO_RTOL * hexa.diameter
+    rows = []
+    for r, (line, bisector) in enumerate(_pair_planes(hexa)):
+        row = _face_normal_direction(hexa, r, faces)
+        if row is None:
+            row = bisector if line is None else _wedge_direction(hexa, p, r)
+        if row is None or not np.all(pattern[r] * (offsets @ row) > tol):
             raise FrameNotFound(
-                f"no candidate functional satisfies sign-pattern row {r} at {p.tolist()}"
+                f"the frame row of pair {r} misses the sign pattern at {p.tolist()}"
             )
-        chosen.append(picked)
-    if abs(_det3(chosen)) < 1e-12:
-        raise FrameNotFound("selected frame functionals are linearly dependent")
-    frame = Frame3.from_functionals(np.vstack(chosen), p)
+        rows.append(row)
+    if abs(_det3(rows)) < 1e-12:
+        raise FrameNotFound("frame functionals are linearly dependent")
+    frame = Frame3.from_functionals(np.vstack(rows), p)
     if abs(frame.det) < FRAME_DET_MIN:
         raise FrameNotFound(f"frame determinant {frame.det:.3e} below bound")
     return frame
@@ -374,11 +319,8 @@ def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):
         phi = np.zeros(8)
         phi[loc.index] = 1.0
         return (phi, None) if return_frame else phi
-    exempt: set[int] = set()
-    if loc.kind == "on_face":
-        for f in faces_containing(hexa, p):
-            exempt.update(Hexahedron.FACES[f])
-    frame = reference_frame(hexa, p, exempt=exempt)
+    faces = faces_containing(hexa, p) if loc.kind == "on_face" else ()
+    frame = reference_frame(hexa, p, faces=faces)
     w = frame.coords(hexa.vertices)
     m = np.empty((8, 8))
     m[0] = 1.0

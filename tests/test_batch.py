@@ -15,6 +15,7 @@ from momentcoords.coords2d import (
     moment_coords_quad_many,
     wachspress_coords_quad,
     wachspress_coords_quad_many,
+    wachspress_oracle,
 )
 from momentcoords.coords1d import hat_oracle
 from momentcoords.coords3d import moment_coords_hex
@@ -117,6 +118,23 @@ def test_many_bitwise_equal_to_single_point(name):
     _assert_many_equal(moment_coords_quad, moment_coords_quad_many, quad, points)
     if quad.is_convex:
         _assert_many_equal(wachspress_coords_quad, wachspress_coords_quad_many, quad, points)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4])
+def test_wachspress_any_scale(scale):
+    # The Wachspress row grows as diameter**4; unscaled, this quad failed
+    # the residual contract at 1e3 and raised SingularMatrix at 1e-3 and 1e4.
+    quad = Quadrilateral(sampling.random_simple_quad(np.random.default_rng(0)).vertices * scale)
+    points = _bbox_grid(quad, 9)
+    kind, _ = classify_points_quad(quad, points)
+    inside = np.flatnonzero(kind != "exterior")
+    phi, ok = wachspress_coords_quad_many(quad, points)
+    assert ok[inside].all()
+    for s in inside:
+        ref = wachspress_coords_quad(quad, points[s])
+        assert np.array_equal(phi[s], ref)
+        if kind[s] == "interior":
+            assert np.abs(ref - wachspress_oracle(quad, points[s])).max() <= 1e-14
 
 
 def test_wachspress_many_refuses_nonconvex():

@@ -15,7 +15,7 @@ from momentcoords.coords3d import (
     sign_pattern_ok,
 )
 from momentcoords.errors import FrameNotFound, OutsideDomain, SingularMatrix
-from momentcoords.geometry import Hexahedron, face_of_point_hex
+from momentcoords.geometry import Hexahedron, face_of_point_hex, faces_containing
 
 HEX_EDGES = sorted(
     {
@@ -112,15 +112,47 @@ class TestReferenceFrame:
         frame = reference_frame(hexa, p)
         assert sign_pattern_ok(frame.coords(hexa.vertices), hexa.diameter)
 
-    def test_frame_invariants(self, rng):
+    def test_frame_invariants(self, hex_tapered, rng):
+        def check(hexa, p, faces=()):
+            frame = reference_frame(hexa, p, faces=faces)
+            for r in (frame.r1, frame.r2, frame.r3):
+                assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
+            assert abs(frame.det) >= 1e-8
+            exempt = {i for f in faces for i in Hexahedron.FACES[f]}
+            cols = [i for i in range(8) if i not in exempt]
+            assert sign_pattern_ok(frame.coords(hexa.vertices), hexa.diameter, cols=cols)
+
         for maker in (sampling.random_affine_cube_hex, sampling.random_plane_hex):
             hexa = maker(rng)
             for p in sampling.interior_points_hex(hexa, 40, rng):
-                frame = reference_frame(hexa, p)
-                for r in (frame.r1, frame.r2, frame.r3):
-                    assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
-                assert abs(frame.det) >= 1e-8
-                assert sign_pattern_ok(frame.coords(hexa.vertices), hexa.diameter)
+                check(hexa, p)
+        # Boundary points: face interiors (one containing face) and edge
+        # midpoints (two), where the frame pins a row per containing face.
+        for hexa in (hex_tapered, sampling.random_plane_hex(rng, tilt=0.4)):
+            for f in range(6):
+                for p in sampling.face_points_hex(hexa, f, 10, rng):
+                    faces = faces_containing(hexa, p)
+                    assert faces == [f]
+                    check(hexa, p, faces)
+            for i, j in HEX_EDGES:
+                p = 0.5 * (hexa.vertices[i] + hexa.vertices[j])
+                faces = faces_containing(hexa, p)
+                assert len(faces) == 2
+                check(hexa, p, faces)
+
+    def test_continuous_across_parallel_cutoff(self, cube):
+        # Tilt face x = +1 to x = 1 + e*y: pair 0 switches from the wedge
+        # functional to the normal bisector once its planes are parallel
+        # within 1e-9, and the weights must not jump there.
+        def tilted(e):
+            v = np.array(cube.vertices)
+            v[:4, 0] = 1.0 + e * v[:4, 1]
+            return Hexahedron(v)
+
+        p = (0.3, -0.2, 0.45)
+        phi0 = moment_coords_hex(tilted(0.0), p)
+        for e in (1e-8, 3e-9, 1.1e-9, 9e-10, 1e-10, 0.0):
+            assert np.abs(moment_coords_hex(tilted(e), p) - phi0).max() <= 1e-9
 
 
 class TestMomentCoordsHex:
@@ -177,6 +209,18 @@ class TestMomentCoordsHex:
                 quad2d = induced_face_quad(hex_tapered, f, frame)
                 psi = moment_coords_quad(quad2d, np.zeros(2))
                 assert np.abs(phi[idx] - psi).max() <= 1e-9
+
+    def test_continuous_along_segment(self, hex_tapered):
+        # A frame choice that switches from point to point made the field
+        # jump by 0.021 between neighbouring samples on this segment.
+        ys = np.linspace(0.2, 1.4, 4001)
+        phi = np.array([moment_coords_hex(hex_tapered, (0.0, y, 0.0)) for y in ys])
+        assert np.abs(np.diff(phi, axis=0)).max() <= 1e-3
+        h = 1e-6 * hex_tapered.diameter
+        for y in ys[::4]:
+            plus = moment_coords_hex(hex_tapered, (0.0, y + h, 0.0))
+            minus = moment_coords_hex(hex_tapered, (0.0, y - h, 0.0))
+            assert np.abs((plus - minus) / (2 * h)).max() < 10
 
     def test_no_singularity_with_verified_pattern(self, rng):
         # Whenever the frame verifies the sign pattern the solve must not be
