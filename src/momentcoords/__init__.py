@@ -24,6 +24,7 @@ from .coords3d import (
     Frame3,
     distance_row_3d,
     moment_coords_hex,
+    moment_coords_hex_many,
     partial_distance_matrix,
     reference_frame,
     sign_pattern_ok,
@@ -50,6 +51,7 @@ from .geometry import (
     classify_points_quad,
     edge_distance,
     face_of_point_hex,
+    face_of_points_hex,
     outward_normal,
     signed_area,
     validate_geometry,
@@ -76,6 +78,7 @@ __all__ = [
     "Frame3",
     "distance_row_3d",
     "moment_coords_hex",
+    "moment_coords_hex_many",
     "partial_distance_matrix",
     "reference_frame",
     "sign_pattern_ok",
@@ -98,6 +101,7 @@ __all__ = [
     "classify_points_quad",
     "edge_distance",
     "face_of_point_hex",
+    "face_of_points_hex",
     "outward_normal",
     "signed_area",
     "validate_geometry",

@@ -19,7 +19,7 @@ from .geometry import (
     NodeSet1D,
     Quadrilateral,
     classify_points_quad,
-    face_of_point_hex,
+    face_of_points_hex,
 )
 from .gradients import FD_STEP_RTOL, finite_difference_gradient_many
 from .shapes import BUILTINS
@@ -92,6 +92,7 @@ METHODS = {
 BATCH_METHODS = {
     ("quad", "moment"): coords2d.moment_coords_quad_many,
     ("quad", "wachspress"): coords2d.wachspress_coords_quad_many,
+    ("hex", "moment"): coords3d.moment_coords_hex_many,
 }
 
 
@@ -203,7 +204,7 @@ def _inside_many(geom, points) -> np.ndarray:
     if kind == "quad":
         return classify_points_quad(geom, points)[0] != "exterior"
     if kind == "hex":
-        return np.array([face_of_point_hex(geom, p).inside for p in points], dtype=bool)
+        return face_of_points_hex(geom, points)[0] != "exterior"
     x = points[:, 0]
     return (geom.nodes[0] <= x) & (x <= geom.nodes[-1])
 

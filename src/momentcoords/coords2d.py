@@ -23,9 +23,10 @@ from .errors import (
     SingularMatrix,
 )
 from .geometry import (
+    CLASSIFY_RTOL,
     Quadrilateral,
+    _classify_points_quad,
     classify_point_quad,
-    classify_points_quad,
     edge_distance,
     signed_area,
 )
@@ -57,6 +58,19 @@ def _kronecker(i: int) -> np.ndarray:
     return phi
 
 
+def _edge_weights(i: int, t: float) -> np.ndarray:
+    """Linear interpolation along edge i: 1 - t at vertex i, t at i + 1.
+
+    Both families reduce to it on an edge.  Taking it from the edge
+    parameter, not from a solve, keeps the weights of a point snapped onto
+    the edge from within the tolerance nonnegative.
+    """
+    phi = np.zeros(4)
+    phi[i] = 1.0 - t
+    phi[(i + 1) % 4] = t
+    return phi
+
+
 def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     """Moment coordinates of p, identical to mean value coordinates.
 
@@ -67,6 +81,8 @@ def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     loc = classify_point_quad(quad, p)
     if loc.kind == "at_vertex":
         return _kronecker(loc.index)
+    if loc.kind == "on_edge":
+        return _edge_weights(loc.index, loc.t)
     if loc.kind == "exterior":
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
     m = np.empty((4, 4))
@@ -79,21 +95,26 @@ def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
 def _coords_many(quad: Quadrilateral, points, constant_row: int, weight_rows):
     """Batch path shared by both families.
 
-    Vertex points get the Kronecker row.  The systems of the other inside
-    points are solved as one stack, each filled as the single-point
-    function fills its own: ones in row constant_row (where the rhs holds
-    its only 1), v - p in the other two of rows 0-2, and
-    weight_rows(quad, q) in row 3.
+    Vertex points get the Kronecker row and edge points the edge's linear
+    interpolation.  The systems of the interior points are solved as one
+    stack, each filled as the single-point function fills its own: ones in
+    row constant_row (where the rhs holds its only 1), v - p in the other
+    two of rows 0-2, and weight_rows(quad, q) in row 3.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    kind, index = classify_points_quad(quad, pts)
+    kind, index, t = _classify_points_quad(quad, pts, CLASSIFY_RTOL * quad.diameter)
     phi = np.full((len(pts), 4), np.nan)
     ok = np.zeros(len(pts), dtype=bool)
     vertex = np.flatnonzero(kind == "at_vertex")
     phi[vertex] = 0.0
     phi[vertex, index[vertex]] = 1.0
     ok[vertex] = True
-    solve = np.flatnonzero((kind != "at_vertex") & (kind != "exterior"))
+    edge = np.flatnonzero(kind == "on_edge")
+    phi[edge] = 0.0
+    phi[edge, index[edge]] = 1.0 - t[edge]
+    phi[edge, (index[edge] + 1) % 4] = t[edge]
+    ok[edge] = True
+    solve = np.flatnonzero(kind == "interior")
     q = pts[solve]
     m = np.empty((len(q), 4, 4))
     m[:, constant_row] = 1.0
@@ -244,6 +265,8 @@ def wachspress_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     loc = classify_point_quad(quad, p)
     if loc.kind == "at_vertex":
         return _kronecker(loc.index)
+    if loc.kind == "on_edge":
+        return _edge_weights(loc.index, loc.t)
     if loc.kind == "exterior":
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
     m = np.empty((4, 4))

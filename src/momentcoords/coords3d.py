@@ -15,9 +15,18 @@ containing face; those columns are exempted from the sign check and zeroed
 inside the partial-distance block, and the frame row of the face's pair is
 the face normal.  This reduces the solution to the 2D moment coordinates of
 the face.
+
+moment_coords_hex evaluates one point; moment_coords_hex_many evaluates a
+batch with the same arithmetic, written once where the two can share it:
+the helpers below take one point's arrays or a stack of them (the leading
+axes broadcast), and every sum of products is spelled out elementwise,
+because the rounding of a matrix product depends on the BLAS kernel and on
+the stack around it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,11 +35,11 @@ from .geometry import (
     Hexahedron,
     PointLocation,
     Quadrilateral,
+    _locate_points_hex,
     _polygon_area,
     face_of_point_hex,
-    faces_containing,
 )
-from .smallsolve import solve_dense
+from .smallsolve import solve_dense, solve_dense_many
 
 # Required signs of the frame coordinates of v_i - p (rows) per vertex
 # (columns); row r separates the opposite-face pair r.
@@ -62,6 +71,36 @@ PATTERN_ZERO_RTOL = 1e-12
 # Lower bound on |det| of the unit frame basis.
 FRAME_DET_MIN = 1e-8
 
+# FACE_VERTICES[f, i] is True when vertex i lies on face f.
+FACE_VERTICES = np.zeros((6, 8), dtype=bool)
+for _f, _idx in enumerate(Hexahedron.FACES):
+    FACE_VERTICES[_f, list(_idx)] = True
+FACE_VERTICES.flags.writeable = False
+
+# Right-hand side of the system: only the partition-of-unity row is 1.
+_RHS = np.eye(8)[0]
+
+
+def _dot3(a, b):
+    """Sum over the last axis (length 3) of a * b, elementwise in a fixed
+    order; a and b broadcast."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _column_norms(a):
+    """Euclidean norm of each column of a (..., 3, n)."""
+    x, y, z = a[..., 0, :], a[..., 1, :], a[..., 2, :]
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _unit_frame(functionals):
+    """(basis, rows) of the frame with these coordinate functionals
+    (..., 3, 3), its basis vectors rescaled to unit length.  Rescaling
+    basis column j by 1/n_j rescales inverse row j by n_j."""
+    basis = np.linalg.inv(functionals)
+    norms = _column_norms(basis)
+    return basis / norms[..., None, :], functionals * norms[..., :, None]
+
 
 class Frame3:
     """Unit reference basis anchored at the evaluation point.
@@ -82,14 +121,8 @@ class Frame3:
     def from_functionals(cls, rows, origin):
         """Build the frame whose coordinate functionals are the given rows,
         rescaled so the basis vectors have unit length."""
-        rows = np.asarray(rows, dtype=float)
-        basis = np.linalg.inv(rows)
-        norms = np.linalg.norm(basis, axis=0)
-        basis = basis / norms
-        # Rescaling basis column j by 1/n_j rescales inverse row j by n_j.
-        return cls(
-            basis[:, 0], basis[:, 1], basis[:, 2], origin, _rows=rows * norms[:, None]
-        )
+        basis, rows = _unit_frame(np.asarray(rows, dtype=float))
+        return cls(basis[:, 0], basis[:, 1], basis[:, 2], origin, _rows=rows)
 
     @property
     def det(self) -> float:
@@ -98,7 +131,7 @@ class Frame3:
     def coords(self, points) -> np.ndarray:
         """Frame coordinates of points (n, 3), returned as a 3 x n array."""
         q = np.asarray(points, dtype=float) - self.origin
-        return self.rows @ q.T
+        return _dot3(self.rows[:, None, :], q[None, :, :])
 
     def is_identity(self) -> bool:
         return bool(np.allclose(self.basis, np.eye(3), atol=1e-14))
@@ -117,17 +150,30 @@ def sign_pattern_ok(w, diameter: float, cols=None) -> bool:
     return bool(np.all(pattern * w > PATTERN_ZERO_RTOL * diameter))
 
 
-def _delta_from_w(w, face=None):
-    delta = np.vstack(
+def _delta_from_w(w, zero_cols=None):
+    """Signed partial distances (..., 3, 8) from frame coordinates w
+    (..., 3, 8); columns where zero_cols (..., 8) is set are zeroed."""
+    delta = np.stack(
         [
-            np.hypot(w[1], w[2]),
-            np.hypot(w[0], w[2]),
-            np.hypot(w[0], w[1]),
-        ]
+            np.hypot(w[..., 1, :], w[..., 2, :]),
+            np.hypot(w[..., 0, :], w[..., 2, :]),
+            np.hypot(w[..., 0, :], w[..., 1, :]),
+        ],
+        axis=-2,
     ) * DELTA_SIGNS
-    if face is not None:
-        delta[:, list(Hexahedron.FACES[face])] = 0.0
+    if zero_cols is not None:
+        delta = np.where(zero_cols[..., None, :], 0.0, delta)
     return delta
+
+
+def _hex_system(w, zero_cols=None):
+    """The 8 x 8 matrix (or stack of them) for frame coordinates w."""
+    m = np.empty(w.shape[:-2] + (8, 8))
+    m[..., 0, :] = 1.0
+    m[..., 1:4, :] = w
+    m[..., 4:7, :] = _delta_from_w(w, zero_cols)
+    m[..., 7, :] = _column_norms(w) * DISTANCE_SIGNS
+    return m
 
 
 def _cross3(a, b):
@@ -140,23 +186,21 @@ def _cross3(a, b):
     )
 
 
-def _det3(rows) -> float:
-    a, b, c = rows
-    return float(
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
+def _det3(rows):
+    """Determinant by cofactor expansion of rows, a nested 3 x 3 sequence
+    whose entries are floats or arrays (a stack, entrywise)."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
 
 
 def _pair_planes(hexa):
     """Per opposite-face pair: (line, bisector), exactly one of them None.
 
     line is (unit direction, point on the line, positive-face centroid) of
-    the line where the pair's supporting planes meet; when the planes are
-    parallel (|n_a x n_b| < 1e-9) it is None and bisector is the unit
-    normal bisector n_a - n_b instead.  Depends only on the geometry, so
-    cached.
+    the line where the pair's supporting planes meet, each a tuple of
+    floats; when the planes are parallel (|n_a x n_b| < 1e-9) it is None
+    and bisector is the unit normal bisector n_a - n_b instead.  Depends
+    only on the geometry, so cached.
     """
     cached = getattr(hexa, "_mc_pair_planes", None)
     if cached is not None:
@@ -176,10 +220,28 @@ def _pair_planes(hexa):
         rhs = np.array([na @ ca, nb @ cb, 0.0])
         x0 = np.linalg.solve(lhs, rhs)
         centroid = hexa.vertices[list(Hexahedron.FACES[fa])].mean(axis=0)
-        out.append(((u, x0, centroid), None))
+        out.append(((tuple(u.tolist()), tuple(x0.tolist()), tuple(centroid.tolist())), None))
     cached = tuple(out)
     hexa._mc_pair_planes = cached
     return cached
+
+
+def _wedge_normal(line, px, py, pz, sqrt):
+    """m = u x (p - a) for the line (u, x0, _), a the point of the line
+    closest to p, with |p - a| and |m|.
+
+    Takes one point as Python floats (sqrt = math.sqrt) or a batch as
+    arrays (sqrt = np.sqrt); both run the same correctly rounded operations.
+    """
+    (ux, uy, uz), (x0, y0, z0), _ = line
+    t = ux * (px - x0) + uy * (py - y0) + uz * (pz - z0)
+    dx = px - (x0 + t * ux)
+    dy = py - (y0 + t * uy)
+    dz = pz - (z0 + t * uz)
+    mx = uy * dz - uz * dy
+    my = uz * dx - ux * dz
+    mz = ux * dy - uy * dx
+    return (mx, my, mz), sqrt(dx * dx + dy * dy + dz * dz), sqrt(mx * mx + my * my + mz * mz)
 
 
 def _wedge_direction(hexa, p, pair):
@@ -191,17 +253,15 @@ def _wedge_direction(hexa, p, pair):
     (oriented toward the pair's positive face) is a valid coordinate
     functional.  Returns None when p lies on l.
     """
-    u, x0, centroid = _pair_planes(hexa)[pair][0]
-    a = x0 + (u @ (p - x0)) * u  # closest point to p on the line
-    d = p - a
-    if np.linalg.norm(d) < 1e-12 * hexa.diameter:
+    line = _pair_planes(hexa)[pair][0]
+    px, py, pz = p.tolist()
+    (mx, my, mz), dist, norm_m = _wedge_normal(line, px, py, pz, math.sqrt)
+    if dist < 1e-12 * hexa.diameter or norm_m < 1e-14 * hexa.diameter:
         return None
-    m = _cross3(u, d)
-    norm_m = np.linalg.norm(m)
-    if norm_m < 1e-14 * hexa.diameter:
-        return None
-    m = m / norm_m
-    return m if m @ (centroid - p) >= 0 else -m
+    mx, my, mz = mx / norm_m, my / norm_m, mz / norm_m
+    cx, cy, cz = line[2]
+    m = np.array([mx, my, mz])
+    return m if mx * (cx - px) + my * (cy - py) + mz * (cz - pz) >= 0 else -m
 
 
 def _face_normal_direction(hexa, pair, faces):
@@ -238,26 +298,72 @@ def reference_frame(hexa: Hexahedron, p, faces=()) -> Frame3:
     a valid convex hexahedron this is not expected to happen.
     """
     p = np.asarray(p, dtype=float)
-    cols = sorted(set(range(8)).difference(*(Hexahedron.FACES[f] for f in faces)))
-    offsets = hexa.vertices[cols] - p
-    pattern = SIGN_PATTERN[:, cols]
-    tol = PATTERN_ZERO_RTOL * hexa.diameter
     rows = []
     for r, (line, bisector) in enumerate(_pair_planes(hexa)):
         row = _face_normal_direction(hexa, r, faces)
         if row is None:
             row = bisector if line is None else _wedge_direction(hexa, p, r)
-        if row is None or not np.all(pattern[r] * (offsets @ row) > tol):
-            raise FrameNotFound(
-                f"the frame row of pair {r} misses the sign pattern at {p.tolist()}"
-            )
+        if row is None:
+            raise FrameNotFound(f"pair {r} has no wedge functional at {p.tolist()}")
         rows.append(row)
-    if abs(_det3(rows)) < 1e-12:
+    rows = np.vstack(rows)
+    signs = SIGN_PATTERN * _dot3(rows[:, None, :], hexa.vertices - p)
+    if faces:
+        signs = signs[:, ~FACE_VERTICES[list(faces)].any(axis=0)]
+    hits = signs > PATTERN_ZERO_RTOL * hexa.diameter
+    if not hits.all():
+        r = int(np.flatnonzero(~hits.all(axis=1))[0])
+        raise FrameNotFound(f"the frame row of pair {r} misses the sign pattern at {p.tolist()}")
+    if abs(_det3(rows.tolist())) < 1e-12:
         raise FrameNotFound("frame functionals are linearly dependent")
-    frame = Frame3.from_functionals(np.vstack(rows), p)
+    frame = Frame3.from_functionals(rows, p)
     if abs(frame.det) < FRAME_DET_MIN:
         raise FrameNotFound(f"frame determinant {frame.det:.3e} below bound")
     return frame
+
+
+def _frame_rows_many(hexa: Hexahedron, q, faces) -> tuple[np.ndarray, np.ndarray]:
+    """reference_frame(hexa, q[s], faces of s).rows for each row of q
+    (k, 3), where faces (k, 6) marks the faces containing each point.
+
+    Returns (rows (k, 3, 3), ok (k,)): the same rule and the same tests
+    with the same arithmetic, so rows[s] is bitwise equal to the
+    single-point frame's rows where ok[s] is set; ok[s] is False where
+    reference_frame raises FrameNotFound.
+    """
+    k = len(q)
+    offsets = hexa.vertices - q[:, None, :]
+    exempt = (faces[:, :, None] & FACE_VERTICES).any(axis=1)
+    tol = PATTERN_ZERO_RTOL * hexa.diameter
+    functionals = np.empty((k, 3, 3))
+    ok = np.ones(k, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r, (line, bisector) in enumerate(_pair_planes(hexa)):
+            if line is None:
+                row = np.broadcast_to(bisector, (k, 3))
+                found = np.ones(k, dtype=bool)
+            else:
+                (mx, my, mz), dist, norm_m = _wedge_normal(
+                    line, q[:, 0], q[:, 1], q[:, 2], np.sqrt
+                )
+                found = ~(dist < 1e-12 * hexa.diameter) & ~(norm_m < 1e-14 * hexa.diameter)
+                m = np.stack([mx / norm_m, my / norm_m, mz / norm_m], axis=-1)
+                row = np.where((_dot3(m, np.array(line[2]) - q) >= 0)[:, None], m, -m)
+            fa, fb = Hexahedron.OPPOSITE_PAIRS[r]
+            on_a, on_b = faces[:, fa], faces[:, fb]
+            row = np.where(
+                on_a[:, None],
+                hexa.face_planes[fa][0],
+                np.where(on_b[:, None], -hexa.face_planes[fb][0], row),
+            )
+            signs = SIGN_PATTERN[r] * _dot3(row[:, None, :], offsets)
+            ok &= (found | on_a | on_b) & ((signs > tol) | exempt).all(axis=1)
+            functionals[:, r] = row
+        ok &= ~(np.abs(_det3(np.moveaxis(functionals, 0, -1))) < 1e-12)
+        functionals[~ok] = np.eye(3)  # keeps inv defined; these rows are dropped
+        basis, rows = _unit_frame(functionals)
+        ok &= ~(np.abs(np.linalg.det(basis)) < FRAME_DET_MIN)
+    return rows, ok
 
 
 def partial_distance_matrix(
@@ -274,14 +380,12 @@ def partial_distance_matrix(
     w = frame.coords(hexa.vertices)
     if location is None:
         location = face_of_point_hex(hexa, p)
-    face = location.index if location.kind == "on_face" else None
-    return _delta_from_w(w, face)
+    return _delta_from_w(w, FACE_VERTICES[location.index] if location.kind == "on_face" else None)
 
 
 def distance_row_3d(hexa: Hexahedron, p, frame: Frame3) -> np.ndarray:
     """Signed full distances in frame coordinates (norms of the w columns)."""
-    w = frame.coords(hexa.vertices)
-    return np.linalg.norm(w, axis=0) * DISTANCE_SIGNS
+    return _column_norms(frame.coords(hexa.vertices)) * DISTANCE_SIGNS
 
 
 def induced_face_quad(hexa: Hexahedron, f: int, frame: Frame3):
@@ -319,15 +423,39 @@ def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):
         phi = np.zeros(8)
         phi[loc.index] = 1.0
         return (phi, None) if return_frame else phi
-    faces = faces_containing(hexa, p) if loc.kind == "on_face" else ()
-    frame = reference_frame(hexa, p, faces=faces)
+    frame = reference_frame(hexa, p, faces=loc.faces)
     w = frame.coords(hexa.vertices)
-    m = np.empty((8, 8))
-    m[0] = 1.0
-    m[1:4] = w
-    m[4:7] = _delta_from_w(w, loc.index if loc.kind == "on_face" else None)
-    m[7] = np.sqrt((w * w).sum(axis=0)) * DISTANCE_SIGNS
-    rhs = np.zeros(8)
-    rhs[0] = 1.0
-    phi = solve_dense(m, rhs)
+    zero_cols = FACE_VERTICES[loc.index] if loc.kind == "on_face" else None
+    phi = solve_dense(_hex_system(w, zero_cols), _RHS)
     return (phi, frame) if return_frame else phi
+
+
+def moment_coords_hex_many(hexa: Hexahedron, points) -> tuple[np.ndarray, np.ndarray]:
+    """moment_coords_hex at each row of points (m, 3); returns (phi, ok).
+
+    Classification, frames, assembly and the LU solve each run once over
+    the batch.  phi[s] is bitwise equal to moment_coords_hex(hexa,
+    points[s]) where ok[s] is set; ok[s] is False (and phi[s] NaN) where
+    the single-point function raises MomentCoordsError: an exterior point,
+    a frame that misses the sign pattern or the determinant bounds, or a
+    singular system.  The solver's residual contract runs as it does for
+    one point, over the whole batch.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    kind, index, faces = _locate_points_hex(hexa, pts)
+    phi = np.full((len(pts), 8), np.nan)
+    ok = np.zeros(len(pts), dtype=bool)
+    vertex = np.flatnonzero(kind == "at_vertex")
+    phi[vertex] = 0.0
+    phi[vertex, index[vertex]] = 1.0
+    ok[vertex] = True
+    solve = np.flatnonzero((kind == "interior") | (kind == "on_face"))
+    rows, framed = _frame_rows_many(hexa, pts[solve], faces[solve])
+    solve, rows = solve[framed], rows[framed]
+    q = pts[solve]
+    w = _dot3(rows[:, :, None, :], (hexa.vertices - q[:, None, :])[:, None, :, :])
+    zero_cols = (kind[solve] == "on_face")[:, None] & FACE_VERTICES[index[solve]]
+    phi[solve], ok[solve] = solve_dense_many(
+        _hex_system(w, zero_cols), np.broadcast_to(_RHS, (len(solve), 8))
+    )
+    return phi, ok

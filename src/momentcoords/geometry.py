@@ -32,12 +32,14 @@ class PointLocation:
 
     kind is one of "interior", "on_edge", "on_face", "at_vertex",
     "exterior"; index identifies the vertex/edge/face and t is the edge
-    parameter in [0, 1] for "on_edge".
+    parameter in [0, 1] for "on_edge".  For "on_face", faces lists every
+    face containing the point, lowest first (index is faces[0]).
     """
 
     kind: str
     index: int | None = None
     t: float | None = None
+    faces: tuple[int, ...] = ()
 
     @property
     def inside(self) -> bool:
@@ -257,17 +259,8 @@ def classify_point_quad(quad: Quadrilateral, p, tol: float | None = None) -> Poi
     return PointLocation("interior" if inside else "exterior")
 
 
-def classify_points_quad(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
-    """Classify each row of points (m, 2); returns (kind, index) arrays.
-
-    kind[s] and index[s] (-1 where the location has none) are the kind and
-    index classify_point_quad gives for points[s], by construction: a point
-    within 4 tol of an edge (so of a vertex too) goes to classify_point_quad
-    itself, because np.hypot and math.hypot differ in the last bit, and the
-    even-odd parity of the others uses classify_point_quad's own expression.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    tol = CLASSIFY_RTOL * quad.diameter
+def _classify_points_quad(quad: Quadrilateral, pts, tol: float):
+    """classify_points_quad plus the edge parameter t (NaN off the edges)."""
     x, y = pts[:, 0], pts[:, 1]
     corners = quad.corner_tuple
     near = np.zeros(len(pts), dtype=bool)
@@ -284,11 +277,32 @@ def classify_points_quad(quad: Quadrilateral, points) -> tuple[np.ndarray, np.nd
     kind = np.full(len(pts), "exterior", dtype="U9")  # "at_vertex" is the longest kind
     kind[parity] = "interior"
     index = np.full(len(pts), -1)
+    t = np.full(len(pts), np.nan)
     for s in np.flatnonzero(near):
-        loc = classify_point_quad(quad, pts[s])
+        loc = classify_point_quad(quad, pts[s], tol=tol)
         kind[s] = loc.kind
         if loc.index is not None:
             index[s] = loc.index
+        if loc.t is not None:
+            t[s] = loc.t
+    return kind, index, t
+
+
+def classify_points_quad(
+    quad: Quadrilateral, points, tol: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classify each row of points (m, 2); returns (kind, index) arrays.
+
+    kind[s] and index[s] (-1 where the location has none) are the kind and
+    index classify_point_quad gives for points[s], by construction: a point
+    within 4 tol of an edge (so of a vertex too) goes to classify_point_quad
+    itself, because np.hypot and math.hypot differ in the last bit, and the
+    even-odd parity of the others uses classify_point_quad's own expression.
+    """
+    if tol is None:
+        tol = CLASSIFY_RTOL * quad.diameter
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    kind, index, _ = _classify_points_quad(quad, pts, tol)
     return kind, index
 
 
@@ -435,15 +449,46 @@ class Hexahedron:
         return tuple(out)
 
     @cached_property
-    def _plane_matrix(self) -> tuple:
-        normals = np.vstack([n for n, _ in self.face_planes])
-        offsets = np.array([n @ c for n, c in self.face_planes])
-        return normals, offsets
+    def _vertex_rows(self) -> tuple:
+        return tuple(tuple(v) for v in self.vertices.tolist())
+
+    @cached_property
+    def _plane_rows(self) -> tuple:
+        """Per face: the outward unit normal's components and its offset."""
+        return tuple((*n.tolist(), float(n @ c)) for n, c in self.face_planes)
 
     def face_signed_distances(self, p) -> np.ndarray:
-        """Outward signed distance of p to each supporting face plane."""
-        normals, offsets = self._plane_matrix
-        return normals @ np.asarray(p, dtype=float) - offsets
+        """Outward signed distance of p (3,) or of each row of p (m, 3) to
+        each supporting face plane: shape (6,) or (m, 6).
+
+        n_x x + n_y y + n_z z - offset is spelled out, on Python floats for
+        one point and on arrays for many, rather than taken as a matrix
+        product, whose rounding depends on the BLAS kernel: one point gets
+        the same bits alone or in a batch."""
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 1:
+            x, y, z = p.tolist()
+            return np.array([a * x + b * y + c * z - d for a, b, c, d in self._plane_rows])
+        x, y, z = p[:, 0, None], p[:, 1, None], p[:, 2, None]
+        a, b, c, d = np.array(self._plane_rows).T
+        return a * x + b * y + c * z - d
+
+    def vertex_distances(self, p) -> np.ndarray:
+        """Distance of p (3,) or of each row of p (m, 3) to each vertex,
+        spelled out like face_signed_distances: shape (8,) or (m, 8)."""
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 1:
+            x, y, z = p.tolist()
+            out = []
+            for a, b, c in self._vertex_rows:
+                dx, dy, dz = a - x, b - y, c - z
+                out.append(math.sqrt(dx * dx + dy * dy + dz * dz))
+            return np.array(out)
+        v = self.vertices
+        dx = v[:, 0] - p[:, 0, None]
+        dy = v[:, 1] - p[:, 1, None]
+        dz = v[:, 2] - p[:, 2, None]
+        return np.sqrt(dx * dx + dy * dy + dz * dz)
 
     def __repr__(self):
         return f"Hexahedron({self.vertices.tolist()})"
@@ -452,10 +497,12 @@ class Hexahedron:
 def face_to_plane(hexa: Hexahedron, f: int):
     """Face f as a 2D quadrilateral in isometric in-plane coordinates.
 
-    Returns (Quadrilateral, to2d) where to2d maps an on-face 3D point to
-    its 2D coordinates.  Vertex order matches HEX_FACES[f]; the in-plane
-    basis is mirrored if needed so that order is already counterclockwise
-    and the constructor does not reorder.  Cached per hexahedron.
+    Returns (Quadrilateral, to2d) where to2d maps an on-face 3D point (3,)
+    to its 2D coordinates (2,), or each row of points (m, 3) to a row of
+    (m, 2) with the same elementwise arithmetic.  Vertex order matches
+    HEX_FACES[f]; the in-plane basis is mirrored if needed so that order is
+    already counterclockwise and the constructor does not reorder.  Cached
+    per hexahedron.
     """
     cache = getattr(hexa, "_face2d_cache", None)
     if cache is None:
@@ -474,7 +521,8 @@ def face_to_plane(hexa: Hexahedron, f: int):
 
     def to2d(p):
         q = np.asarray(p, dtype=float) - c
-        return np.array([q @ u, q @ w])
+        q0, q1, q2 = q[..., 0], q[..., 1], q[..., 2]
+        return np.array([q0 * u[0] + q1 * u[1] + q2 * u[2], q0 * w[0] + q1 * w[1] + q2 * w[2]]).T
 
     result = (Quadrilateral(verts2d), to2d)
     cache[f] = result
@@ -486,7 +534,11 @@ def faces_containing(hexa: Hexahedron, p, tol: float | None = None) -> list[int]
     quadrilateral contains (the projection of) p."""
     if tol is None:
         tol = CLASSIFY_RTOL * hexa.diameter
-    s = hexa.face_signed_distances(p)
+    return _faces_containing(hexa, p, hexa.face_signed_distances(p), tol)
+
+
+def _faces_containing(hexa: Hexahedron, p, s, tol: float) -> list[int]:
+    """faces_containing, given the face signed distances s of p."""
     out = []
     for f in range(6):
         if abs(s[f]) <= tol:
@@ -500,26 +552,65 @@ def face_of_point_hex(hexa: Hexahedron, p, tol: float | None = None) -> PointLoc
     """Classify p against a hexahedron.
 
     Vertex snapping wins over faces; points on edges or corners report the
-    lowest-index containing face.  Interior means strictly inside all six
-    supporting planes.
+    lowest-index containing face, and every containing face in faces.
+    Interior means strictly inside all six supporting planes.
     """
     p = np.asarray(p, dtype=float)
     if tol is None:
         tol = CLASSIFY_RTOL * hexa.diameter
-    dv = np.linalg.norm(hexa.vertices - p, axis=1)
+    dv = hexa.vertex_distances(p)
     i = int(np.argmin(dv))
     if dv[i] <= tol:
         return PointLocation("at_vertex", index=i)
     s = hexa.face_signed_distances(p)
     if np.any(s > tol):
         return PointLocation("exterior")
-    near = faces_containing(hexa, p, tol=tol)
+    near = _faces_containing(hexa, p, s, tol)
     if near:
-        return PointLocation("on_face", index=near[0])
+        return PointLocation("on_face", index=near[0], faces=tuple(near))
     if np.all(s < -tol):
         return PointLocation("interior")
     # Within tolerance of some plane but not on its face polygon: outside.
     return PointLocation("exterior")
+
+
+def _locate_points_hex(hexa: Hexahedron, pts):
+    """face_of_point_hex for each row of pts (m, 3): (kind, index, faces),
+    where faces (m, 6) marks the faces containing each on-face point."""
+    tol = CLASSIFY_RTOL * hexa.diameter
+    dv = hexa.vertex_distances(pts)
+    nearest = dv.argmin(axis=1)  # the first nearest vertex, as np.argmin picks
+    vertex = dv[np.arange(len(pts)), nearest] <= tol
+    s = hexa.face_signed_distances(pts)
+    candidate = ~vertex & ~(s > tol).any(axis=1)
+    faces = np.zeros((len(pts), 6), dtype=bool)
+    for f in range(6):
+        near = np.flatnonzero(candidate & (np.abs(s[:, f]) <= tol))
+        if near.size:
+            quad2d, to2d = face_to_plane(hexa, f)
+            kind2d, _, _ = _classify_points_quad(quad2d, to2d(pts[near]), tol)
+            faces[near, f] = kind2d != "exterior"
+    on_face = faces.any(axis=1)
+    kind = np.full(len(pts), "exterior", dtype="U9")
+    kind[candidate & ~on_face & (s < -tol).all(axis=1)] = "interior"
+    kind[on_face] = "on_face"
+    kind[vertex] = "at_vertex"
+    index = np.where(vertex, nearest, np.where(on_face, faces.argmax(axis=1), -1))
+    return kind, index, faces
+
+
+def face_of_points_hex(hexa: Hexahedron, points) -> tuple[np.ndarray, np.ndarray]:
+    """Classify each row of points (m, 3); returns (kind, index) arrays.
+
+    kind[s] and index[s] (-1 where the location has none) are the kind and
+    index face_of_point_hex gives for points[s]: both compute the vertex
+    distances, the face signed distances and the in-face coordinates with
+    the same elementwise expressions, so every comparison with the
+    tolerance sees the same bits, and the in-face tests go through
+    classify_points_quad, which reproduces classify_point_quad.
+    """
+    kind, index, _ = _locate_points_hex(hexa, np.asarray(points, dtype=float).reshape(-1, 3))
+    return kind, index
 
 
 def validate_geometry(geom) -> list[str]:

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentcoords import sampling, shapes
@@ -18,14 +18,17 @@ from momentcoords.coords2d import (
     wachspress_oracle,
 )
 from momentcoords.coords1d import hat_oracle
-from momentcoords.coords3d import moment_coords_hex
-from momentcoords.errors import DomainError, MomentCoordsError, NotConvex
+from momentcoords.coords3d import moment_coords_hex, moment_coords_hex_many
+from momentcoords.errors import DomainError, InvalidGeometry, MomentCoordsError, NotConvex
 from momentcoords.geometry import (
     CLASSIFY_RTOL,
+    Hexahedron,
     NodeSet1D,
     Quadrilateral,
     classify_point_quad,
     classify_points_quad,
+    face_of_point_hex,
+    face_of_points_hex,
 )
 from momentcoords.gradients import (
     FD_STEP_RTOL,
@@ -82,20 +85,20 @@ def _assert_classify_equal(quad, points):
     return kind
 
 
-def _assert_many_equal(single, many, quad, points):
+def _assert_many_equal(single, many, geom, points):
     refs = []
     for p in points:
         try:
-            refs.append(single(quad, p))
+            refs.append(single(geom, p))
         except MomentCoordsError:
             refs.append(None)
         except AssertionError:
             # The residual contract failed at some point: the batch, which
             # checks the same contract, must fail it too.
             with pytest.raises(AssertionError, match="residual"):
-                many(quad, points)
+                many(geom, points)
             return
-    phi, ok = many(quad, points)
+    phi, ok = many(geom, points)
     for s, (p, ref) in enumerate(zip(points, refs)):
         if ref is None:
             assert not ok[s] and np.isnan(phi[s]).all()
@@ -179,6 +182,24 @@ def test_batched_fd_equals_scalar_fd(name):
     assert raised > 0  # the sharp corners have no admissible step
 
 
+# Geometries the grid tests write to a JSON file: the seeded tilt-0.4 plane
+# hexahedron of the hex-grid benchmark, where the wedge frames of one point
+# and of a batch once differed in the last bits.
+GENERATED = {
+    "plane-hex-tilt0.4": lambda: sampling.random_plane_hex(np.random.default_rng(7), tilt=0.4),
+}
+
+
+def _geometry(tmp_path, name):
+    """(--geometry argument, geometry) for a builtin or GENERATED name."""
+    if name in shapes.BUILTINS:
+        return name, shapes.BUILTINS[name]()
+    geom = GENERATED[name]()
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"kind": "hex", "vertices": geom.vertices.tolist()}))
+    return str(path), geom
+
+
 def _grid_rows(capsys, tmp_path, geometry, method, resolution, derivatives=False):
     out = tmp_path / "grid.csv"
     argv = ["grid", "--geometry", geometry, "--resolution", str(resolution),
@@ -196,12 +217,13 @@ def _grid_rows(capsys, tmp_path, geometry, method, resolution, derivatives=False
         ("conv-quad", "wachspress", wachspress_coords_quad),
         ("biunit-square", "moment", moment_coords_quad),
         ("conv-hex", "moment", moment_coords_hex),
+        ("plane-hex-tilt0.4", "moment", moment_coords_hex),
     ],
 )
 def test_grid_rows_equal_single_point_weights(capsys, tmp_path, geometry, method, fn):
-    geom = shapes.BUILTINS[geometry]()
+    arg, geom = _geometry(tmp_path, geometry)
     dim = geom.vertices.shape[1]
-    rows = _grid_rows(capsys, tmp_path, geometry, method, 5 if dim == 3 else 31)
+    rows = _grid_rows(capsys, tmp_path, arg, method, 11 if dim == 3 else 31)
     assert rows
     for row in rows:
         p = np.array([float(c) for c in row[:dim]])
@@ -231,6 +253,31 @@ def test_grid_derivative_rows_equal_scalar_fd(capsys, tmp_path):
     assert blank > 0
 
 
+def test_hex_grid_derivative_rows_equal_scalar_fd(capsys, tmp_path):
+    hexa = shapes.convex_hex()
+    h = FD_STEP_RTOL * hexa.diameter
+    rows = _grid_rows(capsys, tmp_path, "conv-hex", "moment", 9, derivatives=True)
+    blank = 0
+    for row in rows:
+        p = np.array([float(c) for c in row[:3]])
+        assert row[3:11] == [format(w, ".17g") for w in moment_coords_hex(hexa, p)]
+        try:
+            grad = finite_difference_gradient(
+                lambda q: moment_coords_hex(hexa, q),
+                lambda q: face_of_point_hex(hexa, q).inside,
+                p,
+                h,
+            )
+        except DomainError:
+            # Points on a solid edge with a dihedral angle below 90 degrees
+            # have no admissible step along some axis.
+            blank += 1
+            assert row[11:] == [""] * 24
+            continue
+        assert row[11:] == [format(g, ".17g") for g in grad.ravel()]
+    assert blank > 0
+
+
 def test_interval_grid_rows_equal_single_point(capsys, tmp_path):
     nodes = [0.0, 0.1, 0.25, 0.7, 1.0]
     path = tmp_path / "iv.json"
@@ -257,3 +304,69 @@ def test_property_batch_equals_single_point(seed, log_scale, offset):
     _assert_many_equal(moment_coords_quad, moment_coords_quad_many, quad, points)
     if quad.is_convex:
         _assert_many_equal(wachspress_coords_quad, wachspress_coords_quad_many, quad, points)
+
+
+def _hex_test_points(hexa, rng, n=7):
+    """A bounding-box grid, face points, edge midpoints and vertices, each
+    also moved off its face, edge or vertex by a few tolerances."""
+    lo, hi = hexa.vertices.min(axis=0), hexa.vertices.max(axis=0)
+    axes = [np.linspace(lo[d], hi[d], n) for d in range(3)]
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    tol = CLASSIFY_RTOL * hexa.diameter
+    v = hexa.vertices
+    edges = {tuple(sorted((f[i], f[(i + 1) % 4]))) for f in Hexahedron.FACES for i in range(4)}
+    boundary = [v, np.array([(v[i] + v[j]) / 2 for i, j in sorted(edges)])]
+    for f in range(6):
+        boundary.append(sampling.face_points_hex(hexa, f, 2, rng, margin=0.0))
+    boundary = np.vstack(boundary)
+    moved = [boundary + off * tol * rng.normal(size=boundary.shape) / np.sqrt(3)
+             for off in (0.5, 0.99, 1.01, 3.9)]
+    return np.vstack([grid, boundary] + moved)
+
+
+def _assert_hex_classify_equal(hexa, points):
+    kind, index = face_of_points_hex(hexa, points)
+    for s, p in enumerate(points):
+        loc = face_of_point_hex(hexa, p)
+        assert kind[s] == loc.kind, (p, kind[s], loc)
+        assert index[s] == (-1 if loc.index is None else loc.index), (p, index[s], loc)
+    return kind
+
+
+@pytest.mark.parametrize("make", [shapes.convex_hex, shapes.cube], ids=["conv-hex", "cube"])
+def test_hex_batch_equals_single_point(make):
+    hexa = make()
+    points = _hex_test_points(hexa, np.random.default_rng(5))
+    kind = _assert_hex_classify_equal(hexa, points)
+    assert {"interior", "exterior", "on_face", "at_vertex"} <= set(kind.tolist())
+    _assert_many_equal(moment_coords_hex, moment_coords_hex_many, hexa, points)
+
+
+def test_hex_many_empty_batch():
+    phi, ok = moment_coords_hex_many(shapes.convex_hex(), np.zeros((0, 3)))
+    assert phi.shape == (0, 8) and ok.shape == (0,)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    plane=st.booleans(),
+    tilt=st.floats(0.0, 0.4),
+    log_scale=st.floats(-3.0, 3.0),
+    offset=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+)
+def test_property_hex_batch_equals_single_point(seed, plane, tilt, log_scale, offset):
+    rng = np.random.default_rng(seed)
+    if plane:
+        base = sampling.random_plane_hex(rng, tilt=tilt)
+    else:
+        base = sampling.random_affine_cube_hex(rng)
+    try:
+        hexa = Hexahedron(base.vertices * 10.0**log_scale + np.array(offset))
+    except InvalidGeometry:
+        # Rounding the vertices to a far offset can bend a small hexahedron's
+        # faces beyond the planarity tolerance.
+        assume(False)
+    points = _hex_test_points(hexa, rng)
+    _assert_hex_classify_equal(hexa, points)
+    _assert_many_equal(moment_coords_hex, moment_coords_hex_many, hexa, points)

@@ -163,6 +163,29 @@ class TestEvalFarTranslated:
         assert abs(weights.sum() - 1.0) <= 1e-12 and weights.min() >= 0.0
 
 
+class TestGridFarTranslated:
+    @pytest.mark.parametrize("offset", [(-818964.0, -819947.0), (1061548.0, -314558.0)])
+    def test_no_blank_rows_near_edges(self, capsys, tmp_path, offset):
+        # Grid points up to the classification tolerance outside an edge
+        # snap onto it; solving there gave weights near -3e-11, and 20 (28)
+        # of these rows were blank before edge points took the edge's linear
+        # interpolation.
+        path = tmp_path / "far.json"
+        vertices = nonconvex_quad().vertices + offset
+        path.write_text(json.dumps({"kind": "quad", "vertices": vertices.tolist()}))
+        out_path = tmp_path / "grid.csv"
+        code, _, err = run(
+            capsys, "grid", "--geometry", str(path), "--resolution", "61",
+            "--method", "moment", "--out", str(out_path),
+        )
+        assert code == 0 and "failed" not in err
+        with open(out_path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 1426
+        weights = np.array([[float(c) for c in row[2:]] for row in rows])
+        assert weights.min() >= 0.0
+
+
 class TestGrid:
     def test_biunit_three_by_three(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
