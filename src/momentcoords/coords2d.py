@@ -63,7 +63,9 @@ def _edge_weights(i: int, t: float) -> np.ndarray:
 
     Both families reduce to it on an edge.  Taking it from the edge
     parameter, not from a solve, keeps the weights of a point snapped onto
-    the edge from within the tolerance nonnegative.
+    the edge from within the tolerance nonnegative.  They are the weights
+    of the point's projection onto the edge, so they reproduce the point
+    itself only up to its distance from the edge, at most the tolerance.
     """
     phi = np.zeros(4)
     phi[i] = 1.0 - t

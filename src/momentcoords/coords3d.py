@@ -26,8 +26,6 @@ the stack around it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import FrameNotFound, OutsideDomain
@@ -226,12 +224,12 @@ def _pair_planes(hexa):
     return cached
 
 
-def _wedge_normal(line, px, py, pz, sqrt):
+def _wedge_normal(line, px, py, pz):
     """m = u x (p - a) for the line (u, x0, _), a the point of the line
     closest to p, with |p - a| and |m|.
 
-    Takes one point as Python floats (sqrt = math.sqrt) or a batch as
-    arrays (sqrt = np.sqrt); both run the same correctly rounded operations.
+    Takes one point as Python floats or a batch as arrays; both run the
+    same elementwise operations.
     """
     (ux, uy, uz), (x0, y0, z0), _ = line
     t = ux * (px - x0) + uy * (py - y0) + uz * (pz - z0)
@@ -241,7 +239,7 @@ def _wedge_normal(line, px, py, pz, sqrt):
     mx = uy * dz - uz * dy
     my = uz * dx - ux * dz
     mz = ux * dy - uy * dx
-    return (mx, my, mz), sqrt(dx * dx + dy * dy + dz * dz), sqrt(mx * mx + my * my + mz * mz)
+    return (mx, my, mz), np.sqrt(dx * dx + dy * dy + dz * dz), np.sqrt(mx * mx + my * my + mz * mz)
 
 
 def _wedge_direction(hexa, p, pair):
@@ -255,7 +253,7 @@ def _wedge_direction(hexa, p, pair):
     """
     line = _pair_planes(hexa)[pair][0]
     px, py, pz = p.tolist()
-    (mx, my, mz), dist, norm_m = _wedge_normal(line, px, py, pz, math.sqrt)
+    (mx, my, mz), dist, norm_m = _wedge_normal(line, px, py, pz)
     if dist < 1e-12 * hexa.diameter or norm_m < 1e-14 * hexa.diameter:
         return None
     mx, my, mz = mx / norm_m, my / norm_m, mz / norm_m
@@ -343,9 +341,7 @@ def _frame_rows_many(hexa: Hexahedron, q, faces) -> tuple[np.ndarray, np.ndarray
                 row = np.broadcast_to(bisector, (k, 3))
                 found = np.ones(k, dtype=bool)
             else:
-                (mx, my, mz), dist, norm_m = _wedge_normal(
-                    line, q[:, 0], q[:, 1], q[:, 2], np.sqrt
-                )
+                (mx, my, mz), dist, norm_m = _wedge_normal(line, q[:, 0], q[:, 1], q[:, 2])
                 found = ~(dist < 1e-12 * hexa.diameter) & ~(norm_m < 1e-14 * hexa.diameter)
                 m = np.stack([mx / norm_m, my / norm_m, mz / norm_m], axis=-1)
                 row = np.where((_dot3(m, np.array(line[2]) - q) >= 0)[:, None], m, -m)

@@ -288,9 +288,7 @@ def _classify_points_quad(quad: Quadrilateral, pts, tol: float):
     return kind, index, t
 
 
-def classify_points_quad(
-    quad: Quadrilateral, points, tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def classify_points_quad(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
     """Classify each row of points (m, 2); returns (kind, index) arrays.
 
     kind[s] and index[s] (-1 where the location has none) are the kind and
@@ -299,10 +297,8 @@ def classify_points_quad(
     itself, because np.hypot and math.hypot differ in the last bit, and the
     even-odd parity of the others uses classify_point_quad's own expression.
     """
-    if tol is None:
-        tol = CLASSIFY_RTOL * quad.diameter
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    kind, index, _ = _classify_points_quad(quad, pts, tol)
+    kind, index, _ = _classify_points_quad(quad, pts, CLASSIFY_RTOL * quad.diameter)
     return kind, index
 
 
@@ -449,45 +445,31 @@ class Hexahedron:
         return tuple(out)
 
     @cached_property
-    def _vertex_rows(self) -> tuple:
-        return tuple(tuple(v) for v in self.vertices.tolist())
-
-    @cached_property
-    def _plane_rows(self) -> tuple:
-        """Per face: the outward unit normal's components and its offset."""
-        return tuple((*n.tolist(), float(n @ c)) for n, c in self.face_planes)
+    def _plane_columns(self) -> tuple:
+        """The outward unit normals' x, y and z components and the planes'
+        offsets, one (6,) array each."""
+        return tuple(np.array([(*n, n @ c) for n, c in self.face_planes]).T)
 
     def face_signed_distances(self, p) -> np.ndarray:
         """Outward signed distance of p (3,) or of each row of p (m, 3) to
         each supporting face plane: shape (6,) or (m, 6).
 
-        n_x x + n_y y + n_z z - offset is spelled out, on Python floats for
-        one point and on arrays for many, rather than taken as a matrix
-        product, whose rounding depends on the BLAS kernel: one point gets
-        the same bits alone or in a batch."""
+        n_x x + n_y y + n_z z - offset is spelled out elementwise rather
+        than taken as a matrix product, whose rounding depends on the BLAS
+        kernel and the batch size: one point gets the same bits alone or in
+        a batch."""
         p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            x, y, z = p.tolist()
-            return np.array([a * x + b * y + c * z - d for a, b, c, d in self._plane_rows])
-        x, y, z = p[:, 0, None], p[:, 1, None], p[:, 2, None]
-        a, b, c, d = np.array(self._plane_rows).T
-        return a * x + b * y + c * z - d
+        a, b, c, d = self._plane_columns
+        return a * p[..., 0, None] + b * p[..., 1, None] + c * p[..., 2, None] - d
 
     def vertex_distances(self, p) -> np.ndarray:
         """Distance of p (3,) or of each row of p (m, 3) to each vertex,
         spelled out like face_signed_distances: shape (8,) or (m, 8)."""
         p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            x, y, z = p.tolist()
-            out = []
-            for a, b, c in self._vertex_rows:
-                dx, dy, dz = a - x, b - y, c - z
-                out.append(math.sqrt(dx * dx + dy * dy + dz * dz))
-            return np.array(out)
         v = self.vertices
-        dx = v[:, 0] - p[:, 0, None]
-        dy = v[:, 1] - p[:, 1, None]
-        dz = v[:, 2] - p[:, 2, None]
+        dx = v[:, 0] - p[..., 0, None]
+        dy = v[:, 1] - p[..., 1, None]
+        dz = v[:, 2] - p[..., 2, None]
         return np.sqrt(dx * dx + dy * dy + dz * dz)
 
     def __repr__(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from momentcoords import sampling, shapes
+from momentcoords import cli, sampling, shapes
 from momentcoords.cli import main
 from momentcoords.coords2d import (
     moment_coords_quad,
@@ -121,6 +121,44 @@ def test_many_bitwise_equal_to_single_point(name):
     _assert_many_equal(moment_coords_quad, moment_coords_quad_many, quad, points)
     if quad.is_convex:
         _assert_many_equal(wachspress_coords_quad, wachspress_coords_quad_many, quad, points)
+
+
+@pytest.mark.parametrize(
+    "name, scale",
+    [(n, s) for n in ("biunit", "convex", "nonconvex") for s in (1e-3, 1.0, 1e3)]
+    + [("nonconvex+1e6", 1.0), ("nonconvex+1e6", 1e3)],
+)
+def test_edge_snapped_rows_pass_row_check(name, scale):
+    # A point up to tol outside an edge snaps onto it and takes the linear
+    # interpolation of its projection q, so its linear precision is off by
+    # |p - q|, and the row check's bound ROW_PRECISION_RTOL * diameter is
+    # tol itself.  Snapped from 0.5 or 0.99 tol, every row passes.  Snapped
+    # from the full tol there is no margin left: the row reproduces q to
+    # rounding, and the check may exceed its bound by that rounding alone.
+    quad = QUADS[name]
+    quad = Quadrilateral((quad.vertices - quad.vertices[0]) * scale + quad.vertices[0])
+    v, c = quad.vertices, quad.vertices.mean(axis=0)
+    tol = CLASSIFY_RTOL * quad.diameter
+    families = [moment_coords_quad_many] + ([wachspress_coords_quad_many] if quad.is_convex else [])
+    for off in (0.5, 0.99, 1.0):
+        points = []
+        for i in range(4):
+            a, e = v[i], v[(i + 1) % 4] - v[i]
+            normal = np.array([e[1], -e[0]]) / np.linalg.norm(e)
+            for t in np.linspace(0.05, 0.95, 19):
+                points.append(a + t * e + off * tol * normal)
+        points = np.array(points)
+        snapped = classify_points_quad(quad, points)[0] == "on_edge"
+        # Near 1e6 the coordinates round by up to 0.15 tol, which moves some
+        # points past tol; from the full tol many points classify as exterior.
+        assert off == 1.0 or snapped.sum() >= len(points) // 2
+        for many in families:
+            phi, ok = many(quad, points[snapped])
+            assert ok.all()
+            if off < 1.0:
+                assert cli._row_ok(phi, v, points[snapped], quad.diameter).all(), (many, off)
+            recon = phi @ (v - c)
+            assert np.abs(recon - (points[snapped] - c)).max(initial=0.0) <= (1 + 1e-5) * tol
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4])
