@@ -7,17 +7,27 @@ alternating-sign distance rows.  Supported node sets are 1D intervals
 hexahedra with planar faces.
 """
 
-from .coords1d import Moment1DSystem, build_system_1d, hat_oracle, moment_coords_1d
+from .coords1d import (
+    Moment1DSystem,
+    build_system_1d,
+    hat_oracle,
+    hat_oracle_many,
+    moment_coords_1d,
+    moment_coords_1d_many,
+)
 from .coords2d import (
     cramer_coords_quad,
+    cramer_coords_quad_many,
     moment_coords_quad,
     moment_coords_quad_many,
     moment_row,
     mvc_oracle,
+    mvc_oracle_many,
     triangle_barycentric,
     wachspress_coords_quad,
     wachspress_coords_quad_many,
     wachspress_oracle,
+    wachspress_oracle_many,
     wachspress_row,
 )
 from .coords3d import (
@@ -64,16 +74,21 @@ __all__ = [
     "Moment1DSystem",
     "build_system_1d",
     "hat_oracle",
+    "hat_oracle_many",
     "moment_coords_1d",
+    "moment_coords_1d_many",
     "cramer_coords_quad",
+    "cramer_coords_quad_many",
     "moment_coords_quad",
     "moment_coords_quad_many",
     "moment_row",
     "mvc_oracle",
+    "mvc_oracle_many",
     "triangle_barycentric",
     "wachspress_coords_quad",
     "wachspress_coords_quad_many",
     "wachspress_oracle",
+    "wachspress_oracle_many",
     "wachspress_row",
     "Frame3",
     "distance_row_3d",

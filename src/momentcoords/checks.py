@@ -4,6 +4,10 @@ Each suite evaluates the coordinate axioms (partition of unity, linear
 precision, nonnegativity, Kronecker delta at the nodes), the boundary and
 facet reduction properties, and the agreement between the system solutions
 and their independent closed-form oracles, over a seeded random sample.
+The samples go through the batch functions; a point a batch fails is re-run
+through its single-point function, which raises (or is counted) as a loop
+over the points would have.  Only the 2D reduction of the hexahedral facet
+points, one induced quadrilateral each, runs point by point.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from . import coords1d, coords2d, coords3d, sampling
 from .errors import SingularMatrix
-from .geometry import Hexahedron, NodeSet1D, Quadrilateral, face_of_point_hex
+from .geometry import Hexahedron, NodeSet1D, Quadrilateral, face_of_points_hex
 
 # Baseline tolerances for the standard axioms.
 PARTITION_TOL = 1e-12
@@ -25,6 +29,9 @@ KRONECKER_TOL = 1e-10
 BOUNDARY_TOL = 1e-10
 FACET_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
+# The suites evaluate their samples this many at a time, which bounds the
+# memory of the stacked solves.
+SUITE_CHUNK = 256
 
 
 @dataclass
@@ -59,14 +66,73 @@ class _Accumulator:
         return list(self.results.values())
 
 
-def _axioms(acc, label, weights, vertices, p, diameter):
-    acc.record(f"{label} partition of unity", abs(weights.sum() - 1.0), PARTITION_TOL)
-    acc.record(f"{label} nonnegativity", max(0.0, -float(weights.min())), NONNEG_TOL)
+def linear_precision_error(weights, vertices, points) -> np.ndarray:
+    """Linear precision error of each row of weights (m, n) at points
+    (m, dim), taken about the vertex centroid c: the largest component of
+    |phi @ (v - c) - (p - c)|.
+
+    It is the same quantity as |phi @ v - p| whenever sum(phi) = 1, without
+    the rounding of the absolute coordinates of far-translated geometry.
+    The sum over vertices runs in a fixed order, so a row's value does not
+    depend on its batch.
+    """
+    c = vertices.mean(axis=0)
+    centred = vertices - c
+    recon = np.zeros(points.shape)
+    for i in range(centred.shape[0]):
+        recon += weights[:, i, None] * centred[i]
+    return np.abs(recon - (points - c)).max(axis=1)
+
+
+def _axioms(acc, prefix, weights, vertices, points, diameter):
+    """Partition of unity, nonnegativity and linear precision of each row
+    of weights (m, n) at points (m, dim); records the worst of each."""
+    if not len(weights):
+        return
     acc.record(
-        f"{label} linear precision",
-        float(np.abs(weights @ vertices - p).max()) / diameter,
+        f"{prefix}partition of unity",
+        float(np.abs(weights.sum(axis=1) - 1.0).max()),
+        PARTITION_TOL,
+    )
+    acc.record(f"{prefix}nonnegativity", max(0.0, -float(weights.min())), NONNEG_TOL)
+    acc.record(
+        f"{prefix}linear precision",
+        float(linear_precision_error(weights, vertices, points).max()) / diameter,
         PRECISION_RTOL,
     )
+
+
+def _worst_gap(a, b) -> float:
+    """Largest |a - b| over all entries (0 for no rows)."""
+    return float(np.abs(a - b).max(initial=0.0))
+
+
+def _chunked(many, geom, points, **kwargs):
+    """many(geom, points, **kwargs), run SUITE_CHUNK points at a time."""
+    parts = [
+        many(geom, points[start : start + SUITE_CHUNK], **kwargs)
+        for start in range(0, max(len(points), 1), SUITE_CHUNK)
+    ]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _evaluate(geom, points, *methods):
+    """Weights at each row of points for each (batch, single-point) pair of
+    methods, as a list of (m, n) arrays.
+
+    The batch functions run first.  Every point some batch failed is then
+    re-run through the single-point functions in the order a per-point
+    loop takes them, point by point and method by method, so the first
+    exception raised is the one that loop raised; a value returned instead
+    fills the row.
+    """
+    results = [_chunked(many, geom, points) for many, _ in methods]
+    failed = sorted(set().union(*(np.flatnonzero(~ok).tolist() for _, ok in results)))
+    for s in failed:
+        for (_, single), (phi, ok) in zip(methods, results):
+            if not ok[s]:
+                phi[s] = single(geom, points[s])
+    return [phi for phi, _ in results]
 
 
 def _similarity_map(rng):
@@ -101,77 +167,64 @@ def quad_suite(
     v = quad.vertices
     run_moment = family in (None, "moment")
     run_wachspress = quad.is_convex and family in (None, "wachspress")
+    moment = (coords2d.moment_coords_quad_many, coords2d.moment_coords_quad)
+    wachspress = (coords2d.wachspress_coords_quad_many, coords2d.wachspress_coords_quad)
 
-    for p in pts:
-        if run_moment:
-            phi = coords2d.moment_coords_quad(quad, p)
-            _axioms(acc, "moment", phi, v, p, d)
-            acc.record(
-                "moment vs mean-value oracle",
-                float(np.abs(phi - coords2d.mvc_oracle(quad, p)).max()),
-                ORACLE_TOL,
-            )
-            acc.record(
-                "moment vs cramer oracle",
-                float(np.abs(phi - coords2d.cramer_coords_quad(quad, p)).max()),
-                ORACLE_TOL,
-            )
-        if run_wachspress:
-            wphi = coords2d.wachspress_coords_quad(quad, p)
-            _axioms(acc, "wachspress", wphi, v, p, d)
-            acc.record(
-                "wachspress vs area oracle",
-                float(np.abs(wphi - coords2d.wachspress_oracle(quad, p)).max()),
-                ORACLE_TOL,
-            )
+    methods = []
+    if run_moment:
+        methods += [
+            moment,
+            (coords2d.mvc_oracle_many, coords2d.mvc_oracle),
+            (coords2d.cramer_coords_quad_many, coords2d.cramer_coords_quad),
+        ]
+    if run_wachspress:
+        methods += [wachspress, (coords2d.wachspress_oracle_many, coords2d.wachspress_oracle)]
+    weights = _evaluate(quad, pts, *methods)
+    if run_moment:
+        phi, mvc, cramer = weights[:3]
+        _axioms(acc, "moment ", phi, v, pts, d)
+        acc.record("moment vs mean-value oracle", _worst_gap(phi, mvc), ORACLE_TOL)
+        acc.record("moment vs cramer oracle", _worst_gap(phi, cramer), ORACLE_TOL)
+    if run_wachspress:
+        wphi, area = weights[-2:]
+        _axioms(acc, "wachspress ", wphi, v, pts, d)
+        acc.record("wachspress vs area oracle", _worst_gap(wphi, area), ORACLE_TOL)
 
     families = []
     if run_moment:
-        families.append(("moment", coords2d.moment_coords_quad))
+        families.append(("moment", moment))
     if run_wachspress:
-        families.append(("wachspress", coords2d.wachspress_coords_quad))
-    for name, fn in families:
+        families.append(("wachspress", wachspress))
+    for name, method in families:
+        (phi,) = _evaluate(quad, v, method)
+        acc.record(f"{name} kronecker delta", _worst_gap(phi, np.eye(4)), KRONECKER_TOL)
+        t = rng.uniform(0.05, 0.95, (4, 8))
+        expect = np.zeros((4, 8, 4))
         for i in range(4):
-            phi = fn(quad, v[i])
-            expect = np.zeros(4)
-            expect[i] = 1.0
-            acc.record(f"{name} kronecker delta", float(np.abs(phi - expect).max()), KRONECKER_TOL)
-        for i in range(4):
-            for t in rng.uniform(0.05, 0.95, 8):
-                p = (1 - t) * v[i] + t * v[(i + 1) % 4]
-                phi = fn(quad, p)
-                expect = np.zeros(4)
-                expect[i] = 1 - t
-                expect[(i + 1) % 4] = t
-                acc.record(
-                    f"{name} boundary reduction", float(np.abs(phi - expect).max()), BOUNDARY_TOL
-                )
+            expect[i, :, i] = 1 - t[i]
+            expect[i, :, (i + 1) % 4] = t[i]
+        p = (1 - t)[:, :, None] * v[:, None] + t[:, :, None] * v[[1, 2, 3, 0], None]
+        (phi,) = _evaluate(quad, p.reshape(-1, 2), method)
+        acc.record(
+            f"{name} boundary reduction", _worst_gap(phi, expect.reshape(-1, 4)), BOUNDARY_TOL
+        )
 
     # Covariance under similarity maps holds for both families; Wachspress
     # is additionally covariant under general affine maps (moment/mean value
     # coordinates are distance based and are not).
+    covariance = []
     if run_moment:
-        for _ in range(5):
-            a, b = _similarity_map(rng)
-            mapped = Quadrilateral(v @ a.T + b)
-            for p in pts[: min(len(pts), 20)]:
-                q = a @ p + b
-                acc.record(
-                    "moment similarity covariance",
-                    float(np.abs(coords2d.moment_coords_quad(quad, p) - coords2d.moment_coords_quad(mapped, q)).max()),
-                    COVARIANCE_TOL,
-                )
+        covariance.append(("moment similarity covariance", moment, weights[0], _similarity_map))
     if run_wachspress:
+        covariance.append(("wachspress affine covariance", wachspress, weights[-2], _affine_map))
+    first = slice(0, min(len(pts), 20))
+    for name, method, phi, draw_map in covariance:
         for _ in range(5):
-            a, b = _affine_map(rng)
+            a, b = draw_map(rng)
             mapped = Quadrilateral(v @ a.T + b)
-            for p in pts[: min(len(pts), 20)]:
-                q = a @ p + b
-                acc.record(
-                    "wachspress affine covariance",
-                    float(np.abs(coords2d.wachspress_coords_quad(quad, p) - coords2d.wachspress_coords_quad(mapped, q)).max()),
-                    COVARIANCE_TOL,
-                )
+            q = np.array([a @ p + b for p in pts[first]])
+            (mphi,) = _evaluate(mapped, q, method)
+            acc.record(name, _worst_gap(phi[first], mphi), COVARIANCE_TOL)
     return acc.items()
 
 
@@ -181,25 +234,26 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
     acc = _Accumulator(tol_scale)
     d = hexa.diameter
     v = hexa.vertices
-    singular = 0
 
-    for p in sampling.interior_points_hex(hexa, samples, rng):
+    pts = sampling.interior_points_hex(hexa, samples, rng)
+    phi, ok, w = _chunked(coords3d.moment_coords_hex_many, hexa, pts, return_frame_coords=True)
+    for s in np.flatnonzero(~ok):
         try:
-            phi, frame = coords3d.moment_coords_hex(hexa, p, return_frame=True)
+            phi[s], frame = coords3d.moment_coords_hex(hexa, pts[s], return_frame=True)
         except SingularMatrix:
-            singular += 1
             continue
-        _axioms(acc, "moment", phi, v, p, d)
-        w = frame.coords(v)
-        ok = coords3d.sign_pattern_ok(w, d)
-        acc.record("sign pattern verified", 0.0 if ok else 1.0, 0.5)
-    acc.record("no solver singularity", float(singular), 0.5)
+        w[s] = frame.coords(v)
+        ok[s] = True
+    _axioms(acc, "moment ", phi[ok], v, pts[ok], d)
+    if ok.any():
+        tol = coords3d.PATTERN_ZERO_RTOL * d
+        pattern = np.all(coords3d.SIGN_PATTERN * w[ok] > tol, axis=(1, 2))
+        acc.record("sign pattern verified", 0.0 if pattern.all() else 1.0, 0.5)
+    acc.record("no solver singularity", float((~ok).sum()), 0.5)
 
-    for i in range(8):
-        phi = coords3d.moment_coords_hex(hexa, v[i])
-        expect = np.zeros(8)
-        expect[i] = 1.0
-        acc.record("kronecker delta", float(np.abs(phi - expect).max()), KRONECKER_TOL)
+    hex_method = (coords3d.moment_coords_hex_many, coords3d.moment_coords_hex)
+    (phi,) = _evaluate(hexa, v, hex_method)
+    acc.record("kronecker delta", _worst_gap(phi, np.eye(8)), KRONECKER_TOL)
 
     edges = sorted(
         {
@@ -208,28 +262,34 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
             for i in range(4)
         }
     )
-    for (i, j) in edges:
-        for t in rng.uniform(0.1, 0.9, 3):
-            p = (1 - t) * v[i] + t * v[j]
-            phi = coords3d.moment_coords_hex(hexa, p)
-            expect = np.zeros(8)
-            expect[i] = 1 - t
-            expect[j] = t
-            acc.record("edge reduction", float(np.abs(phi - expect).max()), FACET_TOL)
+    t = rng.uniform(0.1, 0.9, (len(edges), 3))
+    expect = np.zeros((len(edges), 3, 8))
+    for e, (i, j) in enumerate(edges):
+        expect[e, :, i] = 1 - t[e]
+        expect[e, :, j] = t[e]
+    ends = np.array(edges)
+    p = (1 - t)[:, :, None] * v[ends[:, 0], None] + t[:, :, None] * v[ends[:, 1], None]
+    (phi,) = _evaluate(hexa, p.reshape(-1, 3), hex_method)
+    acc.record("edge reduction", _worst_gap(phi, expect.reshape(-1, 8)), FACET_TOL)
 
     per_face = max(4, samples // 60)
-    for f in range(6):
-        idx = list(Hexahedron.FACES[f])
-        off = [i for i in range(8) if i not in idx]
-        for p in sampling.face_points_hex(hexa, f, per_face, rng):
-            loc = face_of_point_hex(hexa, p)
-            if loc.kind != "on_face" or loc.index != f:
-                continue
-            phi, frame = coords3d.moment_coords_hex(hexa, p, return_frame=True)
-            acc.record("facet off-face weights", float(np.abs(phi[off]).max()), BOUNDARY_TOL)
-            quad2d = coords3d.induced_face_quad(hexa, f, frame)
-            psi = coords2d.moment_coords_quad(quad2d, np.zeros(2))
-            acc.record("facet reduction", float(np.abs(phi[idx] - psi).max()), FACET_TOL)
+    face = np.repeat(np.arange(6), per_face)
+    pts = np.vstack([sampling.face_points_hex(hexa, f, per_face, rng) for f in range(6)])
+    kind, index = face_of_points_hex(hexa, pts)
+    on_face = (kind == "on_face") & (index == face)
+    face, pts = face[on_face], pts[on_face]
+    phi, ok, w = _chunked(coords3d.moment_coords_hex_many, hexa, pts, return_frame_coords=True)
+    for s in np.flatnonzero(~ok):
+        phi[s], frame = coords3d.moment_coords_hex(hexa, pts[s], return_frame=True)
+        w[s] = frame.coords(v)
+    if len(pts):
+        off = ~coords3d.FACE_VERTICES[face]
+        acc.record("facet off-face weights", float(np.abs(phi[off]).max()), BOUNDARY_TOL)
+        gap = 0.0
+        for s, f in enumerate(face.tolist()):
+            psi = coords2d.moment_coords_quad(coords3d._induced_face_quad(f, w[s]), np.zeros(2))
+            gap = max(gap, float(np.abs(phi[s, list(Hexahedron.FACES[f])] - psi).max()))
+        acc.record("facet reduction", gap, FACET_TOL)
     return acc.items()
 
 
@@ -238,29 +298,22 @@ def interval_suite(nodes: NodeSet1D, samples: int, seed: int, tol_scale: float =
     rng = np.random.default_rng(seed)
     acc = _Accumulator(tol_scale)
     xs = nodes.nodes
-    span = nodes.span
-    singular = 0
-    for _ in range(samples):
-        x = rng.uniform(xs[0], xs[-1])
+    x = rng.uniform(xs[0], xs[-1], samples)
+    phi, ok = _chunked(coords1d.moment_coords_1d_many, nodes, x)
+    for s in np.flatnonzero(~ok):
         try:
-            phi = coords1d.moment_coords_1d(nodes, x)
+            phi[s] = coords1d.moment_coords_1d(nodes, x[s])
         except SingularMatrix:
-            singular += 1
             continue
-        acc.record("partition of unity", abs(phi.sum() - 1.0), PARTITION_TOL)
-        acc.record("nonnegativity", max(0.0, -float(phi.min())), NONNEG_TOL)
-        acc.record("linear precision", abs(float(phi @ xs) - x) / span, PRECISION_RTOL)
-        acc.record(
-            "moment vs hat oracle",
-            float(np.abs(phi - coords1d.hat_oracle(nodes, x)).max()),
-            ORACLE_TOL,
-        )
-    acc.record("no solver singularity", float(singular), 0.5)
-    for i, x in enumerate(xs):
-        phi = coords1d.moment_coords_1d(nodes, float(x))
-        expect = np.zeros(len(xs))
-        expect[i] = 1.0
-        acc.record("kronecker delta", float(np.abs(phi - expect).max()), KRONECKER_TOL)
+        ok[s] = True
+    phi, x = phi[ok], x[ok]
+    _axioms(acc, "", phi, xs[:, None], x[:, None], nodes.span)
+    if len(x):
+        (hat,) = _evaluate(nodes, x, (coords1d.hat_oracle_many, coords1d.hat_oracle))
+        acc.record("moment vs hat oracle", _worst_gap(phi, hat), ORACLE_TOL)
+    acc.record("no solver singularity", float(samples - len(x)), 0.5)
+    (phi,) = _evaluate(nodes, xs, (coords1d.moment_coords_1d_many, coords1d.moment_coords_1d))
+    acc.record("kronecker delta", _worst_gap(phi, np.eye(len(xs))), KRONECKER_TOL)
     return acc.items()
 
 

@@ -70,6 +70,7 @@ def _load_geometry(source: str):
     raise InputError(f"unknown geometry kind {kind!r} (quad, hex, or interval)")
 
 
+# Single-point methods, used by eval.
 METHODS = {
     "quad": {
         "moment": coords2d.moment_coords_quad,
@@ -87,12 +88,22 @@ METHODS = {
     },
 }
 
-# Methods with a vectorized batch path, keyed by (geometry kind, method);
-# grid evaluates every other method point by point through METHODS.
+# Batch methods, used by grid: (points (m, dim)) -> (weights (m, n), ok (m,)).
 BATCH_METHODS = {
-    ("quad", "moment"): coords2d.moment_coords_quad_many,
-    ("quad", "wachspress"): coords2d.wachspress_coords_quad_many,
-    ("hex", "moment"): coords3d.moment_coords_hex_many,
+    "quad": {
+        "moment": coords2d.moment_coords_quad_many,
+        "wachspress": coords2d.wachspress_coords_quad_many,
+        "mvc-oracle": coords2d.mvc_oracle_many,
+        "wachspress-oracle": coords2d.wachspress_oracle_many,
+        "cramer": coords2d.cramer_coords_quad_many,
+    },
+    "hex": {
+        "moment": coords3d.moment_coords_hex_many,
+    },
+    "interval": {
+        "moment": coords1d.moment_coords_1d_many,
+        "hat": coords1d.hat_oracle_many,
+    },
 }
 
 
@@ -104,9 +115,9 @@ def _geometry_kind(geom) -> str:
     return "interval"
 
 
-def _resolve_method(geom, name: str):
+def _resolve_method(geom, name: str, tables=METHODS):
     kind = _geometry_kind(geom)
-    table = METHODS[kind]
+    table = tables[kind]
     if name not in table:
         raise InputError(
             f"method {name!r} is not available for {kind} geometry"
@@ -209,34 +220,6 @@ def _inside_many(geom, points) -> np.ndarray:
     return (geom.nodes[0] <= x) & (x <= geom.nodes[-1])
 
 
-def _evaluator_many(geom, method_name: str):
-    """evaluate(points) -> (weights (m, n), ok (m,)) for the grid pipeline.
-
-    Methods in BATCH_METHODS run vectorized; every other method runs its
-    single-point function at each point, and ok is False where that raises
-    MomentCoordsError.
-    """
-    kind = _geometry_kind(geom)
-    fn = _resolve_method(geom, method_name)
-    many = BATCH_METHODS.get((kind, method_name))
-    if many is not None:
-        return lambda points: many(geom, points)
-    nweights = _geometry_size(geom)[1].shape[0]
-
-    def evaluate(points):
-        weights = np.full((len(points), nweights), np.nan)
-        ok = np.zeros(len(points), dtype=bool)
-        for s, p in enumerate(points):
-            try:
-                weights[s] = fn(geom, float(p[0])) if kind == "interval" else fn(geom, p)
-            except MomentCoordsError:
-                continue
-            ok[s] = True
-        return weights, ok
-
-    return evaluate
-
-
 def _geometry_size(geom) -> tuple[float, np.ndarray]:
     kind = _geometry_kind(geom)
     if kind == "interval":
@@ -245,23 +228,16 @@ def _geometry_size(geom) -> tuple[float, np.ndarray]:
 
 
 def _row_ok(weights, vertices, points, diameter) -> np.ndarray:
-    """Write-time check of each row of weights (m, n) at points (m, dim).
-
-    Partition of unity, nonnegativity, and linear precision taken about the
-    vertex centroid c as |phi @ (v - c) - (p - c)|: the same quantity as
-    |phi @ v - p| whenever sum(phi) = 1, without the rounding of the
-    absolute coordinates of far-translated geometry.  The sum over vertices
-    runs in a fixed order, so a row's verdict does not depend on its batch.
-    """
-    c = vertices.mean(axis=0)
-    centred = vertices - c
-    recon = np.zeros(points.shape)
-    for i in range(centred.shape[0]):
-        recon += weights[:, i, None] * centred[i]
+    """Write-time check of each row of weights (m, n) at points (m, dim):
+    partition of unity, nonnegativity, and linear precision about the
+    vertex centroid (checks.linear_precision_error)."""
     return (
         (np.abs(weights.sum(axis=1) - 1.0) <= ROW_PARTITION_TOL)
         & (weights.min(axis=1) >= -ROW_NONNEG_TOL)
-        & (np.abs(recon - (points - c)).max(axis=1) <= ROW_PRECISION_RTOL * diameter)
+        & (
+            checks.linear_precision_error(weights, vertices, points)
+            <= ROW_PRECISION_RTOL * diameter
+        )
     )
 
 
@@ -286,7 +262,11 @@ def cmd_grid(args) -> int:
     if args.resolution < 2:
         raise InputError("resolution must be at least 2")
     _require_convex(geom, args.method)
-    evaluate = _evaluator_many(geom, args.method)
+    many = _resolve_method(geom, args.method, BATCH_METHODS)
+
+    def evaluate(points):
+        return many(geom, points)
+
     axes = _grid_axes(geom, args.resolution)
     diameter, vertices = _geometry_size(geom)
     nweights = vertices.shape[0]

@@ -6,7 +6,9 @@ constant and linear reproducing rows plus one alternating-sign weight row
 for Wachspress).  Three independent oracles are provided for cross checks:
 the local tangent formula for mean value coordinates, a Cramer's-rule
 expansion through triangle coordinates, and the rational area quotient for
-Wachspress.
+Wachspress.  Each coordinate function and oracle has a batch twin (the
+*_many functions) that evaluates a stack of points with the same
+elementwise arithmetic and returns (phi, ok) instead of raising per point.
 """
 
 from __future__ import annotations
@@ -128,12 +130,18 @@ def _coords_many(quad: Quadrilateral, points, constant_row: int, weight_rows):
     return phi, ok
 
 
+def _hypot(dx, dy) -> np.ndarray:
+    """math.hypot over two equal-shape arrays (np.hypot can differ in the
+    last bit, and the single-point functions use math.hypot)."""
+    return np.array(list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()))).reshape(
+        dx.shape
+    )
+
+
 def _moment_rows(quad: Quadrilateral, q) -> np.ndarray:
     """moment_row for each row of q, through math.hypot as moment_row does."""
     xs, ys = zip(*quad.corner_tuple)
-    dx = (np.array(xs)[None] - q[:, :1]).ravel().tolist()
-    dy = (np.array(ys)[None] - q[:, 1:]).ravel().tolist()
-    return np.array(list(map(math.hypot, dx, dy))).reshape(-1, 4) * ALTERNATING
+    return _hypot(np.array(xs)[None] - q[:, :1], np.array(ys)[None] - q[:, 1:]) * ALTERNATING
 
 
 def moment_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
@@ -173,13 +181,48 @@ def mvc_oracle(quad: Quadrilateral, p) -> np.ndarray:
     return w / w.sum()
 
 
+def _locate_many(quad: Quadrilateral, points):
+    """(points (m, 2), kind) from classify_point_quad's decisions."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    kind, _, _ = _classify_points_quad(quad, pts, CLASSIFY_RTOL * quad.diameter)
+    return pts, kind
+
+
+def mvc_oracle_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
+    """mvc_oracle at each row of points (m, 2); returns (phi, ok).
+
+    ok[s] is False (and phi[s] NaN) where mvc_oracle raises: off the open
+    interior.  The tangent formula runs with the same elementwise
+    arithmetic, so phi[s] is bitwise equal to mvc_oracle(quad, points[s]).
+    """
+    pts, kind = _locate_many(quad, points)
+    ok = kind == "interior"
+    phi = np.full((len(pts), 4), np.nan)
+    xs, ys = zip(*quad.corner_tuple)
+    ex = np.array(xs)[None] - pts[ok, :1]
+    ey = np.array(ys)[None] - pts[ok, 1:]
+    r = _hypot(ex, ey)
+    t = np.empty(r.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(4):
+            j = (i + 1) % 4
+            cross = ex[:, i] * ey[:, j] - ey[:, i] * ex[:, j]
+            dot = ex[:, i] * ex[:, j] + ey[:, i] * ey[:, j]
+            rr = r[:, i] * r[:, j]
+            t[:, i] = np.where(dot >= 0.0, cross / (rr + dot), (rr - dot) / cross)
+        w = (t[:, [3, 0, 1, 2]] + t) / r
+        phi[ok] = w / w.sum(axis=1)[:, None]
+    return phi, ok
+
+
 def _area2(ax, ay, bx, by, cx, cy):
     """Twice the signed triangle area, on scalars."""
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def _tri_bary(a, b, c, px, py):
-    """Barycentric coordinates of (px, py) as a plain 3-tuple."""
+    """Barycentric coordinates of (px, py) as a plain 3-tuple; px and py
+    may be arrays, which give a tuple of arrays."""
     (ax, ay), (bx, by), (cx, cy) = a, b, c
     area2 = _area2(ax, ay, bx, by, cx, cy)
     scale2 = max(
@@ -242,6 +285,39 @@ def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
         s_i = nu[i] * ALTERNATING[i]  # recover the signed area from the kernel
         phi[i] = (-1) ** (i + 1) * s_i * dot / den
     return phi
+
+
+def cramer_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
+    """cramer_coords_quad at each row of points (m, 2); returns (phi, ok).
+
+    ok[s] is False (and phi[s] NaN) where cramer_coords_quad raises: an
+    exterior point, a moment row orthogonal to the kernel, or a degenerate
+    triangle (then every point).  Same elementwise arithmetic, vertex
+    distances through math.hypot, so phi[s] is bitwise equal to
+    cramer_coords_quad(quad, points[s]).
+    """
+    pts, kind = _locate_many(quad, points)
+    ok = kind != "exterior"
+    c = quad.corner_tuple
+    px, py = pts[:, 0], pts[:, 1]
+    d = _moment_rows(quad, pts)
+    nu = _kernel_vector(quad)
+    den = d[:, 0] * nu[0] + d[:, 1] * nu[1] + d[:, 2] * nu[2] + d[:, 3] * nu[3]
+    ok &= ~(np.abs(den) <= 1e-14 * quad.diameter**3)
+    phi = np.empty((len(pts), 4))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(4):
+            o = _OTHERS[i]
+            try:
+                tau = _tri_bary(c[o[0]], c[o[1]], c[o[2]], px, py)
+            except DegenerateTriangle:
+                ok[:] = False
+                break
+            dot = d[:, o[0]] * tau[0] + d[:, o[1]] * tau[1] + d[:, o[2]] * tau[2]
+            s_i = nu[i] * ALTERNATING[i]
+            phi[:, i] = (-1) ** (i + 1) * s_i * dot / den
+    phi[~ok] = np.nan
+    return phi, ok
 
 
 def wachspress_row(quad: Quadrilateral, p) -> np.ndarray:
@@ -329,3 +405,35 @@ def wachspress_oracle(quad: Quadrilateral, p) -> np.ndarray:
         corner = signed_area(v[i - 1], v[i], v[(i + 1) % 4])
         w[i] = corner / (edge_areas[i - 1] * edge_areas[i])
     return w / w.sum()
+
+
+def wachspress_oracle_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
+    """wachspress_oracle at each row of points (m, 2); returns (phi, ok).
+
+    Raises NotConvex, as wachspress_oracle does, when the quadrilateral is
+    not convex.  ok[s] is False (and phi[s] NaN) where wachspress_oracle
+    raises: off the open interior, or a vanishing edge triangle.  The area
+    quotients run with signed_area's elementwise arithmetic, so phi[s] is
+    bitwise equal to wachspress_oracle(quad, points[s]).
+    """
+    if not quad.is_convex:
+        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
+    pts, kind = _locate_many(quad, points)
+    ok = kind == "interior"
+    phi = np.full((len(pts), 4), np.nan)
+    v = quad.vertices
+    x, y = pts[ok, 0], pts[ok, 1]
+    u = v[[1, 2, 3, 0]]
+    edge_areas = np.column_stack(
+        [0.5 * ((v[i, 0] - x) * (u[i, 1] - y) - (v[i, 1] - y) * (u[i, 0] - x)) for i in range(4)]
+    )
+    w = np.empty(edge_areas.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(4):
+            corner = signed_area(v[i - 1], v[i], v[(i + 1) % 4])
+            w[:, i] = corner / (edge_areas[:, i - 1] * edge_areas[:, i])
+        w /= w.sum(axis=1)[:, None]
+    interior = np.flatnonzero(ok)
+    ok[interior] = ~(edge_areas == 0.0).any(axis=1)
+    phi[ok] = w[ok[interior]]
+    return phi, ok

@@ -393,10 +393,14 @@ def induced_face_quad(hexa: Hexahedron, f: int, frame: Frame3):
     order matches the face connectivity, with the query point at the
     origin.  Used to state the facet-reduction property.
     """
-    idx = list(Hexahedron.FACES[f])
-    w = frame.coords(hexa.vertices[idx])
+    return _induced_face_quad(f, frame.coords(hexa.vertices))
+
+
+def _induced_face_quad(f: int, w) -> Quadrilateral:
+    """induced_face_quad from the frame coordinates w (3, 8) of the
+    vertices, such as moment_coords_hex_many returns."""
     keep = [r for r in range(3) if r != f // 2]
-    verts2d = w[keep].T.copy()
+    verts2d = w[keep][:, list(Hexahedron.FACES[f])].T.copy()
     if _polygon_area(verts2d) < 0:
         verts2d[:, 1] = -verts2d[:, 1]
     return Quadrilateral(verts2d)
@@ -426,7 +430,7 @@ def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):
     return (phi, frame) if return_frame else phi
 
 
-def moment_coords_hex_many(hexa: Hexahedron, points) -> tuple[np.ndarray, np.ndarray]:
+def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool = False):
     """moment_coords_hex at each row of points (m, 3); returns (phi, ok).
 
     Classification, frames, assembly and the LU solve each run once over
@@ -436,6 +440,11 @@ def moment_coords_hex_many(hexa: Hexahedron, points) -> tuple[np.ndarray, np.nda
     a frame that misses the sign pattern or the determinant bounds, or a
     singular system.  The solver's residual contract runs as it does for
     one point, over the whole batch.
+
+    With return_frame_coords, returns (phi, ok, w) where w[s] (3, 8) is
+    frame.coords(hexa.vertices) of the frame moment_coords_hex(hexa,
+    points[s], return_frame=True) returns, bitwise, and NaN where there is
+    none (a vertex, or a point the frame search failed).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     kind, index, faces = _locate_points_hex(hexa, pts)
@@ -454,4 +463,8 @@ def moment_coords_hex_many(hexa: Hexahedron, points) -> tuple[np.ndarray, np.nda
     phi[solve], ok[solve] = solve_dense_many(
         _hex_system(w, zero_cols), np.broadcast_to(_RHS, (len(solve), 8))
     )
-    return phi, ok
+    if not return_frame_coords:
+        return phi, ok
+    frame_coords = np.full((len(pts), 3, 8), np.nan)
+    frame_coords[solve] = w
+    return phi, ok, frame_coords

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import (
+    CLASSIFY_RTOL,
     Hexahedron,
     NodeSet1D,
     Quadrilateral,
-    classify_point_quad,
+    _classify_points_quad,
     hex_violations,
     quad_violations,
 )
@@ -35,6 +36,10 @@ _CUBE_NORMALS = np.array(
 )
 
 
+# Attempts drawn and tested at once, at most; bounds the samplers' memory.
+_MAX_CHUNK = 1 << 16
+
+
 def _boundary_distance_quad(quad, p):
     v = quad.vertices
     best = np.inf
@@ -47,53 +52,104 @@ def _boundary_distance_quad(quad, p):
     return best
 
 
+def _boundary_distances_quad(quad, pts):
+    """_boundary_distance_quad for each row of pts (m, 2), elementwise; it
+    can differ from the single-point value by rounding, less than
+    _distance_window(quad)."""
+    v = quad.vertices
+    best = np.full(len(pts), np.inf)
+    for i in range(4):
+        a, b = v[i], v[(i + 1) % 4]
+        e = b - a
+        x, y = pts[:, 0] - a[0], pts[:, 1] - a[1]
+        t = np.clip((x * e[0] + y * e[1]) / float(e @ e), 0.0, 1.0)
+        best = np.minimum(best, np.hypot(x - t * e[0], y - t * e[1]))
+    return best
+
+
+def _distance_window(quad) -> float:
+    """A bound on |_boundary_distances_quad - _boundary_distance_quad|:
+    a few ulps of the diameter, plus a few ulps of the coordinates, which
+    the single-point distance rounds to when it forms the foot point."""
+    return 1e-12 * quad.diameter + 8.0 * float(np.spacing(np.abs(quad.vertices).max()))
+
+
+def _rejection_sample(rng, lo, hi, n: int, accept, margin: float):
+    """n points drawn uniformly from the box [lo, hi] that pass accept.
+
+    Draws the same numbers as a loop of one rng.uniform(lo, hi) per attempt
+    that keeps the accepted points, and leaves rng in the same state:
+    chunks of attempts are drawn and tested at once (accept maps (k, dim)
+    points to a (k,) mask), and the chunk holding the n-th accepted point is
+    redrawn from its saved state up to that point only.  Raises ValueError
+    after 2000 * (n + 10) attempts, as the loop did.
+    """
+    if n <= 0:
+        return np.array([])
+    budget = 2000 * (n + 10)
+    attempts = 0
+    out = []
+    found = 0
+    while found < n:
+        if attempts == budget:
+            raise ValueError(
+                f"could not sample {n} interior points (margin {margin:g}"
+                " too large for this geometry?)"
+            )
+        need = n - found
+        rate = (found + 1) / (attempts + 2)  # acceptance estimate, never 0
+        chunk = min(budget - attempts, _MAX_CHUNK, int(1.25 * need / rate) + 16)
+        state = rng.bit_generator.state
+        pts = rng.uniform(lo, hi, size=(chunk, len(lo)))
+        hits = np.flatnonzero(accept(pts))[:need]
+        if len(hits) == need and hits[-1] + 1 < chunk:
+            rng.bit_generator.state = state
+            rng.uniform(lo, hi, size=(hits[-1] + 1, len(lo)))
+            chunk = hits[-1] + 1
+        out.append(pts[hits])
+        found += len(hits)
+        attempts += chunk
+    return np.concatenate(out)
+
+
 def interior_points_quad(quad: Quadrilateral, n: int, rng, margin: float = 1e-5):
     """n uniform interior points, kept margin * diameter away from the
     boundary (the local mean value formula loses accuracy right at it).
 
     Raises ValueError when the acceptance rate collapses (e.g. a sliver
-    thinner than the margin) instead of looping forever.
+    thinner than the margin) instead of looping forever.  A point is kept
+    when classify_point_quad calls it interior and _boundary_distance_quad
+    is at least the margin; the batch tests decide the same, and hand the
+    distances within rounding (_distance_window) of the margin to
+    _boundary_distance_quad.
     """
-    lo = quad.vertices.min(axis=0)
-    hi = quad.vertices.max(axis=0)
     keep = margin * quad.diameter
-    out = []
-    attempts = 0
-    budget = 2000 * (n + 10)
-    while len(out) < n:
-        attempts += 1
-        if attempts > budget:
-            raise ValueError(
-                f"could not sample {n} interior points (margin {margin:g}"
-                " too large for this geometry?)"
-            )
-        p = rng.uniform(lo, hi)
-        if classify_point_quad(quad, p).kind != "interior":
-            continue
-        if _boundary_distance_quad(quad, p) < keep:
-            continue
-        out.append(p)
-    return np.array(out)
+    window = _distance_window(quad)
+
+    def accept(pts):
+        kind = _classify_points_quad(quad, pts, CLASSIFY_RTOL * quad.diameter)[0]
+        inside = np.flatnonzero(kind == "interior")
+        dist = _boundary_distances_quad(quad, pts[inside])
+        for s in np.flatnonzero(np.abs(dist - keep) <= window):
+            dist[s] = _boundary_distance_quad(quad, pts[inside[s]])
+        mask = np.zeros(len(pts), dtype=bool)
+        mask[inside] = ~(dist < keep)
+        return mask
+
+    v = quad.vertices
+    return _rejection_sample(rng, v.min(axis=0), v.max(axis=0), n, accept, margin)
 
 
 def interior_points_hex(hexa: Hexahedron, n: int, rng, margin: float = 1e-7):
-    lo = hexa.vertices.min(axis=0)
-    hi = hexa.vertices.max(axis=0)
+    """n uniform points strictly inside every face plane by margin *
+    diameter; same sampling contract as interior_points_quad."""
     keep = margin * hexa.diameter
-    out = []
-    attempts = 0
-    budget = 2000 * (n + 10)
-    while len(out) < n:
-        attempts += 1
-        if attempts > budget:
-            raise ValueError(
-                f"could not sample {n} interior points (margin {margin:g}"
-                " too large for this geometry?)"
-            )
-        p = rng.uniform(lo, hi)
-        if np.all(hexa.face_signed_distances(p) < -keep):
-            out.append(p)
-    return np.array(out)
+
+    def accept(pts):
+        return np.all(hexa.face_signed_distances(pts) < -keep, axis=1)
+
+    v = hexa.vertices
+    return _rejection_sample(rng, v.min(axis=0), v.max(axis=0), n, accept, margin)
 
 
 def face_points_hex(hexa: Hexahedron, f: int, n: int, rng, margin: float = 0.05):

@@ -11,18 +11,25 @@ import numpy as np
 from momentcoords import sampling, shapes
 from momentcoords.coords1d import hat_oracle, moment_coords_1d
 from momentcoords.coords2d import (
-    cramer_coords_quad,
+    cramer_coords_quad_many,
     moment_coords_quad,
-    mvc_oracle,
+    moment_coords_quad_many,
+    mvc_oracle_many,
     wachspress_coords_quad,
 )
 from momentcoords.coords3d import (
     induced_face_quad,
     moment_coords_hex,
+    moment_coords_hex_many,
     sign_pattern_ok,
 )
 from momentcoords.errors import SingularMatrix
-from momentcoords.geometry import Hexahedron, classify_point_quad, face_of_point_hex
+from momentcoords.geometry import (
+    Hexahedron,
+    classify_point_quad,
+    classify_points_quad,
+    face_of_point_hex,
+)
 from momentcoords.gradients import finite_difference_gradient
 
 
@@ -126,12 +133,12 @@ def test_criterion_2_moment_equals_mean_value_and_cramer():
     worst_mvc = worst_cramer = 0.0
     start = time.perf_counter()
     for quad, pts in sampled:
-        for p in pts:
-            phi = moment_coords_quad(quad, p)
-            worst_mvc = max(worst_mvc, np.abs(phi - mvc_oracle(quad, p)).max())
-            worst_cramer = max(
-                worst_cramer, np.abs(phi - cramer_coords_quad(quad, p)).max()
-            )
+        phi, ok = moment_coords_quad_many(quad, pts)
+        mvc, mvc_ok = mvc_oracle_many(quad, pts)
+        cramer, cramer_ok = cramer_coords_quad_many(quad, pts)
+        assert ok.all() and mvc_ok.all() and cramer_ok.all()
+        worst_mvc = max(worst_mvc, np.abs(phi - mvc).max())
+        worst_cramer = max(worst_cramer, np.abs(phi - cramer).max())
     elapsed = time.perf_counter() - start
     _report(
         2,
@@ -172,18 +179,17 @@ def test_criterion_4_nonconvex_nonnegativity_and_printed_forms():
     v = quad.vertices
     lo = v.min(axis=0)
     hi = v.max(axis=0)
-    min_weight = np.inf
-    for x in np.linspace(lo[0], hi[0], 201):
-        for y in np.linspace(lo[1], hi[1], 201):
-            p = (x, y)
-            if classify_point_quad(quad, p).kind != "interior":
-                continue
-            min_weight = min(min_weight, moment_coords_quad(quad, p).min())
+    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], 201), np.linspace(lo[1], hi[1], 201))
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    interior = grid[classify_points_quad(quad, grid)[0] == "interior"]
+    phi, ok = moment_coords_quad_many(quad, interior)
+    assert len(interior) > 10000 and ok.all()
+    min_weight = phi.min()
     rng = np.random.default_rng(1004)
-    worst_form = 0.0
-    for p in sampling.interior_points_quad(quad, 25, rng):
-        expect = moment_closed_form_nonconv_quad(p[0], p[1])
-        worst_form = max(worst_form, np.abs(moment_coords_quad(quad, p) - expect).max())
+    pts = sampling.interior_points_quad(quad, 25, rng)
+    phi, ok = moment_coords_quad_many(quad, pts)
+    assert ok.all()
+    worst_form = np.abs(phi - moment_closed_form_nonconv_quad(*pts.T).T).max()
     _report(4, "nonconvex dense nonnegativity", max(0.0, -min_weight), 1e-10)
     _report(4, "nonconvex printed moment forms", worst_form, 1e-10)
 
@@ -220,24 +226,17 @@ def test_criterion_6_hexahedron_axioms():
     start = time.perf_counter()
     for k, hexa in enumerate(geoms):
         count = per_geom + (1 if k < extra else 0)
-        for p in sampling.interior_points_hex(hexa, count, rng):
-            try:
-                phi, frame = moment_coords_hex(hexa, p, return_frame=True)
-            except SingularMatrix:
-                singular += 1
-                continue
-            if not sign_pattern_ok(frame.coords(hexa.vertices), hexa.diameter):
-                pattern_failures += 1
-            worst_pu = max(worst_pu, abs(phi.sum() - 1.0))
-            worst_lp = max(
-                worst_lp, np.abs(phi @ hexa.vertices - p).max() / hexa.diameter
-            )
-            worst_neg = max(worst_neg, -float(phi.min()))
-        for i in range(8):
-            phi = moment_coords_hex(hexa, hexa.vertices[i])
-            expect = np.zeros(8)
-            expect[i] = 1.0
-            assert np.abs(phi - expect).max() <= 1e-10
+        pts = sampling.interior_points_hex(hexa, count, rng)
+        phi, ok, w = moment_coords_hex_many(hexa, pts, return_frame_coords=True)
+        # Every failure counts here, not only a singular solve.
+        singular += int((~ok).sum())
+        phi, pts, w = phi[ok], pts[ok], w[ok]
+        pattern_failures += sum(not sign_pattern_ok(ws, hexa.diameter) for ws in w)
+        worst_pu = max(worst_pu, np.abs(phi.sum(axis=1) - 1.0).max())
+        worst_lp = max(worst_lp, np.abs(phi @ hexa.vertices - pts).max() / hexa.diameter)
+        worst_neg = max(worst_neg, -float(phi.min()))
+        phi, ok = moment_coords_hex_many(hexa, hexa.vertices)
+        assert ok.all() and np.abs(phi - np.eye(8)).max() <= 1e-10
     elapsed = time.perf_counter() - start
     _report(6, "hex partition of unity", worst_pu, 1e-12)
     _report(6, "hex linear precision (relative)", worst_lp, 1e-9)

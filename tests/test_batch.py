@@ -11,13 +11,23 @@ from hypothesis import strategies as st
 from momentcoords import cli, sampling, shapes
 from momentcoords.cli import main
 from momentcoords.coords2d import (
+    cramer_coords_quad,
+    cramer_coords_quad_many,
     moment_coords_quad,
     moment_coords_quad_many,
+    mvc_oracle,
+    mvc_oracle_many,
     wachspress_coords_quad,
     wachspress_coords_quad_many,
     wachspress_oracle,
+    wachspress_oracle_many,
 )
-from momentcoords.coords1d import hat_oracle
+from momentcoords.coords1d import (
+    hat_oracle,
+    hat_oracle_many,
+    moment_coords_1d,
+    moment_coords_1d_many,
+)
 from momentcoords.coords3d import moment_coords_hex, moment_coords_hex_many
 from momentcoords.errors import DomainError, InvalidGeometry, MomentCoordsError, NotConvex
 from momentcoords.geometry import (
@@ -178,14 +188,106 @@ def test_wachspress_any_scale(scale):
             assert np.abs(ref - wachspress_oracle(quad, points[s])).max() <= 1e-14
 
 
+def _assert_oracles_equal(quad, points):
+    _assert_many_equal(mvc_oracle, mvc_oracle_many, quad, points)
+    _assert_many_equal(cramer_coords_quad, cramer_coords_quad_many, quad, points)
+    if quad.is_convex:
+        _assert_many_equal(wachspress_oracle, wachspress_oracle_many, quad, points)
+
+
+@pytest.mark.parametrize("name", sorted(QUADS))
+def test_oracle_many_bitwise_equal_to_single_point(name):
+    # Interior, edge, vertex and exterior points: the bounding-box grid
+    # reaches the exterior, the edge points include the vertices.
+    quad = QUADS[name]
+    points = np.vstack([_test_points(quad), quad.vertices])
+    kind = classify_points_quad(quad, points)[0]
+    assert {"interior", "exterior", "on_edge", "at_vertex"} <= set(kind.tolist())
+    _assert_oracles_equal(quad, points)
+
+
+def test_oracle_many_ok_mask():
+    quad = QUADS["convex"]
+    points = np.array([[0.3, 1.0], [0.5, 0.0], [0.0, 0.0], [5.0, 5.0]])
+    for many in (mvc_oracle_many, wachspress_oracle_many):
+        phi, ok = many(quad, points)
+        assert ok.tolist() == [True, False, False, False]
+        assert np.isnan(phi[1:]).all()
+    # The Cramer expansion is defined on the closed domain.
+    phi, ok = cramer_coords_quad_many(quad, points)
+    assert ok.tolist() == [True, True, True, False]
+    assert np.abs(phi[2] - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-15
+
+
 def test_wachspress_many_refuses_nonconvex():
-    with pytest.raises(NotConvex):
-        wachspress_coords_quad_many(QUADS["nonconvex"], np.zeros((1, 2)))
+    for many in (wachspress_coords_quad_many, wachspress_oracle_many):
+        with pytest.raises(NotConvex):
+            many(QUADS["nonconvex"], np.zeros((1, 2)))
 
 
 def test_many_empty_batch():
     phi, ok = moment_coords_quad_many(QUADS["convex"], np.zeros((0, 2)))
     assert phi.shape == (0, 4) and ok.shape == (0,)
+
+
+@pytest.mark.parametrize("many", [mvc_oracle_many, cramer_coords_quad_many, wachspress_oracle_many])
+def test_oracle_many_empty_batch(many):
+    phi, ok = many(QUADS["convex"], np.zeros((0, 2)))
+    assert phi.shape == (0, 4) and ok.shape == (0,)
+
+
+NODE_SETS = {
+    "uniform-5": NodeSet1D(np.linspace(0.0, 1.0, 5)),
+    "graded-3": NodeSet1D([0.0, 1e-4, 1.0]),
+    "random-12": sampling.random_nodes(np.random.default_rng(7), 12),
+    "random-16+1e6": NodeSet1D(sampling.random_nodes(np.random.default_rng(3), 16).nodes + 1e6),
+}
+
+
+def _interval_test_points(nodes, rng, count=200):
+    """count uniform queries, every node, points just inside and outside
+    the domain tolerance, far outside, and non-finite queries."""
+    xs = nodes.nodes
+    tol = 1e-12 * nodes.span
+    return np.concatenate(
+        [
+            rng.uniform(xs[0], xs[-1], count),
+            xs,
+            (xs[:-1] + xs[1:]) / 2,
+            [xs[0] - 0.5 * tol, xs[-1] + 0.5 * tol, xs[0] - 2 * tol, xs[-1] + 2 * tol],
+            [xs[0] - nodes.span, xs[-1] + nodes.span, np.nan, np.inf, -np.inf],
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(NODE_SETS))
+def test_interval_many_bitwise_equal_to_single_point(name):
+    nodes = NODE_SETS[name]
+    x = _interval_test_points(nodes, np.random.default_rng(11))
+    _assert_many_equal(moment_coords_1d, moment_coords_1d_many, nodes, x)
+    _assert_many_equal(hat_oracle, hat_oracle_many, nodes, x)
+    # (m, 1) columns, as grid passes them, give the same rows.
+    for many in (moment_coords_1d_many, hat_oracle_many):
+        phi, ok = many(nodes, x)
+        phi_col, ok_col = many(nodes, x[:, None])
+        assert np.array_equal(phi, phi_col, equal_nan=True) and np.array_equal(ok, ok_col)
+
+
+def test_interval_many_ok_mask():
+    # Within the domain tolerance the query is clamped; beyond it, or not
+    # finite, the single-point functions raise OutOfDomain.
+    nodes = NODE_SETS["uniform-5"]
+    x = _interval_test_points(nodes, np.random.default_rng(0))[-9:]
+    for many in (moment_coords_1d_many, hat_oracle_many):
+        phi, ok = many(nodes, x)
+        assert ok.tolist() == [True, True] + [False] * 7
+        assert phi[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0] and np.isnan(phi[2:]).all()
+
+
+@pytest.mark.parametrize("many", [moment_coords_1d_many, hat_oracle_many])
+def test_interval_many_empty_batch(many):
+    phi, ok = many(NODE_SETS["uniform-5"], np.zeros(0))
+    assert phi.shape == (0, 5) and ok.shape == (0,)
 
 
 @pytest.mark.parametrize("name", ["convex", "nonconvex", "nonconvex+1e6"])
@@ -316,15 +418,59 @@ def test_hex_grid_derivative_rows_equal_scalar_fd(capsys, tmp_path):
     assert blank > 0
 
 
-def test_interval_grid_rows_equal_single_point(capsys, tmp_path):
+def _assert_interval_grid_rows(capsys, tmp_path, method, fn):
     nodes = [0.0, 0.1, 0.25, 0.7, 1.0]
     path = tmp_path / "iv.json"
     path.write_text(json.dumps({"kind": "interval", "nodes": nodes}))
-    rows = _grid_rows(capsys, tmp_path, str(path), "hat", 17)
+    rows = _grid_rows(capsys, tmp_path, str(path), method, 17)
     assert len(rows) == 17
     for row in rows:
-        ref = hat_oracle(NodeSet1D(nodes), float(row[0]))
+        ref = fn(NodeSet1D(nodes), float(row[0]))
         assert row[1:] == [format(w, ".17g") for w in ref]
+
+
+def test_interval_grid_rows_equal_single_point(capsys, tmp_path):
+    _assert_interval_grid_rows(capsys, tmp_path, "hat", hat_oracle)
+
+
+def test_interval_grid_moment_rows_equal_single_point(capsys, tmp_path):
+    _assert_interval_grid_rows(capsys, tmp_path, "moment", moment_coords_1d)
+
+
+def test_every_grid_method_has_a_batch_entry():
+    assert {k: sorted(v) for k, v in cli.BATCH_METHODS.items()} == {
+        k: sorted(v) for k, v in cli.METHODS.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "geometry, method",
+    [
+        ("conv-quad", "mvc-oracle"),
+        ("nonconv-quad", "mvc-oracle"),
+        ("conv-quad", "wachspress-oracle"),
+        ("biunit-square", "wachspress-oracle"),
+        ("nonconv-quad", "cramer"),
+        ("biunit-square", "cramer"),
+    ],
+)
+def test_grid_oracle_rows_equal_single_point(capsys, tmp_path, geometry, method):
+    # The closed forms are undefined on the boundary: those rows are blank,
+    # where the single-point oracle raises.
+    geom = shapes.BUILTINS[geometry]()
+    fn = cli.METHODS["quad"][method]
+    rows = _grid_rows(capsys, tmp_path, geometry, method, 31)
+    blank = 0
+    for row in rows:
+        p = np.array([float(c) for c in row[:2]])
+        try:
+            ref = fn(geom, p)
+        except MomentCoordsError:
+            blank += 1
+            assert row[2:] == [""] * 4
+            continue
+        assert row[2:] == [format(w, ".17g") for w in ref]
+    assert blank > 0 if method != "cramer" else blank == 0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -342,6 +488,22 @@ def test_property_batch_equals_single_point(seed, log_scale, offset):
     _assert_many_equal(moment_coords_quad, moment_coords_quad_many, quad, points)
     if quad.is_convex:
         _assert_many_equal(wachspress_coords_quad, wachspress_coords_quad_many, quad, points)
+    _assert_oracles_equal(quad, points)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 16),
+    log_scale=st.floats(-3.0, 3.0),
+    offset=st.floats(-1e6, 1e6),
+)
+def test_property_interval_batch_equals_single_point(seed, n, log_scale, offset):
+    rng = np.random.default_rng(seed)
+    nodes = NodeSet1D(sampling.random_nodes(rng, n).nodes * 10.0**log_scale + offset)
+    x = _interval_test_points(nodes, rng, count=40)
+    _assert_many_equal(moment_coords_1d, moment_coords_1d_many, nodes, x)
+    _assert_many_equal(hat_oracle, hat_oracle_many, nodes, x)
 
 
 def _hex_test_points(hexa, rng, n=7):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from momentcoords.cli import main
-from momentcoords.shapes import nonconvex_quad
+from momentcoords.shapes import convex_hex, nonconvex_quad
 
 
 def run(capsys, *argv):
@@ -184,6 +184,27 @@ class TestGridFarTranslated:
         assert len(rows) == 1426
         weights = np.array([[float(c) for c in row[2:]] for row in rows])
         assert weights.min() >= 0.0
+
+
+class TestCheckFarTranslated:
+    # The suites measure linear precision about the vertex centroid; the
+    # absolute form |phi @ v - p| read 1.129e-10 against 1e-10 on both.
+    @pytest.mark.parametrize(
+        "builtin, kind, offset",
+        [
+            (nonconvex_quad, "quad", [1e6, -7e5]),
+            (convex_hex, "hex", [1e6, 1e6, 1e6]),
+        ],
+    )
+    def test_translated_geometry_passes(self, capsys, tmp_path, builtin, kind, offset):
+        path = tmp_path / "far.json"
+        vertices = builtin().vertices + offset
+        path.write_text(json.dumps({"kind": kind, "vertices": vertices.tolist()}))
+        code, out, _ = run(
+            capsys, "check", "--geometry", str(path), "--samples", "200", "--seed", "1"
+        )
+        assert code == 0 and "FAIL" not in out
+        assert "PASS moment linear precision" in out
 
 
 class TestGrid:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentcoords import sampling
+from momentcoords import sampling, shapes
 from momentcoords.errors import OutsideDomain
 from momentcoords.geometry import (
     Quadrilateral,
@@ -24,6 +24,143 @@ def test_interior_sampler_raises_instead_of_hanging(rng):
     sliver = Quadrilateral([(0, 0), (1, 0), (1, 1e-5), (0, 1e-5)])
     with pytest.raises(ValueError):
         sampling.interior_points_quad(sliver, 3, rng, margin=1e-3)
+
+
+# The samplers' former one-point-per-attempt loops: the vectorized samplers
+# must return their points and leave the generator in their state.
+
+
+def _loop_interior_points_quad(quad, n, rng, margin=1e-5):
+    lo = quad.vertices.min(axis=0)
+    hi = quad.vertices.max(axis=0)
+    keep = margin * quad.diameter
+    out = []
+    attempts = 0
+    budget = 2000 * (n + 10)
+    while len(out) < n:
+        attempts += 1
+        if attempts > budget:
+            raise ValueError("budget")
+        p = rng.uniform(lo, hi)
+        if classify_point_quad(quad, p).kind != "interior":
+            continue
+        if sampling._boundary_distance_quad(quad, p) < keep:
+            continue
+        out.append(p)
+    return np.array(out)
+
+
+def _loop_interior_points_hex(hexa, n, rng, margin=1e-7):
+    lo = hexa.vertices.min(axis=0)
+    hi = hexa.vertices.max(axis=0)
+    keep = margin * hexa.diameter
+    out = []
+    attempts = 0
+    budget = 2000 * (n + 10)
+    while len(out) < n:
+        attempts += 1
+        if attempts > budget:
+            raise ValueError("budget")
+        p = rng.uniform(lo, hi)
+        if np.all(hexa.face_signed_distances(p) < -keep):
+            out.append(p)
+    return np.array(out)
+
+
+def _assert_same_stream(vectorized, loop, geom, n, seed, **kwargs):
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = vectorized(geom, n, rng_new, **kwargs)
+    old = loop(geom, n, rng_old, **kwargs)
+    assert new.shape == old.shape and np.array_equal(new, old)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    # The next draw agrees too.
+    assert rng_new.uniform() == rng_old.uniform()
+
+
+_QUADS = {
+    "biunit": shapes.biunit_square,
+    "convex": shapes.convex_quad,
+    "nonconvex": shapes.nonconvex_quad,
+    "nonconvex+1e6": lambda: Quadrilateral(shapes.nonconvex_quad().vertices + [1e6, -7e5]),
+    "random": lambda: sampling.random_simple_quad(np.random.default_rng(4)),
+    "thin": lambda: Quadrilateral([(0, 0), (1, 0), (1, 0.02), (0, 0.01)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUADS))
+@pytest.mark.parametrize("n", [1, 7, 120])
+def test_interior_points_quad_same_stream_as_loop(name, n):
+    quad = _QUADS[name]()
+    new, loop = sampling.interior_points_quad, _loop_interior_points_quad
+    for seed in (0, 7):
+        _assert_same_stream(new, loop, quad, n, seed)
+    _assert_same_stream(new, loop, quad, n, 3, margin=1e-3)
+
+
+_HEXES = {
+    "conv-hex": shapes.convex_hex,
+    "cube": shapes.cube,
+    "plane": lambda: sampling.random_plane_hex(np.random.default_rng(2), tilt=0.4),
+    "affine+1e3": lambda: sampling.random_affine_cube_hex(np.random.default_rng(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HEXES))
+@pytest.mark.parametrize("n", [1, 7, 120])
+def test_interior_points_hex_same_stream_as_loop(name, n):
+    hexa = _HEXES[name]()
+    for seed in (0, 7):
+        _assert_same_stream(sampling.interior_points_hex, _loop_interior_points_hex, hexa, n, seed)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_samplers_draw_nothing_for_no_points(n):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    assert sampling.interior_points_quad(shapes.convex_quad(), n, rng).shape == (0,)
+    assert sampling.interior_points_hex(shapes.cube(), n, rng).shape == (0,)
+    assert rng.bit_generator.state == state
+
+
+def _state_after_attempts(seed, lo, hi, attempts):
+    # One (attempts, dim) draw takes the numbers of that many one-point
+    # draws (the same-stream tests above rest on it too).
+    rng = np.random.default_rng(seed)
+    rng.uniform(lo, hi, size=(attempts, len(lo)))
+    return rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_budget_exhaustion_after_the_same_attempts(n):
+    # The loop raised after 2000 * (n + 10) attempts of one uniform point
+    # each; the vectorized samplers raise after drawing exactly as many.
+    budget = 2000 * (n + 10)
+    sliver = Quadrilateral([(0, 0), (1, 0), (1, 1e-5), (0, 1e-5)])
+    rng = np.random.default_rng(9)
+    with pytest.raises(ValueError, match="could not sample"):
+        sampling.interior_points_quad(sliver, n, rng, margin=1e-3)
+    lo, hi = sliver.vertices.min(axis=0), sliver.vertices.max(axis=0)
+    assert rng.bit_generator.state == _state_after_attempts(9, lo, hi, budget)
+
+    cube = shapes.cube()
+    rng = np.random.default_rng(9)
+    with pytest.raises(ValueError, match="could not sample"):
+        sampling.interior_points_hex(cube, n, rng, margin=1.0)
+    lo, hi = cube.vertices.min(axis=0), cube.vertices.max(axis=0)
+    assert rng.bit_generator.state == _state_after_attempts(9, lo, hi, budget)
+
+
+@pytest.mark.parametrize("name", sorted(_QUADS))
+def test_boundary_distances_within_the_recheck_window(name):
+    # interior_points_quad rechecks batch distances within the window of
+    # the margin with the scalar distance; the two must differ by less.
+    quad = _QUADS[name]()
+    rng = np.random.default_rng(12)
+    lo, hi = quad.vertices.min(axis=0), quad.vertices.max(axis=0)
+    pts = rng.uniform(lo, hi, size=(500, 2))
+    batch = sampling._boundary_distances_quad(quad, pts)
+    scalar = np.array([sampling._boundary_distance_quad(quad, p) for p in pts])
+    assert np.abs(batch - scalar).max() <= sampling._distance_window(quad) / 4
 
 
 def test_random_simple_quads_valid_and_both_classes(rng):
@@ -110,3 +247,13 @@ class TestFiniteDifferenceGradient:
                 apex,
                 1e-6 * quad_convex.diameter,
             )
+
+
+def test_near_margin_distances_rechecked_by_the_scalar(monkeypatch):
+    # With a window as wide as the quadrilateral every distance goes
+    # through the scalar recheck; the stream stays the loop's.
+    monkeypatch.setattr(sampling, "_distance_window", lambda quad: quad.diameter)
+    quad = _QUADS["nonconvex+1e6"]()
+    _assert_same_stream(
+        sampling.interior_points_quad, _loop_interior_points_quad, quad, 40, 5, margin=0.02
+    )
