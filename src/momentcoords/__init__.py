@@ -8,7 +8,6 @@ hexahedra with planar faces.
 """
 
 from .coords1d import (
-    Moment1DSystem,
     build_system_1d,
     hat_oracle,
     hat_oracle_many,
@@ -66,12 +65,11 @@ from .geometry import (
     signed_area,
     validate_geometry,
 )
-from .smallsolve import SquareSystem, solve_dense, solve_dense_many, solve_square
+from .smallsolve import solve_dense, solve_dense_many
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Moment1DSystem",
     "build_system_1d",
     "hat_oracle",
     "hat_oracle_many",
@@ -120,8 +118,6 @@ __all__ = [
     "outward_normal",
     "signed_area",
     "validate_geometry",
-    "SquareSystem",
     "solve_dense",
     "solve_dense_many",
-    "solve_square",
 ]

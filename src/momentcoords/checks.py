@@ -4,10 +4,10 @@ Each suite evaluates the coordinate axioms (partition of unity, linear
 precision, nonnegativity, Kronecker delta at the nodes), the boundary and
 facet reduction properties, and the agreement between the system solutions
 and their independent closed-form oracles, over a seeded random sample.
-The samples go through the batch functions; a point a batch fails is re-run
-through its single-point function, which raises (or is counted) as a loop
-over the points would have.  Only the 2D reduction of the hexahedral facet
-points, one induced quadrilateral each, runs point by point.
+The samples go through the batch functions, and _evaluate re-runs every
+point a batch fails through its single-point function, which raises (or is
+counted) as a loop over the points would have.  Only the 2D reduction of the
+hexahedral facet points, one induced quadrilateral each, runs point by point.
 """
 
 from __future__ import annotations
@@ -116,23 +116,31 @@ def _chunked(many, geom, points, **kwargs):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _evaluate(geom, points, *methods):
-    """Weights at each row of points for each (batch, single-point) pair of
-    methods, as a list of (m, n) arrays.
+def _evaluate(geom, points, *methods, count=(), **kwargs):
+    """Each batch's own tuple (weights (m, n), ok (m,), ...) at the rows of
+    points, for each (batch, single-point) pair of methods; kwargs go to
+    the batches.
 
     The batch functions run first.  Every point some batch failed is then
     re-run through the single-point functions in the order a per-point
     loop takes them, point by point and method by method, so the first
-    exception raised is the one that loop raised; a value returned instead
-    fills the row.
+    exception raised is the one that loop raised.  An exception of a type
+    in count leaves the row failed (ok False) and the loop going.  A
+    single-point function that returns a value where its batch failed
+    breaks the batch contract and raises RuntimeError.
     """
-    results = [_chunked(many, geom, points) for many, _ in methods]
-    failed = sorted(set().union(*(np.flatnonzero(~ok).tolist() for _, ok in results)))
+    results = [_chunked(many, geom, points, **kwargs) for many, _ in methods]
+    failed = sorted(set().union(*(np.flatnonzero(~r[1]).tolist() for r in results)))
     for s in failed:
-        for (_, single), (phi, ok) in zip(methods, results):
-            if not ok[s]:
-                phi[s] = single(geom, points[s])
-    return [phi for phi, _ in results]
+        for (_, single), (_, ok, *_) in zip(methods, results):
+            if ok[s]:
+                continue
+            try:
+                single(geom, points[s])
+            except count:
+                continue
+            raise RuntimeError(f"{single.__name__} evaluates point {s}, which its batch failed")
+    return results
 
 
 def _similarity_map(rng):
@@ -179,7 +187,7 @@ def quad_suite(
         ]
     if run_wachspress:
         methods += [wachspress, (coords2d.wachspress_oracle_many, coords2d.wachspress_oracle)]
-    weights = _evaluate(quad, pts, *methods)
+    weights = [phi for phi, _ in _evaluate(quad, pts, *methods)]
     if run_moment:
         phi, mvc, cramer = weights[:3]
         _axioms(acc, "moment ", phi, v, pts, d)
@@ -196,7 +204,7 @@ def quad_suite(
     if run_wachspress:
         families.append(("wachspress", wachspress))
     for name, method in families:
-        (phi,) = _evaluate(quad, v, method)
+        [(phi, _)] = _evaluate(quad, v, method)
         acc.record(f"{name} kronecker delta", _worst_gap(phi, np.eye(4)), KRONECKER_TOL)
         t = rng.uniform(0.05, 0.95, (4, 8))
         expect = np.zeros((4, 8, 4))
@@ -204,7 +212,7 @@ def quad_suite(
             expect[i, :, i] = 1 - t[i]
             expect[i, :, (i + 1) % 4] = t[i]
         p = (1 - t)[:, :, None] * v[:, None] + t[:, :, None] * v[[1, 2, 3, 0], None]
-        (phi,) = _evaluate(quad, p.reshape(-1, 2), method)
+        [(phi, _)] = _evaluate(quad, p.reshape(-1, 2), method)
         acc.record(
             f"{name} boundary reduction", _worst_gap(phi, expect.reshape(-1, 4)), BOUNDARY_TOL
         )
@@ -223,7 +231,7 @@ def quad_suite(
             a, b = draw_map(rng)
             mapped = Quadrilateral(v @ a.T + b)
             q = np.array([a @ p + b for p in pts[first]])
-            (mphi,) = _evaluate(mapped, q, method)
+            [(mphi, _)] = _evaluate(mapped, q, method)
             acc.record(name, _worst_gap(phi[first], mphi), COVARIANCE_TOL)
     return acc.items()
 
@@ -235,15 +243,11 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
     d = hexa.diameter
     v = hexa.vertices
 
+    hex_method = (coords3d.moment_coords_hex_many, coords3d.moment_coords_hex)
     pts = sampling.interior_points_hex(hexa, samples, rng)
-    phi, ok, w = _chunked(coords3d.moment_coords_hex_many, hexa, pts, return_frame_coords=True)
-    for s in np.flatnonzero(~ok):
-        try:
-            phi[s], frame = coords3d.moment_coords_hex(hexa, pts[s], return_frame=True)
-        except SingularMatrix:
-            continue
-        w[s] = frame.coords(v)
-        ok[s] = True
+    [(phi, ok, w)] = _evaluate(
+        hexa, pts, hex_method, count=(SingularMatrix,), return_frame_coords=True
+    )
     _axioms(acc, "moment ", phi[ok], v, pts[ok], d)
     if ok.any():
         tol = coords3d.PATTERN_ZERO_RTOL * d
@@ -251,8 +255,7 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
         acc.record("sign pattern verified", 0.0 if pattern.all() else 1.0, 0.5)
     acc.record("no solver singularity", float((~ok).sum()), 0.5)
 
-    hex_method = (coords3d.moment_coords_hex_many, coords3d.moment_coords_hex)
-    (phi,) = _evaluate(hexa, v, hex_method)
+    [(phi, _)] = _evaluate(hexa, v, hex_method)
     acc.record("kronecker delta", _worst_gap(phi, np.eye(8)), KRONECKER_TOL)
 
     edges = sorted(
@@ -269,7 +272,7 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
         expect[e, :, j] = t[e]
     ends = np.array(edges)
     p = (1 - t)[:, :, None] * v[ends[:, 0], None] + t[:, :, None] * v[ends[:, 1], None]
-    (phi,) = _evaluate(hexa, p.reshape(-1, 3), hex_method)
+    [(phi, _)] = _evaluate(hexa, p.reshape(-1, 3), hex_method)
     acc.record("edge reduction", _worst_gap(phi, expect.reshape(-1, 8)), FACET_TOL)
 
     per_face = max(4, samples // 60)
@@ -278,10 +281,7 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
     kind, index = face_of_points_hex(hexa, pts)
     on_face = (kind == "on_face") & (index == face)
     face, pts = face[on_face], pts[on_face]
-    phi, ok, w = _chunked(coords3d.moment_coords_hex_many, hexa, pts, return_frame_coords=True)
-    for s in np.flatnonzero(~ok):
-        phi[s], frame = coords3d.moment_coords_hex(hexa, pts[s], return_frame=True)
-        w[s] = frame.coords(v)
+    [(phi, _, w)] = _evaluate(hexa, pts, hex_method, return_frame_coords=True)
     if len(pts):
         off = ~coords3d.FACE_VERTICES[face]
         acc.record("facet off-face weights", float(np.abs(phi[off]).max()), BOUNDARY_TOL)
@@ -299,20 +299,15 @@ def interval_suite(nodes: NodeSet1D, samples: int, seed: int, tol_scale: float =
     acc = _Accumulator(tol_scale)
     xs = nodes.nodes
     x = rng.uniform(xs[0], xs[-1], samples)
-    phi, ok = _chunked(coords1d.moment_coords_1d_many, nodes, x)
-    for s in np.flatnonzero(~ok):
-        try:
-            phi[s] = coords1d.moment_coords_1d(nodes, x[s])
-        except SingularMatrix:
-            continue
-        ok[s] = True
+    moment = (coords1d.moment_coords_1d_many, coords1d.moment_coords_1d)
+    [(phi, ok)] = _evaluate(nodes, x, moment, count=(SingularMatrix,))
     phi, x = phi[ok], x[ok]
     _axioms(acc, "", phi, xs[:, None], x[:, None], nodes.span)
     if len(x):
-        (hat,) = _evaluate(nodes, x, (coords1d.hat_oracle_many, coords1d.hat_oracle))
+        [(hat, _)] = _evaluate(nodes, x, (coords1d.hat_oracle_many, coords1d.hat_oracle))
         acc.record("moment vs hat oracle", _worst_gap(phi, hat), ORACLE_TOL)
     acc.record("no solver singularity", float(samples - len(x)), 0.5)
-    (phi,) = _evaluate(nodes, xs, (coords1d.moment_coords_1d_many, coords1d.moment_coords_1d))
+    [(phi, _)] = _evaluate(nodes, xs, moment)
     acc.record("kronecker delta", _worst_gap(phi, np.eye(len(xs))), KRONECKER_TOL)
     return acc.items()
 
@@ -323,10 +318,14 @@ def run_suite(geometry, samples: int, seed: int, tol_scale: float = 1.0, method:
     method restricts quadrilateral suites to one coordinate family
     ("wachspress" or anything else mapping to the moment family); hex and
     interval geometries have a single family.  Raises ValueError when
-    samples < 1, which would leave the sampled axioms out of the result.
+    samples < 1, which would leave the sampled axioms out of the result,
+    and when tol_scale is not finite and > 0: an infinite scale passes
+    every property, and a zero, negative or NaN one fails them all.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if not (np.isfinite(tol_scale) and tol_scale > 0):
+        raise ValueError(f"tol_scale must be finite and > 0, got {tol_scale}")
     if isinstance(geometry, Quadrilateral):
         family = None
         if method is not None:

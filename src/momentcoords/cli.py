@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 property failure, 2 input error, 3 domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,10 +30,6 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
 
-# Violations beyond these bounds make an output row unpublishable.
-ROW_PARTITION_TOL = 1e-12
-ROW_NONNEG_TOL = 1e-12
-ROW_PRECISION_RTOL = 1e-10
 # grid evaluates its points in chunks of this many, which bounds the memory
 # of the stacked solves.
 GRID_CHUNK = 512
@@ -197,16 +194,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _grid_axes(geom, n: int):
-    kind = _geometry_kind(geom)
-    if kind == "interval":
-        lo = np.array([geom.nodes[0]])
-        hi = np.array([geom.nodes[-1]])
-    else:
-        verts = geom.vertices
-        lo = verts.min(axis=0)
-        hi = verts.max(axis=0)
-    return [np.linspace(lo[d], hi[d], n) for d in range(lo.shape[0])]
+def _grid_axes(vertices, n: int):
+    """n points per axis over the bounding box of vertices (k, dim)."""
+    return [np.linspace(lo, hi, n) for lo, hi in zip(vertices.min(axis=0), vertices.max(axis=0))]
 
 
 def _inside_many(geom, points) -> np.ndarray:
@@ -230,13 +220,14 @@ def _geometry_size(geom) -> tuple[float, np.ndarray]:
 def _row_ok(weights, vertices, points, diameter) -> np.ndarray:
     """Write-time check of each row of weights (m, n) at points (m, dim):
     partition of unity, nonnegativity, and linear precision about the
-    vertex centroid (checks.linear_precision_error)."""
+    vertex centroid, against the check suites' axiom tolerances.  A row
+    beyond them is unpublishable."""
     return (
-        (np.abs(weights.sum(axis=1) - 1.0) <= ROW_PARTITION_TOL)
-        & (weights.min(axis=1) >= -ROW_NONNEG_TOL)
+        (np.abs(weights.sum(axis=1) - 1.0) <= checks.PARTITION_TOL)
+        & (weights.min(axis=1) >= -checks.NONNEG_TOL)
         & (
             checks.linear_precision_error(weights, vertices, points)
-            <= ROW_PRECISION_RTOL * diameter
+            <= checks.PRECISION_RTOL * diameter
         )
     )
 
@@ -262,13 +253,9 @@ def cmd_grid(args) -> int:
     if args.resolution < 2:
         raise InputError("resolution must be at least 2")
     _require_convex(geom, args.method)
-    many = _resolve_method(geom, args.method, BATCH_METHODS)
-
-    def evaluate(points):
-        return many(geom, points)
-
-    axes = _grid_axes(geom, args.resolution)
+    evaluate = functools.partial(_resolve_method(geom, args.method, BATCH_METHODS), geom)
     diameter, vertices = _geometry_size(geom)
+    axes = _grid_axes(vertices, args.resolution)
     nweights = vertices.shape[0]
     dim = len(axes)
     axis_names = ["x", "y", "z"][:dim]
@@ -310,6 +297,8 @@ def cmd_check(args) -> int:
     geom = _load_geometry(args.geometry)
     if args.samples < 1:
         raise InputError("samples must be at least 1")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"tol must be finite and > 0, got {args.tol}")
     if args.method is not None:
         _resolve_method(geom, args.method)  # raises InputError when incompatible
         _require_convex(geom, args.method)

@@ -14,26 +14,14 @@ the same arithmetic, the systems as one stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfDomain
 from .geometry import NodeSet1D
-from .smallsolve import SquareSystem, solve_dense, solve_dense_many
+from .smallsolve import solve_dense, solve_dense_many
 
 DOMAIN_RTOL = 1e-12
-
-
-@dataclass
-class Moment1DSystem:
-    """Assembled interval system plus the bookkeeping to undo the relabeling."""
-
-    nodes: NodeSet1D
-    query: float
-    interval: int  # k with query in [nodes[k], nodes[k+1]]
-    permutation: np.ndarray  # original index of each permuted position
-    system: SquareSystem
 
 
 def _locate(nodes: NodeSet1D, x: float):
@@ -79,8 +67,12 @@ def _locate_many(nodes: NodeSet1D, x):
     return k, x, ok
 
 
-def build_system_1d(nodes: NodeSet1D, x: float) -> Moment1DSystem:
-    """Assemble the relabeled n x n moment system for query x."""
+def build_system_1d(nodes: NodeSet1D, x: float):
+    """Assemble the relabeled n x n moment system for query x.
+
+    Returns (matrix, rhs, permutation): permutation[j] is the original index
+    of permuted position j, so the containing interval is permutation[0].
+    """
     k, xq = _locate(nodes, x)
     xs = nodes.nodes
     n = len(xs)
@@ -99,9 +91,7 @@ def build_system_1d(nodes: NodeSet1D, x: float) -> Moment1DSystem:
         m[3 + r, r + 3] = 1.0
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    return Moment1DSystem(
-        nodes=nodes, query=xq, interval=k, permutation=perm, system=SquareSystem(m, rhs)
-    )
+    return m, rhs, perm
 
 
 def moment_coords_1d(nodes: NodeSet1D, x: float) -> np.ndarray:
@@ -110,10 +100,9 @@ def moment_coords_1d(nodes: NodeSet1D, x: float) -> np.ndarray:
     Nonnegative, partition of unity, linear precision; coincides with the
     hat-function coordinates of the containing interval.
     """
-    built = build_system_1d(nodes, x)
-    sol = solve_dense(built.system.matrix, built.system.rhs)
+    matrix, rhs, perm = build_system_1d(nodes, x)
     phi = np.empty(len(nodes))
-    phi[built.permutation] = sol
+    phi[perm] = solve_dense(matrix, rhs)
     return phi
 
 

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import FrameNotFound, OutsideDomain
 from .geometry import (
     Hexahedron,
-    PointLocation,
     Quadrilateral,
     _locate_points_hex,
     _polygon_area,
@@ -362,9 +361,7 @@ def _frame_rows_many(hexa: Hexahedron, q, faces) -> tuple[np.ndarray, np.ndarray
     return rows, ok
 
 
-def partial_distance_matrix(
-    hexa: Hexahedron, p, frame: Frame3, location: PointLocation | None = None
-) -> np.ndarray:
+def partial_distance_matrix(hexa: Hexahedron, p, frame: Frame3) -> np.ndarray:
     """Signed 3 x 8 partial distances in frame coordinates.
 
     Row r holds the distances between the projections of p and v_i onto
@@ -374,8 +371,7 @@ def partial_distance_matrix(
     """
     p = np.asarray(p, dtype=float)
     w = frame.coords(hexa.vertices)
-    if location is None:
-        location = face_of_point_hex(hexa, p)
+    location = face_of_point_hex(hexa, p)
     return _delta_from_w(w, FACE_VERTICES[location.index] if location.kind == "on_face" else None)
 
 

@@ -511,11 +511,10 @@ def face_to_plane(hexa: Hexahedron, f: int):
     return result
 
 
-def faces_containing(hexa: Hexahedron, p, tol: float | None = None) -> list[int]:
-    """Indices of faces whose plane passes within tol of p and whose
-    quadrilateral contains (the projection of) p."""
-    if tol is None:
-        tol = CLASSIFY_RTOL * hexa.diameter
+def faces_containing(hexa: Hexahedron, p) -> list[int]:
+    """Indices of faces whose plane passes within CLASSIFY_RTOL * diameter
+    of p and whose quadrilateral contains (the projection of) p."""
+    tol = CLASSIFY_RTOL * hexa.diameter
     return _faces_containing(hexa, p, hexa.face_signed_distances(p), tol)
 
 
@@ -530,7 +529,7 @@ def _faces_containing(hexa: Hexahedron, p, s, tol: float) -> list[int]:
     return out
 
 
-def face_of_point_hex(hexa: Hexahedron, p, tol: float | None = None) -> PointLocation:
+def face_of_point_hex(hexa: Hexahedron, p) -> PointLocation:
     """Classify p against a hexahedron.
 
     Vertex snapping wins over faces; points on edges or corners report the
@@ -538,8 +537,7 @@ def face_of_point_hex(hexa: Hexahedron, p, tol: float | None = None) -> PointLoc
     Interior means strictly inside all six supporting planes.
     """
     p = np.asarray(p, dtype=float)
-    if tol is None:
-        tol = CLASSIFY_RTOL * hexa.diameter
+    tol = CLASSIFY_RTOL * hexa.diameter
     dv = hexa.vertex_distances(p)
     i = int(np.argmin(dv))
     if dv[i] <= tol:

@@ -13,8 +13,6 @@ operation per step for the whole stack, with bitwise equal results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularMatrix
@@ -25,30 +23,6 @@ from .errors import SingularMatrix
 PIVOT_RTOL = 1e-13
 # Post-solve residual contract: |Ax - b|_inf <= RESIDUAL_RTOL * (1 + |b|_inf).
 RESIDUAL_RTOL = 1e-10
-
-
-@dataclass
-class SquareSystem:
-    """An n x n matrix/right-hand-side pair, n >= 1."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {self.matrix.shape}")
-        if self.rhs.shape != (self.matrix.shape[0],):
-            raise ValueError(
-                f"rhs shape {self.rhs.shape} inconsistent with matrix {self.matrix.shape}"
-            )
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-
-    @property
-    def dimension(self) -> int:
-        return self.rhs.shape[0]
 
 
 def active_backend() -> str:
@@ -169,7 +143,3 @@ def solve_dense_many(matrices, rhs) -> tuple[np.ndarray, np.ndarray]:
         )
     return x, ok
 
-
-def solve_square(system: SquareSystem) -> np.ndarray:
-    """Solve a validated SquareSystem; see solve_dense for the contract."""
-    return solve_dense(system.matrix, system.rhs)

@@ -141,7 +141,7 @@ def test_many_bitwise_equal_to_single_point(name):
 def test_edge_snapped_rows_pass_row_check(name, scale):
     # A point up to tol outside an edge snaps onto it and takes the linear
     # interpolation of its projection q, so its linear precision is off by
-    # |p - q|, and the row check's bound ROW_PRECISION_RTOL * diameter is
+    # |p - q|, and the row check's bound checks.PRECISION_RTOL * diameter is
     # tol itself.  Snapped from 0.5 or 0.99 tol, every row passes.  Snapped
     # from the full tol there is no margin left: the row reproduces q to
     # rounding, and the check may exceed its bound by that rounding alone.

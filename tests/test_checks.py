@@ -21,6 +21,14 @@ def test_run_suite_rejects_nonpositive_samples(samples):
         run_suite(shapes.convex_quad(), samples, seed=0)
 
 
+@pytest.mark.parametrize("tol_scale", [float("inf"), float("nan"), 0.0, -1.0])
+def test_run_suite_rejects_bad_tol_scale(tol_scale):
+    # An infinite scale would pass every property, and a zero, negative or
+    # NaN one fail them all.
+    with pytest.raises(ValueError, match="tol_scale"):
+        run_suite(shapes.convex_quad(), 5, seed=0, tol_scale=tol_scale)
+
+
 # Per-point recomputations of the suites through the single-point functions:
 # the batched suites must report the same properties, in the same order, with
 # the same worst values.
@@ -297,15 +305,18 @@ def _raising(message):
 
 def test_quad_suite_reruns_failed_points_in_loop_order(monkeypatch):
     quad = shapes.convex_quad()
-    reference = _reference_quad_suite(quad, 23, 7)
     monkeypatch.setattr(coords2d, "mvc_oracle_many", _failing(coords2d.mvc_oracle_many, [2, 5]))
     monkeypatch.setattr(
         coords2d,
         "wachspress_coords_quad_many",
         _failing(coords2d.wachspress_coords_quad_many, [0]),
     )
-    # The single-point functions fill the failed rows.
-    _assert_same_results(quad_suite(quad, 23, 7), reference)
+    # A single-point function that evaluates a point its batch failed breaks
+    # the batch contract; the row is not filled from it.
+    with pytest.raises(RuntimeError, match="wachspress_coords_quad evaluates point 0"):
+        quad_suite(quad, 23, 7)
+    with pytest.raises(RuntimeError, match="mvc_oracle evaluates point 2"):
+        quad_suite(quad, 23, 7, family="moment")
     # When they raise, the first exception is the per-point loop's: sample 0
     # reaches Wachspress before sample 2 reaches the mean value oracle.
     monkeypatch.setattr(coords2d, "mvc_oracle", _raising("mvc"))

@@ -360,3 +360,12 @@ class TestCheck:
     def test_nonpositive_samples_input_error(self, capsys, geometry, samples):
         code, out, err = run(capsys, "check", "--geometry", geometry, f"--samples={samples}")
         assert code == 2 and "passed" not in out and "samples" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_bad_tol_input_error(self, capsys, tol):
+        # An infinite scale would pass every property and a zero, negative
+        # or NaN one fail them all, whatever the coordinates.
+        code, out, err = run(
+            capsys, "check", "--geometry", "conv-quad", "--samples", "5", f"--tol={tol}"
+        )
+        assert code == 2 and out == "" and "tol" in err

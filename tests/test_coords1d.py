@@ -28,9 +28,9 @@ class TestBuildSystem:
         # three rows are exactly: ones, centered nodes, alternating distances.
         nodes = NodeSet1D([0.0, 0.4, 1.0])
         x = 0.1
-        built = build_system_1d(nodes, x)
-        assert built.interval == 0
-        assert np.array_equal(built.permutation, [0, 1, 2])
+        matrix, rhs, perm = build_system_1d(nodes, x)
+        assert perm[0] == 0
+        assert np.array_equal(perm, [0, 1, 2])
         xs = nodes.nodes
         expect = np.array(
             [
@@ -39,19 +39,18 @@ class TestBuildSystem:
                 [abs(xs[0] - x), -abs(xs[1] - x), abs(xs[2] - x)],
             ]
         )
-        assert np.allclose(built.system.matrix, expect)
-        assert np.array_equal(built.system.rhs, [1.0, 0.0, 0.0])
+        assert np.allclose(matrix, expect)
+        assert np.array_equal(rhs, [1.0, 0.0, 0.0])
 
     def test_four_nodes_adjacency_row(self):
-        built = build_system_1d(NodeSet1D([0, 0.2, 0.7, 1]), 0.1)
-        assert np.array_equal(built.permutation, [0, 1, 2, 3])
-        assert np.array_equal(built.system.matrix[3], [0, 0, 1, 1])
+        matrix, _, perm = build_system_1d(NodeSet1D([0, 0.2, 0.7, 1]), 0.1)
+        assert np.array_equal(perm, [0, 1, 2, 3])
+        assert np.array_equal(matrix[3], [0, 0, 1, 1])
 
     def test_six_nodes_interior_interval_permutation(self):
-        built = build_system_1d(NodeSet1D(np.linspace(0, 1, 6)), 0.45)
-        assert built.interval == 2
-        assert np.array_equal(built.permutation, [2, 3, 0, 1, 4, 5])
-        m = built.system.matrix
+        m, _, perm = build_system_1d(NodeSet1D(np.linspace(0, 1, 6)), 0.45)
+        assert perm[0] == 2
+        assert np.array_equal(perm, [2, 3, 0, 1, 4, 5])
         for r, pair in enumerate([(2, 3), (3, 4), (4, 5)]):
             row = np.zeros(6)
             row[list(pair)] = 1.0
@@ -61,14 +60,14 @@ class TestBuildSystem:
         # Permuted position parity differs from node parity here; signs must
         # stay keyed to the original sorted index.
         nodes = NodeSet1D([0.0, 0.2, 0.5, 1.0])
-        built = build_system_1d(nodes, 0.3)  # interval [x2, x3], 1-based
-        signs = np.sign(built.system.matrix[2])
+        matrix, _, _ = build_system_1d(nodes, 0.3)  # interval [x2, x3], 1-based
+        signs = np.sign(matrix[2])
         # permutation (1, 2, 0, 3): original parities -, +, +, -
         assert np.array_equal(signs, [-1, 1, 1, -1])
 
     def test_node_tie_takes_lower_interval(self):
-        built = build_system_1d(NodeSet1D([0, 0.25, 0.5, 0.75, 1]), 0.5)
-        assert built.interval == 1
+        _, _, perm = build_system_1d(NodeSet1D([0, 0.25, 0.5, 0.75, 1]), 0.5)
+        assert perm[0] == 1
 
 
 class TestMomentCoords1D:

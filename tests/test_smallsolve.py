@@ -3,7 +3,7 @@ import pytest
 
 from momentcoords import smallsolve
 from momentcoords.errors import SingularMatrix
-from momentcoords.smallsolve import SquareSystem, solve_dense, solve_dense_many, solve_square
+from momentcoords.smallsolve import solve_dense, solve_dense_many
 
 
 def test_identity():
@@ -113,16 +113,6 @@ def test_residual_check_runs(monkeypatch):
     monkeypatch.setattr(smallsolve, "RESIDUAL_RTOL", -1.0)
     with pytest.raises(AssertionError, match="residual"):
         solve_dense(np.eye(3), np.ones(3))
-
-
-def test_square_system_validation():
-    with pytest.raises(ValueError):
-        SquareSystem(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
-        SquareSystem(np.zeros((3, 3)), np.zeros(2))
-    sys_ = SquareSystem(np.eye(2), np.array([1.0, 2.0]))
-    assert sys_.dimension == 2
-    assert np.allclose(solve_square(sys_), [1.0, 2.0])
 
 
 def test_solve_dense_shape_validation():
