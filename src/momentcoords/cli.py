@@ -252,8 +252,8 @@ def cmd_grid(args) -> int:
     geom = _load_geometry(args.geometry)
     if args.resolution < 2:
         raise InputError("resolution must be at least 2")
-    _require_convex(geom, args.method)
     evaluate = functools.partial(_resolve_method(geom, args.method, BATCH_METHODS), geom)
+    _require_convex(geom, args.method)
     diameter, vertices = _geometry_size(geom)
     axes = _grid_axes(vertices, args.resolution)
     nweights = vertices.shape[0]
@@ -286,8 +286,11 @@ def cmd_grid(args) -> int:
         failures += int((~ok).sum()) if grad_ok is None else int((~grad_ok).sum())
         lines += _format_rows(points, weights, ok, grad, grad_ok)
 
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out!r}: {exc}") from exc
     if failures:
         print(f"warning: {failures} grid points failed to evaluate", file=sys.stderr)
     return EXIT_OK

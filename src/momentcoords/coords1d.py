@@ -7,12 +7,14 @@ the query occupies positions 1 and 2; the adjacency rows then pair the
 remaining positions (3,4), (4,5), ..., keeping the expected two-nonzero
 hat solution out of every adjacency constraint.
 
-moment_coords_1d_many and hat_oracle_many evaluate a batch of queries with
-the same arithmetic, the systems as one stack.
+moment_coords_1d_many and hat_oracle_many evaluate a batch of queries.  The
+relabeled assembly and the hat weights are written once, for one query or a
+stack; each path keeps its own locator and solver.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -67,6 +69,41 @@ def _locate_many(nodes: NodeSet1D, x):
     return k, x, ok
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(n: int):
+    """The parts of the n x n system that no query changes, read-only: the
+    positions 0..n-1, the distance-row signs by original node index, and
+    the n - 3 adjacency rows, with unit entries at positions (2, 3), ..."""
+    j = np.arange(n)
+    # Distance-row signs alternate with the *original* sorted index; keying
+    # them to the permuted position instead makes the row a multiple of the
+    # centered-node row whenever the containing interval index is even.
+    parts = j, np.where(j % 2 == 0, 1.0, -1.0), (np.eye(n, k=2) + np.eye(n, k=3))[: n - 3]
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
+def _relabeled_system(xs, k, xq):
+    """The relabeled n x n system (matrix, rhs, permutation) of one query
+    (k an int, xq a float) or of a stack of them (arrays (m,)) on nodes xs;
+    permutation[..., j] is the original index of permuted position j."""
+    n = len(xs)
+    j, signs, adjacency = _layout(n)
+    k, xq = np.asarray(k)[..., None], np.asarray(xq)[..., None]
+    perm = np.where(j < k + 2, j - 2, j)
+    perm[..., :2] = k + (0, 1)
+    d = xs[perm] - xq
+    m = np.empty(perm.shape[:-1] + (n, n))
+    m[..., 0, :] = 1.0
+    m[..., 1, :] = d
+    m[..., 2, :] = signs[perm] * np.abs(d)
+    m[..., 3:, :] = adjacency
+    rhs = np.zeros(perm.shape)
+    rhs[..., 0] = 1.0
+    return m, rhs, perm
+
+
 def build_system_1d(nodes: NodeSet1D, x: float):
     """Assemble the relabeled n x n moment system for query x.
 
@@ -74,24 +111,7 @@ def build_system_1d(nodes: NodeSet1D, x: float):
     of permuted position j, so the containing interval is permutation[0].
     """
     k, xq = _locate(nodes, x)
-    xs = nodes.nodes
-    n = len(xs)
-    perm = np.concatenate(([k, k + 1], np.arange(0, k), np.arange(k + 2, n))).astype(int)
-    y = xs[perm]
-    m = np.zeros((n, n))
-    m[0] = 1.0
-    m[1] = y - xq
-    # Distance-row signs alternate with the *original* sorted index; keying
-    # them to the permuted position instead makes the row a multiple of the
-    # centered-node row whenever the containing interval index is even.
-    signs = np.where(perm % 2 == 0, 1.0, -1.0)
-    m[2] = signs * np.abs(y - xq)
-    for r in range(n - 3):
-        m[3 + r, r + 2] = 1.0
-        m[3 + r, r + 3] = 1.0
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    return m, rhs, perm
+    return _relabeled_system(nodes.nodes, k, xq)
 
 
 def moment_coords_1d(nodes: NodeSet1D, x: float) -> np.ndarray:
@@ -109,46 +129,30 @@ def moment_coords_1d(nodes: NodeSet1D, x: float) -> np.ndarray:
 def moment_coords_1d_many(nodes: NodeSet1D, x) -> tuple[np.ndarray, np.ndarray]:
     """moment_coords_1d at each query of x (m,) or (m, 1); returns (phi, ok).
 
-    The relabeled systems are assembled as build_system_1d assembles one
-    and solved as one stack by solve_dense_many, so phi[s] is bitwise equal
-    to moment_coords_1d(nodes, x[s]) where ok[s] is set.  ok[s] is False
-    (and phi[s] NaN) where the single-point function raises: a query
-    outside the nodes or not finite, or a singular system.
+    The relabeled systems are solved as one stack by solve_dense_many, so
+    phi[s] is bitwise equal to moment_coords_1d(nodes, x[s]) where ok[s] is
+    set.  ok[s] is False (and phi[s] NaN) where the single-point function
+    raises: a query outside the nodes or not finite, or a singular system.
     """
     k, xq, ok = _locate_many(nodes, x)
-    xs = nodes.nodes
-    n = len(xs)
-    phi = np.full((len(xq), n), np.nan)
-    k, xq = k[ok], xq[ok]
-    j = np.arange(n)
-    perm = np.where(j < k[:, None] + 2, j - 2, j)
-    perm[:, 0] = k
-    perm[:, 1] = k + 1
-    y = xs[perm]
-    m = np.zeros((len(k), n, n))
-    m[:, 0] = 1.0
-    m[:, 1] = y - xq[:, None]
-    m[:, 2] = np.where(perm % 2 == 0, 1.0, -1.0) * np.abs(y - xq[:, None])
-    for r in range(n - 3):
-        m[:, 3 + r, r + 2] = 1.0
-        m[:, 3 + r, r + 3] = 1.0
-    rhs = np.zeros((len(k), n))
-    rhs[:, 0] = 1.0
-    sol, solved = solve_dense_many(m, rhs)
+    phi = np.full((len(xq), len(nodes)), np.nan)
     rows = np.flatnonzero(ok)
-    phi[rows[:, None], perm] = sol
-    ok[rows] = solved
+    matrix, rhs, perm = _relabeled_system(nodes.nodes, k[ok], xq[ok])
+    phi[rows[:, None], perm], ok[rows] = solve_dense_many(matrix, rhs)
     return phi, ok
+
+
+def _hat(xs, k, xq) -> np.ndarray:
+    """The hat functions of nodes xs at xq in interval k: a row (n,) for one
+    query (k an int, xq a float), rows (m, n) for a stack (arrays (m,))."""
+    left = np.asarray((xs[k + 1] - xq) / (xs[k + 1] - xs[k]))[..., None]
+    k, j = np.asarray(k)[..., None], np.arange(len(xs))
+    return np.where(j == k, left, np.where(j == k + 1, 1.0 - left, 0.0))
 
 
 def hat_oracle(nodes: NodeSet1D, x: float) -> np.ndarray:
     """Standard piecewise-linear nodal basis evaluated at x."""
-    k, xq = _locate(nodes, x)
-    xs = nodes.nodes
-    phi = np.zeros(len(xs))
-    phi[k] = (xs[k + 1] - xq) / (xs[k + 1] - xs[k])
-    phi[k + 1] = 1.0 - phi[k]
-    return phi
+    return _hat(nodes.nodes, *_locate(nodes, x))
 
 
 def hat_oracle_many(nodes: NodeSet1D, x) -> tuple[np.ndarray, np.ndarray]:
@@ -158,10 +162,4 @@ def hat_oracle_many(nodes: NodeSet1D, x) -> tuple[np.ndarray, np.ndarray]:
     ok[s] is False (and phi[s] NaN) where hat_oracle raises OutOfDomain.
     """
     k, xq, ok = _locate_many(nodes, x)
-    xs = nodes.nodes
-    rows = np.arange(len(xq))
-    phi = np.zeros((len(xq), len(xs)))
-    phi[rows, k] = (xs[k + 1] - xq) / (xs[k + 1] - xs[k])
-    phi[rows, k + 1] = 1.0 - phi[rows, k]
-    phi[~ok] = np.nan
-    return phi, ok
+    return np.where(ok[:, None], _hat(nodes.nodes, k, xq), np.nan), ok

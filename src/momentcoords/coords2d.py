@@ -7,8 +7,13 @@ for Wachspress).  Three independent oracles are provided for cross checks:
 the local tangent formula for mean value coordinates, a Cramer's-rule
 expansion through triangle coordinates, and the rational area quotient for
 Wachspress.  Each coordinate function and oracle has a batch twin (the
-*_many functions) that evaluates a stack of points with the same
-elementwise arithmetic and returns (phi, ok) instead of raising per point.
+*_many functions) that evaluates a stack of points and returns (phi, ok)
+instead of raising per point.  Every formula is written once for both, for
+one point or a stack with a leading axis: the weight rows (one point in
+Python floats, which keeps the solves fast), each family's system, the
+edge weights and the three oracle kernels.  Each path keeps its own
+classifier and solver, which are several times faster on one point than a
+batch of one.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .geometry import (
     Quadrilateral,
     _classify_points_quad,
     classify_point_quad,
-    edge_distance,
+    classify_points_quad,
     signed_area,
 )
 from .smallsolve import solve_dense, solve_dense_many
@@ -38,41 +43,116 @@ from .smallsolve import solve_dense, solve_dense_many
 ALTERNATING = np.array([1.0, -1.0, 1.0, -1.0])
 
 _OTHERS = tuple(tuple(j for j in range(4) if j != i) for i in range(4))
+_NEXT = np.array([1, 2, 3, 0])
+_PREV = np.array([3, 0, 1, 2])
+
+
+def _hypot(dx, dy):
+    """math.hypot of two floats, or elementwise of two equal-shape arrays
+    (np.hypot can differ from it in the last bit)."""
+    if isinstance(dx, float):
+        return math.hypot(dx, dy)
+    flat = map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())
+    return np.array(list(flat)).reshape(dx.shape)
+
+
+def _offsets(quad: Quadrilateral, p) -> np.ndarray:
+    """v_i - p: (2, 4) for one point p (2,), (m, 2, 4) for a stack (m, 2)."""
+    return quad.vertices.T - p[..., :, None]
+
+
+def _moment_weights(quad: Quadrilateral, x, y) -> np.ndarray:
+    """(d1, -d2, d3, -d4) at (x, y): (4,) for floats, (m, 4) for arrays (m,)."""
+    d = [_hypot(vx - x, vy - y) for vx, vy in quad.corner_tuple]
+    return np.array([d[0], -d[1], d[2], -d[3]]).T
 
 
 def moment_row(quad: Quadrilateral, p) -> np.ndarray:
     """Alternating-sign vertex distances (d1, -d2, d3, -d4)."""
-    x, y = float(p[0]), float(p[1])
+    return _moment_weights(quad, float(p[0]), float(p[1]))
+
+
+def _wachspress_weights(quad: Quadrilateral, x, y) -> np.ndarray:
+    """wachspress_row at (x, y): (4,) for floats, (m, 4) for arrays (m,)."""
     c = quad.corner_tuple
-    return np.array(
-        [
-            math.hypot(c[0][0] - x, c[0][1] - y),
-            -math.hypot(c[1][0] - x, c[1][1] - y),
-            math.hypot(c[2][0] - x, c[2][1] - y),
-            -math.hypot(c[3][0] - x, c[3][1] - y),
-        ]
-    )
+    lens = quad.edge_lengths
+    h = []
+    for i in range(4):
+        (ax, ay), (bx, by) = c[i], c[(i + 1) % 4]
+        h.append(((bx - ax) * (y - ay) - (by - ay) * (x - ax)) / lens[i])
+    return np.array([lens[i - 1] * lens[i] * h[i - 1] * h[i] for i in range(4)]).T * ALTERNATING
 
 
-def _kronecker(i: int) -> np.ndarray:
-    phi = np.zeros(4)
-    phi[i] = 1.0
-    return phi
+def wachspress_row(quad: Quadrilateral, p) -> np.ndarray:
+    """Alternating-sign products of incident edge lengths and edge distances.
+
+    rho_i = l(i-1) * l(i) * h(i-1) * h(i) where edge i joins vertices i and
+    i+1; rho_i vanishes exactly when p lies on an edge incident to vertex i.
+    """
+    if not quad.is_convex:
+        raise NotConvex("Wachspress weights require a convex quadrilateral")
+    return _wachspress_weights(quad, float(p[0]), float(p[1]))
 
 
-def _edge_weights(i: int, t: float) -> np.ndarray:
+def _system(quad: Quadrilateral, p, wachspress: bool):
+    """The 4 x 4 system (matrix, rhs) of either family at one point p (2,)
+    or a stack p (m, 2): ones, v - p and the moment row, or v - p, ones and
+    the Wachspress row; the rhs is 1 in the ones row, else 0.  The
+    Wachspress row grows as the diameter to the fourth; its right-hand side
+    is 0, so scaling it to O(1) leaves the solution unchanged and keeps the
+    solve well scaled."""
+    x, y = p.tolist() if p.ndim == 1 else p.T
+    if wachspress:
+        ones, linear, weights = 2, slice(0, 2), _wachspress_weights(quad, x, y) / quad.diameter**4
+    else:
+        ones, linear, weights = 0, slice(1, 3), _moment_weights(quad, x, y)
+    m = np.empty(p.shape[:-1] + (4, 4))
+    m[..., ones, :] = 1.0
+    m[..., linear, :] = _offsets(quad, p)
+    m[..., 3, :] = weights
+    rhs = np.zeros(p.shape[:-1] + (4,))
+    rhs[..., ones] = 1.0
+    return m, rhs
+
+
+def _edge_weights(i, t) -> np.ndarray:
     """Linear interpolation along edge i: 1 - t at vertex i, t at i + 1.
 
-    Both families reduce to it on an edge.  Taking it from the edge
-    parameter, not from a solve, keeps the weights of a point snapped onto
-    the edge from within the tolerance nonnegative.  They are the weights
-    of the point's projection onto the edge, so they reproduce the point
-    itself only up to its distance from the edge, at most the tolerance.
+    Takes one point (i an int, t a float) or a stack (arrays (m,)); t = 0
+    gives the Kronecker row of vertex i.  Both families reduce to it on an
+    edge.  Taking it from the edge parameter, not from a solve, keeps the
+    weights of a point snapped onto the edge from within the tolerance
+    nonnegative.  They are the weights of the point's projection onto the
+    edge, so they reproduce the point itself only up to its distance from
+    the edge, at most the tolerance.
     """
-    phi = np.zeros(4)
-    phi[i] = 1.0 - t
-    phi[(i + 1) % 4] = t
-    return phi
+    i, t = np.asarray(i)[..., None], np.asarray(t)[..., None]
+    j = np.arange(4)
+    return np.where(j == i, 1.0 - t, np.where(j == (i + 1) % 4, t, 0.0))
+
+
+def _coords_one(quad: Quadrilateral, p, wachspress: bool) -> np.ndarray:
+    """Shared body of moment_coords_quad and wachspress_coords_quad."""
+    p = np.asarray(p, dtype=float)
+    loc = classify_point_quad(quad, p)
+    if loc.kind == "exterior":
+        raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
+    if loc.kind == "interior":
+        return solve_dense(*_system(quad, p, wachspress))
+    return _edge_weights(loc.index, 0.0 if loc.kind == "at_vertex" else loc.t)
+
+
+def _coords_many(quad: Quadrilateral, points, wachspress: bool):
+    """_coords_one at each row of points, the interior systems as one stack."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    kind, index, t = _classify_points_quad(quad, pts, CLASSIFY_RTOL * quad.diameter)
+    phi = np.full((len(pts), 4), np.nan)
+    ok = kind != "exterior"
+    edge = ok & (kind != "interior")
+    phi[edge] = _edge_weights(index[edge], np.where(kind[edge] == "at_vertex", 0.0, t[edge]))
+    solve = kind == "interior"
+    phi[solve], ok[solve] = solve_dense_many(*_system(quad, pts[solve], wachspress))
+    return phi, ok
 
 
 def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
@@ -81,67 +161,7 @@ def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     Valid on convex and nonconvex simple quadrilaterals, on the closed
     domain including the boundary.  Raises OutsideDomain for exterior p.
     """
-    p = np.asarray(p, dtype=float)
-    loc = classify_point_quad(quad, p)
-    if loc.kind == "at_vertex":
-        return _kronecker(loc.index)
-    if loc.kind == "on_edge":
-        return _edge_weights(loc.index, loc.t)
-    if loc.kind == "exterior":
-        raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
-    m = np.empty((4, 4))
-    m[0] = 1.0
-    m[1:3] = (quad.vertices - p).T
-    m[3] = moment_row(quad, p)
-    return solve_dense(m, np.array([1.0, 0.0, 0.0, 0.0]))
-
-
-def _coords_many(quad: Quadrilateral, points, constant_row: int, weight_rows):
-    """Batch path shared by both families.
-
-    Vertex points get the Kronecker row and edge points the edge's linear
-    interpolation.  The systems of the interior points are solved as one
-    stack, each filled as the single-point function fills its own: ones in
-    row constant_row (where the rhs holds its only 1), v - p in the other
-    two of rows 0-2, and weight_rows(quad, q) in row 3.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    kind, index, t = _classify_points_quad(quad, pts, CLASSIFY_RTOL * quad.diameter)
-    phi = np.full((len(pts), 4), np.nan)
-    ok = np.zeros(len(pts), dtype=bool)
-    vertex = np.flatnonzero(kind == "at_vertex")
-    phi[vertex] = 0.0
-    phi[vertex, index[vertex]] = 1.0
-    ok[vertex] = True
-    edge = np.flatnonzero(kind == "on_edge")
-    phi[edge] = 0.0
-    phi[edge, index[edge]] = 1.0 - t[edge]
-    phi[edge, (index[edge] + 1) % 4] = t[edge]
-    ok[edge] = True
-    solve = np.flatnonzero(kind == "interior")
-    q = pts[solve]
-    m = np.empty((len(q), 4, 4))
-    m[:, constant_row] = 1.0
-    m[:, [r for r in range(3) if r != constant_row]] = quad.vertices.T[None] - q[:, :, None]
-    m[:, 3] = weight_rows(quad, q)
-    rhs = np.zeros((len(q), 4))
-    rhs[:, constant_row] = 1.0
-    phi[solve], ok[solve] = solve_dense_many(m, rhs)
-    return phi, ok
-
-
-def _hypot(dx, dy) -> np.ndarray:
-    """math.hypot over two equal-shape arrays (np.hypot can differ in the
-    last bit, and the single-point functions use math.hypot)."""
-    return np.array(list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()))).reshape(
-        dx.shape
-    )
-
-
-def _moment_rows(quad: Quadrilateral, q) -> np.ndarray:
-    """moment_row for each row of q, through math.hypot as moment_row does."""
-    xs, ys = zip(*quad.corner_tuple)
-    return _hypot(np.array(xs)[None] - q[:, :1], np.array(ys)[None] - q[:, 1:]) * ALTERNATING
+    return _coords_one(quad, p, wachspress=False)
 
 
 def moment_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +171,43 @@ def moment_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np
     ok[s] is set; ok[s] is False (and phi[s] NaN) where the single-point
     function raises: an exterior point or a singular system.
     """
-    return _coords_many(quad, points, 0, _moment_rows)
+    return _coords_many(quad, points, wachspress=False)
+
+
+def wachspress_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
+    """Wachspress coordinates of p on a convex quadrilateral (closed domain)."""
+    if not quad.is_convex:
+        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
+    return _coords_one(quad, p, wachspress=True)
+
+
+def wachspress_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
+    """wachspress_coords_quad at each row of points (m, 2); returns (phi, ok).
+
+    Same contract as moment_coords_quad_many; raises NotConvex, as the
+    single-point function does, when the quadrilateral is not convex.
+    """
+    if not quad.is_convex:
+        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
+    return _coords_many(quad, points, wachspress=True)
+
+
+def _mean_value(quad: Quadrilateral, p) -> np.ndarray:
+    """Mean value coordinates by the local tangent half-angle formula at one
+    point p (2,) or a stack (m, 2); inf or NaN where p is not interior."""
+    o = _offsets(quad, p)
+    ex, ey = o[..., 0, :], o[..., 1, :]
+    fx, fy = ex[..., _NEXT], ey[..., _NEXT]
+    r = _hypot(ex, ey)
+    cross = ex * fy - ey * fx
+    dot = ex * fx + ey * fy
+    rr = r * r[..., _NEXT]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # tan(angle/2) = sin/(1+cos) = (1-cos)/sin; pick the branch that
+        # avoids cancellation (angles approach pi near an edge).
+        t = np.where(dot >= 0.0, cross / (rr + dot), (rr - dot) / cross)
+        w = (t[..., _PREV] + t) / r
+        return w / w.sum(axis=-1, keepdims=True)
 
 
 def mvc_oracle(quad: Quadrilateral, p) -> np.ndarray:
@@ -165,54 +221,19 @@ def mvc_oracle(quad: Quadrilateral, p) -> np.ndarray:
         raise OutsideDomain(f"point {list(p)} lies outside the quadrilateral")
     if loc.kind != "interior":
         raise OnBoundary("the local mean value formula is undefined on the boundary")
-    x, y = float(p[0]), float(p[1])
-    e = [(vx - x, vy - y) for vx, vy in quad.corner_tuple]
-    r = [math.hypot(ex, ey) for ex, ey in e]
-    t = [0.0] * 4
-    for i in range(4):
-        j = (i + 1) % 4
-        cross = e[i][0] * e[j][1] - e[i][1] * e[j][0]
-        dot = e[i][0] * e[j][0] + e[i][1] * e[j][1]
-        rr = r[i] * r[j]
-        # tan(angle/2) = sin/(1+cos) = (1-cos)/sin; pick the branch that
-        # avoids cancellation (angles approach pi near an edge).
-        t[i] = cross / (rr + dot) if dot >= 0.0 else (rr - dot) / cross
-    w = np.array([(t[i - 1] + t[i]) / r[i] for i in range(4)])
-    return w / w.sum()
-
-
-def _locate_many(quad: Quadrilateral, points):
-    """(points (m, 2), kind) from classify_point_quad's decisions."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    kind, _, _ = _classify_points_quad(quad, pts, CLASSIFY_RTOL * quad.diameter)
-    return pts, kind
+    return _mean_value(quad, np.asarray(p, dtype=float))
 
 
 def mvc_oracle_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
     """mvc_oracle at each row of points (m, 2); returns (phi, ok).
 
     ok[s] is False (and phi[s] NaN) where mvc_oracle raises: off the open
-    interior.  The tangent formula runs with the same elementwise
-    arithmetic, so phi[s] is bitwise equal to mvc_oracle(quad, points[s]).
+    interior.  Elsewhere phi[s] is bitwise equal to mvc_oracle(quad,
+    points[s]).
     """
-    pts, kind = _locate_many(quad, points)
-    ok = kind == "interior"
-    phi = np.full((len(pts), 4), np.nan)
-    xs, ys = zip(*quad.corner_tuple)
-    ex = np.array(xs)[None] - pts[ok, :1]
-    ey = np.array(ys)[None] - pts[ok, 1:]
-    r = _hypot(ex, ey)
-    t = np.empty(r.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(4):
-            j = (i + 1) % 4
-            cross = ex[:, i] * ey[:, j] - ey[:, i] * ex[:, j]
-            dot = ex[:, i] * ex[:, j] + ey[:, i] * ey[:, j]
-            rr = r[:, i] * r[:, j]
-            t[:, i] = np.where(dot >= 0.0, cross / (rr + dot), (rr - dot) / cross)
-        w = (t[:, [3, 0, 1, 2]] + t) / r
-        phi[ok] = w / w.sum(axis=1)[:, None]
-    return phi, ok
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    ok = classify_points_quad(quad, pts)[0] == "interior"
+    return np.where(ok[:, None], _mean_value(quad, pts), np.nan), ok
 
 
 def _area2(ax, ay, bx, by, cx, cy):
@@ -251,13 +272,27 @@ def _kernel_vector(quad: Quadrilateral) -> np.ndarray:
     breaks the kernel property on nonconvex quadrilaterals.
     """
     c = quad.corner_tuple
-    s = [
-        0.5 * _area2(*c[1], *c[2], *c[3]),
-        0.5 * _area2(*c[0], *c[2], *c[3]),
-        0.5 * _area2(*c[0], *c[1], *c[3]),
-        0.5 * _area2(*c[0], *c[1], *c[2]),
-    ]
-    return np.array(s) * ALTERNATING
+    return np.array([0.5 * _area2(*c[i], *c[j], *c[k]) for i, j, k in _OTHERS]) * ALTERNATING
+
+
+def _cramer(quad: Quadrilateral, x, y):
+    """(phi, singular) at (x, y), floats or arrays (m,), with d the moment row:
+    phi_i = -nu_i * <d, tau_i> / <d, nu>, and singular where the moment row
+    is orthogonal to the reproducing kernel (one point raises SingularMatrix
+    instead, before any triangle).  Raises DegenerateTriangle."""
+    c = quad.corner_tuple
+    d = _moment_weights(quad, x, y).T
+    nu = _kernel_vector(quad).tolist()
+    den = d[0] * nu[0] + d[1] * nu[1] + d[2] * nu[2] + d[3] * nu[3]
+    singular = abs(den) <= 1e-14 * quad.diameter**3
+    if np.ndim(den) == 0 and singular:
+        raise SingularMatrix("moment row is orthogonal to the reproducing kernel")
+    phi = []
+    for i, (j, k, m) in enumerate(_OTHERS):
+        tau = _tri_bary(c[j], c[k], c[m], x, y)
+        # -nu_i = (-1)^(i+1) * S_i, exactly: the signs are powers of -1.
+        phi.append(-nu[i] * (d[j] * tau[0] + d[k] * tau[1] + d[m] * tau[2]) / den)
+    return np.array(phi).T, singular
 
 
 def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
@@ -270,21 +305,7 @@ def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     """
     if classify_point_quad(quad, p).kind == "exterior":
         raise OutsideDomain(f"point {list(p)} lies outside the quadrilateral")
-    c = quad.corner_tuple
-    px, py = float(p[0]), float(p[1])
-    d = moment_row(quad, p).tolist()
-    nu = _kernel_vector(quad)
-    den = d[0] * nu[0] + d[1] * nu[1] + d[2] * nu[2] + d[3] * nu[3]
-    if abs(den) <= 1e-14 * quad.diameter**3:
-        raise SingularMatrix("moment row is orthogonal to the reproducing kernel")
-    phi = np.empty(4)
-    for i in range(4):
-        o = _OTHERS[i]
-        tau = _tri_bary(c[o[0]], c[o[1]], c[o[2]], px, py)
-        dot = d[o[0]] * tau[0] + d[o[1]] * tau[1] + d[o[2]] * tau[2]
-        s_i = nu[i] * ALTERNATING[i]  # recover the signed area from the kernel
-        phi[i] = (-1) ** (i + 1) * s_i * dot / den
-    return phi
+    return _cramer(quad, float(p[0]), float(p[1]))[0]
 
 
 def cramer_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
@@ -292,93 +313,31 @@ def cramer_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np
 
     ok[s] is False (and phi[s] NaN) where cramer_coords_quad raises: an
     exterior point, a moment row orthogonal to the kernel, or a degenerate
-    triangle (then every point).  Same elementwise arithmetic, vertex
-    distances through math.hypot, so phi[s] is bitwise equal to
+    triangle (then every point).  Elsewhere phi[s] is bitwise equal to
     cramer_coords_quad(quad, points[s]).
     """
-    pts, kind = _locate_many(quad, points)
-    ok = kind != "exterior"
-    c = quad.corner_tuple
-    px, py = pts[:, 0], pts[:, 1]
-    d = _moment_rows(quad, pts)
-    nu = _kernel_vector(quad)
-    den = d[:, 0] * nu[0] + d[:, 1] * nu[1] + d[:, 2] * nu[2] + d[:, 3] * nu[3]
-    ok &= ~(np.abs(den) <= 1e-14 * quad.diameter**3)
-    phi = np.empty((len(pts), 4))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(4):
-            o = _OTHERS[i]
-            try:
-                tau = _tri_bary(c[o[0]], c[o[1]], c[o[2]], px, py)
-            except DegenerateTriangle:
-                ok[:] = False
-                break
-            dot = d[:, o[0]] * tau[0] + d[:, o[1]] * tau[1] + d[:, o[2]] * tau[2]
-            s_i = nu[i] * ALTERNATING[i]
-            phi[:, i] = (-1) ** (i + 1) * s_i * dot / den
-    phi[~ok] = np.nan
-    return phi, ok
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi, singular = _cramer(quad, *pts.T)
+    except DegenerateTriangle:
+        return np.full((len(pts), 4), np.nan), np.zeros(len(pts), dtype=bool)
+    ok = (classify_points_quad(quad, pts)[0] != "exterior") & ~singular
+    return np.where(ok[:, None], phi, np.nan), ok
 
 
-def wachspress_row(quad: Quadrilateral, p) -> np.ndarray:
-    """Alternating-sign products of incident edge lengths and edge distances.
-
-    rho_i = l(i-1) * l(i) * h(i-1) * h(i) where edge i joins vertices i and
-    i+1; rho_i vanishes exactly when p lies on an edge incident to vertex i.
-    """
-    if not quad.is_convex:
-        raise NotConvex("Wachspress weights require a convex quadrilateral")
-    p = np.asarray(p, dtype=float)
-    lens = quad.edge_lengths
-    h = np.array([edge_distance(quad, i, p) for i in range(4)])
-    rho = np.array([lens[i - 1] * lens[i] * h[i - 1] * h[i] for i in range(4)])
-    return rho * ALTERNATING
-
-
-def wachspress_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
-    """Wachspress coordinates of p on a convex quadrilateral (closed domain)."""
-    if not quad.is_convex:
-        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
-    p = np.asarray(p, dtype=float)
-    loc = classify_point_quad(quad, p)
-    if loc.kind == "at_vertex":
-        return _kronecker(loc.index)
-    if loc.kind == "on_edge":
-        return _edge_weights(loc.index, loc.t)
-    if loc.kind == "exterior":
-        raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
-    m = np.empty((4, 4))
-    m[0:2] = (quad.vertices - p).T
-    m[2] = 1.0
-    # The row grows as diameter**4; its right-hand side is 0, so scaling it
-    # to O(1) leaves the solution unchanged and keeps the solve well scaled.
-    m[3] = wachspress_row(quad, p) / quad.diameter**4
-    return solve_dense(m, np.array([0.0, 0.0, 1.0, 0.0]))
-
-
-def _wachspress_rows(quad: Quadrilateral, q) -> np.ndarray:
-    """wachspress_row / diameter**4, as wachspress_coords_quad assembles it,
-    for each row of q, in the same operation order."""
+def _area_quotient(quad: Quadrilateral, p):
+    """Wachspress coordinates by the area quotient at one point p (2,) or a
+    stack (m, 2), and whether an edge triangle vanishes there."""
+    o = _offsets(quad, p)
+    ex, ey = o[..., 0, :], o[..., 1, :]
+    edge_areas = 0.5 * (ex * ey[..., _NEXT] - ey * ex[..., _NEXT])
     v = quad.vertices
-    lens = quad.edge_lengths
-    h = np.empty((len(q), 4))
-    for i in range(4):
-        a = v[i]
-        e = v[(i + 1) % 4] - a
-        h[:, i] = (e[0] * (q[:, 1] - a[1]) - e[1] * (q[:, 0] - a[0])) / float(np.linalg.norm(e))
-    rho = np.column_stack([lens[i - 1] * lens[i] * h[:, i - 1] * h[:, i] for i in range(4)])
-    return rho * ALTERNATING / quad.diameter**4
-
-
-def wachspress_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
-    """wachspress_coords_quad at each row of points (m, 2); returns (phi, ok).
-
-    Same contract as moment_coords_quad_many; raises NotConvex, as the
-    single-point function does, when the quadrilateral is not convex.
-    """
-    if not quad.is_convex:
-        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
-    return _coords_many(quad, points, 2, _wachspress_rows)
+    corners = np.array([signed_area(v[i - 1], v[i], v[(i + 1) % 4]) for i in range(4)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = corners / (edge_areas[..., _PREV] * edge_areas)
+        w = w / w.sum(axis=-1, keepdims=True)
+    return w, (edge_areas == 0.0).any(axis=-1)
 
 
 def wachspress_oracle(quad: Quadrilateral, p) -> np.ndarray:
@@ -394,17 +353,10 @@ def wachspress_oracle(quad: Quadrilateral, p) -> np.ndarray:
     loc = classify_point_quad(quad, p)
     if loc.kind == "exterior":
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
-    if loc.kind != "interior":
+    w, vanishes = _area_quotient(quad, p)
+    if loc.kind != "interior" or vanishes:
         raise OnBoundary("area quotients are undefined on the boundary")
-    v = quad.vertices
-    edge_areas = np.array([signed_area(p, v[i], v[(i + 1) % 4]) for i in range(4)])
-    if np.any(edge_areas == 0.0):
-        raise OnBoundary("area quotients are undefined on the boundary")
-    w = np.empty(4)
-    for i in range(4):
-        corner = signed_area(v[i - 1], v[i], v[(i + 1) % 4])
-        w[i] = corner / (edge_areas[i - 1] * edge_areas[i])
-    return w / w.sum()
+    return w
 
 
 def wachspress_oracle_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
@@ -412,28 +364,12 @@ def wachspress_oracle_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.
 
     Raises NotConvex, as wachspress_oracle does, when the quadrilateral is
     not convex.  ok[s] is False (and phi[s] NaN) where wachspress_oracle
-    raises: off the open interior, or a vanishing edge triangle.  The area
-    quotients run with signed_area's elementwise arithmetic, so phi[s] is
-    bitwise equal to wachspress_oracle(quad, points[s]).
+    raises: off the open interior, or a vanishing edge triangle.  Elsewhere
+    phi[s] is bitwise equal to wachspress_oracle(quad, points[s]).
     """
     if not quad.is_convex:
         raise NotConvex("Wachspress coordinates require a convex quadrilateral")
-    pts, kind = _locate_many(quad, points)
-    ok = kind == "interior"
-    phi = np.full((len(pts), 4), np.nan)
-    v = quad.vertices
-    x, y = pts[ok, 0], pts[ok, 1]
-    u = v[[1, 2, 3, 0]]
-    edge_areas = np.column_stack(
-        [0.5 * ((v[i, 0] - x) * (u[i, 1] - y) - (v[i, 1] - y) * (u[i, 0] - x)) for i in range(4)]
-    )
-    w = np.empty(edge_areas.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(4):
-            corner = signed_area(v[i - 1], v[i], v[(i + 1) % 4])
-            w[:, i] = corner / (edge_areas[:, i - 1] * edge_areas[:, i])
-        w /= w.sum(axis=1)[:, None]
-    interior = np.flatnonzero(ok)
-    ok[interior] = ~(edge_areas == 0.0).any(axis=1)
-    phi[ok] = w[ok[interior]]
-    return phi, ok
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    w, vanishes = _area_quotient(quad, pts)
+    ok = (classify_points_quad(quad, pts)[0] == "interior") & ~vanishes
+    return np.where(ok[:, None], w, np.nan), ok

@@ -570,3 +570,57 @@ def test_property_hex_batch_equals_single_point(seed, plane, tilt, log_scale, of
     points = _hex_test_points(hexa, rng)
     _assert_hex_classify_equal(hexa, points)
     _assert_many_equal(moment_coords_hex, moment_coords_hex_many, hexa, points)
+
+
+# Every batch method on a geometry where it is defined, with points that
+# reach every location kind of that geometry.
+COMPOSITION_CASES = [
+    (kind, method, name)
+    for kind, names in [
+        ("quad", ["conv-quad", "nonconv-quad"]),
+        ("hex", ["conv-hex"]),
+        ("interval", ["random-12"]),
+    ]
+    for method in sorted(cli.BATCH_METHODS[kind])
+    for name in names
+    if not (method.startswith("wachspress") and name == "nonconv-quad")
+]
+
+
+def _composition_input(name):
+    if name == "conv-hex":
+        hexa = shapes.convex_hex()
+        points = _hex_test_points(hexa, np.random.default_rng(5), n=4)
+        kinds = set(face_of_points_hex(hexa, points)[0].tolist())
+        assert kinds == {"interior", "exterior", "on_face", "at_vertex"}
+        return hexa, points
+    if name == "random-12":
+        nodes = NODE_SETS[name]
+        return nodes, _interval_test_points(nodes, np.random.default_rng(5), count=60)
+    quad = shapes.BUILTINS[name]()
+    points = np.vstack([_bbox_grid(quad, 9), _edge_points(quad)[::2]])
+    kinds = set(classify_points_quad(quad, points)[0].tolist())
+    assert kinds == {"interior", "exterior", "on_edge", "at_vertex"}
+    return quad, points
+
+
+@pytest.mark.parametrize("kind, method, name", COMPOSITION_CASES)
+def test_batch_rows_independent_of_batch_composition(kind, method, name):
+    # A row must not depend on the other points of its batch: the batch
+    # functions share their formulas with the single-point functions, so
+    # this is what keeps the batch-vs-single tests comparing two paths.
+    geom, points = _composition_input(name)
+    many = cli.BATCH_METHODS[kind][method]
+    phi, ok = many(geom, points)
+    assert ok.any() and not ok.all()
+    rev_phi, rev_ok = many(geom, points[::-1])
+    layouts = {"reversed": (rev_phi[::-1], rev_ok[::-1])}
+    for size in (1, 7):
+        parts = [many(geom, points[s : s + size]) for s in range(0, len(points), size)]
+        layouts[f"stacks of {size}"] = (
+            np.concatenate([part[0] for part in parts]),
+            np.concatenate([part[1] for part in parts]),
+        )
+    for layout, (other_phi, other_ok) in layouts.items():
+        assert np.array_equal(other_ok, ok), layout
+        assert other_phi.tobytes() == phi.tobytes(), layout

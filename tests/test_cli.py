@@ -292,6 +292,27 @@ class TestGrid:
             )
             assert code == 3 and "domain error" in err
 
+    def test_unknown_method_before_convexity(self, capsys, tmp_path):
+        # An unknown name is an input error whatever the geometry, as in eval
+        # and check; a known Wachspress method stays a domain error.
+        for method, expected in (("wachspressX", 2), ("wachspress", 3)):
+            code, _, err = run(
+                capsys, "grid", "--geometry", "nonconv-quad", "--resolution", "5",
+                "--method", method, "--out", str(tmp_path / "g.csv"),
+            )
+            assert code == expected
+            assert ("not available" in err) == (expected == 2)
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_out_input_error(self, capsys, tmp_path, target):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "g.csv"
+        code, _, err = run(
+            capsys, "grid", "--geometry", "biunit-square", "--resolution", "3",
+            "--method", "moment", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write {str(out)!r}")
+
     def test_far_translated_rows_written(self, capsys, tmp_path):
         # Linear precision is checked about the vertex centroid: measured in
         # absolute coordinates, 1,864 of these 3,836 rows were left blank.
