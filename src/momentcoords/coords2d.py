@@ -216,12 +216,13 @@ def mvc_oracle(quad: Quadrilateral, p) -> np.ndarray:
     Only valid strictly inside the polygon; boundary points raise
     OnBoundary (use the system form there).
     """
+    p = np.asarray(p, dtype=float)
     loc = classify_point_quad(quad, p)
     if loc.kind == "exterior":
-        raise OutsideDomain(f"point {list(p)} lies outside the quadrilateral")
+        raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
     if loc.kind != "interior":
         raise OnBoundary("the local mean value formula is undefined on the boundary")
-    return _mean_value(quad, np.asarray(p, dtype=float))
+    return _mean_value(quad, p)
 
 
 def mvc_oracle_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
@@ -303,8 +304,9 @@ def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     signed area of the remaining triangle, and nu the kernel vector of the
     reproducing rows.  Agrees with moment_coords_quad on simple quads.
     """
+    p = np.asarray(p, dtype=float)
     if classify_point_quad(quad, p).kind == "exterior":
-        raise OutsideDomain(f"point {list(p)} lies outside the quadrilateral")
+        raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
     return _cramer(quad, float(p[0]), float(p[1]))[0]
 
 

@@ -4,11 +4,15 @@ The 8 x 8 system stacks a ones row, the three frame-coordinate rows of
 v_i - p, a 3 x 8 block of signed partial distances, and a signed full
 distance row.  It is nonsingular and its solution nonnegative whenever the
 frame coordinates of v_i - p match a fixed entrywise sign pattern, so each
-evaluation first builds a unit reference frame realizing the pattern.  One
-rule picks each frame row per opposite-face pair: the normal of the plane
+evaluation first builds a unit reference frame realizing the pattern.  The
+pattern is the sign triple of geometry.REFERENCE_CUBE[i] for vertex i; the
+partial-distance and distance signs are products of its rows.  One rule
+picks each frame row per opposite-face pair: the normal of the plane
 through p and the line where the pair's supporting planes meet, or the
 pair's normal bisector when the planes are parallel.  The frame varies
-continuously with p, and so do the weights.
+continuously with p, and so do the weights.  What depends on the geometry
+alone is kept by the Hexahedron: its face planes (face_planes), those
+lines (pair_lines) and its faces as 2D quadrilaterals (face_to_plane).
 
 For boundary points the pattern cannot hold on the columns of the
 containing face; those columns are exempted from the sign check and zeroed
@@ -30,6 +34,8 @@ import numpy as np
 
 from .errors import FrameNotFound, OutsideDomain
 from .geometry import (
+    HEX_FACE_VERTICES,
+    REFERENCE_CUBE,
     Hexahedron,
     Quadrilateral,
     _locate_points_hex,
@@ -39,28 +45,16 @@ from .geometry import (
 from .smallsolve import solve_dense, solve_dense_many
 
 # Required signs of the frame coordinates of v_i - p (rows) per vertex
-# (columns); row r separates the opposite-face pair r.
-SIGN_PATTERN = np.array(
-    [
-        [+1, +1, +1, +1, -1, -1, -1, -1],
-        [+1, +1, -1, -1, +1, +1, -1, -1],
-        [+1, -1, -1, +1, +1, -1, -1, +1],
-    ],
-    dtype=float,
-)
+# (columns), column i being REFERENCE_CUBE[i]; row r separates the
+# opposite-face pair r.
+SIGN_PATTERN = REFERENCE_CUBE.T
 
-# Signs applied to the partial-distance block, row by row.
-DELTA_SIGNS = np.array(
-    [
-        [+1, -1, +1, -1, +1, -1, +1, -1],
-        [+1, -1, -1, +1, -1, +1, +1, -1],
-        [+1, +1, -1, -1, -1, -1, +1, +1],
-    ],
-    dtype=float,
-)
+# Signs applied to the full distance row: the product of the pattern rows.
+DISTANCE_SIGNS = SIGN_PATTERN.prod(axis=0)
 
-# Signs applied to the full distance row.
-DISTANCE_SIGNS = np.array([+1, -1, +1, -1, -1, +1, -1, +1], dtype=float)
+# Signs applied to the partial-distance block: row r is the product of the
+# pattern rows other than r.
+DELTA_SIGNS = DISTANCE_SIGNS * SIGN_PATTERN
 
 # Entries closer to zero than this (relative to the diameter) fail the
 # strict sign test.
@@ -69,10 +63,7 @@ PATTERN_ZERO_RTOL = 1e-12
 FRAME_DET_MIN = 1e-8
 
 # FACE_VERTICES[f, i] is True when vertex i lies on face f.
-FACE_VERTICES = np.zeros((6, 8), dtype=bool)
-for _f, _idx in enumerate(Hexahedron.FACES):
-    FACE_VERTICES[_f, list(_idx)] = True
-FACE_VERTICES.flags.writeable = False
+FACE_VERTICES = HEX_FACE_VERTICES
 
 # Right-hand side of the system: only the partition-of-unity row is 1.
 _RHS = np.eye(8)[0]
@@ -173,54 +164,11 @@ def _hex_system(w, zero_cols=None):
     return m
 
 
-def _cross3(a, b):
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
-
-
 def _det3(rows):
     """Determinant by cofactor expansion of rows, a nested 3 x 3 sequence
     whose entries are floats or arrays (a stack, entrywise)."""
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
     return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
-
-
-def _pair_planes(hexa):
-    """Per opposite-face pair: (line, bisector), exactly one of them None.
-
-    line is (unit direction, point on the line, positive-face centroid) of
-    the line where the pair's supporting planes meet, each a tuple of
-    floats; when the planes are parallel (|n_a x n_b| < 1e-9) it is None
-    and bisector is the unit normal bisector n_a - n_b instead.  Depends
-    only on the geometry, so cached.
-    """
-    cached = getattr(hexa, "_mc_pair_planes", None)
-    if cached is not None:
-        return cached
-    out = []
-    for fa, fb in Hexahedron.OPPOSITE_PAIRS:
-        na, ca = hexa.face_planes[fa]
-        nb, cb = hexa.face_planes[fb]
-        u = _cross3(na, nb)
-        norm_u = np.linalg.norm(u)
-        if norm_u < 1e-9:
-            m = na - nb
-            out.append((None, m / np.linalg.norm(m)))
-            continue
-        u = u / norm_u
-        lhs = np.vstack([na, nb, u])
-        rhs = np.array([na @ ca, nb @ cb, 0.0])
-        x0 = np.linalg.solve(lhs, rhs)
-        centroid = hexa.vertices[list(Hexahedron.FACES[fa])].mean(axis=0)
-        out.append(((tuple(u.tolist()), tuple(x0.tolist()), tuple(centroid.tolist())), None))
-    cached = tuple(out)
-    hexa._mc_pair_planes = cached
-    return cached
 
 
 def _wedge_normal(line, px, py, pz):
@@ -250,7 +198,7 @@ def _wedge_direction(hexa, p, pair):
     (oriented toward the pair's positive face) is a valid coordinate
     functional.  Returns None when p lies on l.
     """
-    line = _pair_planes(hexa)[pair][0]
+    line = hexa.pair_lines[pair][0]
     px, py, pz = p.tolist()
     (mx, my, mz), dist, norm_m = _wedge_normal(line, px, py, pz)
     if dist < 1e-12 * hexa.diameter or norm_m < 1e-14 * hexa.diameter:
@@ -266,11 +214,9 @@ def _face_normal_direction(hexa, pair, faces):
     toward that face's positive sign-pattern side."""
     fa, fb = Hexahedron.OPPOSITE_PAIRS[pair]
     if fa in faces:
-        n, _ = hexa.face_planes[fa]
-        return n
+        return hexa.face_planes[fa][0]
     if fb in faces:
-        n, _ = hexa.face_planes[fb]
-        return -n
+        return -hexa.face_planes[fb][0]
     return None
 
 
@@ -296,7 +242,7 @@ def reference_frame(hexa: Hexahedron, p, faces=()) -> Frame3:
     """
     p = np.asarray(p, dtype=float)
     rows = []
-    for r, (line, bisector) in enumerate(_pair_planes(hexa)):
+    for r, (line, bisector) in enumerate(hexa.pair_lines):
         row = _face_normal_direction(hexa, r, faces)
         if row is None:
             row = bisector if line is None else _wedge_direction(hexa, p, r)
@@ -335,7 +281,7 @@ def _frame_rows_many(hexa: Hexahedron, q, faces) -> tuple[np.ndarray, np.ndarray
     functionals = np.empty((k, 3, 3))
     ok = np.ones(k, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for r, (line, bisector) in enumerate(_pair_planes(hexa)):
+        for r, (line, bisector) in enumerate(hexa.pair_lines):
             if line is None:
                 row = np.broadcast_to(bisector, (k, 3))
                 found = np.ones(k, dtype=bool)

@@ -4,6 +4,12 @@ Tolerances are relative to the geometry diameter (the largest pairwise
 vertex distance) so that every predicate is scale invariant.  Geometry
 objects validate their invariants at construction and are treated as
 immutable afterwards.
+
+The hexahedral conventions live here: REFERENCE_CUBE, the one table of
+the reference cube's vertices, and HEX_FACES, the faces' cyclic vertex
+order; every other hexahedral table derives from them.  A Hexahedron
+keeps the face planes its validation fitted, the lines where opposite
+supporting planes meet, and its faces as 2D quadrilaterals.
 """
 
 from __future__ import annotations
@@ -338,8 +344,26 @@ def nodes_violations(nodes) -> list[str]:
     return []
 
 
-# Hexahedron face connectivity (cyclic vertex order per face) and the three
-# opposite-face pairs; pair k separates the +/- halves of sign-pattern row k.
+# The reference cube [-1, 1]^3: vertex i sits at REFERENCE_CUBE[i].  The
+# hexahedral moment system asks the frame coordinates of v_i - p to carry
+# the signs of row i, and every other hexahedral table derives from it.
+REFERENCE_CUBE = np.array(
+    [
+        (+1, +1, +1),
+        (+1, +1, -1),
+        (+1, -1, -1),
+        (+1, -1, +1),
+        (-1, +1, +1),
+        (-1, +1, -1),
+        (-1, -1, -1),
+        (-1, -1, +1),
+    ],
+    dtype=float,
+)
+REFERENCE_CUBE.flags.writeable = False
+
+# Face 2k of the cube is its side where coordinate k is +1, face 2k + 1 the
+# side where it is -1; HEX_FACES lists each face's vertices in cyclic order.
 HEX_FACES = (
     (0, 1, 2, 3),
     (4, 5, 6, 7),
@@ -348,7 +372,14 @@ HEX_FACES = (
     (0, 3, 7, 4),
     (1, 2, 6, 5),
 )
-HEX_OPPOSITE_PAIRS = ((0, 1), (2, 3), (4, 5))
+# Pair k holds the two faces of coordinate k, which sign-pattern row k separates.
+HEX_OPPOSITE_PAIRS = tuple((2 * k, 2 * k + 1) for k in range(3))
+# Outward unit normals of the cube's faces, in HEX_FACES order.
+REFERENCE_NORMALS = np.repeat(np.eye(3), 2, axis=0) * np.tile([[1.0], [-1.0]], (3, 1))
+REFERENCE_NORMALS.flags.writeable = False
+# HEX_FACE_VERTICES[f, i] is True when vertex i lies on face f.
+HEX_FACE_VERTICES = REFERENCE_NORMALS @ REFERENCE_CUBE.T > 0
+HEX_FACE_VERTICES.flags.writeable = False
 
 
 def _fit_plane(points):
@@ -362,36 +393,47 @@ def _fit_plane(points):
 
 def hex_violations(vertices) -> list[str]:
     """Invariant violations for a raw 8 x 3 vertex array (empty means valid)."""
-    v = np.asarray(vertices, dtype=float)
+    return _check_hex(np.asarray(vertices, dtype=float))[0]
+
+
+def _check_hex(v):
+    """(violations, planes) of a float vertex array in one pass; planes
+    holds each face's (outward unit normal, centroid) when v is valid.  The
+    planarity and convexity slacks are no finer than 4 ulps of the largest
+    coordinate, which rounding the vertices alone can cost (Shewchuk 1997).
+    """
     out = []
     if v.shape != (8, 3):
-        return [f"expected 8 vertices with 3 coordinates, got shape {v.shape}"]
+        return [f"expected 8 vertices with 3 coordinates, got shape {v.shape}"], ()
     if not np.all(np.isfinite(v)):
-        return ["vertex coordinates must be finite"]
+        return ["vertex coordinates must be finite"], ()
     diam = _diameter(v)
     if diam == 0.0:
-        return ["all vertices coincide"]
+        return ["all vertices coincide"], ()
     for i, j in combinations(range(8), 2):
         if np.linalg.norm(v[i] - v[j]) <= MIN_EDGE_LENGTH * max(diam, 1.0):
             out.append(f"vertices {i} and {j} coincide")
     if out:
-        return out
+        return out, ()
+    floor = 4.0 * np.finfo(float).eps * float(np.abs(v).max())
     centroid = v.mean(axis=0)
+    planes = []
     for f, idx in enumerate(HEX_FACES):
         pts = v[list(idx)]
         n, c, offset = _fit_plane(pts)
-        if offset > PLANARITY_RTOL * diam:
+        if offset > max(PLANARITY_RTOL * diam, floor):
             out.append(f"face {f} {tuple(i + 1 for i in idx)} is not planar (offset {offset:.3e})")
             continue
         if n @ (c - centroid) < 0:
             n = -n
+        planes.append((n, c))
         worst = float(((v - c) @ n).max())
-        if worst > CONVEXITY_RTOL * diam:
+        if worst > max(CONVEXITY_RTOL * diam, floor):
             out.append(f"vertex protrudes {worst:.3e} beyond face {f} (solid not convex)")
         verts2d, _, _ = _plane_coords(pts, n, c)
         if quad_violations(verts2d):
             out.append(f"face {f} is not a simple quadrilateral")
-    return out
+    return out, tuple(planes)
 
 
 def _plane_coords(points, normal, origin):
@@ -408,8 +450,10 @@ class Hexahedron:
     """Eight 3D vertices with six planar quadrilateral faces, convex.
 
     The vertex order must follow the reference-cube sign convention used by
-    the hexahedral moment system (vertex i of the cube [-1,1]^3 carries the
-    sign triple of sign-pattern column i); no automatic reordering is done.
+    the hexahedral moment system (vertex i of the cube [-1,1]^3 is
+    REFERENCE_CUBE[i]); no automatic reordering is done.  Keeps the face
+    planes its validation fitted (face_planes), and on first use the pair
+    lines (pair_lines) and each face's 2D quadrilateral (face_to_plane).
     """
 
     FACES = HEX_FACES
@@ -417,31 +461,43 @@ class Hexahedron:
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
-        violations = hex_violations(v)
+        violations, planes = _check_hex(v)
         if violations:
             raise InvalidGeometry(violations)
         v = v.copy()
         v.flags.writeable = False
         self.vertices = v
+        # Per face: (outward unit normal, centroid), fitted by _check_hex.
+        self.face_planes = planes
+        # face_to_plane's result per face index, filled on first use.
+        self._face_quads: dict[int, tuple] = {}
 
     @cached_property
     def diameter(self) -> float:
         return _diameter(self.vertices)
 
     @cached_property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
+    def pair_lines(self) -> tuple:
+        """Per opposite-face pair: (line, bisector), exactly one of them None.
 
-    @cached_property
-    def face_planes(self) -> tuple:
-        """Per face: (outward unit normal, point on the plane)."""
+        line is (unit direction, point on the line, positive-face centroid)
+        of the line where the pair's supporting planes meet, each a tuple of
+        floats; when the planes are parallel (|n_a x n_b| < 1e-9) it is None
+        and bisector is the unit normal bisector n_a - n_b instead.
+        """
         out = []
-        for idx in self.FACES:
-            pts = self.vertices[list(idx)]
-            n, c, _ = _fit_plane(pts)
-            if n @ (c - self.centroid) < 0:
-                n = -n
-            out.append((n, c))
+        for fa, fb in self.OPPOSITE_PAIRS:
+            na, ca = self.face_planes[fa]
+            nb, cb = self.face_planes[fb]
+            u = np.cross(na, nb)
+            norm_u = np.linalg.norm(u)
+            if norm_u < 1e-9:
+                m = na - nb
+                out.append((None, m / np.linalg.norm(m)))
+                continue
+            u = u / norm_u
+            x0 = np.linalg.solve(np.vstack([na, nb, u]), np.array([na @ ca, nb @ cb, 0.0]))
+            out.append(((tuple(u.tolist()), tuple(x0.tolist()), tuple(ca.tolist())), None))
         return tuple(out)
 
     @cached_property
@@ -483,18 +539,13 @@ def face_to_plane(hexa: Hexahedron, f: int):
     to its 2D coordinates (2,), or each row of points (m, 3) to a row of
     (m, 2) with the same elementwise arithmetic.  Vertex order matches
     HEX_FACES[f]; the in-plane basis is mirrored if needed so that order is
-    already counterclockwise and the constructor does not reorder.  Cached
-    per hexahedron.
+    already counterclockwise and the constructor does not reorder.  Kept
+    by the hexahedron after the first call.
     """
-    cache = getattr(hexa, "_face2d_cache", None)
-    if cache is None:
-        cache = {}
-        hexa._face2d_cache = cache
-    hit = cache.get(f)
+    hit = hexa._face_quads.get(f)
     if hit is not None:
         return hit
-    idx = list(HEX_FACES[f])
-    pts = hexa.vertices[idx]
+    pts = hexa.vertices[list(HEX_FACES[f])]
     n, c = hexa.face_planes[f]
     verts2d, u, w = _plane_coords(pts, n, c)
     if _polygon_area(verts2d) < 0:
@@ -506,8 +557,7 @@ def face_to_plane(hexa: Hexahedron, f: int):
         q0, q1, q2 = q[..., 0], q[..., 1], q[..., 2]
         return np.array([q0 * u[0] + q1 * u[1] + q2 * u[2], q0 * w[0] + q1 * w[1] + q2 * w[2]]).T
 
-    result = (Quadrilateral(verts2d), to2d)
-    cache[f] = result
+    hexa._face_quads[f] = result = (Quadrilateral(verts2d), to2d)
     return result
 
 

@@ -4,37 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidGeometry
 from .geometry import (
     CLASSIFY_RTOL,
+    HEX_FACE_VERTICES,
+    REFERENCE_CUBE,
+    REFERENCE_NORMALS,
     Hexahedron,
     NodeSet1D,
     Quadrilateral,
     _classify_points_quad,
-    hex_violations,
-    quad_violations,
 )
-
-_CUBE = np.array(
-    [
-        (1, 1, 1),
-        (1, 1, -1),
-        (1, -1, -1),
-        (1, -1, 1),
-        (-1, 1, 1),
-        (-1, 1, -1),
-        (-1, -1, -1),
-        (-1, -1, 1),
-    ],
-    dtype=float,
-)
-
-# Outward normals of the cube's faces in connectivity order, used as the
-# seed for the supporting-plane generator.
-_CUBE_NORMALS = np.array(
-    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
-    dtype=float,
-)
-
 
 # Attempts drawn and tested at once, at most; bounds the samplers' memory.
 _MAX_CHUNK = 1 << 16
@@ -174,10 +154,10 @@ def random_simple_quad(rng, convex: bool | None = None) -> Quadrilateral:
         pts = rng.uniform(0.0, 1.0, (4, 2))
         c = pts.mean(axis=0)
         order = np.argsort(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]))
-        v = pts[order]
-        if quad_violations(v):
+        try:
+            quad = Quadrilateral(pts[order])
+        except InvalidGeometry:
             continue
-        quad = Quadrilateral(v)
         # Reject slivers; they make oracle comparisons needlessly touchy.
         if abs(quad._corner_crosses).min() < 1e-3 * quad.diameter**2:
             continue
@@ -195,12 +175,7 @@ def random_affine_cube_hex(rng) -> Hexahedron:
             break
     scale = rng.uniform(0.5, 2.0)
     shift = rng.uniform(-5.0, 5.0, 3)
-    return Hexahedron(_CUBE @ a.T * scale + shift)
-
-
-_VERTEX_FACES = [
-    [f for f, idx in enumerate(Hexahedron.FACES) if v in idx] for v in range(8)
-]
+    return Hexahedron(REFERENCE_CUBE @ a.T * scale + shift)
 
 
 def random_plane_hex(rng, tilt: float = 0.25) -> Hexahedron:
@@ -213,23 +188,18 @@ def random_plane_hex(rng, tilt: float = 0.25) -> Hexahedron:
     for _ in range(100000):
         normals = []
         offsets = []
-        for n0 in _CUBE_NORMALS:
+        # Seeded by the reference cube's faces, in connectivity order.
+        for n0 in REFERENCE_NORMALS:
             n = n0 + rng.uniform(-tilt, tilt, 3)
             normals.append(n / np.linalg.norm(n))
             offsets.append(1.0 + rng.uniform(-0.15, 0.15))
-        v = np.empty((8, 3))
-        ok = True
-        for i in range(8):
-            fs = _VERTEX_FACES[i]
-            lhs = np.vstack([normals[f] for f in fs])
-            rhs = np.array([offsets[f] for f in fs])
-            try:
-                v[i] = np.linalg.solve(lhs, rhs)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-        if ok and not hex_violations(v):
-            return Hexahedron(v)
+        normals, offsets = np.array(normals), np.array(offsets)
+        try:
+            return Hexahedron(
+                [np.linalg.solve(normals[on], offsets[on]) for on in HEX_FACE_VERTICES.T]
+            )
+        except (np.linalg.LinAlgError, InvalidGeometry):
+            continue
     raise ValueError("hexahedron sampler failed to produce a valid shape")
 
 

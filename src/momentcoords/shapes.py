@@ -1,6 +1,6 @@
 """Built-in geometries used by the CLI and the test suite."""
 
-from .geometry import Hexahedron, NodeSet1D, Quadrilateral
+from .geometry import REFERENCE_CUBE, Hexahedron, NodeSet1D, Quadrilateral
 
 
 def biunit_square() -> Quadrilateral:
@@ -35,19 +35,7 @@ def convex_hex() -> Hexahedron:
 
 def cube(half: float = 1.0) -> Hexahedron:
     """The cube [-half, half]^3 in the reference vertex order."""
-    h = float(half)
-    return Hexahedron(
-        [
-            (h, h, h),
-            (h, h, -h),
-            (h, -h, -h),
-            (h, -h, h),
-            (-h, h, h),
-            (-h, h, -h),
-            (-h, -h, -h),
-            (-h, -h, h),
-        ]
-    )
+    return Hexahedron(float(half) * REFERENCE_CUBE)
 
 
 def unit_interval(n: int = 5) -> NodeSet1D:

@@ -64,6 +64,16 @@ class TestEval:
         )
         assert code == 3 and "domain error" in err
 
+    @pytest.mark.parametrize(
+        "method", ["moment", "wachspress", "mvc-oracle", "wachspress-oracle", "cramer"]
+    )
+    def test_exterior_point_message_per_quad_method(self, capsys, method):
+        code, out, err = run(
+            capsys, "eval", "--geometry", "conv-quad", "--point", "5,5", "--method", method
+        )
+        assert code == 3 and out == ""
+        assert err == "domain error: point [5.0, 5.0] lies outside the quadrilateral\n"
+
     def test_wachspress_on_nonconvex_domain_error(self, capsys):
         code, _, err = run(
             capsys, "eval", "--geometry", "nonconv-quad", "--point", "0.9,1.5", "--method", "wachspress"
