@@ -2,8 +2,13 @@
 
 Tolerances are relative to the geometry diameter (the largest pairwise
 vertex distance) so that every predicate is scale invariant.  Geometry
-objects validate their invariants at construction and are treated as
-immutable afterwards.
+objects validate their invariants at construction, in one pass that keeps
+what it computed (the diameter, and a hexahedron's face planes), and are
+treated as immutable afterwards.  A quadrilateral is checked on its four
+corners as Python floats; a hexahedron on stacked tables (pairwise vertex
+distances, the six plane fits, the vertices' signed distances to the face
+planes, the faces' in-plane coordinates), each face then checked as a
+quadrilateral.
 
 The hexahedral conventions live here: REFERENCE_CUBE, the one table of
 the reference cube's vertices, and HEX_FACES, the faces' cyclic vertex
@@ -30,6 +35,8 @@ PLANARITY_RTOL = 1e-9
 CONVEXITY_RTOL = 1e-9
 # Edges shorter than this (absolute) cannot define a direction.
 MIN_EDGE_LENGTH = 1e-13
+# Validation refuses vertices whose pairwise distances overflow a float.
+OVERFLOW_MESSAGE = "vertex coordinates too large: pairwise distances overflow"
 
 
 @dataclass(frozen=True)
@@ -64,11 +71,6 @@ def signed_area(a, b, c) -> float:
     return 0.5 * float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
-def _diameter(vertices) -> float:
-    diffs = vertices[:, None, :] - vertices[None, :, :]
-    return float(np.sqrt((diffs**2).sum(axis=2)).max())
-
-
 def _on_segment(a, b, c) -> bool:
     """True if collinear point c lies within the bounding box of segment ab."""
     return bool(
@@ -100,38 +102,57 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
     return False
 
 
+def _quad_area(c) -> float:
+    """Shoelace area of the quadrilateral with corners c (four float pairs),
+    taken about the centroid so the result does not lose precision for
+    far-translated geometry."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
+    cx = (((x0 + x1) + x2) + x3) / 4
+    cy = (((y0 + y1) + y2) + y3) / 4
+    return sum(
+        0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+        for (ax, ay), (bx, by) in ((c[0], c[1]), (c[1], c[2]), (c[2], c[3]), (c[3], c[0]))
+    )
+
+
 def _polygon_area(v) -> float:
-    """Shoelace area of a closed polygon, taken about the centroid so the
-    result does not lose precision for far-translated geometry."""
-    c = v.mean(axis=0)
-    n = v.shape[0]
-    return sum(signed_area(v[i], v[(i + 1) % n], c) for i in range(n))
+    """_quad_area of a (4, 2) vertex array."""
+    return _quad_area(v.tolist())
 
 
-def quad_violations(vertices) -> list[str]:
-    """Invariant violations for a raw 4 x 2 vertex array (empty means valid)."""
-    v = np.asarray(vertices, dtype=float)
-    out = []
+def _check_quad(v):
+    """(violations, diameter, area) of a float vertex array in one pass, on
+    Python floats: the diameter and the centroid shoelace area are those the
+    checks computed (None where a check before them failed)."""
     if v.shape != (4, 2):
-        return [f"expected 4 vertices with 2 coordinates, got shape {v.shape}"]
-    if not np.all(np.isfinite(v)):
-        return ["vertex coordinates must be finite"]
-    diam = _diameter(v)
-    if diam == 0.0:
-        return ["all vertices coincide"]
+        return [f"expected 4 vertices with 2 coordinates, got shape {v.shape}"], None, None
+    c = v.tolist()
+    if not all(math.isfinite(x) for corner in c for x in corner):
+        return ["vertex coordinates must be finite"], None, None
+    dist = {}
     for i, j in combinations(range(4), 2):
-        if np.linalg.norm(v[i] - v[j]) <= MIN_EDGE_LENGTH * max(diam, 1.0):
-            out.append(f"vertices {i} and {j} coincide")
-    area = _polygon_area(v)
+        dx, dy = c[i][0] - c[j][0], c[i][1] - c[j][1]
+        dist[i, j] = math.sqrt(dx * dx + dy * dy)
+    diam = max(dist.values())
+    if not math.isfinite(diam):
+        return [OVERFLOW_MESSAGE], None, None
+    if diam == 0.0:
+        return ["all vertices coincide"], None, None
+    close = MIN_EDGE_LENGTH * max(diam, 1.0)
+    out = [f"vertices {i} and {j} coincide" for (i, j), d in dist.items() if d <= close]
+    area = _quad_area(c)
     if abs(area) <= 1e-12 * diam**2:
         out.append("vertices are collinear (zero total area)")
     # Simplicity: the two pairs of opposite edges must not cross or touch.
     for i, j in ((0, 2), (1, 3)):
-        a, b = v[i], v[(i + 1) % 4]
-        c, d = v[j], v[(j + 1) % 4]
-        if _segments_intersect(a, b, c, d):
+        if _segments_intersect(c[i], c[(i + 1) % 4], c[j], c[(j + 1) % 4]):
             out.append(f"edges {i} and {j} intersect (polygon is not simple)")
-    return out
+    return out, diam, area
+
+
+def quad_violations(vertices) -> list[str]:
+    """Invariant violations for a raw 4 x 2 vertex array (empty means valid)."""
+    return _check_quad(np.asarray(vertices, dtype=float))[0]
 
 
 class Quadrilateral:
@@ -144,18 +165,14 @@ class Quadrilateral:
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
-        violations = quad_violations(v)
+        violations, diameter, area = _check_quad(v)
         if violations:
             raise InvalidGeometry(violations)
-        if _polygon_area(v) < 0.0:
-            v = v[[0, 3, 2, 1]]
-        v = v.copy()
+        v = v[[0, 3, 2, 1]] if area < 0.0 else v.copy()
         v.flags.writeable = False
         self.vertices = v
-
-    @cached_property
-    def diameter(self) -> float:
-        return _diameter(self.vertices)
+        # The largest pairwise vertex distance, kept from the validation.
+        self.diameter = diameter
 
     @cached_property
     def corner_tuple(self) -> tuple:
@@ -380,15 +397,20 @@ REFERENCE_NORMALS.flags.writeable = False
 # HEX_FACE_VERTICES[f, i] is True when vertex i lies on face f.
 HEX_FACE_VERTICES = REFERENCE_NORMALS @ REFERENCE_CUBE.T > 0
 HEX_FACE_VERTICES.flags.writeable = False
+# HEX_FACES as an index array: v[_HEX_FACE_INDEX] stacks the faces (6, 4, 3).
+_HEX_FACE_INDEX = np.array(HEX_FACES)
+# Vertex pairs i < j in the order of combinations(range(8), 2).
+_HEX_PAIRS = np.triu_indices(8, 1)
 
 
-def _fit_plane(points):
-    """Least-squares plane through points: (unit normal, centroid, max |offset|)."""
-    c = points.mean(axis=0)
-    q = points - c
-    _, s, vt = np.linalg.svd(q, full_matrices=False)
-    n = vt[-1]
-    return n, c, float(np.abs(q @ n).max())
+def _fit_planes(points):
+    """Least-squares planes through each stack of points (k, m, 3): the
+    points about their centroids (k, m, 3), the centroids (k, 3) and the
+    right singular vectors (k, 3, 3), whose first two rows span each plane
+    and whose last row is its unit normal."""
+    c = points.mean(axis=1)
+    q = points - c[:, None]
+    return q, c, np.linalg.svd(q, full_matrices=False)[2]
 
 
 def hex_violations(vertices) -> list[str]:
@@ -397,43 +419,52 @@ def hex_violations(vertices) -> list[str]:
 
 
 def _check_hex(v):
-    """(violations, planes) of a float vertex array in one pass; planes
-    holds each face's (outward unit normal, centroid) when v is valid.  The
-    planarity and convexity slacks are no finer than 4 ulps of the largest
-    coordinate, which rounding the vertices alone can cost (Shewchuk 1997).
+    """(violations, planes, diameter) of a float vertex array in one pass
+    over stacked tables: the (8, 8) vertex distances, one plane fit per face,
+    the (6, 8) signed distances of the vertices to the face planes and each
+    face's in-plane coordinates in the basis of its fit.  When v is valid, planes holds each face's
+    (outward unit normal, centroid) and diameter the largest vertex distance.
+    The planarity and convexity slacks are no finer than 4 ulps of the
+    largest coordinate, which rounding the vertices alone can cost
+    (Shewchuk 1997).
     """
-    out = []
     if v.shape != (8, 3):
-        return [f"expected 8 vertices with 3 coordinates, got shape {v.shape}"], ()
-    if not np.all(np.isfinite(v)):
-        return ["vertex coordinates must be finite"], ()
-    diam = _diameter(v)
+        return [f"expected 8 vertices with 3 coordinates, got shape {v.shape}"], (), None
+    if not np.isfinite(v).all():
+        return ["vertex coordinates must be finite"], (), None
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2))
+    diam = float(dist.max())
+    if not math.isfinite(diam):
+        return [OVERFLOW_MESSAGE], (), None
     if diam == 0.0:
-        return ["all vertices coincide"], ()
-    for i, j in combinations(range(8), 2):
-        if np.linalg.norm(v[i] - v[j]) <= MIN_EDGE_LENGTH * max(diam, 1.0):
-            out.append(f"vertices {i} and {j} coincide")
-    if out:
-        return out, ()
+        return ["all vertices coincide"], (), None
+    close = dist[_HEX_PAIRS] <= MIN_EDGE_LENGTH * max(diam, 1.0)
+    if close.any():
+        pairs = np.transpose(_HEX_PAIRS)[close].tolist()
+        return [f"vertices {i} and {j} coincide" for i, j in pairs], (), None
     floor = 4.0 * np.finfo(float).eps * float(np.abs(v).max())
-    centroid = v.mean(axis=0)
-    planes = []
+    q, c, basis = _fit_planes(v[_HEX_FACE_INDEX])
+    n = basis[:, 2]
+    offset = np.abs(q @ n[..., None]).max(axis=(1, 2))
+    n[((c - v.mean(axis=0))[:, None] @ n[..., None]).ravel() < 0] *= -1.0
+    worst = ((v - c[:, None]) @ n[..., None]).max(axis=(1, 2))
+    planar = offset <= max(PLANARITY_RTOL * diam, floor)
+    convex = worst <= max(CONVEXITY_RTOL * diam, floor)
+    # Isometric in-plane coordinates of each face's vertices (6, 4, 2).
+    face2d = q @ basis[:, :2].transpose(0, 2, 1)
+    out = []
     for f, idx in enumerate(HEX_FACES):
-        pts = v[list(idx)]
-        n, c, offset = _fit_plane(pts)
-        if offset > max(PLANARITY_RTOL * diam, floor):
-            out.append(f"face {f} {tuple(i + 1 for i in idx)} is not planar (offset {offset:.3e})")
+        if not planar[f]:
+            out.append(f"face {f} {tuple(i + 1 for i in idx)} is not planar (offset {offset[f]:.3e})")
             continue
-        if n @ (c - centroid) < 0:
-            n = -n
-        planes.append((n, c))
-        worst = float(((v - c) @ n).max())
-        if worst > max(CONVEXITY_RTOL * diam, floor):
-            out.append(f"vertex protrudes {worst:.3e} beyond face {f} (solid not convex)")
-        verts2d, _, _ = _plane_coords(pts, n, c)
-        if quad_violations(verts2d):
+        if not convex[f]:
+            out.append(f"vertex protrudes {worst[f]:.3e} beyond face {f} (solid not convex)")
+        if _check_quad(face2d[f])[0]:
             out.append(f"face {f} is not a simple quadrilateral")
-    return out, tuple(planes)
+    if out:
+        return out, (), None
+    return out, tuple(zip(n, c)), diam
 
 
 def _plane_coords(points, normal, origin):
@@ -461,20 +492,18 @@ class Hexahedron:
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
-        violations, planes = _check_hex(v)
+        violations, planes, diameter = _check_hex(v)
         if violations:
             raise InvalidGeometry(violations)
         v = v.copy()
         v.flags.writeable = False
         self.vertices = v
-        # Per face: (outward unit normal, centroid), fitted by _check_hex.
+        # Per face: (outward unit normal, centroid), and the largest
+        # pairwise vertex distance, both kept from _check_hex.
         self.face_planes = planes
+        self.diameter = diameter
         # face_to_plane's result per face index, filled on first use.
         self._face_quads: dict[int, tuple] = {}
-
-    @cached_property
-    def diameter(self) -> float:
-        return _diameter(self.vertices)
 
     @cached_property
     def pair_lines(self) -> tuple:

@@ -85,27 +85,28 @@ def test_cube_shape_is_the_scaled_reference_cube():
 
 @pytest.fixture
 def fit_count(monkeypatch):
-    calls = []
-    fit = geometry._fit_plane
+    """Faces fitted by geometry._fit_planes, one entry per call."""
+    faces = []
+    fit = geometry._fit_planes
 
     def counted(points):
-        calls.append(1)
+        faces.append(len(points))
         return fit(points)
 
-    monkeypatch.setattr(geometry, "_fit_plane", counted)
-    return calls
+    monkeypatch.setattr(geometry, "_fit_planes", counted)
+    return faces
 
 
 def test_construct_evaluate_classify_fits_each_face_once(fit_count):
     hexa = shapes.convex_hex()
     moment_coords_hex(hexa, (0.0, 0.5, 0.0))
     assert face_of_point_hex(hexa, (1.0, 1.0, 0.0)).kind == "on_face"
-    assert len(fit_count) == 6
+    assert sum(fit_count) == 6
 
 
 def test_plane_hex_sampler_fits_each_face_once(fit_count):
     sampling.random_plane_hex(np.random.default_rng(0))
-    assert len(fit_count) == 6
+    assert sum(fit_count) == 6
 
 
 def test_hexahedron_keeps_its_face_data():
