@@ -166,7 +166,9 @@ def quad_suite(
     """Property results for moment (and, when convex, Wachspress) coordinates.
 
     family restricts the suite to "moment" or "wachspress"; by default both
-    run (Wachspress only when the quadrilateral is convex).
+    run (Wachspress only when the quadrilateral is convex).  The Cramer
+    oracle runs with the moment family wherever it is defined (see
+    coords2d.cramer_defect).
     """
     rng = np.random.default_rng(seed)
     acc = _Accumulator(tol_scale)
@@ -174,25 +176,25 @@ def quad_suite(
     d = quad.diameter
     v = quad.vertices
     run_moment = family in (None, "moment")
+    run_cramer = run_moment and coords2d.cramer_defect(quad) is None
     run_wachspress = quad.is_convex and family in (None, "wachspress")
     moment = (coords2d.moment_coords_quad_many, coords2d.moment_coords_quad)
     wachspress = (coords2d.wachspress_coords_quad_many, coords2d.wachspress_coords_quad)
 
     methods = []
     if run_moment:
-        methods += [
-            moment,
-            (coords2d.mvc_oracle_many, coords2d.mvc_oracle),
-            (coords2d.cramer_coords_quad_many, coords2d.cramer_coords_quad),
-        ]
+        methods += [moment, (coords2d.mvc_oracle_many, coords2d.mvc_oracle)]
+    if run_cramer:
+        methods.append((coords2d.cramer_coords_quad_many, coords2d.cramer_coords_quad))
     if run_wachspress:
         methods += [wachspress, (coords2d.wachspress_oracle_many, coords2d.wachspress_oracle)]
     weights = [phi for phi, _ in _evaluate(quad, pts, *methods)]
     if run_moment:
-        phi, mvc, cramer = weights[:3]
+        phi, mvc = weights[:2]
         _axioms(acc, "moment ", phi, v, pts, d)
         acc.record("moment vs mean-value oracle", _worst_gap(phi, mvc), ORACLE_TOL)
-        acc.record("moment vs cramer oracle", _worst_gap(phi, cramer), ORACLE_TOL)
+    if run_cramer:
+        acc.record("moment vs cramer oracle", _worst_gap(phi, weights[2]), ORACLE_TOL)
     if run_wachspress:
         wphi, area = weights[-2:]
         _axioms(acc, "wachspress ", wphi, v, pts, d)

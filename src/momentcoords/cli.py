@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import checks, coords1d, coords2d, coords3d
-from .errors import DomainError, InvalidGeometry, MomentCoordsError, NotConvex
+from .errors import DegenerateTriangle, DomainError, InvalidGeometry, MomentCoordsError, NotConvex
 from .geometry import (
     Hexahedron,
     NodeSet1D,
@@ -123,10 +123,16 @@ def _resolve_method(geom, name: str, tables=METHODS):
     return table[name]
 
 
-def _require_convex(geom, method: str):
-    if method.startswith("wachspress") and isinstance(geom, Quadrilateral):
-        if not geom.is_convex:
-            raise NotConvex("Wachspress coordinates are undefined on nonconvex quadrilaterals")
+def _require_defined(geom, method: str):
+    """Refuse a quadrilateral family that is undefined on geom: Wachspress
+    on a nonconvex quadrilateral, Cramer on one with a flat corner."""
+    if not isinstance(geom, Quadrilateral):
+        return
+    if method.startswith("wachspress") and not geom.is_convex:
+        raise NotConvex("Wachspress coordinates are undefined on nonconvex quadrilaterals")
+    defect = coords2d.cramer_defect(geom) if method == "cramer" else None
+    if defect is not None:
+        raise DegenerateTriangle(defect)
 
 
 def _parse_point(text: str, dim: int) -> np.ndarray:
@@ -253,7 +259,7 @@ def cmd_grid(args) -> int:
     if args.resolution < 2:
         raise InputError("resolution must be at least 2")
     evaluate = functools.partial(_resolve_method(geom, args.method, BATCH_METHODS), geom)
-    _require_convex(geom, args.method)
+    _require_defined(geom, args.method)
     diameter, vertices = _geometry_size(geom)
     axes = _grid_axes(vertices, args.resolution)
     nweights = vertices.shape[0]
@@ -304,7 +310,7 @@ def cmd_check(args) -> int:
         raise InputError(f"tol must be finite and > 0, got {args.tol}")
     if args.method is not None:
         _resolve_method(geom, args.method)  # raises InputError when incompatible
-        _require_convex(geom, args.method)
+        _require_defined(geom, args.method)
     results = checks.run_suite(geom, args.samples, args.seed, args.tol, method=args.method)
     for result in results:
         print(result.line())
@@ -363,7 +369,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (DomainError, NotConvex) as exc:
+    except (DomainError, NotConvex, DegenerateTriangle) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
     except (MomentCoordsError, ValueError) as exc:

@@ -242,9 +242,9 @@ def _area2(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _tri_bary(a, b, c, px, py):
-    """Barycentric coordinates of (px, py) as a plain 3-tuple; px and py
-    may be arrays, which give a tuple of arrays."""
+def _tri_area2(a, b, c):
+    """(twice the signed area of triangle abc, whether it is too flat to
+    carry barycentric coordinates), on float pairs."""
     (ax, ay), (bx, by), (cx, cy) = a, b, c
     area2 = _area2(ax, ay, bx, by, cx, cy)
     scale2 = max(
@@ -252,7 +252,15 @@ def _tri_bary(a, b, c, px, py):
         (ax - cx) ** 2 + (ay - cy) ** 2,
         (bx - cx) ** 2 + (by - cy) ** 2,
     )
-    if abs(area2) <= 2e-13 * scale2:
+    return area2, abs(area2) <= 2e-13 * scale2
+
+
+def _tri_bary(a, b, c, px, py):
+    """Barycentric coordinates of (px, py) as a plain 3-tuple; px and py
+    may be arrays, which give a tuple of arrays."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    area2, flat = _tri_area2(a, b, c)
+    if flat:
         raise DegenerateTriangle(f"triangle area {0.5 * area2:.3e} too small")
     l2 = _area2(ax, ay, px, py, cx, cy) / area2
     l3 = _area2(ax, ay, bx, by, px, py) / area2
@@ -274,6 +282,28 @@ def _kernel_vector(quad: Quadrilateral) -> np.ndarray:
     """
     c = quad.corner_tuple
     return np.array([0.5 * _area2(*c[i], *c[j], *c[k]) for i, j, k in _OTHERS]) * ALTERNATING
+
+
+def cramer_defect(quad: Quadrilateral) -> str | None:
+    """Why the Cramer expansion is undefined on quad, or None where it is
+    defined.  It needs the triangle coordinates of every corner triangle
+    (three of the four vertices), and a nearly straight corner of a valid
+    quadrilateral leaves one too flat."""
+    c = quad.corner_tuple
+    for j, k, m in _OTHERS:
+        area2, flat = _tri_area2(c[j], c[k], c[m])
+        if flat:
+            return (
+                f"Cramer's rule is undefined on this quadrilateral: corner triangle"
+                f" ({j}, {k}, {m}) has area {0.5 * area2:.3e}"
+            )
+    return None
+
+
+def _require_cramer(quad: Quadrilateral):
+    defect = cramer_defect(quad)
+    if defect is not None:
+        raise DegenerateTriangle(defect)
 
 
 def _cramer(quad: Quadrilateral, x, y):
@@ -303,7 +333,9 @@ def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     coordinates of p leaving vertex i out (zero padded at slot i), S_i the
     signed area of the remaining triangle, and nu the kernel vector of the
     reproducing rows.  Agrees with moment_coords_quad on simple quads.
+    Raises DegenerateTriangle where cramer_defect names a flat corner.
     """
+    _require_cramer(quad)
     p = np.asarray(p, dtype=float)
     if classify_point_quad(quad, p).kind == "exterior":
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
@@ -313,17 +345,16 @@ def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
 def cramer_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
     """cramer_coords_quad at each row of points (m, 2); returns (phi, ok).
 
-    ok[s] is False (and phi[s] NaN) where cramer_coords_quad raises: an
-    exterior point, a moment row orthogonal to the kernel, or a degenerate
-    triangle (then every point).  Elsewhere phi[s] is bitwise equal to
-    cramer_coords_quad(quad, points[s]).
+    ok[s] is False (and phi[s] NaN) where cramer_coords_quad raises for
+    points[s]: an exterior point or a moment row orthogonal to the kernel.
+    Elsewhere phi[s] is bitwise equal to cramer_coords_quad(quad,
+    points[s]).  Raises DegenerateTriangle, as cramer_coords_quad does at
+    every point, where cramer_defect names a flat corner.
     """
+    _require_cramer(quad)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi, singular = _cramer(quad, *pts.T)
-    except DegenerateTriangle:
-        return np.full((len(pts), 4), np.nan), np.zeros(len(pts), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi, singular = _cramer(quad, *pts.T)
     ok = (classify_points_quad(quad, pts)[0] != "exterior") & ~singular
     return np.where(ok[:, None], phi, np.nan), ok
 

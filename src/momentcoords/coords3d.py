@@ -39,7 +39,7 @@ from .geometry import (
     Hexahedron,
     Quadrilateral,
     _locate_points_hex,
-    _polygon_area,
+    _quad_area,
     face_of_point_hex,
 )
 from .smallsolve import solve_dense, solve_dense_many
@@ -343,7 +343,7 @@ def _induced_face_quad(f: int, w) -> Quadrilateral:
     vertices, such as moment_coords_hex_many returns."""
     keep = [r for r in range(3) if r != f // 2]
     verts2d = w[keep][:, list(Hexahedron.FACES[f])].T.copy()
-    if _polygon_area(verts2d) < 0:
+    if _quad_area(verts2d.tolist()) < 0:
         verts2d[:, 1] = -verts2d[:, 1]
     return Quadrilateral(verts2d)
 

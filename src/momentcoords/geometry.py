@@ -3,12 +3,8 @@
 Tolerances are relative to the geometry diameter (the largest pairwise
 vertex distance) so that every predicate is scale invariant.  Geometry
 objects validate their invariants at construction, in one pass that keeps
-what it computed (the diameter, and a hexahedron's face planes), and are
-treated as immutable afterwards.  A quadrilateral is checked on its four
-corners as Python floats; a hexahedron on stacked tables (pairwise vertex
-distances, the six plane fits, the vertices' signed distances to the face
-planes, the faces' in-plane coordinates), each face then checked as a
-quadrilateral.
+the diameter (and a hexahedron's face planes), and are treated as immutable
+afterwards.
 
 The hexahedral conventions live here: REFERENCE_CUBE, the one table of
 the reference cube's vertices, and HEX_FACES, the faces' cyclic vertex
@@ -35,7 +31,6 @@ PLANARITY_RTOL = 1e-9
 CONVEXITY_RTOL = 1e-9
 # Edges shorter than this (absolute) cannot define a direction.
 MIN_EDGE_LENGTH = 1e-13
-# Validation refuses vertices whose pairwise distances overflow a float.
 OVERFLOW_MESSAGE = "vertex coordinates too large: pairwise distances overflow"
 
 
@@ -103,36 +98,26 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
 
 
 def _quad_area(c) -> float:
-    """Shoelace area of the quadrilateral with corners c (four float pairs),
-    taken about the centroid so the result does not lose precision for
-    far-translated geometry."""
+    """Shoelace area of four corners c (a list of float pairs), taken about
+    their centroid so it keeps its precision for far-translated geometry."""
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = c
-    cx = (((x0 + x1) + x2) + x3) / 4
-    cy = (((y0 + y1) + y2) + y3) / 4
+    cx, cy = (((x0 + x1) + x2) + x3) / 4, (((y0 + y1) + y2) + y3) / 4
     return sum(
         0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-        for (ax, ay), (bx, by) in ((c[0], c[1]), (c[1], c[2]), (c[2], c[3]), (c[3], c[0]))
+        for (ax, ay), (bx, by) in zip(c, c[1:] + c[:1])
     )
 
 
-def _polygon_area(v) -> float:
-    """_quad_area of a (4, 2) vertex array."""
-    return _quad_area(v.tolist())
-
-
 def _check_quad(v):
-    """(violations, diameter, area) of a float vertex array in one pass, on
-    Python floats: the diameter and the centroid shoelace area are those the
-    checks computed (None where a check before them failed)."""
+    """(violations, diameter, area) of a float vertex array, checked in one
+    pass on Python floats (diameter and area None where a check failed)."""
     if v.shape != (4, 2):
         return [f"expected 4 vertices with 2 coordinates, got shape {v.shape}"], None, None
     c = v.tolist()
     if not all(math.isfinite(x) for corner in c for x in corner):
         return ["vertex coordinates must be finite"], None, None
-    dist = {}
-    for i, j in combinations(range(4), 2):
-        dx, dy = c[i][0] - c[j][0], c[i][1] - c[j][1]
-        dist[i, j] = math.sqrt(dx * dx + dy * dy)
+    diffs = {(i, j): (c[i][0] - c[j][0], c[i][1] - c[j][1]) for i, j in combinations(range(4), 2)}
+    dist = {ij: math.sqrt(dx * dx + dy * dy) for ij, (dx, dy) in diffs.items()}
     diam = max(dist.values())
     if not math.isfinite(diam):
         return [OVERFLOW_MESSAGE], None, None
@@ -171,7 +156,6 @@ class Quadrilateral:
         v = v[[0, 3, 2, 1]] if area < 0.0 else v.copy()
         v.flags.writeable = False
         self.vertices = v
-        # The largest pairwise vertex distance, kept from the validation.
         self.diameter = diameter
 
     @cached_property
@@ -397,17 +381,13 @@ REFERENCE_NORMALS.flags.writeable = False
 # HEX_FACE_VERTICES[f, i] is True when vertex i lies on face f.
 HEX_FACE_VERTICES = REFERENCE_NORMALS @ REFERENCE_CUBE.T > 0
 HEX_FACE_VERTICES.flags.writeable = False
-# HEX_FACES as an index array: v[_HEX_FACE_INDEX] stacks the faces (6, 4, 3).
-_HEX_FACE_INDEX = np.array(HEX_FACES)
-# Vertex pairs i < j in the order of combinations(range(8), 2).
-_HEX_PAIRS = np.triu_indices(8, 1)
+_HEX_FACE_INDEX = np.array(HEX_FACES)  # v[_HEX_FACE_INDEX] stacks the faces
 
 
 def _fit_planes(points):
-    """Least-squares planes through each stack of points (k, m, 3): the
-    points about their centroids (k, m, 3), the centroids (k, 3) and the
-    right singular vectors (k, 3, 3), whose first two rows span each plane
-    and whose last row is its unit normal."""
+    """Least-squares planes through each stack of points (k, m, 3): the points
+    about their centroids, the centroids (k, 3) and the right singular
+    vectors (k, 3, 3), two rows spanning each plane and the last its normal."""
     c = points.mean(axis=1)
     q = points - c[:, None]
     return q, c, np.linalg.svd(q, full_matrices=False)[2]
@@ -420,13 +400,11 @@ def hex_violations(vertices) -> list[str]:
 
 def _check_hex(v):
     """(violations, planes, diameter) of a float vertex array in one pass
-    over stacked tables: the (8, 8) vertex distances, one plane fit per face,
-    the (6, 8) signed distances of the vertices to the face planes and each
-    face's in-plane coordinates in the basis of its fit.  When v is valid, planes holds each face's
-    (outward unit normal, centroid) and diameter the largest vertex distance.
-    The planarity and convexity slacks are no finer than 4 ulps of the
-    largest coordinate, which rounding the vertices alone can cost
-    (Shewchuk 1997).
+    over stacked tables (vertex distances, plane fits, vertex-to-plane
+    distances, in-plane coordinates); planes holds each face's (outward unit
+    normal, centroid) when v is valid.  The planarity and convexity slacks
+    are no finer than 4 ulps of the largest coordinate, which rounding the
+    vertices alone can cost (Shewchuk 1997).
     """
     if v.shape != (8, 3):
         return [f"expected 8 vertices with 3 coordinates, got shape {v.shape}"], (), None
@@ -439,10 +417,10 @@ def _check_hex(v):
         return [OVERFLOW_MESSAGE], (), None
     if diam == 0.0:
         return ["all vertices coincide"], (), None
-    close = dist[_HEX_PAIRS] <= MIN_EDGE_LENGTH * max(diam, 1.0)
-    if close.any():
-        pairs = np.transpose(_HEX_PAIRS)[close].tolist()
-        return [f"vertices {i} and {j} coincide" for i, j in pairs], (), None
+    close = np.argwhere(dist <= MIN_EDGE_LENGTH * max(diam, 1.0)).tolist()
+    out = [f"vertices {i} and {j} coincide" for i, j in close if i < j]
+    if out:
+        return out, (), None
     floor = 4.0 * np.finfo(float).eps * float(np.abs(v).max())
     q, c, basis = _fit_planes(v[_HEX_FACE_INDEX])
     n = basis[:, 2]
@@ -453,28 +431,16 @@ def _check_hex(v):
     convex = worst <= max(CONVEXITY_RTOL * diam, floor)
     # Isometric in-plane coordinates of each face's vertices (6, 4, 2).
     face2d = q @ basis[:, :2].transpose(0, 2, 1)
-    out = []
     for f, idx in enumerate(HEX_FACES):
         if not planar[f]:
-            out.append(f"face {f} {tuple(i + 1 for i in idx)} is not planar (offset {offset[f]:.3e})")
+            corners = tuple(i + 1 for i in idx)
+            out.append(f"face {f} {corners} is not planar (offset {offset[f]:.3e})")
             continue
         if not convex[f]:
             out.append(f"vertex protrudes {worst[f]:.3e} beyond face {f} (solid not convex)")
         if _check_quad(face2d[f])[0]:
             out.append(f"face {f} is not a simple quadrilateral")
-    if out:
-        return out, (), None
-    return out, tuple(zip(n, c)), diam
-
-
-def _plane_coords(points, normal, origin):
-    """Isometric 2D coordinates of coplanar points; returns (2D pts, u, w)."""
-    ref = points[1] - points[0]
-    u = ref - (ref @ normal) * normal
-    u = u / np.linalg.norm(u)
-    w = np.cross(normal, u)
-    q = points - origin
-    return np.column_stack([q @ u, q @ w]), u, w
+    return (out, (), None) if out else (out, tuple(zip(n, c)), diam)
 
 
 class Hexahedron:
@@ -498,8 +464,8 @@ class Hexahedron:
         v = v.copy()
         v.flags.writeable = False
         self.vertices = v
-        # Per face: (outward unit normal, centroid), and the largest
-        # pairwise vertex distance, both kept from _check_hex.
+        # Per face (outward unit normal, centroid), and the diameter: kept
+        # from _check_hex.
         self.face_planes = planes
         self.diameter = diameter
         # face_to_plane's result per face index, filled on first use.
@@ -576,8 +542,13 @@ def face_to_plane(hexa: Hexahedron, f: int):
         return hit
     pts = hexa.vertices[list(HEX_FACES[f])]
     n, c = hexa.face_planes[f]
-    verts2d, u, w = _plane_coords(pts, n, c)
-    if _polygon_area(verts2d) < 0:
+    # Isometric in-plane axes: u along the face's first edge, w = n x u.
+    ref = pts[1] - pts[0]
+    u = ref - (ref @ n) * n
+    u = u / np.linalg.norm(u)
+    w = np.cross(n, u)
+    verts2d = np.column_stack([(pts - c) @ u, (pts - c) @ w])
+    if _quad_area(verts2d.tolist()) < 0:
         w = -w
         verts2d = np.column_stack([verts2d[:, 0], -verts2d[:, 1]])
 

@@ -1,10 +1,12 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from momentcoords.cli import main
+from momentcoords.geometry import OVERFLOW_MESSAGE, REFERENCE_CUBE
 from momentcoords.shapes import convex_hex, nonconvex_quad
 
 
@@ -400,3 +402,62 @@ class TestCheck:
             capsys, "check", "--geometry", "conv-quad", "--samples", "5", f"--tol={tol}"
         )
         assert code == 2 and out == "" and "tol" in err
+
+
+def _geometry_file(tmp_path, kind, vertices):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({"kind": kind, "vertices": np.asarray(vertices).tolist()}))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["quad", "hex"])
+def test_overflowing_coordinates_one_message(capsys, tmp_path, kind):
+    # Pairwise distances of the +-1e308 square or cube overflow; every pair
+    # used to be reported as coincident, after numpy overflow warnings.
+    shape = [(-1, -1), (1, -1), (1, 1), (-1, 1)] if kind == "quad" else REFERENCE_CUBE
+    path = _geometry_file(tmp_path, kind, np.asarray(shape, dtype=float) * 1e308)
+    origin = "0,0" if kind == "quad" else "0,0,0"
+    for command in (
+        ["check", "--samples", "5"],
+        ["eval", "--point", origin, "--method", "moment"],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command[0], "--geometry", path, *command[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid geometry: {OVERFLOW_MESSAGE}\n"
+
+
+class TestCramerOnFlatCorner:
+    # A valid quadrilateral whose corner at vertex 1 is nearly straight: the
+    # corner triangle (0, 1, 2) is too flat for the Cramer expansion.
+    VERTICES = [(0.0, 0.0), (1.0, 0.0), (2.0, 1e-14), (1.0, 1.0)]
+    MESSAGE = (
+        "domain error: Cramer's rule is undefined on this quadrilateral:"
+        " corner triangle (0, 1, 2) has area 5.000e-15\n"
+    )
+
+    def test_eval_domain_error(self, capsys, tmp_path):
+        path = _geometry_file(tmp_path, "quad", self.VERTICES)
+        for method, expected in (("cramer", (3, "", self.MESSAGE)), ("moment", (0,))):
+            result = run(capsys, "eval", "--geometry", path, "--point", "1,0.5", "--method", method)
+            assert result[: len(expected)] == expected
+
+    def test_grid_domain_error(self, capsys, tmp_path):
+        path = _geometry_file(tmp_path, "quad", self.VERTICES)
+        out_path = tmp_path / "grid.csv"
+        code, out, err = run(
+            capsys, "grid", "--geometry", path, "--resolution", "9",
+            "--method", "cramer", "--out", str(out_path),
+        )
+        assert (code, out, err) == (3, "", self.MESSAGE)
+        assert not out_path.exists()
+
+    def test_check_leaves_out_cramer_line(self, capsys, tmp_path):
+        path = _geometry_file(tmp_path, "quad", self.VERTICES)
+        code, out, _ = run(capsys, "check", "--geometry", path, "--samples", "50")
+        assert code == 0
+        assert "cramer" not in out and "moment vs mean-value oracle" in out
+        assert out.endswith("all 14 properties passed\n")
+        code, _, err = run(capsys, "check", "--geometry", path, "--samples", "50", "--method", "cramer")
+        assert (code, err) == (3, self.MESSAGE)

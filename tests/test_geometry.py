@@ -1,3 +1,6 @@
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -227,3 +230,198 @@ class TestFaceOfPointHex:
 def test_validate_geometry_type_error():
     with pytest.raises(TypeError):
         validate_geometry([1, 2, 3])
+
+
+# The one-pass validation against the validation it replaced, kept here as
+# its oracle: pairwise np.linalg.norm tests, one SVD and one in-plane chart
+# per face, and quad_violations on numpy arrays.
+def _reference_diameter(vertices):
+    diffs = vertices[:, None, :] - vertices[None, :, :]
+    return float(np.sqrt((diffs**2).sum(axis=2)).max())
+
+
+def _reference_polygon_area(v):
+    c = v.mean(axis=0)
+    n = v.shape[0]
+    return sum(signed_area(v[i], v[(i + 1) % n], c) for i in range(n))
+
+
+def _reference_quad_violations(vertices):
+    v = np.asarray(vertices, dtype=float)
+    out = []
+    if v.shape != (4, 2):
+        return [f"expected 4 vertices with 2 coordinates, got shape {v.shape}"]
+    if not np.all(np.isfinite(v)):
+        return ["vertex coordinates must be finite"]
+    diam = _reference_diameter(v)
+    if diam == 0.0:
+        return ["all vertices coincide"]
+    for i, j in combinations(range(4), 2):
+        if np.linalg.norm(v[i] - v[j]) <= geo.MIN_EDGE_LENGTH * max(diam, 1.0):
+            out.append(f"vertices {i} and {j} coincide")
+    area = _reference_polygon_area(v)
+    if abs(area) <= 1e-12 * diam**2:
+        out.append("vertices are collinear (zero total area)")
+    for i, j in ((0, 2), (1, 3)):
+        a, b = v[i], v[(i + 1) % 4]
+        c, d = v[j], v[(j + 1) % 4]
+        if geo._segments_intersect(a, b, c, d):
+            out.append(f"edges {i} and {j} intersect (polygon is not simple)")
+    return out
+
+
+def _reference_fit_plane(points):
+    c = points.mean(axis=0)
+    q = points - c
+    _, s, vt = np.linalg.svd(q, full_matrices=False)
+    n = vt[-1]
+    return n, c, float(np.abs(q @ n).max())
+
+
+def _reference_plane_coords(points, normal, origin):
+    ref = points[1] - points[0]
+    u = ref - (ref @ normal) * normal
+    u = u / np.linalg.norm(u)
+    w = np.cross(normal, u)
+    q = points - origin
+    return np.column_stack([q @ u, q @ w]), u, w
+
+
+def _reference_check_hex(v):
+    out = []
+    if v.shape != (8, 3):
+        return [f"expected 8 vertices with 3 coordinates, got shape {v.shape}"], ()
+    if not np.all(np.isfinite(v)):
+        return ["vertex coordinates must be finite"], ()
+    diam = _reference_diameter(v)
+    if diam == 0.0:
+        return ["all vertices coincide"], ()
+    for i, j in combinations(range(8), 2):
+        if np.linalg.norm(v[i] - v[j]) <= geo.MIN_EDGE_LENGTH * max(diam, 1.0):
+            out.append(f"vertices {i} and {j} coincide")
+    if out:
+        return out, ()
+    floor = 4.0 * np.finfo(float).eps * float(np.abs(v).max())
+    centroid = v.mean(axis=0)
+    planes = []
+    for f, idx in enumerate(geo.HEX_FACES):
+        pts = v[list(idx)]
+        n, c, offset = _reference_fit_plane(pts)
+        if offset > max(geo.PLANARITY_RTOL * diam, floor):
+            out.append(f"face {f} {tuple(i + 1 for i in idx)} is not planar (offset {offset:.3e})")
+            continue
+        if n @ (c - centroid) < 0:
+            n = -n
+        planes.append((n, c))
+        worst = float(((v - c) @ n).max())
+        if worst > max(geo.CONVEXITY_RTOL * diam, floor):
+            out.append(f"vertex protrudes {worst:.3e} beyond face {f} (solid not convex)")
+        verts2d, _, _ = _reference_plane_coords(pts, n, c)
+        if _reference_quad_violations(verts2d):
+            out.append(f"face {f} is not a simple quadrilateral")
+    return out, tuple(planes)
+
+
+def _quad_corpus(rng, count):
+    """(kind, vertices) of valid quads and of each kind of invalid one."""
+    kinds = ("valid", "coincident", "collinear", "bowtie", "far-small")
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        v = rng.uniform(0.0, 1.0, (4, 2))
+        c = v.mean(axis=0)
+        v = v[np.argsort(np.arctan2(v[:, 1] - c[1], v[:, 0] - c[0]))]
+        if rng.uniform() < 0.5:
+            v = v[::-1]  # clockwise
+        if kind == "coincident":
+            v[rng.integers(4)] = v[rng.integers(4)]
+        elif kind == "collinear":
+            t = rng.uniform(0.0, 3.0, 4)
+            v = np.column_stack([t, rng.uniform(-2, 2) * t + rng.uniform(-1, 1)])
+        elif kind == "bowtie":
+            v = v[[0, 2, 1, 3]]
+        elif kind == "far-small":
+            v = v * 1e-3 + rng.uniform(-1e6, 1e6, 2)
+        yield kind, v
+
+
+def _dart_prism(rng):
+    """A prism over a dart: planar faces, but one reflex edge."""
+    reflex = (rng.uniform(0.2, 0.8), rng.uniform(-0.3, 0.3))
+    dart = {(1, 1): (1, 1), (1, -1): (1, -1), (-1, -1): (-1, -1), (-1, 1): reflex}
+    base = np.array([(*dart[int(x), int(y)], z) for x, y, z in geo.REFERENCE_CUBE])
+    return base @ (np.eye(3) + rng.uniform(-0.2, 0.2, (3, 3))).T
+
+
+def _hex_corpus(rng, count):
+    """(kind, vertices) of valid hexahedra and of each kind of invalid one."""
+    kinds = ("valid", "moved", "duplicated", "twisted", "protruding", "far-small")
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        if k % 2:
+            v = sampling.random_plane_hex(rng, tilt=rng.uniform(0.0, 0.4)).vertices.copy()
+        else:
+            v = sampling.random_affine_cube_hex(rng).vertices.copy()
+        if kind == "moved":
+            v[rng.integers(8)] += rng.normal(size=3) * 0.1
+        elif kind == "duplicated":
+            v[rng.integers(8)] = v[rng.integers(8)]
+        elif kind == "twisted":
+            face = geo.HEX_FACES[rng.integers(6)]
+            v[[face[0], face[1]]] = v[[face[1], face[0]]]
+        elif kind == "protruding":
+            v = _dart_prism(rng)
+        elif kind == "far-small":
+            v = v * 1e-3 + rng.uniform(-1e6, 1e6)
+        yield kind, v
+
+
+def _message_kind(message):
+    return next(w for w in ("coincide", "collinear", "planar", "protrudes", "simple") if w in message)
+
+
+def test_quad_validation_matches_reference():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for kind, v in _quad_corpus(rng, 1000):
+        expected = _reference_quad_violations(v)
+        assert geo.quad_violations(v) == expected, (kind, v)
+        if expected:
+            seen.update(_message_kind(m) for m in expected)
+            continue
+        quad = Quadrilateral(v)
+        reordered = v[[0, 3, 2, 1]] if _reference_polygon_area(v) < 0.0 else v
+        assert np.array_equal(quad.vertices, reordered)
+        assert quad.diameter == _reference_diameter(v)
+        assert geo._quad_area(v.tolist()) == _reference_polygon_area(v)
+    assert seen == {"coincide", "collinear", "simple"}
+
+
+def test_hex_validation_matches_reference():
+    rng = np.random.default_rng(12)
+    seen = set()
+    for kind, v in _hex_corpus(rng, 300):
+        expected, planes = _reference_check_hex(v)
+        assert geo.hex_violations(v) == expected, (kind, v)
+        if expected:
+            seen.update(_message_kind(m) for m in expected)
+            continue
+        hexa = Hexahedron(v)
+        assert np.array_equal(hexa.vertices, v)
+        assert hexa.diameter == _reference_diameter(v)
+        for (n, c), (n_ref, c_ref) in zip(hexa.face_planes, planes, strict=True):
+            assert np.array_equal(n, n_ref) and np.array_equal(c, c_ref)
+    assert seen == {"coincide", "planar", "protrudes", "simple"}
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e308])
+def test_overflowing_coordinates_rejected_once(scale):
+    quad = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)]) * scale
+    cube = geo.REFERENCE_CUBE * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert geo.quad_violations(quad) == [geo.OVERFLOW_MESSAGE]
+        assert geo.hex_violations(cube) == [geo.OVERFLOW_MESSAGE]
+        for build, v in ((Quadrilateral, quad), (Hexahedron, cube)):
+            with pytest.raises(InvalidGeometry) as err:
+                build(v)
+            assert err.value.violations == [geo.OVERFLOW_MESSAGE]
