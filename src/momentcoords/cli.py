@@ -130,9 +130,8 @@ def _require_defined(geom, method: str):
         return
     if method.startswith("wachspress") and not geom.is_convex:
         raise NotConvex("Wachspress coordinates are undefined on nonconvex quadrilaterals")
-    defect = coords2d.cramer_defect(geom) if method == "cramer" else None
-    if defect is not None:
-        raise DegenerateTriangle(defect)
+    if method == "cramer":
+        coords2d.require_cramer(geom)
 
 
 def _parse_point(text: str, dim: int) -> np.ndarray:

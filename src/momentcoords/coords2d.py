@@ -300,7 +300,8 @@ def cramer_defect(quad: Quadrilateral) -> str | None:
     return None
 
 
-def _require_cramer(quad: Quadrilateral):
+def require_cramer(quad: Quadrilateral):
+    """Raise DegenerateTriangle with cramer_defect's reason, if it gives one."""
     defect = cramer_defect(quad)
     if defect is not None:
         raise DegenerateTriangle(defect)
@@ -335,7 +336,7 @@ def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     reproducing rows.  Agrees with moment_coords_quad on simple quads.
     Raises DegenerateTriangle where cramer_defect names a flat corner.
     """
-    _require_cramer(quad)
+    require_cramer(quad)
     p = np.asarray(p, dtype=float)
     if classify_point_quad(quad, p).kind == "exterior":
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
@@ -351,7 +352,7 @@ def cramer_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np
     points[s]).  Raises DegenerateTriangle, as cramer_coords_quad does at
     every point, where cramer_defect names a flat corner.
     """
-    _require_cramer(quad)
+    require_cramer(quad)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi, singular = _cramer(quad, *pts.T)
