@@ -110,7 +110,7 @@ def _quad_area(c) -> float:
 
 def _check_quad(v):
     """(violations, diameter, area) of a float vertex array, checked in one
-    pass on Python floats (diameter and area None where a check failed)."""
+    pass on Python floats (diameter and area None if it stopped before them)."""
     if v.shape != (4, 2):
         return [f"expected 4 vertices with 2 coordinates, got shape {v.shape}"], None, None
     c = v.tolist()
