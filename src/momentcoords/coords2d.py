@@ -1,19 +1,30 @@
 """Moment (mean value) and Wachspress coordinates on simple quadrilaterals.
 
-Both families are computed as unique solutions of 4 x 4 linear systems: the
-constant and linear reproducing rows plus one alternating-sign weight row
+Both families are the unique solutions of a 4 x 4 linear system: the
+constant and linear reproducing rows plus one alternating-sign weight row r
 (vertex distances for the moment family, incident-edge distance products
-for Wachspress).  Three independent oracles are provided for cross checks:
-the local tangent formula for mean value coordinates, a Cramer's-rule
-expansion through triangle coordinates, and the rational area quotient for
-Wachspress.  Each coordinate function and oracle has a batch twin (the
-*_many functions) that evaluates a stack of points and returns (phi, ok)
-instead of raising per point.  Every formula is written once for both, for
-one point or a stack with a leading axis: the weight rows (one point in
-Python floats, which keeps the solves fast), each family's system, the
+for Wachspress).  The system is solved in closed form, not assembled.  The
+reproducing rows have a one-dimensional kernel nu (twice the signed areas
+of the corner triangles, Quadrilateral.reproducing_kernel), so the solution
+is phi = tau + alpha nu: tau holds the barycentric coordinates of p in the
+largest corner triangle, zero at the vertex it leaves out, and alpha =
+-<r, tau> / <r, nu>, defined exactly where the system is nonsingular.  The
+offsets v_i - p and both rows are taken in units of a power of two next to
+the diameter, so nothing overflows and every quadrilateral that validation
+accepts evaluates, whatever its size.  A near-orthogonal row is refused as
+SingularMatrix, and under __debug__ the residual of the four rows is held
+to the contract of smallsolve.solve_dense.
+
+Three independent oracles are provided for cross checks: the local tangent
+formula for mean value coordinates, a Cramer's-rule expansion through all
+four corner triangles, and the rational area quotient for Wachspress.
+Each coordinate function and oracle has a batch twin (the *_many
+functions) that evaluates a stack of points and returns (phi, ok) instead
+of raising per point.  Every formula is written once for both, on Python
+floats for one point and as elementwise numpy over a stack, in the same
+order, so the two agree bit for bit: the weight rows, the closed form, the
 edge weights and the three oracle kernels.  Each path keeps its own
-classifier and solver, which are several times faster on one point than a
-batch of one.
+classifier, which is several times faster on one point than a batch of one.
 """
 
 from __future__ import annotations
@@ -37,23 +48,11 @@ from .geometry import (
     classify_points_quad,
     signed_area,
 )
-from .smallsolve import solve_dense, solve_dense_many
-
-# Sign pattern of the kernel of the reproducing rows on a quadrilateral.
-ALTERNATING = np.array([1.0, -1.0, 1.0, -1.0])
+from .smallsolve import PIVOT_RTOL, RESIDUAL_RTOL
 
 _OTHERS = tuple(tuple(j for j in range(4) if j != i) for i in range(4))
 _NEXT = np.array([1, 2, 3, 0])
 _PREV = np.array([3, 0, 1, 2])
-
-
-def _hypot(dx, dy):
-    """math.hypot of two floats, or elementwise of two equal-shape arrays
-    (np.hypot can differ from it in the last bit)."""
-    if isinstance(dx, float):
-        return math.hypot(dx, dy)
-    flat = map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())
-    return np.array(list(flat)).reshape(dx.shape)
 
 
 def _offsets(quad: Quadrilateral, p) -> np.ndarray:
@@ -61,26 +60,39 @@ def _offsets(quad: Quadrilateral, p) -> np.ndarray:
     return quad.vertices.T - p[..., :, None]
 
 
-def _moment_weights(quad: Quadrilateral, x, y) -> np.ndarray:
-    """(d1, -d2, d3, -d4) at (x, y): (4,) for floats, (m, 4) for arrays (m,)."""
-    d = [_hypot(vx - x, vy - y) for vx, vy in quad.corner_tuple]
-    return np.array([d[0], -d[1], d[2], -d[3]]).T
+def _unit_offsets(quad: Quadrilateral, x, y):
+    """(ux, uy), the four (v_i - p) / L as two lists, of floats at one point
+    (x, y) or of arrays (m,) at a stack, with L the power of two between the
+    diameter and twice it (Quadrilateral.reproducing_kernel).  The scaling
+    is exact, so they carry only the rounding of v_i - p; every weight row
+    and the closed form are taken from them, and no product overflows."""
+    s = quad.reproducing_kernel[3]
+    c = quad.corner_tuple
+    return [(vx - x) * s for vx, _ in c], [(vy - y) * s for _, vy in c]
+
+
+def _moment_weights(ux, uy) -> list:
+    """(d1, -d2, d3, -d4) from _unit_offsets, in units of L."""
+    sqrt = math.sqrt if isinstance(ux[0], float) else np.sqrt
+    d = [sqrt(ax * ax + ay * ay) for ax, ay in zip(ux, uy)]
+    return [d[0], -d[1], d[2], -d[3]]
 
 
 def moment_row(quad: Quadrilateral, p) -> np.ndarray:
     """Alternating-sign vertex distances (d1, -d2, d3, -d4)."""
-    return _moment_weights(quad, float(p[0]), float(p[1]))
+    row = _moment_weights(*_unit_offsets(quad, float(p[0]), float(p[1])))
+    return np.array(row) / quad.reproducing_kernel[3]
 
 
-def _wachspress_weights(quad: Quadrilateral, x, y) -> np.ndarray:
-    """wachspress_row at (x, y): (4,) for floats, (m, 4) for arrays (m,)."""
-    c = quad.corner_tuple
-    lens = quad.edge_lengths
-    h = []
-    for i in range(4):
-        (ax, ay), (bx, by) = c[i], c[(i + 1) % 4]
-        h.append(((bx - ax) * (y - ay) - (by - ay) * (x - ax)) / lens[i])
-    return np.array([lens[i - 1] * lens[i] * h[i - 1] * h[i] for i in range(4)]).T * ALTERNATING
+def _wachspress_weights(ux, uy) -> list:
+    """wachspress_row from _unit_offsets, in units of L**4.
+
+    With c_i = u_i x u_(i+1), twice the signed area of (p, v_i, v_(i+1)) in
+    units of L**2, l(i) h(i) = c_i, so the lengths cancel: rho_i =
+    c_(i-1) c_i.
+    """
+    c = [ux[i] * uy[i - 3] - uy[i] * ux[i - 3] for i in range(4)]
+    return [c[3] * c[0], -(c[0] * c[1]), c[1] * c[2], -(c[2] * c[3])]
 
 
 def wachspress_row(quad: Quadrilateral, p) -> np.ndarray:
@@ -91,28 +103,55 @@ def wachspress_row(quad: Quadrilateral, p) -> np.ndarray:
     """
     if not quad.is_convex:
         raise NotConvex("Wachspress weights require a convex quadrilateral")
-    return _wachspress_weights(quad, float(p[0]), float(p[1]))
+    s = quad.reproducing_kernel[3]
+    return np.array(_wachspress_weights(*_unit_offsets(quad, float(p[0]), float(p[1])))) / s**4
 
 
-def _system(quad: Quadrilateral, p, wachspress: bool):
-    """The 4 x 4 system (matrix, rhs) of either family at one point p (2,)
-    or a stack p (m, 2): ones, v - p and the moment row, or v - p, ones and
-    the Wachspress row; the rhs is 1 in the ones row, else 0.  The
-    Wachspress row grows as the diameter to the fourth; its right-hand side
-    is 0, so scaling it to O(1) leaves the solution unchanged and keeps the
-    solve well scaled."""
-    x, y = p.tolist() if p.ndim == 1 else p.T
-    if wachspress:
-        ones, linear, weights = 2, slice(0, 2), _wachspress_weights(quad, x, y) / quad.diameter**4
-    else:
-        ones, linear, weights = 0, slice(1, 3), _moment_weights(quad, x, y)
-    m = np.empty(p.shape[:-1] + (4, 4))
-    m[..., ones, :] = 1.0
-    m[..., linear, :] = _offsets(quad, p)
-    m[..., 3, :] = weights
-    rhs = np.zeros(p.shape[:-1] + (4,))
-    rhs[..., ones] = 1.0
-    return m, rhs
+def _closed_form(quad: Quadrilateral, x, y, wachspress: bool):
+    """(phi, r, ux, uy, singular) of either family at (x, y), floats at one
+    point or arrays (m,) at a stack; phi, r, ux and uy are 4-lists.
+
+    The reproducing rows have the one-dimensional kernel nu, so phi = tau +
+    alpha nu with tau the barycentric coordinates of p in corner triangle k
+    (zero at vertex k) and alpha = -<r, tau> / <r, nu> for the family's
+    weight row r; alpha does not depend on the scale of r or nu.  The
+    corner triangle is the largest, so tau stays O(1) on the quad.
+    singular is where r is nearly orthogonal to nu,
+    |<r, nu>| <= PIVOT_RTOL * sum |r_i nu_i|; one point raises
+    SingularMatrix there instead.
+    """
+    nu, k, area2, _ = quad.reproducing_kernel
+    ux, uy = _unit_offsets(quad, x, y)
+    r = _wachspress_weights(ux, uy) if wachspress else _moment_weights(ux, uy)
+    rn = [r[0] * nu[0], r[1] * nu[1], r[2] * nu[2], r[3] * nu[3]]
+    den = rn[0] + rn[1] + rn[2] + rn[3]
+    singular = abs(den) <= PIVOT_RTOL * (abs(rn[0]) + abs(rn[1]) + abs(rn[2]) + abs(rn[3]))
+    if isinstance(den, float) and singular:
+        raise SingularMatrix(f"weight row is orthogonal to the reproducing kernel ({den:.3e})")
+    a, b, c = _OTHERS[k]
+    tb = (ux[c] * uy[a] - uy[c] * ux[a]) / area2
+    tc = (ux[a] * uy[b] - uy[a] * ux[b]) / area2
+    ta = 1.0 - tb - tc
+    alpha = -(r[a] * ta + r[b] * tb + r[c] * tc) / den
+    phi = [alpha * nu[0], alpha * nu[1], alpha * nu[2], alpha * nu[3]]
+    phi[a], phi[b], phi[c] = ta + phi[a], tb + phi[b], tc + phi[c]
+    return phi, r, ux, uy, singular
+
+
+def _residual(phi, r, ux, uy):
+    """The four rows phi solves, as a list: partition of unity, linear
+    reproduction in units of L and the weight row."""
+    return [
+        phi[0] + phi[1] + phi[2] + phi[3] - 1.0,
+        phi[0] * ux[0] + phi[1] * ux[1] + phi[2] * ux[2] + phi[3] * ux[3],
+        phi[0] * uy[0] + phi[1] * uy[1] + phi[2] * uy[2] + phi[3] * uy[3],
+        phi[0] * r[0] + phi[1] * r[1] + phi[2] * r[2] + phi[3] * r[3],
+    ]
+
+
+# The residual contract of smallsolve.solve_dense for a right-hand side of
+# inf-norm 1: |residual|_inf <= RESIDUAL_RTOL * (1 + |b|_inf).
+_RESIDUAL_BOUND = 2.0 * RESIDUAL_RTOL
 
 
 def _edge_weights(i, t) -> np.ndarray:
@@ -138,12 +177,16 @@ def _coords_one(quad: Quadrilateral, p, wachspress: bool) -> np.ndarray:
     if loc.kind == "exterior":
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
     if loc.kind == "interior":
-        return solve_dense(*_system(quad, p, wachspress))
+        phi, r, ux, uy, _ = _closed_form(quad, float(p[0]), float(p[1]), wachspress)
+        if __debug__:
+            resid = max(map(abs, _residual(phi, r, ux, uy)))
+            assert resid <= _RESIDUAL_BOUND, f"closed-form residual {resid:.3e} exceeds contract"
+        return np.array(phi)
     return _edge_weights(loc.index, 0.0 if loc.kind == "at_vertex" else loc.t)
 
 
 def _coords_many(quad: Quadrilateral, points, wachspress: bool):
-    """_coords_one at each row of points, the interior systems as one stack."""
+    """_coords_one at each row of points, the interior points as one stack."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     kind, index, t = _classify_points_quad(quad, pts, CLASSIFY_RTOL * quad.diameter)
     phi = np.full((len(pts), 4), np.nan)
@@ -151,7 +194,13 @@ def _coords_many(quad: Quadrilateral, points, wachspress: bool):
     edge = ok & (kind != "interior")
     phi[edge] = _edge_weights(index[edge], np.where(kind[edge] == "at_vertex", 0.0, t[edge]))
     solve = kind == "interior"
-    phi[solve], ok[solve] = solve_dense_many(*_system(quad, pts[solve], wachspress))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cols, r, ux, uy, singular = _closed_form(quad, *pts[solve].T, wachspress)
+        if __debug__:
+            resid = np.abs(_residual(cols, r, ux, uy))[:, ~singular].max(initial=0.0)
+            assert resid <= _RESIDUAL_BOUND, f"closed-form residual {resid:.3e} exceeds contract"
+    phi[solve] = np.where(singular[:, None], np.nan, np.array(cols).T)
+    ok[solve] = ~singular
     return phi, ok
 
 
@@ -198,7 +247,7 @@ def _mean_value(quad: Quadrilateral, p) -> np.ndarray:
     o = _offsets(quad, p)
     ex, ey = o[..., 0, :], o[..., 1, :]
     fx, fy = ex[..., _NEXT], ey[..., _NEXT]
-    r = _hypot(ex, ey)
+    r = np.hypot(ex, ey)
     cross = ex * fy - ey * fx
     dot = ex * fx + ey * fy
     rr = r * r[..., _NEXT]
@@ -273,17 +322,6 @@ def triangle_barycentric(tri, p) -> np.ndarray:
     return np.array(_tri_bary(a, b, c, float(p[0]), float(p[1])))
 
 
-def _kernel_vector(quad: Quadrilateral) -> np.ndarray:
-    """Spanning vector of the kernel of the reproducing rows.
-
-    Entry i is +/- the *signed* area of the triangle formed by the other
-    three vertices (taken in increasing index order); using absolute areas
-    breaks the kernel property on nonconvex quadrilaterals.
-    """
-    c = quad.corner_tuple
-    return np.array([0.5 * _area2(*c[i], *c[j], *c[k]) for i, j, k in _OTHERS]) * ALTERNATING
-
-
 def cramer_defect(quad: Quadrilateral) -> str | None:
     """Why the Cramer expansion is undefined on quad, or None where it is
     defined.  It needs the triangle coordinates of every corner triangle
@@ -308,15 +346,18 @@ def require_cramer(quad: Quadrilateral):
 
 
 def _cramer(quad: Quadrilateral, x, y):
-    """(phi, singular) at (x, y), floats or arrays (m,), with d the moment row:
-    phi_i = -nu_i * <d, tau_i> / <d, nu>, and singular where the moment row
-    is orthogonal to the reproducing kernel (one point raises SingularMatrix
-    instead, before any triangle).  Raises DegenerateTriangle."""
+    """(phi, singular) at (x, y), floats or arrays (m,), with d the moment row
+    and nu the reproducing kernel, in units of L and L**2: phi_i = -nu_i *
+    <d, tau_i> / <d, nu>, and singular where the moment row is orthogonal to
+    the reproducing kernel, |<d, nu>| <= 2e-14 * (diameter / L)**3, which is
+    |<d, nu>| <= 1e-14 * diameter**3 with d in lengths and nu in areas (one
+    point raises SingularMatrix instead, before any triangle).  Raises
+    DegenerateTriangle."""
     c = quad.corner_tuple
-    d = _moment_weights(quad, x, y).T
-    nu = _kernel_vector(quad).tolist()
+    nu, _, _, s = quad.reproducing_kernel
+    d = _moment_weights(*_unit_offsets(quad, x, y))
     den = d[0] * nu[0] + d[1] * nu[1] + d[2] * nu[2] + d[3] * nu[3]
-    singular = abs(den) <= 1e-14 * quad.diameter**3
+    singular = abs(den) <= 2e-14 * (quad.diameter * s) ** 3
     if np.ndim(den) == 0 and singular:
         raise SingularMatrix("moment row is orthogonal to the reproducing kernel")
     phi = []

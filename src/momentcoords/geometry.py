@@ -164,11 +164,29 @@ class Quadrilateral:
         return tuple((float(x), float(y)) for x, y in self.vertices)
 
     @cached_property
-    def edge_lengths(self) -> np.ndarray:
-        v = self.vertices
-        out = np.array([np.linalg.norm(v[(i + 1) % 4] - v[i]) for i in range(4)])
-        out.flags.writeable = False
-        return out
+    def reproducing_kernel(self) -> tuple:
+        """(nu, k, area2, scale), plain floats, for the closed-form
+        coordinates.
+
+        scale is 1 / L for L the power of two with diameter < L <= 2 *
+        diameter; multiplying by it is exact.  nu spans the kernel of the
+        constant and linear reproducing rows: nu_i is (-1)**i times twice
+        the signed area of the corner triangle that leaves vertex i out (the
+        other three in increasing order), in units of L**2.  k is the first
+        index of the largest |nu_i|, and area2 = (-1)**k * nu_k is that
+        triangle's twice signed area.  A simple quadrilateral has an
+        interior diagonal, which splits it into two corner triangles, so
+        triangle k holds at least half the area and is never flat.
+        """
+        s = math.ldexp(1.0, -math.frexp(self.diameter)[1])
+        c = self.corner_tuple
+        nu = []
+        for i in range(4):
+            (ax, ay), (bx, by), (cx, cy) = (c[j] for j in range(4) if j != i)
+            area2 = ((bx - ax) * s) * ((cy - ay) * s) - ((by - ay) * s) * ((cx - ax) * s)
+            nu.append(-area2 if i % 2 else area2)
+        k = max(range(4), key=lambda i: abs(nu[i]))
+        return tuple(nu), k, -nu[k] if k % 2 else nu[k], s
 
     @cached_property
     def _corner_crosses(self) -> np.ndarray:

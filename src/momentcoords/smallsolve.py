@@ -1,8 +1,9 @@
 """Dense square solves (sizes 3-16) with pivoting and singularity detection.
 
-Every coordinate construction in this package bottoms out in one of these
-solves: n x n on an interval, 4 x 4 on a quadrilateral, 8 x 8 on a
-hexahedron.  There is one elimination, an LU with partial (row) pivoting,
+The coordinates on intervals (n x n) and hexahedra (8 x 8) bottom out in
+one of these solves; quadrilaterals solve their 4 x 4 system in closed form
+(coords2d), and their tests use these solves as the reference.  There is
+one elimination, an LU with partial (row) pivoting,
 written twice.  solve_dense runs it on plain Python lists of floats: for a
 single system each numpy call costs more than the arithmetic it does, so a
 row-vectorized numpy LU spends most of its time in per-call overhead, while

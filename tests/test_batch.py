@@ -171,21 +171,37 @@ def test_edge_snapped_rows_pass_row_check(name, scale):
             assert np.abs(recon - (points[snapped] - c)).max(initial=0.0) <= (1 + 1e-5) * tol
 
 
-@pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4])
-def test_wachspress_any_scale(scale):
-    # The Wachspress row grows as diameter**4; unscaled, this quad failed
-    # the residual contract at 1e3 and raised SingularMatrix at 1e-3 and 1e4.
-    quad = Quadrilateral(sampling.random_simple_quad(np.random.default_rng(0)).vertices * scale)
+SCALES = [1e-5, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e9, 1e14, 1e100]
+
+
+def _assert_any_scale(single, many, oracle, scale):
+    # Both weight rows are taken in units of a power of two next to the
+    # diameter, and the closed form's alpha does not depend on their scale.  Scaled by 1e9 the 4 x 4
+    # solve failed its residual contract, by 1e14 its pivot floor, and the
+    # Wachspress row's diameter**4 overflowed by 1e100.  The oracle runs on
+    # the unscaled quad, where its own products cannot overflow.
+    base = sampling.random_simple_quad(np.random.default_rng(0))
+    quad = Quadrilateral(base.vertices * scale)
     points = _bbox_grid(quad, 9)
     kind, _ = classify_points_quad(quad, points)
     inside = np.flatnonzero(kind != "exterior")
-    phi, ok = wachspress_coords_quad_many(quad, points)
+    phi, ok = many(quad, points)
     assert ok[inside].all()
     for s in inside:
-        ref = wachspress_coords_quad(quad, points[s])
+        ref = single(quad, points[s])
         assert np.array_equal(phi[s], ref)
         if kind[s] == "interior":
-            assert np.abs(ref - wachspress_oracle(quad, points[s])).max() <= 1e-14
+            assert np.abs(ref - oracle(base, points[s] / scale)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_wachspress_any_scale(scale):
+    _assert_any_scale(wachspress_coords_quad, wachspress_coords_quad_many, wachspress_oracle, scale)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_moment_any_scale(scale):
+    _assert_any_scale(moment_coords_quad, moment_coords_quad_many, mvc_oracle, scale)
 
 
 def _assert_oracles_equal(quad, points):

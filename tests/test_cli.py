@@ -461,3 +461,29 @@ class TestCramerOnFlatCorner:
         assert out.endswith("all 14 properties passed\n")
         code, _, err = run(capsys, "check", "--geometry", path, "--samples", "50", "--method", "cramer")
         assert (code, err) == (3, self.MESSAGE)
+
+
+@pytest.mark.parametrize("side", [1e9, 1e100])
+def test_large_square_evaluates(capsys, tmp_path, side):
+    # On [0, 1e9]^2 the 4 x 4 solve failed its residual contract (an
+    # AssertionError traceback from grid --method wachspress and eval
+    # --method moment); on [0, 1e100]^2 its pivot floor refused moment and
+    # the Wachspress row's diameter**4 overflowed.
+    path = _geometry_file(tmp_path, "quad", np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * side)
+    point = f"{0.5 * side!r},{side / 3!r}"
+    out_path = tmp_path / "grid.csv"
+    for method in ("moment", "wachspress"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "--geometry", path, "--point", point, "--method", method)
+            assert (code, err) == (0, "")
+            weights = np.array(json.loads(out)["weights"])
+            assert np.abs(weights - [1 / 3, 1 / 3, 1 / 6, 1 / 6]).max() <= 1e-14
+            code, _, err = run(
+                capsys, "grid", "--geometry", path, "--resolution", "21",
+                "--method", method, "--out", str(out_path),
+            )
+        assert (code, err) == (0, "")
+        with open(out_path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 21 * 21 and all(cell != "" for row in rows for cell in row)

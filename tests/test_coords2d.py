@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,20 +8,24 @@ from momentcoords import sampling
 from momentcoords.coords2d import (
     cramer_coords_quad,
     moment_coords_quad,
+    moment_coords_quad_many,
     moment_row,
     mvc_oracle,
     triangle_barycentric,
     wachspress_coords_quad,
+    wachspress_coords_quad_many,
     wachspress_oracle,
     wachspress_row,
 )
 from momentcoords.errors import (
     DegenerateTriangle,
+    InvalidGeometry,
     NotConvex,
     OnBoundary,
     OutsideDomain,
 )
 from momentcoords.geometry import Quadrilateral
+from momentcoords.smallsolve import solve_dense
 
 
 class TestMomentRow:
@@ -262,3 +269,116 @@ class TestCovariance:
                     - moment_coords_quad(mapped, a @ p + b)
                 ).max()
                 assert diff <= 1e-9
+
+
+FAMILIES = {
+    "moment": (moment_coords_quad, moment_coords_quad_many),
+    "wachspress": (wachspress_coords_quad, wachspress_coords_quad_many),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("side", [1e-5, 1e9, 1e14, 1e100])
+def test_square_of_any_size(family, side):
+    # The 4 x 4 solve failed its residual contract on the square of side
+    # 1e9, its pivot floor from 1e14, and the Wachspress row's diameter**4
+    # overflowed at 1e100.  Wachspress is bilinear on a square, and moment
+    # coordinates agree with it on the square's axis of symmetry x = s / 2.
+    single, many = FAMILIES[family]
+    quad = Quadrilateral(np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * side)
+    points = np.array([(0.5, 1 / 3), (0.5, 0.5), (0.5, 0.25)]) * side
+    expect = [[1 / 3, 1 / 3, 1 / 6, 1 / 6], [0.25] * 4, [0.375, 0.375, 0.125, 0.125]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi, ok = many(quad, points)
+        assert ok.all()
+        for p, row, want in zip(points, phi, expect):
+            assert np.array_equal(single(quad, p), row)
+            assert np.abs(row - want).max() <= 1e-14
+
+
+def _lu_coords(quad, p, wachspress):
+    """The 4 x 4 system the closed form replaced, assembled as it was and
+    solved by LU: the ones row, v - p and the moment row (rhs e_0), or
+    v - p, the ones row and the Wachspress row over diameter**4 (rhs e_2)."""
+    v = quad.vertices
+    x, y = float(p[0]), float(p[1])
+    off = v.T - np.asarray(p, dtype=float)[:, None]
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    if wachspress:
+        e = [v[(i + 1) % 4] - v[i] for i in range(4)]
+        lens = [math.hypot(ex, ey) for ex, ey in e]
+        h = [(e[i][0] * (y - v[i][1]) - e[i][1] * (x - v[i][0])) / lens[i] for i in range(4)]
+        row = np.array([lens[i - 1] * lens[i] * h[i - 1] * h[i] for i in range(4)]) * signs
+        matrix = [off[0], off[1], np.ones(4), row / quad.diameter**4]
+        return solve_dense(np.array(matrix), [0.0, 0.0, 1.0, 0.0])
+    row = np.array([math.hypot(off[0, i], off[1, i]) for i in range(4)]) * signs
+    return solve_dense(np.array([np.ones(4), off[0], off[1], row]), [1.0, 0.0, 0.0, 0.0])
+
+
+def _flatten_corner(quad, i, eps):
+    """quad with vertex i moved to eps * diameter beyond the midpoint of the
+    chord between its neighbours: a corner that is straight up to eps."""
+    v = quad.vertices.copy()
+    a, b = v[i - 1], v[(i + 1) % 4]
+    e = b - a
+    v[i] = 0.5 * (a + b) + eps * quad.diameter * np.array([e[1], -e[0]]) / np.linalg.norm(e)
+    return Quadrilateral(v)
+
+
+def _oracle_sample(seed, n_quads, n_points):
+    """(quad, points) pairs: seeded random simple quads, a third of them with
+    a corner flattened to 1e-7, a third moved by up to 1e6."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n_quads:
+        quad = sampling.random_simple_quad(rng)
+        if len(out) % 3 == 1:
+            try:
+                quad = _flatten_corner(quad, int(rng.integers(4)), 1e-7)
+            except InvalidGeometry:
+                continue
+        if len(out) % 3 == 2:
+            quad = Quadrilateral(quad.vertices + rng.uniform(-1e6, 1e6, 2))
+        out.append((quad, sampling.interior_points_quad(quad, n_points, rng)))
+    return out
+
+
+def test_closed_form_matches_lu():
+    worst = {False: 0.0, True: 0.0}
+    for quad, points in _oracle_sample(5, 150, 5):
+        for wachspress in (False, True) if quad.is_convex else (False,):
+            single = wachspress_coords_quad if wachspress else moment_coords_quad
+            for p in points:
+                diff = np.abs(single(quad, p) - _lu_coords(quad, p, wachspress)).max()
+                worst[wachspress] = max(worst[wachspress], diff)
+    assert max(worst.values()) <= 1e-13, worst
+
+
+def _mp_coords(quad, p, wachspress, mpmath):
+    """The 4 x 4 system in 50-digit arithmetic, from the float vertices and
+    point, with the Wachspress row as products of incident edge crosses."""
+    v = [[mpmath.mpf(float(c)) for c in row] for row in quad.vertices]
+    x, y = mpmath.mpf(float(p[0])), mpmath.mpf(float(p[1]))
+    ux = [a - x for a, _ in v]
+    uy = [b - y for _, b in v]
+    if wachspress:
+        c = [ux[i] * uy[(i + 1) % 4] - uy[i] * ux[(i + 1) % 4] for i in range(4)]
+        row = [c[i - 1] * c[i] for i in range(4)]
+    else:
+        row = [mpmath.sqrt(ux[i] ** 2 + uy[i] ** 2) for i in range(4)]
+    matrix = mpmath.matrix([[1] * 4, ux, uy, [(-1) ** i * row[i] for i in range(4)]])
+    return np.array([float(t) for t in mpmath.lu_solve(matrix, mpmath.matrix([1, 0, 0, 0]))])
+
+
+def test_closed_form_matches_50_digit_solve():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for quad, points in _oracle_sample(9, 30, 3):
+            for wachspress in (False, True) if quad.is_convex else (False,):
+                single = wachspress_coords_quad if wachspress else moment_coords_quad
+                for p in points:
+                    ref = _mp_coords(quad, p, wachspress, mpmath)
+                    worst = max(worst, np.abs(single(quad, p) - ref).max())
+    assert worst <= 5e-14

@@ -118,7 +118,7 @@ class TestOutwardNormal:
         for _ in range(25):
             quad = sampling.random_simple_quad(rng, convex=True)
             v = quad.vertices
-            lens = quad.edge_lengths
+            lens = [np.linalg.norm(v[(i + 1) % 4] - v[i]) for i in range(4)]
             scale2 = quad.diameter**2
             for i in range(4):
                 n_prev = outward_normal(quad, (i - 1) % 4)
