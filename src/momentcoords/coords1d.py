@@ -5,25 +5,52 @@ alternating-sign distance row, and n - 3 adjacency rows with two unit
 entries each.  The node set is relabeled so that the interval containing
 the query occupies positions 1 and 2; the adjacency rows then pair the
 remaining positions (3,4), (4,5), ..., keeping the expected two-nonzero
-hat solution out of every adjacency constraint.
+hat solution out of every adjacency constraint.  build_system_1d assembles
+that n x n system; the tests solve it as the reference.
+
+The coordinates do not solve it.  The adjacency rows are a bidiagonal
+chain over the nodes outside the containing interval [k, k+1], taken in
+index order, so eliminating them leaves phi_j = (-1)**j t for every such
+node j, and (-1)**j is also node j's sign in the distance row.  What is
+left is a 3 x 3 system in (phi_k, phi_(k+1), t):
+
+    [[1,   1,       c0],      [phi_k    ]   [1]
+     [d_k, d_(k+1), c1],   .  [phi_(k+1)] = [0]
+     [e_k, e_(k+1), c2]]      [t        ]   [0]
+
+with d_j the offset x_j - x, e_j = (-1)**j |d_j|, and c0 = sum (-1)**j
+(n mod 2, since the two inside signs cancel), c1 = sum (-1)**j d_j and
+c2 = sum |d_j| over the outside nodes in index order.  It is solved in
+closed form by expanding along its first row.  The offsets are taken in
+units of a power of two next to the span (NodeSet1D.unit_scale), which is
+exact and leaves the weights unchanged, so every node set that validation
+accepts evaluates, whatever its size.  A determinant at or below
+smallsolve.PIVOT_RTOL times the sum of its six expansion terms is refused
+as SingularMatrix, and under __debug__ the residual of all n rows, in units
+of L, is held to the contract of smallsolve.solve_dense.
 
 moment_coords_1d_many and hat_oracle_many evaluate a batch of queries.  The
-relabeled assembly and the hat weights are written once, for one query or a
-stack; each path keeps its own locator and solver.
+fold and the hat weights are written once, on Python floats for one query
+and as elementwise numpy over a stack, in the same order, so the two agree
+bit for bit; each path keeps its own locator.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
+from operator import add, mul
 
 import numpy as np
 
-from .errors import OutOfDomain
+from .errors import OutOfDomain, SingularMatrix
 from .geometry import NodeSet1D
-from .smallsolve import solve_dense, solve_dense_many
+from .smallsolve import PIVOT_RTOL, RESIDUAL_RTOL
 
 DOMAIN_RTOL = 1e-12
+# The residual contract of smallsolve.solve_dense for a right-hand side of
+# inf-norm 1: |residual|_inf <= RESIDUAL_RTOL * (1 + |b|_inf).
+_RESIDUAL_BOUND = 2.0 * RESIDUAL_RTOL
 
 
 def _locate(nodes: NodeSet1D, x: float):
@@ -33,27 +60,23 @@ def _locate(nodes: NodeSet1D, x: float):
     OutOfDomain when x is not finite or lies outside beyond a span-relative
     tolerance.
     """
-    xs = nodes.nodes
-    lo, hi = float(xs[0]), float(xs[-1])
+    xs = nodes.node_tuple
+    lo, hi = xs[0], xs[-1]
     x = float(x)
     tol = DOMAIN_RTOL * nodes.span
     if not math.isfinite(x) or x < lo - tol or x > hi + tol:
         raise OutOfDomain(f"x={x!r} outside [{lo!r}, {hi!r}]")
     x = min(max(x, lo), hi)
-    idx = int(np.searchsorted(xs, x, side="left"))
-    if idx < len(xs) and xs[idx] == x:
-        k = max(idx - 1, 0)
-    else:
-        k = idx - 1
-    return k, x
+    # The first node >= x closes interval idx - 1; a hit on it (or on
+    # nodes[0]) takes the lower interval, so k never reaches len - 1.
+    return max(bisect.bisect_left(xs, x) - 1, 0), x
 
 
 def _locate_many(nodes: NodeSet1D, x):
     """_locate at each query of x (any shape, flattened): (k, x, ok).
 
     ok[s] is False where _locate raises OutOfDomain; k[s] is then 0.  The
-    clamp and the exact-node test run as _locate's, so k and x are the
-    same numbers.
+    clamp and the search run as _locate's, so k and x are the same numbers.
     """
     xs = nodes.nodes
     lo, hi = float(xs[0]), float(xs[-1])
@@ -62,46 +85,9 @@ def _locate_many(nodes: NodeSet1D, x):
     ok = np.isfinite(x) & ~(x < lo - tol) & ~(x > hi + tol)
     x = np.where(lo > x, lo, x)  # max(x, lo), then min(x, hi)
     x = np.where(hi < x, hi, x)
-    idx = np.searchsorted(xs, x, side="left")
-    hit = xs[np.minimum(idx, len(xs) - 1)] == x
-    k = np.where(hit, np.maximum(idx - 1, 0), idx - 1)
+    k = np.maximum(np.searchsorted(xs, x, side="left") - 1, 0)
     k[~ok] = 0
     return k, x, ok
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(n: int):
-    """The parts of the n x n system that no query changes, read-only: the
-    positions 0..n-1, the distance-row signs by original node index, and
-    the n - 3 adjacency rows, with unit entries at positions (2, 3), ..."""
-    j = np.arange(n)
-    # Distance-row signs alternate with the *original* sorted index; keying
-    # them to the permuted position instead makes the row a multiple of the
-    # centered-node row whenever the containing interval index is even.
-    parts = j, np.where(j % 2 == 0, 1.0, -1.0), (np.eye(n, k=2) + np.eye(n, k=3))[: n - 3]
-    for part in parts:
-        part.flags.writeable = False
-    return parts
-
-
-def _relabeled_system(xs, k, xq):
-    """The relabeled n x n system (matrix, rhs, permutation) of one query
-    (k an int, xq a float) or of a stack of them (arrays (m,)) on nodes xs;
-    permutation[..., j] is the original index of permuted position j."""
-    n = len(xs)
-    j, signs, adjacency = _layout(n)
-    k, xq = np.asarray(k)[..., None], np.asarray(xq)[..., None]
-    perm = np.where(j < k + 2, j - 2, j)
-    perm[..., :2] = k + (0, 1)
-    d = xs[perm] - xq
-    m = np.empty(perm.shape[:-1] + (n, n))
-    m[..., 0, :] = 1.0
-    m[..., 1, :] = d
-    m[..., 2, :] = signs[perm] * np.abs(d)
-    m[..., 3:, :] = adjacency
-    rhs = np.zeros(perm.shape)
-    rhs[..., 0] = 1.0
-    return m, rhs, perm
 
 
 def build_system_1d(nodes: NodeSet1D, x: float):
@@ -109,9 +95,57 @@ def build_system_1d(nodes: NodeSet1D, x: float):
 
     Returns (matrix, rhs, permutation): permutation[j] is the original index
     of permuted position j, so the containing interval is permutation[0].
+    The coordinates solve its folded 3 x 3 form instead; this is the tests'
+    reference.
     """
     k, xq = _locate(nodes, x)
-    return _relabeled_system(nodes.nodes, k, xq)
+    n = len(nodes)
+    perm = np.concatenate(([k, k + 1], np.arange(k), np.arange(k + 2, n)))
+    d = nodes.nodes[perm] - xq
+    matrix = np.zeros((n, n))
+    matrix[0] = 1.0
+    matrix[1] = d
+    # Distance-row signs alternate with the *original* sorted index; keying
+    # them to the permuted position instead makes the row a multiple of the
+    # centered-node row whenever the containing interval index is even.
+    matrix[2] = np.where(perm % 2 == 0, 1.0, -1.0) * np.abs(d)
+    for r in range(3, n):
+        matrix[r, r - 1 : r + 1] = 1.0
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    return matrix, rhs, perm
+
+
+def _fold(dk, dk1, sk, c0, c1, c2):
+    """(phi_k, phi_(k+1), t, singular) of the folded 3 x 3 system, floats
+    for one query or arrays (m,) for a stack.
+
+    dk and dk1 are the offsets of the interval's nodes, sk = (-1)**k, and
+    c0, c1, c2 the folded outside columns.  The determinant is expanded
+    along the ones row; its three cofactors are the numerators.  singular
+    is where |det| <= PIVOT_RTOL times the sum of the expansion's six |terms|.
+    """
+    ek, ek1 = sk * abs(dk), -sk * abs(dk1)
+    p1, p2, p3, p4 = dk1 * c2, c1 * ek1, dk * c2, c1 * ek
+    p5, p6 = dk * ek1, dk1 * ek
+    num_k, num_k1, num_t = p1 - p2, p4 - p3, p5 - p6
+    det = num_k + num_k1 + c0 * num_t
+    terms = abs(p1) + abs(p2) + abs(p3) + abs(p4) + c0 * (abs(p5) + abs(p6))
+    floor = PIVOT_RTOL * terms
+    singular = abs(det) <= floor
+    if isinstance(det, float) and singular:
+        raise SingularMatrix(f"folded determinant {det:.3e} below threshold {floor:.3e}")
+    return num_k / det, num_k1 / det, num_t / det, singular
+
+
+def _residual_rows(d, phi, chain) -> list:
+    """The residuals of the n rows of the relabeled system, in units of L:
+    ones, offsets, signed distances, then the adjacency pairs along chain
+    (phi at the outside nodes in index order).  Entries are floats for one
+    query, arrays (m,) for a stack."""
+    e = [abs(dj) if j % 2 == 0 else -abs(dj) for j, dj in enumerate(d)]
+    ones = sum(phi) - 1.0
+    return [ones, sum(map(mul, d, phi)), sum(map(mul, e, phi)), *map(add, chain, chain[1:])]
 
 
 def moment_coords_1d(nodes: NodeSet1D, x: float) -> np.ndarray:
@@ -120,25 +154,59 @@ def moment_coords_1d(nodes: NodeSet1D, x: float) -> np.ndarray:
     Nonnegative, partition of unity, linear precision; coincides with the
     hat-function coordinates of the containing interval.
     """
-    matrix, rhs, perm = build_system_1d(nodes, x)
-    phi = np.empty(len(nodes))
-    phi[perm] = solve_dense(matrix, rhs)
-    return phi
+    k, xq = _locate(nodes, x)
+    s = nodes.unit_scale
+    d = [(xj - xq) * s for xj in nodes.node_tuple]
+    n = len(d)
+    c1 = c2 = 0.0
+    for j in (*range(k), *range(k + 2, n)):
+        c1 += d[j] if j % 2 == 0 else -d[j]
+        c2 += abs(d[j])
+    a, b, t, _ = _fold(d[k], d[k + 1], -1.0 if k % 2 else 1.0, float(n % 2), c1, c2)
+    # Adding to +0.0 (or taking from it) makes a zero weight +0.0 and
+    # changes no other value.
+    phi = [t + 0.0, 0.0 - t] * (n // 2) + [t + 0.0] * (n % 2)
+    phi[k], phi[k + 1] = a + 0.0, b + 0.0
+    if __debug__:
+        resid = max(map(abs, _residual_rows(d, phi, phi[:k] + phi[k + 2 :])))
+        assert resid <= _RESIDUAL_BOUND, f"folded residual {resid:.3e} exceeds contract"
+    return np.array(phi)
 
 
 def moment_coords_1d_many(nodes: NodeSet1D, x) -> tuple[np.ndarray, np.ndarray]:
     """moment_coords_1d at each query of x (m,) or (m, 1); returns (phi, ok).
 
-    The relabeled systems are solved as one stack by solve_dense_many, so
-    phi[s] is bitwise equal to moment_coords_1d(nodes, x[s]) where ok[s] is
-    set.  ok[s] is False (and phi[s] NaN) where the single-point function
+    The fold runs over the stack as moment_coords_1d runs it on one query,
+    so phi[s] is bitwise equal to moment_coords_1d(nodes, x[s]) where ok[s]
+    is set.  ok[s] is False (and phi[s] NaN) where the single-point function
     raises: a query outside the nodes or not finite, or a singular system.
     """
     k, xq, ok = _locate_many(nodes, x)
-    phi = np.full((len(xq), len(nodes)), np.nan)
     rows = np.flatnonzero(ok)
-    matrix, rhs, perm = _relabeled_system(nodes.nodes, k[ok], xq[ok])
-    phi[rows[:, None], perm], ok[rows] = solve_dense_many(matrix, rhs)
+    k, m, n = k[rows], len(rows), len(nodes)
+    d = (nodes.nodes - xq[rows, None]) * nodes.unit_scale
+    col, j = k[:, None], np.arange(n)
+    outside = (j != col) & (j != col + 1)
+    c1 = c2 = np.zeros(m)
+    # Inside nodes add +0.0, which leaves a sum that started at +0.0 as it is.
+    for i in range(n):
+        c1 = c1 + np.where(outside[:, i], d[:, i] if i % 2 == 0 else -d[:, i], 0.0)
+        c2 = c2 + np.where(outside[:, i], abs(d[:, i]), 0.0)
+    dk, dk1 = d[np.arange(m), k], d[np.arange(m), k + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b, t, singular = _fold(dk, dk1, np.where(k % 2, -1.0, 1.0), float(n % 2), c1, c2)
+    a, b, t = a[:, None] + 0.0, b[:, None] + 0.0, t[:, None]
+    w = np.where(j == col, a, np.where(j == col + 1, b, np.where(j % 2 == 0, t + 0.0, 0.0 - t)))
+    w[singular] = np.nan
+    if __debug__:
+        order = np.where(j[: n - 2] < col, j[: n - 2], j[: n - 2] + 2)  # the outside nodes
+        chain = np.take_along_axis(w, order, axis=1)
+        resid = np.abs(_residual_rows(list(d.T), list(w.T), list(chain.T)))
+        resid = resid[:, ~singular].max(initial=0.0)
+        assert resid <= _RESIDUAL_BOUND, f"folded residual {resid:.3e} exceeds contract"
+    phi = np.full((len(xq), n), np.nan)
+    phi[rows] = w
+    ok[rows] = ~singular
     return phi, ok
 
 

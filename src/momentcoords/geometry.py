@@ -342,9 +342,21 @@ class NodeSet1D:
     def __len__(self):
         return self.nodes.shape[0]
 
-    @property
+    @cached_property
     def span(self) -> float:
         return float(self.nodes[-1] - self.nodes[0])
+
+    @cached_property
+    def node_tuple(self) -> tuple:
+        """Nodes as plain floats for the single-point locator and fold."""
+        return tuple(self.nodes.tolist())
+
+    @cached_property
+    def unit_scale(self) -> float:
+        """1 / L for L the power of two with span < L <= 2 * span, or 2**1023
+        for a subnormal span; offsets x_j - x are taken in units of L, and
+        multiplying by it is exact."""
+        return math.ldexp(1.0, min(-math.frexp(self.span)[1], 1023))
 
     def __repr__(self):
         return f"NodeSet1D({self.nodes.tolist()})"
@@ -358,6 +370,8 @@ def nodes_violations(nodes) -> list[str]:
         return [f"need at least 3 nodes, got {x.shape[0]}"]
     if not np.all(np.isfinite(x)):
         return ["nodes must be finite"]
+    if not math.isfinite(float(x[-1]) - float(x[0])):
+        return [OVERFLOW_MESSAGE]
     if not np.all(np.diff(x) > 0):
         return ["nodes must be strictly increasing"]
     return []

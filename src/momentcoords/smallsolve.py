@@ -1,15 +1,16 @@
 """Dense square solves (sizes 3-16) with pivoting and singularity detection.
 
-The coordinates on intervals (n x n) and hexahedra (8 x 8) bottom out in
-one of these solves; quadrilaterals solve their 4 x 4 system in closed form
-(coords2d), and their tests use these solves as the reference.  There is
-one elimination, an LU with partial (row) pivoting,
-written twice.  solve_dense runs it on plain Python lists of floats: for a
-single system each numpy call costs more than the arithmetic it does, so a
-row-vectorized numpy LU spends most of its time in per-call overhead, while
-the list LU runs the same elimination three to four times faster on 4 x 4
-and 8 x 8.  solve_dense_many runs it over a stack of systems, one numpy
-operation per step for the whole stack, with bitwise equal results.
+The hexahedral coordinates (8 x 8) bottom out in one of these solves.
+Quadrilaterals (4 x 4, coords2d) and intervals (n x n, folded to 3 x 3 in
+coords1d) are solved in closed form, and their tests use these solves as
+the reference.  There is one elimination, an LU with partial (row)
+pivoting, written twice.  solve_dense runs it on plain Python lists of
+floats: for a single system each numpy call costs more than the arithmetic
+it does, so a row-vectorized numpy LU spends most of its time in per-call
+overhead, while the list LU runs the same elimination three to four times
+faster on 4 x 4 and 8 x 8.  solve_dense_many runs it over a stack of
+systems, one numpy operation per step for the whole stack, with bitwise
+equal results.
 """
 
 from __future__ import annotations

@@ -511,7 +511,9 @@ def test_property_batch_equals_single_point(seed, log_scale, offset):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(3, 16),
-    log_scale=st.floats(-3.0, 3.0),
+    # Up to 1e100: from 1e8 the n x n LU broke its residual contract, from
+    # 1e14 its pivot floor.
+    log_scale=st.floats(-3.0, 3.0) | st.floats(8.0, 100.0),
     offset=st.floats(-1e6, 1e6),
 )
 def test_property_interval_batch_equals_single_point(seed, n, log_scale, offset):
@@ -520,6 +522,8 @@ def test_property_interval_batch_equals_single_point(seed, n, log_scale, offset)
     x = _interval_test_points(nodes, rng, count=40)
     _assert_many_equal(moment_coords_1d, moment_coords_1d_many, nodes, x)
     _assert_many_equal(hat_oracle, hat_oracle_many, nodes, x)
+    # Only queries outside the domain fail, as for the hat oracle.
+    assert np.array_equal(moment_coords_1d_many(nodes, x)[1], hat_oracle_many(nodes, x)[1])
 
 
 def _hex_test_points(hexa, rng, n=7):

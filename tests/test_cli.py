@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from momentcoords import sampling
 from momentcoords.cli import main
 from momentcoords.geometry import OVERFLOW_MESSAGE, REFERENCE_CUBE
 from momentcoords.shapes import convex_hex, nonconvex_quad
@@ -406,17 +407,22 @@ class TestCheck:
 
 def _geometry_file(tmp_path, kind, vertices):
     path = tmp_path / f"{kind}.json"
-    path.write_text(json.dumps({"kind": kind, "vertices": np.asarray(vertices).tolist()}))
+    key = "nodes" if kind == "interval" else "vertices"
+    path.write_text(json.dumps({"kind": kind, key: np.asarray(vertices).tolist()}))
     return str(path)
 
 
-@pytest.mark.parametrize("kind", ["quad", "hex"])
+@pytest.mark.parametrize("kind", ["quad", "hex", "interval"])
 def test_overflowing_coordinates_one_message(capsys, tmp_path, kind):
     # Pairwise distances of the +-1e308 square or cube overflow; every pair
-    # used to be reported as coincident, after numpy overflow warnings.
-    shape = [(-1, -1), (1, -1), (1, 1), (-1, 1)] if kind == "quad" else REFERENCE_CUBE
+    # used to be reported as coincident, after numpy overflow warnings.  The
+    # span of nodes +-1e308 overflowed too: SingularMatrix, after a warning.
+    shape, origin = {
+        "quad": ([(-1, -1), (1, -1), (1, 1), (-1, 1)], "0,0"),
+        "hex": (REFERENCE_CUBE, "0,0,0"),
+        "interval": ([-1, 0, 1], "0"),
+    }[kind]
     path = _geometry_file(tmp_path, kind, np.asarray(shape, dtype=float) * 1e308)
-    origin = "0,0" if kind == "quad" else "0,0,0"
     for command in (
         ["check", "--samples", "5"],
         ["eval", "--point", origin, "--method", "moment"],
@@ -461,6 +467,31 @@ class TestCramerOnFlatCorner:
         assert out.endswith("all 14 properties passed\n")
         code, _, err = run(capsys, "check", "--geometry", path, "--samples", "50", "--method", "cramer")
         assert (code, err) == (3, self.MESSAGE)
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e12, 1e14, 1e100])
+def test_large_interval_evaluates(capsys, tmp_path, scale):
+    # Scaled by 1e9 the n x n interval solve failed its residual contract
+    # (grid and check exited 1 with a traceback); from 1e14 its pivot floor
+    # refused every point (blank grid rows, check exited 2).
+    nodes = sampling.random_nodes(np.random.default_rng(3), 7).nodes * scale + 3 * scale
+    path = _geometry_file(tmp_path, "interval", nodes)
+    out_path = tmp_path / "grid.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = repr(float(nodes[3]))
+        code, out, err = run(capsys, "eval", "--geometry", path, "--point", point, "--method", "moment")
+        assert (code, err) == (0, "") and json.loads(out)["weights"] == [0, 0, 0, 1, 0, 0, 0]
+        code, _, err = run(
+            capsys, "grid", "--geometry", path, "--resolution", "41",
+            "--method", "moment", "--out", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "check", "--geometry", path, "--samples", "50")
+        assert (code, err) == (0, "") and out.endswith("properties passed\n")
+    with open(out_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 41 and all(cell != "" for row in rows for cell in row)
 
 
 @pytest.mark.parametrize("side", [1e9, 1e100])
