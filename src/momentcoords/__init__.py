@@ -31,10 +31,8 @@ from .coords2d import (
 )
 from .coords3d import (
     Frame3,
-    distance_row_3d,
     moment_coords_hex,
     moment_coords_hex_many,
-    partial_distance_matrix,
     reference_frame,
     sign_pattern_ok,
 )
@@ -89,10 +87,8 @@ __all__ = [
     "wachspress_oracle_many",
     "wachspress_row",
     "Frame3",
-    "distance_row_3d",
     "moment_coords_hex",
     "moment_coords_hex_many",
-    "partial_distance_matrix",
     "reference_frame",
     "sign_pattern_ok",
     "DegenerateEdge",

@@ -252,8 +252,7 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
     )
     _axioms(acc, "moment ", phi[ok], v, pts[ok], d)
     if ok.any():
-        tol = coords3d.PATTERN_ZERO_RTOL * d
-        pattern = np.all(coords3d.SIGN_PATTERN * w[ok] > tol, axis=(1, 2))
+        pattern = coords3d.sign_pattern_ok(w[ok], d)
         acc.record("sign pattern verified", 0.0 if pattern.all() else 1.0, 0.5)
     acc.record("no solver singularity", float((~ok).sum()), 0.5)
 

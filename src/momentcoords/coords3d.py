@@ -20,15 +20,26 @@ inside the partial-distance block, and the frame row of the face's pair is
 the face normal.  This reduces the solution to the 2D moment coordinates of
 the face.
 
+The frame's inverse is taken by cofactors: its unit basis vectors are the
+adjugate's columns over their norms, and its rows the functionals scaled
+by |adjugate column| / |det|.  The system takes the frame coordinates in
+units of L, the power of two next to the diameter (an exact scaling), so
+its rows are O(1) whatever the size of the hexahedron; the frame and the
+frame coordinates it returns stay in absolute units.
+
 moment_coords_hex evaluates one point; moment_coords_hex_many evaluates a
-batch with the same arithmetic, written once where the two can share it:
-the helpers below take one point's arrays or a stack of them (the leading
-axes broadcast), and every sum of products is spelled out elementwise,
-because the rounding of a matrix product depends on the BLAS kernel and on
-the stack around it.
+batch with the same arithmetic.  The frame rule is written once
+(_frame): it takes one point as Python floats, which is faster for a
+single point than numpy calls, or a stack as arrays, and both run the same
+elementwise operations in the same order.  The assembly helpers take one
+point's arrays or a stack of them (the leading axes broadcast), and every
+sum of products is spelled out elementwise, because the rounding of a
+matrix product depends on the BLAS kernel and on the stack around it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -65,6 +76,11 @@ FRAME_DET_MIN = 1e-8
 # FACE_VERTICES[f, i] is True when vertex i lies on face f.
 FACE_VERTICES = HEX_FACE_VERTICES
 
+# The frame rule's tables as Python numbers: the sign pattern's rows, and
+# the three faces that contain each vertex.
+_PATTERN_ROWS = tuple(map(tuple, SIGN_PATTERN.tolist()))
+_VERTEX_FACES = tuple(tuple(np.flatnonzero(col).tolist()) for col in FACE_VERTICES.T)
+
 # Right-hand side of the system: only the partition-of-unity row is 1.
 _RHS = np.eye(8)[0]
 
@@ -81,40 +97,16 @@ def _column_norms(a):
     return np.sqrt(x * x + y * y + z * z)
 
 
-def _unit_frame(functionals):
-    """(basis, rows) of the frame with these coordinate functionals
-    (..., 3, 3), its basis vectors rescaled to unit length.  Rescaling
-    basis column j by 1/n_j rescales inverse row j by n_j."""
-    basis = np.linalg.inv(functionals)
-    norms = _column_norms(basis)
-    return basis / norms[..., None, :], functionals * norms[..., :, None]
-
-
 class Frame3:
-    """Unit reference basis anchored at the evaluation point.
-
-    Coordinates of a point q are rows @ (q - origin) where rows is the
-    inverse of the basis matrix [r1 r2 r3].
+    """Unit reference basis anchored at the evaluation point, as the frame
+    rule computed it: the basis vectors r1, r2, r3 (the columns of basis),
+    its inverse rows (the coordinate functionals) and its determinant det.
+    Coordinates of a point q are rows @ (q - origin).
     """
 
-    def __init__(self, r1, r2, r3, origin, _rows=None):
-        self.r1 = np.asarray(r1, dtype=float)
-        self.r2 = np.asarray(r2, dtype=float)
-        self.r3 = np.asarray(r3, dtype=float)
-        self.origin = np.asarray(origin, dtype=float)
-        self.basis = np.column_stack([self.r1, self.r2, self.r3])
-        self.rows = np.linalg.inv(self.basis) if _rows is None else _rows
-
-    @classmethod
-    def from_functionals(cls, rows, origin):
-        """Build the frame whose coordinate functionals are the given rows,
-        rescaled so the basis vectors have unit length."""
-        basis, rows = _unit_frame(np.asarray(rows, dtype=float))
-        return cls(basis[:, 0], basis[:, 1], basis[:, 2], origin, _rows=rows)
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.basis))
+    def __init__(self, basis, rows, origin, det: float):
+        self.basis, self.rows, self.origin, self.det = basis, rows, origin, det
+        self.r1, self.r2, self.r3 = basis.T
 
     def coords(self, points) -> np.ndarray:
         """Frame coordinates of points (n, 3), returned as a 3 x n array."""
@@ -125,17 +117,19 @@ class Frame3:
         return bool(np.allclose(self.basis, np.eye(3), atol=1e-14))
 
 
-def sign_pattern_ok(w, diameter: float, cols=None) -> bool:
-    """True iff every entry of the 3 x 8 frame-coordinate array is bounded
+def sign_pattern_ok(w, diameter: float, cols=None):
+    """True where every entry of the 3 x 8 frame-coordinate array is bounded
     away from zero (beyond PATTERN_ZERO_RTOL * diameter) and carries the
-    required sign.  cols restricts the test to a column subset."""
+    required sign: a bool for w (3, 8), a bool array for a stack (..., 3,
+    8).  cols restricts the test to a column subset."""
     w = np.asarray(w, dtype=float)
     pattern = SIGN_PATTERN
     if cols is not None:
         cols = list(cols)
-        w = w[:, cols]
+        w = w[..., cols]
         pattern = pattern[:, cols]
-    return bool(np.all(pattern * w > PATTERN_ZERO_RTOL * diameter))
+    ok = np.all(pattern * w > PATTERN_ZERO_RTOL * diameter, axis=(-2, -1))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def _delta_from_w(w, zero_cols=None):
@@ -164,11 +158,12 @@ def _hex_system(w, zero_cols=None):
     return m
 
 
-def _det3(rows):
-    """Determinant by cofactor expansion of rows, a nested 3 x 3 sequence
-    whose entries are floats or arrays (a stack, entrywise)."""
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
-    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+def _pick(cond, a, b):
+    """Triple a where cond holds, else b: a branch at one point (cond a
+    bool), np.where per component over a stack (cond an array)."""
+    if isinstance(cond, np.ndarray):
+        return tuple(np.where(cond, x, y) for x, y in zip(a, b))
+    return a if cond else b
 
 
 def _wedge_normal(line, px, py, pz):
@@ -179,6 +174,7 @@ def _wedge_normal(line, px, py, pz):
     same elementwise operations.
     """
     (ux, uy, uz), (x0, y0, z0), _ = line
+    sqrt = math.sqrt if isinstance(px, float) else np.sqrt
     t = ux * (px - x0) + uy * (py - y0) + uz * (pz - z0)
     dx = px - (x0 + t * ux)
     dy = py - (y0 + t * uy)
@@ -186,38 +182,98 @@ def _wedge_normal(line, px, py, pz):
     mx = uy * dz - uz * dy
     my = uz * dx - ux * dz
     mz = ux * dy - uy * dx
-    return (mx, my, mz), np.sqrt(dx * dx + dy * dy + dz * dz), np.sqrt(mx * mx + my * my + mz * mz)
+    return (mx, my, mz), sqrt(dx * dx + dy * dy + dz * dz), sqrt(mx * mx + my * my + mz * mz)
 
 
-def _wedge_direction(hexa, p, pair):
-    """Separating functional for an opposite-face pair whose supporting
-    planes meet.
+def _functionals(hexa: Hexahedron, px, py, pz, on):
+    """(functionals, found): each pair's unit functional as a triple, picked
+    as reference_frame says, and where every wedge normal was found (not
+    within 1e-12 diameters of its line; one point raises there)."""
+    one = isinstance(px, float)
+    d = hexa.diameter
+    rows = []
+    found = True
+    for r, ((line, bisector), (fa, fb)) in enumerate(zip(hexa.pair_lines, hexa.OPPOSITE_PAIRS)):
+        on_a, on_b = on[fa], on[fb]
+        if line is None:
+            row = bisector
+        elif one and (on_a or on_b):
+            row = None  # the face normal below; one point skips the wedge
+        else:
+            (mx, my, mz), dist, norm_m = _wedge_normal(line, px, py, pz)
+            hit = (dist >= 1e-12 * d) & (norm_m >= 1e-14 * d)
+            if one and not hit:
+                raise FrameNotFound(f"pair {r} has no wedge functional at {[px, py, pz]}")
+            found = found & (hit | on_a | on_b)
+            mx, my, mz = mx / norm_m, my / norm_m, mz / norm_m
+            cx, cy, cz = line[2]
+            toward = mx * (cx - px) + my * (cy - py) + mz * (cz - pz) >= 0
+            row = _pick(toward, (mx, my, mz), (-mx, -my, -mz))
+        nx, ny, nz = hexa.face_normals[fb]
+        rows.append(_pick(on_a, hexa.face_normals[fa], _pick(on_b, (-nx, -ny, -nz), row)))
+    return rows, found
 
-    The planes meet in a line l bounding a wedge that contains the solid;
-    the plane spanned by l and p separates the two faces, so its normal
-    (oriented toward the pair's positive face) is a valid coordinate
-    functional.  Returns None when p lies on l.
+
+def _unit_frame(functionals):
+    """(basis, rows, det, independent) of the unit frame with functionals
+    f_j, by cofactors.  With c_j the adjugate's columns (c_0 = f_1 x f_2,
+    c_1 = f_2 x f_0, c_2 = f_0 x f_1) and D = f_0 . c_0, basis column j is
+    c_j / (sign(D) |c_j|), row j is f_j |c_j| / |D| and det = D |D| / (|c_0|
+    |c_1| |c_2|).  independent is |D| >= 1e-12; the rest is undefined where
+    it fails, and one point returns None for it there."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = functionals
+    adj = (
+        (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0),
+        (c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0),
+        (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0),
+    )
+    x, y, z = adj[0]
+    det_f = a0 * x + a1 * y + a2 * z
+    size = abs(det_f)
+    independent = size >= 1e-12
+    if isinstance(size, float) and not independent:
+        return None, None, None, False
+    sqrt = math.sqrt if isinstance(size, float) else np.sqrt
+    norms = [sqrt(x * x + y * y + z * z) for x, y, z in adj]
+    sign = det_f / size
+    basis = [(x / (sign * n), y / (sign * n), z / (sign * n)) for (x, y, z), n in zip(adj, norms)]
+    rows = []
+    for (fx, fy, fz), n in zip(functionals, norms):
+        k = n / size
+        rows.append((fx * k, fy * k, fz * k))
+    det = det_f * size / (norms[0] * norms[1] * norms[2])
+    return basis, rows, det, independent
+
+
+def _frame(hexa: Hexahedron, px, py, pz, on):
+    """The frame rule of reference_frame: (basis columns, rows, det, ok).
+
+    Takes one point as Python floats with on six bools marking the faces
+    that contain it, or a stack as arrays (k,) with on (6, k), and runs the
+    same elementwise arithmetic on both: the pair functionals, the strict
+    sign test outside the containing faces, the independence test and the
+    unit frame's determinant bound.  One point raises FrameNotFound at the
+    first test it fails; a stack clears ok there.
     """
-    line = hexa.pair_lines[pair][0]
-    px, py, pz = p.tolist()
-    (mx, my, mz), dist, norm_m = _wedge_normal(line, px, py, pz)
-    if dist < 1e-12 * hexa.diameter or norm_m < 1e-14 * hexa.diameter:
-        return None
-    mx, my, mz = mx / norm_m, my / norm_m, mz / norm_m
-    cx, cy, cz = line[2]
-    m = np.array([mx, my, mz])
-    return m if mx * (cx - px) + my * (cy - py) + mz * (cz - pz) >= 0 else -m
-
-
-def _face_normal_direction(hexa, pair, faces):
-    """Outward normal of whichever face of the pair contains p, oriented
-    toward that face's positive sign-pattern side."""
-    fa, fb = Hexahedron.OPPOSITE_PAIRS[pair]
-    if fa in faces:
-        return hexa.face_planes[fa][0]
-    if fb in faces:
-        return -hexa.face_planes[fb][0]
-    return None
+    one = isinstance(px, float)
+    functionals, ok = _functionals(hexa, px, py, pz, on)
+    tol = PATTERN_ZERO_RTOL * hexa.diameter
+    offsets = [(vx - px, vy - py, vz - pz) for vx, vy, vz in hexa.corner_tuple]
+    exempt = [on[a] | on[b] | on[c] for a, b, c in _VERTEX_FACES]
+    for r, ((fx, fy, fz), signs) in enumerate(zip(functionals, _PATTERN_ROWS)):
+        hits = True
+        for sign, (dx, dy, dz), skip in zip(signs, offsets, exempt):
+            hits = hits & ((sign * (fx * dx + fy * dy + fz * dz) > tol) | skip)
+        if one and not hits:
+            raise FrameNotFound(f"the frame row of pair {r} misses the sign pattern at {[px, py, pz]}")
+        ok = ok & hits
+    basis, rows, det, independent = _unit_frame(functionals)
+    if one and not independent:
+        raise FrameNotFound("frame functionals are linearly dependent")
+    bounded = abs(det) >= FRAME_DET_MIN
+    if one and not bounded:
+        raise FrameNotFound(f"frame determinant {det:.3e} below bound")
+    return basis, rows, det, ok & independent & bounded
 
 
 def reference_frame(hexa: Hexahedron, p, faces=()) -> Frame3:
@@ -237,110 +293,28 @@ def reference_frame(hexa: Hexahedron, p, faces=()) -> Frame3:
 
     Each row must satisfy the strict sign pattern on the columns outside
     the containing faces, and the rows must be independent with a unit
-    basis of |det| >= FRAME_DET_MIN.  Raises FrameNotFound otherwise; for
-    a valid convex hexahedron this is not expected to happen.
+    basis of |det| >= FRAME_DET_MIN.  Raises FrameNotFound otherwise; on a
+    valid convex hexahedron that is seen only at points just outside a
+    corner that classify on a face.
     """
     p = np.asarray(p, dtype=float)
-    rows = []
-    for r, (line, bisector) in enumerate(hexa.pair_lines):
-        row = _face_normal_direction(hexa, r, faces)
-        if row is None:
-            row = bisector if line is None else _wedge_direction(hexa, p, r)
-        if row is None:
-            raise FrameNotFound(f"pair {r} has no wedge functional at {p.tolist()}")
-        rows.append(row)
-    rows = np.vstack(rows)
-    signs = SIGN_PATTERN * _dot3(rows[:, None, :], hexa.vertices - p)
-    if faces:
-        signs = signs[:, ~FACE_VERTICES[list(faces)].any(axis=0)]
-    hits = signs > PATTERN_ZERO_RTOL * hexa.diameter
-    if not hits.all():
-        r = int(np.flatnonzero(~hits.all(axis=1))[0])
-        raise FrameNotFound(f"the frame row of pair {r} misses the sign pattern at {p.tolist()}")
-    if abs(_det3(rows.tolist())) < 1e-12:
-        raise FrameNotFound("frame functionals are linearly dependent")
-    frame = Frame3.from_functionals(rows, p)
-    if abs(frame.det) < FRAME_DET_MIN:
-        raise FrameNotFound(f"frame determinant {frame.det:.3e} below bound")
-    return frame
-
-
-def _frame_rows_many(hexa: Hexahedron, q, faces) -> tuple[np.ndarray, np.ndarray]:
-    """reference_frame(hexa, q[s], faces of s).rows for each row of q
-    (k, 3), where faces (k, 6) marks the faces containing each point.
-
-    Returns (rows (k, 3, 3), ok (k,)): the same rule and the same tests
-    with the same arithmetic, so rows[s] is bitwise equal to the
-    single-point frame's rows where ok[s] is set; ok[s] is False where
-    reference_frame raises FrameNotFound.
-    """
-    k = len(q)
-    offsets = hexa.vertices - q[:, None, :]
-    exempt = (faces[:, :, None] & FACE_VERTICES).any(axis=1)
-    tol = PATTERN_ZERO_RTOL * hexa.diameter
-    functionals = np.empty((k, 3, 3))
-    ok = np.ones(k, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r, (line, bisector) in enumerate(hexa.pair_lines):
-            if line is None:
-                row = np.broadcast_to(bisector, (k, 3))
-                found = np.ones(k, dtype=bool)
-            else:
-                (mx, my, mz), dist, norm_m = _wedge_normal(line, q[:, 0], q[:, 1], q[:, 2])
-                found = ~(dist < 1e-12 * hexa.diameter) & ~(norm_m < 1e-14 * hexa.diameter)
-                m = np.stack([mx / norm_m, my / norm_m, mz / norm_m], axis=-1)
-                row = np.where((_dot3(m, np.array(line[2]) - q) >= 0)[:, None], m, -m)
-            fa, fb = Hexahedron.OPPOSITE_PAIRS[r]
-            on_a, on_b = faces[:, fa], faces[:, fb]
-            row = np.where(
-                on_a[:, None],
-                hexa.face_planes[fa][0],
-                np.where(on_b[:, None], -hexa.face_planes[fb][0], row),
-            )
-            signs = SIGN_PATTERN[r] * _dot3(row[:, None, :], offsets)
-            ok &= (found | on_a | on_b) & ((signs > tol) | exempt).all(axis=1)
-            functionals[:, r] = row
-        ok &= ~(np.abs(_det3(np.moveaxis(functionals, 0, -1))) < 1e-12)
-        functionals[~ok] = np.eye(3)  # keeps inv defined; these rows are dropped
-        basis, rows = _unit_frame(functionals)
-        ok &= ~(np.abs(np.linalg.det(basis)) < FRAME_DET_MIN)
-    return rows, ok
-
-
-def partial_distance_matrix(hexa: Hexahedron, p, frame: Frame3) -> np.ndarray:
-    """Signed 3 x 8 partial distances in frame coordinates.
-
-    Row r holds the distances between the projections of p and v_i onto
-    the coordinate plane excluding frame axis r, with the fixed alternating
-    sign layout.  When p lies on a face, that face's four columns are
-    zeroed so the boundary system reduces to the face's 2D system.
-    """
-    p = np.asarray(p, dtype=float)
-    w = frame.coords(hexa.vertices)
-    location = face_of_point_hex(hexa, p)
-    return _delta_from_w(w, FACE_VERTICES[location.index] if location.kind == "on_face" else None)
-
-
-def distance_row_3d(hexa: Hexahedron, p, frame: Frame3) -> np.ndarray:
-    """Signed full distances in frame coordinates (norms of the w columns)."""
-    return _column_norms(frame.coords(hexa.vertices)) * DISTANCE_SIGNS
-
-
-def induced_face_quad(hexa: Hexahedron, f: int, frame: Frame3):
-    """Face f as a 2D quadrilateral in the frame coordinates induced on it.
-
-    The coordinate row belonging to the face's opposite-face pair vanishes
-    on the face (the frame pins that functional to the face normal); the
-    other two rows parameterize it.  Returns a Quadrilateral whose vertex
-    order matches the face connectivity, with the query point at the
-    origin.  Used to state the facet-reduction property.
-    """
-    return _induced_face_quad(f, frame.coords(hexa.vertices))
+    px, py, pz = p.tolist()
+    basis, rows, det, _ = _frame(hexa, px, py, pz, tuple(f in faces for f in range(6)))
+    return Frame3(np.array(basis).T, np.array(rows), p, det)
 
 
 def _induced_face_quad(f: int, w) -> Quadrilateral:
-    """induced_face_quad from the frame coordinates w (3, 8) of the
-    vertices, such as moment_coords_hex_many returns."""
+    """Face f as a 2D quadrilateral in the frame coordinates w (3, 8) of
+    the vertices (frame.coords(hexa.vertices), or a row of
+    moment_coords_hex_many's frame coordinates) when the query point lies
+    on face f.
+
+    The coordinate row belonging to the face's opposite-face pair vanishes
+    on the face (the frame pins that functional to the face normal); the
+    other two rows parameterize it.  The vertex order matches the face
+    connectivity, with the query point at the origin.  Used to state the
+    facet-reduction property.
+    """
     keep = [r for r in range(3) if r != f // 2]
     verts2d = w[keep][:, list(Hexahedron.FACES[f])].T.copy()
     if _quad_area(verts2d.tolist()) < 0:
@@ -368,7 +342,7 @@ def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):
     frame = reference_frame(hexa, p, faces=loc.faces)
     w = frame.coords(hexa.vertices)
     zero_cols = FACE_VERTICES[loc.index] if loc.kind == "on_face" else None
-    phi = solve_dense(_hex_system(w, zero_cols), _RHS)
+    phi = solve_dense(_hex_system(w * hexa.unit_scale, zero_cols), _RHS)
     return (phi, frame) if return_frame else phi
 
 
@@ -397,13 +371,15 @@ def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool =
     phi[vertex, index[vertex]] = 1.0
     ok[vertex] = True
     solve = np.flatnonzero((kind == "interior") | (kind == "on_face"))
-    rows, framed = _frame_rows_many(hexa, pts[solve], faces[solve])
-    solve, rows = solve[framed], rows[framed]
     q = pts[solve]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, rows, _, framed = _frame(hexa, q[:, 0], q[:, 1], q[:, 2], faces[solve].T)
+    solve, q = solve[framed], q[framed]
+    rows = np.moveaxis(np.array(rows), -1, 0)[framed]
     w = _dot3(rows[:, :, None, :], (hexa.vertices - q[:, None, :])[:, None, :, :])
     zero_cols = (kind[solve] == "on_face")[:, None] & FACE_VERTICES[index[solve]]
     phi[solve], ok[solve] = solve_dense_many(
-        _hex_system(w, zero_cols), np.broadcast_to(_RHS, (len(solve), 8))
+        _hex_system(w * hexa.unit_scale, zero_cols), np.broadcast_to(_RHS, (len(solve), 8))
     )
     if not return_frame_coords:
         return phi, ok

@@ -97,6 +97,13 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
     return False
 
 
+def _unit_scale(length: float) -> float:
+    """1 / L for L the power of two with length < L <= 2 * length, or 2**1023
+    for a subnormal length.  Multiplying by it is exact, so offsets taken in
+    units of L keep their bits and no product of them overflows."""
+    return math.ldexp(1.0, min(-math.frexp(length)[1], 1023))
+
+
 def _quad_area(c) -> float:
     """Shoelace area of four corners c (a list of float pairs), taken about
     their centroid so it keeps its precision for far-translated geometry."""
@@ -168,17 +175,17 @@ class Quadrilateral:
         """(nu, k, area2, scale), plain floats, for the closed-form
         coordinates.
 
-        scale is 1 / L for L the power of two with diameter < L <= 2 *
-        diameter; multiplying by it is exact.  nu spans the kernel of the
-        constant and linear reproducing rows: nu_i is (-1)**i times twice
-        the signed area of the corner triangle that leaves vertex i out (the
-        other three in increasing order), in units of L**2.  k is the first
+        scale is 1 / L for L the power of two next to the diameter
+        (_unit_scale).  nu spans the kernel of the constant and linear
+        reproducing rows: nu_i is (-1)**i times twice the signed area of the
+        corner triangle that leaves vertex i out (the other three in
+        increasing order), in units of L**2.  k is the first
         index of the largest |nu_i|, and area2 = (-1)**k * nu_k is that
         triangle's twice signed area.  A simple quadrilateral has an
         interior diagonal, which splits it into two corner triangles, so
         triangle k holds at least half the area and is never flat.
         """
-        s = math.ldexp(1.0, -math.frexp(self.diameter)[1])
+        s = _unit_scale(self.diameter)
         c = self.corner_tuple
         nu = []
         for i in range(4):
@@ -353,10 +360,9 @@ class NodeSet1D:
 
     @cached_property
     def unit_scale(self) -> float:
-        """1 / L for L the power of two with span < L <= 2 * span, or 2**1023
-        for a subnormal span; offsets x_j - x are taken in units of L, and
-        multiplying by it is exact."""
-        return math.ldexp(1.0, min(-math.frexp(self.span)[1], 1023))
+        """1 / L for L the power of two next to the span (_unit_scale);
+        offsets x_j - x are taken in units of L."""
+        return _unit_scale(self.span)
 
     def __repr__(self):
         return f"NodeSet1D({self.nodes.tolist()})"
@@ -482,7 +488,9 @@ class Hexahedron:
     the hexahedral moment system (vertex i of the cube [-1,1]^3 is
     REFERENCE_CUBE[i]); no automatic reordering is done.  Keeps the face
     planes its validation fitted (face_planes), and on first use the pair
-    lines (pair_lines) and each face's 2D quadrilateral (face_to_plane).
+    lines (pair_lines), each face's 2D quadrilateral (face_to_plane) and
+    the Python-float copies the frame rule reads (corner_tuple,
+    face_normals).
     """
 
     FACES = HEX_FACES
@@ -510,7 +518,8 @@ class Hexahedron:
         line is (unit direction, point on the line, positive-face centroid)
         of the line where the pair's supporting planes meet, each a tuple of
         floats; when the planes are parallel (|n_a x n_b| < 1e-9) it is None
-        and bisector is the unit normal bisector n_a - n_b instead.
+        and bisector is the unit normal bisector n_a - n_b instead, also a
+        tuple of floats.
         """
         out = []
         for fa, fb in self.OPPOSITE_PAIRS:
@@ -520,12 +529,28 @@ class Hexahedron:
             norm_u = np.linalg.norm(u)
             if norm_u < 1e-9:
                 m = na - nb
-                out.append((None, m / np.linalg.norm(m)))
+                out.append((None, tuple((m / np.linalg.norm(m)).tolist())))
                 continue
             u = u / norm_u
             x0 = np.linalg.solve(np.vstack([na, nb, u]), np.array([na @ ca, nb @ cb, 0.0]))
             out.append(((tuple(u.tolist()), tuple(x0.tolist()), tuple(ca.tolist())), None))
         return tuple(out)
+
+    @cached_property
+    def corner_tuple(self) -> tuple:
+        """Vertices as plain float triples for the single-point frame."""
+        return tuple(map(tuple, self.vertices.tolist()))
+
+    @cached_property
+    def face_normals(self) -> tuple:
+        """The outward unit normals of face_planes as float triples."""
+        return tuple(tuple(n.tolist()) for n, _ in self.face_planes)
+
+    @cached_property
+    def unit_scale(self) -> float:
+        """1 / L for L the power of two next to the diameter (_unit_scale):
+        the 8 x 8 system takes the frame coordinates in units of L."""
+        return _unit_scale(self.diameter)
 
     @cached_property
     def _plane_columns(self) -> tuple:

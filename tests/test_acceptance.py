@@ -18,7 +18,7 @@ from momentcoords.coords2d import (
     wachspress_coords_quad,
 )
 from momentcoords.coords3d import (
-    induced_face_quad,
+    _induced_face_quad,
     moment_coords_hex,
     moment_coords_hex_many,
     sign_pattern_ok,
@@ -231,7 +231,7 @@ def test_criterion_6_hexahedron_axioms():
         # Every failure counts here, not only a singular solve.
         singular += int((~ok).sum())
         phi, pts, w = phi[ok], pts[ok], w[ok]
-        pattern_failures += sum(not sign_pattern_ok(ws, hexa.diameter) for ws in w)
+        pattern_failures += int((~sign_pattern_ok(w, hexa.diameter)).sum())
         worst_pu = max(worst_pu, np.abs(phi.sum(axis=1) - 1.0).max())
         worst_lp = max(worst_lp, np.abs(phi @ hexa.vertices - pts).max() / hexa.diameter)
         worst_neg = max(worst_neg, -float(phi.min()))
@@ -264,7 +264,7 @@ def test_criterion_7_facet_reduction():
             assert loc.kind == "on_face" and loc.index == f
             phi, frame = moment_coords_hex(hexa, p, return_frame=True)
             worst_off = max(worst_off, np.abs(phi[off]).max())
-            psi = moment_coords_quad(induced_face_quad(hexa, f, frame), np.zeros(2))
+            psi = moment_coords_quad(_induced_face_quad(f, frame.coords(hexa.vertices)), np.zeros(2))
             worst_face = max(worst_face, np.abs(phi[idx] - psi).max())
     _report(7, "facet reduction to 2D moment coordinates", worst_face, 1e-9)
     _report(7, "off-face weights vanish", worst_off, 1e-10)

@@ -572,7 +572,7 @@ def test_hex_many_empty_batch():
     seed=st.integers(0, 2**32 - 1),
     plane=st.booleans(),
     tilt=st.floats(0.0, 0.4),
-    log_scale=st.floats(-3.0, 3.0),
+    log_scale=st.one_of(st.floats(-3.0, 3.0), st.floats(6.0, 100.0)),
     offset=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
 )
 def test_property_hex_batch_equals_single_point(seed, plane, tilt, log_scale, offset):
@@ -583,8 +583,13 @@ def test_property_hex_batch_equals_single_point(seed, plane, tilt, log_scale, of
         base = sampling.random_affine_cube_hex(rng)
     hexa = Hexahedron(base.vertices * 10.0**log_scale + np.array(offset))
     points = _hex_test_points(hexa, rng)
-    _assert_hex_classify_equal(hexa, points)
+    kind = _assert_hex_classify_equal(hexa, points)
     _assert_many_equal(moment_coords_hex, moment_coords_hex_many, hexa, points)
+    # _assert_many_equal alone would also accept a batch-wide residual
+    # failure.  Every interior point evaluates; of the others, only exterior
+    # points and boundary points moved a few tolerances off a corner fail
+    # (those where the single point raises FrameNotFound, checked above).
+    assert moment_coords_hex_many(hexa, points)[1][kind == "interior"].all()
 
 
 # Every batch method on a geometry where it is defined, with points that

@@ -156,7 +156,8 @@ def _reference_hex_suite(hexa, samples, seed):
                 continue
             phi, frame = coords3d.moment_coords_hex(hexa, p, return_frame=True)
             worst.record("facet off-face weights", float(np.abs(phi[off]).max()))
-            psi = coords2d.moment_coords_quad(coords3d.induced_face_quad(hexa, f, frame), [0, 0])
+            w = frame.coords(v)
+            psi = coords2d.moment_coords_quad(coords3d._induced_face_quad(f, w), [0, 0])
             worst.record("facet reduction", _gap(phi[idx], psi))
     return worst
 

@@ -494,6 +494,33 @@ def test_large_interval_evaluates(capsys, tmp_path, scale):
     assert len(rows) == 41 and all(cell != "" for row in rows for cell in row)
 
 
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_large_hex_evaluates(capsys, tmp_path, scale):
+    # The 8 x 8 system took its frame rows in absolute units: at 1e9 eval
+    # printed an AssertionError traceback (solve residual beyond the
+    # contract), and grid and check failed with it.
+    vertices = convex_hex().vertices * scale + 3 * scale
+    path = _geometry_file(tmp_path, "hex", vertices)
+    out_path = tmp_path / "grid.csv"
+    point = ",".join(repr(float(x)) for x in np.array([0.0, 0.5, 0.0]) * scale + 3 * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "eval", "--geometry", path, "--point", point, "--method", "moment")
+        assert (code, err) == (0, "")
+        weights = np.array(json.loads(out)["weights"])
+        assert np.abs(weights - 0.125).max() <= 1e-14
+        code, _, err = run(
+            capsys, "grid", "--geometry", path, "--resolution", "9",
+            "--method", "moment", "--out", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "check", "--geometry", path, "--samples", "50")
+        assert (code, err) == (0, "") and out.endswith("properties passed\n")
+    with open(out_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows and all(cell != "" for row in rows for cell in row)
+
+
 @pytest.mark.parametrize("side", [1e9, 1e100])
 def test_large_square_evaluates(capsys, tmp_path, side):
     # On [0, 1e9]^2 the 4 x 4 solve failed its residual contract (an

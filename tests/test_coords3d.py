@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from momentcoords import sampling
+from momentcoords import checks, sampling, shapes
 from momentcoords.coords2d import moment_coords_quad
 from momentcoords.coords3d import (
     DELTA_SIGNS,
     DISTANCE_SIGNS,
-    Frame3,
-    distance_row_3d,
-    induced_face_quad,
+    FACE_VERTICES,
+    _delta_from_w,
+    _frame,
+    _hex_system,
+    _induced_face_quad,
     moment_coords_hex,
-    partial_distance_matrix,
+    moment_coords_hex_many,
     reference_frame,
     sign_pattern_ok,
 )
@@ -26,25 +28,28 @@ HEX_EDGES = sorted(
 )
 
 
-def identity_frame(p):
-    return Frame3((1, 0, 0), (0, 1, 0), (0, 0, 1), p)
+def identity_coords(hexa, p):
+    """The vertices' coordinates in the identity frame at p: w = (v - p)^T."""
+    return (hexa.vertices - np.asarray(p, dtype=float)).T
 
 
 class TestPartialDistances:
     def test_cube_center_symmetry(self, cube):
-        delta = partial_distance_matrix(cube, (0, 0, 0), identity_frame((0, 0, 0)))
+        delta = _delta_from_w(identity_coords(cube, (0, 0, 0)))
         assert np.allclose(np.abs(delta), np.sqrt(2.0))
         assert np.array_equal(np.sign(delta), DELTA_SIGNS)
 
     def test_cube_face_columns_zeroed(self, cube):
         p = (1.0, 0.0, 0.0)
-        delta = partial_distance_matrix(cube, p, identity_frame(p))
+        loc = face_of_point_hex(cube, p)
+        assert (loc.kind, loc.index) == ("on_face", 0)
+        delta = _delta_from_w(identity_coords(cube, p), FACE_VERTICES[loc.index])
         assert np.array_equal(delta[:, :4], np.zeros((3, 4)))
         assert np.all(np.abs(delta[:, 4:]) > 0)
 
     def test_cube_offset_point_values(self, cube):
         p = np.array([0.5, 0.0, 0.0])
-        delta = partial_distance_matrix(cube, p, identity_frame(p))
+        delta = _delta_from_w(identity_coords(cube, p))
         # Row 1 drops the first axis, row 3 drops the last one.
         assert delta[0, 0] == pytest.approx(np.sqrt(2.0))
         assert delta[2, 0] == pytest.approx(np.sqrt(0.25 + 1.0))
@@ -53,7 +58,7 @@ class TestPartialDistances:
         p = sampling.interior_points_hex(hex_tapered, 1, rng)[0]
         frame = reference_frame(hex_tapered, p)
         w = frame.coords(hex_tapered.vertices)
-        delta = partial_distance_matrix(hex_tapered, p, frame)
+        delta = _delta_from_w(w)
         drop = [(1, 2), (0, 2), (0, 1)]
         for r in range(3):
             for i in range(8):
@@ -63,17 +68,17 @@ class TestPartialDistances:
 
 class TestDistanceRow:
     def test_cube_center(self, cube):
-        row = distance_row_3d(cube, (0, 0, 0), identity_frame((0, 0, 0)))
+        row = _hex_system(identity_coords(cube, (0, 0, 0)))[7]
         assert np.allclose(row, np.sqrt(3.0) * DISTANCE_SIGNS)
 
     def test_zero_at_vertex(self, cube):
         p = cube.vertices[0]
-        row = distance_row_3d(cube, p, identity_frame(p))
+        row = _hex_system(identity_coords(cube, p))[7]
         assert row[0] == 0.0
 
     def test_tapered_hand_values(self, hex_tapered):
         p = np.array([0.0, 0.5, 0.0])
-        row = distance_row_3d(hex_tapered, p, identity_frame(p))
+        row = _hex_system(identity_coords(hex_tapered, p))[7]
         far = np.sqrt(4.25)
         expect = np.array([far, -far, 1.5, -1.5, -1.5, 1.5, -far, far])
         assert np.allclose(row, expect)
@@ -81,16 +86,16 @@ class TestDistanceRow:
 
 class TestSignPattern:
     def test_cube_interior_identity(self, cube):
-        w = identity_frame((0.2, -0.3, 0.1)).coords(cube.vertices)
+        w = identity_coords(cube, (0.2, -0.3, 0.1))
         assert sign_pattern_ok(w, cube.diameter)
 
     def test_zero_entry_fails(self, cube):
-        w = identity_frame((1.0, 0.0, 0.0)).coords(cube.vertices)
+        w = identity_coords(cube, (1.0, 0.0, 0.0))
         assert not sign_pattern_ok(w, cube.diameter)
 
     def test_tapered_origin_identity_fails(self, hex_tapered):
         # The third vertex offset has a zero component at the origin.
-        w = identity_frame((0.0, 0.0, 0.0)).coords(hex_tapered.vertices)
+        w = identity_coords(hex_tapered, (0.0, 0.0, 0.0))
         assert not sign_pattern_ok(w, hex_tapered.diameter)
 
 
@@ -139,6 +144,36 @@ class TestReferenceFrame:
                 faces = faces_containing(hexa, p)
                 assert len(faces) == 2
                 check(hexa, p, faces)
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.4])
+    def test_stack_fails_where_single_point_raises(self, tilt):
+        # Points around the solid, out to three times its extent, and on the
+        # pair lines, where the wedge normal is not found: the stack's ok is
+        # False exactly where reference_frame raises, and its rows are the
+        # single point's rows, bit for bit, elsewhere.
+        hexa = sampling.random_plane_hex(np.random.default_rng(7), tilt=tilt)
+        v = hexa.vertices
+        c = v.mean(axis=0)
+        axes = [np.linspace(3 * lo - 2 * m, 3 * hi - 2 * m, 9)
+                for lo, hi, m in zip(v.min(axis=0), v.max(axis=0), c)]
+        pts = [np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)]
+        for line, _ in hexa.pair_lines:
+            if line is not None:
+                pts.append([np.add(line[1], np.multiply(t, line[0])) for t in (-1.0, 0.0, 2.0)])
+        pts = np.vstack(pts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, rows, _, ok = _frame(hexa, *pts.T, np.zeros((6, len(pts)), dtype=bool))
+        rows = np.moveaxis(np.array(rows), -1, 0)
+        raised = 0
+        for s, p in enumerate(pts):
+            try:
+                frame = reference_frame(hexa, p)
+            except FrameNotFound:
+                raised += 1
+                assert not ok[s], p
+                continue
+            assert ok[s] and np.array_equal(frame.rows, rows[s]), p
+        assert 0 < raised < len(pts)
 
     def test_continuous_across_parallel_cutoff(self, cube):
         # Tilt face x = +1 to x = 1 + e*y: pair 0 switches from the wedge
@@ -206,7 +241,7 @@ class TestMomentCoordsHex:
                 assert loc.kind == "on_face" and loc.index == f
                 phi, frame = moment_coords_hex(hex_tapered, p, return_frame=True)
                 assert np.abs(phi[off]).max() <= 1e-10
-                quad2d = induced_face_quad(hex_tapered, f, frame)
+                quad2d = _induced_face_quad(f, frame.coords(hex_tapered.vertices))
                 psi = moment_coords_quad(quad2d, np.zeros(2))
                 assert np.abs(phi[idx] - psi).max() <= 1e-9
 
@@ -258,3 +293,29 @@ class TestMomentCoordsHex:
             for perm, flip in perms.values():
                 mirrored = moment_coords_hex(cube, p * flip)
                 assert np.abs(mirrored - phi[perm]).max() <= 1e-12
+
+
+HEX_SCALES = [1e-12, 1e-6, 1e6, 1e9, 1e12, 1e15, 1e100]
+
+
+@pytest.mark.parametrize("offset", [0.0, 3.0])
+@pytest.mark.parametrize("scale", HEX_SCALES)
+def test_hex_any_scale_evaluates(scale, offset):
+    # The 8 x 8 system took its frame rows in absolute units against a
+    # residual contract in absolute units and a pivot floor relative to
+    # max|A|, whose ones row is 1: scaled by 1e6 some interior points raised
+    # AssertionError (and the batch with them), from 1e9 every one, and
+    # from 1e15 they raised SingularMatrix.  The rows are now taken in units
+    # of a power of two next to the diameter (Hexahedron.unit_scale).
+    hexa = Hexahedron(shapes.convex_hex().vertices * scale + offset * scale)
+    rng = np.random.default_rng(1)
+    p0 = np.array([0.0, 0.5, 0.0]) * scale + offset * scale
+    pts = np.vstack([p0, sampling.interior_points_hex(hexa, 200, rng)])
+    phi, ok = moment_coords_hex_many(hexa, pts)
+    assert ok.all()
+    for s, p in enumerate(pts):
+        assert np.array_equal(phi[s], moment_coords_hex(hexa, p))
+    assert np.abs(phi.sum(axis=1) - 1.0).max() <= checks.PARTITION_TOL
+    assert phi.min() >= -checks.NONNEG_TOL
+    lp = checks.linear_precision_error(phi, hexa.vertices, pts).max()
+    assert lp <= checks.PRECISION_RTOL * hexa.diameter
