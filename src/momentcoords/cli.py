@@ -211,8 +211,7 @@ def _inside_many(geom, points) -> np.ndarray:
         return classify_points_quad(geom, points)[0] != "exterior"
     if kind == "hex":
         return face_of_points_hex(geom, points)[0] != "exterior"
-    x = points[:, 0]
-    return (geom.nodes[0] <= x) & (x <= geom.nodes[-1])
+    return coords1d._locate(geom, points[:, 0])[2]
 
 
 def _geometry_size(geom) -> tuple[float, np.ndarray]:

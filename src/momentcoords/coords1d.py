@@ -30,9 +30,10 @@ as SingularMatrix, and under __debug__ the residual of all n rows, in units
 of L, is held to the contract of smallsolve.solve_dense.
 
 moment_coords_1d_many and hat_oracle_many evaluate a batch of queries.  The
-fold and the hat weights are written once, on Python floats for one query
-and as elementwise numpy over a stack, in the same order, so the two agree
-bit for bit; each path keeps its own locator.
+locator, the fold and the hat weights are written once, on Python floats
+for one query and as elementwise numpy over a stack, in the same order, so
+the two agree bit for bit; the locator's search alone branches, bisect for
+one query and searchsorted for a stack.
 """
 
 from __future__ import annotations
@@ -53,41 +54,30 @@ DOMAIN_RTOL = 1e-12
 _RESIDUAL_BOUND = 2.0 * RESIDUAL_RTOL
 
 
-def _locate(nodes: NodeSet1D, x: float):
-    """Containing interval index for x; exact node hits take the lower interval.
+def _locate(nodes: NodeSet1D, x):
+    """(k, x, ok): the containing interval index k of x, with exact node
+    hits taking the lower interval, and x clamped into [nodes[0],
+    nodes[-1]].
 
-    Returns (k, x) with x clamped into [nodes[0], nodes[-1]]; raises
-    OutOfDomain when x is not finite or lies outside beyond a span-relative
-    tolerance.
+    Takes one query as a Python float or a stack as an array (m,), with the
+    same domain test and clamp.  ok is where x is finite and inside the
+    nodes up to a span-relative tolerance; one query raises OutOfDomain
+    where it fails, and a stack has k = 0 there.
     """
     xs = nodes.node_tuple
     lo, hi = xs[0], xs[-1]
-    x = float(x)
     tol = DOMAIN_RTOL * nodes.span
-    if not math.isfinite(x) or x < lo - tol or x > hi + tol:
-        raise OutOfDomain(f"x={x!r} outside [{lo!r}, {hi!r}]")
-    x = min(max(x, lo), hi)
+    ok = (lo - tol <= x) & (x <= hi + tol) & (abs(x) < math.inf)
     # The first node >= x closes interval idx - 1; a hit on it (or on
     # nodes[0]) takes the lower interval, so k never reaches len - 1.
-    return max(bisect.bisect_left(xs, x) - 1, 0), x
-
-
-def _locate_many(nodes: NodeSet1D, x):
-    """_locate at each query of x (any shape, flattened): (k, x, ok).
-
-    ok[s] is False where _locate raises OutOfDomain; k[s] is then 0.  The
-    clamp and the search run as _locate's, so k and x are the same numbers.
-    """
-    xs = nodes.nodes
-    lo, hi = float(xs[0]), float(xs[-1])
-    x = np.asarray(x, dtype=float).reshape(-1)
-    tol = DOMAIN_RTOL * nodes.span
-    ok = np.isfinite(x) & ~(x < lo - tol) & ~(x > hi + tol)
-    x = np.where(lo > x, lo, x)  # max(x, lo), then min(x, hi)
-    x = np.where(hi < x, hi, x)
-    k = np.maximum(np.searchsorted(xs, x, side="left") - 1, 0)
-    k[~ok] = 0
-    return k, x, ok
+    if isinstance(x, float):
+        if not ok:
+            raise OutOfDomain(f"x={x!r} outside [{lo!r}, {hi!r}]")
+        x = min(max(x, lo), hi)
+        return max(bisect.bisect_left(xs, x) - 1, 0), x, ok
+    x = np.where(hi < x, hi, np.where(lo > x, lo, x))
+    k = np.maximum(np.searchsorted(nodes.nodes, x, side="left") - 1, 0)
+    return np.where(ok, k, 0), x, ok
 
 
 def build_system_1d(nodes: NodeSet1D, x: float):
@@ -98,7 +88,7 @@ def build_system_1d(nodes: NodeSet1D, x: float):
     The coordinates solve its folded 3 x 3 form instead; this is the tests'
     reference.
     """
-    k, xq = _locate(nodes, x)
+    k, xq, _ = _locate(nodes, float(x))
     n = len(nodes)
     perm = np.concatenate(([k, k + 1], np.arange(k), np.arange(k + 2, n)))
     d = nodes.nodes[perm] - xq
@@ -154,7 +144,7 @@ def moment_coords_1d(nodes: NodeSet1D, x: float) -> np.ndarray:
     Nonnegative, partition of unity, linear precision; coincides with the
     hat-function coordinates of the containing interval.
     """
-    k, xq = _locate(nodes, x)
+    k, xq, _ = _locate(nodes, float(x))
     s = nodes.unit_scale
     d = [(xj - xq) * s for xj in nodes.node_tuple]
     n = len(d)
@@ -181,7 +171,7 @@ def moment_coords_1d_many(nodes: NodeSet1D, x) -> tuple[np.ndarray, np.ndarray]:
     is set.  ok[s] is False (and phi[s] NaN) where the single-point function
     raises: a query outside the nodes or not finite, or a singular system.
     """
-    k, xq, ok = _locate_many(nodes, x)
+    k, xq, ok = _locate(nodes, np.asarray(x, dtype=float).reshape(-1))
     rows = np.flatnonzero(ok)
     k, m, n = k[rows], len(rows), len(nodes)
     d = (nodes.nodes - xq[rows, None]) * nodes.unit_scale
@@ -220,7 +210,7 @@ def _hat(xs, k, xq) -> np.ndarray:
 
 def hat_oracle(nodes: NodeSet1D, x: float) -> np.ndarray:
     """Standard piecewise-linear nodal basis evaluated at x."""
-    return _hat(nodes.nodes, *_locate(nodes, x))
+    return _hat(nodes.nodes, *_locate(nodes, float(x))[:2])
 
 
 def hat_oracle_many(nodes: NodeSet1D, x) -> tuple[np.ndarray, np.ndarray]:
@@ -229,5 +219,5 @@ def hat_oracle_many(nodes: NodeSet1D, x) -> tuple[np.ndarray, np.ndarray]:
     phi[s] is bitwise equal to hat_oracle(nodes, x[s]) where ok[s] is set;
     ok[s] is False (and phi[s] NaN) where hat_oracle raises OutOfDomain.
     """
-    k, xq, ok = _locate_many(nodes, x)
+    k, xq, ok = _locate(nodes, np.asarray(x, dtype=float).reshape(-1))
     return np.where(ok[:, None], _hat(nodes.nodes, k, xq), np.nan), ok

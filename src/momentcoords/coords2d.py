@@ -23,8 +23,10 @@ functions) that evaluates a stack of points and returns (phi, ok) instead
 of raising per point.  Every formula is written once for both, on Python
 floats for one point and as elementwise numpy over a stack, in the same
 order, so the two agree bit for bit: the weight rows, the closed form, the
-edge weights and the three oracle kernels.  Each path keeps its own
-classifier, which is several times faster on one point than a batch of one.
+edge weights and the three oracle kernels.  So is the point location both
+paths start from (geometry._locate_quad, which classify_point_quad and
+classify_points_quad wrap), and with it the edge parameter of the edge
+weights.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
 from .geometry import (
     CLASSIFY_RTOL,
     Quadrilateral,
-    _classify_points_quad,
+    _locate_quad,
     classify_point_quad,
     classify_points_quad,
     signed_area,
@@ -188,17 +190,17 @@ def _coords_one(quad: Quadrilateral, p, wachspress: bool) -> np.ndarray:
 def _coords_many(quad: Quadrilateral, points, wachspress: bool):
     """_coords_one at each row of points, the interior points as one stack."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    kind, index, t = _classify_points_quad(quad, pts, CLASSIFY_RTOL * quad.diameter)
-    phi = np.full((len(pts), 4), np.nan)
-    ok = kind != "exterior"
-    edge = ok & (kind != "interior")
-    phi[edge] = _edge_weights(index[edge], np.where(kind[edge] == "at_vertex", 0.0, t[edge]))
-    solve = kind == "interior"
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kind, index, t, _ = _locate_quad(quad, *pts.T, CLASSIFY_RTOL * quad.diameter)
+        solve = kind == "interior"
         cols, r, ux, uy, singular = _closed_form(quad, *pts[solve].T, wachspress)
         if __debug__:
             resid = np.abs(_residual(cols, r, ux, uy))[:, ~singular].max(initial=0.0)
             assert resid <= _RESIDUAL_BOUND, f"closed-form residual {resid:.3e} exceeds contract"
+    phi = np.full((len(pts), 4), np.nan)
+    ok = kind != "exterior"
+    edge = ok & ~solve
+    phi[edge] = _edge_weights(index[edge], np.where(kind[edge] == "at_vertex", 0.0, t[edge]))
     phi[solve] = np.where(singular[:, None], np.nan, np.array(cols).T)
     ok[solve] = ~singular
     return phi, ok

@@ -49,7 +49,7 @@ from .geometry import (
     REFERENCE_CUBE,
     Hexahedron,
     Quadrilateral,
-    _locate_points_hex,
+    _locate_hex,
     _quad_area,
     face_of_point_hex,
 )
@@ -363,7 +363,7 @@ def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool =
     none (a vertex, or a point the frame search failed).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    kind, index, faces = _locate_points_hex(hexa, pts)
+    kind, index, on = _locate_hex(hexa, pts[:, 0], pts[:, 1], pts[:, 2])
     phi = np.full((len(pts), 8), np.nan)
     ok = np.zeros(len(pts), dtype=bool)
     vertex = np.flatnonzero(kind == "at_vertex")
@@ -373,7 +373,7 @@ def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool =
     solve = np.flatnonzero((kind == "interior") | (kind == "on_face"))
     q = pts[solve]
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, rows, _, framed = _frame(hexa, q[:, 0], q[:, 1], q[:, 2], faces[solve].T)
+        _, rows, _, framed = _frame(hexa, q[:, 0], q[:, 1], q[:, 2], on[:, solve])
     solve, q = solve[framed], q[framed]
     rows = np.moveaxis(np.array(rows), -1, 0)[framed]
     w = _dot3(rows[:, :, None, :], (hexa.vertices - q[:, None, :])[:, None, :, :])

@@ -11,14 +11,18 @@ the reference cube's vertices, and HEX_FACES, the faces' cyclic vertex
 order; every other hexahedral table derives from them.  A Hexahedron
 keeps the face planes its validation fitted, the lines where opposite
 supporting planes meet, and its faces as 2D quadrilaterals.
+
+Point location is written once per element kind (_locate_quad,
+_locate_hex), on Python floats for one point and arrays for a stack, so a
+point is located alike alone or in a stack; the public classifiers wrap it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, reduce
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -171,6 +175,17 @@ class Quadrilateral:
         return tuple((float(x), float(y)) for x, y in self.vertices)
 
     @cached_property
+    def edge_rows(self) -> tuple:
+        """Per edge i, (ax, ay, by, ex, ey, |e|**2) as floats: vertex i,
+        the y of vertex i + 1 and e = vertex i + 1 - vertex i."""
+        c = self.corner_tuple
+        out = []
+        for (ax, ay), (bx, by) in zip(c, c[1:] + c[:1]):
+            ex, ey = bx - ax, by - ay
+            out.append((ax, ay, by, ex, ey, ex * ex + ey * ey))
+        return tuple(out)
+
+    @cached_property
     def reproducing_kernel(self) -> tuple:
         """(nu, k, area2, scale), plain floats, for the closed-form
         coordinates.
@@ -242,17 +257,74 @@ def outward_normal(quad: Quadrilateral, i: int) -> np.ndarray:
     return np.array([e[1], -e[0]]) / length
 
 
-def _point_segment(p, a, b):
-    """(distance, clamped parameter) of p against segment ab (scalar math)."""
-    px, py = float(p[0]), float(p[1])
-    ax, ay = float(a[0]), float(a[1])
-    ex, ey = float(b[0]) - ax, float(b[1]) - ay
-    ee = ex * ex + ey * ey
-    if ee == 0.0:
-        return math.hypot(px - ax, py - ay), 0.0
-    t = ((px - ax) * ex + (py - ay) * ey) / ee
-    t = min(max(t, 0.0), 1.0)
-    return math.hypot(px - ax - t * ex, py - ay - t * ey), t
+def _smallest(values):
+    """The smallest of values: a list of floats, or of arrays elementwise
+    (np.minimum differs from min() only at NaN, which no point within the
+    tolerance of the boundary gives).  A stack takes the first smallest's
+    index by argmin, as list.index does for one point."""
+    if isinstance(values[0], float):
+        return min(values)
+    return reduce(np.minimum, values)
+
+
+# A stack's location kinds by code: exterior, interior, on an edge or face,
+# at a vertex.
+_QUAD_KINDS = np.array(["exterior", "interior", "on_edge", "at_vertex"])
+_HEX_KINDS = np.array(["exterior", "interior", "on_face", "at_vertex"])
+
+
+def _locate_quad(quad: Quadrilateral, x, y, tol: float):
+    """Point location on a quadrilateral: (kind, index, t, dist).
+
+    Takes one point as Python floats (x, y) or a stack as arrays (m,), and
+    compares the same numbers with tol on both.  Vertex snapping comes
+    first (squared distances against tol**2), then edges (the distance to
+    the foot at edge parameter t), each taking the first of equally near
+    candidates; otherwise even-odd ray crossing decides, which is valid for
+    nonconvex simple polygons.  A horizontal edge never straddles the ray,
+    so a stack skips it and nothing divides by zero.
+
+    index is the vertex or edge, t the edge parameter ("on_edge") and dist
+    the distance to the nearest edge.  One point returns as soon as its
+    kind is known, with None for what it did not compute or has none of;
+    a stack has index -1 and t NaN there.
+    """
+    one = isinstance(x, float)
+    sqrt = math.sqrt if one else np.sqrt
+    d2, ts, dists, inside = [], [], [], False
+    for ax, ay, by, ex, ey, ee in quad.edge_rows:
+        qx, qy = x - ax, y - ay
+        d2.append(qx * qx + qy * qy)
+        t = (qx * ex + qy * ey) / ee
+        # The two clamps may differ only in the sign of a zero t, which only
+        # a point at vertex a gets.
+        t = min(max(t, 0.0), 1.0) if one else np.clip(t, 0.0, 1.0)
+        dx, dy = qx - t * ex, qy - t * ey
+        ts.append(t)
+        dists.append(sqrt(dx * dx + dy * dy))
+        if one:
+            if (ay > y) != (by > y) and x < ax + qy * ex / ey:
+                inside = not inside
+        elif ey != 0.0:
+            inside = inside ^ (((ay > y) != (by > y)) & (x < ax + qy * ex / ey))
+    nearest2 = _smallest(d2)
+    vertex = nearest2 <= tol * tol
+    if one and vertex:
+        return "at_vertex", d2.index(nearest2), None, None
+    dist = _smallest(dists)
+    edge = dist <= tol
+    if one:
+        if edge:
+            e = dists.index(dist)
+            return "on_edge", e, ts[e], dist
+        return ("interior" if inside else "exterior"), None, None, dist
+    index, t = np.full(len(x), -1), np.full(len(x), np.nan)
+    rows = np.flatnonzero(edge & ~vertex)
+    index[rows] = e = np.array(dists)[:, rows].argmin(axis=0)
+    t[rows] = np.array(ts)[e, rows]
+    rows = np.flatnonzero(vertex)
+    index[rows] = np.array(d2)[:, rows].argmin(axis=0)
+    return _QUAD_KINDS[np.where(vertex, 3, np.where(edge, 2, inside))], index, t, dist
 
 
 def classify_point_quad(quad: Quadrilateral, p, tol: float | None = None) -> PointLocation:
@@ -263,74 +335,20 @@ def classify_point_quad(quad: Quadrilateral, p, tol: float | None = None) -> Poi
     """
     if tol is None:
         tol = CLASSIFY_RTOL * quad.diameter
-    x, y = float(p[0]), float(p[1])
-    corners = quad.corner_tuple
-    dmin = math.inf
-    imin = 0
-    for i, (vx, vy) in enumerate(corners):
-        d2 = (vx - x) ** 2 + (vy - y) ** 2
-        if d2 < dmin:
-            dmin = d2
-            imin = i
-    if dmin <= tol * tol:
-        return PointLocation("at_vertex", index=imin)
-    best = None
-    for e in range(4):
-        dist, t = _point_segment((x, y), corners[e], corners[(e + 1) % 4])
-        if dist <= tol and (best is None or dist < best[0]):
-            best = (dist, e, t)
-    if best is not None:
-        return PointLocation("on_edge", index=best[1], t=best[2])
-    inside = False
-    for e in range(4):
-        ax, ay = corners[e]
-        bx, by = corners[(e + 1) % 4]
-        if (ay > y) != (by > y):
-            if x < ax + (y - ay) * (bx - ax) / (by - ay):
-                inside = not inside
-    return PointLocation("interior" if inside else "exterior")
-
-
-def _classify_points_quad(quad: Quadrilateral, pts, tol: float):
-    """classify_points_quad plus the edge parameter t (NaN off the edges)."""
-    x, y = pts[:, 0], pts[:, 1]
-    corners = quad.corner_tuple
-    near = np.zeros(len(pts), dtype=bool)
-    parity = np.zeros(len(pts), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for e in range(4):
-            ax, ay = corners[e]
-            bx, by = corners[(e + 1) % 4]
-            ex, ey = bx - ax, by - ay
-            t = np.clip(((x - ax) * ex + (y - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
-            near |= np.hypot(x - ax - t * ex, y - ay - t * ey) <= 4.0 * tol
-            straddle = (ay > y) != (by > y)
-            parity ^= straddle & (x < ax + (y - ay) * (bx - ax) / (by - ay))
-    kind = np.full(len(pts), "exterior", dtype="U9")  # "at_vertex" is the longest kind
-    kind[parity] = "interior"
-    index = np.full(len(pts), -1)
-    t = np.full(len(pts), np.nan)
-    for s in np.flatnonzero(near):
-        loc = classify_point_quad(quad, pts[s], tol=tol)
-        kind[s] = loc.kind
-        if loc.index is not None:
-            index[s] = loc.index
-        if loc.t is not None:
-            t[s] = loc.t
-    return kind, index, t
+    kind, index, t, _ = _locate_quad(quad, float(p[0]), float(p[1]), tol)
+    return PointLocation(kind, index, t)
 
 
 def classify_points_quad(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
     """Classify each row of points (m, 2); returns (kind, index) arrays.
 
     kind[s] and index[s] (-1 where the location has none) are the kind and
-    index classify_point_quad gives for points[s], by construction: a point
-    within 4 tol of an edge (so of a vertex too) goes to classify_point_quad
-    itself, because np.hypot and math.hypot differ in the last bit, and the
-    even-odd parity of the others uses classify_point_quad's own expression.
+    index classify_point_quad gives for points[s]: both run _locate_quad.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    kind, index, _ = _classify_points_quad(quad, pts, CLASSIFY_RTOL * quad.diameter)
+    # Quiet where a point is not finite or its squared distances overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kind, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1], CLASSIFY_RTOL * quad.diameter)
     return kind, index
 
 
@@ -489,8 +507,8 @@ class Hexahedron:
     REFERENCE_CUBE[i]); no automatic reordering is done.  Keeps the face
     planes its validation fitted (face_planes), and on first use the pair
     lines (pair_lines), each face's 2D quadrilateral (face_to_plane) and
-    the Python-float copies the frame rule reads (corner_tuple,
-    face_normals).
+    the Python-float copies that point location and the frame rule read
+    (corner_tuple, plane_rows, face_normals).
     """
 
     FACES = HEX_FACES
@@ -553,32 +571,26 @@ class Hexahedron:
         return _unit_scale(self.diameter)
 
     @cached_property
-    def _plane_columns(self) -> tuple:
-        """The outward unit normals' x, y and z components and the planes'
-        offsets, one (6,) array each."""
-        return tuple(np.array([(*n, n @ c) for n, c in self.face_planes]).T)
+    def plane_rows(self) -> tuple:
+        """Per face, the outward unit normal's x, y and z components and the
+        plane's offset n . c, as four floats."""
+        return tuple((*n.tolist(), float(n @ c)) for n, c in self.face_planes)
 
-    def face_signed_distances(self, p) -> np.ndarray:
-        """Outward signed distance of p (3,) or of each row of p (m, 3) to
-        each supporting face plane: shape (6,) or (m, 6).
+    def _signed_distances(self, x, y, z) -> list:
+        """The outward signed distances of (x, y, z) to the six supporting
+        planes, floats for one point or arrays for a stack.
 
         n_x x + n_y y + n_z z - offset is spelled out elementwise rather
         than taken as a matrix product, whose rounding depends on the BLAS
         kernel and the batch size: one point gets the same bits alone or in
         a batch."""
-        p = np.asarray(p, dtype=float)
-        a, b, c, d = self._plane_columns
-        return a * p[..., 0, None] + b * p[..., 1, None] + c * p[..., 2, None] - d
+        return [a * x + b * y + c * z - d for a, b, c, d in self.plane_rows]
 
-    def vertex_distances(self, p) -> np.ndarray:
-        """Distance of p (3,) or of each row of p (m, 3) to each vertex,
-        spelled out like face_signed_distances: shape (8,) or (m, 8)."""
+    def face_signed_distances(self, p) -> np.ndarray:
+        """Outward signed distance of p (3,) or of each row of p (m, 3) to
+        each supporting face plane: shape (6,) or (m, 6)."""
         p = np.asarray(p, dtype=float)
-        v = self.vertices
-        dx = v[:, 0] - p[..., 0, None]
-        dy = v[:, 1] - p[..., 1, None]
-        dz = v[:, 2] - p[..., 2, None]
-        return np.sqrt(dx * dx + dy * dy + dz * dz)
+        return np.stack(self._signed_distances(p[..., 0], p[..., 1], p[..., 2]), axis=-1)
 
     def __repr__(self):
         return f"Hexahedron({self.vertices.tolist()})"
@@ -587,12 +599,12 @@ class Hexahedron:
 def face_to_plane(hexa: Hexahedron, f: int):
     """Face f as a 2D quadrilateral in isometric in-plane coordinates.
 
-    Returns (Quadrilateral, to2d) where to2d maps an on-face 3D point (3,)
-    to its 2D coordinates (2,), or each row of points (m, 3) to a row of
-    (m, 2) with the same elementwise arithmetic.  Vertex order matches
-    HEX_FACES[f]; the in-plane basis is mirrored if needed so that order is
-    already counterclockwise and the constructor does not reorder.  Kept
-    by the hexahedron after the first call.
+    Returns (Quadrilateral, to2d) where to2d(x, y, z) maps an on-face 3D
+    point to its 2D coordinates, a pair of floats for one point or of
+    arrays for a stack, with the same elementwise arithmetic.  Vertex order
+    matches HEX_FACES[f]; the in-plane basis is mirrored if needed so that
+    order is already counterclockwise and the constructor does not reorder.
+    Kept by the hexahedron after the first call.
     """
     hit = hexa._face_quads.get(f)
     if hit is not None:
@@ -608,32 +620,77 @@ def face_to_plane(hexa: Hexahedron, f: int):
     if _quad_area(verts2d.tolist()) < 0:
         w = -w
         verts2d = np.column_stack([verts2d[:, 0], -verts2d[:, 1]])
+    (cx, cy, cz), (ux, uy, uz), (wx, wy, wz) = c.tolist(), u.tolist(), w.tolist()
 
-    def to2d(p):
-        q = np.asarray(p, dtype=float) - c
-        q0, q1, q2 = q[..., 0], q[..., 1], q[..., 2]
-        return np.array([q0 * u[0] + q1 * u[1] + q2 * u[2], q0 * w[0] + q1 * w[1] + q2 * w[2]]).T
+    def to2d(x, y, z):
+        qx, qy, qz = x - cx, y - cy, z - cz
+        return qx * ux + qy * uy + qz * uz, qx * wx + qy * wy + qz * wz
 
     hexa._face_quads[f] = result = (Quadrilateral(verts2d), to2d)
     return result
 
 
-def faces_containing(hexa: Hexahedron, p) -> list[int]:
-    """Indices of faces whose plane passes within CLASSIFY_RTOL * diameter
-    of p and whose quadrilateral contains (the projection of) p."""
+_NO_FACES = (False,) * 6
+
+
+def _locate_hex(hexa: Hexahedron, x, y, z):
+    """Point location on a hexahedron: (kind, index, on).
+
+    Takes one point as Python floats or a stack as arrays (m,), and
+    compares the same numbers with the tolerance on both: the vertex
+    distances, the face signed distances and, within the tolerance of a
+    face plane, the face quadrilateral's _locate_quad.  Vertex snapping
+    wins; a point beyond any plane is exterior; interior means strictly
+    inside all six.  index is the vertex or the lowest containing face
+    (None or -1 where there is none); on holds the six containing-face
+    flags, bools or arrays (m,), which the frame rule takes as they are.
+    One point returns as soon as its kind is known.
+    """
+    one = isinstance(x, float)
     tol = CLASSIFY_RTOL * hexa.diameter
-    return _faces_containing(hexa, p, hexa.face_signed_distances(p), tol)
-
-
-def _faces_containing(hexa: Hexahedron, p, s, tol: float) -> list[int]:
-    """faces_containing, given the face signed distances s of p."""
-    out = []
-    for f in range(6):
-        if abs(s[f]) <= tol:
+    sqrt = math.sqrt if one else np.sqrt
+    dv = [
+        sqrt((vx - x) * (vx - x) + (vy - y) * (vy - y) + (vz - z) * (vz - z))
+        for vx, vy, vz in hexa.corner_tuple
+    ]
+    nearest = _smallest(dv)
+    vertex = nearest <= tol
+    if one and vertex:
+        return "at_vertex", dv.index(nearest), _NO_FACES
+    s = hexa._signed_distances(x, y, z)
+    outside, inner = False, True
+    for sf in s:
+        outside = outside | (sf > tol)
+        inner = inner & (sf < -tol)
+    if one and outside:
+        return "exterior", None, _NO_FACES
+    # One point that got here is neither at a vertex nor outside.
+    candidate = True if one else ~(vertex | outside)
+    on = []
+    for f, sf in enumerate(s):
+        near = (abs(sf) <= tol) & candidate
+        if one:
+            if near:
+                quad2d, to2d = face_to_plane(hexa, f)
+                near = _locate_quad(quad2d, *to2d(x, y, z), tol)[0] != "exterior"
+            on.append(near)
+            continue
+        rows = np.flatnonzero(near)
+        flags = np.zeros(len(x), dtype=bool)
+        if rows.size:
             quad2d, to2d = face_to_plane(hexa, f)
-            if classify_point_quad(quad2d, to2d(p), tol=tol).inside:
-                out.append(f)
-    return out
+            flags[rows] = _locate_quad(quad2d, *to2d(x[rows], y[rows], z[rows]), tol)[0] != "exterior"
+        on.append(flags)
+    if one:
+        if True in on:
+            return "on_face", on.index(True), tuple(on)
+        return ("interior" if inner else "exterior"), None, _NO_FACES
+    on = np.array(on)
+    on_face = on.any(axis=0)
+    index = np.where(on_face, on.argmax(axis=0), -1)
+    rows = np.flatnonzero(vertex)
+    index[rows] = np.array(dv)[:, rows].argmin(axis=0)
+    return _HEX_KINDS[np.where(vertex, 3, np.where(on_face, 2, candidate & inner))], index, on
 
 
 def face_of_point_hex(hexa: Hexahedron, p) -> PointLocation:
@@ -643,60 +700,26 @@ def face_of_point_hex(hexa: Hexahedron, p) -> PointLocation:
     lowest-index containing face, and every containing face in faces.
     Interior means strictly inside all six supporting planes.
     """
-    p = np.asarray(p, dtype=float)
-    tol = CLASSIFY_RTOL * hexa.diameter
-    dv = hexa.vertex_distances(p)
-    i = int(np.argmin(dv))
-    if dv[i] <= tol:
-        return PointLocation("at_vertex", index=i)
-    s = hexa.face_signed_distances(p)
-    if np.any(s > tol):
-        return PointLocation("exterior")
-    near = _faces_containing(hexa, p, s, tol)
-    if near:
-        return PointLocation("on_face", index=near[0], faces=tuple(near))
-    if np.all(s < -tol):
-        return PointLocation("interior")
-    # Within tolerance of some plane but not on its face polygon: outside.
-    return PointLocation("exterior")
+    kind, index, on = _locate_hex(hexa, float(p[0]), float(p[1]), float(p[2]))
+    return PointLocation(kind, index, faces=tuple(compress(range(6), on)))
 
 
-def _locate_points_hex(hexa: Hexahedron, pts):
-    """face_of_point_hex for each row of pts (m, 3): (kind, index, faces),
-    where faces (m, 6) marks the faces containing each on-face point."""
-    tol = CLASSIFY_RTOL * hexa.diameter
-    dv = hexa.vertex_distances(pts)
-    nearest = dv.argmin(axis=1)  # the first nearest vertex, as np.argmin picks
-    vertex = dv[np.arange(len(pts)), nearest] <= tol
-    s = hexa.face_signed_distances(pts)
-    candidate = ~vertex & ~(s > tol).any(axis=1)
-    faces = np.zeros((len(pts), 6), dtype=bool)
-    for f in range(6):
-        near = np.flatnonzero(candidate & (np.abs(s[:, f]) <= tol))
-        if near.size:
-            quad2d, to2d = face_to_plane(hexa, f)
-            kind2d, _, _ = _classify_points_quad(quad2d, to2d(pts[near]), tol)
-            faces[near, f] = kind2d != "exterior"
-    on_face = faces.any(axis=1)
-    kind = np.full(len(pts), "exterior", dtype="U9")
-    kind[candidate & ~on_face & (s < -tol).all(axis=1)] = "interior"
-    kind[on_face] = "on_face"
-    kind[vertex] = "at_vertex"
-    index = np.where(vertex, nearest, np.where(on_face, faces.argmax(axis=1), -1))
-    return kind, index, faces
+def faces_containing(hexa: Hexahedron, p) -> list[int]:
+    """The faces face_of_point_hex puts p on, lowest first: faces whose
+    plane passes within CLASSIFY_RTOL * diameter of p and whose
+    quadrilateral contains (the projection of) p, and none at a vertex,
+    which snapping takes first, or outside the solid."""
+    return list(face_of_point_hex(hexa, p).faces)
 
 
 def face_of_points_hex(hexa: Hexahedron, points) -> tuple[np.ndarray, np.ndarray]:
     """Classify each row of points (m, 3); returns (kind, index) arrays.
 
     kind[s] and index[s] (-1 where the location has none) are the kind and
-    index face_of_point_hex gives for points[s]: both compute the vertex
-    distances, the face signed distances and the in-face coordinates with
-    the same elementwise expressions, so every comparison with the
-    tolerance sees the same bits, and the in-face tests go through
-    classify_points_quad, which reproduces classify_point_quad.
+    index face_of_point_hex gives for points[s]: both run _locate_hex.
     """
-    kind, index, _ = _locate_points_hex(hexa, np.asarray(points, dtype=float).reshape(-1, 3))
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    kind, index, _ = _locate_hex(hexa, pts[:, 0], pts[:, 1], pts[:, 2])
     return kind, index
 
 

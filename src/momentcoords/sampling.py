@@ -1,4 +1,8 @@
-"""Seeded random geometry and point generators shared by checks and tests."""
+"""Seeded random geometry and point generators shared by checks and tests.
+
+The quadrilateral sampler decides with the point location of
+classify_point_quad, whose nearest-edge distance gives the margin.
+"""
 
 from __future__ import annotations
 
@@ -13,45 +17,11 @@ from .geometry import (
     Hexahedron,
     NodeSet1D,
     Quadrilateral,
-    _classify_points_quad,
+    _locate_quad,
 )
 
 # Attempts drawn and tested at once, at most; bounds the samplers' memory.
 _MAX_CHUNK = 1 << 16
-
-
-def _boundary_distance_quad(quad, p):
-    v = quad.vertices
-    best = np.inf
-    for i in range(4):
-        a, b = v[i], v[(i + 1) % 4]
-        e = b - a
-        t = float((p - a) @ e) / float(e @ e)
-        t = min(max(t, 0.0), 1.0)
-        best = min(best, float(np.linalg.norm(p - (a + t * e))))
-    return best
-
-
-def _boundary_distances_quad(quad, pts):
-    """_boundary_distance_quad for each row of pts (m, 2), elementwise; it
-    can differ from the single-point value by rounding, less than
-    _distance_window(quad)."""
-    v = quad.vertices
-    best = np.full(len(pts), np.inf)
-    for i in range(4):
-        a, b = v[i], v[(i + 1) % 4]
-        e = b - a
-        x, y = pts[:, 0] - a[0], pts[:, 1] - a[1]
-        t = np.clip((x * e[0] + y * e[1]) / float(e @ e), 0.0, 1.0)
-        best = np.minimum(best, np.hypot(x - t * e[0], y - t * e[1]))
-    return best
-
-
-def _distance_window(quad) -> float:
-    """A bound on |_boundary_distances_quad - _boundary_distance_quad|:
-    a few ulps of the diameter, plus a few ulps of the coordinates, which
-    the single-point distance rounds to when it forms the foot point."""
-    return 1e-12 * quad.diameter + 8.0 * float(np.spacing(np.abs(quad.vertices).max()))
 
 
 def _rejection_sample(rng, lo, hi, n: int, accept, margin: float):
@@ -98,23 +68,15 @@ def interior_points_quad(quad: Quadrilateral, n: int, rng, margin: float = 1e-5)
 
     Raises ValueError when the acceptance rate collapses (e.g. a sliver
     thinner than the margin) instead of looping forever.  A point is kept
-    when classify_point_quad calls it interior and _boundary_distance_quad
-    is at least the margin; the batch tests decide the same, and hand the
-    distances within rounding (_distance_window) of the margin to
-    _boundary_distance_quad.
+    when _locate_quad calls it interior, at least the margin from every
+    edge; a chunk decides as one point at a time would.
     """
     keep = margin * quad.diameter
-    window = _distance_window(quad)
+    tol = CLASSIFY_RTOL * quad.diameter
 
     def accept(pts):
-        kind = _classify_points_quad(quad, pts, CLASSIFY_RTOL * quad.diameter)[0]
-        inside = np.flatnonzero(kind == "interior")
-        dist = _boundary_distances_quad(quad, pts[inside])
-        for s in np.flatnonzero(np.abs(dist - keep) <= window):
-            dist[s] = _boundary_distance_quad(quad, pts[inside[s]])
-        mask = np.zeros(len(pts), dtype=bool)
-        mask[inside] = ~(dist < keep)
-        return mask
+        kind, _, _, dist = _locate_quad(quad, pts[:, 0], pts[:, 1], tol)
+        return (kind == "interior") & ~(dist < keep)
 
     v = quad.vertices
     return _rejection_sample(rng, v.min(axis=0), v.max(axis=0), n, accept, margin)

@@ -35,6 +35,8 @@ from momentcoords.geometry import (
     Hexahedron,
     NodeSet1D,
     Quadrilateral,
+    _locate_hex,
+    _locate_quad,
     classify_point_quad,
     classify_points_quad,
     face_of_point_hex,
@@ -68,8 +70,28 @@ def _edge_points(quad):
     return np.array(out)
 
 
+def _tolerance_points(quad):
+    """Points at (1 +- 1e-6) tol off each edge, on both sides, and around
+    each vertex, where the classification turns on the last bits."""
+    v = quad.vertices
+    tol = CLASSIFY_RTOL * quad.diameter
+    out = []
+    for i in range(4):
+        a, b = v[i], v[(i + 1) % 4]
+        e = b - a
+        normal = np.array([e[1], -e[0]]) / np.linalg.norm(e)
+        for t in np.linspace(0.0, 1.0, 11):
+            for off in (1 - 1e-6, 1 + 1e-6, -1 + 1e-6, -1 - 1e-6):
+                out.append(a + t * e + off * tol * normal)
+        angle = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        ring = np.column_stack([np.cos(angle), np.sin(angle)])
+        for r in (1 - 1e-6, 1 + 1e-6):
+            out.extend(a + r * tol * ring)
+    return np.array(out)
+
+
 def _test_points(quad):
-    return np.vstack([_bbox_grid(quad, 41), _edge_points(quad)])
+    return np.vstack([_bbox_grid(quad, 41), _edge_points(quad), _tolerance_points(quad)])
 
 
 def _offset(quad, offset):
@@ -83,15 +105,23 @@ QUADS = {
     "nonconvex+1e6": _offset(shapes.nonconvex_quad(), [1e6, -0.4e6]),
     "nonconvex+1e8": _offset(shapes.nonconvex_quad(), [1e8, 0.7e8]),
     "convex+1e8": _offset(shapes.convex_quad(), [-1e8, 1e8]),
+    # Far and small: the tolerance (3e-13) is below the ulp of the
+    # coordinates (1.2e-10), so the classification turns on rounding.
+    "nonconvex*1e-3+1e6": Quadrilateral(shapes.nonconvex_quad().vertices * 1e-3 + [1e6, -7e5]),
 }
 
 
 def _assert_classify_equal(quad, points):
     kind, index = classify_points_quad(quad, points)
+    # The edge parameter, which the edge weights take, is compared bit for
+    # bit; the stack has NaN where one point has None.
+    t = _locate_quad(quad, points[:, 0], points[:, 1], CLASSIFY_RTOL * quad.diameter)[2]
     for s, p in enumerate(points):
         loc = classify_point_quad(quad, p)
         assert kind[s] == loc.kind, (p, kind[s], loc)
         assert index[s] == (-1 if loc.index is None else loc.index), (p, index[s], loc)
+        ref = np.nan if loc.t is None else loc.t
+        assert np.float64(t[s]).tobytes() == np.float64(ref).tobytes(), (p, t[s], loc)
     return kind
 
 
@@ -546,17 +576,43 @@ def _hex_test_points(hexa, rng, n=7):
 
 def _assert_hex_classify_equal(hexa, points):
     kind, index = face_of_points_hex(hexa, points)
+    # The containing-face flags, which the frame rule takes, against faces.
+    on = _locate_hex(hexa, points[:, 0], points[:, 1], points[:, 2])[2]
     for s, p in enumerate(points):
         loc = face_of_point_hex(hexa, p)
         assert kind[s] == loc.kind, (p, kind[s], loc)
         assert index[s] == (-1 if loc.index is None else loc.index), (p, index[s], loc)
+        assert tuple(np.flatnonzero(on[:, s]).tolist()) == loc.faces, (p, on[:, s], loc)
     return kind
+
+
+def _hex_tolerance_points(hexa):
+    """Face points, edge midpoints and vertices moved by (1 +- 1e-6) tol
+    along each containing face's normal and along their sum, both ways."""
+    v = hexa.vertices
+    tol = CLASSIFY_RTOL * hexa.diameter
+    normals = np.array([n for n, _ in hexa.face_planes])
+    def faces_with(*corners):
+        return [f for f, idx in enumerate(Hexahedron.FACES) if set(corners) <= set(idx)]
+
+    edges = {tuple(sorted((f[i], f[(i + 1) % 4]))) for f in Hexahedron.FACES for i in range(4)}
+    sites = [(v[list(idx)].mean(axis=0), [f]) for f, idx in enumerate(Hexahedron.FACES)]
+    sites += [((v[a] + v[b]) / 2, faces_with(a, b)) for a, b in sorted(edges)]
+    sites += [(v[i], faces_with(i)) for i in range(8)]
+    out = []
+    for site, faces in sites:
+        directions = [normals[f] for f in faces] + [normals[faces].sum(axis=0)]
+        for d in directions:
+            d = d / np.linalg.norm(d)
+            for off in (1 - 1e-6, 1 + 1e-6, -1 + 1e-6, -1 - 1e-6):
+                out.append(site + off * tol * d)
+    return np.array(out)
 
 
 @pytest.mark.parametrize("make", [shapes.convex_hex, shapes.cube], ids=["conv-hex", "cube"])
 def test_hex_batch_equals_single_point(make):
     hexa = make()
-    points = _hex_test_points(hexa, np.random.default_rng(5))
+    points = np.vstack([_hex_test_points(hexa, np.random.default_rng(5)), _hex_tolerance_points(hexa)])
     kind = _assert_hex_classify_equal(hexa, points)
     assert {"interior", "exterior", "on_face", "at_vertex"} <= set(kind.tolist())
     _assert_many_equal(moment_coords_hex, moment_coords_hex_many, hexa, points)

@@ -217,7 +217,7 @@ class TestFold:
         for nodes, points in _fold_sample(7, per_size=2):
             for x in points:
                 phi = moment_coords_1d(nodes, x)
-                k, _ = _locate(nodes, x)
+                k, _, _ = _locate(nodes, float(x))
                 assert not np.signbit(phi).any()
                 assert np.count_nonzero(np.delete(phi, [k, k + 1])) == 0
 

@@ -4,7 +4,9 @@ import pytest
 from momentcoords import sampling, shapes
 from momentcoords.errors import OutsideDomain
 from momentcoords.geometry import (
+    CLASSIFY_RTOL,
     Quadrilateral,
+    _locate_quad,
     classify_point_quad,
     face_of_point_hex,
     validate_geometry,
@@ -42,9 +44,8 @@ def _loop_interior_points_quad(quad, n, rng, margin=1e-5):
         if attempts > budget:
             raise ValueError("budget")
         p = rng.uniform(lo, hi)
-        if classify_point_quad(quad, p).kind != "interior":
-            continue
-        if sampling._boundary_distance_quad(quad, p) < keep:
+        kind, _, _, dist = _locate_quad(quad, *p.tolist(), CLASSIFY_RTOL * quad.diameter)
+        if kind != "interior" or dist < keep:
             continue
         out.append(p)
     return np.array(out)
@@ -151,16 +152,18 @@ def test_budget_exhaustion_after_the_same_attempts(n):
 
 
 @pytest.mark.parametrize("name", sorted(_QUADS))
-def test_boundary_distances_within_the_recheck_window(name):
-    # interior_points_quad rechecks batch distances within the window of
-    # the margin with the scalar distance; the two must differ by less.
+def test_boundary_distance_batch_equals_single_point(name):
+    # interior_points_quad keeps a candidate by its nearest-edge distance
+    # from the stacked point location; one point gets the same bits, so a
+    # chunk decides as the loop of single points does.
     quad = _QUADS[name]()
     rng = np.random.default_rng(12)
     lo, hi = quad.vertices.min(axis=0), quad.vertices.max(axis=0)
     pts = rng.uniform(lo, hi, size=(500, 2))
-    batch = sampling._boundary_distances_quad(quad, pts)
-    scalar = np.array([sampling._boundary_distance_quad(quad, p) for p in pts])
-    assert np.abs(batch - scalar).max() <= sampling._distance_window(quad) / 4
+    tol = CLASSIFY_RTOL * quad.diameter
+    batch = _locate_quad(quad, pts[:, 0], pts[:, 1], tol)[3]
+    single = [_locate_quad(quad, *p.tolist(), tol)[3] for p in pts]
+    assert batch.tobytes() == np.array(single).tobytes()
 
 
 def test_random_simple_quads_valid_and_both_classes(rng):
@@ -247,13 +250,3 @@ class TestFiniteDifferenceGradient:
                 apex,
                 1e-6 * quad_convex.diameter,
             )
-
-
-def test_near_margin_distances_rechecked_by_the_scalar(monkeypatch):
-    # With a window as wide as the quadrilateral every distance goes
-    # through the scalar recheck; the stream stays the loop's.
-    monkeypatch.setattr(sampling, "_distance_window", lambda quad: quad.diameter)
-    quad = _QUADS["nonconvex+1e6"]()
-    _assert_same_stream(
-        sampling.interior_points_quad, _loop_interior_points_quad, quad, 40, 5, margin=0.02
-    )
