@@ -17,10 +17,11 @@ to the contract of smallsolve.solve_dense.
 
 Three independent oracles are provided for cross checks: the local tangent
 formula for mean value coordinates, a Cramer's-rule expansion through all
-four corner triangles, and the rational area quotient for Wachspress.
-Each coordinate function and oracle has a batch twin (the *_many
-functions) that evaluates a stack of points and returns (phi, ok) instead
-of raising per point.  Every formula is written once for both, on Python
+four corner triangles, and the rational area quotient for Wachspress,
+whose areas are taken in the same units, so that its products of two
+areas do not overflow either.  Each coordinate function and oracle has a
+batch twin (the *_many functions) that evaluates a stack of points and
+returns (phi, ok) instead of raising per point.  Every formula is written once for both, on Python
 floats for one point and as elementwise numpy over a stack, in the same
 order, so the two agree bit for bit: the weight rows, the closed form, the
 edge weights and the three oracle kernels.  So is the point location both
@@ -405,11 +406,17 @@ def cramer_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np
 
 def _area_quotient(quad: Quadrilateral, p):
     """Wachspress coordinates by the area quotient at one point p (2,) or a
-    stack (m, 2), and whether an edge triangle vanishes there."""
-    o = _offsets(quad, p)
+    stack (m, 2), and whether an edge triangle vanishes there.
+
+    The edge and corner areas are taken on offsets in units of L, the power
+    of two next to the diameter (Quadrilateral.reproducing_kernel): an
+    exact scaling, which the normalization takes out again, so the
+    products of two areas do not overflow on large quadrilaterals."""
+    s = quad.reproducing_kernel[3]
+    o = _offsets(quad, p) * s
     ex, ey = o[..., 0, :], o[..., 1, :]
     edge_areas = 0.5 * (ex * ey[..., _NEXT] - ey * ex[..., _NEXT])
-    v = quad.vertices
+    v = quad.vertices * s
     corners = np.array([signed_area(v[i - 1], v[i], v[(i + 1) % 4]) for i in range(4)])
     with np.errstate(divide="ignore", invalid="ignore"):
         w = corners / (edge_areas[..., _PREV] * edge_areas)

@@ -27,14 +27,23 @@ units of L, the power of two next to the diameter (an exact scaling), so
 its rows are O(1) whatever the size of the hexahedron; the frame and the
 frame coordinates it returns stay in absolute units.
 
-moment_coords_hex evaluates one point; moment_coords_hex_many evaluates a
-batch with the same arithmetic.  The frame rule is written once
-(_frame): it takes one point as Python floats, which is faster for a
-single point than numpy calls, or a stack as arrays, and both run the same
-elementwise operations in the same order.  The assembly helpers take one
-point's arrays or a stack of them (the leading axes broadcast), and every
-sum of products is spelled out elementwise, because the rounding of a
-matrix product depends on the BLAS kernel and on the stack around it.
+moment_coords_hex evaluates one point in Python floats from the frame to
+the solve: the frame rule, the frame coordinates in units of L as three
+lists of 8 floats, the system as 8 lists, and smallsolve.solve_dense, which
+takes its rows as lists; the weight vector it returns (and, with
+return_frame, the Frame3 around the same frame) is the only array built
+after point location.  moment_coords_hex_many evaluates a batch
+with the same arithmetic on arrays.  The formulas are written once for
+both: the frame rule (_frame) and the distance rows (_distance_rows) take
+one point as Python floats, which is faster for a single point than numpy
+calls, or a stack as arrays, and run the same elementwise operations in
+the same order.  Every sum of products is spelled out elementwise (the
+frame coordinates in _dot3's order on both paths), because the rounding of
+a matrix product depends on the BLAS kernel and on the stack around it.
+The partial distances are sqrt(a*a + b*b) on both paths: math.hypot and
+np.hypot round differently from each other (on 11,568 of 2,000,000 random
+normal pairs), so the single point and the batch would part in the last
+bit.
 """
 
 from __future__ import annotations
@@ -76,25 +85,31 @@ FRAME_DET_MIN = 1e-8
 # FACE_VERTICES[f, i] is True when vertex i lies on face f.
 FACE_VERTICES = HEX_FACE_VERTICES
 
+# Signs of rows 4 to 7 of the system (the partial distances and the
+# distance), (7, 4, 8): at index f < 6 for a point on face f, whose columns
+# get 0.0 for their partial distances, and at index _NO_FACE for any other
+# point.  _COLUMN_SIGNS holds the same numbers per column as floats.
+_NO_FACE = 6
+_ROW_SIGNS = np.array(
+    [np.vstack([np.where(zero, 0.0, DELTA_SIGNS), DISTANCE_SIGNS]) for zero in FACE_VERTICES]
+    + [np.vstack([DELTA_SIGNS, DISTANCE_SIGNS])],
+    dtype=float,
+)
+_COLUMN_SIGNS = tuple(tuple(map(tuple, signs.T.tolist())) for signs in _ROW_SIGNS)
+
 # The frame rule's tables as Python numbers: the sign pattern's rows, and
 # the three faces that contain each vertex.
 _PATTERN_ROWS = tuple(map(tuple, SIGN_PATTERN.tolist()))
 _VERTEX_FACES = tuple(tuple(np.flatnonzero(col).tolist()) for col in FACE_VERTICES.T)
 
 # Right-hand side of the system: only the partition-of-unity row is 1.
-_RHS = np.eye(8)[0]
+_RHS = [1.0] + [0.0] * 7
 
 
 def _dot3(a, b):
     """Sum over the last axis (length 3) of a * b, elementwise in a fixed
     order; a and b broadcast."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
-def _column_norms(a):
-    """Euclidean norm of each column of a (..., 3, n)."""
-    x, y, z = a[..., 0, :], a[..., 1, :], a[..., 2, :]
-    return np.sqrt(x * x + y * y + z * z)
 
 
 class Frame3:
@@ -104,9 +119,12 @@ class Frame3:
     Coordinates of a point q are rows @ (q - origin).
     """
 
-    def __init__(self, basis, rows, origin, det: float):
-        self.basis, self.rows, self.origin, self.det = basis, rows, origin, det
-        self.r1, self.r2, self.r3 = basis.T
+    def __init__(self, columns, rows, origin, det: float):
+        """From the frame rule's result for one point (_frame): the basis
+        columns and the rows as float triples."""
+        self.basis, self.rows = np.array(columns).T, np.array(rows)
+        self.origin, self.det = origin, det
+        self.r1, self.r2, self.r3 = self.basis.T
 
     def coords(self, points) -> np.ndarray:
         """Frame coordinates of points (n, 3), returned as a 3 x n array."""
@@ -132,38 +150,47 @@ def sign_pattern_ok(w, diameter: float, cols=None):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def _delta_from_w(w, zero_cols=None):
-    """Signed partial distances (..., 3, 8) from frame coordinates w
-    (..., 3, 8); columns where zero_cols (..., 8) is set are zeroed."""
-    delta = np.stack(
-        [
-            np.hypot(w[..., 1, :], w[..., 2, :]),
-            np.hypot(w[..., 0, :], w[..., 2, :]),
-            np.hypot(w[..., 0, :], w[..., 1, :]),
-        ],
-        axis=-2,
-    ) * DELTA_SIGNS
-    if zero_cols is not None:
-        delta = np.where(zero_cols[..., None, :], 0.0, delta)
-    return delta
-
-
-def _hex_system(w, zero_cols=None):
-    """The 8 x 8 matrix (or stack of them) for frame coordinates w."""
-    m = np.empty(w.shape[:-2] + (8, 8))
-    m[..., 0, :] = 1.0
-    m[..., 1:4, :] = w
-    m[..., 4:7, :] = _delta_from_w(w, zero_cols)
-    m[..., 7, :] = _column_norms(w) * DISTANCE_SIGNS
-    return m
-
-
 def _pick(cond, a, b):
     """Triple a where cond holds, else b: a branch at one point (cond a
     bool), np.where per component over a stack (cond an array)."""
     if isinstance(cond, np.ndarray):
         return tuple(np.where(cond, x, y) for x, y in zip(a, b))
     return a if cond else b
+
+
+def _distance_rows(x, y, z, signs):
+    """Rows 4 to 7 of the system at frame coordinates (x, y, z) in units of
+    L: the partial distances sqrt(y*y + z*z), sqrt(x*x + z*z) and
+    sqrt(x*x + y*y) and the distance sqrt(x*x + y*y + z*z), each times its
+    entry of signs (from _ROW_SIGNS, so 0.0 for the partial distances of
+    an on-face column).
+
+    Takes one column as floats or a stack as arrays that broadcast, and
+    runs the same elementwise operations on both (not math.hypot or
+    np.hypot, which round differently from each other).
+    """
+    sqrt = math.sqrt if isinstance(x, float) else np.sqrt
+    xx, yy, zz = x * x, y * y, z * z
+    return (
+        sqrt(yy + zz) * signs[0],
+        sqrt(xx + zz) * signs[1],
+        sqrt(xx + yy) * signs[2],
+        sqrt(xx + yy + zz) * signs[3],
+    )
+
+
+def _hex_system(w, face=_NO_FACE):
+    """The 8 x 8 matrix for frame coordinates w (3, 8) in units of L, or a
+    stack of them for w (m, 3, 8) and face (m,); face is the face that
+    holds the point (its columns' partial distances are zeroed) or
+    _NO_FACE."""
+    m = np.empty(w.shape[:-2] + (8, 8))
+    m[..., 0, :] = 1.0
+    m[..., 1:4, :] = w
+    signs = np.moveaxis(_ROW_SIGNS[face], -2, 0)
+    rows = _distance_rows(w[..., 0, :], w[..., 1, :], w[..., 2, :], signs)
+    m[..., 4:, :] = np.stack(rows, axis=-2)
+    return m
 
 
 def _wedge_normal(line, px, py, pz):
@@ -300,7 +327,7 @@ def reference_frame(hexa: Hexahedron, p, faces=()) -> Frame3:
     p = np.asarray(p, dtype=float)
     px, py, pz = p.tolist()
     basis, rows, det, _ = _frame(hexa, px, py, pz, tuple(f in faces for f in range(6)))
-    return Frame3(np.array(basis).T, np.array(rows), p, det)
+    return Frame3(basis, rows, p, det)
 
 
 def _induced_face_quad(f: int, w) -> Quadrilateral:
@@ -339,11 +366,14 @@ def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):
         phi = np.zeros(8)
         phi[loc.index] = 1.0
         return (phi, None) if return_frame else phi
-    frame = reference_frame(hexa, p, faces=loc.faces)
-    w = frame.coords(hexa.vertices)
-    zero_cols = FACE_VERTICES[loc.index] if loc.kind == "on_face" else None
-    phi = solve_dense(_hex_system(w * hexa.unit_scale, zero_cols), _RHS)
-    return (phi, frame) if return_frame else phi
+    px, py, pz = p.tolist()
+    basis, rows, det, _ = _frame(hexa, px, py, pz, tuple(f in loc.faces for f in range(6)))
+    s = hexa.unit_scale
+    offsets = [(vx - px, vy - py, vz - pz) for vx, vy, vz in hexa.corner_tuple]
+    w = [[(fx * dx + fy * dy + fz * dz) * s for dx, dy, dz in offsets] for fx, fy, fz in rows]
+    signs = _COLUMN_SIGNS[loc.index if loc.kind == "on_face" else _NO_FACE]
+    phi = solve_dense([[1.0] * 8, *w, *zip(*map(_distance_rows, *w, signs))], _RHS)
+    return (phi, Frame3(basis, rows, p, det)) if return_frame else phi
 
 
 def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool = False):
@@ -377,9 +407,9 @@ def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool =
     solve, q = solve[framed], q[framed]
     rows = np.moveaxis(np.array(rows), -1, 0)[framed]
     w = _dot3(rows[:, :, None, :], (hexa.vertices - q[:, None, :])[:, None, :, :])
-    zero_cols = (kind[solve] == "on_face")[:, None] & FACE_VERTICES[index[solve]]
+    face = np.where(kind[solve] == "on_face", index[solve], _NO_FACE)
     phi[solve], ok[solve] = solve_dense_many(
-        _hex_system(w * hexa.unit_scale, zero_cols), np.broadcast_to(_RHS, (len(solve), 8))
+        _hex_system(w * hexa.unit_scale, face), np.broadcast_to(_RHS, (len(solve), 8))
     )
     if not return_frame_coords:
         return phi, ok

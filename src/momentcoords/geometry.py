@@ -440,6 +440,12 @@ HEX_FACE_VERTICES.flags.writeable = False
 _HEX_FACE_INDEX = np.array(HEX_FACES)  # v[_HEX_FACE_INDEX] stacks the faces
 
 
+def _cross(a, b):
+    """a x b for float triples."""
+    (ax, ay, az), (bx, by, bz) = a, b
+    return ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+
+
 def _fit_planes(points):
     """Least-squares planes through each stack of points (k, m, 3): the points
     about their centroids, the centroids (k, 3) and the right singular
@@ -537,21 +543,26 @@ class Hexahedron:
         of the line where the pair's supporting planes meet, each a tuple of
         floats; when the planes are parallel (|n_a x n_b| < 1e-9) it is None
         and bisector is the unit normal bisector n_a - n_b instead, also a
-        tuple of floats.
+        tuple of floats.  With u = n_a x n_b and d = n . c the planes'
+        offsets (plane_rows), the point is x0 = (d_a (n_b x u) + d_b (u x
+        n_a)) / |u|**2, the solution of n_a . x = d_a, n_b . x = d_b,
+        u . x = 0 by Cramer's rule; all in Python floats.
         """
         out = []
         for fa, fb in self.OPPOSITE_PAIRS:
-            na, ca = self.face_planes[fa]
-            nb, cb = self.face_planes[fb]
-            u = np.cross(na, nb)
-            norm_u = np.linalg.norm(u)
+            *na, da = self.plane_rows[fa]
+            *nb, db = self.plane_rows[fb]
+            u = _cross(na, nb)
+            uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+            norm_u = math.sqrt(uu)
             if norm_u < 1e-9:
-                m = na - nb
-                out.append((None, tuple((m / np.linalg.norm(m)).tolist())))
+                m = [a - b for a, b in zip(na, nb)]
+                norm_m = math.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
+                out.append((None, tuple(c / norm_m for c in m)))
                 continue
-            u = u / norm_u
-            x0 = np.linalg.solve(np.vstack([na, nb, u]), np.array([na @ ca, nb @ cb, 0.0]))
-            out.append(((tuple(u.tolist()), tuple(x0.tolist()), tuple(ca.tolist())), None))
+            x0 = tuple((da * p + db * q) / uu for p, q in zip(_cross(nb, u), _cross(u, na)))
+            direction = tuple(c / norm_u for c in u)
+            out.append(((direction, x0, tuple(self.face_planes[fa][1].tolist())), None))
         return tuple(out)
 
     @cached_property

@@ -5,15 +5,17 @@ Quadrilaterals (4 x 4, coords2d) and intervals (n x n, folded to 3 x 3 in
 coords1d) are solved in closed form, and their tests use these solves as
 the reference.  There is one elimination, an LU with partial (row)
 pivoting, written twice.  solve_dense runs it on plain Python lists of
-floats: for a single system each numpy call costs more than the arithmetic
-it does, so a row-vectorized numpy LU spends most of its time in per-call
-overhead, while the list LU runs the same elimination three to four times
-faster on 4 x 4 and 8 x 8.  solve_dense_many runs it over a stack of
-systems, one numpy operation per step for the whole stack, with bitwise
-equal results.
+floats, and takes its rows as lists: for a single system each numpy call
+costs more than the arithmetic it does, so a row-vectorized numpy LU
+spends most of its time in per-call overhead, while the list LU runs the
+same elimination three to four times faster on 4 x 4 and 8 x 8.
+solve_dense_many runs it over a stack of systems, one numpy operation per
+step for the whole stack, with bitwise equal results.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 import numpy as np
 
@@ -78,21 +80,35 @@ def _lu_solve(a: list, b: list) -> list:
 def solve_dense(matrix, rhs) -> np.ndarray:
     """Solve matrix @ x = rhs for a small dense square system.
 
-    Inputs are copied, never modified.  Raises SingularMatrix when partial
-    pivoting meets a pivot below PIVOT_RTOL relative to the largest matrix
-    entry.  Deterministic: identical inputs give bitwise identical results.
+    matrix is n rows of n numbers, as lists (the form the hexahedral
+    assembly builds) or a 2D array, which is converted once by tolist;
+    rhs is n numbers.  Inputs are copied, never modified.  Raises
+    SingularMatrix when partial pivoting meets a pivot below PIVOT_RTOL
+    relative to the largest matrix entry.  Deterministic: identical inputs
+    give bitwise identical results, whichever form they come in.  The
+    residual contract is checked in Python floats.
     """
-    a = np.asarray(matrix, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
-        raise ValueError(f"need square matrix and matching rhs, got {a.shape} / {b.shape}")
-    x = np.array(_lu_solve(a.tolist(), b.tolist()))
+    if isinstance(matrix, np.ndarray):
+        matrix = matrix.tolist()
+    if isinstance(rhs, np.ndarray):
+        rhs = rhs.tolist()
+    try:
+        a = [list(map(float, row)) for row in matrix]
+        b = list(map(float, rhs))
+    except TypeError:
+        raise ValueError("need rows of numbers and a right-hand side of numbers") from None
+    n = len(b)
+    if len(a) != n or any(len(row) != n for row in a):
+        raise ValueError(
+            f"need {n} rows of {n} entries to match rhs, got rows of {[len(row) for row in a]}"
+        )
+    x = _lu_solve([row[:] for row in a], b[:])
     if __debug__:
-        resid = float(np.abs(a @ x - b).max())
-        assert resid <= RESIDUAL_RTOL * (1.0 + float(np.abs(b).max())), (
+        resid = max(abs(sum(map(mul, row, x)) - b_i) for row, b_i in zip(a, b))
+        assert resid <= RESIDUAL_RTOL * (1.0 + max(map(abs, b))), (
             f"solve residual {resid:.3e} exceeds contract"
         )
-    return x
+    return np.array(x)
 
 
 def solve_dense_many(matrices, rhs) -> tuple[np.ndarray, np.ndarray]:

@@ -234,6 +234,22 @@ def test_moment_any_scale(scale):
     _assert_any_scale(moment_coords_quad, moment_coords_quad_many, mvc_oracle, scale)
 
 
+@pytest.mark.parametrize("scale", SCALES)
+def test_wachspress_oracle_any_scale(scale):
+    # The area quotient takes its areas in units of a power of two next to
+    # the diameter; by 1e100 the product of two edge areas overflowed and
+    # every weight was NaN.
+    base = shapes.convex_quad()
+    quad = Quadrilateral(base.vertices * scale)
+    points = _bbox_grid(quad, 9)
+    _assert_many_equal(wachspress_oracle, wachspress_oracle_many, quad, points)
+    phi, ok = wachspress_oracle_many(quad, points)
+    interior = classify_points_quad(quad, points)[0] == "interior"
+    assert interior.any() and ok[interior].all()
+    for s in np.flatnonzero(interior):
+        assert np.abs(phi[s] - wachspress_oracle(base, points[s] / scale)).max() <= 1e-14
+
+
 def _assert_oracles_equal(quad, points):
     _assert_many_equal(mvc_oracle, mvc_oracle_many, quad, points)
     _assert_many_equal(cramer_coords_quad, cramer_coords_quad_many, quad, points)
@@ -616,6 +632,33 @@ def test_hex_batch_equals_single_point(make):
     kind = _assert_hex_classify_equal(hexa, points)
     assert {"interior", "exterior", "on_face", "at_vertex"} <= set(kind.tolist())
     _assert_many_equal(moment_coords_hex, moment_coords_hex_many, hexa, points)
+
+
+# A fixed corpus of seeded hexahedra, tilted plane hexahedra and affine cube
+# images, with interior points and points on every face.
+HEX_CORPUS = [(make, seed) for make in ("plane", "affine") for seed in range(24)]
+
+
+@pytest.mark.parametrize("make, seed", HEX_CORPUS)
+def test_hex_corpus_single_point_bitwise_equal_to_batch(make, seed):
+    rng = np.random.default_rng(seed)
+    if make == "plane":
+        hexa = sampling.random_plane_hex(rng, tilt=0.4)
+    else:
+        hexa = sampling.random_affine_cube_hex(rng)
+    faces = [sampling.face_points_hex(hexa, f, 5, rng) for f in range(6)]
+    points = np.vstack([sampling.interior_points_hex(hexa, 40, rng)] + faces)
+    phi, ok, w = moment_coords_hex_many(hexa, points, return_frame_coords=True)
+    assert ok.all()
+    located = set()
+    for s, p in enumerate(points):
+        ref, frame = moment_coords_hex(hexa, p, return_frame=True)
+        located.add(face_of_point_hex(hexa, p).kind)
+        # Bytes, so that a zero's sign counts as well.
+        assert phi[s].tobytes() == ref.tobytes(), (p, phi[s], ref)
+        assert moment_coords_hex(hexa, p).tobytes() == ref.tobytes()
+        assert frame.coords(hexa.vertices).tobytes() == w[s].tobytes(), p
+    assert located == {"interior", "on_face"}
 
 
 def test_hex_many_empty_batch():

@@ -526,7 +526,8 @@ def test_large_square_evaluates(capsys, tmp_path, side):
     # On [0, 1e9]^2 the 4 x 4 solve failed its residual contract (an
     # AssertionError traceback from grid --method wachspress and eval
     # --method moment); on [0, 1e100]^2 its pivot floor refused moment and
-    # the Wachspress row's diameter**4 overflowed.
+    # the Wachspress row's diameter**4 overflowed, and check failed its area
+    # oracle (the product of two edge areas overflowed to NaN weights).
     path = _geometry_file(tmp_path, "quad", np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * side)
     point = f"{0.5 * side!r},{side / 3!r}"
     out_path = tmp_path / "grid.csv"
@@ -545,3 +546,7 @@ def test_large_square_evaluates(capsys, tmp_path, side):
         with open(out_path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert len(rows) == 21 * 21 and all(cell != "" for row in rows for cell in row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "check", "--geometry", path, "--samples", "100")
+    assert (code, err) == (0, "") and out.endswith("properties passed\n")

@@ -6,8 +6,6 @@ from momentcoords.coords2d import moment_coords_quad
 from momentcoords.coords3d import (
     DELTA_SIGNS,
     DISTANCE_SIGNS,
-    FACE_VERTICES,
-    _delta_from_w,
     _frame,
     _hex_system,
     _induced_face_quad,
@@ -35,7 +33,7 @@ def identity_coords(hexa, p):
 
 class TestPartialDistances:
     def test_cube_center_symmetry(self, cube):
-        delta = _delta_from_w(identity_coords(cube, (0, 0, 0)))
+        delta = _hex_system(identity_coords(cube, (0, 0, 0)))[4:7]
         assert np.allclose(np.abs(delta), np.sqrt(2.0))
         assert np.array_equal(np.sign(delta), DELTA_SIGNS)
 
@@ -43,13 +41,13 @@ class TestPartialDistances:
         p = (1.0, 0.0, 0.0)
         loc = face_of_point_hex(cube, p)
         assert (loc.kind, loc.index) == ("on_face", 0)
-        delta = _delta_from_w(identity_coords(cube, p), FACE_VERTICES[loc.index])
+        delta = _hex_system(identity_coords(cube, p), loc.index)[4:7]
         assert np.array_equal(delta[:, :4], np.zeros((3, 4)))
         assert np.all(np.abs(delta[:, 4:]) > 0)
 
     def test_cube_offset_point_values(self, cube):
         p = np.array([0.5, 0.0, 0.0])
-        delta = _delta_from_w(identity_coords(cube, p))
+        delta = _hex_system(identity_coords(cube, p))[4:7]
         # Row 1 drops the first axis, row 3 drops the last one.
         assert delta[0, 0] == pytest.approx(np.sqrt(2.0))
         assert delta[2, 0] == pytest.approx(np.sqrt(0.25 + 1.0))
@@ -58,7 +56,7 @@ class TestPartialDistances:
         p = sampling.interior_points_hex(hex_tapered, 1, rng)[0]
         frame = reference_frame(hex_tapered, p)
         w = frame.coords(hex_tapered.vertices)
-        delta = _delta_from_w(w)
+        delta = _hex_system(w)[4:7]
         drop = [(1, 2), (0, 2), (0, 1)]
         for r in range(3):
             for i in range(8):

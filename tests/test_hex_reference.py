@@ -132,3 +132,55 @@ def test_small_far_hexahedron_is_valid(scale, shift):
     phi = moment_coords_hex(hexa, c)
     assert abs(phi.sum() - 1.0) <= 1e-12 and phi.min() >= 0.0
     assert np.abs(phi @ (hexa.vertices - c)).max() <= 1e-10 * hexa.diameter
+
+
+def _pair_line_hexahedra():
+    """Seeded plane hexahedra at three tilts; the smallest tilt gives pairs
+    of nearly parallel planes, whose lines lie far from the solid."""
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        yield sampling.random_plane_hex(rng, tilt=(0.4, 0.1, 0.02)[seed % 3])
+
+
+def test_pair_lines_solve_their_plane_equations():
+    # x0 solves n_a . x = d_a, n_b . x = d_b, u . x = 0.  Its rounding is a
+    # few ulps of the largest number involved, R = diameter + |x0| + |c|
+    # (nearly parallel planes put x0 up to ~200 diameters out), and against
+    # np.linalg.solve the error also carries the condition 1 / |n_a x n_b|.
+    eps = np.finfo(float).eps
+    lines = 0
+    for hexa in _pair_line_hexahedra():
+        for (line, bisector), (fa, fb) in zip(hexa.pair_lines, HEX_OPPOSITE_PAIRS):
+            assert bisector is None and line is not None
+            u, x0, c = (np.array(t) for t in line)
+            (na, ca), (nb, cb) = hexa.face_planes[fa], hexa.face_planes[fb]
+            assert np.array_equal(c, ca)
+            assert abs(np.linalg.norm(u) - 1.0) <= 4 * eps
+            size = hexa.diameter + np.linalg.norm(x0) + max(np.linalg.norm(ca), np.linalg.norm(cb))
+            bound = 8 * eps * size
+            assert abs(na @ x0 - na @ ca) <= bound
+            assert abs(nb @ x0 - nb @ cb) <= bound
+            assert abs(u @ x0) <= bound
+            ref = np.linalg.solve(np.vstack([na, nb, u]), [na @ ca, nb @ cb, 0.0])
+            assert np.abs(x0 - ref).max() <= bound / np.linalg.norm(np.cross(na, nb))
+            lines += 1
+    assert lines == 90
+
+
+def test_parallel_pairs_give_the_normal_bisector():
+    # Affine cube images have parallel opposite faces; a cube with face
+    # x = +1 tilted to x = 1 + e*y has |n_a x n_b| about e, so pair 0 has a
+    # line above the 1e-9 cutoff and the bisector below it.
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        hexa = sampling.random_affine_cube_hex(rng)
+        for (line, bisector), (fa, fb) in zip(hexa.pair_lines, HEX_OPPOSITE_PAIRS):
+            assert line is None
+            m = hexa.face_planes[fa][0] - hexa.face_planes[fb][0]
+            gap = np.abs(np.array(bisector) - m / np.linalg.norm(m)).max()
+            assert gap <= 4 * np.finfo(float).eps
+    for e, parallel in ((2e-9, False), (5e-10, True)):
+        v = shapes.cube().vertices.copy()
+        v[:4, 0] = 1.0 + e * v[:4, 1]
+        line, bisector = Hexahedron(v).pair_lines[0]
+        assert (line is None) == parallel and (bisector is None) != parallel

@@ -187,3 +187,80 @@ def test_many_residual_check_runs(monkeypatch):
     monkeypatch.setattr(smallsolve, "RESIDUAL_RTOL", -1.0)
     with pytest.raises(AssertionError, match="residual"):
         solve_dense_many(np.eye(3)[None], np.ones((1, 3)))
+
+
+def _systems():
+    """Seeded well-posed systems of sizes 3 to 16, with a row swap at the
+    first column in every other one."""
+    rng = np.random.default_rng(31)
+    for n in range(3, 17):
+        for k in range(4):
+            a = rng.normal(size=(n, n)) + rng.uniform(0, n) * np.eye(n)
+            if k % 2:
+                a[0, 0] = 0.0
+            yield a, rng.normal(size=n)
+
+
+def test_list_and_array_inputs_give_bitwise_equal_solutions():
+    for a, b in _systems():
+        x = solve_dense(a, b)
+        as_lists = (a.tolist(), b.tolist())
+        as_tuples = ([tuple(r) for r in a.tolist()], tuple(b.tolist()))
+        for rows, rhs in (as_lists, as_tuples):
+            assert solve_dense(rows, rhs).tobytes() == x.tobytes()
+
+
+def test_list_inputs_not_modified():
+    a = (np.arange(9, dtype=float).reshape(3, 3) + 9 * np.eye(3)).tolist()
+    b = [1.0, 2.0, 3.0]
+    a0, b0 = [row[:] for row in a], b[:]
+    solve_dense(a, b)
+    assert a == a0 and b == b0
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.zeros((3, 3)),
+        np.diag([1.0, 1e-20, 1.0]),
+        np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 1.0, 2.0]]),
+    ],
+    ids=["zero", "sub-floor pivot", "dependent rows"],
+)
+def test_list_and_array_inputs_raise_singular_alike(a):
+    messages = []
+    for rows in (a, a.tolist()):
+        with pytest.raises(SingularMatrix) as info:
+            solve_dense(rows, np.ones(3))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_list_input_shape_validation():
+    with pytest.raises(ValueError):
+        solve_dense(np.zeros((3, 3, 1)), np.zeros(3))
+    with pytest.raises(ValueError):
+        solve_dense(np.eye(3), np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        solve_dense([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        solve_dense([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.skipif(not __debug__, reason="the residual check runs only under __debug__")
+def test_residual_check_trips_on_a_perturbed_solution(monkeypatch):
+    # The contract is checked against the input rows, not against whatever
+    # the elimination returns: an x off by more than the contract allows
+    # fails for list and array inputs alike.
+    lu = smallsolve._lu_solve
+
+    def perturbed(a, b):
+        x = lu(a, b)
+        x[-1] += 1e-6
+        return x
+
+    monkeypatch.setattr(smallsolve, "_lu_solve", perturbed)
+    a, b = next(_systems())
+    for rows, rhs in ((a, b), (a.tolist(), b.tolist())):
+        with pytest.raises(AssertionError, match="residual"):
+            solve_dense(rows, rhs)
