@@ -277,8 +277,11 @@ def cmd_grid(args) -> int:
     all_points = np.stack([g.ravel() for g in grids], axis=-1)
     for start in range(0, len(all_points), GRID_CHUNK):
         points = all_points[start : start + GRID_CHUNK]
-        points = points[_inside_many(geom, points)]
         weights, ok = evaluate(points)
+        # A row the batch evaluated is inside; only the others are located.
+        inside = ok.copy()
+        inside[~ok] = _inside_many(geom, points[~ok])
+        points, weights, ok = points[inside], weights[inside], ok[inside]
         ok &= _row_ok(weights, vertices, points, diameter)
         grad = grad_ok = None
         if args.derivatives:

@@ -11,8 +11,8 @@ picks each frame row per opposite-face pair: the normal of the plane
 through p and the line where the pair's supporting planes meet, or the
 pair's normal bisector when the planes are parallel.  The frame varies
 continuously with p, and so do the weights.  What depends on the geometry
-alone is kept by the Hexahedron: its face planes (face_planes), those
-lines (pair_lines) and its faces as 2D quadrilaterals (face_to_plane).
+alone is kept by the Hexahedron: its face planes (face_planes) and those
+lines (pair_lines).
 
 For boundary points the pattern cannot hold on the columns of the
 containing face; those columns are exempted from the sign check and zeroed
@@ -320,9 +320,7 @@ def reference_frame(hexa: Hexahedron, p, faces=()) -> Frame3:
 
     Each row must satisfy the strict sign pattern on the columns outside
     the containing faces, and the rows must be independent with a unit
-    basis of |det| >= FRAME_DET_MIN.  Raises FrameNotFound otherwise; on a
-    valid convex hexahedron that is seen only at points just outside a
-    corner that classify on a face.
+    basis of |det| >= FRAME_DET_MIN.  Raises FrameNotFound otherwise.
     """
     p = np.asarray(p, dtype=float)
     px, py, pz = p.tolist()

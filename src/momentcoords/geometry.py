@@ -9,8 +9,8 @@ afterwards.
 The hexahedral conventions live here: REFERENCE_CUBE, the one table of
 the reference cube's vertices, and HEX_FACES, the faces' cyclic vertex
 order; every other hexahedral table derives from them.  A Hexahedron
-keeps the face planes its validation fitted, the lines where opposite
-supporting planes meet, and its faces as 2D quadrilaterals.
+keeps the face planes its validation fitted and the lines where opposite
+supporting planes meet.
 
 Point location is written once per element kind (_locate_quad,
 _locate_hex), on Python floats for one point and arrays for a stack, so a
@@ -512,9 +512,8 @@ class Hexahedron:
     the hexahedral moment system (vertex i of the cube [-1,1]^3 is
     REFERENCE_CUBE[i]); no automatic reordering is done.  Keeps the face
     planes its validation fitted (face_planes), and on first use the pair
-    lines (pair_lines), each face's 2D quadrilateral (face_to_plane) and
-    the Python-float copies that point location and the frame rule read
-    (corner_tuple, plane_rows, face_normals).
+    lines (pair_lines) and the Python-float copies that point location and
+    the frame rule read (corner_tuple, plane_rows, face_normals).
     """
 
     FACES = HEX_FACES
@@ -532,8 +531,6 @@ class Hexahedron:
         # from _check_hex.
         self.face_planes = planes
         self.diameter = diameter
-        # face_to_plane's result per face index, filled on first use.
-        self._face_quads: dict[int, tuple] = {}
 
     @cached_property
     def pair_lines(self) -> tuple:
@@ -607,40 +604,6 @@ class Hexahedron:
         return f"Hexahedron({self.vertices.tolist()})"
 
 
-def face_to_plane(hexa: Hexahedron, f: int):
-    """Face f as a 2D quadrilateral in isometric in-plane coordinates.
-
-    Returns (Quadrilateral, to2d) where to2d(x, y, z) maps an on-face 3D
-    point to its 2D coordinates, a pair of floats for one point or of
-    arrays for a stack, with the same elementwise arithmetic.  Vertex order
-    matches HEX_FACES[f]; the in-plane basis is mirrored if needed so that
-    order is already counterclockwise and the constructor does not reorder.
-    Kept by the hexahedron after the first call.
-    """
-    hit = hexa._face_quads.get(f)
-    if hit is not None:
-        return hit
-    pts = hexa.vertices[list(HEX_FACES[f])]
-    n, c = hexa.face_planes[f]
-    # Isometric in-plane axes: u along the face's first edge, w = n x u.
-    ref = pts[1] - pts[0]
-    u = ref - (ref @ n) * n
-    u = u / np.linalg.norm(u)
-    w = np.cross(n, u)
-    verts2d = np.column_stack([(pts - c) @ u, (pts - c) @ w])
-    if _quad_area(verts2d.tolist()) < 0:
-        w = -w
-        verts2d = np.column_stack([verts2d[:, 0], -verts2d[:, 1]])
-    (cx, cy, cz), (ux, uy, uz), (wx, wy, wz) = c.tolist(), u.tolist(), w.tolist()
-
-    def to2d(x, y, z):
-        qx, qy, qz = x - cx, y - cy, z - cz
-        return qx * ux + qy * uy + qz * uz, qx * wx + qy * wy + qz * wz
-
-    hexa._face_quads[f] = result = (Quadrilateral(verts2d), to2d)
-    return result
-
-
 _NO_FACES = (False,) * 6
 
 
@@ -648,14 +611,19 @@ def _locate_hex(hexa: Hexahedron, x, y, z):
     """Point location on a hexahedron: (kind, index, on).
 
     Takes one point as Python floats or a stack as arrays (m,), and
-    compares the same numbers with the tolerance on both: the vertex
-    distances, the face signed distances and, within the tolerance of a
-    face plane, the face quadrilateral's _locate_quad.  Vertex snapping
-    wins; a point beyond any plane is exterior; interior means strictly
-    inside all six.  index is the vertex or the lowest containing face
-    (None or -1 where there is none); on holds the six containing-face
-    flags, bools or arrays (m,), which the frame rule takes as they are.
-    One point returns as soon as its kind is known.
+    compares the same numbers with the tolerance on both: the eight vertex
+    distances and the six face signed distances.  Vertex snapping wins; a
+    point beyond any plane by more than the tolerance is exterior; a point
+    within the tolerance of a face plane is on that face; interior means
+    more than the tolerance inside all six.  The solid is convex, the
+    intersection of its six half-spaces, so this is the face test up to
+    the tolerance band: where the projection of a flagged point onto its
+    face leaves the face, it crosses an edge whose other face is flagged
+    too, since the point is beyond no plane by more than the tolerance.
+    index is the vertex or the lowest containing face (None or -1 where
+    there is none); on holds the six containing-face flags, bools or
+    arrays (m,), which the frame rule takes as they are.  One point
+    returns as soon as its kind is known.
     """
     one = isinstance(x, float)
     tol = CLASSIFY_RTOL * hexa.diameter
@@ -677,21 +645,7 @@ def _locate_hex(hexa: Hexahedron, x, y, z):
         return "exterior", None, _NO_FACES
     # One point that got here is neither at a vertex nor outside.
     candidate = True if one else ~(vertex | outside)
-    on = []
-    for f, sf in enumerate(s):
-        near = (abs(sf) <= tol) & candidate
-        if one:
-            if near:
-                quad2d, to2d = face_to_plane(hexa, f)
-                near = _locate_quad(quad2d, *to2d(x, y, z), tol)[0] != "exterior"
-            on.append(near)
-            continue
-        rows = np.flatnonzero(near)
-        flags = np.zeros(len(x), dtype=bool)
-        if rows.size:
-            quad2d, to2d = face_to_plane(hexa, f)
-            flags[rows] = _locate_quad(quad2d, *to2d(x[rows], y[rows], z[rows]), tol)[0] != "exterior"
-        on.append(flags)
+    on = [(abs(sf) <= tol) & candidate for sf in s]
     if one:
         if True in on:
             return "on_face", on.index(True), tuple(on)
@@ -705,11 +659,13 @@ def _locate_hex(hexa: Hexahedron, x, y, z):
 
 
 def face_of_point_hex(hexa: Hexahedron, p) -> PointLocation:
-    """Classify p against a hexahedron.
+    """Classify p against a hexahedron (_locate_hex's rule).
 
-    Vertex snapping wins over faces; points on edges or corners report the
-    lowest-index containing face, and every containing face in faces.
-    Interior means strictly inside all six supporting planes.
+    With tol = CLASSIFY_RTOL * diameter: within tol of a vertex is
+    at_vertex; otherwise more than tol beyond a face plane is exterior,
+    within tol of face planes is on_face, and strictly inside all six
+    planes by more than tol is interior.  Points on edges or corners report
+    the lowest-index containing face, and every containing face in faces.
     """
     kind, index, on = _locate_hex(hexa, float(p[0]), float(p[1]), float(p[2]))
     return PointLocation(kind, index, faces=tuple(compress(range(6), on)))
@@ -717,9 +673,9 @@ def face_of_point_hex(hexa: Hexahedron, p) -> PointLocation:
 
 def faces_containing(hexa: Hexahedron, p) -> list[int]:
     """The faces face_of_point_hex puts p on, lowest first: faces whose
-    plane passes within CLASSIFY_RTOL * diameter of p and whose
-    quadrilateral contains (the projection of) p, and none at a vertex,
-    which snapping takes first, or outside the solid."""
+    plane passes within CLASSIFY_RTOL * diameter of p, when p is within
+    that of every plane; none at a vertex, which snapping takes first, or
+    outside the solid."""
     return list(face_of_point_hex(hexa, p).faces)
 
 

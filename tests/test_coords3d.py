@@ -208,6 +208,23 @@ class TestMomentCoordsHex:
         with pytest.raises(OutsideDomain):
             moment_coords_hex(hex_tapered, (3.0, 0.0, 0.0))
 
+    def test_point_just_outside_a_corner_evaluates(self):
+        # 1.33 tol from vertex 3 and within tol outside the planes of faces
+        # 0, 3 and 4: the point is on all three faces.  Flagged on face 0
+        # alone, pair 1's frame row would miss the sign pattern.
+        # Nonnegativity is not asserted: the point lies outside the solid
+        # and its weights reach -1.7e-10.
+        hexa = sampling.random_affine_cube_hex(np.random.default_rng(0))
+        p = np.array([4.92133820826643, -7.459685260726046, 5.356047637972352])
+        loc = face_of_point_hex(hexa, p)
+        assert (loc.kind, loc.faces) == ("on_face", (0, 3, 4))
+        phi = moment_coords_hex(hexa, p)
+        assert abs(phi.sum() - 1.0) <= checks.PARTITION_TOL
+        precision = checks.linear_precision_error(phi[None], hexa.vertices, p[None])
+        assert precision[0] <= checks.PRECISION_RTOL * hexa.diameter
+        batch, ok = moment_coords_hex_many(hexa, p[None])
+        assert ok[0] and batch[0].tobytes() == phi.tobytes()
+
     def test_axioms_random_hexes(self, rng):
         for maker in (sampling.random_affine_cube_hex, sampling.random_plane_hex):
             for _ in range(4):

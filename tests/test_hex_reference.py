@@ -113,7 +113,6 @@ def test_hexahedron_keeps_its_face_data():
     hexa = shapes.convex_hex()
     assert len(hexa.face_planes) == 6
     assert hexa.pair_lines is hexa.pair_lines
-    assert geometry.face_to_plane(hexa, 2) is geometry.face_to_plane(hexa, 2)
     for (line, _), (fa, _) in zip(hexa.pair_lines, HEX_OPPOSITE_PAIRS):
         if line is not None:
             assert line[2] == tuple(hexa.face_planes[fa][1].tolist())
