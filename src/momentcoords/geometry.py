@@ -2,15 +2,19 @@
 
 Tolerances are relative to the geometry diameter (the largest pairwise
 vertex distance) so that every predicate is scale invariant.  Geometry
-objects validate their invariants at construction, in one pass that keeps
-the diameter (and a hexahedron's face planes), and are treated as immutable
-afterwards.
+objects validate their invariants at construction, in one pass per element
+kind on Python floats (_check_quad, _check_hex, _check_nodes), and are
+treated as immutable afterwards.  Each keeps from that pass the diameter
+(an interval: its span) and the float tables its evaluator reads: a
+quadrilateral's corner_tuple, an interval's node_tuple, a hexahedron's
+corner_tuple, face_normals and plane_rows, and the face planes
+(face_planes) the hexahedron's validation fitted.  What the evaluators
+derive from those (a quadrilateral's edge rows and reproducing kernel, its
+corner crosses, a hexahedron's pair_lines) is taken on first use.
 
 The hexahedral conventions live here: REFERENCE_CUBE, the one table of
 the reference cube's vertices, and HEX_FACES, the faces' cyclic vertex
-order; every other hexahedral table derives from them.  A Hexahedron
-keeps the face planes its validation fitted and the lines where opposite
-supporting planes meet.
+order; every other hexahedral table derives from them.
 
 Point location is written once per element kind (_locate_quad,
 _locate_hex), on Python floats for one point and arrays for a stack, so a
@@ -20,9 +24,11 @@ point is located alike alone or in a stack; the public classifiers wrap it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations, compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -71,11 +77,9 @@ def signed_area(a, b, c) -> float:
 
 
 def _on_segment(a, b, c) -> bool:
-    """True if collinear point c lies within the bounding box of segment ab."""
-    return bool(
-        min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-    )
+    """True if collinear point c lies within the bounding box of segment ab
+    (points in the plane or in space)."""
+    return all(min(p, q) <= r <= max(p, q) for p, q, r in zip(a, b, c))
 
 
 def _segments_intersect(p1, p2, q1, q2) -> bool:
@@ -84,10 +88,14 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
     def orient(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
+    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+    return _crossing(d1, d2, orient(p1, p2, q1), orient(p1, p2, q2), p1, p2, q1, q2)
+
+
+def _crossing(d1, d2, d3, d4, p1, p2, q1, q2) -> bool:
+    """True if segments p1p2 and q1q2 cross, touch, or overlap, given their
+    orientations d1 = [q1 q2 p1], d2 = [q1 q2 p2], d3 = [p1 p2 q1] and
+    d4 = [p1 p2 q2] (twice signed triangle areas, all taken in one sense)."""
     if d1 * d2 < 0 and d3 * d4 < 0:
         return True
     if d1 == 0 and _on_segment(q1, q2, p1):
@@ -120,20 +128,21 @@ def _quad_area(c) -> float:
 
 
 def _check_quad(v):
-    """(violations, diameter, area) of a float vertex array, checked in one
-    pass on Python floats (diameter and area None if it stopped before them)."""
+    """(violations, corners, diameter, area) of a float vertex array, checked
+    in one pass on Python floats: corners are its rows as float pairs, and
+    corners, diameter and area are None where it stopped before them."""
     if v.shape != (4, 2):
-        return [f"expected 4 vertices with 2 coordinates, got shape {v.shape}"], None, None
-    c = v.tolist()
+        return [f"expected 4 vertices with 2 coordinates, got shape {v.shape}"], None, None, None
+    c = list(map(tuple, v.tolist()))
     if not all(math.isfinite(x) for corner in c for x in corner):
-        return ["vertex coordinates must be finite"], None, None
+        return ["vertex coordinates must be finite"], None, None, None
     diffs = {(i, j): (c[i][0] - c[j][0], c[i][1] - c[j][1]) for i, j in combinations(range(4), 2)}
     dist = {ij: math.sqrt(dx * dx + dy * dy) for ij, (dx, dy) in diffs.items()}
     diam = max(dist.values())
     if not math.isfinite(diam):
-        return [OVERFLOW_MESSAGE], None, None
+        return [OVERFLOW_MESSAGE], None, None, None
     if diam == 0.0:
-        return ["all vertices coincide"], None, None
+        return ["all vertices coincide"], None, None, None
     close = MIN_EDGE_LENGTH * max(diam, 1.0)
     out = [f"vertices {i} and {j} coincide" for (i, j), d in dist.items() if d <= close]
     area = _quad_area(c)
@@ -143,7 +152,7 @@ def _check_quad(v):
     for i, j in ((0, 2), (1, 3)):
         if _segments_intersect(c[i], c[(i + 1) % 4], c[j], c[(j + 1) % 4]):
             out.append(f"edges {i} and {j} intersect (polygon is not simple)")
-    return out, diam, area
+    return out, c, diam, area
 
 
 def quad_violations(vertices) -> list[str]:
@@ -156,23 +165,26 @@ class Quadrilateral:
 
     Orientation is normalized to counterclockwise at construction; a
     clockwise input is reversed in place (keeping vertex 0 first).  Indices
-    are cyclic: edge i joins vertex i to vertex (i + 1) mod 4.
+    are cyclic: edge i joins vertex i to vertex (i + 1) mod 4.  Keeps the
+    diameter and the vertices as float pairs (corner_tuple) from its
+    validation; the tables the evaluators derive from them are taken on
+    first use.
     """
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
-        violations, diameter, area = _check_quad(v)
+        violations, corners, diameter, area = _check_quad(v)
         if violations:
             raise InvalidGeometry(violations)
-        v = v[[0, 3, 2, 1]] if area < 0.0 else v.copy()
+        if area < 0.0:
+            v, corners = v[[0, 3, 2, 1]], [corners[i] for i in (0, 3, 2, 1)]
+        else:
+            v = v.copy()
         v.flags.writeable = False
         self.vertices = v
+        # Vertices as plain float pairs for scalar-arithmetic hot paths.
+        self.corner_tuple = tuple(corners)
         self.diameter = diameter
-
-    @cached_property
-    def corner_tuple(self) -> tuple:
-        """Vertices as plain float pairs for scalar-arithmetic hot paths."""
-        return tuple((float(x), float(y)) for x, y in self.vertices)
 
     @cached_property
     def edge_rows(self) -> tuple:
@@ -211,18 +223,18 @@ class Quadrilateral:
         return tuple(nu), k, -nu[k] if k % 2 else nu[k], s
 
     @cached_property
-    def _corner_crosses(self) -> np.ndarray:
-        v = self.vertices
-        out = np.empty(4)
-        for i in range(4):
-            e0 = v[(i + 1) % 4] - v[i]
-            e1 = v[(i + 2) % 4] - v[(i + 1) % 4]
-            out[i] = e0[0] * e1[1] - e0[1] * e1[0]
-        return out
+    def _corner_crosses(self) -> tuple:
+        """Per corner i + 1, the cross product e_i x e_(i+1) of the edges that
+        meet there, as floats; negative at a reflex corner."""
+        c = self.corner_tuple
+        out = []
+        for (ax, ay), (bx, by), (cx, cy) in zip(c, c[1:] + c[:1], c[2:] + c[:2]):
+            out.append((bx - ax) * (cy - by) - (by - ay) * (cx - bx))
+        return tuple(out)
 
     @cached_property
     def is_convex(self) -> bool:
-        return bool(self._corner_crosses.min() >= -1e-12 * self.diameter**2)
+        return min(self._corner_crosses) >= -1e-12 * self.diameter**2
 
     def __repr__(self):
         return f"Quadrilateral({self.vertices.tolist()})"
@@ -352,29 +364,51 @@ def classify_points_quad(quad: Quadrilateral, points) -> tuple[np.ndarray, np.nd
     return kind, index
 
 
+def _check_nodes(x):
+    """(violations, nodes, span) of a float node array, checked in one pass
+    on Python floats: nodes is the array as a tuple of floats, and nodes and
+    span are None where it stopped before them."""
+    if x.ndim != 1:
+        return [f"nodes must be a 1D array, got shape {x.shape}"], None, None
+    if x.shape[0] < 3:
+        return [f"need at least 3 nodes, got {x.shape[0]}"], None, None
+    xs = tuple(x.tolist())
+    if not all(map(math.isfinite, xs)):
+        return ["nodes must be finite"], None, None
+    span = xs[-1] - xs[0]
+    if not math.isfinite(span):
+        return [OVERFLOW_MESSAGE], None, None
+    if not all(a < b for a, b in zip(xs, xs[1:])):
+        return ["nodes must be strictly increasing"], None, None
+    return [], xs, span
+
+
+def nodes_violations(nodes) -> list[str]:
+    """Invariant violations for a raw node array (empty means valid)."""
+    return _check_nodes(np.asarray(nodes, dtype=float))[0]
+
+
 class NodeSet1D:
-    """n >= 3 strictly increasing nodes on an interval."""
+    """n >= 3 strictly increasing nodes on an interval.
+
+    Keeps the nodes as plain floats (node_tuple), which the single-point
+    locator and fold read, and the span, both from its validation; the
+    unit scale is taken on first use.
+    """
 
     def __init__(self, nodes):
         x = np.asarray(nodes, dtype=float)
-        violations = nodes_violations(x)
+        violations, xs, span = _check_nodes(x)
         if violations:
             raise InvalidGeometry(violations)
         x = x.copy()
         x.flags.writeable = False
         self.nodes = x
+        self.node_tuple = xs
+        self.span = span
 
     def __len__(self):
         return self.nodes.shape[0]
-
-    @cached_property
-    def span(self) -> float:
-        return float(self.nodes[-1] - self.nodes[0])
-
-    @cached_property
-    def node_tuple(self) -> tuple:
-        """Nodes as plain floats for the single-point locator and fold."""
-        return tuple(self.nodes.tolist())
 
     @cached_property
     def unit_scale(self) -> float:
@@ -384,21 +418,6 @@ class NodeSet1D:
 
     def __repr__(self):
         return f"NodeSet1D({self.nodes.tolist()})"
-
-
-def nodes_violations(nodes) -> list[str]:
-    x = np.asarray(nodes, dtype=float)
-    if x.ndim != 1:
-        return [f"nodes must be a 1D array, got shape {x.shape}"]
-    if x.shape[0] < 3:
-        return [f"need at least 3 nodes, got {x.shape[0]}"]
-    if not np.all(np.isfinite(x)):
-        return ["nodes must be finite"]
-    if not math.isfinite(float(x[-1]) - float(x[0])):
-        return [OVERFLOW_MESSAGE]
-    if not np.all(np.diff(x) > 0):
-        return ["nodes must be strictly increasing"]
-    return []
 
 
 # The reference cube [-1, 1]^3: vertex i sits at REFERENCE_CUBE[i].  The
@@ -447,12 +466,11 @@ def _cross(a, b):
 
 
 def _fit_planes(points):
-    """Least-squares planes through each stack of points (k, m, 3): the points
-    about their centroids, the centroids (k, 3) and the right singular
-    vectors (k, 3, 3), two rows spanning each plane and the last its normal."""
+    """Least-squares planes through each stack of points (k, m, 3): the
+    centroids (k, 3) and the right singular vectors (k, 3, 3) of the points
+    about them, two rows spanning each plane and the last its normal."""
     c = points.mean(axis=1)
-    q = points - c[:, None]
-    return q, c, np.linalg.svd(q, full_matrices=False)[2]
+    return c, np.linalg.svd(points - c[:, None], full_matrices=False)[2]
 
 
 def hex_violations(vertices) -> list[str]:
@@ -460,49 +478,111 @@ def hex_violations(vertices) -> list[str]:
     return _check_hex(np.asarray(vertices, dtype=float))[0]
 
 
+# The vertex pairs in the order the coincidence messages name them.  Per
+# face, _HEX_FACE_CORNERS picks its four entries, in cyclic order, from a
+# list over the vertices, and _HEX_FACE_PAIRS its six from a list over the
+# pairs.
+_HEX_PAIRS = tuple(combinations(range(8), 2))
+_HEX_FACE_CORNERS = tuple(itemgetter(*idx) for idx in HEX_FACES)
+_HEX_FACE_PAIRS = tuple(
+    itemgetter(*(_HEX_PAIRS.index(ij) for ij in combinations(sorted(idx), 2))) for idx in HEX_FACES
+)
+
+
+def _face_is_simple(n, corners, diam) -> bool:
+    """_check_quad's area and simplicity verdicts on a planar face, taken on
+    the face's corners (float triples in cyclic order) projected along its
+    normal n; diam is the largest distance between them.  Its vertex pairs
+    already passed the solid's coincidence test, whose bound is no smaller.
+
+    The 2D orientations of the projected corners are the triple products
+    [pqr] = n . ((q - p) x (r - p)), taken as (r - p) . (n x (q - p)): twice
+    the signed areas of the triangles abc, abd, acd and bcd.
+    """
+    a, b, c, d = corners
+    nx, ny, nz = n
+    tri = []
+    for (px, py, pz), (qx, qy, qz), rs in ((a, b, (c, d)), (a, c, (d,)), (b, c, (d,))):
+        ux, uy, uz = qx - px, qy - py, qz - pz
+        mx, my, mz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
+        tri += [(rx - px) * mx + (ry - py) * my + (rz - pz) * mz for rx, ry, rz in rs]
+    abc, abd, acd, bcd = tri
+    if abs(0.5 * (abc + acd)) <= 1e-12 * diam * diam:
+        return False
+    # Edges ab and cd, then bc and da, as _check_quad pairs them.
+    return not (
+        _crossing(acd, bcd, abc, abd, a, b, c, d) or _crossing(abd, acd, bcd, abc, b, c, d, a)
+    )
+
+
 def _check_hex(v):
-    """(violations, planes, diameter) of a float vertex array in one pass
-    over stacked tables (vertex distances, plane fits, vertex-to-plane
-    distances, in-plane coordinates); planes holds each face's (outward unit
-    normal, centroid) when v is valid.  The planarity and convexity slacks
-    are no finer than 4 ulps of the largest coordinate, which rounding the
-    vertices alone can cost (Shewchuk 1997).
+    """(violations, tables) of a float vertex array, checked in one pass on
+    Python floats; numpy fits the face planes (one stacked SVD, _fit_planes)
+    and, for a valid solid, takes their offsets n . c.
+
+    Each face reads one list, the signed distances n . (v_i - c) of all
+    eight vertices to its fitted plane (unit normal n, centroid c): the
+    largest |distance| of its own four is its planarity offset, and once n
+    points outward (away from the vertex centroid) the largest distance is
+    how far the solid protrudes beyond it.  The planarity and convexity
+    slacks are no finer than 4 ulps of the largest coordinate, which
+    rounding the vertices alone can cost (Shewchuk 1997).
+
+    tables is None unless v is valid; then it holds what a Hexahedron keeps:
+    (corner_tuple, face_planes, face_normals, plane_rows, diameter).
     """
     if v.shape != (8, 3):
-        return [f"expected 8 vertices with 3 coordinates, got shape {v.shape}"], (), None
-    if not np.isfinite(v).all():
-        return ["vertex coordinates must be finite"], (), None
-    with np.errstate(over="ignore"):
-        dist = np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2))
-    diam = float(dist.max())
+        return [f"expected 8 vertices with 3 coordinates, got shape {v.shape}"], None
+    coords = v.ravel().tolist()
+    if not all(map(math.isfinite, coords)):
+        return ["vertex coordinates must be finite"], None
+    corners = tuple(map(tuple, v.tolist()))
+    dist = []
+    for i, j in _HEX_PAIRS:
+        (ax, ay, az), (bx, by, bz) = corners[i], corners[j]
+        dx, dy, dz = ax - bx, ay - by, az - bz
+        dist.append(math.sqrt(dx * dx + dy * dy + dz * dz))
+    diam = max(dist)
     if not math.isfinite(diam):
-        return [OVERFLOW_MESSAGE], (), None
+        return [OVERFLOW_MESSAGE], None
     if diam == 0.0:
-        return ["all vertices coincide"], (), None
-    close = np.argwhere(dist <= MIN_EDGE_LENGTH * max(diam, 1.0)).tolist()
-    out = [f"vertices {i} and {j} coincide" for i, j in close if i < j]
+        return ["all vertices coincide"], None
+    close = MIN_EDGE_LENGTH * max(diam, 1.0)
+    out = [f"vertices {i} and {j} coincide" for (i, j), d in zip(_HEX_PAIRS, dist) if d <= close]
     if out:
-        return out, (), None
-    floor = 4.0 * np.finfo(float).eps * float(np.abs(v).max())
-    q, c, basis = _fit_planes(v[_HEX_FACE_INDEX])
-    n = basis[:, 2]
-    offset = np.abs(q @ n[..., None]).max(axis=(1, 2))
-    n[((c - v.mean(axis=0))[:, None] @ n[..., None]).ravel() < 0] *= -1.0
-    worst = ((v - c[:, None]) @ n[..., None]).max(axis=(1, 2))
-    planar = offset <= max(PLANARITY_RTOL * diam, floor)
-    convex = worst <= max(CONVEXITY_RTOL * diam, floor)
-    # Isometric in-plane coordinates of each face's vertices (6, 4, 2).
-    face2d = q @ basis[:, :2].transpose(0, 2, 1)
-    for f, idx in enumerate(HEX_FACES):
-        if not planar[f]:
-            corners = tuple(i + 1 for i in idx)
-            out.append(f"face {f} {corners} is not planar (offset {offset[f]:.3e})")
+        return out, None
+    floor = 4.0 * sys.float_info.epsilon * max(map(abs, coords))
+    planar_tol = max(PLANARITY_RTOL * diam, floor)
+    convex_tol = max(CONVEXITY_RTOL * diam, floor)
+    c, basis = _fit_planes(v[_HEX_FACE_INDEX])
+    normals = []
+    for f, (idx, own, pairs, (nx, ny, nz), (cx, cy, cz)) in enumerate(
+        zip(HEX_FACES, _HEX_FACE_CORNERS, _HEX_FACE_PAIRS, basis[:, 2].tolist(), c.tolist())
+    ):
+        s = [nx * (x - cx) + ny * (y - cy) + nz * (z - cz) for x, y, z in corners]
+        offset = max(map(abs, own(s)))
+        if offset > planar_tol:
+            out.append(f"face {f} {tuple(i + 1 for i in idx)} is not planar (offset {offset:.3e})")
             continue
-        if not convex[f]:
-            out.append(f"vertex protrudes {worst[f]:.3e} beyond face {f} (solid not convex)")
-        if _check_quad(face2d[f])[0]:
+        # The distances sum to 8 n . (vertex centroid - c), negative for an
+        # outward n.
+        if sum(s) > 0.0:
+            nx, ny, nz, worst = -nx, -ny, -nz, -min(s)
+        else:
+            worst = max(s)
+        normals.append((nx, ny, nz))
+        if worst > convex_tol:
+            out.append(f"vertex protrudes {worst:.3e} beyond face {f} (solid not convex)")
+        if not _face_is_simple(normals[-1], own(corners), max(pairs(dist))):
             out.append(f"face {f} is not a simple quadrilateral")
-    return (out, (), None) if out else (out, tuple(zip(n, c)), diam)
+    if out:
+        return out, None
+    normals = tuple(normals)
+    n = np.array(normals)
+    # n . c by one dot product per face, as float(n @ c) takes it.
+    offsets = (n[:, None, :] @ c[:, :, None]).ravel().tolist()
+    rows = tuple((*nf, d) for nf, d in zip(normals, offsets))
+    return out, (corners, tuple(zip(n, c)), normals, rows, diam)
 
 
 class Hexahedron:
@@ -510,10 +590,11 @@ class Hexahedron:
 
     The vertex order must follow the reference-cube sign convention used by
     the hexahedral moment system (vertex i of the cube [-1,1]^3 is
-    REFERENCE_CUBE[i]); no automatic reordering is done.  Keeps the face
-    planes its validation fitted (face_planes), and on first use the pair
-    lines (pair_lines) and the Python-float copies that point location and
-    the frame rule read (corner_tuple, plane_rows, face_normals).
+    REFERENCE_CUBE[i]); no automatic reordering is done.  Keeps from its
+    validation the diameter, the face planes it fitted (face_planes) and
+    the Python-float tables that point location and the frame rule read
+    (corner_tuple, face_normals, plane_rows); the pair lines (pair_lines)
+    are taken on first use.
     """
 
     FACES = HEX_FACES
@@ -521,16 +602,16 @@ class Hexahedron:
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
-        violations, planes, diameter = _check_hex(v)
+        violations, tables = _check_hex(v)
         if violations:
             raise InvalidGeometry(violations)
         v = v.copy()
         v.flags.writeable = False
         self.vertices = v
-        # Per face (outward unit normal, centroid), and the diameter: kept
-        # from _check_hex.
-        self.face_planes = planes
-        self.diameter = diameter
+        # The vertices as float triples; per face (outward unit normal,
+        # centroid) as arrays, the normals as float triples and the plane
+        # rows (n_x, n_y, n_z, n . c); the diameter.
+        self.corner_tuple, self.face_planes, self.face_normals, self.plane_rows, self.diameter = tables
 
     @cached_property
     def pair_lines(self) -> tuple:
@@ -563,26 +644,10 @@ class Hexahedron:
         return tuple(out)
 
     @cached_property
-    def corner_tuple(self) -> tuple:
-        """Vertices as plain float triples for the single-point frame."""
-        return tuple(map(tuple, self.vertices.tolist()))
-
-    @cached_property
-    def face_normals(self) -> tuple:
-        """The outward unit normals of face_planes as float triples."""
-        return tuple(tuple(n.tolist()) for n, _ in self.face_planes)
-
-    @cached_property
     def unit_scale(self) -> float:
         """1 / L for L the power of two next to the diameter (_unit_scale):
         the 8 x 8 system takes the frame coordinates in units of L."""
         return _unit_scale(self.diameter)
-
-    @cached_property
-    def plane_rows(self) -> tuple:
-        """Per face, the outward unit normal's x, y and z components and the
-        plane's offset n . c, as four floats."""
-        return tuple((*n.tolist(), float(n @ c)) for n, c in self.face_planes)
 
     def _signed_distances(self, x, y, z) -> list:
         """The outward signed distances of (x, y, z) to the six supporting

@@ -121,7 +121,7 @@ def random_simple_quad(rng, convex: bool | None = None) -> Quadrilateral:
         except InvalidGeometry:
             continue
         # Reject slivers; they make oracle comparisons needlessly touchy.
-        if abs(quad._corner_crosses).min() < 1e-3 * quad.diameter**2:
+        if min(map(abs, quad._corner_crosses)) < 1e-3 * quad.diameter**2:
             continue
         if convex is not None and quad.is_convex != convex:
             continue

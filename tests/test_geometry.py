@@ -1,3 +1,4 @@
+import struct
 import warnings
 from itertools import combinations
 
@@ -425,3 +426,173 @@ def test_overflowing_coordinates_rejected_once(scale):
             with pytest.raises(InvalidGeometry) as err:
                 build(v)
             assert err.value.violations == [geo.OVERFLOW_MESSAGE]
+
+
+def _bowtie_prism(rng):
+    """A prism over a lopsided bowtie (two lobes of unequal area): planar
+    faces, but its two end faces cross themselves."""
+    crossed = {(1, 1): (1, 1), (1, -1): (-1, -1), (-1, -1): (1, -1), (-1, 1): (-1, 1)}
+    bowtie = {yz: np.add(c, rng.uniform(-0.3, 0.3, 2)) for yz, c in crossed.items()}
+    base = np.array([(x, *bowtie[int(y), int(z)]) for x, y, z in geo.REFERENCE_CUBE])
+    return base @ (np.eye(3) + rng.uniform(-0.2, 0.2, (3, 3))).T
+
+
+def test_bowtie_and_dart_faces_match_reference():
+    rng = np.random.default_rng(19)
+    for build, kinds in ((_bowtie_prism, {"simple", "protrudes"}), (_dart_prism, {"protrudes"})):
+        seen = set()
+        for _ in range(20):
+            v = build(rng)
+            expected, _ = _reference_check_hex(v)
+            assert geo.hex_violations(v) == expected, (build.__name__, v)
+            seen.update(_message_kind(m) for m in expected)
+            if build is _bowtie_prism:
+                assert expected[:2] == [f"face {f} is not a simple quadrilateral" for f in (0, 1)]
+        assert seen == kinds
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_coordinates_rejected(bad):
+    quad = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+    quad[2, 1] = bad
+    cube = np.array(geo.REFERENCE_CUBE)
+    cube[5, 0] = bad
+    nodes = np.array([0.0, 0.5, 1.0, 2.0])
+    nodes[2] = bad
+    for build, violations, v, message in (
+        (Quadrilateral, geo.quad_violations, quad, "vertex coordinates must be finite"),
+        (Hexahedron, geo.hex_violations, cube, "vertex coordinates must be finite"),
+        (NodeSet1D, geo.nodes_violations, nodes, "nodes must be finite"),
+    ):
+        assert violations(v) == [message]
+        with pytest.raises(InvalidGeometry) as err:
+            build(v)
+        assert err.value.violations == [message]
+
+
+@pytest.mark.parametrize(
+    "build, violations, v, message",
+    [
+        (Quadrilateral, geo.quad_violations, np.zeros((3, 2)), "expected 4 vertices with 2 coordinates, got shape (3, 2)"),
+        (Quadrilateral, geo.quad_violations, np.zeros((4, 3)), "expected 4 vertices with 2 coordinates, got shape (4, 3)"),
+        (Quadrilateral, geo.quad_violations, np.zeros(8), "expected 4 vertices with 2 coordinates, got shape (8,)"),
+        (Hexahedron, geo.hex_violations, np.zeros((7, 3)), "expected 8 vertices with 3 coordinates, got shape (7, 3)"),
+        (Hexahedron, geo.hex_violations, np.zeros((8, 2)), "expected 8 vertices with 3 coordinates, got shape (8, 2)"),
+        (Hexahedron, geo.hex_violations, np.zeros((2, 4, 3)), "expected 8 vertices with 3 coordinates, got shape (2, 4, 3)"),
+        (NodeSet1D, geo.nodes_violations, np.zeros((4, 1)), "nodes must be a 1D array, got shape (4, 1)"),
+        (NodeSet1D, geo.nodes_violations, np.float64(1.0), "nodes must be a 1D array, got shape ()"),
+        (NodeSet1D, geo.nodes_violations, np.array([0.0, 1.0]), "need at least 3 nodes, got 2"),
+    ],
+)
+def test_wrong_shape_rejected(build, violations, v, message):
+    assert violations(v) == [message]
+    with pytest.raises(InvalidGeometry) as err:
+        build(v)
+    assert err.value.violations == [message]
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e308])
+def test_node_span_overflow_rejected(scale):
+    nodes = np.array([-1.0, 0.0, 1.0]) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if scale < 1e308:
+            assert NodeSet1D(nodes).span == 2.0 * scale
+        else:
+            assert geo.nodes_violations(nodes) == [geo.OVERFLOW_MESSAGE]
+            with pytest.raises(InvalidGeometry) as err:
+                NodeSet1D(nodes)
+            assert err.value.violations == [geo.OVERFLOW_MESSAGE]
+
+
+# The float tables each element keeps from its validation, against the
+# formulas that built them on first use before: the reference plane fit,
+# float(n @ c), vertices.tolist() and the corner crosses on the vertex array.
+def _as_bytes(table):
+    """A table of Python floats (nested in tuples, with None) or float arrays
+    as bytes, so that equal means bit for bit equal, and -0.0 differs from
+    0.0; a numpy scalar where a Python float belongs fails."""
+    if table is None:
+        return b"None"
+    if type(table) is float:
+        return struct.pack("<d", table)
+    if isinstance(table, np.ndarray):
+        assert table.dtype == np.float64
+        return table.tobytes()
+    assert type(table) is tuple, type(table)
+    return b"(" + b",".join(_as_bytes(t) for t in table) + b")"
+
+
+def _kept_hex_corpus():
+    """Plane hexahedra with tilts from 0 to 0.4 and affine cubes at scales
+    1e-12 to 1e100, and an affine cube made small and moved far (twice)."""
+    rng = np.random.default_rng(17)
+    for k in range(24):
+        if k % 2:
+            base = sampling.random_plane_hex(rng, tilt=0.4 * k / 23)
+        else:
+            base = sampling.random_affine_cube_hex(rng)
+        for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12, 1e77, 1e100):
+            yield base.vertices * scale
+    cube = sampling.random_affine_cube_hex(np.random.default_rng(0)).vertices
+    yield cube * 1e-2 + (0.0, 0.0, 131061.0)
+    yield cube * 10**-1.75 + (0.0, 0.0, 167410.0)
+
+
+def test_hexahedron_keeps_its_tables_bitwise():
+    for v in _kept_hex_corpus():
+        # The reference's numpy scalars overflow where the face check's
+        # Python floats do not warn: orientation products at 1e77 and up.
+        with np.errstate(over="ignore"):
+            expected, planes = _reference_check_hex(v)
+        assert expected == []
+        hexa = Hexahedron(v)
+        rows = tuple((*n.tolist(), float(n @ c)) for n, c in planes)
+        # pair_lines read from the reference tables.
+        reference = object.__new__(Hexahedron)
+        reference.face_planes, reference.plane_rows = planes, rows
+        for kept, ref in (
+            (hexa.face_planes, planes),
+            (hexa.plane_rows, rows),
+            (hexa.face_normals, tuple(tuple(n.tolist()) for n, _ in planes)),
+            (hexa.corner_tuple, tuple(map(tuple, v.tolist()))),
+            (hexa.pair_lines, Hexahedron.pair_lines.func(reference)),
+            (hexa.diameter, _reference_diameter(v)),
+        ):
+            assert _as_bytes(kept) == _as_bytes(ref), v
+
+
+def _reference_corner_crosses(v):
+    out = np.empty(4)
+    for i in range(4):
+        e0 = v[(i + 1) % 4] - v[i]
+        e1 = v[(i + 2) % 4] - v[(i + 1) % 4]
+        out[i] = e0[0] * e1[1] - e0[1] * e1[0]
+    return out
+
+
+def test_quadrilateral_keeps_its_tables_bitwise():
+    rng = np.random.default_rng(18)
+    corpus = [(kind, v) for kind, v in _quad_corpus(rng, 200) if not geo.quad_violations(v)]
+    corpus += [("sampled", sampling.random_simple_quad(rng).vertices) for _ in range(20)]
+    seen = set()
+    for kind, base in corpus:
+        for scale in (1.0,) if kind == "far-small" else (1e-6, 1.0, 1e12, 1e100):
+            quad = Quadrilateral(base * scale)
+            crosses = _reference_corner_crosses(quad.vertices)
+            assert _as_bytes(quad.corner_tuple) == _as_bytes(tuple(map(tuple, quad.vertices.tolist())))
+            assert _as_bytes(quad._corner_crosses) == _as_bytes(tuple(crosses.tolist()))
+            assert quad.is_convex is bool(crosses.min() >= -1e-12 * quad.diameter**2)
+            seen.add(quad.is_convex)
+    assert seen == {False, True}
+
+
+def test_node_set_keeps_its_tables_bitwise():
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        base = sampling.random_nodes(rng, int(rng.integers(3, 17))).nodes
+        for scale, shift in ((1e-300, 0.0), (1e-12, 0.0), (1.0, -0.5), (1e6, 3e6), (1e100, 0.0)):
+            x = base * scale + shift * scale
+            nodes = NodeSet1D(x)
+            assert _as_bytes(nodes.node_tuple) == _as_bytes(tuple(x.tolist()))
+            assert _as_bytes(nodes.span) == _as_bytes(float(x[-1] - x[0]))
