@@ -240,7 +240,10 @@ def _format_rows(points, weights, ok, grad, grad_ok) -> list[str]:
     """CSV rows, each value as format(v, ".17g") (which "%.17g" equals);
     failed weights or derivatives leave their fields empty."""
     m, dim = points.shape
-    blocks = [points, weights] + ([] if grad is None else [grad.reshape(m, -1)])
+    blocks = [points, weights]
+    if grad is not None:
+        # Not reshape(m, -1): a chunk with no point inside has m = 0.
+        blocks.append(grad.reshape(m, grad.shape[1] * grad.shape[2]))
     width = sum(b.shape[1] for b in blocks)
     filled = np.where(ok, dim + weights.shape[1], dim)
     if grad is not None:

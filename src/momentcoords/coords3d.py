@@ -32,18 +32,23 @@ the solve: the frame rule, the frame coordinates in units of L as three
 lists of 8 floats, the system as 8 lists, and smallsolve.solve_dense, which
 takes its rows as lists; the weight vector it returns (and, with
 return_frame, the Frame3 around the same frame) is the only array built
-after point location.  moment_coords_hex_many evaluates a batch
-with the same arithmetic on arrays.  The formulas are written once for
-both: the frame rule (_frame) and the distance rows (_distance_rows) take
-one point as Python floats, which is faster for a single point than numpy
-calls, or a stack as arrays, and run the same elementwise operations in
-the same order.  Every sum of products is spelled out elementwise (the
-frame coordinates in _dot3's order on both paths), because the rounding of
-a matrix product depends on the BLAS kernel and on the stack around it.
-The partial distances are sqrt(a*a + b*b) on both paths: math.hypot and
-np.hypot round differently from each other (on 11,568 of 2,000,000 random
-normal pairs), so the single point and the batch would part in the last
-bit.
+after point location.  moment_coords_hex_many evaluates a batch with the
+same arithmetic on arrays, the stack index last: the frame coordinates are
+(3, 8, m), taken straight from the frame rule's per-row arrays (m,), and
+_hex_system assembles a stack-last (8, 8, m), which
+smallsolve.solve_dense_many takes as its transposed view, so that the
+solver's stack-last copy is a straight copy.  Elementwise operations give
+the same bits whichever axis the stack is on.  The formulas are written
+once for both: the frame rule (_frame) and the distance rows
+(_distance_rows) take one point as Python floats, which is faster for a
+single point than numpy calls, or a stack as arrays, and run the same
+elementwise operations in the same order.  Every sum of products is spelled
+out elementwise (the frame coordinates in _dot3's order on both paths),
+because the rounding of a matrix product depends on the BLAS kernel and on
+the stack around it.  The partial distances are sqrt(a*a + b*b) on both
+paths: math.hypot and np.hypot round differently from each other (on 11,568
+of 2,000,000 random normal pairs), so the single point and the batch would
+part in the last bit.
 """
 
 from __future__ import annotations
@@ -86,16 +91,19 @@ FRAME_DET_MIN = 1e-8
 FACE_VERTICES = HEX_FACE_VERTICES
 
 # Signs of rows 4 to 7 of the system (the partial distances and the
-# distance), (7, 4, 8): at index f < 6 for a point on face f, whose columns
-# get 0.0 for their partial distances, and at index _NO_FACE for any other
-# point.  _COLUMN_SIGNS holds the same numbers per column as floats.
+# distance), (4, 8, 7), indexed by the face last as a stack is: at [..., f]
+# for f < 6 for a point on face f, whose columns get 0.0 for their partial
+# distances, and at [..., _NO_FACE] for any other point.  _COLUMN_SIGNS[f]
+# holds the same numbers per column as floats.
 _NO_FACE = 6
-_ROW_SIGNS = np.array(
+_ROW_SIGNS = np.stack(
     [np.vstack([np.where(zero, 0.0, DELTA_SIGNS), DISTANCE_SIGNS]) for zero in FACE_VERTICES]
     + [np.vstack([DELTA_SIGNS, DISTANCE_SIGNS])],
-    dtype=float,
+    axis=-1,
+).astype(float)
+_COLUMN_SIGNS = tuple(
+    tuple(map(tuple, signs.T.tolist())) for signs in np.moveaxis(_ROW_SIGNS, -1, 0)
 )
-_COLUMN_SIGNS = tuple(tuple(map(tuple, signs.T.tolist())) for signs in _ROW_SIGNS)
 
 # The frame rule's tables as Python numbers: the sign pattern's rows, and
 # the three faces that contain each vertex.
@@ -181,15 +189,13 @@ def _distance_rows(x, y, z, signs):
 
 def _hex_system(w, face=_NO_FACE):
     """The 8 x 8 matrix for frame coordinates w (3, 8) in units of L, or a
-    stack of them for w (m, 3, 8) and face (m,); face is the face that
-    holds the point (its columns' partial distances are zeroed) or
-    _NO_FACE."""
-    m = np.empty(w.shape[:-2] + (8, 8))
-    m[..., 0, :] = 1.0
-    m[..., 1:4, :] = w
-    signs = np.moveaxis(_ROW_SIGNS[face], -2, 0)
-    rows = _distance_rows(w[..., 0, :], w[..., 1, :], w[..., 2, :], signs)
-    m[..., 4:, :] = np.stack(rows, axis=-2)
+    stack-last (8, 8, m) of them for w (3, 8, m) and face (m,); face is the
+    face that holds the point (its columns' partial distances are zeroed)
+    or _NO_FACE."""
+    m = np.empty((8,) + w.shape[1:])
+    m[0] = 1.0
+    m[1:4] = w
+    m[4:] = _distance_rows(w[0], w[1], w[2], _ROW_SIGNS[..., face])
     return m
 
 
@@ -403,14 +409,18 @@ def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool =
     with np.errstate(divide="ignore", invalid="ignore"):
         _, rows, _, framed = _frame(hexa, q[:, 0], q[:, 1], q[:, 2], on[:, solve])
     solve, q = solve[framed], q[framed]
-    rows = np.moveaxis(np.array(rows), -1, 0)[framed]
-    w = _dot3(rows[:, :, None, :], (hexa.vertices - q[:, None, :])[:, None, :, :])
+    # Stack last: f[r, c] is component c of row r and d[c] the vertex
+    # offsets (8, m), summed in _dot3's order into w (3, 8, m).
+    f = np.array(rows)[..., framed]
+    d = hexa.vertices.T[:, :, None] - q.T[:, None, :]
+    w = f[:, 0, None] * d[0] + f[:, 1, None] * d[1] + f[:, 2, None] * d[2]
     face = np.where(kind[solve] == "on_face", index[solve], _NO_FACE)
+    system = _hex_system(w * hexa.unit_scale, face)
     phi[solve], ok[solve] = solve_dense_many(
-        _hex_system(w * hexa.unit_scale, face), np.broadcast_to(_RHS, (len(solve), 8))
+        system.transpose(2, 0, 1), np.broadcast_to(_RHS, (len(solve), 8))
     )
     if not return_frame_coords:
         return phi, ok
     frame_coords = np.full((len(pts), 3, 8), np.nan)
-    frame_coords[solve] = w
+    frame_coords[solve] = w.transpose(2, 0, 1)
     return phi, ok, frame_coords

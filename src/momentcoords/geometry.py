@@ -524,7 +524,9 @@ def _check_hex(v):
     eight vertices to its fitted plane (unit normal n, centroid c): the
     largest |distance| of its own four is its planarity offset, and once n
     points outward (away from the vertex centroid) the largest distance is
-    how far the solid protrudes beyond it.  The planarity and convexity
+    how far the solid protrudes beyond it and the deepest vertex how thick
+    the solid is behind it; a solid no thicker than the planarity slack is
+    flat (zero volume) and rejected.  The planarity and convexity
     slacks are no finer than 4 ulps of the largest coordinate, which
     rounding the vertices alone can cost (Shewchuk 1997).
 
@@ -567,9 +569,13 @@ def _check_hex(v):
         # The distances sum to 8 n . (vertex centroid - c), negative for an
         # outward n.
         if sum(s) > 0.0:
-            nx, ny, nz, worst = -nx, -ny, -nz, -min(s)
+            nx, ny, nz, worst, depth = -nx, -ny, -nz, -min(s), max(s)
         else:
-            worst = max(s)
+            worst, depth = max(s), -min(s)
+        # A solid no thicker than its planarity slack is flat.
+        if depth <= planar_tol:
+            out.append(f"solid is flat: no vertex lies more than {depth:.3e} inside face {f}")
+            continue
         normals.append((nx, ny, nz))
         if worst > convex_tol:
             out.append(f"vertex protrudes {worst:.3e} beyond face {f} (solid not convex)")

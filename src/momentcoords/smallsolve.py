@@ -9,8 +9,17 @@ floats, and takes its rows as lists: for a single system each numpy call
 costs more than the arithmetic it does, so a row-vectorized numpy LU
 spends most of its time in per-call overhead, while the list LU runs the
 same elimination three to four times faster on 4 x 4 and 8 x 8.
+
 solve_dense_many runs it over a stack of systems, one numpy operation per
-step for the whole stack, with bitwise equal results.
+step for the whole stack, on a copy with the stack index last and
+contiguous: a (n, n, m) and b (n, m), the "interleaved" layout of batched
+BLAS for tiny matrices.  Entry (i, j) of all m systems is then one run of
+m floats, so the pivot search, the row swap, the rank-1 update and the
+back-substitution stream through memory instead of gathering one float
+per system from a (m, n, n) stack.  The results are bitwise equal to
+solve_dense's in any layout: every step is an elementwise IEEE operation
+on the same operands in the same order, and only where the operands sit
+in memory differs.
 """
 
 from __future__ import annotations
@@ -114,14 +123,18 @@ def solve_dense(matrix, rhs) -> np.ndarray:
 def solve_dense_many(matrices, rhs) -> tuple[np.ndarray, np.ndarray]:
     """Solve a stack of systems matrices[s] @ x[s] = rhs[s]; returns (x, ok).
 
-    matrices is (m, n, n) and rhs (m, n).  Each system goes through the same
-    elimination as solve_dense, in the same order, as elementwise numpy
-    operations over the stack axis, so every solution is bitwise equal to
-    solve_dense's.  No matmul is used to eliminate or back-substitute: a
-    stacked product rounds differently from the per-row one.  ok[s] is False
-    exactly where solve_dense would raise SingularMatrix (the pivot floor is
-    taken from each system's own max|A|); x[s] is then NaN.  Inputs are
-    copied, never modified.
+    matrices is (m, n, n) and rhs (m, n), in any memory order.  The
+    elimination runs on a stack-last copy, a (n, n, m) and b (n, m), in
+    which entry (i, j) of every system is one contiguous run of m floats:
+    a C-ordered (n, n, m) stack passed as its transposed view
+    (stack.transpose(2, 0, 1)) is copied straight.  Each system goes
+    through the same elimination as solve_dense, in the same order, as
+    elementwise numpy operations on those runs, so every solution is
+    bitwise equal to solve_dense's.  No matmul is used to eliminate or
+    back-substitute: a stacked product rounds differently from the per-row
+    one.  ok[s] is False exactly where solve_dense would raise
+    SingularMatrix (the pivot floor is taken from each system's own
+    max|A|); x[s] is then NaN.  Inputs are copied, never modified.
     """
     a0 = np.asarray(matrices, dtype=float)
     b0 = np.asarray(rhs, dtype=float)
@@ -130,28 +143,33 @@ def solve_dense_many(matrices, rhs) -> tuple[np.ndarray, np.ndarray]:
             f"need (m, n, n) matrices and (m, n) rhs, got {a0.shape} / {b0.shape}"
         )
     m, n = b0.shape
-    a = a0.copy()
-    b = b0.copy()
-    rows = np.arange(m)
-    floor = PIVOT_RTOL * np.abs(a).max(axis=(1, 2))
+    a = np.moveaxis(a0, 0, -1).copy()
+    b = b0.T.copy()
+    stack = np.arange(m)
+    floor = PIVOT_RTOL * np.abs(a).max(axis=(0, 1))
     ok = floor != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n):
-            col = np.abs(a[:, k:, k])
-            p = k + col.argmax(axis=1)  # the first row holding the largest |entry|
-            ok &= ~(col[rows, p - k] < floor)
-            row_k, row_p = a[rows, k], a[rows, p]
-            a[rows, k], a[rows, p] = row_p, row_k
-            b[rows, k], b[rows, p] = b[rows, p], b[rows, k]
-            mult = a[:, k + 1 :, k] / a[:, k, k, None]
-            a[:, k + 1 :, k + 1 :] -= mult[:, :, None] * a[:, k, None, k + 1 :]
-            b[:, k + 1 :] -= mult * b[:, k, None]
-        x = np.zeros((m, n))
+            col = np.abs(a[k:, k])
+            p = col.argmax(axis=0)  # the first row holding the largest |entry|
+            ok &= ~(col[p, stack] < floor)
+            p += k
+            # Swap rows k and p from column k on: the columns left of k
+            # are never read again.
+            row_p = a[p, k:, stack]
+            a[p, k:, stack] = a[k, k:].T
+            a[k, k:] = row_p.T
+            b[k], b[p, stack] = b[p, stack], b[k].copy()
+            mult = a[k + 1 :, k] / a[k, k]
+            a[k + 1 :, k + 1 :] -= mult[:, None, :] * a[k, None, k + 1 :]
+            b[k + 1 :] -= mult * b[k]
+        x = np.zeros((n, m))
         for k in range(n - 1, -1, -1):
             dot = np.zeros(m)
             for j in range(k + 1, n):
-                dot += a[:, k, j] * x[:, j]
-            x[:, k] = (b[:, k] - dot) / a[:, k, k]
+                dot += a[k, j] * x[j]
+            x[k] = (b[k] - dot) / a[k, k]
+    x = np.ascontiguousarray(x.T)
     x[~ok] = np.nan
     if __debug__ and ok.any():
         resid = np.abs(np.matmul(a0[ok], x[ok, :, None])[:, :, 0] - b0[ok]).max(axis=1)

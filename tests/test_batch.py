@@ -747,3 +747,32 @@ def test_batch_rows_independent_of_batch_composition(kind, method, name):
     for layout, (other_phi, other_ok) in layouts.items():
         assert np.array_equal(other_ok, ok), layout
         assert other_phi.tobytes() == phi.tobytes(), layout
+
+
+@pytest.mark.parametrize(
+    "geometry, derivatives, chunk",
+    [
+        ("conv-hex", False, 7),
+        ("plane-hex-tilt0.4", False, 7),
+        ("conv-hex", True, 7),
+        ("conv-hex", False, 1),
+        ("plane-hex-tilt0.4", False, 1),
+    ],
+)
+def test_grid_csv_independent_of_chunk_size(capsys, tmp_path, monkeypatch, geometry, derivatives, chunk):
+    # 8**3 = 512 grid points: one chunk at the default GRID_CHUNK, 73 chunks
+    # of 7 and a last chunk of one point, or 512 chunks of one, in which
+    # every solved point is a stack-last (8, 8, 1) system.  Chunks of 7
+    # with derivatives include chunks with no point inside.
+    arg, _ = _geometry(tmp_path, geometry)
+
+    def grid_bytes(name):
+        out = tmp_path / name
+        argv = ["grid", "--geometry", arg, "--resolution", "8", "--method", "moment", "--out", str(out)]
+        assert main(argv + (["--derivatives"] if derivatives else [])) == 0
+        capsys.readouterr()
+        return out.read_bytes()
+
+    default = grid_bytes("default.csv")
+    monkeypatch.setattr(cli, "GRID_CHUNK", chunk)
+    assert grid_bytes(f"chunk-{chunk}.csv") == default

@@ -434,6 +434,23 @@ def test_overflowing_coordinates_one_message(capsys, tmp_path, kind):
         assert err == f"error: invalid geometry: {OVERFLOW_MESSAGE}\n"
 
 
+def test_zero_volume_hex_invalid_geometry(capsys, tmp_path):
+    # All eight vertices in one plane: check used to exit 2 with "could not
+    # sample 20 interior points" and grid wrote blank rows.
+    a = np.array([[1.0, 0.3, 0.2], [0.1, 1.0, 0.7]])
+    path = _geometry_file(tmp_path, "hex", REFERENCE_CUBE @ np.vstack([a, 0.4 * a[0] + 0.5 * a[1]]).T)
+    out_csv = str(tmp_path / "flat.csv")
+    for command in (
+        ["check", "--samples", "20"],
+        ["grid", "--resolution", "5", "--method", "moment", "--out", out_csv],
+        ["eval", "--point", "0,0,0", "--method", "moment"],
+    ):
+        code, out, err = run(capsys, command[0], "--geometry", path, *command[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid geometry: solid is flat: ") and "face 0" in err
+    assert not (tmp_path / "flat.csv").exists()
+
+
 class TestCramerOnFlatCorner:
     # A valid quadrilateral whose corner at vertex 1 is nearly straight: the
     # corner triangle (0, 1, 2) is too flat for the Cramer expansion.

@@ -186,6 +186,31 @@ class TestHexahedron:
         violations = geo.hex_violations(bad)
         assert violations
 
+    def test_zero_volume_rejected(self):
+        # A rank-2 map of the reference cube puts all eight vertices in one
+        # plane: every face is a planar, simple parallelogram and no vertex
+        # lies beyond a face plane, but the solid is flat.
+        a = np.array([[1.0, 0.3, 0.2], [0.1, 1.0, 0.7]])
+        flat = geo.REFERENCE_CUBE @ np.vstack([a, 0.4 * a[0] + 0.5 * a[1]]).T
+        with pytest.raises(InvalidGeometry) as err:
+            Hexahedron(flat)
+        violations = err.value.violations
+        assert violations == geo.hex_violations(flat)
+        assert [int(v.rsplit(" ", 1)[1]) for v in violations] == list(range(6))
+        assert all(v.startswith("solid is flat: no vertex lies more than ") for v in violations)
+
+    @pytest.mark.parametrize("thickness, flat", [(1e-10, True), (1e-9, True), (1e-8, False), (1.0, False)])
+    def test_thickness_against_planarity_slack(self, thickness, flat):
+        # A box 2 x 2 x 2 * thickness is flat, seen from its faces 4 and 5,
+        # when no thicker than the planarity slack PLANARITY_RTOL * diameter
+        # (about 2.8e-9); the side faces stay simple at these thicknesses.
+        slab = geo.REFERENCE_CUBE * (1.0, 1.0, thickness)
+        expected = [
+            f"solid is flat: no vertex lies more than {2.0 * thickness:.3e} inside face {f}"
+            for f in (4, 5)
+        ]
+        assert geo.hex_violations(slab) == (expected if flat else [])
+
     def test_outward_normals(self, cube):
         for (n, c), expect in zip(
             cube.face_planes,

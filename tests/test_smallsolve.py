@@ -136,8 +136,8 @@ def _scalar_oracle(a, b):
     return x, ok
 
 
-@pytest.mark.parametrize("n", range(3, 17))
-def test_many_bitwise_equal_to_solve_dense(n):
+def _special_stack(n):
+    """40 seeded n x n systems, the first six of them special."""
     rng = np.random.default_rng(100 + n)
     a = rng.normal(size=(40, n, n)) + rng.uniform(0, n) * np.eye(n)
     b = rng.normal(size=(40, n))
@@ -147,12 +147,61 @@ def test_many_bitwise_equal_to_solve_dense(n):
     a[3] = np.diag([1.0] * (n - 1) + [1e-20])  # a sub-floor last pivot
     a[4, :, 1] = 2.0 * a[4, :, 0]  # dependent columns
     a[5] *= 1e-200  # tiny but nonsingular: the floor follows max|A|
+    return a, b
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_many_bitwise_equal_to_solve_dense(n):
+    a, b = _special_stack(n)
     a0, b0 = a.copy(), b.copy()
     x, ok = solve_dense_many(a, b)
     x_ref, ok_ref = _scalar_oracle(a, b)
     assert np.array_equal(ok, ok_ref)
     assert not ok[2] and not ok[3] and not ok[4] and ok[0] and ok[1] and ok[5]
     assert np.array_equal(x, x_ref, equal_nan=True)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+def _stack_last_view(a):
+    """a (m, ...) as a view of a C-ordered copy with the stack axis last,
+    for matrices the transpose(2, 0, 1) of an (n, n, m) array."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
+_LAYOUTS = {
+    "C-ordered": np.ascontiguousarray,
+    "stack-last view": _stack_last_view,
+    "Fortran-ordered": np.asfortranarray,
+}
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("n", [3, 4, 8, 16])
+def test_many_bitwise_equal_in_every_memory_layout(n, layout):
+    # The elimination runs on a stack-last copy whatever the input's memory
+    # order; x and ok are bitwise the same, and the inputs are untouched.
+    a, b = _special_stack(n)
+    x_ref, ok_ref = solve_dense_many(a, b)
+    a_in, b_in = _LAYOUTS[layout](a), _LAYOUTS[layout](b)
+    assert np.array_equal(a_in, a) and np.array_equal(b_in, b)
+    a0, b0 = a_in.copy(), b_in.copy()
+    x, ok = solve_dense_many(a_in, b_in)
+    assert x.shape == (40, n) and ok.shape == (40,)
+    assert x.tobytes() == x_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
+    assert np.array_equal(a_in, a0) and np.array_equal(b_in, b0)
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("s", range(6))
+def test_many_stack_of_one(s, layout):
+    # A stack of one special system, as the last chunk of a grid may be.
+    a, b = _special_stack(8)
+    a, b = _LAYOUTS[layout](a[s : s + 1]), _LAYOUTS[layout](b[s : s + 1])
+    a0, b0 = a.copy(), b.copy()
+    x, ok = solve_dense_many(a, b)
+    x_ref, ok_ref = _scalar_oracle(a, b)
+    assert x.shape == (1, 8) and ok.shape == (1,)
+    assert np.array_equal(ok, ok_ref) and np.array_equal(x, x_ref, equal_nan=True)
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
