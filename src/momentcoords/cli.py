@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -15,13 +16,7 @@ import numpy as np
 
 from . import checks, coords1d, coords2d, coords3d
 from .errors import DegenerateTriangle, DomainError, InvalidGeometry, MomentCoordsError, NotConvex
-from .geometry import (
-    Hexahedron,
-    NodeSet1D,
-    Quadrilateral,
-    classify_points_quad,
-    face_of_points_hex,
-)
+from .geometry import CAUSES, OK, Hexahedron, NodeSet1D, Quadrilateral
 from .gradients import FD_STEP_RTOL, finite_difference_gradient_many
 from .shapes import BUILTINS
 
@@ -33,6 +28,12 @@ EXIT_DOMAIN_ERROR = 3
 # grid evaluates its points in chunks of this many, which bounds the memory
 # of the stacked solves.
 GRID_CHUNK = 512
+
+# Why a grid row is blank: the batch evaluators' causes (geometry.CAUSES),
+# then grid's own: the write-time row check (_row_ok), no admissible
+# finite-difference step along some axis, an offset that failed to evaluate.
+GRID_CAUSES = CAUSES + ("row check", "no admissible derivative step", "derivative offset failed")
+ROW_CHECK, NO_STEP, OFFSET_FAILED = range(len(CAUSES), len(GRID_CAUSES))
 
 
 class InputError(Exception):
@@ -85,7 +86,8 @@ METHODS = {
     },
 }
 
-# Batch methods, used by grid: (points (m, dim)) -> (weights (m, n), ok (m,)).
+# Batch methods, used by grid: (points (m, dim)) -> (weights (m, n), ok (m,)),
+# or with info=True (weights, ok, geometry.BatchInfo).
 BATCH_METHODS = {
     "quad": {
         "moment": coords2d.moment_coords_quad_many,
@@ -204,16 +206,6 @@ def _grid_axes(vertices, n: int):
     return [np.linspace(lo, hi, n) for lo, hi in zip(vertices.min(axis=0), vertices.max(axis=0))]
 
 
-def _inside_many(geom, points) -> np.ndarray:
-    """Which rows of points (m, dim) lie inside or on the boundary."""
-    kind = _geometry_kind(geom)
-    if kind == "quad":
-        return classify_points_quad(geom, points)[0] != "exterior"
-    if kind == "hex":
-        return face_of_points_hex(geom, points)[0] != "exterior"
-    return coords1d._locate(geom, points[:, 0])[2]
-
-
 def _geometry_size(geom) -> tuple[float, np.ndarray]:
     kind = _geometry_kind(geom)
     if kind == "interval":
@@ -236,19 +228,20 @@ def _row_ok(weights, vertices, points, diameter) -> np.ndarray:
     )
 
 
-def _format_rows(points, weights, ok, grad, grad_ok) -> list[str]:
-    """CSV rows, each value as format(v, ".17g") (which "%.17g" equals);
-    failed weights or derivatives leave their fields empty."""
-    m, dim = points.shape
-    blocks = [points, weights]
+def _format_rows(weights, ok, grad, grad_ok) -> list[str]:
+    """The weight and derivative fields of each CSV row, each value as
+    ",%.17g" (which equals "," + format(v, ".17g")); failed weights or
+    derivatives leave their fields empty.  The point columns are cmd_grid's."""
+    m, n = weights.shape
+    blocks = [weights]
     if grad is not None:
         # Not reshape(m, -1): a chunk with no point inside has m = 0.
         blocks.append(grad.reshape(m, grad.shape[1] * grad.shape[2]))
     width = sum(b.shape[1] for b in blocks)
-    filled = np.where(ok, dim + weights.shape[1], dim)
+    filled = np.where(ok, n, 0)
     if grad is not None:
         filled[grad_ok] = width
-    templates = {k: ",".join(["%.17g"] * k) + "," * (width - k) for k in set(filled.tolist())}
+    templates = {k: ",%.17g" * k + "," * (width - k) for k in set(filled.tolist())}
     return [
         templates[k] % tuple(row[:k])
         for k, row in zip(filled.tolist(), np.hstack(blocks).tolist())
@@ -262,7 +255,8 @@ def cmd_grid(args) -> int:
     evaluate = functools.partial(_resolve_method(geom, args.method, BATCH_METHODS), geom)
     _require_defined(geom, args.method)
     diameter, vertices = _geometry_size(geom)
-    axes = _grid_axes(vertices, args.resolution)
+    n = args.resolution
+    axes = _grid_axes(vertices, n)
     nweights = vertices.shape[0]
     dim = len(axes)
     axis_names = ["x", "y", "z"][:dim]
@@ -273,36 +267,56 @@ def cmd_grid(args) -> int:
             for ax in axis_names:
                 header.append(f"dphi{i + 1}_d{ax}")
 
+    # Each axis value is formatted once; a row's point columns are the
+    # label of its outer axes (none in 1D) and the label of the last axis.
+    # meshgrid copies the linspace values, so these are its points' digits.
+    labels = [["%.17g" % v for v in axis.tolist()] for axis in axes]
+    outer = ["".join(s + "," for s in t) for t in itertools.product(*labels[:-1])]
+    last = labels[-1]
+
     h = FD_STEP_RTOL * diameter
-    failures = 0
+    causes = np.zeros(len(GRID_CAUSES), dtype=int)
     lines = [",".join(header)]
     grids = np.meshgrid(*axes, indexing="ij")
     all_points = np.stack([g.ravel() for g in grids], axis=-1)
     for start in range(0, len(all_points), GRID_CHUNK):
         points = all_points[start : start + GRID_CHUNK]
-        weights, ok = evaluate(points)
-        # A row the batch evaluated is inside; only the others are located.
-        inside = ok.copy()
-        inside[~ok] = _inside_many(geom, points[~ok])
+        weights, ok, info = evaluate(points, info=True)
+        inside = info.kind != "exterior"
         points, weights, ok = points[inside], weights[inside], ok[inside]
-        ok &= _row_ok(weights, vertices, points, diameter)
+        cause = info.cause[inside]
+        row_ok = _row_ok(weights, vertices, points, diameter)
+        cause[ok & ~row_ok] = ROW_CHECK
+        ok &= row_ok
         grad = grad_ok = None
         if args.derivatives:
+            rows = np.flatnonzero(ok)
             grad = np.full((len(points), nweights, dim), np.nan)
             grad_ok = np.zeros(len(points), dtype=bool)
-            grad[ok], grad_ok[ok] = finite_difference_gradient_many(
-                evaluate, lambda q: _inside_many(geom, q), points[ok], weights[ok], h
+            grad[rows], grad_ok[rows], no_step = finite_difference_gradient_many(
+                evaluate, points[rows], weights[rows], h
             )
-        failures += int((~ok).sum()) if grad_ok is None else int((~grad_ok).sum())
-        lines += _format_rows(points, weights, ok, grad, grad_ok)
+            cause[rows] = np.where(no_step, NO_STEP, np.where(grad_ok[rows], OK, OFFSET_FAILED))
+        causes += np.bincount(cause, minlength=len(GRID_CAUSES))
+        outer_index, last_index = np.divmod(np.flatnonzero(inside) + start, n)
+        lines += [
+            outer[i] + last[j] + fields
+            for i, j, fields in zip(
+                outer_index.tolist(),
+                last_index.tolist(),
+                _format_rows(weights, ok, grad, grad_ok),
+            )
+        ]
 
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise InputError(f"cannot write {args.out!r}: {exc}") from exc
-    if failures:
-        print(f"warning: {failures} grid points failed to evaluate", file=sys.stderr)
+    causes[OK] = 0
+    if causes.any():
+        named = ", ".join(f"{c} {name}" for c, name in zip(causes.tolist(), GRID_CAUSES) if c)
+        print(f"warning: {causes.sum()} grid points failed to evaluate ({named})", file=sys.stderr)
     return EXIT_OK
 
 

@@ -29,7 +29,8 @@ smallsolve.PIVOT_RTOL times the sum of its six expansion terms is refused
 as SingularMatrix, and under __debug__ the residual of all n rows, in units
 of L, is held to the contract of smallsolve.solve_dense.
 
-moment_coords_1d_many and hat_oracle_many evaluate a batch of queries.  The
+moment_coords_1d_many and hat_oracle_many evaluate a batch of queries, and
+with info=True also return the location as a geometry.BatchInfo.  The
 locator, the fold and the hat weights are written once, on Python floats
 for one query and as elementwise numpy over a stack, in the same order, so
 the two agree bit for bit; the locator's search alone branches, bisect for
@@ -45,10 +46,12 @@ from operator import add, mul
 import numpy as np
 
 from .errors import OutOfDomain, SingularMatrix
-from .geometry import NodeSet1D
+from .geometry import EXTERIOR, SINGULAR, BatchInfo, NodeSet1D
 from .smallsolve import PIVOT_RTOL, RESIDUAL_RTOL
 
 DOMAIN_RTOL = 1e-12
+# A stack's location kinds by _locate's ok: outside the nodes, or inside.
+_KINDS = np.array(["exterior", "interior"])
 # The residual contract of smallsolve.solve_dense for a right-hand side of
 # inf-norm 1: |residual|_inf <= RESIDUAL_RTOL * (1 + |b|_inf).
 _RESIDUAL_BOUND = 2.0 * RESIDUAL_RTOL
@@ -163,15 +166,18 @@ def moment_coords_1d(nodes: NodeSet1D, x: float) -> np.ndarray:
     return np.array(phi)
 
 
-def moment_coords_1d_many(nodes: NodeSet1D, x) -> tuple[np.ndarray, np.ndarray]:
+def moment_coords_1d_many(nodes: NodeSet1D, x, info: bool = False):
     """moment_coords_1d at each query of x (m,) or (m, 1); returns (phi, ok).
 
     The fold runs over the stack as moment_coords_1d runs it on one query,
     so phi[s] is bitwise equal to moment_coords_1d(nodes, x[s]) where ok[s]
     is set.  ok[s] is False (and phi[s] NaN) where the single-point function
     raises: a query outside the nodes or not finite, or a singular system.
+    With info, returns (phi, ok, info), info the BatchInfo of _locate's
+    result (kind from its ok, index its k; causes exterior and singular).
     """
     k, xq, ok = _locate(nodes, np.asarray(x, dtype=float).reshape(-1))
+    kind, index = _KINDS[ok.astype(np.intp)], k
     rows = np.flatnonzero(ok)
     k, m, n = k[rows], len(rows), len(nodes)
     d = (nodes.nodes - xq[rows, None]) * nodes.unit_scale
@@ -197,7 +203,7 @@ def moment_coords_1d_many(nodes: NodeSet1D, x) -> tuple[np.ndarray, np.ndarray]:
     phi = np.full((len(xq), n), np.nan)
     phi[rows] = w
     ok[rows] = ~singular
-    return phi, ok
+    return (phi, ok, BatchInfo.of(kind, index, ok, SINGULAR)) if info else (phi, ok)
 
 
 def _hat(xs, k, xq) -> np.ndarray:
@@ -213,11 +219,16 @@ def hat_oracle(nodes: NodeSet1D, x: float) -> np.ndarray:
     return _hat(nodes.nodes, *_locate(nodes, float(x))[:2])
 
 
-def hat_oracle_many(nodes: NodeSet1D, x) -> tuple[np.ndarray, np.ndarray]:
+def hat_oracle_many(nodes: NodeSet1D, x, info: bool = False):
     """hat_oracle at each query of x (m,) or (m, 1); returns (phi, ok).
 
     phi[s] is bitwise equal to hat_oracle(nodes, x[s]) where ok[s] is set;
     ok[s] is False (and phi[s] NaN) where hat_oracle raises OutOfDomain.
+    With info, returns (phi, ok, info) as moment_coords_1d_many does (cause
+    exterior only).
     """
     k, xq, ok = _locate(nodes, np.asarray(x, dtype=float).reshape(-1))
-    return np.where(ok[:, None], _hat(nodes.nodes, k, xq), np.nan), ok
+    phi = np.where(ok[:, None], _hat(nodes.nodes, k, xq), np.nan)
+    if not info:
+        return phi, ok
+    return phi, ok, BatchInfo.of(_KINDS[ok.astype(np.intp)], k, ok, EXTERIOR)

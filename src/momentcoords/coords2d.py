@@ -21,13 +21,14 @@ four corner triangles, and the rational area quotient for Wachspress,
 whose areas are taken in the same units, so that its products of two
 areas do not overflow either.  Each coordinate function and oracle has a
 batch twin (the *_many functions) that evaluates a stack of points and
-returns (phi, ok) instead of raising per point.  Every formula is written once for both, on Python
-floats for one point and as elementwise numpy over a stack, in the same
-order, so the two agree bit for bit: the weight rows, the closed form, the
-edge weights and the three oracle kernels.  So is the point location both
-paths start from (geometry._locate_quad, which classify_point_quad and
-classify_points_quad wrap), and with it the edge parameter of the edge
-weights.
+returns (phi, ok) instead of raising per point, or (phi, ok, info) with
+info=True, info the geometry.BatchInfo of the location it ran.  Every
+formula is written once for both, on Python floats for one point and as
+elementwise numpy over a stack, in the same order, so the two agree bit
+for bit: the weight rows, the closed form, the edge weights and the three
+oracle kernels.  So is the point location both paths start from
+(geometry._locate_quad, which classify_point_quad and classify_points_quad
+wrap), and with it the edge parameter of the edge weights.
 """
 
 from __future__ import annotations
@@ -44,7 +45,10 @@ from .errors import (
     SingularMatrix,
 )
 from .geometry import (
+    BOUNDARY,
     CLASSIFY_RTOL,
+    SINGULAR,
+    BatchInfo,
     Quadrilateral,
     _locate_quad,
     classify_point_quad,
@@ -188,7 +192,7 @@ def _coords_one(quad: Quadrilateral, p, wachspress: bool) -> np.ndarray:
     return _edge_weights(loc.index, 0.0 if loc.kind == "at_vertex" else loc.t)
 
 
-def _coords_many(quad: Quadrilateral, points, wachspress: bool):
+def _coords_many(quad: Quadrilateral, points, wachspress: bool, info: bool):
     """_coords_one at each row of points, the interior points as one stack."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -204,7 +208,7 @@ def _coords_many(quad: Quadrilateral, points, wachspress: bool):
     phi[edge] = _edge_weights(index[edge], np.where(kind[edge] == "at_vertex", 0.0, t[edge]))
     phi[solve] = np.where(singular[:, None], np.nan, np.array(cols).T)
     ok[solve] = ~singular
-    return phi, ok
+    return (phi, ok, BatchInfo.of(kind, index, ok, SINGULAR)) if info else (phi, ok)
 
 
 def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
@@ -216,14 +220,16 @@ def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     return _coords_one(quad, p, wachspress=False)
 
 
-def moment_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
+def moment_coords_quad_many(quad: Quadrilateral, points, info: bool = False):
     """moment_coords_quad at each row of points (m, 2); returns (phi, ok).
 
     phi[s] is bitwise equal to moment_coords_quad(quad, points[s]) where
     ok[s] is set; ok[s] is False (and phi[s] NaN) where the single-point
-    function raises: an exterior point or a singular system.
+    function raises: an exterior point or a singular system.  With info,
+    returns (phi, ok, info), info the BatchInfo of the location it ran
+    (causes exterior and singular).
     """
-    return _coords_many(quad, points, wachspress=False)
+    return _coords_many(quad, points, False, info)
 
 
 def wachspress_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
@@ -233,15 +239,16 @@ def wachspress_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     return _coords_one(quad, p, wachspress=True)
 
 
-def wachspress_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
+def wachspress_coords_quad_many(quad: Quadrilateral, points, info: bool = False):
     """wachspress_coords_quad at each row of points (m, 2); returns (phi, ok).
 
-    Same contract as moment_coords_quad_many; raises NotConvex, as the
-    single-point function does, when the quadrilateral is not convex.
+    Same contract as moment_coords_quad_many, info included; raises
+    NotConvex, as the single-point function does, when the quadrilateral is
+    not convex.
     """
     if not quad.is_convex:
         raise NotConvex("Wachspress coordinates require a convex quadrilateral")
-    return _coords_many(quad, points, wachspress=True)
+    return _coords_many(quad, points, True, info)
 
 
 def _mean_value(quad: Quadrilateral, p) -> np.ndarray:
@@ -277,16 +284,19 @@ def mvc_oracle(quad: Quadrilateral, p) -> np.ndarray:
     return _mean_value(quad, p)
 
 
-def mvc_oracle_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
+def mvc_oracle_many(quad: Quadrilateral, points, info: bool = False):
     """mvc_oracle at each row of points (m, 2); returns (phi, ok).
 
     ok[s] is False (and phi[s] NaN) where mvc_oracle raises: off the open
     interior.  Elsewhere phi[s] is bitwise equal to mvc_oracle(quad,
-    points[s]).
+    points[s]).  With info, returns (phi, ok, info), info the BatchInfo of
+    the location it ran (causes exterior and boundary).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    ok = classify_points_quad(quad, pts)[0] == "interior"
-    return np.where(ok[:, None], _mean_value(quad, pts), np.nan), ok
+    kind, index = classify_points_quad(quad, pts)
+    ok = kind == "interior"
+    phi = np.where(ok[:, None], _mean_value(quad, pts), np.nan)
+    return (phi, ok, BatchInfo.of(kind, index, ok, BOUNDARY)) if info else (phi, ok)
 
 
 def _area2(ax, ay, bx, by, cx, cy):
@@ -387,21 +397,25 @@ def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     return _cramer(quad, float(p[0]), float(p[1]))[0]
 
 
-def cramer_coords_quad_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
+def cramer_coords_quad_many(quad: Quadrilateral, points, info: bool = False):
     """cramer_coords_quad at each row of points (m, 2); returns (phi, ok).
 
     ok[s] is False (and phi[s] NaN) where cramer_coords_quad raises for
     points[s]: an exterior point or a moment row orthogonal to the kernel.
     Elsewhere phi[s] is bitwise equal to cramer_coords_quad(quad,
     points[s]).  Raises DegenerateTriangle, as cramer_coords_quad does at
-    every point, where cramer_defect names a flat corner.
+    every point, where cramer_defect names a flat corner.  With info,
+    returns (phi, ok, info), info the BatchInfo of the location it ran
+    (causes exterior and singular).
     """
     require_cramer(quad)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi, singular = _cramer(quad, *pts.T)
-    ok = (classify_points_quad(quad, pts)[0] != "exterior") & ~singular
-    return np.where(ok[:, None], phi, np.nan), ok
+    kind, index = classify_points_quad(quad, pts)
+    ok = (kind != "exterior") & ~singular
+    phi = np.where(ok[:, None], phi, np.nan)
+    return (phi, ok, BatchInfo.of(kind, index, ok, SINGULAR)) if info else (phi, ok)
 
 
 def _area_quotient(quad: Quadrilateral, p):
@@ -443,17 +457,25 @@ def wachspress_oracle(quad: Quadrilateral, p) -> np.ndarray:
     return w
 
 
-def wachspress_oracle_many(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
+def wachspress_oracle_many(quad: Quadrilateral, points, info: bool = False):
     """wachspress_oracle at each row of points (m, 2); returns (phi, ok).
 
     Raises NotConvex, as wachspress_oracle does, when the quadrilateral is
     not convex.  ok[s] is False (and phi[s] NaN) where wachspress_oracle
     raises: off the open interior, or a vanishing edge triangle.  Elsewhere
-    phi[s] is bitwise equal to wachspress_oracle(quad, points[s]).
+    phi[s] is bitwise equal to wachspress_oracle(quad, points[s]).  With
+    info, returns (phi, ok, info), info the BatchInfo of the location it ran
+    (causes exterior, boundary, and singular for a vanishing edge triangle
+    at an interior point).
     """
     if not quad.is_convex:
         raise NotConvex("Wachspress coordinates require a convex quadrilateral")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     w, vanishes = _area_quotient(quad, pts)
-    ok = (classify_points_quad(quad, pts)[0] == "interior") & ~vanishes
-    return np.where(ok[:, None], w, np.nan), ok
+    kind, index = classify_points_quad(quad, pts)
+    interior = kind == "interior"
+    ok = interior & ~vanishes
+    phi = np.where(ok[:, None], w, np.nan)
+    if not info:
+        return phi, ok
+    return phi, ok, BatchInfo.of(kind, index, ok, np.where(interior, SINGULAR, BOUNDARY))

@@ -59,8 +59,11 @@ import numpy as np
 
 from .errors import FrameNotFound, OutsideDomain
 from .geometry import (
+    FRAME,
     HEX_FACE_VERTICES,
     REFERENCE_CUBE,
+    SINGULAR,
+    BatchInfo,
     Hexahedron,
     Quadrilateral,
     _locate_hex,
@@ -380,7 +383,9 @@ def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):
     return (phi, Frame3(basis, rows, p, det)) if return_frame else phi
 
 
-def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool = False):
+def moment_coords_hex_many(
+    hexa: Hexahedron, points, return_frame_coords: bool = False, info: bool = False
+):
     """moment_coords_hex at each row of points (m, 3); returns (phi, ok).
 
     Classification, frames, assembly and the LU solve each run once over
@@ -395,6 +400,9 @@ def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool =
     frame.coords(hexa.vertices) of the frame moment_coords_hex(hexa,
     points[s], return_frame=True) returns, bitwise, and NaN where there is
     none (a vertex, or a point the frame search failed).
+
+    With info, a BatchInfo of the location it ran comes last, with causes
+    exterior, frame (FrameNotFound) and singular (SingularMatrix).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     kind, index, on = _locate_hex(hexa, pts[:, 0], pts[:, 1], pts[:, 2])
@@ -408,6 +416,7 @@ def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool =
     q = pts[solve]
     with np.errstate(divide="ignore", invalid="ignore"):
         _, rows, _, framed = _frame(hexa, q[:, 0], q[:, 1], q[:, 2], on[:, solve])
+    unframed = solve[~framed]
     solve, q = solve[framed], q[framed]
     # Stack last: f[r, c] is component c of row r and d[c] the vertex
     # offsets (8, m), summed in _dot3's order into w (3, 8, m).
@@ -419,8 +428,13 @@ def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool =
     phi[solve], ok[solve] = solve_dense_many(
         system.transpose(2, 0, 1), np.broadcast_to(_RHS, (len(solve), 8))
     )
-    if not return_frame_coords:
-        return phi, ok
-    frame_coords = np.full((len(pts), 3, 8), np.nan)
-    frame_coords[solve] = w.transpose(2, 0, 1)
-    return phi, ok, frame_coords
+    out = (phi, ok)
+    if return_frame_coords:
+        frame_coords = np.full((len(pts), 3, 8), np.nan)
+        frame_coords[solve] = w.transpose(2, 0, 1)
+        out += (frame_coords,)
+    if info:
+        failure = np.full(len(pts), SINGULAR)
+        failure[unframed] = FRAME
+        out += (BatchInfo.of(kind, index, ok, failure),)
+    return out

@@ -19,6 +19,9 @@ order; every other hexahedral table derives from them.
 Point location is written once per element kind (_locate_quad,
 _locate_hex), on Python floats for one point and arrays for a stack, so a
 point is located alike alone or in a stack; the public classifiers wrap it.
+A batch evaluator called with info=True returns the location it computed
+as a BatchInfo, with a cause code per row, so no caller locates its points
+again.
 """
 
 from __future__ import annotations
@@ -66,6 +69,37 @@ class PointLocation:
     @property
     def on_boundary(self) -> bool:
         return self.kind in ("on_edge", "on_face", "at_vertex")
+
+
+# Why a batch row has weights or not, by BatchInfo.cause code: ok; the point
+# is exterior; an oracle is undefined on the boundary; no reference frame
+# (FrameNotFound); a singular system or a vanishing closed-form denominator.
+CAUSES = ("ok", "exterior", "boundary", "frame", "singular")
+OK, EXTERIOR, BOUNDARY, FRAME, SINGULAR = range(len(CAUSES))
+
+
+@dataclass(frozen=True)
+class BatchInfo:
+    """The location a batch evaluator computed for its rows, and why each
+    row failed.
+
+    kind and index (m,) are the quadrilateral or hexahedral location kinds
+    and indices (classify_points_quad, face_of_points_hex), or an interval's
+    "interior"/"exterior" and containing interval (coords1d._locate); cause
+    (m,) holds int8 codes into CAUSES, OK exactly where the row has
+    weights.
+    """
+
+    kind: np.ndarray
+    index: np.ndarray
+    cause: np.ndarray
+
+    @classmethod
+    def of(cls, kind, index, ok, failure) -> BatchInfo:
+        """The record of rows that failed where ok is clear: EXTERIOR where
+        kind is exterior, failure (a code, or codes (m,)) elsewhere."""
+        cause = np.where(ok, OK, np.where(kind == "exterior", EXTERIOR, failure))
+        return cls(kind, index, cause.astype(np.int8))
 
 
 def signed_area(a, b, c) -> float:

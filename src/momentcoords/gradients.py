@@ -49,37 +49,43 @@ def finite_difference_gradient(evaluate, inside, p, h: float) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def finite_difference_gradient_many(evaluate_many, inside_many, points, base, h: float):
+def finite_difference_gradient_many(evaluate_many, points, base, h: float):
     """finite_difference_gradient at each row of points (m, dim) at once.
 
-    evaluate_many(points) returns (weights (k, n), ok (k,)) and
-    inside_many(points) a (k,) bool array; base (m, n) holds the weights at
-    points themselves.  Each row takes the same central or one-sided
-    difference as the single-point function, with the same arithmetic.
-    Returns (grad (m, n, dim), ok (m,)); ok is False (and the row NaN) where
-    the single-point function raises: no admissible step along some axis,
-    or an offset point that fails to evaluate.
+    evaluate_many(points, info=True) returns (weights (k, n), ok (k,),
+    info), as the batch evaluators do; an offset point may be evaluated
+    where info.kind is not "exterior".  All 2 * dim offset stacks are
+    evaluated in one call, so each offset is located once.  base (m, n)
+    holds the weights at points themselves.  Each row takes the same
+    central or one-sided difference as the single-point function, with the
+    same arithmetic.  Returns (grad (m, n, dim), ok (m,), no_step (m,)); ok
+    is False (and the row NaN) where the single-point function raises: no
+    admissible step along some axis (no_step set), or an offset point that
+    fails to evaluate.
     """
     points = np.asarray(points, dtype=float)
     m, dim = points.shape
-    grad = np.full((m, base.shape[1], dim), np.nan)
-    ok = np.ones(m, dtype=bool)
+    n = base.shape[1]
+    offsets = []
     for j in range(dim):
         step = np.zeros(dim)
         step[j] = h
-        offsets = []
-        for q in (points + step, points - step):
-            admissible = inside_many(q)
-            w = np.full(base.shape, np.nan)
-            w[admissible], good = evaluate_many(q[admissible])
-            ok[np.flatnonzero(admissible)[~good]] = False
-            offsets.append((admissible, w))
-        (up_ok, up), (dn_ok, dn) = offsets
-        ok &= up_ok | dn_ok
+        offsets += [points + step, points - step]
+    w, good, info = evaluate_many(np.concatenate(offsets), info=True)
+    # Not reshape(..., -1): a stack with no points has m = 0.
+    w = w.reshape(2 * dim, m, n)
+    admissible = (info.kind != "exterior").reshape(2 * dim, m)
+    ok = ~(admissible & ~good.reshape(2 * dim, m)).any(axis=0)
+    no_step = ~(admissible[0::2] | admissible[1::2]).all(axis=0)
+    grad = np.full((m, n, dim), np.nan)
+    for j in range(dim):
+        up_ok, dn_ok = admissible[2 * j], admissible[2 * j + 1]
+        up, dn = w[2 * j], w[2 * j + 1]
         grad[:, :, j] = np.where(
             (up_ok & dn_ok)[:, None],
             (up - dn) / (2.0 * h),
             np.where(up_ok[:, None], (up - base) / h, (base - dn) / h),
         )
+    ok &= ~no_step
     grad[~ok] = np.nan
-    return grad, ok
+    return grad, ok, no_step

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentcoords import cli, sampling, shapes
+from momentcoords import cli, coords1d, coords2d, coords3d, geometry, sampling, shapes
 from momentcoords.cli import main
 from momentcoords.coords2d import (
     cramer_coords_quad,
@@ -29,9 +29,23 @@ from momentcoords.coords1d import (
     moment_coords_1d_many,
 )
 from momentcoords.coords3d import moment_coords_hex, moment_coords_hex_many
-from momentcoords.errors import DomainError, MomentCoordsError, NotConvex
+from momentcoords.errors import (
+    DomainError,
+    FrameNotFound,
+    MomentCoordsError,
+    NotConvex,
+    OnBoundary,
+    OutOfDomain,
+    OutsideDomain,
+    SingularMatrix,
+)
 from momentcoords.geometry import (
+    BOUNDARY,
     CLASSIFY_RTOL,
+    EXTERIOR,
+    FRAME,
+    OK,
+    SINGULAR,
     Hexahedron,
     NodeSet1D,
     Quadrilateral,
@@ -360,12 +374,8 @@ def test_batched_fd_equals_scalar_fd(name):
     points = points[classify_points_quad(quad, points)[0] != "exterior"]
     base, ok = moment_coords_quad_many(quad, points)
     points, base = points[ok], base[ok]
-
-    def inside_many(q):
-        return classify_points_quad(quad, q)[0] != "exterior"
-
-    grad, grad_ok = finite_difference_gradient_many(
-        lambda q: moment_coords_quad_many(quad, q), inside_many, points, base, h
+    grad, grad_ok, no_step = finite_difference_gradient_many(
+        lambda q, info: moment_coords_quad_many(quad, q, info=info), points, base, h
     )
     raised = 0
     for s, p in enumerate(points):
@@ -378,17 +388,20 @@ def test_batched_fd_equals_scalar_fd(name):
             )
         except DomainError:
             raised += 1
-            assert not grad_ok[s]
+            assert not grad_ok[s] and no_step[s]
             continue
-        assert grad_ok[s] and np.array_equal(grad[s], ref), p
+        assert grad_ok[s] and not no_step[s] and np.array_equal(grad[s], ref), p
     assert raised > 0  # the sharp corners have no admissible step
 
 
 # Geometries the grid tests write to a JSON file: the seeded tilt-0.4 plane
 # hexahedron of the hex-grid benchmark, where the wedge frames of one point
-# and of a batch once differed in the last bits.
+# and of a batch once differed in the last bits; the nonconvex quad far from
+# the origin; and a 7-node interval.
 GENERATED = {
     "plane-hex-tilt0.4": lambda: sampling.random_plane_hex(np.random.default_rng(7), tilt=0.4),
+    "nonconvex+1e6": lambda: QUADS["nonconvex+1e6"],
+    "interval-7": lambda: NodeSet1D([0.0, 0.13, 0.4, 0.55, 0.9, 1.0, 1.7]),
 }
 
 
@@ -397,8 +410,13 @@ def _geometry(tmp_path, name):
     if name in shapes.BUILTINS:
         return name, shapes.BUILTINS[name]()
     geom = GENERATED[name]()
+    if isinstance(geom, NodeSet1D):
+        data = {"kind": "interval", "nodes": geom.nodes.tolist()}
+    else:
+        kind = "quad" if isinstance(geom, Quadrilateral) else "hex"
+        data = {"kind": kind, "vertices": geom.vertices.tolist()}
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps({"kind": "hex", "vertices": geom.vertices.tolist()}))
+    path.write_text(json.dumps(data))
     return str(path), geom
 
 
@@ -420,10 +438,20 @@ def _grid_rows(capsys, tmp_path, geometry, method, resolution, derivatives=False
         ("biunit-square", "moment", moment_coords_quad),
         ("conv-hex", "moment", moment_coords_hex),
         ("plane-hex-tilt0.4", "moment", moment_coords_hex),
+        ("interval-7", "moment", moment_coords_1d),
     ],
 )
 def test_grid_rows_equal_single_point_weights(capsys, tmp_path, geometry, method, fn):
     arg, geom = _geometry(tmp_path, geometry)
+    if isinstance(geom, NodeSet1D):
+        # Every point of an interval's grid is inside, so its point column
+        # is the whole axis; the single-point function takes a float.
+        rows = _grid_rows(capsys, tmp_path, arg, method, 31)
+        axis = np.linspace(geom.nodes[0], geom.nodes[-1], 31)
+        assert [row[0] for row in rows] == [format(x, ".17g") for x in axis]
+        for row in rows:
+            assert row[1:] == [format(w, ".17g") for w in fn(geom, float(row[0]))]
+        return
     dim = geom.vertices.shape[1]
     rows = _grid_rows(capsys, tmp_path, arg, method, 11 if dim == 3 else 31)
     assert rows
@@ -757,18 +785,29 @@ def test_batch_rows_independent_of_batch_composition(kind, method, name):
         ("conv-hex", True, 7),
         ("conv-hex", False, 1),
         ("plane-hex-tilt0.4", False, 1),
+        ("nonconv-quad", True, 7),
+        ("nonconv-quad", True, 1),
+        ("nonconvex+1e6", False, 7),
+        ("nonconvex+1e6", False, 1),
+        ("interval-7", True, 7),
+        ("interval-7", True, 1),
     ],
 )
 def test_grid_csv_independent_of_chunk_size(capsys, tmp_path, monkeypatch, geometry, derivatives, chunk):
-    # 8**3 = 512 grid points: one chunk at the default GRID_CHUNK, 73 chunks
-    # of 7 and a last chunk of one point, or 512 chunks of one, in which
-    # every solved point is a stack-last (8, 8, 1) system.  Chunks of 7
-    # with derivatives include chunks with no point inside.
-    arg, _ = _geometry(tmp_path, geometry)
+    # A hexahedron at resolution 8 has 8**3 = 512 grid points: one chunk at
+    # the default GRID_CHUNK, 73 chunks of 7 and a last chunk of one point,
+    # or 512 chunks of one, in which every solved point is a stack-last
+    # (8, 8, 1) system.  Chunks of 7 with derivatives include chunks with no
+    # point inside.  The quads (23**2 points) and the interval (41 points)
+    # pin the point columns grid formats per axis and joins per chunk: two
+    # axes, and one with no outer part.
+    arg, geom = _geometry(tmp_path, geometry)
+    resolution = {Quadrilateral: 23, NodeSet1D: 41}.get(type(geom), 8)
 
     def grid_bytes(name):
         out = tmp_path / name
-        argv = ["grid", "--geometry", arg, "--resolution", "8", "--method", "moment", "--out", str(out)]
+        argv = ["grid", "--geometry", arg, "--resolution", str(resolution),
+                "--method", "moment", "--out", str(out)]
         assert main(argv + (["--derivatives"] if derivatives else [])) == 0
         capsys.readouterr()
         return out.read_bytes()
@@ -776,3 +815,112 @@ def test_grid_csv_independent_of_chunk_size(capsys, tmp_path, monkeypatch, geome
     default = grid_bytes("default.csv")
     monkeypatch.setattr(cli, "GRID_CHUNK", chunk)
     assert grid_bytes(f"chunk-{chunk}.csv") == default
+
+
+def _locations(geom, points):
+    """(kind, index) of each point by the public classifier, or for an
+    interval by coords1d._locate's ok and k."""
+    if isinstance(geom, Quadrilateral):
+        return classify_points_quad(geom, points)
+    if isinstance(geom, Hexahedron):
+        return face_of_points_hex(geom, points)
+    k, _, inside = coords1d._locate(geom, np.asarray(points, dtype=float).reshape(-1))
+    return np.where(inside, "interior", "exterior"), k
+
+
+# The exception the single-point function raises at a row of each cause.
+CAUSE_ERRORS = {
+    EXTERIOR: (OutsideDomain, OutOfDomain),
+    BOUNDARY: OnBoundary,
+    FRAME: FrameNotFound,
+    SINGULAR: SingularMatrix,
+}
+
+
+def _assert_record(kind, method, geom, points):
+    """The info record of a batch method against the classifier and the
+    single-point function; (phi, ok) unchanged by asking for it."""
+    many = cli.BATCH_METHODS[kind][method]
+    phi, ok = many(geom, points)
+    phi_info, ok_info, info = many(geom, points, info=True)
+    assert phi_info.tobytes() == phi.tobytes() and ok_info.tobytes() == ok.tobytes()
+    loc_kind, loc_index = _locations(geom, points)
+    assert np.array_equal(info.kind, loc_kind) and np.array_equal(info.index, loc_index)
+    assert info.cause.dtype == np.int8 and info.cause.shape == ok.shape
+    assert np.array_equal(info.cause == OK, ok)
+    assert np.array_equal(info.cause == EXTERIOR, loc_kind == "exterior")
+    single = cli.METHODS[kind][method]
+    for p, cause in zip(points, info.cause.tolist()):
+        if cause != OK:
+            with pytest.raises(CAUSE_ERRORS[cause]):
+                single(geom, p)
+    return info
+
+
+@pytest.mark.parametrize("kind, method, name", COMPOSITION_CASES)
+def test_batch_info_record(kind, method, name):
+    geom, points = _composition_input(name)
+    info = _assert_record(kind, method, geom, points)
+    causes = set(info.cause.tolist())
+    assert {OK, EXTERIOR} <= causes
+    if method in ("mvc-oracle", "wachspress-oracle"):
+        assert BOUNDARY in causes  # the stacks hold edge and vertex points
+    empty = _assert_record(kind, method, geom, points[:0])
+    assert empty.kind.shape == empty.index.shape == empty.cause.shape == (0,)
+
+
+def test_hex_info_names_frame_failures():
+    # A small hexahedron far from the origin, on which the frame misses the
+    # sign pattern at a few interior points (FrameNotFound, blank grid rows).
+    base = sampling.random_affine_cube_hex(np.random.default_rng(0))
+    hexa = Hexahedron(base.vertices * 10.0**-1.75 + [0.0, 0.0, 167410.0])
+    points = _hex_test_points(hexa, np.random.default_rng(1))
+    info = _assert_record("hex", "moment", hexa, points)
+    assert FRAME in info.cause
+    # The record comes after the frame coordinates, which stay as they are.
+    *plain, info_last = moment_coords_hex_many(hexa, points, return_frame_coords=True, info=True)
+    for a, b in zip(plain, moment_coords_hex_many(hexa, points, return_frame_coords=True)):
+        assert a.tobytes() == b.tobytes()
+    assert info_last.cause.tobytes() == info.cause.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, method, resolution, derivatives",
+    [
+        ("nonconv-quad", "moment", 21, False),
+        ("nonconv-quad", "moment", 21, True),
+        ("conv-quad", "mvc-oracle", 21, True),
+        ("nonconv-quad", "cramer", 15, True),
+        ("conv-hex", "moment", 9, False),
+        ("conv-hex", "moment", 9, True),
+        ("interval-7", "moment", 41, True),
+        ("interval-7", "hat", 41, True),
+    ],
+)
+def test_grid_locates_each_point_once(capsys, tmp_path, monkeypatch, shape, method, resolution, derivatives):
+    # Every point location goes through _locate_quad, _locate_hex or
+    # coords1d._locate; count the points each call locates, under every
+    # name the package calls them by.
+    located = []
+
+    def counting(locate):
+        def wrapper(geom, x, *args):
+            located.append(np.size(x))
+            return locate(geom, x, *args)
+        return wrapper
+
+    for module, name in [
+        (geometry, "_locate_quad"), (coords2d, "_locate_quad"),
+        (geometry, "_locate_hex"), (coords3d, "_locate_hex"),
+        (coords1d, "_locate"),
+    ]:
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    arg, geom = _geometry(tmp_path, shape)
+    dim = 1 if isinstance(geom, NodeSet1D) else geom.vertices.shape[1]
+    rows = _grid_rows(capsys, tmp_path, arg, method, resolution, derivatives)
+    # The finite differences take the rows with weights (mvc-oracle leaves
+    # its boundary rows blank).
+    evaluated = sum(row[dim] != "" for row in rows)
+    assert evaluated > 0
+    expected = resolution**dim + (2 * dim * evaluated if derivatives else 0)
+    assert sum(located) == expected

@@ -7,8 +7,8 @@ import pytest
 
 from momentcoords import sampling
 from momentcoords.cli import main
-from momentcoords.geometry import OVERFLOW_MESSAGE, REFERENCE_CUBE
-from momentcoords.shapes import convex_hex, nonconvex_quad
+from momentcoords.geometry import OVERFLOW_MESSAGE, REFERENCE_CUBE, classify_points_quad
+from momentcoords.shapes import convex_hex, convex_quad, nonconvex_quad
 
 
 def run(capsys, *argv):
@@ -339,6 +339,31 @@ class TestGrid:
         blank = sum("" in row.split(",") for row in rows)
         assert len(rows) == 3836 and blank <= 6
         assert f"warning: {blank} grid points" in err if blank else err == ""
+
+    def test_blank_rows_name_their_cause(self, capsys, tmp_path):
+        # The three sharp corners of the nonconvex quad have no admissible
+        # finite-difference step; the rest of its 41 x 41 grid evaluates.
+        out_path = tmp_path / "grid.csv"
+        code, _, err = run(
+            capsys, "grid", "--geometry", "nonconv-quad", "--resolution", "41",
+            "--method", "moment", "--derivatives", "--out", str(out_path),
+        )
+        assert code == 0
+        assert err == "warning: 3 grid points failed to evaluate (3 no admissible derivative step)\n"
+        rows = [row.split(",") for row in out_path.read_text().splitlines()[1:]]
+        assert sum(r[2] != "" and r[-1] == "" for r in rows) == 3
+        # The mean value oracle is undefined on the boundary: every blank row
+        # is an edge or vertex point, and stderr counts them as such.
+        code, _, err = run(
+            capsys, "grid", "--geometry", "conv-quad", "--resolution", "21",
+            "--method", "mvc-oracle", "--out", str(out_path),
+        )
+        assert code == 0
+        rows = [row.split(",") for row in out_path.read_text().splitlines()[1:]]
+        blank = np.array([[float(r[0]), float(r[1])] for r in rows if r[2] == ""])
+        kinds = classify_points_quad(convex_quad(), blank)[0]
+        assert len(blank) > 0 and set(kinds.tolist()) == {"on_edge", "at_vertex"}
+        assert err == f"warning: {len(blank)} grid points failed to evaluate ({len(blank)} boundary)\n"
 
     def test_bad_resolution(self, capsys, tmp_path):
         code, _, _ = run(
