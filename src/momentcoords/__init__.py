@@ -37,7 +37,6 @@ from .coords3d import (
     sign_pattern_ok,
 )
 from .errors import (
-    DegenerateEdge,
     DegenerateTriangle,
     DomainError,
     FrameNotFound,
@@ -56,12 +55,9 @@ from .geometry import (
     Quadrilateral,
     classify_point_quad,
     classify_points_quad,
-    edge_distance,
     face_of_point_hex,
     face_of_points_hex,
-    outward_normal,
     signed_area,
-    validate_geometry,
 )
 from .smallsolve import solve_dense, solve_dense_many
 
@@ -91,7 +87,6 @@ __all__ = [
     "moment_coords_hex_many",
     "reference_frame",
     "sign_pattern_ok",
-    "DegenerateEdge",
     "DegenerateTriangle",
     "DomainError",
     "FrameNotFound",
@@ -108,12 +103,9 @@ __all__ = [
     "Quadrilateral",
     "classify_point_quad",
     "classify_points_quad",
-    "edge_distance",
     "face_of_point_hex",
     "face_of_points_hex",
-    "outward_normal",
     "signed_area",
-    "validate_geometry",
     "solve_dense",
     "solve_dense_many",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coords1d, coords2d, coords3d, sampling
+from . import coords1d, coords2d, coords3d, geometry, sampling
 from .errors import SingularMatrix
 from .geometry import Hexahedron, NodeSet1D, Quadrilateral, face_of_points_hex
 
@@ -29,9 +29,6 @@ KRONECKER_TOL = 1e-10
 BOUNDARY_TOL = 1e-10
 FACET_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
-# The suites evaluate their samples this many at a time, which bounds the
-# memory of the stacked solves.
-SUITE_CHUNK = 256
 
 
 @dataclass
@@ -108,10 +105,12 @@ def _worst_gap(a, b) -> float:
 
 
 def _chunked(many, geom, points, **kwargs):
-    """many(geom, points, **kwargs), run SUITE_CHUNK points at a time."""
+    """many(geom, points, **kwargs), run geometry.BATCH_CHUNK points at a
+    time."""
+    chunk = geometry.BATCH_CHUNK
     parts = [
-        many(geom, points[start : start + SUITE_CHUNK], **kwargs)
-        for start in range(0, max(len(points), 1), SUITE_CHUNK)
+        many(geom, points[start : start + chunk], **kwargs)
+        for start in range(0, max(len(points), 1), chunk)
     ]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import checks, coords1d, coords2d, coords3d
+from . import checks, coords1d, coords2d, coords3d, geometry
 from .errors import DegenerateTriangle, DomainError, InvalidGeometry, MomentCoordsError, NotConvex
 from .geometry import CAUSES, OK, Hexahedron, NodeSet1D, Quadrilateral
 from .gradients import FD_STEP_RTOL, finite_difference_gradient_many
@@ -24,10 +24,6 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
-
-# grid evaluates its points in chunks of this many, which bounds the memory
-# of the stacked solves.
-GRID_CHUNK = 512
 
 # Why a grid row is blank: the batch evaluators' causes (geometry.CAUSES),
 # then grid's own: the write-time row check (_row_ok), no admissible
@@ -63,7 +59,7 @@ def _load_geometry(source: str):
             return NodeSet1D(data["nodes"])
     except KeyError as exc:
         raise InputError(f"geometry of kind {kind!r} is missing field {exc}") from exc
-    except (InvalidGeometry, ValueError) as exc:
+    except (InvalidGeometry, TypeError, ValueError) as exc:
         raise InputError(f"invalid geometry: {exc}") from exc
     raise InputError(f"unknown geometry kind {kind!r} (quad, hex, or interval)")
 
@@ -279,8 +275,13 @@ def cmd_grid(args) -> int:
     lines = [",".join(header)]
     grids = np.meshgrid(*axes, indexing="ij")
     all_points = np.stack([g.ravel() for g in grids], axis=-1)
-    for start in range(0, len(all_points), GRID_CHUNK):
-        points = all_points[start : start + GRID_CHUNK]
+    # The derivative pass evaluates 2 * dim offsets of each chunk's rows in
+    # one stack, so a chunk with derivatives holds that many times fewer.
+    chunk = geometry.BATCH_CHUNK
+    if args.derivatives:
+        chunk = max(chunk // (2 * dim), 1)
+    for start in range(0, len(all_points), chunk):
+        points = all_points[start : start + chunk]
         weights, ok, info = evaluate(points, info=True)
         inside = info.kind != "exterior"
         points, weights, ok = points[inside], weights[inside], ok[inside]

@@ -17,10 +17,6 @@ class InvalidGeometry(MomentCoordsError):
         super().__init__("; ".join(self.violations))
 
 
-class DegenerateEdge(MomentCoordsError):
-    """An edge is too short to define a direction."""
-
-
 class DegenerateTriangle(MomentCoordsError):
     """A triangle with (numerically) zero area cannot carry barycentric coordinates."""
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import geometry
 from .errors import InvalidGeometry
 from .geometry import (
     CLASSIFY_RTOL,
@@ -20,18 +21,16 @@ from .geometry import (
     _locate_quad,
 )
 
-# Attempts drawn and tested at once, at most; bounds the samplers' memory.
-_MAX_CHUNK = 1 << 16
-
 
 def _rejection_sample(rng, lo, hi, n: int, accept, margin: float):
     """n points drawn uniformly from the box [lo, hi] that pass accept.
 
     Draws the same numbers as a loop of one rng.uniform(lo, hi) per attempt
     that keeps the accepted points, and leaves rng in the same state:
-    chunks of attempts are drawn and tested at once (accept maps (k, dim)
-    points to a (k,) mask), and the chunk holding the n-th accepted point is
-    redrawn from its saved state up to that point only.  Raises ValueError
+    chunks of at most geometry.BATCH_CHUNK attempts are drawn and tested at
+    once (accept maps (k, dim) points to a (k,) mask), and the chunk
+    holding the n-th accepted point is redrawn from its saved state up to
+    that point only.  Raises ValueError
     after 2000 * (n + 10) attempts, as the loop did.
     """
     if n <= 0:
@@ -48,7 +47,7 @@ def _rejection_sample(rng, lo, hi, n: int, accept, margin: float):
             )
         need = n - found
         rate = (found + 1) / (attempts + 2)  # acceptance estimate, never 0
-        chunk = min(budget - attempts, _MAX_CHUNK, int(1.25 * need / rate) + 16)
+        chunk = min(budget - attempts, geometry.BATCH_CHUNK, int(1.25 * need / rate) + 16)
         state = rng.bit_generator.state
         pts = rng.uniform(lo, hi, size=(chunk, len(lo)))
         hits = np.flatnonzero(accept(pts))[:need]
@@ -95,18 +94,16 @@ def interior_points_hex(hexa: Hexahedron, n: int, rng, margin: float = 1e-7):
 
 
 def face_points_hex(hexa: Hexahedron, f: int, n: int, rng, margin: float = 0.05):
-    """n points on face f via bilinear corner blending, away from its edges."""
+    """n points (n, 3) on face f via bilinear corner blending, away from its
+    edges; the same points and draws as a loop of one (s, t) pair each."""
     corners = hexa.vertices[list(Hexahedron.FACES[f])]
-    out = []
-    for _ in range(n):
-        s, t = rng.uniform(margin, 1.0 - margin, 2)
-        out.append(
-            (1 - s) * (1 - t) * corners[0]
-            + s * (1 - t) * corners[1]
-            + s * t * corners[2]
-            + (1 - s) * t * corners[3]
-        )
-    return np.array(out)
+    s, t = rng.uniform(margin, 1.0 - margin, (n, 2)).T[:, :, None]
+    return (
+        (1 - s) * (1 - t) * corners[0]
+        + s * (1 - t) * corners[1]
+        + s * t * corners[2]
+        + (1 - s) * t * corners[3]
+    )
 
 
 def random_simple_quad(rng, convex: bool | None = None) -> Quadrilateral:

@@ -778,14 +778,16 @@ def test_batch_rows_independent_of_batch_composition(kind, method, name):
 
 
 @pytest.mark.parametrize(
-    "geometry, derivatives, chunk",
+    "name, derivatives, chunk",
     [
         ("conv-hex", False, 7),
         ("plane-hex-tilt0.4", False, 7),
         ("conv-hex", True, 7),
+        ("conv-hex", True, 42),
         ("conv-hex", False, 1),
         ("plane-hex-tilt0.4", False, 1),
         ("nonconv-quad", True, 7),
+        ("nonconv-quad", True, 28),
         ("nonconv-quad", True, 1),
         ("nonconvex+1e6", False, 7),
         ("nonconvex+1e6", False, 1),
@@ -793,19 +795,21 @@ def test_batch_rows_independent_of_batch_composition(kind, method, name):
         ("interval-7", True, 1),
     ],
 )
-def test_grid_csv_independent_of_chunk_size(capsys, tmp_path, monkeypatch, geometry, derivatives, chunk):
+def test_grid_csv_independent_of_chunk_size(capsys, tmp_path, monkeypatch, name, derivatives, chunk):
     # A hexahedron at resolution 8 has 8**3 = 512 grid points: one chunk at
-    # the default GRID_CHUNK, 73 chunks of 7 and a last chunk of one point,
+    # the default BATCH_CHUNK, 73 chunks of 7 and a last chunk of one point,
     # or 512 chunks of one, in which every solved point is a stack-last
-    # (8, 8, 1) system.  Chunks of 7 with derivatives include chunks with no
-    # point inside.  The quads (23**2 points) and the interval (41 points)
-    # pin the point columns grid formats per axis and joins per chunk: two
-    # axes, and one with no outer part.
-    arg, geom = _geometry(tmp_path, geometry)
+    # (8, 8, 1) system.  With derivatives grid divides the chunk by the
+    # 2 * dim offsets of each point: 7 gives chunks of one point in 2D and
+    # 3D, and 42 or 28 chunks of 7, among them chunks with no point inside.
+    # The quads (23**2 points) and the interval (41 points) pin the point
+    # columns grid formats per axis and joins per chunk: two axes, and one
+    # with no outer part.
+    arg, geom = _geometry(tmp_path, name)
     resolution = {Quadrilateral: 23, NodeSet1D: 41}.get(type(geom), 8)
 
-    def grid_bytes(name):
-        out = tmp_path / name
+    def grid_bytes(filename):
+        out = tmp_path / filename
         argv = ["grid", "--geometry", arg, "--resolution", str(resolution),
                 "--method", "moment", "--out", str(out)]
         assert main(argv + (["--derivatives"] if derivatives else [])) == 0
@@ -813,7 +817,7 @@ def test_grid_csv_independent_of_chunk_size(capsys, tmp_path, monkeypatch, geome
         return out.read_bytes()
 
     default = grid_bytes("default.csv")
-    monkeypatch.setattr(cli, "GRID_CHUNK", chunk)
+    monkeypatch.setattr(geometry, "BATCH_CHUNK", chunk)
     assert grid_bytes(f"chunk-{chunk}.csv") == default
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentcoords import coords1d, coords2d, coords3d, sampling, shapes
+from momentcoords import coords1d, coords2d, coords3d, geometry, sampling, shapes
 from momentcoords.checks import (
     hex_suite,
     interval_suite,
@@ -326,3 +326,27 @@ def test_quad_suite_reruns_failed_points_in_loop_order(monkeypatch):
         quad_suite(quad, 23, 7)
     with pytest.raises(MomentCoordsError, match="mvc"):
         quad_suite(quad, 23, 7, family="moment")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        shapes.convex_quad,
+        shapes.convex_hex,
+        lambda: NodeSet1D([0.0, 0.13, 0.4, 0.55, 0.9, 1.0, 1.7]),
+    ],
+    ids=["conv-quad", "conv-hex", "interval-7"],
+)
+def test_suite_results_independent_of_chunk_size(monkeypatch, make):
+    # 50 samples are one chunk at the default BATCH_CHUNK, seven chunks of 7
+    # and a last chunk of one, or 50 chunks of one point; the samplers draw
+    # their attempts in chunks of the same size.
+    geom = make()
+
+    def results():
+        return [(r.name, r.worst, r.tol) for r in run_suite(geom, 50, seed=3)]
+
+    default = results()
+    for chunk in (7, 1):
+        monkeypatch.setattr(geometry, "BATCH_CHUNK", chunk)
+        assert results() == default

@@ -476,6 +476,35 @@ def test_zero_volume_hex_invalid_geometry(capsys, tmp_path):
     assert not (tmp_path / "flat.csv").exists()
 
 
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "quad", "vertices": [[0, 0], [1, 0], [1, 1], [0, {}]]},
+        {"kind": "hex", "vertices": {}},
+        {"kind": "interval", "nodes": [0, {}, 1]},
+    ],
+    ids=["quad", "hex", "interval"],
+)
+@pytest.mark.parametrize("command", ["eval", "grid", "check"])
+def test_non_numeric_geometry_entry_input_error(capsys, tmp_path, data, command):
+    # float() of a JSON object raises TypeError, which used to escape as a
+    # traceback with exit 1, the code of a property failure.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    point = {"quad": "0.5,0.5", "hex": "0,0,0", "interval": "0.5"}[data["kind"]]
+    args = {
+        "eval": ["--point", point, "--method", "moment"],
+        "grid": ["--resolution", "5", "--method", "moment", "--out", str(tmp_path / "bad.csv")],
+        "check": ["--samples", "5"],
+    }[command]
+    code, out, err = run(capsys, command, "--geometry", str(path), *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid geometry: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "bad.csv").exists()
+
+
 class TestCramerOnFlatCorner:
     # A valid quadrilateral whose corner at vertex 1 is nearly straight: the
     # corner triangle (0, 1, 2) is too flat for the Cramer expansion.

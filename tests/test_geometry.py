@@ -7,17 +7,14 @@ import pytest
 
 from momentcoords import geometry as geo
 from momentcoords import sampling
-from momentcoords.errors import DegenerateEdge, InvalidGeometry
+from momentcoords.errors import InvalidGeometry
 from momentcoords.geometry import (
     Hexahedron,
     NodeSet1D,
     Quadrilateral,
     classify_point_quad,
-    edge_distance,
     face_of_point_hex,
-    outward_normal,
     signed_area,
-    validate_geometry,
 )
 
 
@@ -48,9 +45,9 @@ class TestSignedArea:
 
 class TestQuadrilateral:
     def test_examples_validate(self, quad_convex, quad_nonconvex, biunit):
-        assert validate_geometry(quad_convex) == []
+        assert geo.quad_violations(quad_convex.vertices) == []
         assert quad_convex.is_convex
-        assert validate_geometry(quad_nonconvex) == []
+        assert geo.quad_violations(quad_nonconvex.vertices) == []
         assert not quad_nonconvex.is_convex
         assert biunit.is_convex
 
@@ -75,58 +72,6 @@ class TestQuadrilateral:
     def test_vertices_immutable(self, biunit):
         with pytest.raises(ValueError):
             biunit.vertices[0, 0] = 5.0
-
-
-class TestEdgeDistance:
-    def test_biunit_bottom(self, biunit):
-        assert edge_distance(biunit, 0, (0, 0)) == pytest.approx(1.0)
-
-    def test_point_on_edge(self, quad_convex):
-        v = quad_convex.vertices
-        mid = 0.5 * (v[2] + v[3])
-        assert edge_distance(quad_convex, 2, mid) == pytest.approx(0.0, abs=1e-15)
-
-    def test_convex_quad_slanted_edge(self, quad_convex):
-        # Point-line distance from (0.5, 1) to the segment (1,0)-(0.5,4).
-        assert edge_distance(quad_convex, 1, (0.5, 1)) == pytest.approx(1.5 / np.sqrt(16.25))
-
-    def test_positive_inside_convex(self, quad_convex, rng):
-        for p in sampling.interior_points_quad(quad_convex, 50, rng):
-            for i in range(4):
-                assert edge_distance(quad_convex, i, p) > 0
-
-    def test_degenerate_edge(self):
-        quad = object.__new__(Quadrilateral)
-        quad.vertices = np.array([(0, 0), (0, 0), (1, 1), (0, 1)], dtype=float)
-        with pytest.raises(DegenerateEdge):
-            edge_distance(quad, 0, (0.5, 0.5))
-
-
-class TestOutwardNormal:
-    def test_biunit_axis_edges(self, biunit):
-        assert np.allclose(outward_normal(biunit, 0), (0, -1))
-        assert np.allclose(outward_normal(biunit, 1), (1, 0))
-
-    def test_convex_quad_bottom(self, quad_convex):
-        assert np.allclose(outward_normal(quad_convex, 0), (0, -1))
-
-    def test_unit_norm(self, quad_convex):
-        for i in range(4):
-            assert np.linalg.norm(outward_normal(quad_convex, i)) == pytest.approx(1.0)
-
-    def test_corner_area_identity(self, rng):
-        # A(v_{i-1}, v_i, v_{i+1}) = l(i,i+1) l(i,i-1) (n_{i-1} x n_i) / 2
-        for _ in range(25):
-            quad = sampling.random_simple_quad(rng, convex=True)
-            v = quad.vertices
-            lens = [np.linalg.norm(v[(i + 1) % 4] - v[i]) for i in range(4)]
-            scale2 = quad.diameter**2
-            for i in range(4):
-                n_prev = outward_normal(quad, (i - 1) % 4)
-                n_cur = outward_normal(quad, i)
-                cross = n_prev[0] * n_cur[1] - n_prev[1] * n_cur[0]
-                area = signed_area(v[(i - 1) % 4], v[i], v[(i + 1) % 4])
-                assert abs(area - 0.5 * lens[i] * lens[(i - 1) % 4] * cross) <= 1e-10 * scale2
 
 
 class TestClassifyQuad:
@@ -171,8 +116,8 @@ class TestNodeSet1D:
 
 class TestHexahedron:
     def test_cube_and_tapered_validate(self, cube, hex_tapered):
-        assert validate_geometry(cube) == []
-        assert validate_geometry(hex_tapered) == []
+        assert geo.hex_violations(cube.vertices) == []
+        assert geo.hex_violations(hex_tapered.vertices) == []
 
     def test_planarity_violation(self, cube):
         bad = np.array(cube.vertices)
@@ -251,11 +196,6 @@ class TestFaceOfPointHex:
                     vi, vj, vk = hexa.vertices[idx[0]], hexa.vertices[idx[1]], hexa.vertices[idx[2]]
                     triple = np.dot(p - vi, np.cross(vj - vi, vk - vi))
                     assert abs(triple) <= 1e-9 * hexa.diameter**3
-
-
-def test_validate_geometry_type_error():
-    with pytest.raises(TypeError):
-        validate_geometry([1, 2, 3])
 
 
 # The one-pass validation against the validation it replaced, kept here as

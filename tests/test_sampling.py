@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentcoords import sampling, shapes
+from momentcoords import geometry, sampling, shapes
 from momentcoords.errors import OutsideDomain
 from momentcoords.geometry import (
     CLASSIFY_RTOL,
@@ -9,7 +9,8 @@ from momentcoords.geometry import (
     _locate_quad,
     classify_point_quad,
     face_of_point_hex,
-    validate_geometry,
+    hex_violations,
+    quad_violations,
 )
 from momentcoords.gradients import finite_difference_gradient
 from momentcoords.coords2d import moment_coords_quad
@@ -69,13 +70,21 @@ def _loop_interior_points_hex(hexa, n, rng, margin=1e-7):
 
 
 def _assert_same_stream(vectorized, loop, geom, n, seed, **kwargs):
-    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = vectorized(geom, n, rng_new, **kwargs)
+    # At the default chunk and at chunks of 7 attempts, which take several
+    # passes for all but the smallest n.
+    rng_old = np.random.default_rng(seed)
     old = loop(geom, n, rng_old, **kwargs)
-    assert new.shape == old.shape and np.array_equal(new, old)
-    assert rng_new.bit_generator.state == rng_old.bit_generator.state
-    # The next draw agrees too.
-    assert rng_new.uniform() == rng_old.uniform()
+    state = rng_old.bit_generator.state
+    after = rng_old.uniform()
+    for chunk in (geometry.BATCH_CHUNK, 7):
+        rng_new = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "BATCH_CHUNK", chunk)
+            new = vectorized(geom, n, rng_new, **kwargs)
+        assert new.shape == old.shape and np.array_equal(new, old)
+        assert rng_new.bit_generator.state == state
+        # The next draw agrees too.
+        assert rng_new.uniform() == after
 
 
 _QUADS = {
@@ -170,7 +179,7 @@ def test_random_simple_quads_valid_and_both_classes(rng):
     kinds = set()
     for _ in range(40):
         quad = sampling.random_simple_quad(rng)
-        assert validate_geometry(quad) == []
+        assert quad_violations(quad.vertices) == []
         kinds.add(quad.is_convex)
     assert kinds == {True, False}
 
@@ -178,20 +187,54 @@ def test_random_simple_quads_valid_and_both_classes(rng):
 def test_random_affine_cube_hexes_valid(rng):
     for _ in range(5):
         hexa = sampling.random_affine_cube_hex(rng)
-        assert validate_geometry(hexa) == []
+        assert hex_violations(hexa.vertices) == []
 
 
 def test_random_plane_hexes_valid_and_nonparallel(rng):
     saw_nonparallel = False
     for _ in range(5):
         hexa = sampling.random_plane_hex(rng)
-        assert validate_geometry(hexa) == []
+        assert hex_violations(hexa.vertices) == []
         for fa, fb in hexa.OPPOSITE_PAIRS:
             na, _ = hexa.face_planes[fa]
             nb, _ = hexa.face_planes[fb]
             if np.linalg.norm(np.cross(na, nb)) > 1e-6:
                 saw_nonparallel = True
     assert saw_nonparallel
+
+
+def _loop_face_points_hex(hexa, f, n, rng, margin=0.05):
+    corners = hexa.vertices[list(geometry.Hexahedron.FACES[f])]
+    out = []
+    for _ in range(n):
+        s, t = rng.uniform(margin, 1.0 - margin, 2)
+        out.append(
+            (1 - s) * (1 - t) * corners[0]
+            + s * (1 - t) * corners[1]
+            + s * t * corners[2]
+            + (1 - s) * t * corners[3]
+        )
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", sorted(_HEXES))
+@pytest.mark.parametrize("n", [1, 5, 17])
+def test_face_points_hex_same_stream_as_loop(name, n):
+    # One (n, 2) draw and one blend give the loop's points bit for bit.
+    hexa = _HEXES[name]()
+    for f in range(6):
+        rng_new, rng_old = np.random.default_rng(f), np.random.default_rng(f)
+        new = sampling.face_points_hex(hexa, f, n, rng_new)
+        old = _loop_face_points_hex(hexa, f, n, rng_old)
+        assert new.shape == old.shape == (n, 3) and new.tobytes() == old.tobytes()
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+def test_face_points_hex_none():
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    assert sampling.face_points_hex(shapes.cube(), 0, 0, rng).shape == (0, 3)
+    assert rng.bit_generator.state == state
 
 
 def test_face_points_land_on_their_face(rng):
