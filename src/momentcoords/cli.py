@@ -263,55 +263,54 @@ def cmd_grid(args) -> int:
             for ax in axis_names:
                 header.append(f"dphi{i + 1}_d{ax}")
 
-    # Each axis value is formatted once; a row's point columns are the
-    # label of its outer axes (none in 1D) and the label of the last axis.
-    # meshgrid copies the linspace values, so these are its points' digits.
+    # Each axis value is formatted once.  A row is written as a newline, the
+    # label of its outer axes (none in 1D) and of its last axis, and its
+    # fields; the points are gathered from axes, so the labels are their digits.
     labels = [["%.17g" % v for v in axis.tolist()] for axis in axes]
-    outer = ["".join(s + "," for s in t) for t in itertools.product(*labels[:-1])]
+    outer = ["\n" + "".join(s + "," for s in t) for t in itertools.product(*labels[:-1])]
     last = labels[-1]
 
     h = FD_STEP_RTOL * diameter
     causes = np.zeros(len(GRID_CAUSES), dtype=int)
-    lines = [",".join(header)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    all_points = np.stack([g.ravel() for g in grids], axis=-1)
     # The derivative pass evaluates 2 * dim offsets of each chunk's rows in
     # one stack, so a chunk with derivatives holds that many times fewer.
     chunk = geometry.BATCH_CHUNK
     if args.derivatives:
         chunk = max(chunk // (2 * dim), 1)
-    for start in range(0, len(all_points), chunk):
-        points = all_points[start : start + chunk]
-        weights, ok, info = evaluate(points, info=True)
-        inside = info.kind != "exterior"
-        points, weights, ok = points[inside], weights[inside], ok[inside]
-        cause = info.cause[inside]
-        row_ok = _row_ok(weights, vertices, points, diameter)
-        cause[ok & ~row_ok] = ROW_CHECK
-        ok &= row_ok
-        grad = grad_ok = None
-        if args.derivatives:
-            rows = np.flatnonzero(ok)
-            grad = np.full((len(points), nweights, dim), np.nan)
-            grad_ok = np.zeros(len(points), dtype=bool)
-            grad[rows], grad_ok[rows], no_step = finite_difference_gradient_many(
-                evaluate, points[rows], weights[rows], h
-            )
-            cause[rows] = np.where(no_step, NO_STEP, np.where(grad_ok[rows], OK, OFFSET_FAILED))
-        causes += np.bincount(cause, minlength=len(GRID_CAUSES))
-        outer_index, last_index = np.divmod(np.flatnonzero(inside) + start, n)
-        lines += [
-            outer[i] + last[j] + fields
-            for i, j, fields in zip(
-                outer_index.tolist(),
-                last_index.tolist(),
-                _format_rows(weights, ok, grad, grad_ok),
-            )
-        ]
-
+    total = n**dim
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(header))
+            for start in range(0, total, chunk):
+                index = np.arange(start, min(start + chunk, total))
+                axis_index = np.unravel_index(index, (n,) * dim)
+                points = np.stack([axis[i] for axis, i in zip(axes, axis_index)], axis=-1)
+                weights, ok, info = evaluate(points, info=True)
+                inside = info.kind != "exterior"
+                points, weights, ok = points[inside], weights[inside], ok[inside]
+                cause = info.cause[inside]
+                row_ok = _row_ok(weights, vertices, points, diameter)
+                cause[ok & ~row_ok] = ROW_CHECK
+                ok &= row_ok
+                grad = grad_ok = None
+                if args.derivatives:
+                    rows = np.flatnonzero(ok)
+                    grad = np.full((len(points), nweights, dim), np.nan)
+                    grad_ok = np.zeros(len(points), dtype=bool)
+                    grad[rows], grad_ok[rows], no_step = finite_difference_gradient_many(
+                        evaluate, points[rows], weights[rows], h
+                    )
+                    cause[rows] = np.where(
+                        no_step, NO_STEP, np.where(grad_ok[rows], OK, OFFSET_FAILED)
+                    )
+                causes += np.bincount(cause, minlength=len(GRID_CAUSES))
+                outer_index, last_index = np.divmod(index[inside], n)
+                fields = _format_rows(weights, ok, grad, grad_ok)
+                fh.write("".join(
+                    outer[i] + last[j] + f
+                    for i, j, f in zip(outer_index.tolist(), last_index.tolist(), fields)
+                ))
+            fh.write("\n")
     except OSError as exc:
         raise InputError(f"cannot write {args.out!r}: {exc}") from exc
     causes[OK] = 0

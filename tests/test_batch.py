@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -904,7 +905,10 @@ def test_hex_info_names_frame_failures():
 def test_grid_locates_each_point_once(capsys, tmp_path, monkeypatch, shape, method, resolution, derivatives):
     # Every point location goes through _locate_quad, _locate_hex or
     # coords1d._locate; count the points each call locates, under every
-    # name the package calls them by.
+    # name the package calls them by.  No stack, of grid points or of their
+    # derivative offsets, holds more than BATCH_CHUNK points.
+    chunk = 48
+    monkeypatch.setattr(geometry, "BATCH_CHUNK", chunk)
     located = []
 
     def counting(locate):
@@ -928,3 +932,25 @@ def test_grid_locates_each_point_once(capsys, tmp_path, monkeypatch, shape, meth
     assert evaluated > 0
     expected = resolution**dim + (2 * dim * evaluated if derivatives else 0)
     assert sum(located) == expected
+    assert max(located) <= chunk
+
+
+def test_grid_memory_bounded_by_chunk(tmp_path, monkeypatch):
+    # grid holds one chunk of points, weights and CSV lines at a time, so
+    # its traced peak does not grow with the grid (a grid held whole, with
+    # every line, peaks at 0.5 MB at 31 x 31 and 2.9 MB at 81 x 81).
+    monkeypatch.setattr(geometry, "BATCH_CHUNK", 256)
+
+    def peak(resolution):
+        argv = ["grid", "--geometry", "biunit-square", "--resolution", str(resolution),
+                "--method", "moment", "--out", str(tmp_path / "grid.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(11)  # one-time allocations of a first run
+    small, large = peak(31), peak(81)
+    assert large < 1.5 * small, (small, large)

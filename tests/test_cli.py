@@ -1,5 +1,6 @@
 import csv
 import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -316,11 +317,19 @@ class TestGrid:
             assert code == expected
             assert ("not available" in err) == (expected == 2)
 
-    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent", "full-device"])
     def test_unwritable_out_input_error(self, capsys, tmp_path, target):
-        out = tmp_path if target == "directory" else tmp_path / "missing" / "g.csv"
+        # A full device opens, then fails on a write inside the chunk loop:
+        # the 41 x 41 grid's CSV outgrows the write buffer.
+        out = {
+            "directory": tmp_path,
+            "missing-parent": tmp_path / "missing" / "g.csv",
+            "full-device": pathlib.Path("/dev/full"),
+        }[target]
+        if target == "full-device" and not out.exists():
+            pytest.skip("no /dev/full on this system")
         code, _, err = run(
-            capsys, "grid", "--geometry", "biunit-square", "--resolution", "3",
+            capsys, "grid", "--geometry", "biunit-square", "--resolution", "41",
             "--method", "moment", "--out", str(out),
         )
         assert code == 2
