@@ -4,21 +4,28 @@ Each suite evaluates the coordinate axioms (partition of unity, linear
 precision, nonnegativity, Kronecker delta at the nodes), the boundary and
 facet reduction properties, and the agreement between the system solutions
 and their independent closed-form oracles, over a seeded random sample.
-The samples go through the batch functions, and _evaluate re-runs every
-point a batch fails through its single-point function, which raises (or is
-counted) as a loop over the points would have.  Only the 2D reduction of the
-hexahedral facet points, one induced quadrilateral each, runs point by point.
+The points go through the batch functions in a few calls per suite, one
+per method and point group: a quadrilateral's samples, its vertices with
+its edge points, the five covariance images of a family as one element
+stack (geometry.QuadStack), a hexahedron's samples, vertices, edge and face
+points together, and the induced face quadrilaterals of the facet
+reduction as one stack, each holding its face point.  _evaluate_segments
+re-runs every point a batch fails through its single-point function on its
+own segment and element, which raises (or, where the segment counts it, is
+counted) as a loop over the points would have.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import coords1d, coords2d, coords3d, geometry, sampling
 from .errors import SingularMatrix
-from .geometry import Hexahedron, NodeSet1D, Quadrilateral, face_of_points_hex
+from .geometry import Hexahedron, NodeSet1D, Quadrilateral, QuadStack, face_of_points_hex
 
 # Baseline tolerances for the standard axioms.
 PARTITION_TOL = 1e-12
@@ -106,40 +113,75 @@ def _worst_gap(a, b) -> float:
 
 def _chunked(many, geom, points, **kwargs):
     """many(geom, points, **kwargs), run geometry.BATCH_CHUNK points at a
-    time."""
+    time (and a QuadStack's rows with them)."""
     chunk = geometry.BATCH_CHUNK
     parts = [
-        many(geom, points[start : start + chunk], **kwargs)
+        many(
+            geom.take(slice(start, start + chunk)) if isinstance(geom, QuadStack) else geom,
+            points[start : start + chunk],
+            **kwargs,
+        )
         for start in range(0, max(len(points), 1), chunk)
     ]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _evaluate(geom, points, *methods, count=(), **kwargs):
-    """Each batch's own tuple (weights (m, n), ok (m,), ...) at the rows of
-    points, for each (batch, single-point) pair of methods; kwargs go to
-    the batches.
+class _Segment(NamedTuple):
+    """Points that a per-point loop evaluates on one geometry, in turn; a
+    failed point whose single-point function raises a type in count is
+    counted (left failed), not raised."""
 
-    The batch functions run first.  Every point some batch failed is then
-    re-run through the single-point functions in the order a per-point
-    loop takes them, point by point and method by method, so the first
-    exception raised is the one that loop raised.  An exception of a type
-    in count leaves the row failed (ok False) and the loop going.  A
-    single-point function that returns a value where its batch failed
-    breaks the batch contract and raises RuntimeError.
+    geom: object
+    points: np.ndarray
+    count: tuple = ()
+
+
+def _evaluate_segments(segments, *methods, **kwargs):
+    """Per method, each segment's part of its batch's tuple (weights (m,
+    n), ok (m,), ...), for each (batch, single-point) pair of methods;
+    kwargs go to the batches.
+
+    The segments run as one batch call per method: on their geometry when
+    they share one, else on the QuadStack of their quadrilaterals, one
+    element per segment (each built, so validated, before any point is
+    evaluated).  Every point some batch failed is then re-run through the
+    single-point functions on its segment's geometry in the order a
+    per-point loop over the segments takes them, point by point and method
+    by method, so the first exception raised is the one that loop raised.
+    An exception of a type in the segment's count leaves the row failed (ok
+    False) and the loop going.  A single-point function that returns a
+    value where its batch failed breaks the batch contract and raises
+    RuntimeError, naming the point by its index in its segment.
     """
+    sizes = [len(seg.points) for seg in segments]
+    geom = segments[0].geom
+    if any(seg.geom is not geom for seg in segments):
+        geom = QuadStack([seg.geom for seg in segments], np.repeat(np.arange(len(sizes)), sizes))
+    points = np.concatenate([seg.points for seg in segments])
     results = [_chunked(many, geom, points, **kwargs) for many, _ in methods]
+    starts = np.cumsum([0] + sizes).tolist()
     failed = sorted(set().union(*(np.flatnonzero(~r[1]).tolist() for r in results)))
     for s in failed:
+        i = bisect_right(starts, s) - 1
+        seg = segments[i]
         for (_, single), (_, ok, *_) in zip(methods, results):
             if ok[s]:
                 continue
             try:
-                single(geom, points[s])
-            except count:
+                single(seg.geom, points[s])
+            except seg.count:
                 continue
-            raise RuntimeError(f"{single.__name__} evaluates point {s}, which its batch failed")
-    return results
+            raise RuntimeError(
+                f"{single.__name__} evaluates point {s - starts[i]}, which its batch failed"
+            )
+    return [[tuple(a[lo:hi] for a in r) for lo, hi in zip(starts, starts[1:])] for r in results]
+
+
+def _evaluate(geom, points, *methods, count=(), **kwargs):
+    """Each batch's own tuple at the rows of points: _evaluate_segments on
+    the one segment of points."""
+    segments = [_Segment(geom, points, count)]
+    return [parts for [parts] in _evaluate_segments(segments, *methods, **kwargs)]
 
 
 def _similarity_map(rng):
@@ -205,22 +247,24 @@ def quad_suite(
     if run_wachspress:
         families.append(("wachspress", wachspress))
     for name, method in families:
-        [(phi, _)] = _evaluate(quad, v, method)
-        acc.record(f"{name} kronecker delta", _worst_gap(phi, np.eye(4)), KRONECKER_TOL)
         t = rng.uniform(0.05, 0.95, (4, 8))
         expect = np.zeros((4, 8, 4))
         for i in range(4):
             expect[i, :, i] = 1 - t[i]
             expect[i, :, (i + 1) % 4] = t[i]
         p = (1 - t)[:, :, None] * v[:, None] + t[:, :, None] * v[[1, 2, 3, 0], None]
-        [(phi, _)] = _evaluate(quad, p.reshape(-1, 2), method)
+        [[(kron, _), (phi, _)]] = _evaluate_segments(
+            [_Segment(quad, v), _Segment(quad, p.reshape(-1, 2))], method
+        )
+        acc.record(f"{name} kronecker delta", _worst_gap(kron, np.eye(4)), KRONECKER_TOL)
         acc.record(
             f"{name} boundary reduction", _worst_gap(phi, expect.reshape(-1, 4)), BOUNDARY_TOL
         )
 
     # Covariance under similarity maps holds for both families; Wachspress
     # is additionally covariant under general affine maps (moment/mean value
-    # coordinates are distance based and are not).
+    # coordinates are distance based and are not).  The five images of a
+    # family are evaluated as one stack.
     covariance = []
     if run_moment:
         covariance.append(("moment similarity covariance", moment, weights[0], _similarity_map))
@@ -228,11 +272,13 @@ def quad_suite(
         covariance.append(("wachspress affine covariance", wachspress, weights[-2], _affine_map))
     first = slice(0, min(len(pts), 20))
     for name, method, phi, draw_map in covariance:
+        images = []
         for _ in range(5):
             a, b = draw_map(rng)
             mapped = Quadrilateral(v @ a.T + b)
-            q = np.array([a @ p + b for p in pts[first]])
-            [(mphi, _)] = _evaluate(mapped, q, method)
+            images.append(_Segment(mapped, np.array([a @ p + b for p in pts[first]])))
+        [parts] = _evaluate_segments(images, method)
+        for mphi, _ in parts:
             acc.record(name, _worst_gap(phi[first], mphi), COVARIANCE_TOL)
     return acc.items()
 
@@ -246,18 +292,6 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
 
     hex_method = (coords3d.moment_coords_hex_many, coords3d.moment_coords_hex)
     pts = sampling.interior_points_hex(hexa, samples, rng)
-    [(phi, ok, w)] = _evaluate(
-        hexa, pts, hex_method, count=(SingularMatrix,), return_frame_coords=True
-    )
-    _axioms(acc, "moment ", phi[ok], v, pts[ok], d)
-    if ok.any():
-        pattern = coords3d.sign_pattern_ok(w[ok], d)
-        acc.record("sign pattern verified", 0.0 if pattern.all() else 1.0, 0.5)
-    acc.record("no solver singularity", float((~ok).sum()), 0.5)
-
-    [(phi, _)] = _evaluate(hexa, v, hex_method)
-    acc.record("kronecker delta", _worst_gap(phi, np.eye(8)), KRONECKER_TOL)
-
     edges = sorted(
         {
             tuple(sorted((idx[i], idx[(i + 1) % 4])))
@@ -272,24 +306,49 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
         expect[e, :, j] = t[e]
     ends = np.array(edges)
     p = (1 - t)[:, :, None] * v[ends[:, 0], None] + t[:, :, None] * v[ends[:, 1], None]
-    [(phi, _)] = _evaluate(hexa, p.reshape(-1, 3), hex_method)
-    acc.record("edge reduction", _worst_gap(phi, expect.reshape(-1, 8)), FACET_TOL)
-
     per_face = max(4, samples // 60)
     face = np.repeat(np.arange(6), per_face)
-    pts = np.vstack([sampling.face_points_hex(hexa, f, per_face, rng) for f in range(6)])
-    kind, index = face_of_points_hex(hexa, pts)
+    fpts = np.vstack([sampling.face_points_hex(hexa, f, per_face, rng) for f in range(6)])
+    kind, index = face_of_points_hex(hexa, fpts)
     on_face = (kind == "on_face") & (index == face)
-    face, pts = face[on_face], pts[on_face]
-    [(phi, _, w)] = _evaluate(hexa, pts, hex_method, return_frame_coords=True)
-    if len(pts):
+    face, fpts = face[on_face], fpts[on_face]
+
+    # Samples, vertices, edge points and face points in one batch; only a
+    # sample's singular solve is counted.
+    [[(phi, ok, w), (vphi, _, _), (ephi, _, _), (fphi, _, fw)]] = _evaluate_segments(
+        [
+            _Segment(hexa, pts, (SingularMatrix,)),
+            _Segment(hexa, v),
+            _Segment(hexa, p.reshape(-1, 3)),
+            _Segment(hexa, fpts),
+        ],
+        hex_method,
+        return_frame_coords=True,
+    )
+    _axioms(acc, "moment ", phi[ok], v, pts[ok], d)
+    if ok.any():
+        pattern = coords3d.sign_pattern_ok(w[ok], d)
+        acc.record("sign pattern verified", 0.0 if pattern.all() else 1.0, 0.5)
+    acc.record("no solver singularity", float((~ok).sum()), 0.5)
+    acc.record("kronecker delta", _worst_gap(vphi, np.eye(8)), KRONECKER_TOL)
+    acc.record("edge reduction", _worst_gap(ephi, expect.reshape(-1, 8)), FACET_TOL)
+    if len(fpts):
         off = ~coords3d.FACE_VERTICES[face]
-        acc.record("facet off-face weights", float(np.abs(phi[off]).max()), BOUNDARY_TOL)
-        gap = 0.0
-        for s, f in enumerate(face.tolist()):
-            psi = coords2d.moment_coords_quad(coords3d._induced_face_quad(f, w[s]), np.zeros(2))
-            gap = max(gap, float(np.abs(phi[s, list(Hexahedron.FACES[f])] - psi).max()))
-        acc.record("facet reduction", gap, FACET_TOL)
+        acc.record("facet off-face weights", float(np.abs(fphi[off]).max()), BOUNDARY_TOL)
+        # The facet reduction: each face point's weights on its face against
+        # the 2D moment coordinates of the origin on its induced face
+        # quadrilateral, all of them one stack.
+        origin = np.zeros((1, 2))
+        induced = [
+            _Segment(coords3d._induced_face_quad(f, fw[s]), origin)
+            for s, f in enumerate(face.tolist())
+        ]
+        [parts] = _evaluate_segments(
+            induced, (coords2d.moment_coords_quad_many, coords2d.moment_coords_quad)
+        )
+        psi = np.concatenate([phi for phi, _ in parts])
+        on = np.take_along_axis(fphi, np.array(Hexahedron.FACES)[face], axis=1)
+        acc.record("facet reduction", _worst_gap(on, psi), FACET_TOL)
     return acc.items()
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -244,6 +243,22 @@ def _format_rows(weights, ok, grad, grad_ok) -> list[str]:
     ]
 
 
+def _outer_labels(axes, start: int, stop: int) -> list[str]:
+    """The row prefixes of the outer indices start to stop - 1: a newline
+    and, per outer axis, its label at the index's digit.
+
+    axes holds each outer axis's formatted values with their commas (none
+    in 1D, whose one prefix is the newline); an outer index has one digit
+    per outer axis, in base n, the first axis most significant.
+    """
+    out = [""] * (stop - start)
+    index = np.arange(start, stop)
+    for axis in reversed(axes):
+        index, digit = np.divmod(index, len(axis))
+        out = [axis[d] + tail for d, tail in zip(digit.tolist(), out)]
+    return ["\n" + tail for tail in out]
+
+
 def cmd_grid(args) -> int:
     geom = _load_geometry(args.geometry)
     if args.resolution < 2:
@@ -265,10 +280,11 @@ def cmd_grid(args) -> int:
 
     # Each axis value is formatted once.  A row is written as a newline, the
     # label of its outer axes (none in 1D) and of its last axis, and its
-    # fields; the points are gathered from axes, so the labels are their digits.
-    labels = [["%.17g" % v for v in axis.tolist()] for axis in axes]
-    outer = ["\n" + "".join(s + "," for s in t) for t in itertools.product(*labels[:-1])]
-    last = labels[-1]
+    # fields; the points are gathered from axes, so the labels are their
+    # digits.  Each chunk joins the outer labels of the outer indices it
+    # spans, so no list of labels grows with the grid.
+    outer_axes = [["%.17g," % v for v in axis.tolist()] for axis in axes[:-1]]
+    last = ["%.17g" % v for v in axes[-1].tolist()]
 
     h = FD_STEP_RTOL * diameter
     causes = np.zeros(len(GRID_CAUSES), dtype=int)
@@ -305,9 +321,11 @@ def cmd_grid(args) -> int:
                     )
                 causes += np.bincount(cause, minlength=len(GRID_CAUSES))
                 outer_index, last_index = np.divmod(index[inside], n)
+                first = start // n
+                outer = _outer_labels(outer_axes, first, index[-1] // n + 1)
                 fields = _format_rows(weights, ok, grad, grad_ok)
                 fh.write("".join(
-                    outer[i] + last[j] + f
+                    outer[i - first] + last[j] + f
                     for i, j, f in zip(outer_index.tolist(), last_index.tolist(), fields)
                 ))
             fh.write("\n")

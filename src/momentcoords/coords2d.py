@@ -29,6 +29,15 @@ for bit: the weight rows, the closed form, the edge weights and the three
 oracle kernels.  So is the point location both paths start from
 (geometry._locate_quad, which classify_point_quad and classify_points_quad
 wrap), and with it the edge parameter of the edge weights.
+
+moment_coords_quad_many and wachspress_coords_quad_many also take a
+geometry.QuadStack, many quadrilaterals with one element per row: the
+location and the closed form read each row's own element tables through
+the same elementwise code, the closed form once per kernel index among the
+interior rows (QuadStack.kernel_groups), so every row equals its own
+element's batch call bit for bit.  A Quadrilateral is the one-element case,
+one kernel-index group with float tables.  The oracle batches take one
+quadrilateral per call.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from .geometry import (
     SINGULAR,
     BatchInfo,
     Quadrilateral,
+    QuadStack,
     _locate_quad,
     classify_point_quad,
     classify_points_quad,
@@ -125,7 +135,8 @@ def _closed_form(quad: Quadrilateral, x, y, wachspress: bool):
     corner triangle is the largest, so tau stays O(1) on the quad.
     singular is where r is nearly orthogonal to nu,
     |<r, nu>| <= PIVOT_RTOL * sum |r_i nu_i|; one point raises
-    SingularMatrix there instead.
+    SingularMatrix there instead.  quad may be a QuadStack of one kernel
+    index k (QuadStack.kernel_groups).
     """
     nu, k, area2, _ = quad.reproducing_kernel
     ux, uy = _unit_offsets(quad, x, y)
@@ -192,22 +203,26 @@ def _coords_one(quad: Quadrilateral, p, wachspress: bool) -> np.ndarray:
     return _edge_weights(loc.index, 0.0 if loc.kind == "at_vertex" else loc.t)
 
 
-def _coords_many(quad: Quadrilateral, points, wachspress: bool, info: bool):
-    """_coords_one at each row of points, the interior points as one stack."""
+def _coords_many(quad: Quadrilateral | QuadStack, points, wachspress: bool, info: bool):
+    """_coords_one at each row of points (on its own element of a
+    QuadStack), the interior points as one stack per kernel index."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    phi = np.full((len(pts), 4), np.nan)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kind, index, t, _ = _locate_quad(quad, *pts.T, CLASSIFY_RTOL * quad.diameter)
         solve = kind == "interior"
-        cols, r, ux, uy, singular = _closed_form(quad, *pts[solve].T, wachspress)
-        if __debug__:
-            resid = np.abs(_residual(cols, r, ux, uy))[:, ~singular].max(initial=0.0)
-            assert resid <= _RESIDUAL_BOUND, f"closed-form residual {resid:.3e} exceeds contract"
-    phi = np.full((len(pts), 4), np.nan)
-    ok = kind != "exterior"
-    edge = ok & ~solve
+        ok = kind != "exterior"
+        edge = ok & ~solve
+        for rows, group in quad.kernel_groups(np.flatnonzero(solve)):
+            cols, r, ux, uy, singular = _closed_form(group, *pts[rows].T, wachspress)
+            if __debug__:
+                resid = np.abs(_residual(cols, r, ux, uy))[:, ~singular].max(initial=0.0)
+                assert resid <= _RESIDUAL_BOUND, (
+                    f"closed-form residual {resid:.3e} exceeds contract"
+                )
+            phi[rows] = np.where(singular[:, None], np.nan, np.array(cols).T)
+            ok[rows] = ~singular
     phi[edge] = _edge_weights(index[edge], np.where(kind[edge] == "at_vertex", 0.0, t[edge]))
-    phi[solve] = np.where(singular[:, None], np.nan, np.array(cols).T)
-    ok[solve] = ~singular
     return (phi, ok, BatchInfo.of(kind, index, ok, SINGULAR)) if info else (phi, ok)
 
 
@@ -220,9 +235,10 @@ def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     return _coords_one(quad, p, wachspress=False)
 
 
-def moment_coords_quad_many(quad: Quadrilateral, points, info: bool = False):
+def moment_coords_quad_many(quad: Quadrilateral | QuadStack, points, info: bool = False):
     """moment_coords_quad at each row of points (m, 2); returns (phi, ok).
 
+    quad may be a QuadStack, whose row s holds the element of points[s].
     phi[s] is bitwise equal to moment_coords_quad(quad, points[s]) where
     ok[s] is set; ok[s] is False (and phi[s] NaN) where the single-point
     function raises: an exterior point or a singular system.  With info,
@@ -239,12 +255,12 @@ def wachspress_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     return _coords_one(quad, p, wachspress=True)
 
 
-def wachspress_coords_quad_many(quad: Quadrilateral, points, info: bool = False):
+def wachspress_coords_quad_many(quad: Quadrilateral | QuadStack, points, info: bool = False):
     """wachspress_coords_quad at each row of points (m, 2); returns (phi, ok).
 
-    Same contract as moment_coords_quad_many, info included; raises
-    NotConvex, as the single-point function does, when the quadrilateral is
-    not convex.
+    Same contract as moment_coords_quad_many, QuadStack and info included;
+    raises NotConvex, as the single-point function does, when the
+    quadrilateral (or an element of the stack) is not convex.
     """
     if not quad.is_convex:
         raise NotConvex("Wachspress coordinates require a convex quadrilateral")

@@ -19,6 +19,9 @@ order; every other hexahedral table derives from them.
 Point location is written once per element kind (_locate_quad,
 _locate_hex), on Python floats for one point and arrays for a stack, so a
 point is located alike alone or in a stack; the public classifiers wrap it.
+A QuadStack holds many quadrilaterals for one batch call, each row with a
+copy of its own element's tables as arrays in place of floats, so that
+_locate_quad and the closed form of coords2d run on it unchanged.
 A batch evaluator called with info=True returns the location it computed
 as a BatchInfo, with a cause code per row, so no caller locates its points
 again.
@@ -30,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from operator import itemgetter
 
 import numpy as np
@@ -274,8 +277,75 @@ class Quadrilateral:
     def is_convex(self) -> bool:
         return min(self._corner_crosses) >= -1e-12 * self.diameter**2
 
+    def kernel_groups(self, rows):
+        """[(rows, self)]: one quadrilateral is one kernel-index group (see
+        QuadStack.kernel_groups)."""
+        return [(rows, self)]
+
     def __repr__(self):
         return f"Quadrilateral({self.vertices.tolist()})"
+
+
+def _quad_tables(quad: Quadrilateral) -> list:
+    """A quadrilateral's evaluator tables as one list of 40 floats, in the
+    order QuadStack unpacks them: edge_rows, corner_tuple,
+    reproducing_kernel (k as a float) and the diameter."""
+    nu, k, area2, s = quad.reproducing_kernel
+    return [*chain(*quad.edge_rows), *chain(*quad.corner_tuple), *nu, k, area2, s, quad.diameter]
+
+
+class QuadStack:
+    """Quadrilaterals stacked row by row for one batch call: row s of the
+    batch belongs to quads[element[s]].
+
+    Holds per row a copy of its element's tables, each float of a
+    Quadrilateral's an array (m,) here: edge_rows, corner_tuple,
+    reproducing_kernel (nu, k, area2, scale) and diameter.  _locate_quad and
+    the closed form of coords2d run the same elementwise arithmetic on them
+    as on one quadrilateral's floats, so each row gets the bits of its own
+    element's batch call, and a Quadrilateral is the one-element case.  The
+    closed form picks its corner triangle by the kernel index k, an int
+    array here; kernel_groups splits rows into stacks of one k each, whose
+    k is that int.
+    """
+
+    def __init__(self, quads, element):
+        self.quads = tuple(quads)
+        self.element = np.asarray(element, dtype=np.intp)
+        tables = np.array([_quad_tables(q) for q in self.quads]).reshape(-1, 40)
+        self._set(np.ascontiguousarray(tables.T[:, self.element]))
+
+    def _set(self, table, k=None):
+        """Unpack table (40, m), one column per row; k is the kernel index
+        when every row shares it."""
+        self._table = table
+        self.edge_rows = tuple(tuple(table[6 * i : 6 * i + 6]) for i in range(4))
+        self.corner_tuple = tuple((table[24 + 2 * i], table[25 + 2 * i]) for i in range(4))
+        if k is None:
+            k = table[36].astype(np.intp)
+        self.reproducing_kernel = (tuple(table[32:36]), k, table[37], table[38])
+        self.diameter = table[39]
+
+    def take(self, rows, k=None) -> QuadStack:
+        """The stack of the given rows (an index array or a slice), in that
+        order; k is their kernel index when they share one."""
+        out = QuadStack.__new__(QuadStack)
+        out.quads, out.element = self.quads, self.element[rows]
+        out._set(self._table[:, rows], k)
+        return out
+
+    def kernel_groups(self, rows):
+        """(rows, stack) for each kernel index k among rows (an index
+        array), k ascending: the rows of that k and their stack, whose k is
+        the int."""
+        k = self.reproducing_kernel[1][rows]
+        groups = [(i, rows[k == i]) for i in range(4)]
+        return [(sel, self.take(sel, i)) for i, sel in groups if len(sel)]
+
+    @property
+    def is_convex(self) -> bool:
+        """Whether every element is convex."""
+        return all(q.is_convex for q in self.quads)
 
 
 def _smallest(values):
@@ -298,12 +368,14 @@ def _locate_quad(quad: Quadrilateral, x, y, tol: float):
     """Point location on a quadrilateral: (kind, index, t, dist).
 
     Takes one point as Python floats (x, y) or a stack as arrays (m,), and
-    compares the same numbers with tol on both.  Vertex snapping comes
+    compares the same numbers with tol on both; quad may be a QuadStack
+    (and tol an array (m,)) for a stack.  Vertex snapping comes
     first (squared distances against tol**2), then edges (the distance to
     the foot at edge parameter t), each taking the first of equally near
     candidates; otherwise even-odd ray crossing decides, which is valid for
     nonconvex simple polygons.  A horizontal edge never straddles the ray,
-    so a stack skips it and nothing divides by zero.
+    so a stack on one quadrilateral skips it, and a QuadStack divides by
+    zero there quietly and masks the quotient out.
 
     index is the vertex or edge, t the edge parameter ("on_edge") and dist
     the distance to the nearest edge.  One point returns as soon as its
@@ -326,8 +398,12 @@ def _locate_quad(quad: Quadrilateral, x, y, tol: float):
         if one:
             if (ay > y) != (by > y) and x < ax + qy * ex / ey:
                 inside = not inside
-        elif ey != 0.0:
-            inside = inside ^ (((ay > y) != (by > y)) & (x < ax + qy * ex / ey))
+        elif isinstance(ey, float):
+            if ey != 0.0:
+                inside = inside ^ (((ay > y) != (by > y)) & (x < ax + qy * ex / ey))
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inside = inside ^ (((ay > y) != (by > y)) & (x < ax + qy * ex / ey))
     nearest2 = _smallest(d2)
     vertex = nearest2 <= tol * tol
     if one and vertex:

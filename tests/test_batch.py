@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentcoords import cli, coords1d, coords2d, coords3d, geometry, sampling, shapes
+from momentcoords import checks, cli, coords1d, coords2d, coords3d, geometry, sampling, shapes
 from momentcoords.cli import main
 from momentcoords.coords2d import (
     cramer_coords_quad,
@@ -50,6 +50,7 @@ from momentcoords.geometry import (
     Hexahedron,
     NodeSet1D,
     Quadrilateral,
+    QuadStack,
     _locate_hex,
     _locate_quad,
     classify_point_quad,
@@ -776,6 +777,113 @@ def test_batch_rows_independent_of_batch_composition(kind, method, name):
     for layout, (other_phi, other_ok) in layouts.items():
         assert np.array_equal(other_ok, ok), layout
         assert other_phi.tobytes() == phi.tobytes(), layout
+    if kind == "quad" and method in STACK_METHODS:
+        # Rows of mixed elements: geom's points shuffled among those of the
+        # other elements of a QuadStack.
+        quads = [geom, *_stack_elements(convex=method == "wachspress")]
+        parts = [points] + [_stack_points(q) for q in quads[1:]]
+        element = np.repeat(np.arange(len(quads)), [len(part) for part in parts])
+        order = np.random.default_rng(3).permutation(len(element))
+        info = _assert_stack_rows(method, quads, element[order], np.vstack(parts)[order])
+        assert set(info.kind.tolist()) == {"interior", "exterior", "on_edge", "at_vertex"}
+
+
+# The batch methods that take a QuadStack, and the similarity images of
+# biunit-square the quadrilateral check suite draws: their kernel indices k
+# differ, 0 for biunit-square itself.
+STACK_METHODS = {
+    "moment": (moment_coords_quad_many, moment_coords_quad),
+    "wachspress": (wachspress_coords_quad_many, wachspress_coords_quad),
+}
+
+
+def _similarity_images(count, seed):
+    rng = np.random.default_rng(seed)
+    base = shapes.biunit_square().vertices
+    images = []
+    for _ in range(count):
+        a, b = checks._similarity_map(rng)
+        images.append(Quadrilateral(base @ a.T + b))
+    return images
+
+
+def _stack_elements(convex):
+    """biunit-square (horizontal edges), a quadrilateral about 1e6 away
+    (nonconv-quad, or conv-quad for convex) and five similarity images of
+    biunit-square whose kernel indices differ."""
+    far = shapes.convex_quad() if convex else shapes.nonconvex_quad()
+    quads = [shapes.biunit_square(), _offset(far, [1e6, -0.4e6]), *_similarity_images(5, 7)]
+    assert len({q.reproducing_kernel[1] for q in quads}) >= 3
+    return quads
+
+
+def _stack_points(quad):
+    """Interior, exterior, edge and vertex points of quad."""
+    return np.vstack([_bbox_grid(quad, 9), _edge_points(quad)[::2]])
+
+
+def _assert_stack_rows(method, quads, element, points):
+    """Each row of the QuadStack batch call, with its info record, bitwise
+    equal to its own element's batch call and to the single-point function;
+    returns the record."""
+    many, single = STACK_METHODS[method]
+    refs = []
+    for e, p in zip(element.tolist(), points):
+        try:
+            refs.append(single(quads[e], p))
+        except MomentCoordsError:
+            refs.append(None)
+        except AssertionError:
+            # The single point broke the residual contract, which the stack
+            # checks too.
+            with pytest.raises(AssertionError, match="residual"):
+                many(QuadStack(quads, element), points)
+            return None
+    phi, ok, info = many(QuadStack(quads, element), points, info=True)
+    for e, quad in enumerate(quads):
+        rows = np.flatnonzero(element == e)
+        own_phi, own_ok, own_info = many(quad, points[rows], info=True)
+        assert own_phi.tobytes() == phi[rows].tobytes(), (method, e)
+        assert np.array_equal(own_ok, ok[rows]), (method, e)
+        for field in ("kind", "index", "cause"):
+            assert np.array_equal(getattr(own_info, field), getattr(info, field)[rows]), (e, field)
+    for s, ref in enumerate(refs):
+        if ref is None:
+            assert not ok[s] and np.isnan(phi[s]).all(), (method, s)
+        else:
+            assert ok[s] and ref.tobytes() == phi[s].tobytes(), (method, s)
+    return info
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 4),
+    convex=st.booleans(),
+    log_scale=st.floats(-3.0, 3.0),
+    offset=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+)
+def test_property_stack_rows_equal_own_element(seed, count, convex, log_scale, offset):
+    # Random simple quadrilaterals (all convex when convex is drawn), each
+    # row of a stack of them on its own element.
+    rng = np.random.default_rng(seed)
+    quads = [
+        Quadrilateral(
+            sampling.random_simple_quad(rng, convex=convex or None).vertices * 10.0**log_scale
+            + np.array(offset)
+        )
+        for _ in range(count)
+    ]
+    parts = [np.vstack([_bbox_grid(q, 7), _edge_points(q)[::7]]) for q in quads]
+    element = np.repeat(np.arange(count), [len(part) for part in parts])
+    order = rng.permutation(len(element))
+    element, points = element[order], np.vstack(parts)[order]
+    _assert_stack_rows("moment", quads, element, points)
+    if all(q.is_convex for q in quads):
+        _assert_stack_rows("wachspress", quads, element, points)
+    else:
+        with pytest.raises(NotConvex):
+            wachspress_coords_quad_many(QuadStack(quads, element), points)
 
 
 @pytest.mark.parametrize(
@@ -933,6 +1041,35 @@ def test_grid_locates_each_point_once(capsys, tmp_path, monkeypatch, shape, meth
     expected = resolution**dim + (2 * dim * evaluated if derivatives else 0)
     assert sum(located) == expected
     assert max(located) <= chunk
+
+
+@pytest.mark.parametrize("shape, resolution", [("conv-hex", 9), ("nonconv-quad", 23)])
+def test_grid_formats_outer_labels_per_chunk(tmp_path, monkeypatch, shape, resolution):
+    # Each chunk formats the labels of the outer indices its rows span, at
+    # most chunk // n + 2 of them, not one per outer index of the grid.
+    chunk = 40
+    monkeypatch.setattr(geometry, "BATCH_CHUNK", chunk)
+    counts = []
+    real = cli._outer_labels
+
+    def counting(labels, start, stop):
+        out = real(labels, start, stop)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(cli, "_outer_labels", counting)
+    argv = ["grid", "--geometry", shape, "--resolution", str(resolution),
+            "--method", "moment", "--out", str(tmp_path / "grid.csv")]
+    assert main(argv) == 0
+    dim = 3 if shape == "conv-hex" else 2
+    assert len(counts) == -(-(resolution**dim) // chunk)
+    assert max(counts) <= chunk // resolution + 2
+    assert sum(counts) < resolution ** (dim - 1) + len(counts)
+    # The CSV is the one the default chunk writes.
+    patched = (tmp_path / "grid.csv").read_bytes()
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert (tmp_path / "grid.csv").read_bytes() == patched
 
 
 def test_grid_memory_bounded_by_chunk(tmp_path, monkeypatch):

@@ -350,3 +350,80 @@ def test_suite_results_independent_of_chunk_size(monkeypatch, make):
     for chunk in (7, 1):
         monkeypatch.setattr(geometry, "BATCH_CHUNK", chunk)
         assert results() == default
+
+
+@pytest.mark.parametrize("family", ["moment", "wachspress"])
+def test_quad_suite_reruns_stacked_images_in_loop_order(monkeypatch, family):
+    # The five covariance images of a family run as one QuadStack.  Rows the
+    # stack fails in the third and fourth images are re-run on their own
+    # image in the per-point loop's order, and named by their index in it.
+    quad = shapes.convex_quad()
+    many_name, single_name = f"{family}_coords_quad_many", f"{family}_coords_quad"
+    real_many, real_single = getattr(coords2d, many_name), getattr(coords2d, single_name)
+    forced = []  # (image vertices, point, message) of each failed row
+
+    def failing(geom, points, **kwargs):
+        phi, ok = real_many(geom, points, **kwargs)
+        if isinstance(geom, geometry.QuadStack):
+            for e, local in ((3, 1), (2, 9), (2, 4)):
+                s = np.flatnonzero(geom.element == e)[local]
+                ok[s], phi[s] = False, np.nan
+                forced.append((geom.quads[e].vertices, points[s], f"image {e} point {local}"))
+        return phi, ok
+
+    monkeypatch.setattr(coords2d, many_name, failing)
+    with pytest.raises(RuntimeError, match=f"{single_name} evaluates point 4, which"):
+        quad_suite(quad, 23, 7, family=family)
+
+    def raising(geom, p):
+        for vertices, q, message in forced:
+            if np.array_equal(geom.vertices, vertices) and np.array_equal(p, q):
+                raise MomentCoordsError(message)
+        return real_single(geom, p)
+
+    monkeypatch.setattr(coords2d, single_name, raising)
+    with pytest.raises(MomentCoordsError, match="^image 2 point 4$"):
+        quad_suite(quad, 23, 7, family=family)
+    # The per-point loop raises the same, at the same image and point.
+    with pytest.raises(MomentCoordsError, match="^image 2 point 4$"):
+        _reference_quad_suite(quad, 23, 7, family=family)
+
+
+@pytest.mark.parametrize("error", [SingularMatrix, FrameNotFound])
+def test_hex_suite_counts_singular_samples_only(monkeypatch, error):
+    # Samples, vertices, edge points and face points run as one batch.  A
+    # failed sample's SingularMatrix is counted; a failed vertex raises what
+    # its single-point function raises, SingularMatrix included, before the
+    # edge point that failed after it, as the per-point loop does.
+    hexa = shapes.convex_hex()
+    samples = 10
+    real_many, real_single = coords3d.moment_coords_hex_many, coords3d.moment_coords_hex
+    raises = {}  # row of the batch -> what its re-run raises (None: weights)
+    forced = []  # (point, exception) of each failed row
+
+    def failing(h, points, return_frame_coords=False):
+        out = real_many(h, points, return_frame_coords)
+        for s, exc in raises.items():
+            out[1][s] = False
+            forced.append((points[s], exc))
+        return out
+
+    def single(h, p, return_frame=False):
+        for q, exc in forced:
+            if exc is not None and np.array_equal(p, q):
+                raise exc
+        return real_single(h, p, return_frame=return_frame)
+
+    monkeypatch.setattr(coords3d, "moment_coords_hex_many", failing)
+    monkeypatch.setattr(coords3d, "moment_coords_hex", single)
+    # A counted sample, then a vertex whose re-run returns weights, named by
+    # its index among the vertices (row 12 of the batch).
+    raises.update({3: SingularMatrix("sample 3"), samples + 2: None})
+    with pytest.raises(RuntimeError, match="evaluates point 2, which"):
+        hex_suite(hexa, samples, 5)
+    raises.update({samples + 2: error("vertex 2"), samples + 8 + 5: FrameNotFound("edge point 5")})
+    forced.clear()
+    with pytest.raises(error, match="^vertex 2$"):
+        hex_suite(hexa, samples, 5)
+    with pytest.raises(error, match="^vertex 2$"):
+        _reference_hex_suite(hexa, samples, 5)
