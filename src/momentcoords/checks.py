@@ -5,14 +5,15 @@ precision, nonnegativity, Kronecker delta at the nodes), the boundary and
 facet reduction properties, and the agreement between the system solutions
 and their independent closed-form oracles, over a seeded random sample.
 The points go through the batch functions in a few calls per suite, one
-per method and point group: a quadrilateral's samples, its vertices with
-its edge points, the five covariance images of a family as one element
-stack (geometry.QuadStack), a hexahedron's samples, vertices, edge and face
-points together, and the induced face quadrilaterals of the facet
-reduction as one stack, each holding its face point.  _evaluate_segments
-re-runs every point a batch fails through its single-point function on its
-own segment and element, which raises (or, where the segment counts it, is
-counted) as a loop over the points would have.
+per method: each quadrilateral family evaluates its samples, vertices,
+edge points and five covariance images as one element stack
+(geometry.QuadStack), each oracle its samples; a hexahedron's samples,
+vertices, edge and face points are one call, and the induced face
+quadrilaterals of the facet reduction one stack, each holding its face
+point.  _evaluate_segments re-runs every point a batch fails through its
+single-point function on its own point group and element, in the order a
+per-point loop takes them, which raises (or, where the group counts it,
+is counted) as that loop would have.
 """
 
 from __future__ import annotations
@@ -137,44 +138,47 @@ class _Segment(NamedTuple):
 
 
 def _evaluate_segments(segments, *methods, **kwargs):
-    """Per method, each segment's part of its batch's tuple (weights (m,
-    n), ok (m,), ...), for each (batch, single-point) pair of methods;
-    kwargs go to the batches.
+    """Per method, the part of its batch's tuple (weights (m, n), ok (m,),
+    ...) on each of its segments, for each (batch, single-point) pair of
+    methods, or (batch, single-point, segment indices) for a method that
+    runs on those segments only; kwargs go to the batches.
 
-    The segments run as one batch call per method: on their geometry when
-    they share one, else on the QuadStack of their quadrilaterals, one
+    Each method runs as one batch call over its segments: on their geometry
+    when they share one, else on the QuadStack of their quadrilaterals, one
     element per segment (each built, so validated, before any point is
-    evaluated).  Every point some batch failed is then re-run through the
-    single-point functions on its segment's geometry in the order a
-    per-point loop over the segments takes them, point by point and method
-    by method, so the first exception raised is the one that loop raised.
-    An exception of a type in the segment's count leaves the row failed (ok
-    False) and the loop going.  A single-point function that returns a
-    value where its batch failed breaks the batch contract and raises
-    RuntimeError, naming the point by its index in its segment.
+    evaluated).  The segments come in the order a per-point loop takes them,
+    and every point some batch failed is then re-run through the
+    single-point functions on its segment's geometry in that loop's order:
+    segment by segment, point by point and method by method, so the first
+    exception raised is the one that loop raised.  An exception of a type in
+    the segment's count leaves the row failed (ok False) and the loop going.
+    A single-point function that returns a value where its batch failed
+    breaks the batch contract and raises RuntimeError, naming the point by
+    its index in its segment.
     """
-    sizes = [len(seg.points) for seg in segments]
-    geom = segments[0].geom
-    if any(seg.geom is not geom for seg in segments):
-        geom = QuadStack([seg.geom for seg in segments], np.repeat(np.arange(len(sizes)), sizes))
-    points = np.concatenate([seg.points for seg in segments])
-    results = [_chunked(many, geom, points, **kwargs) for many, _ in methods]
-    starts = np.cumsum([0] + sizes).tolist()
-    failed = sorted(set().union(*(np.flatnonzero(~r[1]).tolist() for r in results)))
-    for s in failed:
-        i = bisect_right(starts, s) - 1
-        seg = segments[i]
-        for (_, single), (_, ok, *_) in zip(methods, results):
-            if ok[s]:
-                continue
-            try:
-                single(seg.geom, points[s])
-            except seg.count:
-                continue
-            raise RuntimeError(
-                f"{single.__name__} evaluates point {s - starts[i]}, which its batch failed"
-            )
-    return [[tuple(a[lo:hi] for a in r) for lo, hi in zip(starts, starts[1:])] for r in results]
+    parts, failed = [], []
+    for k, (many, _, *only) in enumerate(methods):
+        pick = only[0] if only else range(len(segments))
+        picked = [segments[i] for i in pick]
+        sizes = [len(seg.points) for seg in picked]
+        geom = picked[0].geom
+        if any(seg.geom is not geom for seg in picked):
+            element = np.repeat(np.arange(len(sizes)), sizes)
+            geom = QuadStack([seg.geom for seg in picked], element)
+        result = _chunked(many, geom, np.concatenate([seg.points for seg in picked]), **kwargs)
+        starts = np.cumsum([0] + sizes).tolist()
+        for s in np.flatnonzero(~result[1]).tolist():
+            j = bisect_right(starts, s) - 1
+            failed.append((pick[j], s - starts[j], k))
+        parts.append([tuple(a[lo:hi] for a in result) for lo, hi in zip(starts, starts[1:])])
+    for i, row, k in sorted(failed):
+        seg, single = segments[i], methods[k][1]
+        try:
+            single(seg.geom, seg.points[row])
+        except seg.count:
+            continue
+        raise RuntimeError(f"{single.__name__} evaluates point {row}, which its batch failed")
+    return parts
 
 
 def _evaluate(geom, points, *methods, count=(), **kwargs):
@@ -197,6 +201,18 @@ def _affine_map(rng):
             return a, rng.uniform(-3.0, 3.0, 2)
 
 
+class _Family(NamedTuple):
+    """A quadrilateral coordinate family as its suite checks it: its
+    (batch, single-point) pair, the oracles it is compared with on the
+    samples by name, and its covariance property and map."""
+
+    name: str
+    method: tuple
+    oracles: list
+    covariance: str
+    draw_map: object
+
+
 def quad_suite(
     quad: Quadrilateral,
     samples: int,
@@ -216,69 +232,70 @@ def quad_suite(
     pts = sampling.interior_points_quad(quad, samples, rng)
     d = quad.diameter
     v = quad.vertices
-    run_moment = family in (None, "moment")
-    run_cramer = run_moment and coords2d.cramer_defect(quad) is None
-    run_wachspress = quad.is_convex and family in (None, "wachspress")
-    moment = (coords2d.moment_coords_quad_many, coords2d.moment_coords_quad)
-    wachspress = (coords2d.wachspress_coords_quad_many, coords2d.wachspress_coords_quad)
 
-    methods = []
-    if run_moment:
-        methods += [moment, (coords2d.mvc_oracle_many, coords2d.mvc_oracle)]
-    if run_cramer:
-        methods.append((coords2d.cramer_coords_quad_many, coords2d.cramer_coords_quad))
-    if run_wachspress:
-        methods += [wachspress, (coords2d.wachspress_oracle_many, coords2d.wachspress_oracle)]
-    weights = [phi for phi, _ in _evaluate(quad, pts, *methods)]
-    if run_moment:
-        phi, mvc = weights[:2]
-        _axioms(acc, "moment ", phi, v, pts, d)
-        acc.record("moment vs mean-value oracle", _worst_gap(phi, mvc), ORACLE_TOL)
-    if run_cramer:
-        acc.record("moment vs cramer oracle", _worst_gap(phi, weights[2]), ORACLE_TOL)
-    if run_wachspress:
-        wphi, area = weights[-2:]
-        _axioms(acc, "wachspress ", wphi, v, pts, d)
-        acc.record("wachspress vs area oracle", _worst_gap(wphi, area), ORACLE_TOL)
-
+    # Covariance under similarity maps holds for both families; Wachspress
+    # is additionally covariant under general affine maps (moment/mean value
+    # coordinates are distance based and are not).
     families = []
-    if run_moment:
-        families.append(("moment", moment))
-    if run_wachspress:
-        families.append(("wachspress", wachspress))
-    for name, method in families:
-        t = rng.uniform(0.05, 0.95, (4, 8))
+    if family in (None, "moment"):
+        oracles = [("mean-value", (coords2d.mvc_oracle_many, coords2d.mvc_oracle))]
+        if coords2d.cramer_defect(quad) is None:
+            cramer = (coords2d.cramer_coords_quad_many, coords2d.cramer_coords_quad)
+            oracles.append(("cramer", cramer))
+        moment = (coords2d.moment_coords_quad_many, coords2d.moment_coords_quad)
+        families.append(_Family("moment", moment, oracles, "similarity", _similarity_map))
+    if quad.is_convex and family in (None, "wachspress"):
+        wachspress = (coords2d.wachspress_coords_quad_many, coords2d.wachspress_coords_quad)
+        area = [("area", (coords2d.wachspress_oracle_many, coords2d.wachspress_oracle))]
+        families.append(_Family("wachspress", wachspress, area, "affine", _affine_map))
+
+    # The point groups in the per-point loop's order, drawn in it: the
+    # samples, each family's vertices and edge points, then each family's
+    # five covariance images of the first samples.  picks holds each
+    # family's groups: all of its points, evaluated in one stacked call.
+    segments = [_Segment(quad, pts)]
+    picks = [[0] for _ in families]
+    ts = [rng.uniform(0.05, 0.95, (4, 8)) for _ in families]
+    for pick, t in zip(picks, ts):
+        p = (1 - t)[:, :, None] * v[:, None] + t[:, :, None] * v[[1, 2, 3, 0], None]
+        pick += [len(segments), len(segments) + 1]
+        segments += [_Segment(quad, v), _Segment(quad, p.reshape(-1, 2))]
+    first = slice(0, min(len(pts), 20))
+    for pick, fam in zip(picks, families):
+        for _ in range(5):
+            a, b = fam.draw_map(rng)
+            mapped = Quadrilateral(v @ a.T + b)
+            pick.append(len(segments))
+            segments.append(_Segment(mapped, np.array([a @ p + b for p in pts[first]])))
+
+    # A sample goes through its family and then the family's oracles, as in
+    # the loop; each oracle runs once, on the samples.
+    methods = []
+    for pick, fam in zip(picks, families):
+        methods.append((*fam.method, pick))
+        methods += [(*oracle, [0]) for _, oracle in fam.oracles]
+    results = iter(_evaluate_segments(segments, *methods))
+
+    evaluated = []
+    for fam in families:
+        (phi, _), (kron, _), (edge, _), *images = next(results)
+        _axioms(acc, f"{fam.name} ", phi, v, pts, d)
+        for oracle, _ in fam.oracles:
+            [(ref, _)] = next(results)
+            acc.record(f"{fam.name} vs {oracle} oracle", _worst_gap(phi, ref), ORACLE_TOL)
+        evaluated.append((phi, kron, edge, images))
+    for fam, t, (_, kron, edge, _) in zip(families, ts, evaluated):
         expect = np.zeros((4, 8, 4))
         for i in range(4):
             expect[i, :, i] = 1 - t[i]
             expect[i, :, (i + 1) % 4] = t[i]
-        p = (1 - t)[:, :, None] * v[:, None] + t[:, :, None] * v[[1, 2, 3, 0], None]
-        [[(kron, _), (phi, _)]] = _evaluate_segments(
-            [_Segment(quad, v), _Segment(quad, p.reshape(-1, 2))], method
-        )
-        acc.record(f"{name} kronecker delta", _worst_gap(kron, np.eye(4)), KRONECKER_TOL)
+        acc.record(f"{fam.name} kronecker delta", _worst_gap(kron, np.eye(4)), KRONECKER_TOL)
         acc.record(
-            f"{name} boundary reduction", _worst_gap(phi, expect.reshape(-1, 4)), BOUNDARY_TOL
+            f"{fam.name} boundary reduction", _worst_gap(edge, expect.reshape(-1, 4)), BOUNDARY_TOL
         )
-
-    # Covariance under similarity maps holds for both families; Wachspress
-    # is additionally covariant under general affine maps (moment/mean value
-    # coordinates are distance based and are not).  The five images of a
-    # family are evaluated as one stack.
-    covariance = []
-    if run_moment:
-        covariance.append(("moment similarity covariance", moment, weights[0], _similarity_map))
-    if run_wachspress:
-        covariance.append(("wachspress affine covariance", wachspress, weights[-2], _affine_map))
-    first = slice(0, min(len(pts), 20))
-    for name, method, phi, draw_map in covariance:
-        images = []
-        for _ in range(5):
-            a, b = draw_map(rng)
-            mapped = Quadrilateral(v @ a.T + b)
-            images.append(_Segment(mapped, np.array([a @ p + b for p in pts[first]])))
-        [parts] = _evaluate_segments(images, method)
-        for mphi, _ in parts:
+    for fam, (phi, _, _, images) in zip(families, evaluated):
+        name = f"{fam.name} {fam.covariance} covariance"
+        for mphi, _ in images:
             acc.record(name, _worst_gap(phi[first], mphi), COVARIANCE_TOL)
     return acc.items()
 
@@ -377,14 +394,17 @@ def run_suite(geometry, samples: int, seed: int, tol_scale: float = 1.0, method:
     method restricts quadrilateral suites to one coordinate family
     ("wachspress" or anything else mapping to the moment family); hex and
     interval geometries have a single family.  Raises ValueError when
-    samples < 1, which would leave the sampled axioms out of the result,
-    and when tol_scale is not finite and > 0: an infinite scale passes
-    every property, and a zero, negative or NaN one fails them all.
+    samples < 1, which would leave the sampled axioms out of the result;
+    when tol_scale is not finite and > 0: an infinite scale passes every
+    property, and a zero, negative or NaN one fails them all; and when seed
+    is negative, which the random generator refuses without naming it.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not (np.isfinite(tol_scale) and tol_scale > 0):
         raise ValueError(f"tol_scale must be finite and > 0, got {tol_scale}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if isinstance(geometry, Quadrilateral):
         family = None
         if method is not None:

@@ -397,9 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parsing does not change the parser, and building
+# it costs more than parsing a check or grid command.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -326,6 +326,85 @@ def test_quad_suite_reruns_failed_points_in_loop_order(monkeypatch):
         quad_suite(quad, 23, 7)
     with pytest.raises(MomentCoordsError, match="mvc"):
         quad_suite(quad, 23, 7, family="moment")
+    # A family's samples are rows of its stack, re-run with the oracles'
+    # failures in the loop's order: sample 0 reaches the mean value oracle
+    # before sample 2 reaches Wachspress.
+    monkeypatch.undo()
+    pts = _loop_points(quad, 23, 7)[0]
+    _force(monkeypatch, "mvc_oracle", [(quad.vertices, pts[0], "mvc sample 0")])
+    _force(monkeypatch, "wachspress_coords_quad", [(quad.vertices, pts[2], "wachspress sample 2")])
+    for suite in (quad_suite, _reference_quad_suite):
+        with pytest.raises(MomentCoordsError, match="^mvc sample 0$"):
+            suite(quad, 23, 7)
+
+
+def _loop_points(quad, samples, seed):
+    """The samples, each family's edge points (4, 8, 2) and the ten
+    covariance images (vertices, points (20, 2)) of the per-point loop on a
+    convex quad, from its draws."""
+    rng = np.random.default_rng(seed)
+    v = quad.vertices
+    pts = sampling.interior_points_quad(quad, samples, rng)
+    edges = []
+    for _ in range(2):
+        t = rng.uniform(0.05, 0.95, (4, 8))
+        edges.append((1 - t)[:, :, None] * v[:, None] + t[:, :, None] * v[[1, 2, 3, 0], None])
+    images = []
+    for draw in (_similarity, _affine):
+        for _ in range(5):
+            a, b = draw(rng)
+            images.append((v @ a.T + b, np.array([a @ p + b for p in pts[:20]])))
+    return pts, edges, images
+
+
+def _force(monkeypatch, name, forced):
+    """Patch coords2d's name_many to fail the row of each (element
+    vertices, point, message) of forced, wherever it is in the batch, and
+    name to raise its message there."""
+    real_many, real_single = getattr(coords2d, f"{name}_many"), getattr(coords2d, name)
+
+    def hit(vertices, p):
+        return [m for w, q, m in forced if np.array_equal(vertices, w) and np.array_equal(p, q)]
+
+    def many(geom, points, **kwargs):
+        phi, ok = real_many(geom, points, **kwargs)
+        for s, p in enumerate(points):
+            element = geom.quads[geom.element[s]] if isinstance(geom, geometry.QuadStack) else geom
+            if hit(element.vertices, p):
+                ok[s], phi[s] = False, np.nan
+        return phi, ok
+
+    def single(geom, p):
+        for message in hit(geom.vertices, p):
+            raise MomentCoordsError(message)
+        return real_single(geom, p)
+
+    monkeypatch.setattr(coords2d, f"{name}_many", many)
+    monkeypatch.setattr(coords2d, name, single)
+
+
+@pytest.mark.parametrize("case", ["sample before vertex", "edge point before image"])
+def test_quad_suite_reruns_across_point_groups_in_loop_order(monkeypatch, case):
+    # Each family's samples, vertices, edge points and images are one stack.
+    # Its failed rows are re-run in the loop's order across the families:
+    # every sample first, then the families' vertices and edge points, then
+    # their covariance images.
+    quad = shapes.convex_quad()
+    v = quad.vertices
+    pts, edges, images = _loop_points(quad, 23, 7)
+    if case == "sample before vertex":
+        moment = [(v, v[1], "moment vertex 1")]
+        wachspress = [(v, pts[5], "wachspress sample 5")]
+        expect = "wachspress sample 5"
+    else:
+        moment = [(images[1][0], images[1][1][6], "moment image 1 point 6")]
+        wachspress = [(v, edges[1][2, 3], "wachspress edge point")]
+        expect = "wachspress edge point"
+    _force(monkeypatch, "moment_coords_quad", moment)
+    _force(monkeypatch, "wachspress_coords_quad", wachspress)
+    for suite in (quad_suite, _reference_quad_suite):
+        with pytest.raises(MomentCoordsError, match=f"^{expect}$"):
+            suite(quad, 23, 7)
 
 
 @pytest.mark.parametrize(
@@ -354,9 +433,10 @@ def test_suite_results_independent_of_chunk_size(monkeypatch, make):
 
 @pytest.mark.parametrize("family", ["moment", "wachspress"])
 def test_quad_suite_reruns_stacked_images_in_loop_order(monkeypatch, family):
-    # The five covariance images of a family run as one QuadStack.  Rows the
-    # stack fails in the third and fourth images are re-run on their own
-    # image in the per-point loop's order, and named by their index in it.
+    # The five covariance images of a family are elements of its stack.
+    # Rows the stack fails in the third and fourth images are re-run on
+    # their own image in the per-point loop's order, and named by their
+    # index in it.
     quad = shapes.convex_quad()
     many_name, single_name = f"{family}_coords_quad_many", f"{family}_coords_quad"
     real_many, real_single = getattr(coords2d, many_name), getattr(coords2d, single_name)
@@ -365,10 +445,12 @@ def test_quad_suite_reruns_stacked_images_in_loop_order(monkeypatch, family):
     def failing(geom, points, **kwargs):
         phi, ok = real_many(geom, points, **kwargs)
         if isinstance(geom, geometry.QuadStack):
+            images = [e for e, element in enumerate(geom.quads) if element is not quad]
             for e, local in ((3, 1), (2, 9), (2, 4)):
-                s = np.flatnonzero(geom.element == e)[local]
+                s = np.flatnonzero(geom.element == images[e])[local]
                 ok[s], phi[s] = False, np.nan
-                forced.append((geom.quads[e].vertices, points[s], f"image {e} point {local}"))
+                vertices = geom.quads[images[e]].vertices
+                forced.append((vertices, points[s], f"image {e} point {local}"))
         return phi, ok
 
     monkeypatch.setattr(coords2d, many_name, failing)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from momentcoords import sampling
+from momentcoords import cli, sampling
 from momentcoords.cli import main
 from momentcoords.geometry import OVERFLOW_MESSAGE, REFERENCE_CUBE, classify_points_quad
 from momentcoords.shapes import convex_hex, convex_quad, nonconvex_quad
@@ -437,6 +437,45 @@ class TestCheck:
             capsys, "check", "--geometry", "conv-quad", "--samples", "5", f"--tol={tol}"
         )
         assert code == 2 and out == "" and "tol" in err
+
+    @pytest.mark.parametrize("geometry", ["conv-quad", "conv-hex"])
+    def test_negative_seed_input_error(self, capsys, geometry):
+        # The random generator's own message names neither the option nor
+        # the value.
+        code, out, err = run(capsys, "check", "--geometry", geometry, "--seed=-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
+def _outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of call(argv), which may exit."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    # main parses with one parser per process: a command run again after a
+    # usage error and two help requests prints what it printed first, and
+    # the help and usage bytes are those of a freshly built parser.
+    exits = [["grid"], ["--help"], ["check", "--help"]]
+    fresh = [_outcome(capsys, cli.build_parser().parse_args, argv) for argv in exits]
+    assert [code for code, _, _ in fresh] == [2, 0, 0]
+    assert fresh[0][2].startswith("usage: momentcoords grid") and "--geometry" in fresh[0][2]
+    assert fresh[1][1].startswith("usage: momentcoords") and "check" in fresh[1][1]
+    check = ["check", "--geometry", "conv-quad", "--samples", "30", "--seed", "4"]
+    first = _outcome(capsys, main, check)
+    assert first[0] == 0 and "all 15 properties passed" in first[1]
+
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert [_outcome(capsys, main, argv) for argv in exits] == fresh
+    assert _outcome(capsys, main, check) == first
 
 
 def _geometry_file(tmp_path, kind, vertices):
