@@ -1,5 +1,9 @@
 """Command line front end: evaluate coordinates, sample grids, run checks.
 
+Every float eval prints and every field of a grid CSV is format(v, ".17g")
+of its value, byte for byte; grid formats its weights and derivatives
+through the vectorized kernel csvfmt.format17.
+
 Exit codes: 0 ok, 1 property failure, 2 input error, 3 domain error.
 """
 
@@ -13,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import checks, coords1d, coords2d, coords3d, geometry
+from . import checks, coords1d, coords2d, coords3d, csvfmt, geometry
 from .errors import DegenerateTriangle, DomainError, InvalidGeometry, MomentCoordsError, NotConvex
 from .geometry import CAUSES, OK, Hexahedron, NodeSet1D, Quadrilateral
 from .gradients import FD_STEP_RTOL, finite_difference_gradient_many
@@ -223,24 +227,29 @@ def _row_ok(weights, vertices, points, diameter) -> np.ndarray:
     )
 
 
-def _format_rows(weights, ok, grad, grad_ok) -> list[str]:
-    """The weight and derivative fields of each CSV row, each value as
-    ",%.17g" (which equals "," + format(v, ".17g")); failed weights or
-    derivatives leave their fields empty.  The point columns are cmd_grid's."""
-    m, n = weights.shape
-    blocks = [weights]
-    if grad is not None:
-        # Not reshape(m, -1): a chunk with no point inside has m = 0.
-        blocks.append(grad.reshape(m, grad.shape[1] * grad.shape[2]))
-    width = sum(b.shape[1] for b in blocks)
-    filled = np.where(ok, n, 0)
-    if grad is not None:
-        filled[grad_ok] = width
-    templates = {k: ",%.17g" * k + "," * (width - k) for k in set(filled.tolist())}
-    return [
-        templates[k] % tuple(row[:k])
-        for k, row in zip(filled.tolist(), np.hstack(blocks).tolist())
-    ]
+def _label_bytes(labels: list[str]) -> np.ndarray:
+    """The strings labels as zero-padded byte rows (k, L)."""
+    text = np.array(labels, dtype="S")
+    return text.view(np.uint8).reshape(len(labels), text.itemsize)
+
+
+def _format_rows(outer, last, outer_index, last_index, fields, filled) -> bytes:
+    """CSV rows as bytes, in one formatting pass.  Row i is outer label
+    outer_index[i] (a newline and the outer axes' values), last-axis label
+    last_index[i] (outer and last from _label_bytes) and one field per value
+    of fields[i], ",%.17g" of the value (csvfmt.format17); the fields from
+    filled[i] on are left empty (",")."""
+    m, width = fields.shape
+    blank = np.arange(width) >= filled[:, None]
+    text, keep = csvfmt.format17(np.where(blank, 1.0, fields))
+    keep[blank.reshape(-1), 1:] = False
+    labels = np.concatenate(
+        [outer.take(outer_index, axis=0), last.take(last_index, axis=0)], axis=1
+    )
+    shape = (m, width * csvfmt.WIDTH)
+    row_text = np.concatenate([labels, text.reshape(shape)], axis=1)
+    row_keep = np.concatenate([labels != 0, keep.reshape(shape)], axis=1)
+    return np.compress(row_keep.reshape(-1), row_text.reshape(-1)).tobytes()
 
 
 def _outer_labels(axes, start: int, stop: int) -> list[str]:
@@ -281,10 +290,11 @@ def cmd_grid(args) -> int:
     # Each axis value is formatted once.  A row is written as a newline, the
     # label of its outer axes (none in 1D) and of its last axis, and its
     # fields; the points are gathered from axes, so the labels are their
-    # digits.  Each chunk joins the outer labels of the outer indices it
-    # spans, so no list of labels grows with the grid.
+    # digits.  Each chunk formats the outer labels of the outer indices it
+    # spans, so no list of labels grows with the grid, and writes its rows
+    # in passes of at most BATCH_CHUNK fields.
     outer_axes = [["%.17g," % v for v in axis.tolist()] for axis in axes[:-1]]
-    last = ["%.17g" % v for v in axes[-1].tolist()]
+    last = _label_bytes(["%.17g" % v for v in axes[-1].tolist()])
 
     h = FD_STEP_RTOL * diameter
     causes = np.zeros(len(GRID_CAUSES), dtype=int)
@@ -295,8 +305,8 @@ def cmd_grid(args) -> int:
         chunk = max(chunk // (2 * dim), 1)
     total = n**dim
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header))
+        with open(args.out, "wb") as fh:
+            fh.write(",".join(header).encode("ascii"))
             for start in range(0, total, chunk):
                 index = np.arange(start, min(start + chunk, total))
                 axis_index = np.unravel_index(index, (n,) * dim)
@@ -308,7 +318,7 @@ def cmd_grid(args) -> int:
                 row_ok = _row_ok(weights, vertices, points, diameter)
                 cause[ok & ~row_ok] = ROW_CHECK
                 ok &= row_ok
-                grad = grad_ok = None
+                fields, filled = weights, np.where(ok, nweights, 0)
                 if args.derivatives:
                     rows = np.flatnonzero(ok)
                     grad = np.full((len(points), nweights, dim), np.nan)
@@ -319,16 +329,21 @@ def cmd_grid(args) -> int:
                     cause[rows] = np.where(
                         no_step, NO_STEP, np.where(grad_ok[rows], OK, OFFSET_FAILED)
                     )
+                    # Not reshape(m, -1): a chunk with no point inside has m = 0.
+                    fields = np.hstack([weights, grad.reshape(len(points), nweights * dim)])
+                    filled[grad_ok] = fields.shape[1]
                 causes += np.bincount(cause, minlength=len(GRID_CAUSES))
                 outer_index, last_index = np.divmod(index[inside], n)
                 first = start // n
-                outer = _outer_labels(outer_axes, first, index[-1] // n + 1)
-                fields = _format_rows(weights, ok, grad, grad_ok)
-                fh.write("".join(
-                    outer[i - first] + last[j] + f
-                    for i, j, f in zip(outer_index.tolist(), last_index.tolist(), fields)
-                ))
-            fh.write("\n")
+                outer = _label_bytes(_outer_labels(outer_axes, first, index[-1] // n + 1))
+                outer_index -= first
+                per_pass = max(geometry.BATCH_CHUNK // fields.shape[1], 1)
+                for lo in range(0, len(points), per_pass):
+                    sl = slice(lo, lo + per_pass)
+                    fh.write(_format_rows(
+                        outer, last, outer_index[sl], last_index[sl], fields[sl], filled[sl]
+                    ))
+            fh.write(b"\n")
     except OSError as exc:
         raise InputError(f"cannot write {args.out!r}: {exc}") from exc
     causes[OK] = 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentcoords import checks, cli, coords1d, coords2d, coords3d, geometry, sampling, shapes
+from momentcoords import checks, cli, coords1d, coords2d, coords3d, csvfmt, geometry, sampling, shapes
 from momentcoords.cli import main
 from momentcoords.coords2d import (
     cramer_coords_quad,
@@ -404,6 +404,7 @@ GENERATED = {
     "plane-hex-tilt0.4": lambda: sampling.random_plane_hex(np.random.default_rng(7), tilt=0.4),
     "nonconvex+1e6": lambda: QUADS["nonconvex+1e6"],
     "interval-7": lambda: NodeSet1D([0.0, 0.13, 0.4, 0.55, 0.9, 1.0, 1.7]),
+    "square-1e100": lambda: Quadrilateral([[0.0, 0.0], [1e100, 0.0], [1e100, 1e100], [0.0, 1e100]]),
 }
 
 
@@ -1070,6 +1071,44 @@ def test_grid_formats_outer_labels_per_chunk(tmp_path, monkeypatch, shape, resol
     monkeypatch.undo()
     assert main(argv) == 0
     assert (tmp_path / "grid.csv").read_bytes() == patched
+
+
+@pytest.mark.parametrize("shape, resolution, fallback", [
+    ("conv-hex", 11, [",0,", "e-17,"]),
+    ("square-1e100", 9, ["e-101,", "e-100,"]),
+])
+def test_grid_formats_at_most_batch_chunk_values_per_pass(capsys, tmp_path, monkeypatch, shape, resolution, fallback):
+    # Each formatting pass takes at most BATCH_CHUNK values, whole rows of
+    # them, and the CSV is the one the default chunk writes.  conv-hex has
+    # exact zeros and face rounding noise near 1e-17 among its derivatives;
+    # every derivative on the 1e100 square is in exponent notation.  Both go
+    # through "%.17g" itself inside the kernel.
+    arg, geom = _geometry(tmp_path, shape)
+    out = tmp_path / "grid.csv"
+    argv = ["grid", "--geometry", arg, "--resolution", str(resolution),
+            "--method", "moment", "--derivatives", "--out", str(out)]
+    assert main(argv) == 0
+    default = out.read_bytes()
+    chunk = 64
+    monkeypatch.setattr(geometry, "BATCH_CHUNK", chunk)
+    sizes = []
+    real = csvfmt.format17
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(csvfmt, "format17", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == default
+    text = default.decode("ascii")
+    assert all(f in text for f in fallback)
+    n, dim = geom.vertices.shape
+    width = n * (1 + dim)
+    assert max(sizes) <= chunk
+    assert all(size % width == 0 for size in sizes)
+    assert sum(sizes) == width * (len(text.splitlines()) - 1)
 
 
 def test_grid_memory_bounded_by_chunk(tmp_path, monkeypatch):

@@ -1,0 +1,93 @@
+"""csvfmt.format17 writes exactly the bytes of "," + format(v, ".17g")."""
+
+import numpy as np
+import pytest
+
+from momentcoords.csvfmt import WIDTH, format17
+
+
+def _kernel(x):
+    text, keep = format17(x)
+    assert text.shape == keep.shape == (len(x), WIDTH)
+    assert text.dtype == np.uint8 and keep.dtype == bool
+    return text.reshape(-1)[keep.reshape(-1)].tobytes().decode("ascii")
+
+
+def _reference(x):
+    return "".join("," + format(v, ".17g") for v in x.tolist())
+
+
+def _near(values, ulps=3):
+    """values and their neighbours within ulps units in the last place."""
+    out = [np.asarray(values, dtype=float)]
+    below = above = out[0]
+    for _ in range(ulps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return np.concatenate(out)
+
+
+def _ties():
+    # K / 2**18 with K odd has 18 fraction bits, so its decimal expansion has
+    # 18 digits after the point: from K = 26215 on (|v| >= 0.1) its 18th
+    # significant digit is a 5 with nothing after it, a tie to even.
+    return np.arange(26215, 2**18, 2) / 2.0**18
+
+
+def _decades():
+    # Near a power of ten the first estimate of the decimal exponent is off
+    # by one, and just below it the 17 digits are nines.
+    return _near(10.0 ** np.arange(-5, 17))
+
+
+def _edges():
+    # The bounds of the fixed-notation range the kernel computes itself.
+    return _near([1e-4, 1e15], ulps=1)
+
+
+def _special():
+    # Zeros, subnormals, the smallest normal, exponent notation, infinity.
+    tiny = np.nextafter(0.0, 1.0)
+    return np.array([0.0, tiny, 1e-310, 2.2250738585072014e-308, 1e300, np.inf])
+
+
+def _random_bits():
+    # Both signs, and mostly exponent notation.
+    bits = np.random.default_rng(24).integers(0, 2**64, 200_000, dtype=np.uint64)
+    x = bits.view(np.float64)
+    return x[np.isfinite(x)]
+
+
+def _uniform():
+    return np.random.default_rng(24).random(200_000)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [_ties, _decades, _edges, _special, _random_bits, _uniform, lambda: np.zeros(0)],
+    ids=["ties", "decades", "edges", "special", "random-bits", "uniform", "empty"],
+)
+def test_format17_equals_format(values):
+    x = values()
+    assert _kernel(x) == _reference(x)
+
+
+@pytest.mark.parametrize("values", [_decades, _edges, _special], ids=["decades", "edges", "special"])
+def test_format17_equals_format_negated(values):
+    x = -values()
+    assert _kernel(x) == _reference(x)
+
+
+def test_format17_ties_round_half_to_even():
+    # 26215 / 2**18 = 0.100002288818359375 and 26217 / 2**18 =
+    # 0.100009918212890625 end in a 5 after the 17th digit: the first
+    # rounds up to an even digit, the second keeps its even digit.
+    assert _kernel(np.array([26215, 26217]) / 2.0**18) == (
+        ",0.10000228881835938,0.10000991821289062"
+    )
+
+
+def test_format17_blanks_by_clearing_all_but_the_comma():
+    text, keep = format17(np.array([0.5, -3.25, 0.0]))
+    keep[1, 1:] = False
+    assert text.reshape(-1)[keep.reshape(-1)].tobytes() == b",0.5,,0"
