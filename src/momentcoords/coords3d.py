@@ -198,7 +198,9 @@ def _hex_system(w, face=_NO_FACE):
     m = np.empty((8,) + w.shape[1:])
     m[0] = 1.0
     m[1:4] = w
-    m[4:] = _distance_rows(w[0], w[1], w[2], _ROW_SIGNS[..., face])
+    # Row by row: assigning the tuple to m[4:] first packs it into a new array.
+    for r, row in enumerate(_distance_rows(w[0], w[1], w[2], _ROW_SIGNS[..., face]), 4):
+        m[r] = row
     return m
 
 
@@ -418,11 +420,14 @@ def moment_coords_hex_many(
         _, rows, _, framed = _frame(hexa, q[:, 0], q[:, 1], q[:, 2], on[:, solve])
     unframed = solve[~framed]
     solve, q = solve[framed], q[framed]
-    # Stack last: f[r, c] is component c of row r and d[c] the vertex
-    # offsets (8, m), summed in _dot3's order into w (3, 8, m).
-    f = np.array(rows)[..., framed]
+    # Stack last: the components (m,) of frame row r times the vertex
+    # offsets d[c] (8, m), summed in _dot3's order into w[r] (8, m).
     d = hexa.vertices.T[:, :, None] - q.T[:, None, :]
-    w = f[:, 0, None] * d[0] + f[:, 1, None] * d[1] + f[:, 2, None] * d[2]
+    w = np.empty((3,) + d.shape[1:])
+    for w_r, (fx, fy, fz) in zip(w, rows):
+        np.multiply(fx[framed], d[0], out=w_r)
+        w_r += fy[framed] * d[1]
+        w_r += fz[framed] * d[2]
     face = np.where(kind[solve] == "on_face", index[solve], _NO_FACE)
     system = _hex_system(w * hexa.unit_scale, face)
     phi[solve], ok[solve] = solve_dense_many(

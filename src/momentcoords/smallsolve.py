@@ -16,10 +16,15 @@ contiguous: a (n, n, m) and b (n, m), the "interleaved" layout of batched
 BLAS for tiny matrices.  Entry (i, j) of all m systems is then one run of
 m floats, so the pivot search, the row swap, the rank-1 update and the
 back-substitution stream through memory instead of gathering one float
-per system from a (m, n, n) stack.  The results are bitwise equal to
-solve_dense's in any layout: every step is an elementwise IEEE operation
-on the same operands in the same order, and only where the operands sit
-in memory differs.
+per system from a (m, n, n) stack.  No step gathers by index: the pivot
+search is _lu_solve's strict running max (v > big) over the rows below
+the diagonal, one row at a time, and the swap exchanges rows k and i
+where the pivot is row i, skipping the rows no system picked.  The rank-1
+update goes row by row too, with no (n, n, m) temporary, and the residual
+contract is checked elementwise on the stack-last view of the input.  The results are bitwise
+equal to solve_dense's in any layout: every step is an elementwise IEEE
+operation on the same operands in the same order, and only where the
+operands sit in memory differs.
 """
 
 from __future__ import annotations
@@ -145,23 +150,32 @@ def solve_dense_many(matrices, rhs) -> tuple[np.ndarray, np.ndarray]:
     m, n = b0.shape
     a = np.moveaxis(a0, 0, -1).copy()
     b = b0.T.copy()
-    stack = np.arange(m)
-    floor = PIVOT_RTOL * np.abs(a).max(axis=(0, 1))
+    # max|A| without an |A| temporary.
+    floor = PIVOT_RTOL * np.maximum(a.max(axis=(0, 1)), -a.min(axis=(0, 1)))
     ok = floor != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n):
+            # The pivot is the first row holding the largest |entry|: a
+            # strict running max, as in _lu_solve.
             col = np.abs(a[k:, k])
-            p = col.argmax(axis=0)  # the first row holding the largest |entry|
-            ok &= ~(col[p, stack] < floor)
-            p += k
-            # Swap rows k and p from column k on: the columns left of k
-            # are never read again.
-            row_p = a[p, k:, stack]
-            a[p, k:, stack] = a[k, k:].T
-            a[k, k:] = row_p.T
-            b[k], b[p, stack] = b[p, stack], b[k].copy()
+            big, p = col[0], np.full(m, k)
+            for i in range(k + 1, n):
+                better = col[i - k] > big
+                np.copyto(big, col[i - k], where=better)
+                np.copyto(p, i, where=better)
+            ok &= ~(big < floor)
+            # Swap rows k and p from column k on, one candidate row at a
+            # time: the columns left of k are never read again.
+            for i in range(k + 1, n):
+                swap = p == i
+                if swap.any():
+                    for row_k, row_i in ((a[k, k:], a[i, k:]), (b[k], b[i])):
+                        held = row_k.copy()
+                        np.copyto(row_k, row_i, where=swap)
+                        np.copyto(row_i, held, where=swap)
             mult = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k + 1 :] -= mult[:, None, :] * a[k, None, k + 1 :]
+            for i in range(k + 1, n):
+                a[i, k + 1 :] -= mult[i - k - 1] * a[k, k + 1 :]
             b[k + 1 :] -= mult * b[k]
         x = np.zeros((n, m))
         for k in range(n - 1, -1, -1):
@@ -169,13 +183,18 @@ def solve_dense_many(matrices, rhs) -> tuple[np.ndarray, np.ndarray]:
             for j in range(k + 1, n):
                 dot += a[k, j] * x[j]
             x[k] = (b[k] - dot) / a[k, k]
+        np.copyto(x, np.nan, where=~ok)
+        if __debug__:
+            # Elementwise on the stack-last view of the input, like the solve.
+            a_in, b_in = a0.transpose(1, 2, 0), b0.T
+            r = a_in[:, 0] * x[0]
+            for j in range(1, n):
+                r += a_in[:, j] * x[j]
+            resid = np.abs(r - b_in).max(axis=0)
+            bound = RESIDUAL_RTOL * (1.0 + np.abs(b_in).max(axis=0))
+            assert np.all((resid <= bound) | ~ok), (
+                f"solve residual {float((resid / bound)[ok].max()):.3e} x the contract bound"
+            )
     x = np.ascontiguousarray(x.T)
-    x[~ok] = np.nan
-    if __debug__ and ok.any():
-        resid = np.abs(np.matmul(a0[ok], x[ok, :, None])[:, :, 0] - b0[ok]).max(axis=1)
-        bound = RESIDUAL_RTOL * (1.0 + np.abs(b0[ok]).max(axis=1))
-        assert np.all(resid <= bound), (
-            f"solve residual {float((resid / bound).max()):.3e} x the contract bound"
-        )
     return x, ok
 

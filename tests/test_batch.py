@@ -1080,9 +1080,9 @@ def test_grid_formats_outer_labels_per_chunk(tmp_path, monkeypatch, shape, resol
 def test_grid_formats_at_most_batch_chunk_values_per_pass(capsys, tmp_path, monkeypatch, shape, resolution, fallback):
     # Each formatting pass takes at most BATCH_CHUNK values, whole rows of
     # them, and the CSV is the one the default chunk writes.  conv-hex has
-    # exact zeros and face rounding noise near 1e-17 among its derivatives;
-    # every derivative on the 1e100 square is in exponent notation.  Both go
-    # through "%.17g" itself inside the kernel.
+    # exact zeros and face rounding noise near 1e-17 among its derivatives,
+    # which the kernel writes itself; every derivative on the 1e100 square
+    # is in exponent notation below 1e-38, which goes through "%.17g".
     arg, geom = _geometry(tmp_path, shape)
     out = tmp_path / "grid.csv"
     argv = ["grid", "--geometry", arg, "--resolution", str(resolution),

@@ -36,13 +36,25 @@ def _ties():
 
 def _decades():
     # Near a power of ten the first estimate of the decimal exponent is off
-    # by one, and just below it the 17 digits are nines.
-    return _near(10.0 ** np.arange(-5, 17))
+    # by one, and just below it the 17 digits are nines; the doubles nearest
+    # 1e-28, 1e-23 and others lie below them, so rounding to the estimated
+    # exponent reaches 10**16 exactly.
+    return _near(10.0 ** np.arange(-40, 17))
 
 
 def _edges():
-    # The bounds of the fixed-notation range the kernel computes itself.
-    return _near([1e-4, 1e15], ulps=1)
+    # The bounds of the ranges the kernel computes itself: exponent notation
+    # from 1e-38 (whose double is 9.9999999999999996e-39) to 1e-5, fixed
+    # notation from 1e-4 to 1e15.
+    return _near([1e-38, 1e-5, 1e-4, 1e15], ulps=3)
+
+
+def _face_noise():
+    # Rounding noise as hexahedral grids have it, +-j * 2**-e: exponent
+    # notation, and below 1e-38 "%.17g" itself.
+    j = np.arange(1, 65, dtype=float)[:, None]
+    e = np.arange(53, 131, dtype=float)
+    return np.concatenate([j * 2.0**-e, -j * 2.0**-e], axis=None)
 
 
 def _special():
@@ -64,8 +76,8 @@ def _uniform():
 
 @pytest.mark.parametrize(
     "values",
-    [_ties, _decades, _edges, _special, _random_bits, _uniform, lambda: np.zeros(0)],
-    ids=["ties", "decades", "edges", "special", "random-bits", "uniform", "empty"],
+    [_ties, _decades, _edges, _face_noise, _special, _random_bits, _uniform, lambda: np.zeros(0)],
+    ids=["ties", "decades", "edges", "face-noise", "special", "random-bits", "uniform", "empty"],
 )
 def test_format17_equals_format(values):
     x = values()

@@ -137,7 +137,8 @@ def _scalar_oracle(a, b):
 
 
 def _special_stack(n):
-    """40 seeded n x n systems, the first six of them special."""
+    """40 seeded n x n systems, the first nine of them special: six edge
+    cases, then three pivot ties."""
     rng = np.random.default_rng(100 + n)
     a = rng.normal(size=(40, n, n)) + rng.uniform(0, n) * np.eye(n)
     b = rng.normal(size=(40, n))
@@ -147,6 +148,13 @@ def _special_stack(n):
     a[3] = np.diag([1.0] * (n - 1) + [1e-20])  # a sub-floor last pivot
     a[4, :, 1] = 2.0 * a[4, :, 0]  # dependent columns
     a[5] *= 1e-200  # tiny but nonsingular: the floor follows max|A|
+    # Pivot ties, equal |entries| of both signs: the pivot is the first row
+    # holding the largest |entry|.
+    signs = (-1.0) ** np.arange(n)[:, None]
+    a[6, :, :1] = 2.0 * signs  # rows 1, 2, ... tie at column 0
+    a[6, 0, 0] = 0.5
+    a[7] = (np.tril(np.ones((n, n))) - np.triu(np.ones((n, n)), 1)) * signs  # nonsingular
+    a[8] = rng.choice([-1.0, 1.0], size=(n, n))  # ties in every column
     return a, b
 
 
@@ -158,6 +166,7 @@ def test_many_bitwise_equal_to_solve_dense(n):
     x_ref, ok_ref = _scalar_oracle(a, b)
     assert np.array_equal(ok, ok_ref)
     assert not ok[2] and not ok[3] and not ok[4] and ok[0] and ok[1] and ok[5]
+    assert ok[6] and ok[7]
     assert np.array_equal(x, x_ref, equal_nan=True)
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
@@ -192,7 +201,7 @@ def test_many_bitwise_equal_in_every_memory_layout(n, layout):
 
 
 @pytest.mark.parametrize("layout", _LAYOUTS)
-@pytest.mark.parametrize("s", range(6))
+@pytest.mark.parametrize("s", range(9))
 def test_many_stack_of_one(s, layout):
     # A stack of one special system, as the last chunk of a grid may be.
     a, b = _special_stack(8)
