@@ -19,12 +19,14 @@ from .coords2d import (
     cramer_coords_quad_many,
     moment_coords_quad,
     moment_coords_quad_many,
+    moment_gradient_quad_many,
     moment_row,
     mvc_oracle,
     mvc_oracle_many,
     triangle_barycentric,
     wachspress_coords_quad,
     wachspress_coords_quad_many,
+    wachspress_gradient_quad_many,
     wachspress_oracle,
     wachspress_oracle_many,
     wachspress_row,
@@ -73,12 +75,14 @@ __all__ = [
     "cramer_coords_quad_many",
     "moment_coords_quad",
     "moment_coords_quad_many",
+    "moment_gradient_quad_many",
     "moment_row",
     "mvc_oracle",
     "mvc_oracle_many",
     "triangle_barycentric",
     "wachspress_coords_quad",
     "wachspress_coords_quad_many",
+    "wachspress_gradient_quad_many",
     "wachspress_oracle",
     "wachspress_oracle_many",
     "wachspress_row",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checks, coords1d, coords2d, coords3d, csvfmt, geometry
 from .errors import DegenerateTriangle, DomainError, InvalidGeometry, MomentCoordsError, NotConvex
-from .geometry import CAUSES, OK, Hexahedron, NodeSet1D, Quadrilateral
+from .geometry import CAUSES, EXTERIOR, OK, Hexahedron, NodeSet1D, Quadrilateral
 from .gradients import FD_STEP_RTOL, finite_difference_gradient_many
 from .shapes import BUILTINS
 
@@ -30,17 +30,44 @@ EXIT_DOMAIN_ERROR = 3
 
 # Why a grid row is blank: the batch evaluators' causes (geometry.CAUSES),
 # then grid's own: the write-time row check (_row_ok), no admissible
-# finite-difference step along some axis, an offset that failed to evaluate.
-GRID_CAUSES = CAUSES + ("row check", "no admissible derivative step", "derivative offset failed")
-ROW_CHECK, NO_STEP, OFFSET_FAILED = range(len(CAUSES), len(GRID_CAUSES))
+# finite-difference step along some axis, an offset that failed to evaluate,
+# a closed-form gradient that is singular or not finite at the point.
+GRID_CAUSES = CAUSES + (
+    "row check",
+    "no admissible derivative step",
+    "derivative offset failed",
+    "singular derivative",
+)
+ROW_CHECK, NO_STEP, OFFSET_FAILED, SINGULAR_GRADIENT = range(len(CAUSES), len(GRID_CAUSES))
 
 
 class InputError(Exception):
     pass
 
 
+def _numbers(value, field: str):
+    """value, a JSON vertex or node list, once every entry in it is a JSON
+    number a float holds: not a boolean (which Python counts as an int), a
+    string, null or an object, and not an integer beyond the float range."""
+    stack = [value]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, list):
+            stack.extend(entry)
+            continue
+        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise InputError(f"invalid geometry: {field} entry {json.dumps(entry)} is not a number")
+        try:
+            float(entry)
+        except OverflowError:
+            message = f"invalid geometry: a {field} entry is too large for a float"
+            raise InputError(message) from None
+    return value
+
+
 def _load_geometry(source: str):
-    """A builtin name or a JSON file with kind/vertices (or kind/nodes)."""
+    """A builtin name or a JSON file with kind/vertices (or kind/nodes),
+    whose coordinates are JSON numbers (_numbers)."""
     if source in BUILTINS:
         return BUILTINS[source]()
     try:
@@ -55,11 +82,11 @@ def _load_geometry(source: str):
     kind = data["kind"]
     try:
         if kind == "quad":
-            return Quadrilateral(data["vertices"])
+            return Quadrilateral(_numbers(data["vertices"], "vertices"))
         if kind == "hex":
-            return Hexahedron(data["vertices"])
+            return Hexahedron(_numbers(data["vertices"], "vertices"))
         if kind == "interval":
-            return NodeSet1D(data["nodes"])
+            return NodeSet1D(_numbers(data["nodes"], "nodes"))
     except KeyError as exc:
         raise InputError(f"geometry of kind {kind!r} is missing field {exc}") from exc
     except (InvalidGeometry, TypeError, ValueError) as exc:
@@ -101,6 +128,17 @@ BATCH_METHODS = {
     "interval": {
         "moment": coords1d.moment_coords_1d_many,
         "hat": coords1d.hat_oracle_many,
+    },
+}
+
+# Closed-form gradients, used by grid --derivatives where a family has one:
+# (geometry, points (m, dim), info) -> (grad (m, n, dim), ok (m,)), info the
+# BatchInfo of the batch method at the same points.  The other families take
+# central finite differences (gradients.finite_difference_gradient_many).
+GRADIENT_METHODS = {
+    "quad": {
+        "moment": coords2d.moment_gradient_quad_many,
+        "wachspress": coords2d.wachspress_gradient_quad_many,
     },
 }
 
@@ -298,10 +336,13 @@ def cmd_grid(args) -> int:
 
     h = FD_STEP_RTOL * diameter
     causes = np.zeros(len(GRID_CAUSES), dtype=int)
-    # The derivative pass evaluates 2 * dim offsets of each chunk's rows in
-    # one stack, so a chunk with derivatives holds that many times fewer.
+    gradient = GRADIENT_METHODS.get(_geometry_kind(geom), {}).get(args.method)
+    closed_form = args.derivatives and gradient is not None
+    finite_differences = args.derivatives and gradient is None
+    # The finite differences evaluate 2 * dim offsets of each chunk's rows
+    # in one stack, so a chunk that takes them holds that many times fewer.
     chunk = geometry.BATCH_CHUNK
-    if args.derivatives:
+    if finite_differences:
         chunk = max(chunk // (2 * dim), 1)
     total = n**dim
     try:
@@ -312,14 +353,16 @@ def cmd_grid(args) -> int:
                 axis_index = np.unravel_index(index, (n,) * dim)
                 points = np.stack([axis[i] for axis, i in zip(axes, axis_index)], axis=-1)
                 weights, ok, info = evaluate(points, info=True)
-                inside = info.kind != "exterior"
+                inside = info.cause != EXTERIOR
+                if closed_form:
+                    grad, grad_ok = (a[inside] for a in gradient(geom, points, info))
                 points, weights, ok = points[inside], weights[inside], ok[inside]
                 cause = info.cause[inside]
                 row_ok = _row_ok(weights, vertices, points, diameter)
                 cause[ok & ~row_ok] = ROW_CHECK
                 ok &= row_ok
                 fields, filled = weights, np.where(ok, nweights, 0)
-                if args.derivatives:
+                if finite_differences:
                     rows = np.flatnonzero(ok)
                     grad = np.full((len(points), nweights, dim), np.nan)
                     grad_ok = np.zeros(len(points), dtype=bool)
@@ -329,6 +372,10 @@ def cmd_grid(args) -> int:
                     cause[rows] = np.where(
                         no_step, NO_STEP, np.where(grad_ok[rows], OK, OFFSET_FAILED)
                     )
+                elif closed_form:
+                    grad_ok &= ok
+                    cause[ok & ~grad_ok] = SINGULAR_GRADIENT
+                if args.derivatives:
                     # Not reshape(m, -1): a chunk with no point inside has m = 0.
                     fields = np.hstack([weights, grad.reshape(len(points), nweights * dim)])
                     filled[grad_ok] = fields.shape[1]
@@ -394,7 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--resolution", type=int, required=True, help="points per axis")
     p_grid.add_argument("--method", required=True, help="coordinate family")
     p_grid.add_argument(
-        "--derivatives", action="store_true", help="append finite-difference gradients"
+        "--derivatives",
+        action="store_true",
+        help="append gradients (closed form for quad moment and wachspress, "
+        "central finite differences otherwise)",
     )
     p_grid.add_argument("--out", required=True, help="output CSV path")
     p_grid.set_defaults(func=cmd_grid)

@@ -15,6 +15,18 @@ accepts evaluates, whatever its size.  A near-orthogonal row is refused as
 SingularMatrix, and under __debug__ the residual of the four rows is held
 to the contract of smallsolve.solve_dense.
 
+The gradients are closed forms too (moment_gradient_quad_many,
+wachspress_gradient_quad_many, on a stack of points and the BatchInfo of
+its weights): nu is constant and tau affine, so grad phi = grad tau + grad
+alpha nu, with grad alpha = -(<grad r, tau> + <r, grad tau> + alpha
+<grad r, nu>) / <r, nu> and grad d_i = -(v_i - p) / |v_i - p| for the
+moment row, the product rule on c_(i-1) c_i for Wachspress.  The boundary
+policy: an edge point takes the interior formula at the point, its
+one-sided limit; a vertex point is evaluated at the vertex itself, where
+the moment row's grad d_i is the unit inward bisector of the corner (the
+limit along the bisector; the negated sum of the two edge directions at a
+reflex corner).  So every point of the closed domain has a gradient.
+
 Three independent oracles are provided for cross checks: the local tangent
 formula for mean value coordinates, a Cramer's-rule expansion through all
 four corner triangles, and the rational area quotient for Wachspress,
@@ -56,13 +68,17 @@ from .errors import (
 from .geometry import (
     BOUNDARY,
     CLASSIFY_RTOL,
+    LOC_EXTERIOR,
+    LOC_INTERIOR,
+    LOC_VERTEX,
+    QUAD_KINDS,
     SINGULAR,
     BatchInfo,
     Quadrilateral,
     QuadStack,
+    _locate_points_quad,
     _locate_quad,
     classify_point_quad,
-    classify_points_quad,
     signed_area,
 )
 from .smallsolve import PIVOT_RTOL, RESIDUAL_RTOL
@@ -101,14 +117,19 @@ def moment_row(quad: Quadrilateral, p) -> np.ndarray:
     return np.array(row) / quad.reproducing_kernel[3]
 
 
+def _edge_crosses(ux, uy) -> list:
+    """c_i = u_i x u_(i+1) from _unit_offsets: twice the signed area of
+    (p, v_i, v_(i+1)) in units of L**2."""
+    return [ux[i] * uy[i - 3] - uy[i] * ux[i - 3] for i in range(4)]
+
+
 def _wachspress_weights(ux, uy) -> list:
     """wachspress_row from _unit_offsets, in units of L**4.
 
-    With c_i = u_i x u_(i+1), twice the signed area of (p, v_i, v_(i+1)) in
-    units of L**2, l(i) h(i) = c_i, so the lengths cancel: rho_i =
-    c_(i-1) c_i.
+    With c_i from _edge_crosses, l(i) h(i) = c_i, so the lengths cancel:
+    rho_i = c_(i-1) c_i.
     """
-    c = [ux[i] * uy[i - 3] - uy[i] * ux[i - 3] for i in range(4)]
+    c = _edge_crosses(ux, uy)
     return [c[3] * c[0], -(c[0] * c[1]), c[1] * c[2], -(c[2] * c[3])]
 
 
@@ -154,6 +175,62 @@ def _closed_form(quad: Quadrilateral, x, y, wachspress: bool):
     phi = [alpha * nu[0], alpha * nu[1], alpha * nu[2], alpha * nu[3]]
     phi[a], phi[b], phi[c] = ta + phi[a], tb + phi[b], tc + phi[c]
     return phi, r, ux, uy, singular
+
+
+def _closed_form_gradient(quad: Quadrilateral, x, y, wachspress: bool):
+    """(gx, gy, singular): d phi_i / dx and d phi_i / dy of either family at
+    the stack (x, y), arrays (m,), as 4-lists in absolute units, and
+    _closed_form's singular there.
+
+    phi = tau + alpha nu with nu constant, so grad phi = grad tau + grad
+    alpha nu.  Everything is taken in units of L, as _closed_form takes it,
+    where a unit step of p moves every offset u_i by minus that step, and
+    multiplied by unit_scale = 1 / L at the end.  grad tau is constant: the
+    barycentric gradients of corner triangle k.  With alpha = -<r, tau> /
+    <r, nu>, grad alpha = -(<grad r, tau> + <r, grad tau> + alpha <grad r,
+    nu>) / <r, nu>, taken as -(<grad r, phi> + <r, grad tau>) / <r, nu>.
+    The moment row's distances have grad d_i = -u_i / d_i, and the unit
+    inward bisector of vertex i (Quadrilateral.inward_bisectors) where d_i
+    = 0: the limit of -u_i / d_i as p leaves the vertex along the bisector.
+    The Wachspress row takes the product rule on c_(i-1) c_i, whose edge
+    crosses c_i = u_i x u_(i+1) have the constant gradients (y_i -
+    y_(i+1), x_(i+1) - x_i) / L.
+    """
+    nu, k, area2, s = quad.reproducing_kernel
+    phi, r, ux, uy, singular = _closed_form(quad, x, y, wachspress)
+    if wachspress:
+        e = _edge_crosses(ux, uy)
+
+        def grad_row(de):
+            return [
+                de[3] * e[0] + e[3] * de[0],
+                -(de[0] * e[1] + e[0] * de[1]),
+                de[1] * e[2] + e[1] * de[2],
+                -(de[2] * e[3] + e[2] * de[3]),
+            ]
+
+        rx = grad_row([-ey * s for _, _, _, _, ey, _ in quad.edge_rows])
+        ry = grad_row([ex * s for _, _, _, ex, _, _ in quad.edge_rows])
+    else:
+        rx, ry = [], []
+        for i, (bx, by) in enumerate(quad.inward_bisectors):
+            d, sign = abs(r[i]), -1.0 if i % 2 else 1.0
+            at = d > 0.0
+            rx.append(sign * np.divide(-ux[i], d, out=np.full(d.shape, bx), where=at))
+            ry.append(sign * np.divide(-uy[i], d, out=np.full(d.shape, by), where=at))
+    den = r[0] * nu[0] + r[1] * nu[1] + r[2] * nu[2] + r[3] * nu[3]
+    a, b, c = _OTHERS[k]
+    (ax, ay), (bx, by), (cx, cy) = (quad.corner_tuple[i] for i in (a, b, c))
+    out = []
+    for dr, db, dc in (
+        (rx, (cy - ay) * s / area2, (ay - by) * s / area2),
+        (ry, (ax - cx) * s / area2, (bx - ax) * s / area2),
+    ):
+        dtau = [0.0] * 4
+        dtau[a], dtau[b], dtau[c] = -db - dc, db, dc
+        dalpha = -sum(dr[i] * phi[i] + r[i] * dtau[i] for i in range(4)) / den
+        out.append([(dtau[i] + dalpha * nu[i]) * s for i in range(4)])
+    return out[0], out[1], singular
 
 
 def _residual(phi, r, ux, uy):
@@ -209,9 +286,9 @@ def _coords_many(quad: Quadrilateral | QuadStack, points, wachspress: bool, info
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     phi = np.full((len(pts), 4), np.nan)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        kind, index, t, _ = _locate_quad(quad, *pts.T, CLASSIFY_RTOL * quad.diameter)
-        solve = kind == "interior"
-        ok = kind != "exterior"
+        code, index, t, _ = _locate_quad(quad, *pts.T, CLASSIFY_RTOL * quad.diameter)
+        solve = code == LOC_INTERIOR
+        ok = code != LOC_EXTERIOR
         edge = ok & ~solve
         for rows, group in quad.kernel_groups(np.flatnonzero(solve)):
             cols, r, ux, uy, singular = _closed_form(group, *pts[rows].T, wachspress)
@@ -222,8 +299,8 @@ def _coords_many(quad: Quadrilateral | QuadStack, points, wachspress: bool, info
                 )
             phi[rows] = np.where(singular[:, None], np.nan, np.array(cols).T)
             ok[rows] = ~singular
-    phi[edge] = _edge_weights(index[edge], np.where(kind[edge] == "at_vertex", 0.0, t[edge]))
-    return (phi, ok, BatchInfo.of(kind, index, ok, SINGULAR)) if info else (phi, ok)
+    phi[edge] = _edge_weights(index[edge], np.where(code[edge] == LOC_VERTEX, 0.0, t[edge]))
+    return (phi, ok, BatchInfo.of(code, QUAD_KINDS, index, ok, SINGULAR)) if info else (phi, ok)
 
 
 def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
@@ -265,6 +342,54 @@ def wachspress_coords_quad_many(quad: Quadrilateral | QuadStack, points, info: b
     if not quad.is_convex:
         raise NotConvex("Wachspress coordinates require a convex quadrilateral")
     return _coords_many(quad, points, True, info)
+
+
+def _gradient_many(quad: Quadrilateral, points, info: BatchInfo, wachspress: bool):
+    """Shared body of moment_gradient_quad_many and
+    wachspress_gradient_quad_many."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    rows = np.flatnonzero(info.code != LOC_EXTERIOR)
+    x, y = pts[rows, 0], pts[rows, 1]
+    vertex = np.flatnonzero(info.code[rows] == LOC_VERTEX)
+    x[vertex], y[vertex] = quad.vertices[info.index[rows[vertex]]].T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gx, gy, singular = _closed_form_gradient(quad, x, y, wachspress)
+    grad = np.full((len(pts), 4, 2), np.nan)
+    grad[rows] = np.stack([np.array(gx).T, np.array(gy).T], axis=-1)
+    ok = np.zeros(len(pts), dtype=bool)
+    ok[rows] = ~singular & np.isfinite(grad[rows]).all(axis=(1, 2))
+    grad[~ok] = np.nan
+    return grad, ok
+
+
+def moment_gradient_quad_many(quad: Quadrilateral, points, info: BatchInfo):
+    """Gradients of the moment coordinates at each row of points (m, 2), in
+    closed form; returns (grad (m, 4, 2), ok (m,)), grad[s, i, j] = d phi_i
+    / d x_j.
+
+    info is the BatchInfo moment_coords_quad_many(quad, points, info=True)
+    returned, so the points are not located again.  An interior row takes
+    _closed_form_gradient at the point.  The boundary policy: an edge row
+    takes the same formula at the point, the one-sided limit from the
+    interior; a vertex row takes it at the vertex itself, where the
+    gradient of the vanishing distance is the unit inward bisector, so the
+    row is the limit along the bisector.  ok[s] is False (and grad[s] NaN)
+    at an exterior point, where the closed form is singular at the point,
+    or where a gradient is not finite.
+    """
+    return _gradient_many(quad, points, info, False)
+
+
+def wachspress_gradient_quad_many(quad: Quadrilateral, points, info: BatchInfo):
+    """Gradients of the Wachspress coordinates at each row of points (m, 2),
+    in closed form; same contract as moment_gradient_quad_many, info from
+    wachspress_coords_quad_many.  Wachspress coordinates are rational and
+    smooth up to the boundary, so the formula at an edge point or a vertex
+    is the gradient there.  Raises NotConvex on a nonconvex quadrilateral.
+    """
+    if not quad.is_convex:
+        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
+    return _gradient_many(quad, points, info, True)
 
 
 def _mean_value(quad: Quadrilateral, p) -> np.ndarray:
@@ -309,10 +434,10 @@ def mvc_oracle_many(quad: Quadrilateral, points, info: bool = False):
     the location it ran (causes exterior and boundary).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    kind, index = classify_points_quad(quad, pts)
-    ok = kind == "interior"
+    code, index = _locate_points_quad(quad, pts)
+    ok = code == LOC_INTERIOR
     phi = np.where(ok[:, None], _mean_value(quad, pts), np.nan)
-    return (phi, ok, BatchInfo.of(kind, index, ok, BOUNDARY)) if info else (phi, ok)
+    return (phi, ok, BatchInfo.of(code, QUAD_KINDS, index, ok, BOUNDARY)) if info else (phi, ok)
 
 
 def _area2(ax, ay, bx, by, cx, cy):
@@ -428,10 +553,10 @@ def cramer_coords_quad_many(quad: Quadrilateral, points, info: bool = False):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi, singular = _cramer(quad, *pts.T)
-    kind, index = classify_points_quad(quad, pts)
-    ok = (kind != "exterior") & ~singular
+    code, index = _locate_points_quad(quad, pts)
+    ok = (code != LOC_EXTERIOR) & ~singular
     phi = np.where(ok[:, None], phi, np.nan)
-    return (phi, ok, BatchInfo.of(kind, index, ok, SINGULAR)) if info else (phi, ok)
+    return (phi, ok, BatchInfo.of(code, QUAD_KINDS, index, ok, SINGULAR)) if info else (phi, ok)
 
 
 def _area_quotient(quad: Quadrilateral, p):
@@ -488,10 +613,11 @@ def wachspress_oracle_many(quad: Quadrilateral, points, info: bool = False):
         raise NotConvex("Wachspress coordinates require a convex quadrilateral")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     w, vanishes = _area_quotient(quad, pts)
-    kind, index = classify_points_quad(quad, pts)
-    interior = kind == "interior"
+    code, index = _locate_points_quad(quad, pts)
+    interior = code == LOC_INTERIOR
     ok = interior & ~vanishes
     phi = np.where(ok[:, None], w, np.nan)
     if not info:
         return phi, ok
-    return phi, ok, BatchInfo.of(kind, index, ok, np.where(interior, SINGULAR, BOUNDARY))
+    failure = np.where(interior, SINGULAR, BOUNDARY)
+    return phi, ok, BatchInfo.of(code, QUAD_KINDS, index, ok, failure)

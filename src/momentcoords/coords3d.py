@@ -61,6 +61,10 @@ from .errors import FrameNotFound, OutsideDomain
 from .geometry import (
     FRAME,
     HEX_FACE_VERTICES,
+    HEX_KINDS,
+    LOC_FACET,
+    LOC_INTERIOR,
+    LOC_VERTEX,
     REFERENCE_CUBE,
     SINGULAR,
     BatchInfo,
@@ -407,14 +411,14 @@ def moment_coords_hex_many(
     exterior, frame (FrameNotFound) and singular (SingularMatrix).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    kind, index, on = _locate_hex(hexa, pts[:, 0], pts[:, 1], pts[:, 2])
+    code, index, on = _locate_hex(hexa, pts[:, 0], pts[:, 1], pts[:, 2])
     phi = np.full((len(pts), 8), np.nan)
     ok = np.zeros(len(pts), dtype=bool)
-    vertex = np.flatnonzero(kind == "at_vertex")
+    vertex = np.flatnonzero(code == LOC_VERTEX)
     phi[vertex] = 0.0
     phi[vertex, index[vertex]] = 1.0
     ok[vertex] = True
-    solve = np.flatnonzero((kind == "interior") | (kind == "on_face"))
+    solve = np.flatnonzero((code == LOC_INTERIOR) | (code == LOC_FACET))
     q = pts[solve]
     with np.errstate(divide="ignore", invalid="ignore"):
         _, rows, _, framed = _frame(hexa, q[:, 0], q[:, 1], q[:, 2], on[:, solve])
@@ -428,7 +432,7 @@ def moment_coords_hex_many(
         np.multiply(fx[framed], d[0], out=w_r)
         w_r += fy[framed] * d[1]
         w_r += fz[framed] * d[2]
-    face = np.where(kind[solve] == "on_face", index[solve], _NO_FACE)
+    face = np.where(code[solve] == LOC_FACET, index[solve], _NO_FACE)
     system = _hex_system(w * hexa.unit_scale, face)
     phi[solve], ok[solve] = solve_dense_many(
         system.transpose(2, 0, 1), np.broadcast_to(_RHS, (len(solve), 8))
@@ -441,5 +445,5 @@ def moment_coords_hex_many(
     if info:
         failure = np.full(len(pts), SINGULAR)
         failure[unframed] = FRAME
-        out += (BatchInfo.of(kind, index, ok, failure),)
+        out += (BatchInfo.of(code, HEX_KINDS, index, ok, failure),)
     return out

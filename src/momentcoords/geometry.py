@@ -19,6 +19,8 @@ order; every other hexahedral table derives from them.
 Point location is written once per element kind (_locate_quad,
 _locate_hex), on Python floats for one point and arrays for a stack, so a
 point is located alike alone or in a stack; the public classifiers wrap it.
+A stack's kinds are int8 location codes (LOC_EXTERIOR ...), which the
+batch path compares; the public classifiers and BatchInfo.kind name them.
 A QuadStack holds many quadrilaterals for one batch call, each row with a
 copy of its own element's tables as arrays in place of floats, so that
 _locate_quad and the closed form of coords2d run on it unchanged.
@@ -85,28 +87,45 @@ CAUSES = ("ok", "exterior", "boundary", "frame", "singular")
 OK, EXTERIOR, BOUNDARY, FRAME, SINGULAR = range(len(CAUSES))
 
 
+# A batch location's int8 codes: exterior, interior, on an edge (a
+# quadrilateral) or face (a hexahedron), at a vertex.  An interval has the
+# first two only.
+LOC_EXTERIOR, LOC_INTERIOR, LOC_FACET, LOC_VERTEX = range(4)
+# The location kinds by code, for the public classifiers and BatchInfo.kind.
+QUAD_KINDS = np.array(["exterior", "interior", "on_edge", "at_vertex"])
+HEX_KINDS = np.array(["exterior", "interior", "on_face", "at_vertex"])
+
+
 @dataclass(frozen=True)
 class BatchInfo:
     """The location a batch evaluator computed for its rows, and why each
     row failed.
 
-    kind and index (m,) are the quadrilateral or hexahedral location kinds
-    and indices (classify_points_quad, face_of_points_hex), or an interval's
-    "interior"/"exterior" and containing interval (coords1d._locate); cause
-    (m,) holds int8 codes into CAUSES, OK exactly where the row has
-    weights.
+    code (m,) holds the int8 location codes (LOC_EXTERIOR, LOC_INTERIOR,
+    LOC_FACET, LOC_VERTEX) and names the kind name of each code (QUAD_KINDS,
+    HEX_KINDS, or an interval's "exterior" and "interior"); index (m,) is
+    the vertex, edge or face index (an interval: the containing interval),
+    -1 where the location has none.  kind, derived from the two, is the
+    kind classify_points_quad or face_of_points_hex gives.  cause (m,)
+    holds int8 codes into CAUSES, OK exactly where the row has weights.
+    Callers on the batch path compare code or cause, not kind.
     """
 
-    kind: np.ndarray
+    code: np.ndarray
+    names: np.ndarray
     index: np.ndarray
     cause: np.ndarray
 
+    @property
+    def kind(self) -> np.ndarray:
+        return self.names[self.code]
+
     @classmethod
-    def of(cls, kind, index, ok, failure) -> BatchInfo:
+    def of(cls, code, names, index, ok, failure) -> BatchInfo:
         """The record of rows that failed where ok is clear: EXTERIOR where
-        kind is exterior, failure (a code, or codes (m,)) elsewhere."""
-        cause = np.where(ok, OK, np.where(kind == "exterior", EXTERIOR, failure))
-        return cls(kind, index, cause.astype(np.int8))
+        the point is exterior, failure (a code, or codes (m,)) elsewhere."""
+        cause = np.where(ok, OK, np.where(code == LOC_EXTERIOR, EXTERIOR, failure))
+        return cls(code, names, index, cause.astype(np.int8))
 
 
 def signed_area(a, b, c) -> float:
@@ -277,6 +296,23 @@ class Quadrilateral:
     def is_convex(self) -> bool:
         return min(self._corner_crosses) >= -1e-12 * self.diameter**2
 
+    @cached_property
+    def inward_bisectors(self) -> tuple:
+        """Per vertex i, the unit inward bisector (bx, by) of its corner, as
+        floats: the left normal of a - b, for a and b the unit directions
+        from vertex i to vertex i + 1 and to vertex i - 1.  That is the
+        direction of a + b at a convex corner, of -(a + b) at a reflex one,
+        and the edges' inward normal at a straight one."""
+        c = self.corner_tuple
+        out = []
+        for (px, py), (vx, vy), (nx, ny) in zip(c[3:] + c[:3], c, c[1:] + c[:1]):
+            la, lb = math.hypot(nx - vx, ny - vy), math.hypot(px - vx, py - vy)
+            wx = (py - vy) / lb - (ny - vy) / la
+            wy = (nx - vx) / la - (px - vx) / lb
+            lw = math.hypot(wx, wy)
+            out.append((wx / lw, wy / lw))
+        return tuple(out)
+
     def kernel_groups(self, rows):
         """[(rows, self)]: one quadrilateral is one kernel-index group (see
         QuadStack.kernel_groups)."""
@@ -358,12 +394,6 @@ def _smallest(values):
     return reduce(np.minimum, values)
 
 
-# A stack's location kinds by code: exterior, interior, on an edge or face,
-# at a vertex.
-_QUAD_KINDS = np.array(["exterior", "interior", "on_edge", "at_vertex"])
-_HEX_KINDS = np.array(["exterior", "interior", "on_face", "at_vertex"])
-
-
 def _locate_quad(quad: Quadrilateral, x, y, tol: float):
     """Point location on a quadrilateral: (kind, index, t, dist).
 
@@ -378,9 +408,10 @@ def _locate_quad(quad: Quadrilateral, x, y, tol: float):
     zero there quietly and masks the quotient out.
 
     index is the vertex or edge, t the edge parameter ("on_edge") and dist
-    the distance to the nearest edge.  One point returns as soon as its
-    kind is known, with None for what it did not compute or has none of;
-    a stack has index -1 and t NaN there.
+    the distance to the nearest edge.  One point returns its kind as a
+    string (QUAD_KINDS) as soon as it is known, with None for what it did
+    not compute or has none of; a stack returns kind as int8 location codes
+    (LOC_EXTERIOR ...), with index -1 and t NaN there.
     """
     one = isinstance(x, float)
     sqrt = math.sqrt if one else np.sqrt
@@ -421,7 +452,8 @@ def _locate_quad(quad: Quadrilateral, x, y, tol: float):
     t[rows] = np.array(ts)[e, rows]
     rows = np.flatnonzero(vertex)
     index[rows] = np.array(d2)[:, rows].argmin(axis=0)
-    return _QUAD_KINDS[np.where(vertex, 3, np.where(edge, 2, inside))], index, t, dist
+    code = np.where(vertex, np.int8(LOC_VERTEX), np.where(edge, np.int8(LOC_FACET), inside))
+    return code, index, t, dist
 
 
 def classify_point_quad(quad: Quadrilateral, p, tol: float | None = None) -> PointLocation:
@@ -442,11 +474,17 @@ def classify_points_quad(quad: Quadrilateral, points) -> tuple[np.ndarray, np.nd
     kind[s] and index[s] (-1 where the location has none) are the kind and
     index classify_point_quad gives for points[s]: both run _locate_quad.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    code, index = _locate_points_quad(quad, np.asarray(points, dtype=float).reshape(-1, 2))
+    return QUAD_KINDS[code], index
+
+
+def _locate_points_quad(quad: Quadrilateral, pts) -> tuple[np.ndarray, np.ndarray]:
+    """(code, index) of _locate_quad at each row of pts (m, 2), with the
+    default tolerance: classify_points_quad as location codes."""
     # Quiet where a point is not finite or its squared distances overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        kind, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1], CLASSIFY_RTOL * quad.diameter)
-    return kind, index
+        code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1], CLASSIFY_RTOL * quad.diameter)
+    return code, index
 
 
 def _check_nodes(x):
@@ -811,7 +849,10 @@ def _locate_hex(hexa: Hexahedron, x, y, z):
     index = np.where(on_face, on.argmax(axis=0), -1)
     rows = np.flatnonzero(vertex)
     index[rows] = np.array(dv)[:, rows].argmin(axis=0)
-    return _HEX_KINDS[np.where(vertex, 3, np.where(on_face, 2, candidate & inner))], index, on
+    code = np.where(
+        vertex, np.int8(LOC_VERTEX), np.where(on_face, np.int8(LOC_FACET), candidate & inner)
+    )
+    return code, index, on
 
 
 def face_of_point_hex(hexa: Hexahedron, p) -> PointLocation:
@@ -842,5 +883,5 @@ def face_of_points_hex(hexa: Hexahedron, points) -> tuple[np.ndarray, np.ndarray
     index face_of_point_hex gives for points[s]: both run _locate_hex.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    kind, index, _ = _locate_hex(hexa, pts[:, 0], pts[:, 1], pts[:, 2])
-    return kind, index
+    code, index, _ = _locate_hex(hexa, pts[:, 0], pts[:, 1], pts[:, 2])
+    return HEX_KINDS[code], index

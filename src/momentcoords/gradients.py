@@ -2,7 +2,17 @@
 
 Derivatives are central where both offset points stay inside the domain
 and one-sided next to the boundary; the relative step follows the geometry
-diameter.
+diameter.  grid --derivatives takes them for hexahedra, intervals and the
+oracle methods.  The quadrilateral moment and Wachspress coordinates have
+closed-form gradients instead (coords2d.moment_gradient_quad_many and
+wachspress_gradient_quad_many): grad phi = grad tau + grad alpha nu of
+phi = tau + alpha nu, exact at every point of the closed domain.  An edge
+point takes that formula at the point, its one-sided limit from the
+interior; a vertex takes it at the vertex itself, where the moment row's
+vanishing distance has the unit inward bisector as its gradient, the limit
+along the bisector.  A finite difference is not a limit at a vertex: at the
+sharp corners it has no admissible step at all, and elsewhere it differs
+from the closed form by up to 0.28 on the builtin grids.
 """
 
 from __future__ import annotations
@@ -10,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .geometry import EXTERIOR
 
 # Relative finite-difference step (times the geometry diameter).
 FD_STEP_RTOL = 1e-6
@@ -54,7 +65,7 @@ def finite_difference_gradient_many(evaluate_many, points, base, h: float):
 
     evaluate_many(points, info=True) returns (weights (k, n), ok (k,),
     info), as the batch evaluators do; an offset point may be evaluated
-    where info.kind is not "exterior".  All 2 * dim offset stacks are
+    where its info.cause is not EXTERIOR.  All 2 * dim offset stacks are
     evaluated in one call, so each offset is located once.  base (m, n)
     holds the weights at points themselves.  Each row takes the same
     central or one-sided difference as the single-point function, with the
@@ -74,7 +85,7 @@ def finite_difference_gradient_many(evaluate_many, points, base, h: float):
     w, good, info = evaluate_many(np.concatenate(offsets), info=True)
     # Not reshape(..., -1): a stack with no points has m = 0.
     w = w.reshape(2 * dim, m, n)
-    admissible = (info.kind != "exterior").reshape(2 * dim, m)
+    admissible = (info.cause != EXTERIOR).reshape(2 * dim, m)
     ok = ~(admissible & ~good.reshape(2 * dim, m)).any(axis=0)
     no_step = ~(admissible[0::2] | admissible[1::2]).all(axis=0)
     grad = np.full((m, n, dim), np.nan)

@@ -13,6 +13,7 @@ from .errors import InvalidGeometry
 from .geometry import (
     CLASSIFY_RTOL,
     HEX_FACE_VERTICES,
+    LOC_INTERIOR,
     REFERENCE_CUBE,
     REFERENCE_NORMALS,
     Hexahedron,
@@ -74,8 +75,8 @@ def interior_points_quad(quad: Quadrilateral, n: int, rng, margin: float = 1e-5)
     tol = CLASSIFY_RTOL * quad.diameter
 
     def accept(pts):
-        kind, _, _, dist = _locate_quad(quad, pts[:, 0], pts[:, 1], tol)
-        return (kind == "interior") & ~(dist < keep)
+        code, _, _, dist = _locate_quad(quad, pts[:, 0], pts[:, 1], tol)
+        return (code == LOC_INTERIOR) & ~(dist < keep)
 
     v = quad.vertices
     return _rejection_sample(rng, v.min(axis=0), v.max(axis=0), n, accept, margin)

@@ -464,26 +464,33 @@ def test_grid_rows_equal_single_point_weights(capsys, tmp_path, geometry, method
 
 
 def test_grid_derivative_rows_equal_scalar_fd(capsys, tmp_path):
+    # The quadrilateral grid writes closed-form gradients: at interior rows
+    # they match the scalar finite differences to within the differences'
+    # own error (at most 1.1e-10 here, step 1e-6 * diameter), and no row is
+    # blank, the sharp corners included, where no step is admissible.
     quad = shapes.nonconvex_quad()
     h = FD_STEP_RTOL * quad.diameter
     rows = _grid_rows(capsys, tmp_path, "nonconv-quad", "moment", 21, derivatives=True)
-    blank = 0
+    interior = no_step = 0
     for row in rows:
         p = np.array([float(c) for c in row[:2]])
         assert row[2:6] == [format(w, ".17g") for w in moment_coords_quad(quad, p)]
+        assert "" not in row[6:]
+        grad = np.array([float(g) for g in row[6:]]).reshape(4, 2)
         try:
-            grad = finite_difference_gradient(
+            ref = finite_difference_gradient(
                 lambda q: moment_coords_quad(quad, q),
                 lambda q: classify_point_quad(quad, q).inside,
                 p,
                 h,
             )
         except DomainError:
-            blank += 1
-            assert row[6:] == [""] * 8
+            no_step += 1
             continue
-        assert row[6:] == [format(g, ".17g") for g in grad.ravel()]
-    assert blank > 0
+        if classify_point_quad(quad, p).kind == "interior":
+            interior += 1
+            assert np.abs(grad - ref).max() <= 1e-9, p
+    assert interior > 0 and no_step > 0
 
 
 def test_hex_grid_derivative_rows_equal_scalar_fd(capsys, tmp_path):
@@ -899,6 +906,7 @@ def test_property_stack_rows_equal_own_element(seed, count, convex, log_scale, o
         ("nonconv-quad", True, 7),
         ("nonconv-quad", True, 28),
         ("nonconv-quad", True, 1),
+        ("conv-quad", True, 7),
         ("nonconvex+1e6", False, 7),
         ("nonconvex+1e6", False, 1),
         ("interval-7", True, 7),
@@ -909,19 +917,23 @@ def test_grid_csv_independent_of_chunk_size(capsys, tmp_path, monkeypatch, name,
     # A hexahedron at resolution 8 has 8**3 = 512 grid points: one chunk at
     # the default BATCH_CHUNK, 73 chunks of 7 and a last chunk of one point,
     # or 512 chunks of one, in which every solved point is a stack-last
-    # (8, 8, 1) system.  With derivatives grid divides the chunk by the
-    # 2 * dim offsets of each point: 7 gives chunks of one point in 2D and
-    # 3D, and 42 or 28 chunks of 7, among them chunks with no point inside.
+    # (8, 8, 1) system.  With finite-difference derivatives grid divides
+    # the chunk by the 2 * dim offsets of each point: 7 gives chunks of one
+    # point in 3D and of three in 1D, and 42 chunks of 7, among them chunks
+    # with no point inside.
     # The quads (23**2 points) and the interval (41 points) pin the point
     # columns grid formats per axis and joins per chunk: two axes, and one
-    # with no outer part.
+    # with no outer part.  The quads' closed-form gradients take no offsets,
+    # so their chunks stay whole; conv-quad runs the Wachspress family, the
+    # other geometries the moment family.
     arg, geom = _geometry(tmp_path, name)
     resolution = {Quadrilateral: 23, NodeSet1D: 41}.get(type(geom), 8)
+    method = "wachspress" if name == "conv-quad" else "moment"
 
     def grid_bytes(filename):
         out = tmp_path / filename
         argv = ["grid", "--geometry", arg, "--resolution", str(resolution),
-                "--method", "moment", "--out", str(out)]
+                "--method", method, "--out", str(out)]
         assert main(argv + (["--derivatives"] if derivatives else [])) == 0
         capsys.readouterr()
         return out.read_bytes()
@@ -1003,6 +1015,7 @@ def test_hex_info_names_frame_failures():
     [
         ("nonconv-quad", "moment", 21, False),
         ("nonconv-quad", "moment", 21, True),
+        ("conv-quad", "wachspress", 21, True),
         ("conv-quad", "mvc-oracle", 21, True),
         ("nonconv-quad", "cramer", 15, True),
         ("conv-hex", "moment", 9, False),
@@ -1015,7 +1028,9 @@ def test_grid_locates_each_point_once(capsys, tmp_path, monkeypatch, shape, meth
     # Every point location goes through _locate_quad, _locate_hex or
     # coords1d._locate; count the points each call locates, under every
     # name the package calls them by.  No stack, of grid points or of their
-    # derivative offsets, holds more than BATCH_CHUNK points.
+    # derivative offsets, holds more than BATCH_CHUNK points.  The quad
+    # moment and Wachspress gradients are closed forms on the grid points'
+    # own location, so those grids locate each point exactly once.
     chunk = 48
     monkeypatch.setattr(geometry, "BATCH_CHUNK", chunk)
     located = []
@@ -1039,7 +1054,9 @@ def test_grid_locates_each_point_once(capsys, tmp_path, monkeypatch, shape, meth
     # its boundary rows blank).
     evaluated = sum(row[dim] != "" for row in rows)
     assert evaluated > 0
-    expected = resolution**dim + (2 * dim * evaluated if derivatives else 0)
+    closed_form = method in cli.GRADIENT_METHODS.get("quad" if dim == 2 else "", {})
+    fd = derivatives and not closed_form
+    expected = resolution**dim + (2 * dim * evaluated if fd else 0)
     assert sum(located) == expected
     assert max(located) <= chunk
 

@@ -350,17 +350,18 @@ class TestGrid:
         assert f"warning: {blank} grid points" in err if blank else err == ""
 
     def test_blank_rows_name_their_cause(self, capsys, tmp_path):
-        # The three sharp corners of the nonconvex quad have no admissible
-        # finite-difference step; the rest of its 41 x 41 grid evaluates.
+        # The hexahedron's points on solid edges sharper than 90 degrees have
+        # no admissible finite-difference step; the rest of its 11**3 grid
+        # evaluates.
         out_path = tmp_path / "grid.csv"
         code, _, err = run(
-            capsys, "grid", "--geometry", "nonconv-quad", "--resolution", "41",
+            capsys, "grid", "--geometry", "conv-hex", "--resolution", "11",
             "--method", "moment", "--derivatives", "--out", str(out_path),
         )
         assert code == 0
-        assert err == "warning: 3 grid points failed to evaluate (3 no admissible derivative step)\n"
+        assert err == "warning: 22 grid points failed to evaluate (22 no admissible derivative step)\n"
         rows = [row.split(",") for row in out_path.read_text().splitlines()[1:]]
-        assert sum(r[2] != "" and r[-1] == "" for r in rows) == 3
+        assert sum(r[3] != "" and r[-1] == "" for r in rows) == 22
         # The mean value oracle is undefined on the boundary: every blank row
         # is an edge or vertex point, and stderr counts them as such.
         code, _, err = run(
@@ -373,6 +374,29 @@ class TestGrid:
         kinds = classify_points_quad(convex_quad(), blank)[0]
         assert len(blank) > 0 and set(kinds.tolist()) == {"on_edge", "at_vertex"}
         assert err == f"warning: {len(blank)} grid points failed to evaluate ({len(blank)} boundary)\n"
+
+    def test_failed_closed_form_gradient_named(self, capsys, tmp_path, monkeypatch):
+        # A closed-form gradient that is singular or not finite at its point
+        # blanks that row's derivative cells, keeps its weights, and is
+        # counted under its own cause.
+        real = cli.GRADIENT_METHODS["quad"]["moment"]
+
+        def failing(quad, points, info):
+            grad, ok = real(quad, points, info)
+            first = np.flatnonzero(ok)[:1]
+            grad[first], ok[first] = np.nan, False
+            return grad, ok
+
+        monkeypatch.setitem(cli.GRADIENT_METHODS["quad"], "moment", failing)
+        out_path = tmp_path / "grid.csv"
+        code, _, err = run(
+            capsys, "grid", "--geometry", "biunit-square", "--resolution", "5",
+            "--method", "moment", "--derivatives", "--out", str(out_path),
+        )
+        assert code == 0
+        assert err == "warning: 1 grid points failed to evaluate (1 singular derivative)\n"
+        rows = [row.split(",") for row in out_path.read_text().splitlines()[1:]]
+        assert [r[6:] for r in rows].count([""] * 8) == 1 and all(r[5] != "" for r in rows)
 
     def test_bad_resolution(self, capsys, tmp_path):
         code, _, _ = run(
@@ -551,6 +575,60 @@ def test_non_numeric_geometry_entry_input_error(capsys, tmp_path, data, command)
     assert err.startswith("error: invalid geometry: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "quad", "vertices": [[False, False], [True, False], [True, True], [False, True]]},
+        {"kind": "quad", "vertices": [["0", 0], [1, 0], [1, 1], [0, 1]]},
+        {"kind": "quad", "vertices": [[0, 0], [1, 0], [1, 1], [0, None]]},
+        {"kind": "hex", "vertices": [list(map(bool, v)) for v in (REFERENCE_CUBE + 1) / 2]},
+        {"kind": "hex", "vertices": [[str(x) for x in v] for v in REFERENCE_CUBE.tolist()]},
+        {"kind": "interval", "nodes": [False, True, 2]},
+        {"kind": "interval", "nodes": ["0", "0.5", "1"]},
+    ],
+    ids=["quad-bool", "quad-string", "quad-null", "hex-bool", "hex-string", "interval-bool",
+         "interval-string"],
+)
+@pytest.mark.parametrize("command", ["eval", "grid", "check"])
+def test_non_number_coordinate_input_error(capsys, tmp_path, data, command):
+    # JSON booleans and numeric strings used to pass as coordinates: the
+    # boolean square evaluated as the unit square, "0" as 0.0.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    point = {"quad": "0.5,0.5", "hex": "0,0,0", "interval": "0.5"}[data["kind"]]
+    args = {
+        "eval": ["--point", point, "--method", "moment"],
+        "grid": ["--resolution", "5", "--method", "moment", "--out", str(tmp_path / "bad.csv")],
+        "check": ["--samples", "5"],
+    }[command]
+    code, out, err = run(capsys, command, "--geometry", str(path), *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid geometry: ") and err.count("\n") == 1
+    assert "is not a number" in err
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_integer_beyond_float_range_input_error(capsys, tmp_path):
+    # An integer too large for a float used to escape as an OverflowError
+    # traceback with exit 1.
+    path = tmp_path / "big.json"
+    path.write_text('{"kind": "interval", "nodes": [0, 1, 1' + "0" * 400 + "]}")
+    code, out, err = run(
+        capsys, "eval", "--geometry", str(path), "--point", "0.5", "--method", "moment"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: invalid geometry: a nodes entry is too large for a float\n"
+
+
+def test_integer_coordinates_accepted(capsys, tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"kind": "quad", "vertices": [[0, 0], [2, 0], [2, 2], [0, 2]]}))
+    code, out, _ = run(
+        capsys, "eval", "--geometry", str(path), "--point", "1,1", "--method", "moment"
+    )
+    assert code == 0 and json.loads(out)["weights"] == [0.25] * 4
 
 
 class TestCramerOnFlatCorner:
