@@ -188,6 +188,16 @@ def _evaluate(geom, points, *methods, count=(), **kwargs):
     return [parts for [parts] in _evaluate_segments(segments, *methods, **kwargs)]
 
 
+def _element_map(a, b, c, d, x):
+    """The image c + a (x - c) + d b of x (2,) or of each row of x (m, 2):
+    the map (a, b) drawn by _similarity_map or _affine_map, acting in
+    element units about the vertex centroid c, d the diameter.  So an image
+    stays within a few diameters of the element at every scale; an offset
+    b in absolute units would move a small element by many of its own
+    diameters, where rounding alone fails the covariance tolerance."""
+    return c + (x - c) @ a.T + d * b
+
+
 def _similarity_map(rng):
     ang = rng.uniform(0.0, 2 * np.pi)
     rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
@@ -261,12 +271,13 @@ def quad_suite(
         pick += [len(segments), len(segments) + 1]
         segments += [_Segment(quad, v), _Segment(quad, p.reshape(-1, 2))]
     first = slice(0, min(len(pts), 20))
+    c = v.mean(axis=0)
     for pick, fam in zip(picks, families):
         for _ in range(5):
             a, b = fam.draw_map(rng)
-            mapped = Quadrilateral(v @ a.T + b)
+            mapped = Quadrilateral(_element_map(a, b, c, d, v))
             pick.append(len(segments))
-            segments.append(_Segment(mapped, np.array([a @ p + b for p in pts[first]])))
+            segments.append(_Segment(mapped, _element_map(a, b, c, d, pts[first])))
 
     # A sample goes through its family and then the family's oracles, as in
     # the loop; each oracle runs once, on the samples.

@@ -38,9 +38,12 @@ info=True, info the geometry.BatchInfo of the location it ran.  Every
 formula is written once for both, on Python floats for one point and as
 elementwise numpy over a stack, in the same order, so the two agree bit
 for bit: the weight rows, the closed form, the edge weights and the three
-oracle kernels.  So is the point location both paths start from
-(geometry._locate_quad, which classify_point_quad and classify_points_quad
-wrap), and with it the edge parameter of the edge weights.
+oracle kernels.  So is the point location both paths start from,
+geometry._locate_quad, and with it the edge parameter of the edge weights:
+a single-point function calls it directly on the point's floats
+(_locate_one), as a batch function calls it on the stack, so it builds no
+geometry.PointLocation; classify_point_quad and classify_points_quad wrap
+it for callers outside the package.
 
 moment_coords_quad_many and wachspress_coords_quad_many also take a
 geometry.QuadStack, many quadrilaterals with one element per row: the
@@ -78,7 +81,6 @@ from .geometry import (
     QuadStack,
     _locate_points_quad,
     _locate_quad,
-    classify_point_quad,
     signed_area,
 )
 from .smallsolve import PIVOT_RTOL, RESIDUAL_RTOL
@@ -265,19 +267,27 @@ def _edge_weights(i, t) -> np.ndarray:
     return np.where(j == i, 1.0 - t, np.where(j == (i + 1) % 4, t, 0.0))
 
 
+def _locate_one(quad: Quadrilateral, p):
+    """(kind, index, t, x, y): _locate_quad at one point p with the default
+    tolerance, as classify_point_quad locates it, and p as floats."""
+    x, y = float(p[0]), float(p[1])
+    kind, index, t, _ = _locate_quad(quad, x, y, CLASSIFY_RTOL * quad.diameter)
+    return kind, index, t, x, y
+
+
 def _coords_one(quad: Quadrilateral, p, wachspress: bool) -> np.ndarray:
     """Shared body of moment_coords_quad and wachspress_coords_quad."""
     p = np.asarray(p, dtype=float)
-    loc = classify_point_quad(quad, p)
-    if loc.kind == "exterior":
+    kind, index, t, x, y = _locate_one(quad, p)
+    if kind == "exterior":
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
-    if loc.kind == "interior":
-        phi, r, ux, uy, _ = _closed_form(quad, float(p[0]), float(p[1]), wachspress)
+    if kind == "interior":
+        phi, r, ux, uy, _ = _closed_form(quad, x, y, wachspress)
         if __debug__:
             resid = max(map(abs, _residual(phi, r, ux, uy)))
             assert resid <= _RESIDUAL_BOUND, f"closed-form residual {resid:.3e} exceeds contract"
         return np.array(phi)
-    return _edge_weights(loc.index, 0.0 if loc.kind == "at_vertex" else loc.t)
+    return _edge_weights(index, 0.0 if kind == "at_vertex" else t)
 
 
 def _coords_many(quad: Quadrilateral | QuadStack, points, wachspress: bool, info: bool):
@@ -417,10 +427,10 @@ def mvc_oracle(quad: Quadrilateral, p) -> np.ndarray:
     OnBoundary (use the system form there).
     """
     p = np.asarray(p, dtype=float)
-    loc = classify_point_quad(quad, p)
-    if loc.kind == "exterior":
+    kind = _locate_one(quad, p)[0]
+    if kind == "exterior":
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
-    if loc.kind != "interior":
+    if kind != "interior":
         raise OnBoundary("the local mean value formula is undefined on the boundary")
     return _mean_value(quad, p)
 
@@ -533,7 +543,7 @@ def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     """
     require_cramer(quad)
     p = np.asarray(p, dtype=float)
-    if classify_point_quad(quad, p).kind == "exterior":
+    if _locate_one(quad, p)[0] == "exterior":
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
     return _cramer(quad, float(p[0]), float(p[1]))[0]
 
@@ -589,11 +599,11 @@ def wachspress_oracle(quad: Quadrilateral, p) -> np.ndarray:
     if not quad.is_convex:
         raise NotConvex("Wachspress coordinates require a convex quadrilateral")
     p = np.asarray(p, dtype=float)
-    loc = classify_point_quad(quad, p)
-    if loc.kind == "exterior":
+    kind = _locate_one(quad, p)[0]
+    if kind == "exterior":
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
     w, vanishes = _area_quotient(quad, p)
-    if loc.kind != "interior" or vanishes:
+    if kind != "interior" or vanishes:
         raise OnBoundary("area quotients are undefined on the boundary")
     return w
 

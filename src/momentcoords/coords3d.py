@@ -27,15 +27,18 @@ units of L, the power of two next to the diameter (an exact scaling), so
 its rows are O(1) whatever the size of the hexahedron; the frame and the
 frame coordinates it returns stay in absolute units.
 
-moment_coords_hex evaluates one point in Python floats from the frame to
-the solve: the frame rule, the frame coordinates in units of L as three
-lists of 8 floats, the system as 8 lists, and smallsolve.solve_dense, which
-takes its rows as lists; the weight vector it returns (and, with
-return_frame, the Frame3 around the same frame) is the only array built
-after point location.  moment_coords_hex_many evaluates a batch with the
-same arithmetic on arrays, the stack index last: the frame coordinates are
-(3, 8, m), taken straight from the frame rule's per-row arrays (m,), and
-_hex_system assembles a stack-last (8, 8, m), which
+moment_coords_hex evaluates one point in Python floats from point
+location to the solve: geometry._locate_hex, called directly (not through
+face_of_point_hex, which wraps it for callers outside the package), whose
+six containing-face flags go to the frame rule as they are; the frame
+rule, the frame coordinates in units of L as three lists of 8 floats, the
+system as 8 lists, and smallsolve.solve_dense, which takes its rows as
+lists; the weight vector it returns (and, with return_frame, the Frame3
+around the same frame) is the only array it builds.
+moment_coords_hex_many evaluates a batch with the same arithmetic on
+arrays, the stack index last: the frame coordinates are (3, 8, m), taken
+straight from the frame rule's per-row arrays (m,), and _hex_system
+assembles a stack-last (8, 8, m), which
 smallsolve.solve_dense_many takes as its transposed view, so that the
 solver's stack-last copy is a straight copy.  Elementwise operations give
 the same bits whichever axis the stack is on.  The formulas are written
@@ -72,7 +75,6 @@ from .geometry import (
     Quadrilateral,
     _locate_hex,
     _quad_area,
-    face_of_point_hex,
 )
 from .smallsolve import solve_dense, solve_dense_many
 
@@ -372,19 +374,19 @@ def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):
     hold for any accepted frame.
     """
     p = np.asarray(p, dtype=float)
-    loc = face_of_point_hex(hexa, p)
-    if loc.kind == "exterior":
-        raise OutsideDomain(f"point {p.tolist()} lies outside the hexahedron")
-    if loc.kind == "at_vertex":
-        phi = np.zeros(8)
-        phi[loc.index] = 1.0
-        return (phi, None) if return_frame else phi
     px, py, pz = p.tolist()
-    basis, rows, det, _ = _frame(hexa, px, py, pz, tuple(f in loc.faces for f in range(6)))
+    kind, index, on = _locate_hex(hexa, px, py, pz)
+    if kind == "exterior":
+        raise OutsideDomain(f"point {p.tolist()} lies outside the hexahedron")
+    if kind == "at_vertex":
+        phi = np.zeros(8)
+        phi[index] = 1.0
+        return (phi, None) if return_frame else phi
+    basis, rows, det, _ = _frame(hexa, px, py, pz, on)
     s = hexa.unit_scale
     offsets = [(vx - px, vy - py, vz - pz) for vx, vy, vz in hexa.corner_tuple]
     w = [[(fx * dx + fy * dy + fz * dz) * s for dx, dy, dz in offsets] for fx, fy, fz in rows]
-    signs = _COLUMN_SIGNS[loc.index if loc.kind == "on_face" else _NO_FACE]
+    signs = _COLUMN_SIGNS[index if kind == "on_face" else _NO_FACE]
     phi = solve_dense([[1.0] * 8, *w, *zip(*map(_distance_rows, *w, signs))], _RHS)
     return (phi, Frame3(basis, rows, p, det)) if return_frame else phi
 

@@ -7,10 +7,15 @@ kind on Python floats (_check_quad, _check_hex, _check_nodes), and are
 treated as immutable afterwards.  Each keeps from that pass the diameter
 (an interval: its span) and the float tables its evaluator reads: a
 quadrilateral's corner_tuple, an interval's node_tuple, a hexahedron's
-corner_tuple, face_normals and plane_rows, and the face planes
-(face_planes) the hexahedron's validation fitted.  What the evaluators
-derive from those (a quadrilateral's edge rows and reproducing kernel, its
-corner crosses, a hexahedron's pair_lines) is taken on first use.
+corner_tuple, face_normals and plane_rows, and the planes the hexahedron's
+validation fitted.  What the evaluators derive from those (a
+quadrilateral's edge rows and reproducing kernel, its corner crosses, a
+hexahedron's pair_lines, and its face_planes as arrays) is taken on first
+use.  The set-up is written as straight-line float arithmetic
+(_check_quad, the reproducing kernel, _face_is_simple, the tables of
+_check_hex, pair_lines): each quantity spelled out once, in the order of
+its formula, with no dict, closure or generator around it, because a mesh
+builds many elements and evaluates each at a few points.
 
 The hexahedral conventions live here: REFERENCE_CUBE, the one table of
 the reference cube's vertices, and HEX_FACES, the faces' cyclic vertex
@@ -18,7 +23,12 @@ order; every other hexahedral table derives from them.
 
 Point location is written once per element kind (_locate_quad,
 _locate_hex), on Python floats for one point and arrays for a stack, so a
-point is located alike alone or in a stack; the public classifiers wrap it.
+point is located alike alone or in a stack.  Every evaluator of the
+package calls it directly, the single-point functions of coords2d and
+coords3d as the batch functions and the samplers do; the public
+classifiers (classify_point_quad, face_of_point_hex, faces_containing and
+their stacked twins) wrap it for callers outside the package, and a
+PointLocation is built only for them.
 A stack's kinds are int8 location codes (LOC_EXTERIOR ...), which the
 batch path compares; the public classifiers and BatchInfo.kind name them.
 A QuadStack holds many quadrilaterals for one batch call, each row with a
@@ -142,16 +152,6 @@ def _on_segment(a, b, c) -> bool:
     return all(min(p, q) <= r <= max(p, q) for p, q, r in zip(a, b, c))
 
 
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    """True if segments p1p2 and q1q2 cross, touch, or overlap."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    return _crossing(d1, d2, orient(p1, p2, q1), orient(p1, p2, q2), p1, p2, q1, q2)
-
-
 def _crossing(d1, d2, d3, d4, p1, p2, q1, q2) -> bool:
     """True if segments p1p2 and q1q2 cross, touch, or overlap, given their
     orientations d1 = [q1 q2 p1], d2 = [q1 q2 p2], d3 = [p1 p2 q1] and
@@ -167,6 +167,11 @@ def _crossing(d1, d2, d3, d4, p1, p2, q1, q2) -> bool:
     if d4 == 0 and _on_segment(p1, p2, q2):
         return True
     return False
+
+
+# The vertex pairs of a quadrilateral in the order the coincidence messages
+# name them.
+_QUAD_PAIRS = tuple(combinations(range(4), 2))
 
 
 def _unit_scale(length: float) -> float:
@@ -190,28 +195,62 @@ def _quad_area(c) -> float:
 def _check_quad(v):
     """(violations, corners, diameter, area) of a float vertex array, checked
     in one pass on Python floats: corners are its rows as float pairs, and
-    corners, diameter and area are None where it stopped before them."""
+    corners, diameter and area are None where it stopped before them.
+
+    Straight-line arithmetic: the six pairwise distances in _QUAD_PAIRS
+    order, then per pair of opposite edges (0 and 2, 1 and 3) the four
+    orientations d1 = [q1 q2 p1], d2 = [q1 q2 p2], d3 = [p1 p2 q1] and
+    d4 = [p1 p2 q2] of edge p1p2 against edge q1q2, each (b - a) x (c - a)
+    for [a b c]."""
     if v.shape != (4, 2):
         return [f"expected 4 vertices with 2 coordinates, got shape {v.shape}"], None, None, None
-    c = list(map(tuple, v.tolist()))
-    if not all(math.isfinite(x) for corner in c for x in corner):
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = v.tolist()
+    if not all(map(math.isfinite, (x0, y0, x1, y1, x2, y2, x3, y3))):
         return ["vertex coordinates must be finite"], None, None, None
-    diffs = {(i, j): (c[i][0] - c[j][0], c[i][1] - c[j][1]) for i, j in combinations(range(4), 2)}
-    dist = {ij: math.sqrt(dx * dx + dy * dy) for ij, (dx, dy) in diffs.items()}
-    diam = max(dist.values())
+    dx, dy = x0 - x1, y0 - y1
+    d01 = math.sqrt(dx * dx + dy * dy)
+    dx, dy = x0 - x2, y0 - y2
+    d02 = math.sqrt(dx * dx + dy * dy)
+    dx, dy = x0 - x3, y0 - y3
+    d03 = math.sqrt(dx * dx + dy * dy)
+    dx, dy = x1 - x2, y1 - y2
+    d12 = math.sqrt(dx * dx + dy * dy)
+    dx, dy = x1 - x3, y1 - y3
+    d13 = math.sqrt(dx * dx + dy * dy)
+    dx, dy = x2 - x3, y2 - y3
+    d23 = math.sqrt(dx * dx + dy * dy)
+    diam = max(d01, d02, d03, d12, d13, d23)
     if not math.isfinite(diam):
         return [OVERFLOW_MESSAGE], None, None, None
     if diam == 0.0:
         return ["all vertices coincide"], None, None, None
     close = MIN_EDGE_LENGTH * max(diam, 1.0)
-    out = [f"vertices {i} and {j} coincide" for (i, j), d in dist.items() if d <= close]
+    out = [
+        f"vertices {i} and {j} coincide"
+        for (i, j), d in zip(_QUAD_PAIRS, (d01, d02, d03, d12, d13, d23))
+        if d <= close
+    ]
+    c = [(x0, y0), (x1, y1), (x2, y2), (x3, y3)]
     area = _quad_area(c)
     if abs(area) <= 1e-12 * diam**2:
         out.append("vertices are collinear (zero total area)")
     # Simplicity: the two pairs of opposite edges must not cross or touch.
-    for i, j in ((0, 2), (1, 3)):
-        if _segments_intersect(c[i], c[(i + 1) % 4], c[j], c[(j + 1) % 4]):
-            out.append(f"edges {i} and {j} intersect (polygon is not simple)")
+    # Edges 0 and 2: p1p2 = v0 v1, q1q2 = v2 v3.
+    ex, ey, fx, fy = x3 - x2, y3 - y2, x1 - x0, y1 - y0
+    d1 = ex * (y0 - y2) - ey * (x0 - x2)
+    d2 = ex * (y1 - y2) - ey * (x1 - x2)
+    d3 = fx * (y2 - y0) - fy * (x2 - x0)
+    d4 = fx * (y3 - y0) - fy * (x3 - x0)
+    if _crossing(d1, d2, d3, d4, c[0], c[1], c[2], c[3]):
+        out.append("edges 0 and 2 intersect (polygon is not simple)")
+    # Edges 1 and 3: p1p2 = v1 v2, q1q2 = v3 v0.
+    ex, ey, fx, fy = x0 - x3, y0 - y3, x2 - x1, y2 - y1
+    d1 = ex * (y1 - y3) - ey * (x1 - x3)
+    d2 = ex * (y2 - y3) - ey * (x2 - x3)
+    d3 = fx * (y3 - y1) - fy * (x3 - x1)
+    d4 = fx * (y0 - y1) - fy * (x0 - x1)
+    if _crossing(d1, d2, d3, d4, c[1], c[2], c[3], c[0]):
+        out.append("edges 1 and 3 intersect (polygon is not simple)")
     return out, c, diam, area
 
 
@@ -250,12 +289,15 @@ class Quadrilateral:
     def edge_rows(self) -> tuple:
         """Per edge i, (ax, ay, by, ex, ey, |e|**2) as floats: vertex i,
         the y of vertex i + 1 and e = vertex i + 1 - vertex i."""
-        c = self.corner_tuple
-        out = []
-        for (ax, ay), (bx, by) in zip(c, c[1:] + c[:1]):
-            ex, ey = bx - ax, by - ay
-            out.append((ax, ay, by, ex, ey, ex * ex + ey * ey))
-        return tuple(out)
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = self.corner_tuple
+        ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x1, y2 - y1
+        cx, cy, dx, dy = x3 - x2, y3 - y2, x0 - x3, y0 - y3
+        return (
+            (x0, y0, y1, ax, ay, ax * ax + ay * ay),
+            (x1, y1, y2, bx, by, bx * bx + by * by),
+            (x2, y2, y3, cx, cy, cx * cx + cy * cy),
+            (x3, y3, y0, dx, dy, dx * dx + dy * dy),
+        )
 
     @cached_property
     def reproducing_kernel(self) -> tuple:
@@ -273,24 +315,32 @@ class Quadrilateral:
         triangle k holds at least half the area and is never flat.
         """
         s = _unit_scale(self.diameter)
-        c = self.corner_tuple
-        nu = []
-        for i in range(4):
-            (ax, ay), (bx, by), (cx, cy) = (c[j] for j in range(4) if j != i)
-            area2 = ((bx - ax) * s) * ((cy - ay) * s) - ((by - ay) * s) * ((cx - ax) * s)
-            nu.append(-area2 if i % 2 else area2)
-        k = max(range(4), key=lambda i: abs(nu[i]))
-        return tuple(nu), k, -nu[k] if k % 2 else nu[k], s
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = self.corner_tuple
+        # Twice the signed areas of the corner triangles (1, 2, 3), (0, 2, 3),
+        # (0, 1, 3) and (0, 1, 2), in units of L**2.
+        t0 = ((x2 - x1) * s) * ((y3 - y1) * s) - ((y2 - y1) * s) * ((x3 - x1) * s)
+        t1 = ((x2 - x0) * s) * ((y3 - y0) * s) - ((y2 - y0) * s) * ((x3 - x0) * s)
+        t2 = ((x1 - x0) * s) * ((y3 - y0) * s) - ((y1 - y0) * s) * ((x3 - x0) * s)
+        t3 = ((x1 - x0) * s) * ((y2 - y0) * s) - ((y1 - y0) * s) * ((x2 - x0) * s)
+        # The first largest |nu_i|: a later one replaces it only if larger.
+        k, area2, best = 0, t0, abs(t0)
+        if abs(t1) > best:
+            k, area2, best = 1, t1, abs(t1)
+        if abs(t2) > best:
+            k, area2, best = 2, t2, abs(t2)
+        if abs(t3) > best:
+            k, area2 = 3, t3
+        return (t0, -t1, t2, -t3), k, area2, s
 
     @cached_property
     def _corner_crosses(self) -> tuple:
         """Per corner i + 1, the cross product e_i x e_(i+1) of the edges that
-        meet there, as floats; negative at a reflex corner."""
-        c = self.corner_tuple
-        out = []
-        for (ax, ay), (bx, by), (cx, cy) in zip(c, c[1:] + c[:1], c[2:] + c[:2]):
-            out.append((bx - ax) * (cy - by) - (by - ay) * (cx - bx))
-        return tuple(out)
+        meet there, as floats; negative at a reflex corner.  The edges are
+        edge_rows' e_i."""
+        (_, _, _, ax, ay, _), (_, _, _, bx, by, _), (_, _, _, cx, cy, _), (_, _, _, dx, dy, _) = (
+            self.edge_rows
+        )
+        return (ax * by - ay * bx, bx * cy - by * cx, cx * dy - cy * dx, dx * ay - dy * ax)
 
     @cached_property
     def is_convex(self) -> bool:
@@ -582,12 +632,6 @@ HEX_FACE_VERTICES.flags.writeable = False
 _HEX_FACE_INDEX = np.array(HEX_FACES)  # v[_HEX_FACE_INDEX] stacks the faces
 
 
-def _cross(a, b):
-    """a x b for float triples."""
-    (ax, ay, az), (bx, by, bz) = a, b
-    return ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-
-
 def _fit_planes(points):
     """Least-squares planes through each stack of points (k, m, 3): the
     centroids (k, 3) and the right singular vectors (k, 3, 3) of the points
@@ -623,13 +667,21 @@ def _face_is_simple(n, corners, diam) -> bool:
     the signed areas of the triangles abc, abd, acd and bcd.
     """
     a, b, c, d = corners
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = corners
     nx, ny, nz = n
-    tri = []
-    for (px, py, pz), (qx, qy, qz), rs in ((a, b, (c, d)), (a, c, (d,)), (b, c, (d,))):
-        ux, uy, uz = qx - px, qy - py, qz - pz
-        mx, my, mz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
-        tri += [(rx - px) * mx + (ry - py) * my + (rz - pz) * mz for rx, ry, rz in rs]
-    abc, abd, acd, bcd = tri
+    # abc and abd against m = n x (b - a).
+    ux, uy, uz = bx - ax, by - ay, bz - az
+    mx, my, mz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
+    abc = (cx - ax) * mx + (cy - ay) * my + (cz - az) * mz
+    abd = (dx - ax) * mx + (dy - ay) * my + (dz - az) * mz
+    # acd against m = n x (c - a).
+    ux, uy, uz = cx - ax, cy - ay, cz - az
+    mx, my, mz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
+    acd = (dx - ax) * mx + (dy - ay) * my + (dz - az) * mz
+    # bcd against m = n x (c - b).
+    ux, uy, uz = cx - bx, cy - by, cz - bz
+    mx, my, mz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
+    bcd = (dx - bx) * mx + (dy - by) * my + (dz - bz) * mz
     if abs(0.5 * (abc + acd)) <= 1e-12 * diam * diam:
         return False
     # Edges ab and cd, then bc and da, as _check_quad pairs them.
@@ -654,7 +706,8 @@ def _check_hex(v):
     rounding the vertices alone can cost (Shewchuk 1997).
 
     tables is None unless v is valid; then it holds what a Hexahedron keeps:
-    (corner_tuple, face_planes, face_normals, plane_rows, diameter).
+    (corner_tuple, the normals and centroids as arrays (6, 3), the centroids
+    as float triples, face_normals, plane_rows, diameter).
     """
     if v.shape != (8, 3):
         return [f"expected 8 vertices with 3 coordinates, got shape {v.shape}"], None
@@ -680,9 +733,10 @@ def _check_hex(v):
     planar_tol = max(PLANARITY_RTOL * diam, floor)
     convex_tol = max(CONVEXITY_RTOL * diam, floor)
     c, basis = _fit_planes(v[_HEX_FACE_INDEX])
+    centroids = tuple(map(tuple, c.tolist()))
     normals = []
     for f, (idx, own, pairs, (nx, ny, nz), (cx, cy, cz)) in enumerate(
-        zip(HEX_FACES, _HEX_FACE_CORNERS, _HEX_FACE_PAIRS, basis[:, 2].tolist(), c.tolist())
+        zip(HEX_FACES, _HEX_FACE_CORNERS, _HEX_FACE_PAIRS, basis[:, 2].tolist(), centroids)
     ):
         s = [nx * (x - cx) + ny * (y - cy) + nz * (z - cz) for x, y, z in corners]
         offset = max(map(abs, own(s)))
@@ -706,12 +760,20 @@ def _check_hex(v):
             out.append(f"face {f} is not a simple quadrilateral")
     if out:
         return out, None
-    normals = tuple(normals)
     n = np.array(normals)
-    # n . c by one dot product per face, as float(n @ c) takes it.
-    offsets = (n[:, None, :] @ c[:, :, None]).ravel().tolist()
-    rows = tuple((*nf, d) for nf, d in zip(normals, offsets))
-    return out, (corners, tuple(zip(n, c)), normals, rows, diam)
+    # n . c by one dot product per face, as float(n @ c) takes it: numpy's
+    # rounding of a dot product (a fused multiply-add where the BLAS has
+    # one), which Python floats do not reproduce.
+    d = (n[:, None, :] @ c[:, :, None]).ravel().tolist()
+    rows = (
+        (*normals[0], d[0]),
+        (*normals[1], d[1]),
+        (*normals[2], d[2]),
+        (*normals[3], d[3]),
+        (*normals[4], d[4]),
+        (*normals[5], d[5]),
+    )
+    return out, (corners, (n, c), centroids, tuple(normals), rows, diam)
 
 
 class Hexahedron:
@@ -720,10 +782,10 @@ class Hexahedron:
     The vertex order must follow the reference-cube sign convention used by
     the hexahedral moment system (vertex i of the cube [-1,1]^3 is
     REFERENCE_CUBE[i]); no automatic reordering is done.  Keeps from its
-    validation the diameter, the face planes it fitted (face_planes) and
-    the Python-float tables that point location and the frame rule read
-    (corner_tuple, face_normals, plane_rows); the pair lines (pair_lines)
-    are taken on first use.
+    validation the diameter, the face planes it fitted and the Python-float
+    tables that point location and the frame rule read (corner_tuple,
+    face_normals, plane_rows); the pair lines (pair_lines) and the face
+    planes as arrays (face_planes) are taken on first use.
     """
 
     FACES = HEX_FACES
@@ -737,10 +799,23 @@ class Hexahedron:
         v = v.copy()
         v.flags.writeable = False
         self.vertices = v
-        # The vertices as float triples; per face (outward unit normal,
-        # centroid) as arrays, the normals as float triples and the plane
-        # rows (n_x, n_y, n_z, n . c); the diameter.
-        self.corner_tuple, self.face_planes, self.face_normals, self.plane_rows, self.diameter = tables
+        # The vertices as float triples; the fitted planes' outward unit
+        # normals and centroids as arrays (6, 3), and the centroids as float
+        # triples; the normals as float triples and the plane rows (n_x, n_y,
+        # n_z, n . c); the diameter.
+        (
+            self.corner_tuple,
+            self._planes,
+            self._centroids,
+            self.face_normals,
+            self.plane_rows,
+            self.diameter,
+        ) = tables
+
+    @cached_property
+    def face_planes(self) -> tuple:
+        """Per face, (outward unit normal, centroid) as arrays (3,)."""
+        return tuple(zip(*self._planes))
 
     @cached_property
     def pair_lines(self) -> tuple:
@@ -757,19 +832,23 @@ class Hexahedron:
         """
         out = []
         for fa, fb in self.OPPOSITE_PAIRS:
-            *na, da = self.plane_rows[fa]
-            *nb, db = self.plane_rows[fb]
-            u = _cross(na, nb)
-            uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+            ax, ay, az, da = self.plane_rows[fa]
+            bx, by, bz, db = self.plane_rows[fb]
+            # u = n_a x n_b
+            ux, uy, uz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+            uu = ux * ux + uy * uy + uz * uz
             norm_u = math.sqrt(uu)
             if norm_u < 1e-9:
-                m = [a - b for a, b in zip(na, nb)]
-                norm_m = math.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
-                out.append((None, tuple(c / norm_m for c in m)))
+                mx, my, mz = ax - bx, ay - by, az - bz
+                norm_m = math.sqrt(mx * mx + my * my + mz * mz)
+                out.append((None, (mx / norm_m, my / norm_m, mz / norm_m)))
                 continue
-            x0 = tuple((da * p + db * q) / uu for p, q in zip(_cross(nb, u), _cross(u, na)))
-            direction = tuple(c / norm_u for c in u)
-            out.append(((direction, x0, tuple(self.face_planes[fa][1].tolist())), None))
+            # n_b x u and u x n_a
+            px, py, pz = by * uz - bz * uy, bz * ux - bx * uz, bx * uy - by * ux
+            qx, qy, qz = uy * az - uz * ay, uz * ax - ux * az, ux * ay - uy * ax
+            x0 = ((da * px + db * qx) / uu, (da * py + db * qy) / uu, (da * pz + db * qz) / uu)
+            direction = (ux / norm_u, uy / norm_u, uz / norm_u)
+            out.append(((direction, x0, self._centroids[fa]), None))
         return tuple(out)
 
     @cached_property

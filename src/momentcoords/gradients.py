@@ -2,7 +2,8 @@
 
 Derivatives are central where both offset points stay inside the domain
 and one-sided next to the boundary; the relative step follows the geometry
-diameter.  grid --derivatives takes them for hexahedra, intervals and the
+diameter, and each difference divides by the step its rounded offsets
+span, so a far-translated geometry keeps its digits.  grid --derivatives takes them for hexahedra, intervals and the
 oracle methods.  The quadrilateral moment and Wachspress coordinates have
 closed-form gradients instead (coords2d.moment_gradient_quad_many and
 wachspress_gradient_quad_many): grad phi = grad tau + grad alpha nu of
@@ -32,6 +33,12 @@ def finite_difference_gradient(evaluate, inside, p, h: float) -> np.ndarray:
     evaluate(point) returns the (n,) weight vector, inside(point) says
     whether a point may be evaluated, h is the absolute step.  Returns an
     (n, dim) array with entry (i, j) = d w_i / d x_j.
+
+    Each difference divides by the step its rounded offsets span: (p + h)
+    - (p - h) for a central difference, (p + h) - p or p - (p - h) for a
+    one-sided one.  Far from the origin p +- h rounds to the ulp of p, and
+    the nominal 2h or h would be off by up to that ulp.  An offset that
+    rounds back onto p spans no step and is not admissible.
     """
     p = np.asarray(p, dtype=float)
     dim = p.shape[0]
@@ -42,18 +49,18 @@ def finite_difference_gradient(evaluate, inside, p, h: float) -> np.ndarray:
         step[j] = h
         up = p + step
         dn = p - step
-        up_ok = inside(up)
-        dn_ok = inside(dn)
+        up_ok = up[j] != p[j] and inside(up)
+        dn_ok = dn[j] != p[j] and inside(dn)
         if up_ok and dn_ok:
-            cols.append((evaluate(up) - evaluate(dn)) / (2.0 * h))
+            cols.append((evaluate(up) - evaluate(dn)) / (up[j] - dn[j]))
         elif up_ok:
             if base is None:
                 base = evaluate(p)
-            cols.append((evaluate(up) - base) / h)
+            cols.append((evaluate(up) - base) / (up[j] - p[j]))
         elif dn_ok:
             if base is None:
                 base = evaluate(p)
-            cols.append((base - evaluate(dn)) / h)
+            cols.append((base - evaluate(dn)) / (p[j] - dn[j]))
         else:
             # At a sharp corner both offsets can leave the domain.
             raise DomainError(f"no admissible finite-difference step along axis {j}")
@@ -65,11 +72,12 @@ def finite_difference_gradient_many(evaluate_many, points, base, h: float):
 
     evaluate_many(points, info=True) returns (weights (k, n), ok (k,),
     info), as the batch evaluators do; an offset point may be evaluated
-    where its info.cause is not EXTERIOR.  All 2 * dim offset stacks are
-    evaluated in one call, so each offset is located once.  base (m, n)
-    holds the weights at points themselves.  Each row takes the same
-    central or one-sided difference as the single-point function, with the
-    same arithmetic.  Returns (grad (m, n, dim), ok (m,), no_step (m,)); ok
+    where its info.cause is not EXTERIOR and it does not round back onto
+    its point.  All 2 * dim offset stacks are evaluated in one call, so
+    each offset is located once.  base (m, n) holds the weights at points
+    themselves.  Each row takes the same central or one-sided difference as
+    the single-point function, with the same arithmetic, over the same
+    realized step.  Returns (grad (m, n, dim), ok (m,), no_step (m,)); ok
     is False (and the row NaN) where the single-point function raises: no
     admissible step along some axis (no_step set), or an offset point that
     fails to evaluate.
@@ -85,18 +93,25 @@ def finite_difference_gradient_many(evaluate_many, points, base, h: float):
     w, good, info = evaluate_many(np.concatenate(offsets), info=True)
     # Not reshape(..., -1): a stack with no points has m = 0.
     w = w.reshape(2 * dim, m, n)
-    admissible = (info.cause != EXTERIOR).reshape(2 * dim, m)
+    # Offset k moves along axis k // 2, unless it rounds back onto its point.
+    moved = np.array([o[:, k // 2] != points[:, k // 2] for k, o in enumerate(offsets)])
+    admissible = (info.cause != EXTERIOR).reshape(2 * dim, m) & moved.reshape(2 * dim, m)
     ok = ~(admissible & ~good.reshape(2 * dim, m)).any(axis=0)
     no_step = ~(admissible[0::2] | admissible[1::2]).all(axis=0)
     grad = np.full((m, n, dim), np.nan)
-    for j in range(dim):
-        up_ok, dn_ok = admissible[2 * j], admissible[2 * j + 1]
-        up, dn = w[2 * j], w[2 * j + 1]
-        grad[:, :, j] = np.where(
-            (up_ok & dn_ok)[:, None],
-            (up - dn) / (2.0 * h),
-            np.where(up_ok[:, None], (up - base) / h, (base - dn) / h),
-        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(dim):
+            up_ok, dn_ok = admissible[2 * j], admissible[2 * j + 1]
+            up, dn = w[2 * j], w[2 * j + 1]
+            pu, pd = offsets[2 * j][:, j], offsets[2 * j + 1][:, j]
+            p = points[:, j]
+            grad[:, :, j] = np.where(
+                (up_ok & dn_ok)[:, None],
+                (up - dn) / (pu - pd)[:, None],
+                np.where(
+                    up_ok[:, None], (up - base) / (pu - p)[:, None], (base - dn) / (p - pd)[:, None]
+                ),
+            )
     ok &= ~no_step
     grad[~ok] = np.nan
     return grad, ok, no_step

@@ -47,6 +47,7 @@ from momentcoords.geometry import (
     FRAME,
     OK,
     SINGULAR,
+    BatchInfo,
     Hexahedron,
     NodeSet1D,
     Quadrilateral,
@@ -516,6 +517,62 @@ def test_hex_grid_derivative_rows_equal_scalar_fd(capsys, tmp_path):
             continue
         assert row[11:] == [format(g, ".17g") for g in grad.ravel()]
     assert blank > 0
+
+
+def test_hex_grid_derivatives_translation_invariant(capsys, tmp_path):
+    # The finite differences divide by the step their rounded offsets span.
+    # Moved by (1e6, -7e5, 3e5), where p +- h rounds to the ulp of p (1.2e-10
+    # against h = 4.1e-6), conv-hex writes the same weights and derivative
+    # cells within 1e-9 of the unmoved ones (1.2e-10 measured; 3.8e-6 when
+    # they divided by the nominal 2h).
+    v = shapes.convex_hex().vertices
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps({"kind": "hex", "vertices": (v + [1e6, -7e5, 3e5]).tolist()}))
+    near = _grid_rows(capsys, tmp_path, "conv-hex", "moment", 9, derivatives=True)
+    far = _grid_rows(capsys, tmp_path, str(path), "moment", 9, derivatives=True)
+    assert len(near) == len(far)
+    compared = 0
+    for a, b in zip(near, far):
+        assert a[3:11] == b[3:11]
+        assert (a[11] == "") == (b[11] == "")
+        if a[11] != "":
+            gap = np.abs(np.array(a[11:], dtype=float) - np.array(b[11:], dtype=float)).max()
+            assert gap <= 1e-9, (a[:3], gap)
+            compared += 1
+    assert compared > 0
+
+
+def _identity_field(points, info=True):
+    """The weights (x, y) at each row of points: a linear field whose
+    gradient is the identity, with every point evaluable."""
+    points = np.asarray(points, dtype=float)
+    cause = np.zeros(len(points), dtype=np.int8)
+    return points.copy(), np.ones(len(points), dtype=bool), BatchInfo(cause, cause, cause, cause)
+
+
+@pytest.mark.parametrize("x", [0.3, 3e6, -7e9])
+def test_fd_divides_by_the_realized_step(x):
+    # A central difference of a linear field over the step its offsets
+    # span is exact, however p +- h rounds; over the nominal 2h it was off
+    # by up to an ulp of p over h.  Batch and single point agree bitwise.
+    points = np.array([[x, 0.25], [x, 1.0 - x]])
+    base = points.copy()
+    grad, ok, no_step = finite_difference_gradient_many(_identity_field, points, base, 1e-6)
+    assert ok.all() and not no_step.any()
+    for p, g in zip(points, grad):
+        single = finite_difference_gradient(lambda q: q.copy(), lambda q: True, p, 1e-6)
+        assert np.array_equal(single, g)
+        assert np.array_equal(g, np.eye(2))
+
+
+def test_fd_offset_rounding_onto_its_point_is_not_admissible():
+    # At 1e17 (ulp 16) a step of 1 rounds back onto the point: it spans no
+    # step, so the axis has no admissible one.
+    points = np.array([[1e17, 0.0]])
+    with pytest.raises(DomainError, match="axis 0"):
+        finite_difference_gradient(lambda q: q.copy(), lambda q: True, points[0], 1.0)
+    grad, ok, no_step = finite_difference_gradient_many(_identity_field, points, points.copy(), 1.0)
+    assert no_step.tolist() == [True] and ok.tolist() == [False] and np.isnan(grad).all()
 
 
 def _assert_interval_grid_rows(capsys, tmp_path, method, fn):

@@ -99,13 +99,20 @@ def _reference_quad_suite(quad, samples, seed, family=None):
         maps.append(("moment similarity covariance", coords2d.moment_coords_quad, _similarity))
     if run_wachspress:
         maps.append(("wachspress affine covariance", coords2d.wachspress_coords_quad, _affine))
+    c = v.mean(axis=0)
     for name, fn, draw in maps:
         for _ in range(5):
             a, b = draw(rng)
-            mapped = Quadrilateral(v @ a.T + b)
-            for p in pts[:20]:
-                worst.record(name, _gap(fn(quad, p), fn(mapped, a @ p + b)))
+            mapped = Quadrilateral(_image(a, b, c, d, v))
+            for p, q in zip(pts[:20], _image(a, b, c, d, pts[:20])):
+                worst.record(name, _gap(fn(quad, p), fn(mapped, q)))
     return worst
+
+
+def _image(a, b, c, d, x):
+    """The covariance maps act in element units about the vertex centroid c
+    (d the diameter): x -> c + a (x - c) + d b."""
+    return c + (x - c) @ a.T + d * b
 
 
 def _similarity(rng):
@@ -350,10 +357,11 @@ def _loop_points(quad, samples, seed):
         t = rng.uniform(0.05, 0.95, (4, 8))
         edges.append((1 - t)[:, :, None] * v[:, None] + t[:, :, None] * v[[1, 2, 3, 0], None])
     images = []
+    c, d = v.mean(axis=0), quad.diameter
     for draw in (_similarity, _affine):
         for _ in range(5):
             a, b = draw(rng)
-            images.append((v @ a.T + b, np.array([a @ p + b for p in pts[:20]])))
+            images.append((_image(a, b, c, d, v), _image(a, b, c, d, pts[:20])))
     return pts, edges, images
 
 

@@ -221,6 +221,24 @@ class TestCheckFarTranslated:
         assert "PASS moment linear precision" in out
 
 
+class TestCheckSmallScale:
+    # The covariance maps act in element units about the vertex centroid.
+    # With offsets drawn in absolute units, a square of side 2e-8 moved by
+    # up to 3 units, some 1e8 of its diameters: "FAIL moment similarity
+    # covariance: worst=1.779e-08" at seed 7.
+    @pytest.mark.parametrize("scale", [1e-8, 1e-12])
+    @pytest.mark.parametrize("seed", [0, 7, 23])
+    def test_scaled_square_passes(self, capsys, tmp_path, scale, seed):
+        square = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+        path = _geometry_file(tmp_path, "quad", np.array(square) * scale)
+        code, out, _ = run(
+            capsys, "check", "--geometry", path, "--samples", "600", "--seed", str(seed)
+        )
+        assert code == 0 and "FAIL" not in out
+        assert "PASS moment similarity covariance" in out
+        assert "PASS wachspress affine covariance" in out
+
+
 class TestGrid:
     def test_biunit_three_by_three(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"

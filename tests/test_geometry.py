@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from loop_reference import pair_lines, segments_intersect
 from momentcoords import geometry as geo
 from momentcoords import sampling
 from momentcoords.errors import InvalidGeometry
@@ -231,7 +232,7 @@ def _reference_quad_violations(vertices):
     for i, j in ((0, 2), (1, 3)):
         a, b = v[i], v[(i + 1) % 4]
         c, d = v[j], v[(j + 1) % 4]
-        if geo._segments_intersect(a, b, c, d):
+        if segments_intersect(a, b, c, d):
             out.append(f"edges {i} and {j} intersect (polygon is not simple)")
     return out
 
@@ -513,7 +514,7 @@ def test_hexahedron_keeps_its_tables_bitwise():
         assert expected == []
         hexa = Hexahedron(v)
         rows = tuple((*n.tolist(), float(n @ c)) for n, c in planes)
-        # pair_lines read from the reference tables.
+        # pair_lines read from the reference tables by the loop-form copy.
         reference = object.__new__(Hexahedron)
         reference.face_planes, reference.plane_rows = planes, rows
         for kept, ref in (
@@ -521,7 +522,7 @@ def test_hexahedron_keeps_its_tables_bitwise():
             (hexa.plane_rows, rows),
             (hexa.face_normals, tuple(tuple(n.tolist()) for n, _ in planes)),
             (hexa.corner_tuple, tuple(map(tuple, v.tolist()))),
-            (hexa.pair_lines, Hexahedron.pair_lines.func(reference)),
+            (hexa.pair_lines, pair_lines(reference)),
             (hexa.diameter, _reference_diameter(v)),
         ):
             assert _as_bytes(kept) == _as_bytes(ref), v
