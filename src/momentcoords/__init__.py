@@ -8,7 +8,6 @@ hexahedra with planar faces.
 """
 
 from .coords1d import (
-    build_system_1d,
     hat_oracle,
     hat_oracle_many,
     moment_coords_1d,
@@ -20,16 +19,13 @@ from .coords2d import (
     moment_coords_quad,
     moment_coords_quad_many,
     moment_gradient_quad_many,
-    moment_row,
     mvc_oracle,
     mvc_oracle_many,
-    triangle_barycentric,
     wachspress_coords_quad,
     wachspress_coords_quad_many,
     wachspress_gradient_quad_many,
     wachspress_oracle,
     wachspress_oracle_many,
-    wachspress_row,
 )
 from .coords3d import (
     Frame3,
@@ -66,7 +62,6 @@ from .smallsolve import solve_dense, solve_dense_many
 __version__ = "0.1.0"
 
 __all__ = [
-    "build_system_1d",
     "hat_oracle",
     "hat_oracle_many",
     "moment_coords_1d",
@@ -76,16 +71,13 @@ __all__ = [
     "moment_coords_quad",
     "moment_coords_quad_many",
     "moment_gradient_quad_many",
-    "moment_row",
     "mvc_oracle",
     "mvc_oracle_many",
-    "triangle_barycentric",
     "wachspress_coords_quad",
     "wachspress_coords_quad_many",
     "wachspress_gradient_quad_many",
     "wachspress_oracle",
     "wachspress_oracle_many",
-    "wachspress_row",
     "Frame3",
     "moment_coords_hex",
     "moment_coords_hex_many",

@@ -5,8 +5,8 @@ alternating-sign distance row, and n - 3 adjacency rows with two unit
 entries each.  The node set is relabeled so that the interval containing
 the query occupies positions 1 and 2; the adjacency rows then pair the
 remaining positions (3,4), (4,5), ..., keeping the expected two-nonzero
-hat solution out of every adjacency constraint.  build_system_1d assembles
-that n x n system; the tests solve it as the reference.
+hat solution out of every adjacency constraint.  The tests assemble that
+n x n system (tests/oracles.py) and solve it as the reference.
 
 The coordinates do not solve it.  The adjacency rows are a bidiagonal
 chain over the nodes outside the containing interval [k, k+1], taken in
@@ -82,32 +82,6 @@ def _locate(nodes: NodeSet1D, x):
     x = np.where(hi < x, hi, np.where(lo > x, lo, x))
     k = np.maximum(np.searchsorted(nodes.nodes, x, side="left") - 1, 0)
     return np.where(ok, k, 0), x, ok
-
-
-def build_system_1d(nodes: NodeSet1D, x: float):
-    """Assemble the relabeled n x n moment system for query x.
-
-    Returns (matrix, rhs, permutation): permutation[j] is the original index
-    of permuted position j, so the containing interval is permutation[0].
-    The coordinates solve its folded 3 x 3 form instead; this is the tests'
-    reference.
-    """
-    k, xq, _ = _locate(nodes, float(x))
-    n = len(nodes)
-    perm = np.concatenate(([k, k + 1], np.arange(k), np.arange(k + 2, n)))
-    d = nodes.nodes[perm] - xq
-    matrix = np.zeros((n, n))
-    matrix[0] = 1.0
-    matrix[1] = d
-    # Distance-row signs alternate with the *original* sorted index; keying
-    # them to the permuted position instead makes the row a multiple of the
-    # centered-node row whenever the containing interval index is even.
-    matrix[2] = np.where(perm % 2 == 0, 1.0, -1.0) * np.abs(d)
-    for r in range(3, n):
-        matrix[r, r - 1 : r + 1] = 1.0
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    return matrix, rhs, perm
 
 
 def _fold(dk, dk1, sk, c0, c1, c2):

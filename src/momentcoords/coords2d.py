@@ -113,12 +113,6 @@ def _moment_weights(ux, uy) -> list:
     return [d[0], -d[1], d[2], -d[3]]
 
 
-def moment_row(quad: Quadrilateral, p) -> np.ndarray:
-    """Alternating-sign vertex distances (d1, -d2, d3, -d4)."""
-    row = _moment_weights(*_unit_offsets(quad, float(p[0]), float(p[1])))
-    return np.array(row) / quad.reproducing_kernel[3]
-
-
 def _edge_crosses(ux, uy) -> list:
     """c_i = u_i x u_(i+1) from _unit_offsets: twice the signed area of
     (p, v_i, v_(i+1)) in units of L**2."""
@@ -126,25 +120,15 @@ def _edge_crosses(ux, uy) -> list:
 
 
 def _wachspress_weights(ux, uy) -> list:
-    """wachspress_row from _unit_offsets, in units of L**4.
+    """The Wachspress weight row from _unit_offsets, in units of L**4:
+    rho_i = l(i-1) l(i) h(i-1) h(i), with alternating signs, where edge i
+    joins vertices i and i+1.
 
     With c_i from _edge_crosses, l(i) h(i) = c_i, so the lengths cancel:
     rho_i = c_(i-1) c_i.
     """
     c = _edge_crosses(ux, uy)
     return [c[3] * c[0], -(c[0] * c[1]), c[1] * c[2], -(c[2] * c[3])]
-
-
-def wachspress_row(quad: Quadrilateral, p) -> np.ndarray:
-    """Alternating-sign products of incident edge lengths and edge distances.
-
-    rho_i = l(i-1) * l(i) * h(i-1) * h(i) where edge i joins vertices i and
-    i+1; rho_i vanishes exactly when p lies on an edge incident to vertex i.
-    """
-    if not quad.is_convex:
-        raise NotConvex("Wachspress weights require a convex quadrilateral")
-    s = quad.reproducing_kernel[3]
-    return np.array(_wachspress_weights(*_unit_offsets(quad, float(p[0]), float(p[1])))) / s**4
 
 
 def _closed_form(quad: Quadrilateral, x, y, wachspress: bool):
@@ -478,12 +462,6 @@ def _tri_bary(a, b, c, px, py):
     l2 = _area2(ax, ay, px, py, cx, cy) / area2
     l3 = _area2(ax, ay, bx, by, px, py) / area2
     return 1.0 - l2 - l3, l2, l3
-
-
-def triangle_barycentric(tri, p) -> np.ndarray:
-    """Affine coordinates of p w.r.t. a triangle, signed outside it."""
-    a, b, c = ((float(q[0]), float(q[1])) for q in tri)
-    return np.array(_tri_bary(a, b, c, float(p[0]), float(p[1])))
 
 
 def cramer_defect(quad: Quadrilateral) -> str | None:

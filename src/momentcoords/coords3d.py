@@ -27,31 +27,20 @@ units of L, the power of two next to the diameter (an exact scaling), so
 its rows are O(1) whatever the size of the hexahedron; the frame and the
 frame coordinates it returns stay in absolute units.
 
-moment_coords_hex evaluates one point in Python floats from point
-location to the solve: geometry._locate_hex, called directly (not through
-face_of_point_hex, which wraps it for callers outside the package), whose
-six containing-face flags go to the frame rule as they are; the frame
-rule, the frame coordinates in units of L as three lists of 8 floats, the
-system as 8 lists, and smallsolve.solve_dense, which takes its rows as
-lists; the weight vector it returns (and, with return_frame, the Frame3
-around the same frame) is the only array it builds.
-moment_coords_hex_many evaluates a batch with the same arithmetic on
-arrays, the stack index last: the frame coordinates are (3, 8, m), taken
-straight from the frame rule's per-row arrays (m,), and _hex_system
-assembles a stack-last (8, 8, m), which
-smallsolve.solve_dense_many takes as its transposed view, so that the
-solver's stack-last copy is a straight copy.  Elementwise operations give
-the same bits whichever axis the stack is on.  The formulas are written
-once for both: the frame rule (_frame) and the distance rows
-(_distance_rows) take one point as Python floats, which is faster for a
-single point than numpy calls, or a stack as arrays, and run the same
-elementwise operations in the same order.  Every sum of products is spelled
-out elementwise (the frame coordinates in _dot3's order on both paths),
-because the rounding of a matrix product depends on the BLAS kernel and on
-the stack around it.  The partial distances are sqrt(a*a + b*b) on both
-paths: math.hypot and np.hypot round differently from each other (on 11,568
-of 2,000,000 random normal pairs), so the single point and the batch would
-part in the last bit.
+One point and a stack run the same code, on Python floats for one point
+(faster there than numpy calls) and on (m,) arrays for a stack, with the
+same elementwise operations in the same order: point location
+(geometry._locate_hex, whose containing-face flags go to the frame rule as
+they are), the frame rule (_frame), the assembly (_system) and the LU
+(smallsolve._solve, which takes the rows as assembled).  Only the
+branches differ: one point raises at the first failed test, a stack clears
+ok there.  So moment_coords_hex_many gives each point the bits of
+moment_coords_hex.  Every sum of products is spelled out elementwise (the
+frame coordinates in _dot3's order), because the rounding of a matrix
+product depends on the BLAS kernel and on the stack around it.  The
+partial distances are sqrt(a*a + b*b): math.hypot and np.hypot round
+differently from each other (on 11,568 of 2,000,000 random normal pairs),
+so the single point and the batch would part in the last bit.
 """
 
 from __future__ import annotations
@@ -76,7 +65,7 @@ from .geometry import (
     _locate_hex,
     _quad_area,
 )
-from .smallsolve import solve_dense, solve_dense_many
+from .smallsolve import _solve
 
 # Required signs of the frame coordinates of v_i - p (rows) per vertex
 # (columns), column i being REFERENCE_CUBE[i]; row r separates the
@@ -99,20 +88,16 @@ FRAME_DET_MIN = 1e-8
 # FACE_VERTICES[f, i] is True when vertex i lies on face f.
 FACE_VERTICES = HEX_FACE_VERTICES
 
-# Signs of rows 4 to 7 of the system (the partial distances and the
-# distance), (4, 8, 7), indexed by the face last as a stack is: at [..., f]
-# for f < 6 for a point on face f, whose columns get 0.0 for their partial
-# distances, and at [..., _NO_FACE] for any other point.  _COLUMN_SIGNS[f]
-# holds the same numbers per column as floats.
-_NO_FACE = 6
-_ROW_SIGNS = np.stack(
-    [np.vstack([np.where(zero, 0.0, DELTA_SIGNS), DISTANCE_SIGNS]) for zero in FACE_VERTICES]
-    + [np.vstack([DELTA_SIGNS, DISTANCE_SIGNS])],
-    axis=-1,
-).astype(float)
-_COLUMN_SIGNS = tuple(
-    tuple(map(tuple, signs.T.tolist())) for signs in np.moveaxis(_ROW_SIGNS, -1, 0)
+# Signs of the partial distances and the distance of each column (vertex)
+# i: DELTA_SIGNS[:, i] and DISTANCE_SIGNS[i] as floats.
+_VERTEX_SIGNS = tuple(
+    map(tuple, np.vstack([DELTA_SIGNS, DISTANCE_SIGNS]).T.astype(float).tolist())
 )
+
+# _ZEROED[f] marks the columns of face f, whose partial distances are 0.0
+# for a point on face f; _ZEROED[_NO_FACE] marks none, for any other point.
+_NO_FACE = 6
+_ZEROED = np.vstack([FACE_VERTICES, np.zeros(8, dtype=bool)])
 
 # The frame rule's tables as Python numbers: the sign pattern's rows, and
 # the three faces that contain each vertex.
@@ -175,39 +160,38 @@ def _pick(cond, a, b):
     return a if cond else b
 
 
-def _distance_rows(x, y, z, signs):
-    """Rows 4 to 7 of the system at frame coordinates (x, y, z) in units of
-    L: the partial distances sqrt(y*y + z*z), sqrt(x*x + z*z) and
-    sqrt(x*x + y*y) and the distance sqrt(x*x + y*y + z*z), each times its
-    entry of signs (from _ROW_SIGNS, so 0.0 for the partial distances of
-    an on-face column).
+def _distance_rows(x, y, z, signs, zeroed):
+    """Rows 4 to 7 of the system in one column, at frame coordinates (x, y,
+    z) in units of L: the partial distances sqrt(y*y + z*z), sqrt(x*x +
+    z*z) and sqrt(x*x + y*y) and the distance sqrt(x*x + y*y + z*z), each
+    times its entry of signs (_VERTEX_SIGNS), with the partial distances
+    0.0 where zeroed (the column lies on the face that holds the point).
 
-    Takes one column as floats or a stack as arrays that broadcast, and
-    runs the same elementwise operations on both (not math.hypot or
-    np.hypot, which round differently from each other).
+    Takes one column as floats, zeroed a bool, or a stack as arrays, zeroed
+    a bool array, and runs the same elementwise operations on both (not
+    math.hypot or np.hypot, which round differently from each other).
     """
     sqrt = math.sqrt if isinstance(x, float) else np.sqrt
     xx, yy, zz = x * x, y * y, z * z
-    return (
-        sqrt(yy + zz) * signs[0],
-        sqrt(xx + zz) * signs[1],
-        sqrt(xx + yy) * signs[2],
-        sqrt(xx + yy + zz) * signs[3],
-    )
+    s_yz, s_xz, s_xy, s_xyz = signs
+    partial = (sqrt(yy + zz) * s_yz, sqrt(xx + zz) * s_xz, sqrt(xx + yy) * s_xy)
+    return (*_pick(zeroed, (0.0, 0.0, 0.0), partial), sqrt(xx + yy + zz) * s_xyz)
 
 
-def _hex_system(w, face=_NO_FACE):
-    """The 8 x 8 matrix for frame coordinates w (3, 8) in units of L, or a
-    stack-last (8, 8, m) of them for w (3, 8, m) and face (m,); face is the
-    face that holds the point (its columns' partial distances are zeroed)
-    or _NO_FACE."""
-    m = np.empty((8,) + w.shape[1:])
-    m[0] = 1.0
-    m[1:4] = w
-    # Row by row: assigning the tuple to m[4:] first packs it into a new array.
-    for r, row in enumerate(_distance_rows(w[0], w[1], w[2], _ROW_SIGNS[..., face]), 4):
-        m[r] = row
-    return m
+def _system(rows, offsets, scale, zeroed):
+    """The 8 rows of the moment system, and the frame coordinates w.
+
+    rows are the frame's three coordinate functionals (fx, fy, fz), offsets
+    the eight vertex offsets v_i - p (dx, dy, dz), scale the factor 1 / L
+    (Hexahedron.unit_scale) and zeroed the eight columns' flags for
+    _distance_rows.  Every number is a float for one point or an (m,) array
+    for a stack, and the same elementwise operations run on both: w[r][i]
+    is fx dx + fy dy + fz dz, in _dot3's order, and the system's rows are
+    the ones row (floats), w in units of L, and the distance rows.
+    """
+    w = [[fx * dx + fy * dy + fz * dz for dx, dy, dz in offsets] for fx, fy, fz in rows]
+    unit = [[c * scale for c in row] for row in w]
+    return [[1.0] * 8, *unit, *zip(*map(_distance_rows, *unit, _VERTEX_SIGNS, zeroed))], w
 
 
 def _wedge_normal(line, px, py, pz):
@@ -383,11 +367,10 @@ def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):
         phi[index] = 1.0
         return (phi, None) if return_frame else phi
     basis, rows, det, _ = _frame(hexa, px, py, pz, on)
-    s = hexa.unit_scale
     offsets = [(vx - px, vy - py, vz - pz) for vx, vy, vz in hexa.corner_tuple]
-    w = [[(fx * dx + fy * dy + fz * dz) * s for dx, dy, dz in offsets] for fx, fy, fz in rows]
-    signs = _COLUMN_SIGNS[index if kind == "on_face" else _NO_FACE]
-    phi = solve_dense([[1.0] * 8, *w, *zip(*map(_distance_rows, *w, signs))], _RHS)
+    zeroed = _ZEROED[index if kind == "on_face" else _NO_FACE]
+    system, _ = _system(rows, offsets, hexa.unit_scale, zeroed)
+    phi, _ = _solve(system, _RHS)
     return (phi, Frame3(basis, rows, p, det)) if return_frame else phi
 
 
@@ -426,23 +409,16 @@ def moment_coords_hex_many(
         _, rows, _, framed = _frame(hexa, q[:, 0], q[:, 1], q[:, 2], on[:, solve])
     unframed = solve[~framed]
     solve, q = solve[framed], q[framed]
-    # Stack last: the components (m,) of frame row r times the vertex
-    # offsets d[c] (8, m), summed in _dot3's order into w[r] (8, m).
-    d = hexa.vertices.T[:, :, None] - q.T[:, None, :]
-    w = np.empty((3,) + d.shape[1:])
-    for w_r, (fx, fy, fz) in zip(w, rows):
-        np.multiply(fx[framed], d[0], out=w_r)
-        w_r += fy[framed] * d[1]
-        w_r += fz[framed] * d[2]
+    rows = [(fx[framed], fy[framed], fz[framed]) for fx, fy, fz in rows]
+    qx, qy, qz = q.T
+    offsets = [(vx - qx, vy - qy, vz - qz) for vx, vy, vz in hexa.corner_tuple]
     face = np.where(code[solve] == LOC_FACET, index[solve], _NO_FACE)
-    system = _hex_system(w * hexa.unit_scale, face)
-    phi[solve], ok[solve] = solve_dense_many(
-        system.transpose(2, 0, 1), np.broadcast_to(_RHS, (len(solve), 8))
-    )
+    system, w = _system(rows, offsets, hexa.unit_scale, _ZEROED.T[:, face])
+    phi[solve], ok[solve] = _solve(system, _RHS, len(solve))
     out = (phi, ok)
     if return_frame_coords:
         frame_coords = np.full((len(pts), 3, 8), np.nan)
-        frame_coords[solve] = w.transpose(2, 0, 1)
+        frame_coords[solve] = np.array(w).transpose(2, 0, 1)
         out += (frame_coords,)
     if info:
         failure = np.full(len(pts), SINGULAR)

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
 from momentcoords import coords2d, coords3d, geometry
+from momentcoords.coords3d import DELTA_SIGNS, DISTANCE_SIGNS, FACE_VERTICES
 from momentcoords.errors import NotConvex, OnBoundary, OutsideDomain
 from momentcoords.geometry import (
     MIN_EDGE_LENGTH,
@@ -32,6 +33,7 @@ from momentcoords.geometry import (
     classify_point_quad,
     face_of_point_hex,
 )
+from momentcoords.smallsolve import solve_dense
 
 
 def segments_intersect(p1, p2, q1, q2) -> bool:
@@ -250,6 +252,22 @@ def wachspress_oracle(quad, p) -> np.ndarray:
     return w
 
 
+# Signs of rows 4 to 7 of the system (the partial distances and the
+# distance), (4, 8, 7), indexed by the face last as a stack is: at [..., f]
+# for f < 6 for a point on face f, whose columns get 0.0 for their partial
+# distances, and at [..., _NO_FACE] for any other point.  _COLUMN_SIGNS[f]
+# holds the same numbers per column as floats.
+_NO_FACE = 6
+_ROW_SIGNS = np.stack(
+    [np.vstack([np.where(zero, 0.0, DELTA_SIGNS), DISTANCE_SIGNS]) for zero in FACE_VERTICES]
+    + [np.vstack([DELTA_SIGNS, DISTANCE_SIGNS])],
+    axis=-1,
+).astype(float)
+_COLUMN_SIGNS = tuple(
+    tuple(map(tuple, signs.T.tolist())) for signs in np.moveaxis(_ROW_SIGNS, -1, 0)
+)
+
+
 def moment_coords_hex(hexa, p) -> np.ndarray:
     """moment_coords_hex, located through the public classifier."""
     p = np.asarray(p, dtype=float)
@@ -265,7 +283,8 @@ def moment_coords_hex(hexa, p) -> np.ndarray:
     s = hexa.unit_scale
     offsets = [(vx - px, vy - py, vz - pz) for vx, vy, vz in hexa.corner_tuple]
     w = [[(fx * dx + fy * dy + fz * dz) * s for dx, dy, dz in offsets] for fx, fy, fz in rows]
-    signs = coords3d._COLUMN_SIGNS[loc.index if loc.kind == "on_face" else coords3d._NO_FACE]
-    return coords3d.solve_dense(
-        [[1.0] * 8, *w, *zip(*map(coords3d._distance_rows, *w, signs))], coords3d._RHS
+    signs = _COLUMN_SIGNS[loc.index if loc.kind == "on_face" else _NO_FACE]
+    return solve_dense(
+        [[1.0] * 8, *w, *zip(*map(coords3d._distance_rows, *w, signs, repeat(False)))],
+        coords3d._RHS,
     )

@@ -973,8 +973,8 @@ def test_property_stack_rows_equal_own_element(seed, count, convex, log_scale, o
 def test_grid_csv_independent_of_chunk_size(capsys, tmp_path, monkeypatch, name, derivatives, chunk):
     # A hexahedron at resolution 8 has 8**3 = 512 grid points: one chunk at
     # the default BATCH_CHUNK, 73 chunks of 7 and a last chunk of one point,
-    # or 512 chunks of one, in which every solved point is a stack-last
-    # (8, 8, 1) system.  With finite-difference derivatives grid divides
+    # or 512 chunks of one, in which every solved point is a stack of one
+    # system, entries of shape (1,).  With finite-difference derivatives grid divides
     # the chunk by the 2 * dim offsets of each point: 7 gives chunks of one
     # point in 3D and of three in 1D, and 42 chunks of 7, among them chunks
     # with no point inside.

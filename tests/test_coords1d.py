@@ -6,7 +6,6 @@ from momentcoords.coords1d import (
     DOMAIN_RTOL,
     _fold,
     _locate,
-    build_system_1d,
     hat_oracle,
     hat_oracle_many,
     moment_coords_1d,
@@ -15,6 +14,7 @@ from momentcoords.coords1d import (
 from momentcoords.errors import OutOfDomain, SingularMatrix
 from momentcoords.geometry import NodeSet1D
 from momentcoords.smallsolve import solve_dense
+from oracles import build_system_1d
 
 
 class TestHatOracle:

@@ -9,13 +9,10 @@ from momentcoords.coords2d import (
     cramer_coords_quad,
     moment_coords_quad,
     moment_coords_quad_many,
-    moment_row,
     mvc_oracle,
-    triangle_barycentric,
     wachspress_coords_quad,
     wachspress_coords_quad_many,
     wachspress_oracle,
-    wachspress_row,
 )
 from momentcoords.errors import (
     DegenerateTriangle,
@@ -26,6 +23,7 @@ from momentcoords.errors import (
 )
 from momentcoords.geometry import Quadrilateral
 from momentcoords.smallsolve import solve_dense
+from oracles import moment_row, triangle_barycentric, wachspress_row
 
 
 class TestMomentRow:

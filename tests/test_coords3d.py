@@ -6,9 +6,11 @@ from momentcoords.coords2d import moment_coords_quad
 from momentcoords.coords3d import (
     DELTA_SIGNS,
     DISTANCE_SIGNS,
+    _NO_FACE,
+    _ZEROED,
     _frame,
-    _hex_system,
     _induced_face_quad,
+    _system,
     moment_coords_hex,
     moment_coords_hex_many,
     reference_frame,
@@ -31,9 +33,18 @@ def identity_coords(hexa, p):
     return (hexa.vertices - np.asarray(p, dtype=float)).T
 
 
+def frame_system(hexa, p, rows=np.eye(3), face=_NO_FACE):
+    """The 8 x 8 system at p in the frame with functionals rows (the
+    identity by default), in absolute units (scale 1), with the partial
+    distances of face's columns zeroed."""
+    offsets = (hexa.vertices - np.asarray(p, dtype=float)).tolist()
+    system, _ = _system(np.asarray(rows).tolist(), offsets, 1.0, _ZEROED[face])
+    return np.array(system)
+
+
 class TestPartialDistances:
     def test_cube_center_symmetry(self, cube):
-        delta = _hex_system(identity_coords(cube, (0, 0, 0)))[4:7]
+        delta = frame_system(cube, (0, 0, 0))[4:7]
         assert np.allclose(np.abs(delta), np.sqrt(2.0))
         assert np.array_equal(np.sign(delta), DELTA_SIGNS)
 
@@ -41,13 +52,13 @@ class TestPartialDistances:
         p = (1.0, 0.0, 0.0)
         loc = face_of_point_hex(cube, p)
         assert (loc.kind, loc.index) == ("on_face", 0)
-        delta = _hex_system(identity_coords(cube, p), loc.index)[4:7]
+        delta = frame_system(cube, p, face=loc.index)[4:7]
         assert np.array_equal(delta[:, :4], np.zeros((3, 4)))
         assert np.all(np.abs(delta[:, 4:]) > 0)
 
     def test_cube_offset_point_values(self, cube):
         p = np.array([0.5, 0.0, 0.0])
-        delta = _hex_system(identity_coords(cube, p))[4:7]
+        delta = frame_system(cube, p)[4:7]
         # Row 1 drops the first axis, row 3 drops the last one.
         assert delta[0, 0] == pytest.approx(np.sqrt(2.0))
         assert delta[2, 0] == pytest.approx(np.sqrt(0.25 + 1.0))
@@ -56,27 +67,52 @@ class TestPartialDistances:
         p = sampling.interior_points_hex(hex_tapered, 1, rng)[0]
         frame = reference_frame(hex_tapered, p)
         w = frame.coords(hex_tapered.vertices)
-        delta = _hex_system(w)[4:7]
+        delta = frame_system(hex_tapered, p, frame.rows)[4:7]
         drop = [(1, 2), (0, 2), (0, 1)]
         for r in range(3):
             for i in range(8):
                 expect = np.hypot(w[drop[r][0], i], w[drop[r][1], i])
                 assert abs(delta[r, i]) == pytest.approx(expect)
 
+    def test_one_point_and_stack_assemble_the_same_bits(self, hex_tapered):
+        # An interior point and a point on face 2 (its vertex centroid), one
+        # at a time as floats and together as one stack: the same system and
+        # frame coordinates, bit for bit, the zeroed columns included.
+        hexa = hex_tapered
+        points = np.array([[0.1, 0.2, -0.3], hexa.vertices[list(hexa.FACES[2])].mean(axis=0)])
+        locs = [face_of_point_hex(hexa, p) for p in points]
+        assert [loc.kind for loc in locs] == ["interior", "on_face"]
+        faces = [loc.index if loc.kind == "on_face" else _NO_FACE for loc in locs]
+        on = np.array([[f in loc.faces for f in range(6)] for loc in locs])
+
+        def assemble(px, py, pz, on, zeroed):
+            _, rows, _, found = _frame(hexa, px, py, pz, on)
+            offsets = [(vx - px, vy - py, vz - pz) for vx, vy, vz in hexa.corner_tuple]
+            return _system(rows, offsets, hexa.unit_scale, zeroed), found
+
+        (system, w), found = assemble(*points.T, on.T, _ZEROED.T[:, faces])
+        assert found.all()
+        for s, (p, face) in enumerate(zip(points.tolist(), faces)):
+            (one, w_one), _ = assemble(*p, tuple(on[s].tolist()), _ZEROED[face])
+            at_s = [[np.broadcast_to(e, (2,))[s] for e in row] for row in system]
+            assert np.array(at_s).tobytes() == np.array(one).tobytes()
+            assert np.array(w)[:, :, s].tobytes() == np.array(w_one).tobytes()
+        assert np.array(one)[4:7, list(hexa.FACES[2])].tobytes() == bytes(8 * 12)
+
 
 class TestDistanceRow:
     def test_cube_center(self, cube):
-        row = _hex_system(identity_coords(cube, (0, 0, 0)))[7]
+        row = frame_system(cube, (0, 0, 0))[7]
         assert np.allclose(row, np.sqrt(3.0) * DISTANCE_SIGNS)
 
     def test_zero_at_vertex(self, cube):
         p = cube.vertices[0]
-        row = _hex_system(identity_coords(cube, p))[7]
+        row = frame_system(cube, p)[7]
         assert row[0] == 0.0
 
     def test_tapered_hand_values(self, hex_tapered):
         p = np.array([0.0, 0.5, 0.0])
-        row = _hex_system(identity_coords(hex_tapered, p))[7]
+        row = frame_system(hex_tapered, p)[7]
         far = np.sqrt(4.25)
         expect = np.array([far, -far, 1.5, -1.5, -1.5, 1.5, -far, far])
         assert np.allclose(row, expect)

@@ -187,8 +187,8 @@ _LAYOUTS = {
 @pytest.mark.parametrize("layout", _LAYOUTS)
 @pytest.mark.parametrize("n", [3, 4, 8, 16])
 def test_many_bitwise_equal_in_every_memory_layout(n, layout):
-    # The elimination runs on a stack-last copy whatever the input's memory
-    # order; x and ok are bitwise the same, and the inputs are untouched.
+    # Whatever the input's memory order, x and ok are bitwise the same, and
+    # the inputs are untouched.
     a, b = _special_stack(n)
     x_ref, ok_ref = solve_dense_many(a, b)
     a_in, b_in = _LAYOUTS[layout](a), _LAYOUTS[layout](b)
@@ -309,16 +309,53 @@ def test_list_input_shape_validation():
 def test_residual_check_trips_on_a_perturbed_solution(monkeypatch):
     # The contract is checked against the input rows, not against whatever
     # the elimination returns: an x off by more than the contract allows
-    # fails for list and array inputs alike.
-    lu = smallsolve._lu_solve
+    # fails for list and array inputs and for a stack alike.
+    eliminate = smallsolve._eliminate
 
-    def perturbed(a, b):
-        x = lu(a, b)
-        x[-1] += 1e-6
-        return x
+    def perturbed(a, b, m):
+        x, ok = eliminate(a, b, m)
+        x[-1] = x[-1] + 1e-6
+        return x, ok
 
-    monkeypatch.setattr(smallsolve, "_lu_solve", perturbed)
+    monkeypatch.setattr(smallsolve, "_eliminate", perturbed)
     a, b = next(_systems())
     for rows, rhs in ((a, b), (a.tolist(), b.tolist())):
         with pytest.raises(AssertionError, match="residual"):
             solve_dense(rows, rhs)
+    for stack, rhs in ((a[None], b[None]), _special_stack(8)):
+        with pytest.raises(AssertionError, match="residual"):
+            solve_dense_many(stack, rhs)
+
+
+def _entry_rows(a, b):
+    """The stack a (m, n, n), b (m, n) as the entries coords3d hands to
+    _solve: the first row and the first rhs entry as Python floats (the
+    ones row), every other entry a read-only (m,) array."""
+    def entry(column):
+        column = column.copy()
+        column.flags.writeable = False
+        return column
+
+    n = a.shape[1]
+    rows = [[1.0] * n] + [[entry(a[:, i, j]) for j in range(n)] for i in range(1, n)]
+    return rows, [1.0] + [entry(b[:, i]) for i in range(1, n)]
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_entry_solve_bitwise_equal_to_solve_dense(n):
+    # Mixed float and array entries through the pivot ties, row swaps and
+    # sub-floor pivots of the special stack: x and ok are solve_dense's per
+    # system, and no entry handed in changes (writing into a read-only
+    # array would raise).
+    a, b = _special_stack(n)
+    a[:, 0], b[:, 0] = 1.0, 1.0
+    rows, rhs = _entry_rows(a, b)
+    x, ok = smallsolve._solve(rows, rhs, len(a))
+    x_ref, ok_ref = _scalar_oracle(a, b)
+    assert x.shape == (40, n) and ok.shape == (40,)
+    assert x.tobytes() == x_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
+    assert ok.any() and not ok.all()
+    assert rows[0] == [1.0] * n and rhs[0] == 1.0
+    kept_rows, kept_rhs = _entry_rows(a, b)
+    for got, kept in zip([*rows[1:], rhs[1:]], [*kept_rows[1:], kept_rhs[1:]]):
+        assert all(e.tobytes() == e0.tobytes() for e, e0 in zip(got, kept))
