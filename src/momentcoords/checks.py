@@ -26,7 +26,7 @@ import numpy as np
 
 from . import coords1d, coords2d, coords3d, geometry, sampling
 from .errors import SingularMatrix
-from .geometry import Hexahedron, NodeSet1D, Quadrilateral, QuadStack, face_of_points_hex
+from .geometry import LOC_FACET, Hexahedron, NodeSet1D, Quadrilateral, QuadStack, _locate_hex
 
 # Baseline tolerances for the standard axioms.
 PARTITION_TOL = 1e-12
@@ -337,8 +337,8 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
     per_face = max(4, samples // 60)
     face = np.repeat(np.arange(6), per_face)
     fpts = np.vstack([sampling.face_points_hex(hexa, f, per_face, rng) for f in range(6)])
-    kind, index = face_of_points_hex(hexa, fpts)
-    on_face = (kind == "on_face") & (index == face)
+    code, index, _ = _locate_hex(hexa, *fpts.T)
+    on_face = (code == LOC_FACET) & (index == face)
     face, fpts = face[on_face], fpts[on_face]
 
     # Samples, vertices, edge points and face points in one batch; only a

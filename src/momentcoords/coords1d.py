@@ -47,15 +47,9 @@ import numpy as np
 
 from .errors import OutOfDomain, SingularMatrix
 from .geometry import EXTERIOR, SINGULAR, BatchInfo, NodeSet1D
-from .smallsolve import PIVOT_RTOL, RESIDUAL_RTOL
+from .smallsolve import _RESIDUAL_BOUND, PIVOT_RTOL
 
 DOMAIN_RTOL = 1e-12
-# A stack's location kinds by code, _locate's ok: outside the nodes
-# (geometry.LOC_EXTERIOR), or inside (LOC_INTERIOR).
-_KINDS = np.array(["exterior", "interior"])
-# The residual contract of smallsolve.solve_dense for a right-hand side of
-# inf-norm 1: |residual|_inf <= RESIDUAL_RTOL * (1 + |b|_inf).
-_RESIDUAL_BOUND = 2.0 * RESIDUAL_RTOL
 
 
 def _locate(nodes: NodeSet1D, x):
@@ -149,8 +143,8 @@ def moment_coords_1d_many(nodes: NodeSet1D, x, info: bool = False):
     is set.  ok[s] is False (and phi[s] NaN) where the single-point function
     raises: a query outside the nodes or not finite, or a singular system.
     With info, returns (phi, ok, info), info the BatchInfo of _locate's
-    result (code and kind from its ok, index its k; causes exterior and
-    singular).
+    result (code its ok, geometry.LOC_EXTERIOR or LOC_INTERIOR; index its
+    k; causes exterior and singular).
     """
     k, xq, ok = _locate(nodes, np.asarray(x, dtype=float).reshape(-1))
     code, index = ok.astype(np.int8), k
@@ -179,7 +173,7 @@ def moment_coords_1d_many(nodes: NodeSet1D, x, info: bool = False):
     phi = np.full((len(xq), n), np.nan)
     phi[rows] = w
     ok[rows] = ~singular
-    return (phi, ok, BatchInfo.of(code, _KINDS, index, ok, SINGULAR)) if info else (phi, ok)
+    return (phi, ok, BatchInfo.of(code, index, ok, SINGULAR)) if info else (phi, ok)
 
 
 def _hat(xs, k, xq) -> np.ndarray:
@@ -207,4 +201,4 @@ def hat_oracle_many(nodes: NodeSet1D, x, info: bool = False):
     phi = np.where(ok[:, None], _hat(nodes.nodes, k, xq), np.nan)
     if not info:
         return phi, ok
-    return phi, ok, BatchInfo.of(ok.astype(np.int8), _KINDS, k, ok, EXTERIOR)
+    return phi, ok, BatchInfo.of(ok.astype(np.int8), k, ok, EXTERIOR)

@@ -40,10 +40,11 @@ elementwise numpy over a stack, in the same order, so the two agree bit
 for bit: the weight rows, the closed form, the edge weights and the three
 oracle kernels.  So is the point location both paths start from,
 geometry._locate_quad, and with it the edge parameter of the edge weights:
-a single-point function calls it directly on the point's floats
-(_locate_one), as a batch function calls it on the stack, so it builds no
-geometry.PointLocation; classify_point_quad and classify_points_quad wrap
-it for callers outside the package.
+a single-point function calls it on the point's floats as a batch function
+calls it on the stack, and both compare the location codes it returns
+(geometry.LOC_EXTERIOR ...); the kind names of geometry.PointLocation are
+for callers outside the package, through classify_point_quad and
+classify_points_quad.
 
 moment_coords_quad_many and wachspress_coords_quad_many also take a
 geometry.QuadStack, many quadrilaterals with one element per row: the
@@ -70,20 +71,17 @@ from .errors import (
 )
 from .geometry import (
     BOUNDARY,
-    CLASSIFY_RTOL,
     LOC_EXTERIOR,
     LOC_INTERIOR,
     LOC_VERTEX,
-    QUAD_KINDS,
     SINGULAR,
     BatchInfo,
     Quadrilateral,
     QuadStack,
-    _locate_points_quad,
     _locate_quad,
     signed_area,
 )
-from .smallsolve import PIVOT_RTOL, RESIDUAL_RTOL
+from .smallsolve import _RESIDUAL_BOUND, PIVOT_RTOL
 
 _OTHERS = tuple(tuple(j for j in range(4) if j != i) for i in range(4))
 _NEXT = np.array([1, 2, 3, 0])
@@ -230,11 +228,6 @@ def _residual(phi, r, ux, uy):
     ]
 
 
-# The residual contract of smallsolve.solve_dense for a right-hand side of
-# inf-norm 1: |residual|_inf <= RESIDUAL_RTOL * (1 + |b|_inf).
-_RESIDUAL_BOUND = 2.0 * RESIDUAL_RTOL
-
-
 def _edge_weights(i, t) -> np.ndarray:
     """Linear interpolation along edge i: 1 - t at vertex i, t at i + 1.
 
@@ -251,27 +244,20 @@ def _edge_weights(i, t) -> np.ndarray:
     return np.where(j == i, 1.0 - t, np.where(j == (i + 1) % 4, t, 0.0))
 
 
-def _locate_one(quad: Quadrilateral, p):
-    """(kind, index, t, x, y): _locate_quad at one point p with the default
-    tolerance, as classify_point_quad locates it, and p as floats."""
-    x, y = float(p[0]), float(p[1])
-    kind, index, t, _ = _locate_quad(quad, x, y, CLASSIFY_RTOL * quad.diameter)
-    return kind, index, t, x, y
-
-
 def _coords_one(quad: Quadrilateral, p, wachspress: bool) -> np.ndarray:
     """Shared body of moment_coords_quad and wachspress_coords_quad."""
     p = np.asarray(p, dtype=float)
-    kind, index, t, x, y = _locate_one(quad, p)
-    if kind == "exterior":
+    x, y = float(p[0]), float(p[1])
+    code, index, t, _ = _locate_quad(quad, x, y)
+    if code == LOC_EXTERIOR:
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
-    if kind == "interior":
+    if code == LOC_INTERIOR:
         phi, r, ux, uy, _ = _closed_form(quad, x, y, wachspress)
         if __debug__:
             resid = max(map(abs, _residual(phi, r, ux, uy)))
             assert resid <= _RESIDUAL_BOUND, f"closed-form residual {resid:.3e} exceeds contract"
         return np.array(phi)
-    return _edge_weights(index, 0.0 if kind == "at_vertex" else t)
+    return _edge_weights(index, 0.0 if code == LOC_VERTEX else t)
 
 
 def _coords_many(quad: Quadrilateral | QuadStack, points, wachspress: bool, info: bool):
@@ -280,7 +266,7 @@ def _coords_many(quad: Quadrilateral | QuadStack, points, wachspress: bool, info
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     phi = np.full((len(pts), 4), np.nan)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        code, index, t, _ = _locate_quad(quad, *pts.T, CLASSIFY_RTOL * quad.diameter)
+        code, index, t, _ = _locate_quad(quad, *pts.T)
         solve = code == LOC_INTERIOR
         ok = code != LOC_EXTERIOR
         edge = ok & ~solve
@@ -294,7 +280,7 @@ def _coords_many(quad: Quadrilateral | QuadStack, points, wachspress: bool, info
             phi[rows] = np.where(singular[:, None], np.nan, np.array(cols).T)
             ok[rows] = ~singular
     phi[edge] = _edge_weights(index[edge], np.where(code[edge] == LOC_VERTEX, 0.0, t[edge]))
-    return (phi, ok, BatchInfo.of(code, QUAD_KINDS, index, ok, SINGULAR)) if info else (phi, ok)
+    return (phi, ok, BatchInfo.of(code, index, ok, SINGULAR)) if info else (phi, ok)
 
 
 def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
@@ -411,10 +397,10 @@ def mvc_oracle(quad: Quadrilateral, p) -> np.ndarray:
     OnBoundary (use the system form there).
     """
     p = np.asarray(p, dtype=float)
-    kind = _locate_one(quad, p)[0]
-    if kind == "exterior":
+    code = _locate_quad(quad, float(p[0]), float(p[1]))[0]
+    if code == LOC_EXTERIOR:
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
-    if kind != "interior":
+    if code != LOC_INTERIOR:
         raise OnBoundary("the local mean value formula is undefined on the boundary")
     return _mean_value(quad, p)
 
@@ -428,10 +414,10 @@ def mvc_oracle_many(quad: Quadrilateral, points, info: bool = False):
     the location it ran (causes exterior and boundary).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    code, index = _locate_points_quad(quad, pts)
+    code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1])
     ok = code == LOC_INTERIOR
     phi = np.where(ok[:, None], _mean_value(quad, pts), np.nan)
-    return (phi, ok, BatchInfo.of(code, QUAD_KINDS, index, ok, BOUNDARY)) if info else (phi, ok)
+    return (phi, ok, BatchInfo.of(code, index, ok, BOUNDARY)) if info else (phi, ok)
 
 
 def _area2(ax, ay, bx, by, cx, cy):
@@ -521,9 +507,10 @@ def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     """
     require_cramer(quad)
     p = np.asarray(p, dtype=float)
-    if _locate_one(quad, p)[0] == "exterior":
+    x, y = float(p[0]), float(p[1])
+    if _locate_quad(quad, x, y)[0] == LOC_EXTERIOR:
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
-    return _cramer(quad, float(p[0]), float(p[1]))[0]
+    return _cramer(quad, x, y)[0]
 
 
 def cramer_coords_quad_many(quad: Quadrilateral, points, info: bool = False):
@@ -541,10 +528,10 @@ def cramer_coords_quad_many(quad: Quadrilateral, points, info: bool = False):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi, singular = _cramer(quad, *pts.T)
-    code, index = _locate_points_quad(quad, pts)
+    code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1])
     ok = (code != LOC_EXTERIOR) & ~singular
     phi = np.where(ok[:, None], phi, np.nan)
-    return (phi, ok, BatchInfo.of(code, QUAD_KINDS, index, ok, SINGULAR)) if info else (phi, ok)
+    return (phi, ok, BatchInfo.of(code, index, ok, SINGULAR)) if info else (phi, ok)
 
 
 def _area_quotient(quad: Quadrilateral, p):
@@ -577,11 +564,11 @@ def wachspress_oracle(quad: Quadrilateral, p) -> np.ndarray:
     if not quad.is_convex:
         raise NotConvex("Wachspress coordinates require a convex quadrilateral")
     p = np.asarray(p, dtype=float)
-    kind = _locate_one(quad, p)[0]
-    if kind == "exterior":
+    code = _locate_quad(quad, float(p[0]), float(p[1]))[0]
+    if code == LOC_EXTERIOR:
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
     w, vanishes = _area_quotient(quad, p)
-    if kind != "interior" or vanishes:
+    if code != LOC_INTERIOR or vanishes:
         raise OnBoundary("area quotients are undefined on the boundary")
     return w
 
@@ -601,11 +588,11 @@ def wachspress_oracle_many(quad: Quadrilateral, points, info: bool = False):
         raise NotConvex("Wachspress coordinates require a convex quadrilateral")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     w, vanishes = _area_quotient(quad, pts)
-    code, index = _locate_points_quad(quad, pts)
+    code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1])
     interior = code == LOC_INTERIOR
     ok = interior & ~vanishes
     phi = np.where(ok[:, None], w, np.nan)
     if not info:
         return phi, ok
     failure = np.where(interior, SINGULAR, BOUNDARY)
-    return phi, ok, BatchInfo.of(code, QUAD_KINDS, index, ok, failure)
+    return phi, ok, BatchInfo.of(code, index, ok, failure)

@@ -53,7 +53,7 @@ from .errors import FrameNotFound, OutsideDomain
 from .geometry import (
     FRAME,
     HEX_FACE_VERTICES,
-    HEX_KINDS,
+    LOC_EXTERIOR,
     LOC_FACET,
     LOC_INTERIOR,
     LOC_VERTEX,
@@ -359,16 +359,16 @@ def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):
     """
     p = np.asarray(p, dtype=float)
     px, py, pz = p.tolist()
-    kind, index, on = _locate_hex(hexa, px, py, pz)
-    if kind == "exterior":
+    code, index, on = _locate_hex(hexa, px, py, pz)
+    if code == LOC_EXTERIOR:
         raise OutsideDomain(f"point {p.tolist()} lies outside the hexahedron")
-    if kind == "at_vertex":
+    if code == LOC_VERTEX:
         phi = np.zeros(8)
         phi[index] = 1.0
         return (phi, None) if return_frame else phi
     basis, rows, det, _ = _frame(hexa, px, py, pz, on)
     offsets = [(vx - px, vy - py, vz - pz) for vx, vy, vz in hexa.corner_tuple]
-    zeroed = _ZEROED[index if kind == "on_face" else _NO_FACE]
+    zeroed = _ZEROED[index if code == LOC_FACET else _NO_FACE]
     system, _ = _system(rows, offsets, hexa.unit_scale, zeroed)
     phi, _ = _solve(system, _RHS)
     return (phi, Frame3(basis, rows, p, det)) if return_frame else phi
@@ -423,5 +423,5 @@ def moment_coords_hex_many(
     if info:
         failure = np.full(len(pts), SINGULAR)
         failure[unframed] = FRAME
-        out += (BatchInfo.of(code, HEX_KINDS, index, ok, failure),)
+        out += (BatchInfo.of(code, index, ok, failure),)
     return out

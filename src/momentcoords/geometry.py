@@ -21,28 +21,30 @@ The hexahedral conventions live here: REFERENCE_CUBE, the one table of
 the reference cube's vertices, and HEX_FACES, the faces' cyclic vertex
 order; every other hexahedral table derives from them.
 
-Point location is written once per element kind (_locate_quad,
+Point location is decided in one place per element kind (_locate_quad,
 _locate_hex), on Python floats for one point and arrays for a stack, so a
-point is located alike alone or in a stack.  Every evaluator of the
-package calls it directly, the single-point functions of coords2d and
-coords3d as the batch functions and the samplers do; the public
-classifiers (classify_point_quad, face_of_point_hex, faces_containing and
-their stacked twins) wrap it for callers outside the package, and a
-PointLocation is built only for them.
-A stack's kinds are int8 location codes (LOC_EXTERIOR ...), which the
-batch path compares; the public classifiers and BatchInfo.kind name them.
+point is located alike alone or in a stack.  Each locator takes its
+tolerance, CLASSIFY_RTOL times the diameter, from the element it is given
+and returns the location codes LOC_EXTERIOR, LOC_INTERIOR, LOC_FACET and
+LOC_VERTEX, an int for one point and int8 for a stack.  Every evaluator of
+the package and the quadrilateral sampler call a locator directly and
+compare its codes; the kind names (QUAD_KINDS, HEX_KINDS) and PointLocation
+are built only in the public classifiers (classify_point_quad,
+face_of_point_hex, faces_containing and the stacked classify_points_quad
+and face_of_points_hex), for callers outside the package.
 A QuadStack holds many quadrilaterals for one batch call, each row with a
 copy of its own element's tables as arrays in place of floats, so that
-_locate_quad and the closed form of coords2d run on it unchanged.
-A batch evaluator called with info=True returns the location it computed
-as a BatchInfo, with a cause code per row, so no caller locates its points
-again.
+_locate_quad (with each row's own tolerance) and the closed form of
+coords2d run on it unchanged.  A batch evaluator called with info=True
+returns the location it computed as a BatchInfo of codes, with a cause code
+per row, so no caller locates its points again.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, compress
@@ -84,10 +86,11 @@ class PointLocation:
 
 # The most points one stacked pass holds: grid's chunks and its derivative
 # offsets, a suite's samples, a sampler's attempts.  Callers read it when
-# called, so one setting covers them all.  The per-point stack of a
-# hexahedron (an 8 x 8 system and its LU copy) sets the value: against
-# chunks of 512, 4096 raised a hexahedral grid's peak memory by 4%, and 8192
-# by 13% for a few percent more speed.
+# called, so one setting covers them all.  It bounds the length of every
+# (m,) entry array the stacked passes hold at once, the largest set being a
+# hexahedron's: its assembled 8 x 8 rows and the entries its elimination
+# builds from them.  An entry of 4096 floats is 32 KB, so those come to a
+# few MB, and each numpy call of a chunk still spans 4096 points.
 BATCH_CHUNK = 4096
 
 # Why a batch row has weights or not, by BatchInfo.cause code: ok; the point
@@ -97,13 +100,13 @@ CAUSES = ("ok", "exterior", "boundary", "frame", "singular")
 OK, EXTERIOR, BOUNDARY, FRAME, SINGULAR = range(len(CAUSES))
 
 
-# A batch location's int8 codes: exterior, interior, on an edge (a
-# quadrilateral) or face (a hexahedron), at a vertex.  An interval has the
-# first two only.
+# The location codes of _locate_quad and _locate_hex, an int for one point
+# and int8 for a stack: exterior, interior, on an edge (a quadrilateral) or
+# face (a hexahedron), at a vertex.  An interval has the first two only.
 LOC_EXTERIOR, LOC_INTERIOR, LOC_FACET, LOC_VERTEX = range(4)
-# The location kinds by code, for the public classifiers and BatchInfo.kind.
-QUAD_KINDS = np.array(["exterior", "interior", "on_edge", "at_vertex"])
-HEX_KINDS = np.array(["exterior", "interior", "on_face", "at_vertex"])
+# The location kinds by code, which only the public classifiers name.
+QUAD_KINDS = ("exterior", "interior", "on_edge", "at_vertex")
+HEX_KINDS = ("exterior", "interior", "on_face", "at_vertex")
 
 
 @dataclass(frozen=True)
@@ -112,30 +115,22 @@ class BatchInfo:
     row failed.
 
     code (m,) holds the int8 location codes (LOC_EXTERIOR, LOC_INTERIOR,
-    LOC_FACET, LOC_VERTEX) and names the kind name of each code (QUAD_KINDS,
-    HEX_KINDS, or an interval's "exterior" and "interior"); index (m,) is
-    the vertex, edge or face index (an interval: the containing interval),
-    -1 where the location has none.  kind, derived from the two, is the
-    kind classify_points_quad or face_of_points_hex gives.  cause (m,)
-    holds int8 codes into CAUSES, OK exactly where the row has weights.
-    Callers on the batch path compare code or cause, not kind.
+    LOC_FACET, LOC_VERTEX); index (m,) is the vertex, edge or face index
+    (an interval: the containing interval), -1 where the location has none.
+    cause (m,) holds int8 codes into CAUSES, OK exactly where the row has
+    weights.
     """
 
     code: np.ndarray
-    names: np.ndarray
     index: np.ndarray
     cause: np.ndarray
 
-    @property
-    def kind(self) -> np.ndarray:
-        return self.names[self.code]
-
     @classmethod
-    def of(cls, code, names, index, ok, failure) -> BatchInfo:
+    def of(cls, code, index, ok, failure) -> BatchInfo:
         """The record of rows that failed where ok is clear: EXTERIOR where
         the point is exterior, failure (a code, or codes (m,)) elsewhere."""
         cause = np.where(ok, OK, np.where(code == LOC_EXTERIOR, EXTERIOR, failure))
-        return cls(code, names, index, cause.astype(np.int8))
+        return cls(code, index, cause.astype(np.int8))
 
 
 def signed_area(a, b, c) -> float:
@@ -444,58 +439,58 @@ def _smallest(values):
     return reduce(np.minimum, values)
 
 
-def _locate_quad(quad: Quadrilateral, x, y, tol: float):
-    """Point location on a quadrilateral: (kind, index, t, dist).
+def _locate_quad(quad: Quadrilateral, x, y):
+    """Point location on a quadrilateral: (code, index, t, dist).
 
     Takes one point as Python floats (x, y) or a stack as arrays (m,), and
-    compares the same numbers with tol on both; quad may be a QuadStack
-    (and tol an array (m,)) for a stack.  Vertex snapping comes
+    compares the same numbers with the tolerance tol = CLASSIFY_RTOL *
+    diameter on both; quad may be a QuadStack for a stack, whose tol is
+    then an array (m,), each row's own element's.  Vertex snapping comes
     first (squared distances against tol**2), then edges (the distance to
     the foot at edge parameter t), each taking the first of equally near
     candidates; otherwise even-odd ray crossing decides, which is valid for
     nonconvex simple polygons.  A horizontal edge never straddles the ray,
-    so a stack on one quadrilateral skips it, and a QuadStack divides by
-    zero there quietly and masks the quotient out.
+    so a stack divides by zero there quietly and masks the quotient out; a
+    stack is quiet, too, where a point is not finite or its squared
+    distances overflow.
 
-    index is the vertex or edge, t the edge parameter ("on_edge") and dist
-    the distance to the nearest edge.  One point returns its kind as a
-    string (QUAD_KINDS) as soon as it is known, with None for what it did
-    not compute or has none of; a stack returns kind as int8 location codes
-    (LOC_EXTERIOR ...), with index -1 and t NaN there.
+    code is the location code (LOC_EXTERIOR ...), index the vertex or edge,
+    t the edge parameter (LOC_FACET) and dist the distance to the nearest
+    edge.  One point returns an int code as soon as it is known, with None
+    for what it did not compute or has none of; a stack returns int8
+    codes, with index -1 and t NaN there.
     """
     one = isinstance(x, float)
+    tol = CLASSIFY_RTOL * quad.diameter
     sqrt = math.sqrt if one else np.sqrt
-    d2, ts, dists, inside = [], [], [], False
-    for ax, ay, by, ex, ey, ee in quad.edge_rows:
-        qx, qy = x - ax, y - ay
-        d2.append(qx * qx + qy * qy)
-        t = (qx * ex + qy * ey) / ee
-        # The two clamps may differ only in the sign of a zero t, which only
-        # a point at vertex a gets.
-        t = min(max(t, 0.0), 1.0) if one else np.clip(t, 0.0, 1.0)
-        dx, dy = qx - t * ex, qy - t * ey
-        ts.append(t)
-        dists.append(sqrt(dx * dx + dy * dy))
-        if one:
-            if (ay > y) != (by > y) and x < ax + qy * ex / ey:
-                inside = not inside
-        elif isinstance(ey, float):
-            if ey != 0.0:
+    with nullcontext() if one else np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d2, ts, dists, inside = [], [], [], False
+        for ax, ay, by, ex, ey, ee in quad.edge_rows:
+            qx, qy = x - ax, y - ay
+            d2.append(qx * qx + qy * qy)
+            t = (qx * ex + qy * ey) / ee
+            # The two clamps may differ only in the sign of a zero t, which
+            # only a point at vertex a gets.
+            t = min(max(t, 0.0), 1.0) if one else np.clip(t, 0.0, 1.0)
+            dx, dy = qx - t * ex, qy - t * ey
+            ts.append(t)
+            dists.append(sqrt(dx * dx + dy * dy))
+            if one:
+                if (ay > y) != (by > y) and x < ax + qy * ex / ey:
+                    inside = not inside
+            else:
                 inside = inside ^ (((ay > y) != (by > y)) & (x < ax + qy * ex / ey))
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inside = inside ^ (((ay > y) != (by > y)) & (x < ax + qy * ex / ey))
-    nearest2 = _smallest(d2)
-    vertex = nearest2 <= tol * tol
-    if one and vertex:
-        return "at_vertex", d2.index(nearest2), None, None
-    dist = _smallest(dists)
-    edge = dist <= tol
+        nearest2 = _smallest(d2)
+        vertex = nearest2 <= tol * tol
+        if one and vertex:
+            return LOC_VERTEX, d2.index(nearest2), None, None
+        dist = _smallest(dists)
+        edge = dist <= tol
     if one:
         if edge:
             e = dists.index(dist)
-            return "on_edge", e, ts[e], dist
-        return ("interior" if inside else "exterior"), None, None, dist
+            return LOC_FACET, e, ts[e], dist
+        return (LOC_INTERIOR if inside else LOC_EXTERIOR), None, None, dist
     index, t = np.full(len(x), -1), np.full(len(x), np.nan)
     rows = np.flatnonzero(edge & ~vertex)
     index[rows] = e = np.array(dists)[:, rows].argmin(axis=0)
@@ -506,16 +501,14 @@ def _locate_quad(quad: Quadrilateral, x, y, tol: float):
     return code, index, t, dist
 
 
-def classify_point_quad(quad: Quadrilateral, p, tol: float | None = None) -> PointLocation:
+def classify_point_quad(quad: Quadrilateral, p) -> PointLocation:
     """Classify p as at a vertex, on an edge, interior, or exterior.
 
     Snapping precedence is vertex before edge.  Interior/exterior uses
     even-odd ray crossing, which is valid for nonconvex simple polygons.
     """
-    if tol is None:
-        tol = CLASSIFY_RTOL * quad.diameter
-    kind, index, t, _ = _locate_quad(quad, float(p[0]), float(p[1]), tol)
-    return PointLocation(kind, index, t)
+    code, index, t, _ = _locate_quad(quad, float(p[0]), float(p[1]))
+    return PointLocation(QUAD_KINDS[code], index, t)
 
 
 def classify_points_quad(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
@@ -524,17 +517,9 @@ def classify_points_quad(quad: Quadrilateral, points) -> tuple[np.ndarray, np.nd
     kind[s] and index[s] (-1 where the location has none) are the kind and
     index classify_point_quad gives for points[s]: both run _locate_quad.
     """
-    code, index = _locate_points_quad(quad, np.asarray(points, dtype=float).reshape(-1, 2))
-    return QUAD_KINDS[code], index
-
-
-def _locate_points_quad(quad: Quadrilateral, pts) -> tuple[np.ndarray, np.ndarray]:
-    """(code, index) of _locate_quad at each row of pts (m, 2), with the
-    default tolerance: classify_points_quad as location codes."""
-    # Quiet where a point is not finite or its squared distances overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1], CLASSIFY_RTOL * quad.diameter)
-    return code, index
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1])
+    return np.array(QUAD_KINDS)[code], index
 
 
 def _check_nodes(x):
@@ -881,7 +866,7 @@ _NO_FACES = (False,) * 6
 
 
 def _locate_hex(hexa: Hexahedron, x, y, z):
-    """Point location on a hexahedron: (kind, index, on).
+    """Point location on a hexahedron: (code, index, on).
 
     Takes one point as Python floats or a stack as arrays (m,), and
     compares the same numbers with the tolerance on both: the eight vertex
@@ -893,10 +878,11 @@ def _locate_hex(hexa: Hexahedron, x, y, z):
     the tolerance band: where the projection of a flagged point onto its
     face leaves the face, it crosses an edge whose other face is flagged
     too, since the point is beyond no plane by more than the tolerance.
-    index is the vertex or the lowest containing face (None or -1 where
-    there is none); on holds the six containing-face flags, bools or
-    arrays (m,), which the frame rule takes as they are.  One point
-    returns as soon as its kind is known.
+    code is the location code (LOC_EXTERIOR ...), an int for one point and
+    int8 for a stack; index is the vertex or the lowest containing face
+    (None or -1 where there is none); on holds the six containing-face
+    flags, bools or arrays (m,), which the frame rule takes as they are.
+    One point returns as soon as its code is known.
     """
     one = isinstance(x, float)
     tol = CLASSIFY_RTOL * hexa.diameter
@@ -908,21 +894,21 @@ def _locate_hex(hexa: Hexahedron, x, y, z):
     nearest = _smallest(dv)
     vertex = nearest <= tol
     if one and vertex:
-        return "at_vertex", dv.index(nearest), _NO_FACES
+        return LOC_VERTEX, dv.index(nearest), _NO_FACES
     s = hexa._signed_distances(x, y, z)
     outside, inner = False, True
     for sf in s:
         outside = outside | (sf > tol)
         inner = inner & (sf < -tol)
     if one and outside:
-        return "exterior", None, _NO_FACES
+        return LOC_EXTERIOR, None, _NO_FACES
     # One point that got here is neither at a vertex nor outside.
     candidate = True if one else ~(vertex | outside)
     on = [(abs(sf) <= tol) & candidate for sf in s]
     if one:
         if True in on:
-            return "on_face", on.index(True), tuple(on)
-        return ("interior" if inner else "exterior"), None, _NO_FACES
+            return LOC_FACET, on.index(True), tuple(on)
+        return (LOC_INTERIOR if inner else LOC_EXTERIOR), None, _NO_FACES
     on = np.array(on)
     on_face = on.any(axis=0)
     index = np.where(on_face, on.argmax(axis=0), -1)
@@ -943,8 +929,8 @@ def face_of_point_hex(hexa: Hexahedron, p) -> PointLocation:
     planes by more than tol is interior.  Points on edges or corners report
     the lowest-index containing face, and every containing face in faces.
     """
-    kind, index, on = _locate_hex(hexa, float(p[0]), float(p[1]), float(p[2]))
-    return PointLocation(kind, index, faces=tuple(compress(range(6), on)))
+    code, index, on = _locate_hex(hexa, float(p[0]), float(p[1]), float(p[2]))
+    return PointLocation(HEX_KINDS[code], index, faces=tuple(compress(range(6), on)))
 
 
 def faces_containing(hexa: Hexahedron, p) -> list[int]:
@@ -963,4 +949,4 @@ def face_of_points_hex(hexa: Hexahedron, points) -> tuple[np.ndarray, np.ndarray
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     code, index, _ = _locate_hex(hexa, pts[:, 0], pts[:, 1], pts[:, 2])
-    return HEX_KINDS[code], index
+    return np.array(HEX_KINDS)[code], index

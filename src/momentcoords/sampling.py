@@ -1,7 +1,8 @@
 """Seeded random geometry and point generators shared by checks and tests.
 
 The quadrilateral sampler decides with the point location of
-classify_point_quad, whose nearest-edge distance gives the margin.
+classify_point_quad (geometry._locate_quad), whose nearest-edge distance
+gives the margin.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import numpy as np
 from . import geometry
 from .errors import InvalidGeometry
 from .geometry import (
-    CLASSIFY_RTOL,
     HEX_FACE_VERTICES,
     LOC_INTERIOR,
     REFERENCE_CUBE,
@@ -72,10 +72,9 @@ def interior_points_quad(quad: Quadrilateral, n: int, rng, margin: float = 1e-5)
     edge; a chunk decides as one point at a time would.
     """
     keep = margin * quad.diameter
-    tol = CLASSIFY_RTOL * quad.diameter
 
     def accept(pts):
-        code, _, _, dist = _locate_quad(quad, pts[:, 0], pts[:, 1], tol)
+        code, _, _, dist = _locate_quad(quad, pts[:, 0], pts[:, 1])
         return (code == LOC_INTERIOR) & ~(dist < keep)
 
     v = quad.vertices

@@ -37,6 +37,9 @@ from .errors import SingularMatrix
 PIVOT_RTOL = 1e-13
 # Post-solve residual contract: |Ax - b|_inf <= RESIDUAL_RTOL * (1 + |b|_inf).
 RESIDUAL_RTOL = 1e-10
+# The contract for a right-hand side of inf-norm 1, which the closed forms
+# of coords1d and coords2d hold their residuals to.
+_RESIDUAL_BOUND = 2.0 * RESIDUAL_RTOL
 
 
 def active_backend() -> str:

@@ -45,7 +45,13 @@ from momentcoords.geometry import (
     CLASSIFY_RTOL,
     EXTERIOR,
     FRAME,
+    HEX_KINDS,
+    LOC_EXTERIOR,
+    LOC_FACET,
+    LOC_INTERIOR,
+    LOC_VERTEX,
     OK,
+    QUAD_KINDS,
     SINGULAR,
     BatchInfo,
     Hexahedron,
@@ -132,7 +138,7 @@ def _assert_classify_equal(quad, points):
     kind, index = classify_points_quad(quad, points)
     # The edge parameter, which the edge weights take, is compared bit for
     # bit; the stack has NaN where one point has None.
-    t = _locate_quad(quad, points[:, 0], points[:, 1], CLASSIFY_RTOL * quad.diameter)[2]
+    t = _locate_quad(quad, points[:, 0], points[:, 1])[2]
     for s, p in enumerate(points):
         loc = classify_point_quad(quad, p)
         assert kind[s] == loc.kind, (p, kind[s], loc)
@@ -547,7 +553,7 @@ def _identity_field(points, info=True):
     gradient is the identity, with every point evaluable."""
     points = np.asarray(points, dtype=float)
     cause = np.zeros(len(points), dtype=np.int8)
-    return points.copy(), np.ones(len(points), dtype=bool), BatchInfo(cause, cause, cause, cause)
+    return points.copy(), np.ones(len(points), dtype=bool), BatchInfo(cause, cause, cause)
 
 
 @pytest.mark.parametrize("x", [0.3, 3e6, -7e9])
@@ -729,6 +735,42 @@ def test_hex_batch_equals_single_point(make):
     _assert_many_equal(moment_coords_hex, moment_coords_hex_many, hexa, points)
 
 
+def test_stack_rows_take_their_own_elements_tolerance():
+    # The tolerance band of a QuadStack row is its own element's: two
+    # elements whose diameters differ by 1e6, with points (1 +- 1e-6) tol
+    # off each edge and around each vertex, where the location turns on the
+    # last bits of the tolerance.
+    base = shapes.nonconvex_quad().vertices
+    quads = [Quadrilateral(base * 1e-3), Quadrilateral(base * 1e3 + [5e3, -2e3])]
+    parts = [_tolerance_points(q) for q in quads]
+    element = np.repeat([0, 1], [len(part) for part in parts])
+    points = np.vstack(parts)
+    code, index, t, _ = _locate_quad(QuadStack(quads, element), points[:, 0], points[:, 1])
+    assert set(code.tolist()) == {LOC_EXTERIOR, LOC_INTERIOR, LOC_FACET, LOC_VERTEX}
+    for s, (e, p) in enumerate(zip(element.tolist(), points)):
+        one_code, one_index, one_t, _ = _locate_quad(quads[e], *p.tolist())
+        assert code[s] == one_code, (e, p)
+        assert index[s] == (-1 if one_index is None else one_index), (e, p)
+        ref = np.nan if one_t is None else one_t
+        assert np.float64(t[s]).tobytes() == np.float64(ref).tobytes(), (e, p)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_hex_tolerance_band_stack_equals_single_point(scale):
+    # _locate_hex at points (1 +- 1e-6) tol off the faces, edges and
+    # vertices of hexahedra 1e6 apart in size: a stack gives each row the
+    # code, index and containing faces of the point alone.
+    hexa = Hexahedron(shapes.convex_hex().vertices * scale)
+    points = _hex_tolerance_points(hexa)
+    code, index, on = _locate_hex(hexa, points[:, 0], points[:, 1], points[:, 2])
+    assert set(code.tolist()) == {LOC_EXTERIOR, LOC_INTERIOR, LOC_FACET, LOC_VERTEX}
+    for s, p in enumerate(points):
+        one_code, one_index, one_on = _locate_hex(hexa, *p.tolist())
+        assert code[s] == one_code, p
+        assert index[s] == (-1 if one_index is None else one_index), p
+        assert tuple(on[:, s].tolist()) == one_on, p
+
+
 # A fixed corpus of seeded hexahedra, tilted plane hexahedra and affine cube
 # images, with interior points and points on every face.
 HEX_CORPUS = [(make, seed) for make in ("plane", "affine") for seed in range(24)]
@@ -850,7 +892,7 @@ def test_batch_rows_independent_of_batch_composition(kind, method, name):
         element = np.repeat(np.arange(len(quads)), [len(part) for part in parts])
         order = np.random.default_rng(3).permutation(len(element))
         info = _assert_stack_rows(method, quads, element[order], np.vstack(parts)[order])
-        assert set(info.kind.tolist()) == {"interior", "exterior", "on_edge", "at_vertex"}
+        assert set(info.code.tolist()) == {LOC_INTERIOR, LOC_EXTERIOR, LOC_FACET, LOC_VERTEX}
 
 
 # The batch methods that take a QuadStack, and the similarity images of
@@ -910,7 +952,7 @@ def _assert_stack_rows(method, quads, element, points):
         own_phi, own_ok, own_info = many(quad, points[rows], info=True)
         assert own_phi.tobytes() == phi[rows].tobytes(), (method, e)
         assert np.array_equal(own_ok, ok[rows]), (method, e)
-        for field in ("kind", "index", "cause"):
+        for field in ("code", "index", "cause"):
             assert np.array_equal(getattr(own_info, field), getattr(info, field)[rows]), (e, field)
     for s, ref in enumerate(refs):
         if ref is None:
@@ -1011,6 +1053,15 @@ def _locations(geom, points):
     return np.where(inside, "interior", "exterior"), k
 
 
+def _kind_names(geom, code):
+    """The kind name of each location code, as _locations names it."""
+    if isinstance(geom, Quadrilateral):
+        return np.array(QUAD_KINDS)[code]
+    if isinstance(geom, Hexahedron):
+        return np.array(HEX_KINDS)[code]
+    return np.array(["exterior", "interior"])[code]
+
+
 # The exception the single-point function raises at a row of each cause.
 CAUSE_ERRORS = {
     EXTERIOR: (OutsideDomain, OutOfDomain),
@@ -1028,7 +1079,8 @@ def _assert_record(kind, method, geom, points):
     phi_info, ok_info, info = many(geom, points, info=True)
     assert phi_info.tobytes() == phi.tobytes() and ok_info.tobytes() == ok.tobytes()
     loc_kind, loc_index = _locations(geom, points)
-    assert np.array_equal(info.kind, loc_kind) and np.array_equal(info.index, loc_index)
+    assert np.array_equal(_kind_names(geom, info.code), loc_kind)
+    assert np.array_equal(info.index, loc_index)
     assert info.cause.dtype == np.int8 and info.cause.shape == ok.shape
     assert np.array_equal(info.cause == OK, ok)
     assert np.array_equal(info.cause == EXTERIOR, loc_kind == "exterior")
@@ -1049,7 +1101,7 @@ def test_batch_info_record(kind, method, name):
     if method in ("mvc-oracle", "wachspress-oracle"):
         assert BOUNDARY in causes  # the stacks hold edge and vertex points
     empty = _assert_record(kind, method, geom, points[:0])
-    assert empty.kind.shape == empty.index.shape == empty.cause.shape == (0,)
+    assert empty.code.shape == empty.index.shape == empty.cause.shape == (0,)
 
 
 def test_hex_info_names_frame_failures():

@@ -23,7 +23,13 @@ from momentcoords.coords2d import (
     wachspress_gradient_quad_many,
 )
 from momentcoords.errors import NotConvex
-from momentcoords.geometry import Quadrilateral, classify_points_quad
+from momentcoords.geometry import (
+    LOC_FACET,
+    LOC_INTERIOR,
+    LOC_VERTEX,
+    Quadrilateral,
+    classify_points_quad,
+)
 
 _NEXT = [1, 2, 3, 0]
 _PREV = [3, 0, 1, 2]
@@ -175,11 +181,11 @@ def test_vertex_gradient_is_the_limit_along_the_bisector(family, name):
     quad = QUADS[name]
     single = FAMILIES[family][0]
     _, ok, grad, grad_ok, info = _gradients(family, quad, quad.vertices)
-    assert ok.all() and grad_ok.all() and (info.kind == "at_vertex").all()
+    assert ok.all() and grad_ok.all() and (info.code == LOC_VERTEX).all()
     b = np.array(quad.inward_bisectors)
     inner = quad.vertices + 1e-8 * quad.diameter * b
     _, _, grad_in, in_ok, info_in = _gradients(family, quad, inner)
-    assert in_ok.all() and (info_in.kind == "interior").all()
+    assert in_ok.all() and (info_in.code == LOC_INTERIOR).all()
     for i, v in enumerate(quad.vertices):
         step = inner[i] - v
         h = np.hypot(*step)
@@ -205,7 +211,7 @@ def test_edge_and_vertex_rows_keep_their_location():
     pts = np.array([quad.vertices[1] + [tol, -tol], [1.0, 0.0], [1.0, tol]])
     _, _, grad, grad_ok, info = _gradients("moment", quad, pts)
     _, _, exact, _, _ = _gradients("moment", quad, np.array([quad.vertices[1], [1.0, 0.0]]))
-    assert info.kind.tolist() == ["at_vertex", "on_edge", "on_edge"] and grad_ok.all()
+    assert info.code.tolist() == [LOC_VERTEX, LOC_FACET, LOC_FACET] and grad_ok.all()
     assert grad[0].tobytes() == exact[0].tobytes()
     assert np.abs(grad[2] - exact[1]).max() <= 1e-9
 

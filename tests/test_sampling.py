@@ -4,7 +4,7 @@ import pytest
 from momentcoords import geometry, sampling, shapes
 from momentcoords.errors import OutsideDomain
 from momentcoords.geometry import (
-    CLASSIFY_RTOL,
+    LOC_INTERIOR,
     Quadrilateral,
     _locate_quad,
     classify_point_quad,
@@ -45,8 +45,8 @@ def _loop_interior_points_quad(quad, n, rng, margin=1e-5):
         if attempts > budget:
             raise ValueError("budget")
         p = rng.uniform(lo, hi)
-        kind, _, _, dist = _locate_quad(quad, *p.tolist(), CLASSIFY_RTOL * quad.diameter)
-        if kind != "interior" or dist < keep:
+        code, _, _, dist = _locate_quad(quad, *p.tolist())
+        if code != LOC_INTERIOR or dist < keep:
             continue
         out.append(p)
     return np.array(out)
@@ -169,9 +169,8 @@ def test_boundary_distance_batch_equals_single_point(name):
     rng = np.random.default_rng(12)
     lo, hi = quad.vertices.min(axis=0), quad.vertices.max(axis=0)
     pts = rng.uniform(lo, hi, size=(500, 2))
-    tol = CLASSIFY_RTOL * quad.diameter
-    batch = _locate_quad(quad, pts[:, 0], pts[:, 1], tol)[3]
-    single = [_locate_quad(quad, *p.tolist(), tol)[3] for p in pts]
+    batch = _locate_quad(quad, pts[:, 0], pts[:, 1])[3]
+    single = [_locate_quad(quad, *p.tolist())[3] for p in pts]
     assert batch.tobytes() == np.array(single).tobytes()
 
 
