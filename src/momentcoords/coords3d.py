@@ -11,8 +11,8 @@ picks each frame row per opposite-face pair: the normal of the plane
 through p and the line where the pair's supporting planes meet, or the
 pair's normal bisector when the planes are parallel.  The frame varies
 continuously with p, and so do the weights.  What depends on the geometry
-alone is kept by the Hexahedron: its face planes (face_planes) and those
-lines (pair_lines).
+alone is kept by the Hexahedron: its face planes (face_normals,
+plane_rows) and those lines (pair_lines).
 
 For boundary points the pattern cannot hold on the columns of the
 containing face; those columns are exempted from the sign check and zeroed

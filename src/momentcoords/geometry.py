@@ -7,11 +7,10 @@ kind on Python floats (_check_quad, _check_hex, _check_nodes), and are
 treated as immutable afterwards.  Each keeps from that pass the diameter
 (an interval: its span) and the float tables its evaluator reads: a
 quadrilateral's corner_tuple, an interval's node_tuple, a hexahedron's
-corner_tuple, face_normals and plane_rows, and the planes the hexahedron's
-validation fitted.  What the evaluators derive from those (a
+corner_tuple, face_normals and plane_rows, and the centroids of the
+planes its validation fitted.  What the evaluators derive from those (a
 quadrilateral's edge rows and reproducing kernel, its corner crosses, a
-hexahedron's pair_lines, and its face_planes as arrays) is taken on first
-use.  The set-up is written as straight-line float arithmetic
+hexahedron's pair_lines) is taken on first use.  The set-up is written as straight-line float arithmetic
 (_check_quad, the reproducing kernel, _face_is_simple, the tables of
 _check_hex, pair_lines): each quantity spelled out once, in the order of
 its formula, with no dict, closure or generator around it, because a mesh
@@ -691,8 +690,8 @@ def _check_hex(v):
     rounding the vertices alone can cost (Shewchuk 1997).
 
     tables is None unless v is valid; then it holds what a Hexahedron keeps:
-    (corner_tuple, the normals and centroids as arrays (6, 3), the centroids
-    as float triples, face_normals, plane_rows, diameter).
+    (corner_tuple, the centroids as float triples, face_normals, plane_rows,
+    diameter).
     """
     if v.shape != (8, 3):
         return [f"expected 8 vertices with 3 coordinates, got shape {v.shape}"], None
@@ -758,7 +757,7 @@ def _check_hex(v):
         (*normals[4], d[4]),
         (*normals[5], d[5]),
     )
-    return out, (corners, (n, c), centroids, tuple(normals), rows, diam)
+    return out, (corners, centroids, tuple(normals), rows, diam)
 
 
 class Hexahedron:
@@ -767,10 +766,10 @@ class Hexahedron:
     The vertex order must follow the reference-cube sign convention used by
     the hexahedral moment system (vertex i of the cube [-1,1]^3 is
     REFERENCE_CUBE[i]); no automatic reordering is done.  Keeps from its
-    validation the diameter, the face planes it fitted and the Python-float
-    tables that point location and the frame rule read (corner_tuple,
-    face_normals, plane_rows); the pair lines (pair_lines) and the face
-    planes as arrays (face_planes) are taken on first use.
+    validation the diameter and the Python-float tables that point location
+    and the frame rule read (corner_tuple, face_normals, plane_rows, and
+    the fitted planes' centroids); the pair lines (pair_lines) are taken on
+    first use.
     """
 
     FACES = HEX_FACES
@@ -784,23 +783,12 @@ class Hexahedron:
         v = v.copy()
         v.flags.writeable = False
         self.vertices = v
-        # The vertices as float triples; the fitted planes' outward unit
-        # normals and centroids as arrays (6, 3), and the centroids as float
-        # triples; the normals as float triples and the plane rows (n_x, n_y,
-        # n_z, n . c); the diameter.
-        (
-            self.corner_tuple,
-            self._planes,
-            self._centroids,
-            self.face_normals,
-            self.plane_rows,
-            self.diameter,
-        ) = tables
-
-    @cached_property
-    def face_planes(self) -> tuple:
-        """Per face, (outward unit normal, centroid) as arrays (3,)."""
-        return tuple(zip(*self._planes))
+        # The vertices as float triples; the fitted planes' centroids and
+        # outward unit normals as float triples, and the plane rows (n_x,
+        # n_y, n_z, n . c); the diameter.
+        self.corner_tuple, self._centroids, self.face_normals, self.plane_rows, self.diameter = (
+            tables
+        )
 
     @cached_property
     def pair_lines(self) -> tuple:

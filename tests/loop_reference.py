@@ -124,7 +124,7 @@ _HEX_PAIRS = tuple(combinations(range(8), 2))
 
 
 def check_hex(v):
-    """(violations, tables) with tables (corner_tuple, face_planes,
+    """(violations, tables) with tables (corner_tuple, the centroids,
     face_normals, plane_rows, diameter), as geometry._check_hex."""
     if v.shape != (8, 3):
         return [f"expected 8 vertices with 3 coordinates, got shape {v.shape}"], None
@@ -178,7 +178,7 @@ def check_hex(v):
     n = np.array(normals)
     offsets = (n[:, None, :] @ c[:, :, None]).ravel().tolist()
     rows = tuple((*nf, d) for nf, d in zip(normals, offsets))
-    return out, (corners, tuple(zip(n, c)), normals, rows, diam)
+    return out, (corners, tuple(map(tuple, c.tolist())), normals, rows, diam)
 
 
 def _cross(a, b):
@@ -187,7 +187,7 @@ def _cross(a, b):
 
 
 def pair_lines(hexa) -> tuple:
-    """As Hexahedron.pair_lines, from hexa's plane_rows and face_planes."""
+    """As Hexahedron.pair_lines, from hexa's plane_rows and centroids."""
     out = []
     for fa, fb in geometry.HEX_OPPOSITE_PAIRS:
         *na, da = hexa.plane_rows[fa]
@@ -202,7 +202,7 @@ def pair_lines(hexa) -> tuple:
             continue
         x0 = tuple((da * p + db * q) / uu for p, q in zip(_cross(nb, u), _cross(u, na)))
         direction = tuple(c / norm_u for c in u)
-        out.append(((direction, x0, tuple(hexa.face_planes[fa][1].tolist())), None))
+        out.append(((direction, x0, hexa._centroids[fa]), None))
     return tuple(out)
 
 

@@ -708,7 +708,7 @@ def _hex_tolerance_points(hexa):
     along each containing face's normal and along their sum, both ways."""
     v = hexa.vertices
     tol = CLASSIFY_RTOL * hexa.diameter
-    normals = np.array([n for n, _ in hexa.face_planes])
+    normals = np.array(hexa.face_normals)
     def faces_with(*corners):
         return [f for f, idx in enumerate(Hexahedron.FACES) if set(corners) <= set(idx)]
 

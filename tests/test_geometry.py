@@ -158,8 +158,8 @@ class TestHexahedron:
         assert geo.hex_violations(slab) == (expected if flat else [])
 
     def test_outward_normals(self, cube):
-        for (n, c), expect in zip(
-            cube.face_planes,
+        for n, expect in zip(
+            cube.face_normals,
             [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
         ):
             assert np.allclose(n, expect, atol=1e-12)
@@ -375,7 +375,7 @@ def test_hex_validation_matches_reference():
         hexa = Hexahedron(v)
         assert np.array_equal(hexa.vertices, v)
         assert hexa.diameter == _reference_diameter(v)
-        for (n, c), (n_ref, c_ref) in zip(hexa.face_planes, planes, strict=True):
+        for n, c, (n_ref, c_ref) in zip(hexa.face_normals, hexa._centroids, planes, strict=True):
             assert np.array_equal(n, n_ref) and np.array_equal(c, c_ref)
     assert seen == {"coincide", "planar", "protrudes", "simple"}
 
@@ -516,9 +516,10 @@ def test_hexahedron_keeps_its_tables_bitwise():
         rows = tuple((*n.tolist(), float(n @ c)) for n, c in planes)
         # pair_lines read from the reference tables by the loop-form copy.
         reference = object.__new__(Hexahedron)
-        reference.face_planes, reference.plane_rows = planes, rows
+        centroids = tuple(tuple(c.tolist()) for _, c in planes)
+        reference._centroids, reference.plane_rows = centroids, rows
         for kept, ref in (
-            (hexa.face_planes, planes),
+            (hexa._centroids, centroids),
             (hexa.plane_rows, rows),
             (hexa.face_normals, tuple(tuple(n.tolist()) for n, _ in planes)),
             (hexa.corner_tuple, tuple(map(tuple, v.tolist()))),

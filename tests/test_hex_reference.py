@@ -111,11 +111,11 @@ def test_plane_hex_sampler_fits_each_face_once(fit_count):
 
 def test_hexahedron_keeps_its_face_data():
     hexa = shapes.convex_hex()
-    assert len(hexa.face_planes) == 6
+    assert len(hexa.face_normals) == len(hexa._centroids) == 6
     assert hexa.pair_lines is hexa.pair_lines
     for (line, _), (fa, _) in zip(hexa.pair_lines, HEX_OPPOSITE_PAIRS):
         if line is not None:
-            assert line[2] == tuple(hexa.face_planes[fa][1].tolist())
+            assert line[2] == hexa._centroids[fa]
 
 
 @pytest.mark.parametrize("scale, shift", [(1e-3, 1e5), (1e-2, 1e6), (1e-3, 1e6)])
@@ -152,7 +152,8 @@ def test_pair_lines_solve_their_plane_equations():
         for (line, bisector), (fa, fb) in zip(hexa.pair_lines, HEX_OPPOSITE_PAIRS):
             assert bisector is None and line is not None
             u, x0, c = (np.array(t) for t in line)
-            (na, ca), (nb, cb) = hexa.face_planes[fa], hexa.face_planes[fb]
+            na, nb = np.array(hexa.face_normals[fa]), np.array(hexa.face_normals[fb])
+            ca, cb = np.array(hexa._centroids[fa]), np.array(hexa._centroids[fb])
             assert np.array_equal(c, ca)
             assert abs(np.linalg.norm(u) - 1.0) <= 4 * eps
             size = hexa.diameter + np.linalg.norm(x0) + max(np.linalg.norm(ca), np.linalg.norm(cb))
@@ -175,7 +176,7 @@ def test_parallel_pairs_give_the_normal_bisector():
         hexa = sampling.random_affine_cube_hex(rng)
         for (line, bisector), (fa, fb) in zip(hexa.pair_lines, HEX_OPPOSITE_PAIRS):
             assert line is None
-            m = hexa.face_planes[fa][0] - hexa.face_planes[fb][0]
+            m = np.subtract(hexa.face_normals[fa], hexa.face_normals[fb])
             gap = np.abs(np.array(bisector) - m / np.linalg.norm(m)).max()
             assert gap <= 4 * np.finfo(float).eps
     for e, parallel in ((2e-9, False), (5e-10, True)):

@@ -195,8 +195,7 @@ def test_random_plane_hexes_valid_and_nonparallel(rng):
         hexa = sampling.random_plane_hex(rng)
         assert hex_violations(hexa.vertices) == []
         for fa, fb in hexa.OPPOSITE_PAIRS:
-            na, _ = hexa.face_planes[fa]
-            nb, _ = hexa.face_planes[fb]
+            na, nb = np.array(hexa.face_normals[fa]), np.array(hexa.face_normals[fb])
             if np.linalg.norm(np.cross(na, nb)) > 1e-6:
                 saw_nonparallel = True
     assert saw_nonparallel

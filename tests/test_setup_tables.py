@@ -119,7 +119,7 @@ def _assert_hex_matches(v, rng):
     if expected:
         return
     hexa = Hexahedron(v)
-    kept = (hexa.corner_tuple, hexa.face_planes, hexa.face_normals, hexa.plane_rows, hexa.diameter)
+    kept = (hexa.corner_tuple, hexa._centroids, hexa.face_normals, hexa.plane_rows, hexa.diameter)
     assert _bits(kept) == _bits(ref_tables)
     assert _bits(hexa.pair_lines) == _bits(ref.pair_lines(hexa))
     for f, idx in enumerate(geometry.HEX_FACES):
