@@ -676,8 +676,8 @@ def _face_is_simple(n, corners, diam) -> bool:
 
 def _check_hex(v):
     """(violations, tables) of a float vertex array, checked in one pass on
-    Python floats; numpy fits the face planes (one stacked SVD, _fit_planes)
-    and, for a valid solid, takes their offsets n . c.
+    Python floats; numpy only fits the face planes (one stacked SVD,
+    _fit_planes).
 
     Each face reads one list, the signed distances n . (v_i - c) of all
     eight vertices to its fitted plane (unit normal n, centroid c): the
@@ -744,11 +744,9 @@ def _check_hex(v):
             out.append(f"face {f} is not a simple quadrilateral")
     if out:
         return out, None
-    n = np.array(normals)
-    # n . c by one dot product per face, as float(n @ c) takes it: numpy's
-    # rounding of a dot product (a fused multiply-add where the BLAS has
-    # one), which Python floats do not reproduce.
-    d = (n[:, None, :] @ c[:, :, None]).ravel().tolist()
+    # The offsets n . c, summed left to right in Python floats like every
+    # other table, so their bits do not depend on the BLAS.
+    d = [nx * cx + ny * cy + nz * cz for (nx, ny, nz), (cx, cy, cz) in zip(normals, centroids)]
     rows = (
         (*normals[0], d[0]),
         (*normals[1], d[1]),

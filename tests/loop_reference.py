@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import reduce
 from itertools import combinations, repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -175,8 +177,7 @@ def check_hex(v):
     if out:
         return out, None
     normals = tuple(normals)
-    n = np.array(normals)
-    offsets = (n[:, None, :] @ c[:, :, None]).ravel().tolist()
+    offsets = [reduce(add, map(mul, nf, cf)) for nf, cf in zip(normals, c.tolist())]
     rows = tuple((*nf, d) for nf, d in zip(normals, offsets))
     return out, (corners, tuple(map(tuple, c.tolist())), normals, rows, diam)
 

@@ -513,7 +513,10 @@ def test_hexahedron_keeps_its_tables_bitwise():
             expected, planes = _reference_check_hex(v)
         assert expected == []
         hexa = Hexahedron(v)
-        rows = tuple((*n.tolist(), float(n @ c)) for n, c in planes)
+        # The offsets n . c summed left to right, as Python floats add them.
+        rows = tuple(
+            (*n.tolist(), float(n[0] * c[0] + n[1] * c[1] + n[2] * c[2])) for n, c in planes
+        )
         # pair_lines read from the reference tables by the loop-form copy.
         reference = object.__new__(Hexahedron)
         centroids = tuple(tuple(c.tolist()) for _, c in planes)
