@@ -10,11 +10,12 @@ quadrilateral's corner_tuple, an interval's node_tuple, a hexahedron's
 corner_tuple, face_normals and plane_rows, and the centroids of the
 planes its validation fitted.  What the evaluators derive from those (a
 quadrilateral's edge rows and reproducing kernel, its corner crosses, a
-hexahedron's pair_lines) is taken on first use.  The set-up is written as straight-line float arithmetic
-(_check_quad, the reproducing kernel, _face_is_simple, the tables of
-_check_hex, pair_lines): each quantity spelled out once, in the order of
-its formula, with no dict, closure or generator around it, because a mesh
-builds many elements and evaluates each at a few points.
+hexahedron's pair_lines) is taken on first use.  The set-up is written as
+straight-line float arithmetic (_check_quad, the reproducing kernel,
+_face_is_simple, the tables of _check_hex, pair_lines): each quantity
+spelled out once, in the order of its formula, with no dict, closure or
+generator around it, because a mesh builds many elements and evaluates
+each at a few points.
 
 The hexahedral conventions live here: REFERENCE_CUBE, the one table of
 the reference cube's vertices, and HEX_FACES, the faces' cyclic vertex
