@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import OutOfDomain, SingularMatrix
 from .geometry import EXTERIOR, SINGULAR, BatchInfo, NodeSet1D
-from .smallsolve import _RESIDUAL_BOUND, PIVOT_RTOL
+from .smallsolve import PIVOT_RTOL, _RESIDUAL_BOUND
 
 DOMAIN_RTOL = 1e-12
 

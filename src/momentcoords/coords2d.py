@@ -81,7 +81,7 @@ from .geometry import (
     _locate_quad,
     signed_area,
 )
-from .smallsolve import _RESIDUAL_BOUND, PIVOT_RTOL
+from .smallsolve import PIVOT_RTOL, _RESIDUAL_BOUND
 
 _OTHERS = tuple(tuple(j for j in range(4) if j != i) for i in range(4))
 _NEXT = np.array([1, 2, 3, 0])

@@ -27,8 +27,8 @@ point is located alike alone or in a stack.  Each locator takes its
 tolerance, CLASSIFY_RTOL times the diameter, from the element it is given
 and returns the location codes LOC_EXTERIOR, LOC_INTERIOR, LOC_FACET and
 LOC_VERTEX, an int for one point and int8 for a stack.  Every evaluator of
-the package and the quadrilateral sampler call a locator directly and
-compare its codes; the kind names (QUAD_KINDS, HEX_KINDS) and PointLocation
+the package, the quadrilateral sampler and the hexahedral check suite call
+a locator directly and compare its codes; the kind names (QUAD_KINDS, HEX_KINDS) and PointLocation
 are built only in the public classifiers (classify_point_quad,
 face_of_point_hex, faces_containing and the stacked classify_points_quad
 and face_of_points_hex), for callers outside the package.
@@ -785,9 +785,13 @@ class Hexahedron:
         # The vertices as float triples; the fitted planes' centroids and
         # outward unit normals as float triples, and the plane rows (n_x,
         # n_y, n_z, n . c); the diameter.
-        self.corner_tuple, self._centroids, self.face_normals, self.plane_rows, self.diameter = (
-            tables
-        )
+        (
+            self.corner_tuple,
+            self._centroids,
+            self.face_normals,
+            self.plane_rows,
+            self.diameter,
+        ) = tables
 
     @cached_property
     def pair_lines(self) -> tuple:

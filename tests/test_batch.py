@@ -726,7 +726,16 @@ def _hex_tolerance_points(hexa):
     return np.array(out)
 
 
-@pytest.mark.parametrize("make", [shapes.convex_hex, shapes.cube], ids=["conv-hex", "cube"])
+def _scaled_convex_hex(scale):
+    return lambda: Hexahedron(shapes.convex_hex().vertices * scale)
+
+
+# conv-hex at sizes 1e6 apart: the tolerance band is the diameter's.
+@pytest.mark.parametrize(
+    "make",
+    [shapes.convex_hex, shapes.cube, _scaled_convex_hex(1e-3), _scaled_convex_hex(1e3)],
+    ids=["conv-hex", "cube", "conv-hex*1e-3", "conv-hex*1e3"],
+)
 def test_hex_batch_equals_single_point(make):
     hexa = make()
     points = np.vstack([_hex_test_points(hexa, np.random.default_rng(5)), _hex_tolerance_points(hexa)])
@@ -753,22 +762,6 @@ def test_stack_rows_take_their_own_elements_tolerance():
         assert index[s] == (-1 if one_index is None else one_index), (e, p)
         ref = np.nan if one_t is None else one_t
         assert np.float64(t[s]).tobytes() == np.float64(ref).tobytes(), (e, p)
-
-
-@pytest.mark.parametrize("scale", [1e-3, 1e3])
-def test_hex_tolerance_band_stack_equals_single_point(scale):
-    # _locate_hex at points (1 +- 1e-6) tol off the faces, edges and
-    # vertices of hexahedra 1e6 apart in size: a stack gives each row the
-    # code, index and containing faces of the point alone.
-    hexa = Hexahedron(shapes.convex_hex().vertices * scale)
-    points = _hex_tolerance_points(hexa)
-    code, index, on = _locate_hex(hexa, points[:, 0], points[:, 1], points[:, 2])
-    assert set(code.tolist()) == {LOC_EXTERIOR, LOC_INTERIOR, LOC_FACET, LOC_VERTEX}
-    for s, p in enumerate(points):
-        one_code, one_index, one_on = _locate_hex(hexa, *p.tolist())
-        assert code[s] == one_code, p
-        assert index[s] == (-1 if one_index is None else one_index), p
-        assert tuple(on[:, s].tolist()) == one_on, p
 
 
 # A fixed corpus of seeded hexahedra, tilted plane hexahedra and affine cube
