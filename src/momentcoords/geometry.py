@@ -873,20 +873,23 @@ def _locate_hex(hexa: Hexahedron, x, y, z):
     int8 for a stack; index is the vertex or the lowest containing face
     (None or -1 where there is none); on holds the six containing-face
     flags, bools or arrays (m,), which the frame rule takes as they are.
-    One point returns as soon as its code is known.
+    One point returns as soon as its code is known.  A stack is quiet where
+    a point is not finite or its squared distances overflow: it is exterior
+    there.
     """
     one = isinstance(x, float)
     tol = CLASSIFY_RTOL * hexa.diameter
     sqrt = math.sqrt if one else np.sqrt
-    dv = [
-        sqrt((vx - x) * (vx - x) + (vy - y) * (vy - y) + (vz - z) * (vz - z))
-        for vx, vy, vz in hexa.corner_tuple
-    ]
-    nearest = _smallest(dv)
-    vertex = nearest <= tol
-    if one and vertex:
-        return LOC_VERTEX, dv.index(nearest), _NO_FACES
-    s = hexa._signed_distances(x, y, z)
+    with nullcontext() if one else np.errstate(over="ignore", invalid="ignore"):
+        dv = [
+            sqrt((vx - x) * (vx - x) + (vy - y) * (vy - y) + (vz - z) * (vz - z))
+            for vx, vy, vz in hexa.corner_tuple
+        ]
+        nearest = _smallest(dv)
+        vertex = nearest <= tol
+        if one and vertex:
+            return LOC_VERTEX, dv.index(nearest), _NO_FACES
+        s = hexa._signed_distances(x, y, z)
     outside, inner = False, True
     for sf in s:
         outside = outside | (sf > tol)

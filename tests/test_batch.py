@@ -3,6 +3,7 @@
 import csv
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -738,10 +739,17 @@ def _scaled_convex_hex(scale):
 )
 def test_hex_batch_equals_single_point(make):
     hexa = make()
-    points = np.vstack([_hex_test_points(hexa, np.random.default_rng(5)), _hex_tolerance_points(hexa)])
-    kind = _assert_hex_classify_equal(hexa, points)
-    assert {"interior", "exterior", "on_face", "at_vertex"} <= set(kind.tolist())
-    _assert_many_equal(moment_coords_hex, moment_coords_hex_many, hexa, points)
+    # Points whose squared distances overflow, and points not finite: the
+    # stack locates them exterior quietly, and each one alone raises
+    # OutsideDomain.
+    far = [[1e200] * 3, [np.nan] * 3, [np.inf] * 3, [-np.inf] * 3]
+    points = np.vstack([_hex_test_points(hexa, np.random.default_rng(5)), _hex_tolerance_points(hexa), far])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kind = _assert_hex_classify_equal(hexa, points)
+        assert {"interior", "exterior", "on_face", "at_vertex"} <= set(kind.tolist())
+        assert kind[-len(far) :].tolist() == ["exterior"] * len(far)
+        _assert_many_equal(moment_coords_hex, moment_coords_hex_many, hexa, points)
 
 
 def test_stack_rows_take_their_own_elements_tolerance():

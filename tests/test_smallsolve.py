@@ -1,4 +1,8 @@
+import linecache
+import traceback
+
 import numpy as np
+import oracles
 import pytest
 
 from momentcoords import smallsolve
@@ -120,6 +124,10 @@ def test_solve_dense_shape_validation():
         solve_dense(np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(ValueError):
         solve_dense(np.eye(3), np.zeros(4))
+    # Sizes 3-16 only, each named in the message.
+    for n in (2, 17):
+        with pytest.raises(ValueError, match="3-16"):
+            solve_dense(np.eye(n), np.ones(n))
 
 
 
@@ -238,6 +246,9 @@ def test_many_shape_validation():
         solve_dense_many(np.zeros((2, 3, 3)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         solve_dense_many(np.eye(3), np.zeros(3))
+    for n in (2, 17):
+        with pytest.raises(ValueError, match="3-16"):
+            solve_dense_many(np.eye(n)[None], np.ones((1, n)))
 
 
 @pytest.mark.skipif(not __debug__, reason="the residual check runs only under __debug__")
@@ -354,8 +365,75 @@ def test_entry_solve_bitwise_equal_to_solve_dense(n):
     x_ref, ok_ref = _scalar_oracle(a, b)
     assert x.shape == (40, n) and ok.shape == (40,)
     assert x.tobytes() == x_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
+    # The same bits as the loop form of the elimination on the same entries.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_loop, ok_loop = oracles.eliminate_loops(rows, rhs, len(a))
+    assert x.tobytes() == np.stack(x_loop, axis=1).tobytes() and ok.tobytes() == ok_loop.tobytes()
     assert ok.any() and not ok.all()
     assert rows[0] == [1.0] * n and rhs[0] == 1.0
     kept_rows, kept_rhs = _entry_rows(a, b)
     for got, kept in zip([*rows[1:], rhs[1:]], [*kept_rows[1:], kept_rhs[1:]]):
         assert all(e.tobytes() == e0.tobytes() for e, e0 in zip(got, kept))
+
+
+def _signed_zeros(n):
+    """A system whose x[-2] is -0.0: the back-substitution sum for it, of
+    0.0 * -0.0, is +0.0 only when it starts at 0.0, as a loop's does."""
+    a = np.eye(n)
+    a[-1, -2] = -0.0
+    b = np.zeros(n)
+    b[-2:] = -0.0
+    return a, b
+
+
+def _kernel_inputs(n):
+    """The special stack of n x n systems, _systems()'s of size n and the
+    signed zeros."""
+    a, b = _special_stack(n)
+    more = [(a_s, b_s) for a_s, b_s in _systems() if len(b_s) == n] + [_signed_zeros(n)]
+    return np.concatenate([a, [a_s for a_s, _ in more]]), np.concatenate([b, [b_s for _, b_s in more]])
+
+
+def _one_outcome(eliminate, a, b):
+    """x's bytes and ok of one system, or its SingularMatrix message."""
+    try:
+        x, ok = eliminate(a, b, None)
+    except SingularMatrix as err:
+        return str(err)
+    return np.array(x).tobytes(), ok
+
+
+@pytest.mark.parametrize("one", [True, False], ids=["one", "many"])
+@pytest.mark.parametrize("n", range(3, 17))
+def test_kernel_bitwise_equal_to_loop_reference(n, one):
+    # The elimination written out for size n against its loop form, through
+    # pivot ties, row swaps, sub-floor pivots, the zero matrix, 1e-200
+    # scaling and signed zeros: the same x to the bit and the same ok, and
+    # for one system the same SingularMatrix message.
+    a, b = _kernel_inputs(n)
+    if not one:
+        rows = [list(row) for row in np.ascontiguousarray(np.moveaxis(a, 0, -1))]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x, ok = smallsolve._eliminate(rows, list(b.T.copy()), len(a))
+            x_ref, ok_ref = oracles.eliminate_loops(rows, list(b.T.copy()), len(a))
+        assert np.stack(x).tobytes() == np.stack(x_ref).tobytes()
+        assert ok.tobytes() == ok_ref.tobytes() and ok.any() and not ok.all()
+        return
+    messages = []
+    for a_s, b_s in zip(a.tolist(), b.tolist()):
+        outcome = _one_outcome(smallsolve._eliminate, a_s, b_s)
+        assert outcome == _one_outcome(oracles.eliminate_loops, a_s, b_s)
+        if isinstance(outcome, str):
+            messages.append(outcome)
+    assert messages[0] == "matrix is identically zero"
+    assert messages[1].endswith(f"at column {n - 1}")
+    assert all(m.startswith("pivot") for m in messages[1:])
+
+
+def test_kernel_tracebacks_show_their_source():
+    # A kernel's frames name the size and kind, with the line that raised.
+    with pytest.raises(SingularMatrix) as info:
+        solve_dense(np.diag([1.0, 1e-20, 1.0]), np.ones(3))
+    frame = traceback.extract_tb(info.tb)[-1]
+    assert frame.filename == "<smallsolve n=3 one>"
+    assert "at column 1" in linecache.getline(frame.filename, frame.lineno)
