@@ -90,11 +90,16 @@ def _source(n: int, one: bool) -> str:
             return f"max({names(f'abs({v})' for v in values)})"
         return f"_largest(map(abs, ({names(values)})), m)"
 
-    unpack = ["    (", *(f"        ({names(row)})," for row in a), "    ) = a", f"    {names(b)}, = b"]
+    unpack = [
+        "    (", *(f"        ({names(row)})," for row in a), "    ) = a", f"    {names(b)}, = b"
+    ]
     out = ["def eliminate(a, b, m):", *unpack]
     out.append(f"    floor = PIVOT_RTOL * {largest_abs(e for row in a for e in row)}")
     if one:
-        out += ["    if floor == 0.0:", '        raise SingularMatrix("matrix is identically zero")']
+        out += [
+            "    if floor == 0.0:",
+            '        raise SingularMatrix("matrix is identically zero")',
+        ]
     else:
         out.append("    ok = floor != 0.0")
     for k in range(n):
@@ -108,21 +113,23 @@ def _source(n: int, one: bool) -> str:
             if one:
                 out += ["    if v > big:", f"        p, big = {i}, v"]
             else:
-                out += ["    better = v > big", f"    p, big = np.where(better, {i}, p), np.where(better, v, big)"]
+                out += [
+                    "    better = v > big",
+                    f"    p, big = np.where(better, {i}, p), np.where(better, v, big)",
+                ]
         # Only the columns from k on are read again.
         row_k = [*a[k][k:], b[k]]
         if one:
-            out += [
-                "    if big < floor:",
-                f'        raise SingularMatrix(f"pivot {{big:.3e}} below threshold {{floor:.3e}} at column {k}")',
-            ]
+            message = f"pivot {{big:.3e}} below threshold {{floor:.3e}} at column {k}"
+            out += ["    if big < floor:", f'        raise SingularMatrix(f"{message}")']
             if below:
                 out.append(f"    if p != {k}:")
                 for i in below:
                     row_i = [*a[i][k:], b[i]]
                     out += [
                         f"        {'if' if i == k + 1 else 'elif'} p == {i}:",
-                        f"            {names(row_k)}, {names(row_i)} = {names(row_i)}, {names(row_k)}",
+                        f"            {names(row_k)}, {names(row_i)}"
+                        f" = {names(row_i)}, {names(row_k)}",
                     ]
         else:
             out.append("    ok = ok & ~(big < floor)")
@@ -131,7 +138,8 @@ def _source(n: int, one: bool) -> str:
                 out += [
                     f"    swap = p == {i}",
                     "    if swap.any():",
-                    f"        {names(row_k)}, {names(row_i)} = _swapped(swap, ({names(row_k)}), ({names(row_i)}))",
+                    f"        {names(row_k)}, {names(row_i)}"
+                    f" = _swapped(swap, ({names(row_k)}), ({names(row_i)}))",
                 ]
         for i in below:
             out.append(f"    mult = {a[i][k]} / {a[k][k]}")

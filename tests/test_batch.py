@@ -743,7 +743,9 @@ def test_hex_batch_equals_single_point(make):
     # stack locates them exterior quietly, and each one alone raises
     # OutsideDomain.
     far = [[1e200] * 3, [np.nan] * 3, [np.inf] * 3, [-np.inf] * 3]
-    points = np.vstack([_hex_test_points(hexa, np.random.default_rng(5)), _hex_tolerance_points(hexa), far])
+    points = np.vstack(
+        [_hex_test_points(hexa, np.random.default_rng(5)), _hex_tolerance_points(hexa), far]
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         kind = _assert_hex_classify_equal(hexa, points)

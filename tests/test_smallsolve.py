@@ -391,7 +391,8 @@ def _kernel_inputs(n):
     signed zeros."""
     a, b = _special_stack(n)
     more = [(a_s, b_s) for a_s, b_s in _systems() if len(b_s) == n] + [_signed_zeros(n)]
-    return np.concatenate([a, [a_s for a_s, _ in more]]), np.concatenate([b, [b_s for _, b_s in more]])
+    a_more, b_more = zip(*more)
+    return np.concatenate([a, a_more]), np.concatenate([b, b_more])
 
 
 def _one_outcome(eliminate, a, b):
@@ -413,9 +414,10 @@ def test_kernel_bitwise_equal_to_loop_reference(n, one):
     a, b = _kernel_inputs(n)
     if not one:
         rows = [list(row) for row in np.ascontiguousarray(np.moveaxis(a, 0, -1))]
+        rhs = list(b.T.copy())
         with np.errstate(divide="ignore", invalid="ignore"):
-            x, ok = smallsolve._eliminate(rows, list(b.T.copy()), len(a))
-            x_ref, ok_ref = oracles.eliminate_loops(rows, list(b.T.copy()), len(a))
+            x, ok = smallsolve._eliminate(rows, rhs, len(a))
+            x_ref, ok_ref = oracles.eliminate_loops(rows, rhs, len(a))
         assert np.stack(x).tobytes() == np.stack(x_ref).tobytes()
         assert ok.tobytes() == ok_ref.tobytes() and ok.any() and not ok.all()
         return
