@@ -10,22 +10,19 @@ edge points and five covariance images as one element stack
 (geometry.QuadStack), each oracle its samples; a hexahedron's samples,
 vertices, edge and face points are one call, and the induced face
 quadrilaterals of the facet reduction one stack, each holding its face
-point.  _evaluate_segments re-runs every point a batch fails through its
-single-point function on its own point group and element, in the order a
-per-point loop takes them, which raises (or, where the group counts it,
-is counted) as that loop would have.
+point.  A row that a batch fails is left out of every other property and
+counted, under its geometry.BatchInfo cause, in the evaluates property,
+which any failed row fails; so no evaluation raises out of a suite.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import coords1d, coords2d, coords3d, geometry, sampling
-from .errors import SingularMatrix
 from .geometry import LOC_FACET, Hexahedron, NodeSet1D, Quadrilateral, QuadStack, _locate_hex
 
 # Baseline tolerances for the standard axioms.
@@ -37,6 +34,8 @@ KRONECKER_TOL = 1e-10
 BOUNDARY_TOL = 1e-10
 FACET_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
+# The evaluates property counts failed rows; one fails it at any tol_scale.
+EVALUATES_TOL = 0.5
 
 
 @dataclass
@@ -44,6 +43,7 @@ class PropertyResult:
     name: str
     worst: float
     tol: float
+    note: str = ""
 
     @property
     def passed(self) -> bool:
@@ -51,13 +51,15 @@ class PropertyResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.name}: worst={self.worst:.3e} tol={self.tol:.1e}"
+        note = f" ({self.note})" if self.note else ""
+        return f"{status} {self.name}: worst={self.worst:.3e} tol={self.tol:.1e}{note}"
 
 
 class _Accumulator:
     def __init__(self, tol_scale: float):
         self.results: dict[str, PropertyResult] = {}
         self.scale = tol_scale
+        self.failed = np.zeros(len(geometry.CAUSES), dtype=int)
 
     def record(self, name: str, value: float, tol: float):
         tol = tol * self.scale
@@ -66,6 +68,18 @@ class _Accumulator:
             self.results[name] = PropertyResult(name, float(value), tol)
         elif value > prev.worst:
             prev.worst = float(value)
+
+    def count(self, cause):
+        """Count the failed rows of a batch by their cause codes (m,)."""
+        self.failed += np.bincount(cause[cause != geometry.OK], minlength=len(self.failed))
+
+    def evaluates(self):
+        """Record the evaluates property: the failed rows counted so far,
+        named by cause."""
+        note = geometry.named_counts(self.failed.tolist())
+        self.results["evaluates"] = PropertyResult(
+            "evaluates", float(self.failed.sum()), EVALUATES_TOL, note
+        )
 
     def items(self) -> list[PropertyResult]:
         return list(self.results.values())
@@ -89,76 +103,67 @@ def linear_precision_error(weights, vertices, points) -> np.ndarray:
     return np.abs(recon - (points - c)).max(axis=1)
 
 
-def _axioms(acc, prefix, weights, vertices, points, diameter):
-    """Partition of unity, nonnegativity and linear precision of each row
-    of weights (m, n) at points (m, dim); records the worst of each."""
-    if not len(weights):
+def _axioms(acc, prefix, weights, vertices, points, diameter, ok):
+    """Partition of unity, nonnegativity and linear precision of the rows
+    of weights (m, n) at points (m, dim) where ok (m,) is set; records the
+    worst of each (nothing when no row is set)."""
+    if not ok.any():
         return
     acc.record(
         f"{prefix}partition of unity",
-        float(np.abs(weights.sum(axis=1) - 1.0).max()),
+        float(np.abs(weights.sum(axis=1) - 1.0).max(initial=0.0, where=ok)),
         PARTITION_TOL,
     )
-    acc.record(f"{prefix}nonnegativity", max(0.0, -float(weights.min())), NONNEG_TOL)
+    lowest = float(weights.min(initial=np.inf, where=ok[:, None]))
+    acc.record(f"{prefix}nonnegativity", max(0.0, -lowest), NONNEG_TOL)
     acc.record(
         f"{prefix}linear precision",
-        float(linear_precision_error(weights, vertices, points).max()) / diameter,
+        float(linear_precision_error(weights, vertices, points).max(initial=0.0, where=ok))
+        / diameter,
         PRECISION_RTOL,
     )
 
 
-def _worst_gap(a, b) -> float:
-    """Largest |a - b| over all entries (0 for no rows)."""
-    return float(np.abs(a - b).max(initial=0.0))
+def _worst_gap(a, b, ok) -> float:
+    """Largest |a - b| over the rows (m, n) where ok (m,) is set (0 for
+    none)."""
+    return float(np.abs(a - b).max(initial=0.0, where=ok[:, None]))
 
 
 def _chunked(many, geom, points, **kwargs):
-    """many(geom, points, **kwargs), run geometry.BATCH_CHUNK points at a
-    time (and a QuadStack's rows with them)."""
+    """many(geom, points, **kwargs) with its BatchInfo replaced by the cause
+    codes, run geometry.BATCH_CHUNK points at a time (and a QuadStack's rows
+    with them)."""
     chunk = geometry.BATCH_CHUNK
-    parts = [
-        many(
-            geom.take(slice(start, start + chunk)) if isinstance(geom, QuadStack) else geom,
-            points[start : start + chunk],
-            **kwargs,
-        )
-        for start in range(0, max(len(points), 1), chunk)
-    ]
+    parts = []
+    for start in range(0, max(len(points), 1), chunk):
+        part = geom.take(slice(start, start + chunk)) if isinstance(geom, QuadStack) else geom
+        *arrays, info = many(part, points[start : start + chunk], **kwargs)
+        parts.append((*arrays, info.cause))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 class _Segment(NamedTuple):
-    """Points that a per-point loop evaluates on one geometry, in turn; a
-    failed point whose single-point function raises a type in count is
-    counted (left failed), not raised."""
+    """A group of points the suite evaluates on one geometry."""
 
     geom: object
     points: np.ndarray
-    count: tuple = ()
 
 
-def _evaluate_segments(segments, *methods, **kwargs):
+def _evaluate_segments(acc, segments, *methods, **kwargs):
     """Per method, the part of its batch's tuple (weights (m, n), ok (m,),
-    ...) on each of its segments, for each (batch, single-point) pair of
-    methods, or (batch, single-point, segment indices) for a method that
-    runs on those segments only; kwargs go to the batches.
+    ..., cause (m,)) on each of its segments; a method is a batch function,
+    or (batch function, segment indices) for one that runs on those
+    segments only; kwargs go to the batches.
 
     Each method runs as one batch call over its segments: on their geometry
     when they share one, else on the QuadStack of their quadrilaterals, one
     element per segment (each built, so validated, before any point is
-    evaluated).  The segments come in the order a per-point loop takes them,
-    and every point some batch failed is then re-run through the
-    single-point functions on its segment's geometry in that loop's order:
-    segment by segment, point by point and method by method, so the first
-    exception raised is the one that loop raised.  An exception of a type in
-    the segment's count leaves the row failed (ok False) and the loop going.
-    A single-point function that returns a value where its batch failed
-    breaks the batch contract and raises RuntimeError, naming the point by
-    its index in its segment.
+    evaluated).  The rows each batch fails are counted in acc by cause.
     """
-    parts, failed = [], []
-    for k, (many, _, *only) in enumerate(methods):
-        pick = only[0] if only else range(len(segments))
+    parts = []
+    for method in methods:
+        many, pick = method if isinstance(method, tuple) else (method, range(len(segments)))
         picked = [segments[i] for i in pick]
         sizes = [len(seg.points) for seg in picked]
         geom = picked[0].geom
@@ -166,26 +171,10 @@ def _evaluate_segments(segments, *methods, **kwargs):
             element = np.repeat(np.arange(len(sizes)), sizes)
             geom = QuadStack([seg.geom for seg in picked], element)
         result = _chunked(many, geom, np.concatenate([seg.points for seg in picked]), **kwargs)
+        acc.count(result[-1])
         starts = np.cumsum([0] + sizes).tolist()
-        for s in np.flatnonzero(~result[1]).tolist():
-            j = bisect_right(starts, s) - 1
-            failed.append((pick[j], s - starts[j], k))
         parts.append([tuple(a[lo:hi] for a in result) for lo, hi in zip(starts, starts[1:])])
-    for i, row, k in sorted(failed):
-        seg, single = segments[i], methods[k][1]
-        try:
-            single(seg.geom, seg.points[row])
-        except seg.count:
-            continue
-        raise RuntimeError(f"{single.__name__} evaluates point {row}, which its batch failed")
     return parts
-
-
-def _evaluate(geom, points, *methods, count=(), **kwargs):
-    """Each batch's own tuple at the rows of points: _evaluate_segments on
-    the one segment of points."""
-    segments = [_Segment(geom, points, count)]
-    return [parts for [parts] in _evaluate_segments(segments, *methods, **kwargs)]
 
 
 def _element_map(a, b, c, d, x):
@@ -212,12 +201,12 @@ def _affine_map(rng):
 
 
 class _Family(NamedTuple):
-    """A quadrilateral coordinate family as its suite checks it: its
-    (batch, single-point) pair, the oracles it is compared with on the
-    samples by name, and its covariance property and map."""
+    """A quadrilateral coordinate family as its suite checks it: its batch
+    function, the oracles' batch functions it is compared with on the
+    samples, by name, and its covariance property and map."""
 
     name: str
-    method: tuple
+    many: object
     oracles: list
     covariance: str
     draw_map: object
@@ -248,21 +237,20 @@ def quad_suite(
     # coordinates are distance based and are not).
     families = []
     if family in (None, "moment"):
-        oracles = [("mean-value", (coords2d.mvc_oracle_many, coords2d.mvc_oracle))]
+        oracles = [("mean-value", coords2d.mvc_oracle_many)]
         if coords2d.cramer_defect(quad) is None:
-            cramer = (coords2d.cramer_coords_quad_many, coords2d.cramer_coords_quad)
-            oracles.append(("cramer", cramer))
-        moment = (coords2d.moment_coords_quad_many, coords2d.moment_coords_quad)
+            oracles.append(("cramer", coords2d.cramer_coords_quad_many))
+        moment = coords2d.moment_coords_quad_many
         families.append(_Family("moment", moment, oracles, "similarity", _similarity_map))
     if quad.is_convex and family in (None, "wachspress"):
-        wachspress = (coords2d.wachspress_coords_quad_many, coords2d.wachspress_coords_quad)
-        area = [("area", (coords2d.wachspress_oracle_many, coords2d.wachspress_oracle))]
+        wachspress = coords2d.wachspress_coords_quad_many
+        area = [("area", coords2d.wachspress_oracle_many)]
         families.append(_Family("wachspress", wachspress, area, "affine", _affine_map))
 
-    # The point groups in the per-point loop's order, drawn in it: the
-    # samples, each family's vertices and edge points, then each family's
-    # five covariance images of the first samples.  picks holds each
-    # family's groups: all of its points, evaluated in one stacked call.
+    # The point groups, drawn in this order: the samples, each family's
+    # vertices and edge points, then each family's five covariance images
+    # of the first samples.  picks holds each family's groups: all of its
+    # points, evaluated in one stacked call; each oracle runs on the samples.
     segments = [_Segment(quad, pts)]
     picks = [[0] for _ in families]
     ts = [rng.uniform(0.05, 0.95, (4, 8)) for _ in families]
@@ -278,36 +266,36 @@ def quad_suite(
             mapped = Quadrilateral(_element_map(a, b, c, d, v))
             pick.append(len(segments))
             segments.append(_Segment(mapped, _element_map(a, b, c, d, pts[first])))
-
-    # A sample goes through its family and then the family's oracles, as in
-    # the loop; each oracle runs once, on the samples.
     methods = []
     for pick, fam in zip(picks, families):
-        methods.append((*fam.method, pick))
-        methods += [(*oracle, [0]) for _, oracle in fam.oracles]
-    results = iter(_evaluate_segments(segments, *methods))
+        methods.append((fam.many, pick))
+        methods += [(many, [0]) for _, many in fam.oracles]
+    results = iter(_evaluate_segments(acc, segments, *methods))
 
     evaluated = []
     for fam in families:
-        (phi, _), (kron, _), (edge, _), *images = next(results)
-        _axioms(acc, f"{fam.name} ", phi, v, pts, d)
+        (phi, ok, _), *groups = next(results)
+        _axioms(acc, f"{fam.name} ", phi, v, pts, d, ok)
         for oracle, _ in fam.oracles:
-            [(ref, _)] = next(results)
-            acc.record(f"{fam.name} vs {oracle} oracle", _worst_gap(phi, ref), ORACLE_TOL)
-        evaluated.append((phi, kron, edge, images))
-    for fam, t, (_, kron, edge, _) in zip(families, ts, evaluated):
+            [(ref, ref_ok, _)] = next(results)
+            gap = _worst_gap(phi, ref, ok & ref_ok)
+            acc.record(f"{fam.name} vs {oracle} oracle", gap, ORACLE_TOL)
+        evaluated.append((phi, ok, groups))
+    for fam, t, (_, _, groups) in zip(families, ts, evaluated):
+        (kron, kron_ok, _), (edge, edge_ok, _) = groups[:2]
         expect = np.zeros((4, 8, 4))
         for i in range(4):
             expect[i, :, i] = 1 - t[i]
             expect[i, :, (i + 1) % 4] = t[i]
-        acc.record(f"{fam.name} kronecker delta", _worst_gap(kron, np.eye(4)), KRONECKER_TOL)
-        acc.record(
-            f"{fam.name} boundary reduction", _worst_gap(edge, expect.reshape(-1, 4)), BOUNDARY_TOL
-        )
-    for fam, (phi, _, _, images) in zip(families, evaluated):
+        kronecker = _worst_gap(kron, np.eye(4), kron_ok)
+        acc.record(f"{fam.name} kronecker delta", kronecker, KRONECKER_TOL)
+        boundary = _worst_gap(edge, expect.reshape(-1, 4), edge_ok)
+        acc.record(f"{fam.name} boundary reduction", boundary, BOUNDARY_TOL)
+    for fam, (phi, ok, groups) in zip(families, evaluated):
         name = f"{fam.name} {fam.covariance} covariance"
-        for mphi, _ in images:
-            acc.record(name, _worst_gap(phi[first], mphi), COVARIANCE_TOL)
+        for mphi, mok, _ in groups[2:]:
+            acc.record(name, _worst_gap(phi[first], mphi, ok[first] & mok), COVARIANCE_TOL)
+    acc.evaluates()
     return acc.items()
 
 
@@ -318,7 +306,6 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
     d = hexa.diameter
     v = hexa.vertices
 
-    hex_method = (coords3d.moment_coords_hex_many, coords3d.moment_coords_hex)
     pts = sampling.interior_points_hex(hexa, samples, rng)
     edges = sorted(
         {
@@ -341,28 +328,13 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
     on_face = (code == LOC_FACET) & (index == face)
     face, fpts = face[on_face], fpts[on_face]
 
-    # Samples, vertices, edge points and face points in one batch; only a
-    # sample's singular solve is counted.
-    [[(phi, ok, w), (vphi, _, _), (ephi, _, _), (fphi, _, fw)]] = _evaluate_segments(
-        [
-            _Segment(hexa, pts, (SingularMatrix,)),
-            _Segment(hexa, v),
-            _Segment(hexa, p.reshape(-1, 3)),
-            _Segment(hexa, fpts),
-        ],
-        hex_method,
-        return_frame_coords=True,
-    )
-    _axioms(acc, "moment ", phi[ok], v, pts[ok], d)
-    if ok.any():
-        pattern = coords3d.sign_pattern_ok(w[ok], d)
-        acc.record("sign pattern verified", 0.0 if pattern.all() else 1.0, 0.5)
-    acc.record("no solver singularity", float((~ok).sum()), 0.5)
-    acc.record("kronecker delta", _worst_gap(vphi, np.eye(8)), KRONECKER_TOL)
-    acc.record("edge reduction", _worst_gap(ephi, expect.reshape(-1, 8)), FACET_TOL)
-    if len(fpts):
-        off = ~coords3d.FACE_VERTICES[face]
-        acc.record("facet off-face weights", float(np.abs(fphi[off]).max()), BOUNDARY_TOL)
+    # Samples, vertices, edge points and face points in one batch.
+    segments = [_Segment(hexa, group) for group in (pts, v, p.reshape(-1, 3), fpts)]
+    many = coords3d.moment_coords_hex_many
+    [parts] = _evaluate_segments(acc, segments, many, return_frame_coords=True)
+    (phi, ok, w, _), (vphi, v_ok, _, _), (ephi, e_ok, _, _), (fphi, f_ok, fw, _) = parts
+    face, fphi, fw = face[f_ok], fphi[f_ok], fw[f_ok]
+    if len(face):
         # The facet reduction: each face point's weights on its face against
         # the 2D moment coordinates of the origin on its induced face
         # quadrilateral, all of them one stack.
@@ -371,12 +343,20 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
             _Segment(coords3d._induced_face_quad(f, fw[s]), origin)
             for s, f in enumerate(face.tolist())
         ]
-        [parts] = _evaluate_segments(
-            induced, (coords2d.moment_coords_quad_many, coords2d.moment_coords_quad)
-        )
-        psi = np.concatenate([phi for phi, _ in parts])
+        [parts] = _evaluate_segments(acc, induced, coords2d.moment_coords_quad_many)
+        psi, psi_ok, _ = (np.concatenate(a) for a in zip(*parts))
+    _axioms(acc, "moment ", phi, v, pts, d, ok)
+    if ok.any():
+        pattern = coords3d.sign_pattern_ok(w[ok], d)
+        acc.record("sign pattern verified", 0.0 if pattern.all() else 1.0, 0.5)
+    acc.evaluates()
+    acc.record("kronecker delta", _worst_gap(vphi, np.eye(8), v_ok), KRONECKER_TOL)
+    acc.record("edge reduction", _worst_gap(ephi, expect.reshape(-1, 8), e_ok), FACET_TOL)
+    if len(face):
+        off = ~coords3d.FACE_VERTICES[face]
+        acc.record("facet off-face weights", float(np.abs(fphi[off]).max()), BOUNDARY_TOL)
         on = np.take_along_axis(fphi, np.array(Hexahedron.FACES)[face], axis=1)
-        acc.record("facet reduction", _worst_gap(on, psi), FACET_TOL)
+        acc.record("facet reduction", _worst_gap(on, psi, psi_ok), FACET_TOL)
     return acc.items()
 
 
@@ -386,16 +366,18 @@ def interval_suite(nodes: NodeSet1D, samples: int, seed: int, tol_scale: float =
     acc = _Accumulator(tol_scale)
     xs = nodes.nodes
     x = rng.uniform(xs[0], xs[-1], samples)
-    moment = (coords1d.moment_coords_1d_many, coords1d.moment_coords_1d)
-    [(phi, ok)] = _evaluate(nodes, x, moment, count=(SingularMatrix,))
-    phi, x = phi[ok], x[ok]
-    _axioms(acc, "", phi, xs[:, None], x[:, None], nodes.span)
-    if len(x):
-        [(hat, _)] = _evaluate(nodes, x, (coords1d.hat_oracle_many, coords1d.hat_oracle))
-        acc.record("moment vs hat oracle", _worst_gap(phi, hat), ORACLE_TOL)
-    acc.record("no solver singularity", float(samples - len(x)), 0.5)
-    [(phi, _)] = _evaluate(nodes, xs, moment)
-    acc.record("kronecker delta", _worst_gap(phi, np.eye(len(xs))), KRONECKER_TOL)
+    # The samples and the nodes in one batch, the hat oracle on the samples.
+    [[(phi, ok, _), (kron, kron_ok, _)], [(hat, hat_ok, _)]] = _evaluate_segments(
+        acc,
+        [_Segment(nodes, x), _Segment(nodes, xs)],
+        coords1d.moment_coords_1d_many,
+        (coords1d.hat_oracle_many, [0]),
+    )
+    _axioms(acc, "", phi, xs[:, None], x[:, None], nodes.span, ok)
+    if ok.any():
+        acc.record("moment vs hat oracle", _worst_gap(phi, hat, ok & hat_ok), ORACLE_TOL)
+    acc.evaluates()
+    acc.record("kronecker delta", _worst_gap(kron, np.eye(len(xs)), kron_ok), KRONECKER_TOL)
     return acc.items()
 
 

@@ -4,7 +4,9 @@ Every float eval prints and every field of a grid CSV is format(v, ".17g")
 of its value, byte for byte; grid formats its weights and derivatives
 through the vectorized kernel csvfmt.format17.
 
-Exit codes: 0 ok, 1 property failure, 2 input error, 3 domain error.
+Exit codes: 0 ok, 1 property failure, 2 input error (the file, the point or
+the options: InputError, ValueError), 3 domain error (every other
+MomentCoordsError: an evaluator that fails on a valid geometry).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 import numpy as np
 
 from . import checks, coords1d, coords2d, coords3d, csvfmt, geometry
-from .errors import DegenerateTriangle, DomainError, InvalidGeometry, MomentCoordsError, NotConvex
+from .errors import InvalidGeometry, MomentCoordsError, NotConvex
 from .geometry import CAUSES, EXTERIOR, OK, Hexahedron, NodeSet1D, Quadrilateral
 from .gradients import FD_STEP_RTOL, finite_difference_gradient_many
 from .shapes import BUILTINS
@@ -112,8 +114,8 @@ METHODS = {
     },
 }
 
-# Batch methods, used by grid: (points (m, dim)) -> (weights (m, n), ok (m,)),
-# or with info=True (weights, ok, geometry.BatchInfo).
+# Batch methods, used by grid: (points (m, dim)) -> (weights (m, n), ok (m,),
+# geometry.BatchInfo), the record naming why each failed row failed.
 BATCH_METHODS = {
     "quad": {
         "moment": coords2d.moment_coords_quad_many,
@@ -352,7 +354,7 @@ def cmd_grid(args) -> int:
                 index = np.arange(start, min(start + chunk, total))
                 axis_index = np.unravel_index(index, (n,) * dim)
                 points = np.stack([axis[i] for axis, i in zip(axes, axis_index)], axis=-1)
-                weights, ok, info = evaluate(points, info=True)
+                weights, ok, info = evaluate(points)
                 inside = info.cause != EXTERIOR
                 if closed_form:
                     grad, grad_ok = (a[inside] for a in gradient(geom, points, info))
@@ -395,7 +397,7 @@ def cmd_grid(args) -> int:
         raise InputError(f"cannot write {args.out!r}: {exc}") from exc
     causes[OK] = 0
     if causes.any():
-        named = ", ".join(f"{c} {name}" for c, name in zip(causes.tolist(), GRID_CAUSES) if c)
+        named = geometry.named_counts(causes.tolist(), GRID_CAUSES)
         print(f"warning: {causes.sum()} grid points failed to evaluate ({named})", file=sys.stderr)
     return EXIT_OK
 
@@ -471,15 +473,12 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (DomainError, NotConvex, DegenerateTriangle) as exc:
+    except MomentCoordsError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
-    except (MomentCoordsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ smallsolve.PIVOT_RTOL times the sum of its six expansion terms is refused
 as SingularMatrix, and under __debug__ the residual of all n rows, in units
 of L, is held to the contract of smallsolve.solve_dense.
 
-moment_coords_1d_many and hat_oracle_many evaluate a batch of queries, and
-with info=True also return the location as a geometry.BatchInfo.  The
+moment_coords_1d_many and hat_oracle_many evaluate a batch of queries and
+return the location as a geometry.BatchInfo with the weights.  The
 locator, the fold and the hat weights are written once, on Python floats
 for one query and as elementwise numpy over a stack, in the same order, so
 the two agree bit for bit; the locator's search alone branches, bisect for
@@ -135,16 +135,16 @@ def moment_coords_1d(nodes: NodeSet1D, x: float) -> np.ndarray:
     return np.array(phi)
 
 
-def moment_coords_1d_many(nodes: NodeSet1D, x, info: bool = False):
-    """moment_coords_1d at each query of x (m,) or (m, 1); returns (phi, ok).
+def moment_coords_1d_many(nodes: NodeSet1D, x):
+    """moment_coords_1d at each query of x (m,) or (m, 1); returns (phi, ok,
+    info), info the BatchInfo of _locate's result (code its ok,
+    geometry.LOC_EXTERIOR or LOC_INTERIOR; index its k; causes exterior and
+    singular).
 
     The fold runs over the stack as moment_coords_1d runs it on one query,
     so phi[s] is bitwise equal to moment_coords_1d(nodes, x[s]) where ok[s]
     is set.  ok[s] is False (and phi[s] NaN) where the single-point function
     raises: a query outside the nodes or not finite, or a singular system.
-    With info, returns (phi, ok, info), info the BatchInfo of _locate's
-    result (code its ok, geometry.LOC_EXTERIOR or LOC_INTERIOR; index its
-    k; causes exterior and singular).
     """
     k, xq, ok = _locate(nodes, np.asarray(x, dtype=float).reshape(-1))
     code, index = ok.astype(np.int8), k
@@ -173,7 +173,7 @@ def moment_coords_1d_many(nodes: NodeSet1D, x, info: bool = False):
     phi = np.full((len(xq), n), np.nan)
     phi[rows] = w
     ok[rows] = ~singular
-    return (phi, ok, BatchInfo.of(code, index, ok, SINGULAR)) if info else (phi, ok)
+    return phi, ok, BatchInfo.of(code, index, ok, SINGULAR)
 
 
 def _hat(xs, k, xq) -> np.ndarray:
@@ -189,16 +189,13 @@ def hat_oracle(nodes: NodeSet1D, x: float) -> np.ndarray:
     return _hat(nodes.nodes, *_locate(nodes, float(x))[:2])
 
 
-def hat_oracle_many(nodes: NodeSet1D, x, info: bool = False):
-    """hat_oracle at each query of x (m,) or (m, 1); returns (phi, ok).
+def hat_oracle_many(nodes: NodeSet1D, x):
+    """hat_oracle at each query of x (m,) or (m, 1); returns (phi, ok, info)
+    as moment_coords_1d_many does (cause exterior only).
 
     phi[s] is bitwise equal to hat_oracle(nodes, x[s]) where ok[s] is set;
     ok[s] is False (and phi[s] NaN) where hat_oracle raises OutOfDomain.
-    With info, returns (phi, ok, info) as moment_coords_1d_many does (cause
-    exterior only).
     """
     k, xq, ok = _locate(nodes, np.asarray(x, dtype=float).reshape(-1))
     phi = np.where(ok[:, None], _hat(nodes.nodes, k, xq), np.nan)
-    if not info:
-        return phi, ok
     return phi, ok, BatchInfo.of(ok.astype(np.int8), k, ok, EXTERIOR)

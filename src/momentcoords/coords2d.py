@@ -33,8 +33,8 @@ four corner triangles, and the rational area quotient for Wachspress,
 whose areas are taken in the same units, so that its products of two
 areas do not overflow either.  Each coordinate function and oracle has a
 batch twin (the *_many functions) that evaluates a stack of points and
-returns (phi, ok) instead of raising per point, or (phi, ok, info) with
-info=True, info the geometry.BatchInfo of the location it ran.  Every
+returns (phi, ok, info) instead of raising per point, info the
+geometry.BatchInfo of its location and of why each row failed.  Every
 formula is written once for both, on Python floats for one point and as
 elementwise numpy over a stack, in the same order, so the two agree bit
 for bit: the weight rows, the closed form, the edge weights and the three
@@ -260,7 +260,7 @@ def _coords_one(quad: Quadrilateral, p, wachspress: bool) -> np.ndarray:
     return _edge_weights(index, 0.0 if code == LOC_VERTEX else t)
 
 
-def _coords_many(quad: Quadrilateral | QuadStack, points, wachspress: bool, info: bool):
+def _coords_many(quad: Quadrilateral | QuadStack, points, wachspress: bool):
     """_coords_one at each row of points (on its own element of a
     QuadStack), the interior points as one stack per kernel index."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -280,7 +280,7 @@ def _coords_many(quad: Quadrilateral | QuadStack, points, wachspress: bool, info
             phi[rows] = np.where(singular[:, None], np.nan, np.array(cols).T)
             ok[rows] = ~singular
     phi[edge] = _edge_weights(index[edge], np.where(code[edge] == LOC_VERTEX, 0.0, t[edge]))
-    return (phi, ok, BatchInfo.of(code, index, ok, SINGULAR)) if info else (phi, ok)
+    return phi, ok, BatchInfo.of(code, index, ok, SINGULAR)
 
 
 def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
@@ -292,17 +292,17 @@ def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     return _coords_one(quad, p, wachspress=False)
 
 
-def moment_coords_quad_many(quad: Quadrilateral | QuadStack, points, info: bool = False):
-    """moment_coords_quad at each row of points (m, 2); returns (phi, ok).
+def moment_coords_quad_many(quad: Quadrilateral | QuadStack, points):
+    """moment_coords_quad at each row of points (m, 2); returns (phi, ok,
+    info), info the BatchInfo of the location it ran (causes exterior and
+    singular).
 
     quad may be a QuadStack, whose row s holds the element of points[s].
     phi[s] is bitwise equal to moment_coords_quad(quad, points[s]) where
     ok[s] is set; ok[s] is False (and phi[s] NaN) where the single-point
-    function raises: an exterior point or a singular system.  With info,
-    returns (phi, ok, info), info the BatchInfo of the location it ran
-    (causes exterior and singular).
+    function raises: an exterior point or a singular system.
     """
-    return _coords_many(quad, points, False, info)
+    return _coords_many(quad, points, False)
 
 
 def wachspress_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
@@ -312,16 +312,17 @@ def wachspress_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     return _coords_one(quad, p, wachspress=True)
 
 
-def wachspress_coords_quad_many(quad: Quadrilateral | QuadStack, points, info: bool = False):
-    """wachspress_coords_quad at each row of points (m, 2); returns (phi, ok).
+def wachspress_coords_quad_many(quad: Quadrilateral | QuadStack, points):
+    """wachspress_coords_quad at each row of points (m, 2); returns (phi, ok,
+    info).
 
-    Same contract as moment_coords_quad_many, QuadStack and info included;
+    Same contract as moment_coords_quad_many, QuadStack included;
     raises NotConvex, as the single-point function does, when the
     quadrilateral (or an element of the stack) is not convex.
     """
     if not quad.is_convex:
         raise NotConvex("Wachspress coordinates require a convex quadrilateral")
-    return _coords_many(quad, points, True, info)
+    return _coords_many(quad, points, True)
 
 
 def _gradient_many(quad: Quadrilateral, points, info: BatchInfo, wachspress: bool):
@@ -347,8 +348,8 @@ def moment_gradient_quad_many(quad: Quadrilateral, points, info: BatchInfo):
     closed form; returns (grad (m, 4, 2), ok (m,)), grad[s, i, j] = d phi_i
     / d x_j.
 
-    info is the BatchInfo moment_coords_quad_many(quad, points, info=True)
-    returned, so the points are not located again.  An interior row takes
+    info is the BatchInfo moment_coords_quad_many(quad, points) returned,
+    so the points are not located again.  An interior row takes
     _closed_form_gradient at the point.  The boundary policy: an edge row
     takes the same formula at the point, the one-sided limit from the
     interior; a vertex row takes it at the vertex itself, where the
@@ -405,19 +406,20 @@ def mvc_oracle(quad: Quadrilateral, p) -> np.ndarray:
     return _mean_value(quad, p)
 
 
-def mvc_oracle_many(quad: Quadrilateral, points, info: bool = False):
-    """mvc_oracle at each row of points (m, 2); returns (phi, ok).
+def mvc_oracle_many(quad: Quadrilateral, points):
+    """mvc_oracle at each row of points (m, 2); returns (phi, ok, info),
+    info the BatchInfo of the location it ran (causes exterior and
+    boundary).
 
     ok[s] is False (and phi[s] NaN) where mvc_oracle raises: off the open
     interior.  Elsewhere phi[s] is bitwise equal to mvc_oracle(quad,
-    points[s]).  With info, returns (phi, ok, info), info the BatchInfo of
-    the location it ran (causes exterior and boundary).
+    points[s]).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1])
     ok = code == LOC_INTERIOR
     phi = np.where(ok[:, None], _mean_value(quad, pts), np.nan)
-    return (phi, ok, BatchInfo.of(code, index, ok, BOUNDARY)) if info else (phi, ok)
+    return phi, ok, BatchInfo.of(code, index, ok, BOUNDARY)
 
 
 def _area2(ax, ay, bx, by, cx, cy):
@@ -513,16 +515,16 @@ def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     return _cramer(quad, x, y)[0]
 
 
-def cramer_coords_quad_many(quad: Quadrilateral, points, info: bool = False):
-    """cramer_coords_quad at each row of points (m, 2); returns (phi, ok).
+def cramer_coords_quad_many(quad: Quadrilateral, points):
+    """cramer_coords_quad at each row of points (m, 2); returns (phi, ok,
+    info), info the BatchInfo of the location it ran (causes exterior and
+    singular).
 
     ok[s] is False (and phi[s] NaN) where cramer_coords_quad raises for
     points[s]: an exterior point or a moment row orthogonal to the kernel.
     Elsewhere phi[s] is bitwise equal to cramer_coords_quad(quad,
     points[s]).  Raises DegenerateTriangle, as cramer_coords_quad does at
-    every point, where cramer_defect names a flat corner.  With info,
-    returns (phi, ok, info), info the BatchInfo of the location it ran
-    (causes exterior and singular).
+    every point, where cramer_defect names a flat corner.
     """
     require_cramer(quad)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -531,7 +533,7 @@ def cramer_coords_quad_many(quad: Quadrilateral, points, info: bool = False):
     code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1])
     ok = (code != LOC_EXTERIOR) & ~singular
     phi = np.where(ok[:, None], phi, np.nan)
-    return (phi, ok, BatchInfo.of(code, index, ok, SINGULAR)) if info else (phi, ok)
+    return phi, ok, BatchInfo.of(code, index, ok, SINGULAR)
 
 
 def _area_quotient(quad: Quadrilateral, p):
@@ -573,16 +575,16 @@ def wachspress_oracle(quad: Quadrilateral, p) -> np.ndarray:
     return w
 
 
-def wachspress_oracle_many(quad: Quadrilateral, points, info: bool = False):
-    """wachspress_oracle at each row of points (m, 2); returns (phi, ok).
+def wachspress_oracle_many(quad: Quadrilateral, points):
+    """wachspress_oracle at each row of points (m, 2); returns (phi, ok,
+    info), info the BatchInfo of the location it ran (causes exterior,
+    boundary, and singular for a vanishing edge triangle at an interior
+    point).
 
     Raises NotConvex, as wachspress_oracle does, when the quadrilateral is
     not convex.  ok[s] is False (and phi[s] NaN) where wachspress_oracle
     raises: off the open interior, or a vanishing edge triangle.  Elsewhere
-    phi[s] is bitwise equal to wachspress_oracle(quad, points[s]).  With
-    info, returns (phi, ok, info), info the BatchInfo of the location it ran
-    (causes exterior, boundary, and singular for a vanishing edge triangle
-    at an interior point).
+    phi[s] is bitwise equal to wachspress_oracle(quad, points[s]).
     """
     if not quad.is_convex:
         raise NotConvex("Wachspress coordinates require a convex quadrilateral")
@@ -592,7 +594,4 @@ def wachspress_oracle_many(quad: Quadrilateral, points, info: bool = False):
     interior = code == LOC_INTERIOR
     ok = interior & ~vanishes
     phi = np.where(ok[:, None], w, np.nan)
-    if not info:
-        return phi, ok
-    failure = np.where(interior, SINGULAR, BOUNDARY)
-    return phi, ok, BatchInfo.of(code, index, ok, failure)
+    return phi, ok, BatchInfo.of(code, index, ok, np.where(interior, SINGULAR, BOUNDARY))

@@ -374,10 +374,10 @@ def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):
     return (phi, Frame3(basis, rows, p, det)) if return_frame else phi
 
 
-def moment_coords_hex_many(
-    hexa: Hexahedron, points, return_frame_coords: bool = False, info: bool = False
-):
-    """moment_coords_hex at each row of points (m, 3); returns (phi, ok).
+def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool = False):
+    """moment_coords_hex at each row of points (m, 3); returns (phi, ok,
+    info), info the BatchInfo of the location it ran, with causes exterior,
+    frame (FrameNotFound) and singular (SingularMatrix).
 
     Classification, frames, assembly and the LU solve each run once over
     the batch.  phi[s] is bitwise equal to moment_coords_hex(hexa,
@@ -387,13 +387,10 @@ def moment_coords_hex_many(
     singular system.  The solver's residual contract runs as it does for
     one point, over the whole batch.
 
-    With return_frame_coords, returns (phi, ok, w) where w[s] (3, 8) is
-    frame.coords(hexa.vertices) of the frame moment_coords_hex(hexa,
+    With return_frame_coords, returns (phi, ok, w, info) where w[s] (3, 8)
+    is frame.coords(hexa.vertices) of the frame moment_coords_hex(hexa,
     points[s], return_frame=True) returns, bitwise, and NaN where there is
     none (a vertex, or a point the frame search failed).
-
-    With info, a BatchInfo of the location it ran comes last, with causes
-    exterior, frame (FrameNotFound) and singular (SingularMatrix).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     code, index, on = _locate_hex(hexa, pts[:, 0], pts[:, 1], pts[:, 2])
@@ -420,8 +417,6 @@ def moment_coords_hex_many(
         frame_coords = np.full((len(pts), 3, 8), np.nan)
         frame_coords[solve] = np.array(w).transpose(2, 0, 1)
         out += (frame_coords,)
-    if info:
-        failure = np.full(len(pts), SINGULAR)
-        failure[unframed] = FRAME
-        out += (BatchInfo.of(code, index, ok, failure),)
-    return out
+    failure = np.full(len(pts), SINGULAR)
+    failure[unframed] = FRAME
+    return out + (BatchInfo.of(code, index, ok, failure),)

@@ -35,9 +35,9 @@ and face_of_points_hex), for callers outside the package.
 A QuadStack holds many quadrilaterals for one batch call, each row with a
 copy of its own element's tables as arrays in place of floats, so that
 _locate_quad (with each row's own tolerance) and the closed form of
-coords2d run on it unchanged.  A batch evaluator called with info=True
-returns the location it computed as a BatchInfo of codes, with a cause code
-per row, so no caller locates its points again.
+coords2d run on it unchanged.  Every batch evaluator returns the location
+it computed as a BatchInfo of codes, with a cause code per row, last in its
+tuple, so no caller locates its points again.
 """
 
 from __future__ import annotations
@@ -96,8 +96,15 @@ BATCH_CHUNK = 4096
 # Why a batch row has weights or not, by BatchInfo.cause code: ok; the point
 # is exterior; an oracle is undefined on the boundary; no reference frame
 # (FrameNotFound); a singular system or a vanishing closed-form denominator.
+# grid's warning and check's evaluates property name their counts by it.
 CAUSES = ("ok", "exterior", "boundary", "frame", "singular")
 OK, EXTERIOR, BOUNDARY, FRAME, SINGULAR = range(len(CAUSES))
+
+
+def named_counts(counts, names=CAUSES) -> str:
+    """The nonzero counts with their causes' names, counts[c] the rows of
+    cause code c and names[c] its name: "3 frame, 1 exterior"."""
+    return ", ".join(f"{c} {name}" for c, name in zip(counts, names) if c)
 
 
 # The location codes of _locate_quad and _locate_hex, an int for one point

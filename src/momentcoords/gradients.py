@@ -70,10 +70,9 @@ def finite_difference_gradient(evaluate, inside, p, h: float) -> np.ndarray:
 def finite_difference_gradient_many(evaluate_many, points, base, h: float):
     """finite_difference_gradient at each row of points (m, dim) at once.
 
-    evaluate_many(points, info=True) returns (weights (k, n), ok (k,),
-    info), as the batch evaluators do; an offset point may be evaluated
-    where its info.cause is not EXTERIOR and it does not round back onto
-    its point.  All 2 * dim offset stacks are evaluated in one call, so
+    evaluate_many(points) returns (weights (k, n), ok (k,), info), as the
+    batch evaluators do; an offset point may be evaluated where its
+    info.cause is not EXTERIOR and it does not round back onto its point.  All 2 * dim offset stacks are evaluated in one call, so
     each offset is located once.  base (m, n) holds the weights at points
     themselves.  Each row takes the same central or one-sided difference as
     the single-point function, with the same arithmetic, over the same
@@ -90,7 +89,7 @@ def finite_difference_gradient_many(evaluate_many, points, base, h: float):
         step = np.zeros(dim)
         step[j] = h
         offsets += [points + step, points - step]
-    w, good, info = evaluate_many(np.concatenate(offsets), info=True)
+    w, good, info = evaluate_many(np.concatenate(offsets))
     # Not reshape(..., -1): a stack with no points has m = 0.
     w = w.reshape(2 * dim, m, n)
     # Offset k moves along axis k // 2, unless it rounds back onto its point.

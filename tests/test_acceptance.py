@@ -133,9 +133,9 @@ def test_criterion_2_moment_equals_mean_value_and_cramer():
     worst_mvc = worst_cramer = 0.0
     start = time.perf_counter()
     for quad, pts in sampled:
-        phi, ok = moment_coords_quad_many(quad, pts)
-        mvc, mvc_ok = mvc_oracle_many(quad, pts)
-        cramer, cramer_ok = cramer_coords_quad_many(quad, pts)
+        phi, ok, _ = moment_coords_quad_many(quad, pts)
+        mvc, mvc_ok, _ = mvc_oracle_many(quad, pts)
+        cramer, cramer_ok, _ = cramer_coords_quad_many(quad, pts)
         assert ok.all() and mvc_ok.all() and cramer_ok.all()
         worst_mvc = max(worst_mvc, np.abs(phi - mvc).max())
         worst_cramer = max(worst_cramer, np.abs(phi - cramer).max())
@@ -182,12 +182,12 @@ def test_criterion_4_nonconvex_nonnegativity_and_printed_forms():
     gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], 201), np.linspace(lo[1], hi[1], 201))
     grid = np.column_stack([gx.ravel(), gy.ravel()])
     interior = grid[classify_points_quad(quad, grid)[0] == "interior"]
-    phi, ok = moment_coords_quad_many(quad, interior)
+    phi, ok, _ = moment_coords_quad_many(quad, interior)
     assert len(interior) > 10000 and ok.all()
     min_weight = phi.min()
     rng = np.random.default_rng(1004)
     pts = sampling.interior_points_quad(quad, 25, rng)
-    phi, ok = moment_coords_quad_many(quad, pts)
+    phi, ok, _ = moment_coords_quad_many(quad, pts)
     assert ok.all()
     worst_form = np.abs(phi - moment_closed_form_nonconv_quad(*pts.T).T).max()
     _report(4, "nonconvex dense nonnegativity", max(0.0, -min_weight), 1e-10)
@@ -227,7 +227,7 @@ def test_criterion_6_hexahedron_axioms():
     for k, hexa in enumerate(geoms):
         count = per_geom + (1 if k < extra else 0)
         pts = sampling.interior_points_hex(hexa, count, rng)
-        phi, ok, w = moment_coords_hex_many(hexa, pts, return_frame_coords=True)
+        phi, ok, w, _ = moment_coords_hex_many(hexa, pts, return_frame_coords=True)
         # Every failure counts here, not only a singular solve.
         singular += int((~ok).sum())
         phi, pts, w = phi[ok], pts[ok], w[ok]
@@ -235,7 +235,7 @@ def test_criterion_6_hexahedron_axioms():
         worst_pu = max(worst_pu, np.abs(phi.sum(axis=1) - 1.0).max())
         worst_lp = max(worst_lp, np.abs(phi @ hexa.vertices - pts).max() / hexa.diameter)
         worst_neg = max(worst_neg, -float(phi.min()))
-        phi, ok = moment_coords_hex_many(hexa, hexa.vertices)
+        phi, ok, _ = moment_coords_hex_many(hexa, hexa.vertices)
         assert ok.all() and np.abs(phi - np.eye(8)).max() <= 1e-10
     elapsed = time.perf_counter() - start
     _report(6, "hex partition of unity", worst_pu, 1e-12)

@@ -162,7 +162,7 @@ def _assert_many_equal(single, many, geom, points):
             with pytest.raises(AssertionError, match="residual"):
                 many(geom, points)
             return
-    phi, ok = many(geom, points)
+    phi, ok, _ = many(geom, points)
     for s, (p, ref) in enumerate(zip(points, refs)):
         if ref is None:
             assert not ok[s] and np.isnan(phi[s]).all()
@@ -217,7 +217,7 @@ def test_edge_snapped_rows_pass_row_check(name, scale):
         # points past tol; from the full tol many points classify as exterior.
         assert off == 1.0 or snapped.sum() >= len(points) // 2
         for many in families:
-            phi, ok = many(quad, points[snapped])
+            phi, ok, _ = many(quad, points[snapped])
             assert ok.all()
             if off < 1.0:
                 assert cli._row_ok(phi, v, points[snapped], quad.diameter).all(), (many, off)
@@ -239,7 +239,7 @@ def _assert_any_scale(single, many, oracle, scale):
     points = _bbox_grid(quad, 9)
     kind, _ = classify_points_quad(quad, points)
     inside = np.flatnonzero(kind != "exterior")
-    phi, ok = many(quad, points)
+    phi, ok, _ = many(quad, points)
     assert ok[inside].all()
     for s in inside:
         ref = single(quad, points[s])
@@ -267,7 +267,7 @@ def test_wachspress_oracle_any_scale(scale):
     quad = Quadrilateral(base.vertices * scale)
     points = _bbox_grid(quad, 9)
     _assert_many_equal(wachspress_oracle, wachspress_oracle_many, quad, points)
-    phi, ok = wachspress_oracle_many(quad, points)
+    phi, ok, _ = wachspress_oracle_many(quad, points)
     interior = classify_points_quad(quad, points)[0] == "interior"
     assert interior.any() and ok[interior].all()
     for s in np.flatnonzero(interior):
@@ -296,11 +296,11 @@ def test_oracle_many_ok_mask():
     quad = QUADS["convex"]
     points = np.array([[0.3, 1.0], [0.5, 0.0], [0.0, 0.0], [5.0, 5.0]])
     for many in (mvc_oracle_many, wachspress_oracle_many):
-        phi, ok = many(quad, points)
+        phi, ok, _ = many(quad, points)
         assert ok.tolist() == [True, False, False, False]
         assert np.isnan(phi[1:]).all()
     # The Cramer expansion is defined on the closed domain.
-    phi, ok = cramer_coords_quad_many(quad, points)
+    phi, ok, _ = cramer_coords_quad_many(quad, points)
     assert ok.tolist() == [True, True, True, False]
     assert np.abs(phi[2] - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-15
 
@@ -312,13 +312,13 @@ def test_wachspress_many_refuses_nonconvex():
 
 
 def test_many_empty_batch():
-    phi, ok = moment_coords_quad_many(QUADS["convex"], np.zeros((0, 2)))
+    phi, ok, _ = moment_coords_quad_many(QUADS["convex"], np.zeros((0, 2)))
     assert phi.shape == (0, 4) and ok.shape == (0,)
 
 
 @pytest.mark.parametrize("many", [mvc_oracle_many, cramer_coords_quad_many, wachspress_oracle_many])
 def test_oracle_many_empty_batch(many):
-    phi, ok = many(QUADS["convex"], np.zeros((0, 2)))
+    phi, ok, _ = many(QUADS["convex"], np.zeros((0, 2)))
     assert phi.shape == (0, 4) and ok.shape == (0,)
 
 
@@ -354,8 +354,8 @@ def test_interval_many_bitwise_equal_to_single_point(name):
     _assert_many_equal(hat_oracle, hat_oracle_many, nodes, x)
     # (m, 1) columns, as grid passes them, give the same rows.
     for many in (moment_coords_1d_many, hat_oracle_many):
-        phi, ok = many(nodes, x)
-        phi_col, ok_col = many(nodes, x[:, None])
+        phi, ok, _ = many(nodes, x)
+        phi_col, ok_col, _ = many(nodes, x[:, None])
         assert np.array_equal(phi, phi_col, equal_nan=True) and np.array_equal(ok, ok_col)
 
 
@@ -365,14 +365,14 @@ def test_interval_many_ok_mask():
     nodes = NODE_SETS["uniform-5"]
     x = _interval_test_points(nodes, np.random.default_rng(0))[-9:]
     for many in (moment_coords_1d_many, hat_oracle_many):
-        phi, ok = many(nodes, x)
+        phi, ok, _ = many(nodes, x)
         assert ok.tolist() == [True, True] + [False] * 7
         assert phi[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0] and np.isnan(phi[2:]).all()
 
 
 @pytest.mark.parametrize("many", [moment_coords_1d_many, hat_oracle_many])
 def test_interval_many_empty_batch(many):
-    phi, ok = many(NODE_SETS["uniform-5"], np.zeros(0))
+    phi, ok, _ = many(NODE_SETS["uniform-5"], np.zeros(0))
     assert phi.shape == (0, 5) and ok.shape == (0,)
 
 
@@ -382,10 +382,10 @@ def test_batched_fd_equals_scalar_fd(name):
     h = FD_STEP_RTOL * quad.diameter
     points = _test_points(quad)
     points = points[classify_points_quad(quad, points)[0] != "exterior"]
-    base, ok = moment_coords_quad_many(quad, points)
+    base, ok, _ = moment_coords_quad_many(quad, points)
     points, base = points[ok], base[ok]
     grad, grad_ok, no_step = finite_difference_gradient_many(
-        lambda q, info: moment_coords_quad_many(quad, q, info=info), points, base, h
+        lambda q: moment_coords_quad_many(quad, q), points, base, h
     )
     raised = 0
     for s, p in enumerate(points):
@@ -549,7 +549,7 @@ def test_hex_grid_derivatives_translation_invariant(capsys, tmp_path):
     assert compared > 0
 
 
-def _identity_field(points, info=True):
+def _identity_field(points):
     """The weights (x, y) at each row of points: a linear field whose
     gradient is the identity, with every point evaluable."""
     points = np.asarray(points, dtype=float)
@@ -788,7 +788,7 @@ def test_hex_corpus_single_point_bitwise_equal_to_batch(make, seed):
         hexa = sampling.random_affine_cube_hex(rng)
     faces = [sampling.face_points_hex(hexa, f, 5, rng) for f in range(6)]
     points = np.vstack([sampling.interior_points_hex(hexa, 40, rng)] + faces)
-    phi, ok, w = moment_coords_hex_many(hexa, points, return_frame_coords=True)
+    phi, ok, w, _ = moment_coords_hex_many(hexa, points, return_frame_coords=True)
     assert ok.all()
     located = set()
     for s, p in enumerate(points):
@@ -808,7 +808,7 @@ def test_hex_corpus_single_point_bitwise_equal_to_batch(make, seed):
 
 
 def test_hex_many_empty_batch():
-    phi, ok = moment_coords_hex_many(shapes.convex_hex(), np.zeros((0, 3)))
+    phi, ok, _ = moment_coords_hex_many(shapes.convex_hex(), np.zeros((0, 3)))
     assert phi.shape == (0, 8) and ok.shape == (0,)
 
 
@@ -874,9 +874,9 @@ def test_batch_rows_independent_of_batch_composition(kind, method, name):
     # this is what keeps the batch-vs-single tests comparing two paths.
     geom, points = _composition_input(name)
     many = cli.BATCH_METHODS[kind][method]
-    phi, ok = many(geom, points)
+    phi, ok, _ = many(geom, points)
     assert ok.any() and not ok.all()
-    rev_phi, rev_ok = many(geom, points[::-1])
+    rev_phi, rev_ok, _ = many(geom, points[::-1])
     layouts = {"reversed": (rev_phi[::-1], rev_ok[::-1])}
     for size in (1, 7):
         parts = [many(geom, points[s : s + size]) for s in range(0, len(points), size)]
@@ -949,10 +949,10 @@ def _assert_stack_rows(method, quads, element, points):
             with pytest.raises(AssertionError, match="residual"):
                 many(QuadStack(quads, element), points)
             return None
-    phi, ok, info = many(QuadStack(quads, element), points, info=True)
+    phi, ok, info = many(QuadStack(quads, element), points)
     for e, quad in enumerate(quads):
         rows = np.flatnonzero(element == e)
-        own_phi, own_ok, own_info = many(quad, points[rows], info=True)
+        own_phi, own_ok, own_info = many(quad, points[rows])
         assert own_phi.tobytes() == phi[rows].tobytes(), (method, e)
         assert np.array_equal(own_ok, ok[rows]), (method, e)
         for field in ("code", "index", "cause"):
@@ -1076,11 +1076,9 @@ CAUSE_ERRORS = {
 
 def _assert_record(kind, method, geom, points):
     """The info record of a batch method against the classifier and the
-    single-point function; (phi, ok) unchanged by asking for it."""
+    single-point function."""
     many = cli.BATCH_METHODS[kind][method]
-    phi, ok = many(geom, points)
-    phi_info, ok_info, info = many(geom, points, info=True)
-    assert phi_info.tobytes() == phi.tobytes() and ok_info.tobytes() == ok.tobytes()
+    _, ok, info = many(geom, points)
     loc_kind, loc_index = _locations(geom, points)
     assert np.array_equal(_kind_names(geom, info.code), loc_kind)
     assert np.array_equal(info.index, loc_index)
@@ -1115,10 +1113,12 @@ def test_hex_info_names_frame_failures():
     points = _hex_test_points(hexa, np.random.default_rng(1))
     info = _assert_record("hex", "moment", hexa, points)
     assert FRAME in info.cause
-    # The record comes after the frame coordinates, which stay as they are.
-    *plain, info_last = moment_coords_hex_many(hexa, points, return_frame_coords=True, info=True)
-    for a, b in zip(plain, moment_coords_hex_many(hexa, points, return_frame_coords=True)):
-        assert a.tobytes() == b.tobytes()
+    # With the frame coordinates the record comes last, the weights are those
+    # of the call without them, and a row without a frame has none.
+    phi, ok, w, info_last = moment_coords_hex_many(hexa, points, return_frame_coords=True)
+    plain = moment_coords_hex_many(hexa, points)
+    assert phi.tobytes() == plain[0].tobytes() and ok.tobytes() == plain[1].tobytes()
+    assert np.isnan(w[info_last.cause == FRAME]).all()
     assert info_last.cause.tobytes() == info.cause.tobytes()
 
 

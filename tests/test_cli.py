@@ -8,7 +8,13 @@ import pytest
 
 from momentcoords import cli, sampling
 from momentcoords.cli import main
-from momentcoords.geometry import OVERFLOW_MESSAGE, REFERENCE_CUBE, classify_points_quad
+from momentcoords.geometry import (
+    OVERFLOW_MESSAGE,
+    REFERENCE_CUBE,
+    Hexahedron,
+    Quadrilateral,
+    classify_points_quad,
+)
 from momentcoords.shapes import convex_hex, convex_quad, nonconvex_quad
 
 
@@ -219,6 +225,78 @@ class TestCheckFarTranslated:
         )
         assert code == 0 and "FAIL" not in out
         assert "PASS moment linear precision" in out
+
+
+def _far_hex():
+    """A small hexahedron far from the origin, on which the frame misses the
+    sign pattern at a few points (FrameNotFound)."""
+    base = sampling.random_affine_cube_hex(np.random.default_rng(0))
+    return base, Hexahedron(base.vertices * 10.0**-1.75 + [0.0, 0.0, 167410.0])
+
+
+def _property_names(out):
+    lines = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
+    return [line[5:].split(":")[0] for line in lines]
+
+
+class TestEvaluatorFailureOnValidInput:
+    # An evaluator that fails on a valid geometry at a valid point is a
+    # domain error (exit 3), not an input error (exit 2); check counts such
+    # failures in its evaluates property and exits 1, printing every
+    # property.  These geometries fail a few rows through the precision
+    # defects of far-translated geometry.
+    @pytest.mark.parametrize(
+        "name, samples, seed, cause",
+        [("hex", 200, 7, "frame"), ("conv-quad", 600, 7, "exterior"),
+         ("nonconv-quad", 50, 0, "exterior")],
+    )
+    def test_far_check_counts_failed_rows(self, capsys, tmp_path, name, samples, seed, cause):
+        if name == "hex":
+            base, far = _far_hex()
+            base_arg = str(tmp_path / "base.json")
+            pathlib.Path(base_arg).write_text(
+                json.dumps({"kind": "hex", "vertices": base.vertices.tolist()})
+            )
+        else:
+            base_arg = name
+            builtin = convex_quad if name == "conv-quad" else nonconvex_quad
+            far = Quadrilateral(builtin().vertices + [3e6, -2.1e6])
+        far_arg = _geometry_file(tmp_path, "hex" if name == "hex" else "quad", far.vertices)
+        argv = ["--samples", str(samples), "--seed", str(seed)]
+        code, out, err = run(capsys, "check", "--geometry", far_arg, *argv)
+        assert code == 1 and err == ""
+        assert "nan" not in out and "Traceback" not in out
+        evaluates = [line for line in out.splitlines() if "evaluates" in line]
+        assert len(evaluates) == 1 and evaluates[0].startswith("FAIL evaluates:")
+        assert f" {cause})" in evaluates[0] or f" {cause}," in evaluates[0]
+        _, base_out, _ = run(capsys, "check", "--geometry", base_arg, *argv)
+        assert _property_names(out) == _property_names(base_out)
+
+    def test_write_time_row_check_is_a_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--geometry", "conv-hex",
+            "--point", "1.0000000002473863,1.0,0.0", "--method", "moment",
+        )
+        assert (code, out) == (3, "")
+        assert err == "domain error: coordinate invariants violated at write time\n"
+
+    def test_frame_not_found_is_a_domain_error(self, capsys, tmp_path):
+        far_arg = _geometry_file(tmp_path, "hex", _far_hex()[1].vertices)
+        code, out, err = run(
+            capsys, "eval", "--geometry", far_arg,
+            "--point", "0.035602849770264795,-0.03427649460436619,167410.1046359527",
+            "--method", "moment",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: the frame row of pair 2 misses the sign pattern")
+
+    def test_check_never_exits_with_the_input_error_code_on_valid_input(self, capsys, tmp_path):
+        # A covariance image of this square fails validation, though grid
+        # evaluates the square: a domain error, not an input error.
+        path = _geometry_file(tmp_path, "quad", [[0, 0], [6e153, 0], [6e153, 6e153], [0, 6e153]])
+        code, _, err = run(capsys, "check", "--geometry", path, "--samples", "100")
+        assert code in (0, 3) and "Traceback" not in err
+        assert code == 0 or err.startswith("domain error: ")
 
 
 class TestCheckSmallScale:
@@ -510,7 +588,7 @@ def test_parser_built_once(capsys, monkeypatch):
     assert fresh[1][1].startswith("usage: momentcoords") and "check" in fresh[1][1]
     check = ["check", "--geometry", "conv-quad", "--samples", "30", "--seed", "4"]
     first = _outcome(capsys, main, check)
-    assert first[0] == 0 and "all 15 properties passed" in first[1]
+    assert first[0] == 0 and "all 16 properties passed" in first[1]
 
     def refuse():
         raise AssertionError("main built a parser")
@@ -679,7 +757,7 @@ class TestCramerOnFlatCorner:
         code, out, _ = run(capsys, "check", "--geometry", path, "--samples", "50")
         assert code == 0
         assert "cramer" not in out and "moment vs mean-value oracle" in out
-        assert out.endswith("all 14 properties passed\n")
+        assert out.endswith("all 15 properties passed\n")
         code, _, err = run(capsys, "check", "--geometry", path, "--samples", "50", "--method", "cramer")
         assert (code, err) == (3, self.MESSAGE)
 

@@ -288,7 +288,7 @@ def test_square_of_any_size(family, side):
     expect = [[1 / 3, 1 / 3, 1 / 6, 1 / 6], [0.25] * 4, [0.375, 0.375, 0.125, 0.125]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phi, ok = many(quad, points)
+        phi, ok, _ = many(quad, points)
         assert ok.all()
         for p, row, want in zip(points, phi, expect):
             assert np.array_equal(single(quad, p), row)

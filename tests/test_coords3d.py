@@ -258,7 +258,7 @@ class TestMomentCoordsHex:
         assert abs(phi.sum() - 1.0) <= checks.PARTITION_TOL
         precision = checks.linear_precision_error(phi[None], hexa.vertices, p[None])
         assert precision[0] <= checks.PRECISION_RTOL * hexa.diameter
-        batch, ok = moment_coords_hex_many(hexa, p[None])
+        batch, ok, _ = moment_coords_hex_many(hexa, p[None])
         assert ok[0] and batch[0].tobytes() == phi.tobytes()
 
     def test_axioms_random_hexes(self, rng):
@@ -362,7 +362,7 @@ def test_hex_any_scale_evaluates(scale, offset):
     rng = np.random.default_rng(1)
     p0 = np.array([0.0, 0.5, 0.0]) * scale + offset * scale
     pts = np.vstack([p0, sampling.interior_points_hex(hexa, 200, rng)])
-    phi, ok = moment_coords_hex_many(hexa, pts)
+    phi, ok, _ = moment_coords_hex_many(hexa, pts)
     assert ok.all()
     for s, p in enumerate(pts):
         assert np.array_equal(phi[s], moment_coords_hex(hexa, p))

@@ -117,7 +117,7 @@ def _cases(names):
 
 def _gradients(family, quad, pts):
     _, many, gradient = FAMILIES[family]
-    phi, ok, info = many(quad, pts, info=True)
+    phi, ok, info = many(quad, pts)
     grad, grad_ok = gradient(quad, pts, info)
     return phi, ok, grad, grad_ok, info
 
@@ -225,7 +225,7 @@ def test_exterior_rows_and_nonconvex_wachspress():
     empty = _gradients("wachspress", quad, pts[:0])
     assert empty[2].shape == (0, 4, 2) and empty[3].shape == (0,)
     nonconvex = shapes.nonconvex_quad()
-    info = moment_coords_quad_many(nonconvex, pts, info=True)[2]
+    info = moment_coords_quad_many(nonconvex, pts)[2]
     with pytest.raises(NotConvex):
         wachspress_gradient_quad_many(nonconvex, pts, info)
 
