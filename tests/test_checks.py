@@ -379,12 +379,13 @@ def _force(monkeypatch, module, name, error, cause, element, point):
     monkeypatch.setattr(module, name, single)
 
 
-def _assert_counted(results, reference, cause):
-    """The suite's results equal its recomputation's, with the one forced
-    row counted under cause; no property reads NaN."""
+def _assert_counted(results, reference, cause, count=1):
+    """The suite's results equal its recomputation's, with the count forced
+    rows counted under cause; no property reads NaN."""
     _assert_same_results(results, reference)
     [evaluates] = [r for r in results if r.name == "evaluates"]
-    assert evaluates.line() == f"FAIL evaluates: worst=1.000e+00 tol=5.0e-01 (1 {cause})"
+    line = f"FAIL evaluates: worst={count:.3e} tol=5.0e-01 ({count} {cause})"
+    assert evaluates.line() == line
     assert all(r.passed for r in results if r.name != "evaluates")
 
 
@@ -434,6 +435,23 @@ def test_quad_suite_counts_failed_rows_by_cause(monkeypatch, group):
     element, point = where(quad.vertices, *_quad_points(quad, 23, 7))
     _force(monkeypatch, coords2d, name, error, CAUSES.index(cause), element, point)
     _assert_counted(quad_suite(quad, 23, 7), _reference_quad_suite(quad, 23, 7), cause)
+
+
+@pytest.mark.parametrize("family", ["moment", "wachspress"])
+def test_quad_suite_reruns_stacked_images_in_loop_order(monkeypatch, family):
+    # The five covariance images of a family are elements of its stack.
+    # Rows the stack fails in its third and fourth images are counted as
+    # the per-point loop over the images counts them, and every other
+    # image row keeps its value.
+    quad = shapes.convex_quad()
+    _, _, images = _quad_points(quad, 23, 7)
+    first = {"moment": 0, "wachspress": 5}[family]  # similarity, then affine images
+    name, code = f"{family}_coords_quad", CAUSES.index("singular")
+    for e, local in ((3, 1), (2, 9), (2, 4)):
+        vertices, points = images[first + e]
+        _force(monkeypatch, coords2d, name, SingularMatrix, code, vertices, points[local])
+    results = quad_suite(quad, 23, 7)
+    _assert_counted(results, _reference_quad_suite(quad, 23, 7), "singular", count=3)
 
 
 def _hex_points(hexa, samples, seed):
