@@ -3,16 +3,18 @@
 Each suite evaluates the coordinate axioms (partition of unity, linear
 precision, nonnegativity, Kronecker delta at the nodes), the boundary and
 facet reduction properties, and the agreement between the system solutions
-and their independent closed-form oracles, over a seeded random sample.
+and their independent closed-form oracles, over a seeded random sample,
+against the fixed tolerances below (relative to the diameter where noted).
 The points go through the batch functions in a few calls per suite, one
-per method: each quadrilateral family evaluates its samples, vertices,
-edge points and five covariance images as one element stack
-(geometry.QuadStack), each oracle its samples; a hexahedron's samples,
-vertices, edge and face points are one call, and the induced face
-quadrilaterals of the facet reduction one stack, each holding its face
-point.  A row that a batch fails is left out of every other property and
-counted, under its geometry.BatchInfo cause, in the evaluates property,
-which any failed row fails; so no evaluation raises out of a suite.
+per batch function: moment coordinates (and, on a convex quadrilateral,
+Wachspress coordinates) evaluate their samples, vertices, edge points and
+five covariance images as one element stack (geometry.QuadStack), each
+oracle its samples; a hexahedron's samples, vertices, edge and face points
+are one call, and the induced face quadrilaterals of the facet reduction
+one stack, each holding its face point.  A row that a batch fails is left
+out of every other property and counted, under its geometry.BatchInfo
+cause, in the evaluates property, which any failed row fails; so no
+evaluation raises out of a suite.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ KRONECKER_TOL = 1e-10
 BOUNDARY_TOL = 1e-10
 FACET_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
-# The evaluates property counts failed rows; one fails it at any tol_scale.
+# The evaluates property counts failed rows; one fails it.
 EVALUATES_TOL = 0.5
 
 
@@ -56,13 +58,11 @@ class PropertyResult:
 
 
 class _Accumulator:
-    def __init__(self, tol_scale: float):
+    def __init__(self):
         self.results: dict[str, PropertyResult] = {}
-        self.scale = tol_scale
         self.failed = np.zeros(len(geometry.CAUSES), dtype=int)
 
     def record(self, name: str, value: float, tol: float):
-        tol = tol * self.scale
         prev = self.results.get(name)
         if prev is None:
             self.results[name] = PropertyResult(name, float(value), tol)
@@ -150,38 +150,31 @@ class _Segment(NamedTuple):
     points: np.ndarray
 
 
-def _evaluate_segments(acc, segments, *methods, **kwargs):
-    """Per method, the part of its batch's tuple (weights (m, n), ok (m,),
-    ..., cause (m,)) on each of its segments; a method is a batch function,
-    or (batch function, segment indices) for one that runs on those
-    segments only; kwargs go to the batches.
+def _evaluate_segments(acc, many, segments, **kwargs):
+    """The part of the batch tuple (weights (m, n), ok (m,), ..., cause
+    (m,)) of many on each of segments; kwargs go to the batch.
 
-    Each method runs as one batch call over its segments: on their geometry
-    when they share one, else on the QuadStack of their quadrilaterals, one
+    many runs as one batch call over the segments: on their geometry when
+    they share one, else on the QuadStack of their quadrilaterals, one
     element per segment (each built, so validated, before any point is
-    evaluated).  The rows each batch fails are counted in acc by cause.
+    evaluated).  The rows the batch fails are counted in acc by cause.
     """
-    parts = []
-    for method in methods:
-        many, pick = method if isinstance(method, tuple) else (method, range(len(segments)))
-        picked = [segments[i] for i in pick]
-        sizes = [len(seg.points) for seg in picked]
-        geom = picked[0].geom
-        if any(seg.geom is not geom for seg in picked):
-            element = np.repeat(np.arange(len(sizes)), sizes)
-            geom = QuadStack([seg.geom for seg in picked], element)
-        result = _chunked(many, geom, np.concatenate([seg.points for seg in picked]), **kwargs)
-        acc.count(result[-1])
-        starts = np.cumsum([0] + sizes).tolist()
-        parts.append([tuple(a[lo:hi] for a in result) for lo, hi in zip(starts, starts[1:])])
-    return parts
+    sizes = [len(seg.points) for seg in segments]
+    geom = segments[0].geom
+    if any(seg.geom is not geom for seg in segments):
+        element = np.repeat(np.arange(len(sizes)), sizes)
+        geom = QuadStack([seg.geom for seg in segments], element)
+    result = _chunked(many, geom, np.concatenate([seg.points for seg in segments]), **kwargs)
+    acc.count(result[-1])
+    starts = np.cumsum([0] + sizes).tolist()
+    return [tuple(a[lo:hi] for a in result) for lo, hi in zip(starts, starts[1:])]
 
 
 def _element_map(a, b, c, d, x):
     """The image c + a (x - c) + d b of x (2,) or of each row of x (m, 2):
     the map (a, b) drawn by _similarity_map or _affine_map, acting in
     element units about the vertex centroid c, d the diameter.  So an image
-    stays within a few diameters of the element at every scale; an offset
+    stays within a few diameters of the element at every size; an offset
     b in absolute units would move a small element by many of its own
     diameters, where rounding alone fails the covariance tolerance."""
     return c + (x - c) @ a.T + d * b
@@ -200,10 +193,10 @@ def _affine_map(rng):
             return a, rng.uniform(-3.0, 3.0, 2)
 
 
-class _Family(NamedTuple):
-    """A quadrilateral coordinate family as its suite checks it: its batch
-    function, the oracles' batch functions it is compared with on the
-    samples, by name, and its covariance property and map."""
+class _QuadCoords(NamedTuple):
+    """Quadrilateral coordinates as the suite checks them: their batch
+    function, the oracles' batch functions they are compared with on the
+    samples, by name, and their covariance property and map."""
 
     name: str
     many: object
@@ -212,77 +205,60 @@ class _Family(NamedTuple):
     draw_map: object
 
 
-def quad_suite(
-    quad: Quadrilateral,
-    samples: int,
-    seed: int,
-    tol_scale: float = 1.0,
-    family: str | None = None,
-):
+def quad_suite(quad: Quadrilateral, samples: int, seed: int):
     """Property results for moment (and, when convex, Wachspress) coordinates.
 
-    family restricts the suite to "moment" or "wachspress"; by default both
-    run (Wachspress only when the quadrilateral is convex).  The Cramer
-    oracle runs with the moment family wherever it is defined (see
-    coords2d.cramer_defect).
+    The Cramer oracle runs with the moment coordinates wherever it is
+    defined (see coords2d.cramer_defect).
     """
     rng = np.random.default_rng(seed)
-    acc = _Accumulator(tol_scale)
+    acc = _Accumulator()
     pts = sampling.interior_points_quad(quad, samples, rng)
     d = quad.diameter
     v = quad.vertices
 
-    # Covariance under similarity maps holds for both families; Wachspress
+    # Covariance under similarity maps holds for both coordinates; Wachspress
     # is additionally covariant under general affine maps (moment/mean value
     # coordinates are distance based and are not).
-    families = []
-    if family in (None, "moment"):
-        oracles = [("mean-value", coords2d.mvc_oracle_many)]
-        if coords2d.cramer_defect(quad) is None:
-            oracles.append(("cramer", coords2d.cramer_coords_quad_many))
-        moment = coords2d.moment_coords_quad_many
-        families.append(_Family("moment", moment, oracles, "similarity", _similarity_map))
-    if quad.is_convex and family in (None, "wachspress"):
+    oracles = [("mean-value", coords2d.mvc_oracle_many)]
+    if coords2d.cramer_defect(quad) is None:
+        oracles.append(("cramer", coords2d.cramer_coords_quad_many))
+    moment = coords2d.moment_coords_quad_many
+    families = [_QuadCoords("moment", moment, oracles, "similarity", _similarity_map)]
+    if quad.is_convex:
         wachspress = coords2d.wachspress_coords_quad_many
         area = [("area", coords2d.wachspress_oracle_many)]
-        families.append(_Family("wachspress", wachspress, area, "affine", _affine_map))
+        families.append(_QuadCoords("wachspress", wachspress, area, "affine", _affine_map))
 
-    # The point groups, drawn in this order: the samples, each family's
-    # vertices and edge points, then each family's five covariance images
-    # of the first samples.  picks holds each family's groups: all of its
-    # points, evaluated in one stacked call; each oracle runs on the samples.
-    segments = [_Segment(quad, pts)]
-    picks = [[0] for _ in families]
+    # Drawn in this order: the samples, the edge parameters ts (moment, then
+    # Wachspress), then five covariance maps each (in the same order).  Each
+    # group, the samples, vertices, edge points and covariance images of the
+    # first samples, is one stacked call; each oracle runs on the samples.
+    sample = _Segment(quad, pts)
     ts = [rng.uniform(0.05, 0.95, (4, 8)) for _ in families]
-    for pick, t in zip(picks, ts):
+    groups = []
+    for t in ts:
         p = (1 - t)[:, :, None] * v[:, None] + t[:, :, None] * v[[1, 2, 3, 0], None]
-        pick += [len(segments), len(segments) + 1]
-        segments += [_Segment(quad, v), _Segment(quad, p.reshape(-1, 2))]
+        groups.append([sample, _Segment(quad, v), _Segment(quad, p.reshape(-1, 2))])
     first = slice(0, min(len(pts), 20))
     c = v.mean(axis=0)
-    for pick, fam in zip(picks, families):
+    for group, fam in zip(groups, families):
         for _ in range(5):
             a, b = fam.draw_map(rng)
             mapped = Quadrilateral(_element_map(a, b, c, d, v))
-            pick.append(len(segments))
-            segments.append(_Segment(mapped, _element_map(a, b, c, d, pts[first])))
-    methods = []
-    for pick, fam in zip(picks, families):
-        methods.append((fam.many, pick))
-        methods += [(many, [0]) for _, many in fam.oracles]
-    results = iter(_evaluate_segments(acc, segments, *methods))
+            group.append(_Segment(mapped, _element_map(a, b, c, d, pts[first])))
 
     evaluated = []
-    for fam in families:
-        (phi, ok, _), *groups = next(results)
+    for fam, group in zip(families, groups):
+        (phi, ok, _), *parts = _evaluate_segments(acc, fam.many, group)
         _axioms(acc, f"{fam.name} ", phi, v, pts, d, ok)
-        for oracle, _ in fam.oracles:
-            [(ref, ref_ok, _)] = next(results)
+        for oracle, many in fam.oracles:
+            [(ref, ref_ok, _)] = _evaluate_segments(acc, many, [sample])
             gap = _worst_gap(phi, ref, ok & ref_ok)
             acc.record(f"{fam.name} vs {oracle} oracle", gap, ORACLE_TOL)
-        evaluated.append((phi, ok, groups))
-    for fam, t, (_, _, groups) in zip(families, ts, evaluated):
-        (kron, kron_ok, _), (edge, edge_ok, _) = groups[:2]
+        evaluated.append((phi, ok, parts))
+    for fam, t, (_, _, parts) in zip(families, ts, evaluated):
+        (kron, kron_ok, _), (edge, edge_ok, _) = parts[:2]
         expect = np.zeros((4, 8, 4))
         for i in range(4):
             expect[i, :, i] = 1 - t[i]
@@ -291,18 +267,18 @@ def quad_suite(
         acc.record(f"{fam.name} kronecker delta", kronecker, KRONECKER_TOL)
         boundary = _worst_gap(edge, expect.reshape(-1, 4), edge_ok)
         acc.record(f"{fam.name} boundary reduction", boundary, BOUNDARY_TOL)
-    for fam, (phi, ok, groups) in zip(families, evaluated):
+    for fam, (phi, ok, parts) in zip(families, evaluated):
         name = f"{fam.name} {fam.covariance} covariance"
-        for mphi, mok, _ in groups[2:]:
+        for mphi, mok, _ in parts[2:]:
             acc.record(name, _worst_gap(phi[first], mphi, ok[first] & mok), COVARIANCE_TOL)
     acc.evaluates()
     return acc.items()
 
 
-def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0):
+def hex_suite(hexa: Hexahedron, samples: int, seed: int):
     """Property results for hexahedral moment coordinates."""
     rng = np.random.default_rng(seed)
-    acc = _Accumulator(tol_scale)
+    acc = _Accumulator()
     d = hexa.diameter
     v = hexa.vertices
 
@@ -331,7 +307,7 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
     # Samples, vertices, edge points and face points in one batch.
     segments = [_Segment(hexa, group) for group in (pts, v, p.reshape(-1, 3), fpts)]
     many = coords3d.moment_coords_hex_many
-    [parts] = _evaluate_segments(acc, segments, many, return_frame_coords=True)
+    parts = _evaluate_segments(acc, many, segments, return_frame_coords=True)
     (phi, ok, w, _), (vphi, v_ok, _, _), (ephi, e_ok, _, _), (fphi, f_ok, fw, _) = parts
     face, fphi, fw = face[f_ok], fphi[f_ok], fw[f_ok]
     if len(face):
@@ -343,7 +319,7 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
             _Segment(coords3d._induced_face_quad(f, fw[s]), origin)
             for s, f in enumerate(face.tolist())
         ]
-        [parts] = _evaluate_segments(acc, induced, coords2d.moment_coords_quad_many)
+        parts = _evaluate_segments(acc, coords2d.moment_coords_quad_many, induced)
         psi, psi_ok, _ = (np.concatenate(a) for a in zip(*parts))
     _axioms(acc, "moment ", phi, v, pts, d, ok)
     if ok.any():
@@ -360,19 +336,18 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int, tol_scale: float = 1.0)
     return acc.items()
 
 
-def interval_suite(nodes: NodeSet1D, samples: int, seed: int, tol_scale: float = 1.0):
+def interval_suite(nodes: NodeSet1D, samples: int, seed: int):
     """Property results for interval moment coordinates."""
     rng = np.random.default_rng(seed)
-    acc = _Accumulator(tol_scale)
+    acc = _Accumulator()
     xs = nodes.nodes
     x = rng.uniform(xs[0], xs[-1], samples)
     # The samples and the nodes in one batch, the hat oracle on the samples.
-    [[(phi, ok, _), (kron, kron_ok, _)], [(hat, hat_ok, _)]] = _evaluate_segments(
-        acc,
-        [_Segment(nodes, x), _Segment(nodes, xs)],
-        coords1d.moment_coords_1d_many,
-        (coords1d.hat_oracle_many, [0]),
+    sample = _Segment(nodes, x)
+    [(phi, ok, _), (kron, kron_ok, _)] = _evaluate_segments(
+        acc, coords1d.moment_coords_1d_many, [sample, _Segment(nodes, xs)]
     )
+    [(hat, hat_ok, _)] = _evaluate_segments(acc, coords1d.hat_oracle_many, [sample])
     _axioms(acc, "", phi, xs[:, None], x[:, None], nodes.span, ok)
     if ok.any():
         acc.record("moment vs hat oracle", _worst_gap(phi, hat, ok & hat_ok), ORACLE_TOL)
@@ -381,30 +356,21 @@ def interval_suite(nodes: NodeSet1D, samples: int, seed: int, tol_scale: float =
     return acc.items()
 
 
-def run_suite(geometry, samples: int, seed: int, tol_scale: float = 1.0, method: str | None = None):
+def run_suite(geometry, samples: int, seed: int):
     """Dispatch to the suite for the geometry kind.
 
-    method restricts quadrilateral suites to one coordinate family
-    ("wachspress" or anything else mapping to the moment family); hex and
-    interval geometries have a single family.  Raises ValueError when
-    samples < 1, which would leave the sampled axioms out of the result;
-    when tol_scale is not finite and > 0: an infinite scale passes every
-    property, and a zero, negative or NaN one fails them all; and when seed
-    is negative, which the random generator refuses without naming it.
+    Raises ValueError when samples < 1, which would leave the sampled
+    axioms out of the result, and when seed is negative, which the random
+    generator refuses without naming it.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if not (np.isfinite(tol_scale) and tol_scale > 0):
-        raise ValueError(f"tol_scale must be finite and > 0, got {tol_scale}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if isinstance(geometry, Quadrilateral):
-        family = None
-        if method is not None:
-            family = "wachspress" if method.startswith("wachspress") else "moment"
-        return quad_suite(geometry, samples, seed, tol_scale, family=family)
+        return quad_suite(geometry, samples, seed)
     if isinstance(geometry, Hexahedron):
-        return hex_suite(geometry, samples, seed, tol_scale)
+        return hex_suite(geometry, samples, seed)
     if isinstance(geometry, NodeSet1D):
-        return interval_suite(geometry, samples, seed, tol_scale)
+        return interval_suite(geometry, samples, seed)
     raise TypeError(f"unsupported geometry type {type(geometry).__name__}")

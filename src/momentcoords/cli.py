@@ -403,15 +403,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_check(args) -> int:
-    geom = _load_geometry(args.geometry)
-    if args.samples < 1:
-        raise InputError("samples must be at least 1")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise InputError(f"tol must be finite and > 0, got {args.tol}")
-    if args.method is not None:
-        _resolve_method(geom, args.method)  # raises InputError when incompatible
-        _require_defined(geom, args.method)
-    results = checks.run_suite(geom, args.samples, args.seed, args.tol, method=args.method)
+    results = checks.run_suite(_load_geometry(args.geometry), args.samples, args.seed)
     for result in results:
         print(result.line())
     if all(r.passed for r in results):
@@ -455,10 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--geometry", required=True, help=builtin_help)
     p_check.add_argument("--samples", type=int, default=1000, help="random sample count")
     p_check.add_argument("--seed", type=int, default=0, help="random seed")
-    p_check.add_argument(
-        "--tol", type=float, default=1.0, help="scale factor on the property tolerances"
-    )
-    p_check.add_argument("--method", default=None, help="restrict to one coordinate family")
     p_check.set_defaults(func=cmd_check)
 
     return parser
@@ -470,6 +458,12 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with "-" and is not a plain number
+    # as an option, so "--point -0.5,-0.5" goes in as "--point=-0.5,-0.5".
+    while "--point" in argv[:-1]:
+        i = argv.index("--point")
+        argv[i : i + 2] = ["--point=" + argv[i + 1]]
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)

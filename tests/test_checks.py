@@ -11,6 +11,7 @@ from momentcoords.checks import (
     quad_suite,
     run_suite,
 )
+from momentcoords.cli import main
 from momentcoords.errors import (
     DomainError,
     FrameNotFound,
@@ -37,14 +38,6 @@ def test_run_suite_rejects_nonpositive_samples(samples):
     # all passing.
     with pytest.raises(ValueError, match="samples"):
         run_suite(shapes.convex_quad(), samples, seed=0)
-
-
-@pytest.mark.parametrize("tol_scale", [float("inf"), float("nan"), 0.0, -1.0])
-def test_run_suite_rejects_bad_tol_scale(tol_scale):
-    # An infinite scale would pass every property, and a zero, negative or
-    # NaN one fail them all.
-    with pytest.raises(ValueError, match="tol_scale"):
-        run_suite(shapes.convex_quad(), 5, seed=0, tol_scale=tol_scale)
 
 
 # Per-point recomputations of the suites through the single-point functions:
@@ -107,16 +100,14 @@ def _gap(a, b):
     return float(np.abs(a - b).max())
 
 
-def _reference_quad_suite(quad, samples, seed, family=None):
+def _reference_quad_suite(quad, samples, seed):
     rng = np.random.default_rng(seed)
     worst = _Worst()
     pts = sampling.interior_points_quad(quad, samples, rng)
     d, v = quad.diameter, quad.vertices
-    families = []
-    if family in (None, "moment"):
-        oracles = [("mean-value", coords2d.mvc_oracle), ("cramer", coords2d.cramer_coords_quad)]
-        families.append(("moment", coords2d.moment_coords_quad, oracles))
-    if quad.is_convex and family in (None, "wachspress"):
+    oracles = [("mean-value", coords2d.mvc_oracle), ("cramer", coords2d.cramer_coords_quad)]
+    families = [("moment", coords2d.moment_coords_quad, oracles)]
+    if quad.is_convex:
         oracles = [("area", coords2d.wachspress_oracle)]
         families.append(("wachspress", coords2d.wachspress_coords_quad, oracles))
     sample_phi = {name: [] for name, _, _ in families}
@@ -266,14 +257,11 @@ QUADS = {
 
 
 @pytest.mark.parametrize("name", sorted(QUADS))
-@pytest.mark.parametrize("family", [None, "moment", "wachspress"])
-def test_quad_suite_equals_per_point_recomputation(name, family):
+def test_quad_suite_equals_per_point_recomputation(name):
     quad = QUADS[name]()
     for samples, seed in ((1, 0), (23, 7)):
-        _assert_same_results(
-            quad_suite(quad, samples, seed, family=family),
-            _reference_quad_suite(quad, samples, seed, family=family),
-        )
+        reference = _reference_quad_suite(quad, samples, seed)
+        _assert_same_results(quad_suite(quad, samples, seed), reference)
 
 
 @pytest.mark.parametrize(
@@ -507,12 +495,21 @@ def test_interval_suite_counts_failed_rows_by_cause(monkeypatch, group):
     _assert_counted(interval_suite(nodes, 20, 5), _reference_interval_suite(nodes, 20, 5), cause)
 
 
-def test_evaluates_ignores_tol_scale(monkeypatch):
-    # A failed evaluation is not a tolerance: a loose --tol passes the
-    # other properties wider, but one failed row still fails the suite.
+def test_evaluates_fails_on_one_failed_row(monkeypatch):
+    # A failed evaluation is not a tolerance: one failed row fails the suite.
     hexa = shapes.convex_hex()
     point = _hex_points(hexa, 30, 5)[0][4]
     code = CAUSES.index("frame")
     _force(monkeypatch, coords3d, "moment_coords_hex", FrameNotFound, code, hexa.vertices, point)
-    [evaluates] = [r for r in hex_suite(hexa, 30, 5, tol_scale=10.0) if r.name == "evaluates"]
+    [evaluates] = [r for r in hex_suite(hexa, 30, 5) if r.name == "evaluates"]
     assert evaluates.tol == 0.5 and not evaluates.passed
+
+
+def test_sign_pattern_miss_fails_check(monkeypatch, capsys):
+    # The 0/1 sign-pattern flag has the fixed tol 0.5: one sample whose
+    # frame misses the pattern fails the suite and check exits 1.
+    monkeypatch.setattr(coords3d, "sign_pattern_ok", lambda w, d: np.zeros(len(w), dtype=bool))
+    [line] = [r.line() for r in hex_suite(shapes.convex_hex(), 50, 0) if r.name.startswith("sign")]
+    assert line == "FAIL sign pattern verified: worst=1.000e+00 tol=5.0e-01"
+    assert main(["check", "--geometry", "conv-hex", "--samples", "50"]) == 1
+    assert "FAIL sign pattern verified: " in capsys.readouterr().out

@@ -1,6 +1,7 @@
 import csv
 import json
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -154,6 +155,19 @@ class TestEval:
                 capsys, "eval", "--geometry", str(path), f"--point={point}", "--method", method
             )
             assert code == 2 and out == "" and "non-finite" in err
+
+    @pytest.mark.parametrize(
+        "geometry, point",
+        [("biunit-square", "-0.5,-0.5"), ("conv-hex", "-0.5,0,0"), ("interval", "-1e-3")],
+    )
+    def test_negative_point_either_spelling(self, capsys, tmp_path, geometry, point):
+        # argparse would read "-0.5,-0.5" after "--point" as an option.
+        if geometry == "interval":
+            geometry = _geometry_file(tmp_path, "interval", [-0.5, 0, 0.4, 1])
+        spaced = run(capsys, "eval", "--geometry", geometry, "--point", point, "--method", "moment")
+        joined = run(capsys, "eval", "--geometry", geometry, f"--point={point}", "--method", "moment")
+        assert spaced == joined and spaced[0] == 0 and spaced[2] == ""
+        assert json.loads(spaced[1])["point"] == [float(x) for x in point.split(",")]
 
     def test_quad_non_finite_point_input_error(self, capsys):
         code, _, err = run(
@@ -517,20 +531,6 @@ class TestCheck:
         assert code == 0
         assert "facet reduction" in out
 
-    def test_wachspress_on_nonconvex_refused(self, capsys):
-        code, _, err = run(
-            capsys, "check", "--geometry", "nonconv-quad", "--method", "wachspress"
-        )
-        assert code == 3 and "domain error" in err
-
-    def test_method_restricts_suite(self, capsys):
-        code, out, _ = run(
-            capsys, "check", "--geometry", "conv-quad", "--samples", "60",
-            "--method", "wachspress",
-        )
-        assert code == 0
-        assert "wachspress" in out and "moment" not in out
-
     def test_deterministic_for_seed(self, capsys):
         _, out1, _ = run(capsys, "check", "--geometry", "conv-quad", "--samples", "60", "--seed", "9")
         _, out2, _ = run(capsys, "check", "--geometry", "conv-quad", "--samples", "60", "--seed", "9")
@@ -549,14 +549,26 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--geometry", geometry, f"--samples={samples}")
         assert code == 2 and "passed" not in out and "samples" in err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "2"])
     def test_bad_tol_input_error(self, capsys, tol):
-        # An infinite scale would pass every property and a zero, negative
-        # or NaN one fail them all, whatever the coordinates.
-        code, out, err = run(
-            capsys, "check", "--geometry", "conv-quad", "--samples", "5", f"--tol={tol}"
-        )
-        assert code == 2 and out == "" and "tol" in err
+        # The tolerances are fixed: check has no --tol, and any value is a
+        # usage error.
+        argv = ["check", "--geometry", "conv-quad", "--samples", "5", f"--tol={tol}"]
+        code, out, err = _outcome(capsys, main, argv)
+        assert (code, out) == (2, "") and "Traceback" not in err
+        assert err.startswith("usage: momentcoords") and "unrecognized arguments: --tol" in err
+
+    def test_help_lists_geometry_samples_seed(self, capsys):
+        code, out, _ = _outcome(capsys, main, ["check", "--help"])
+        assert code == 0
+        assert set(re.findall(r"--\w+", out)) == {"--help", "--geometry", "--samples", "--seed"}
+
+    def test_method_option_removed(self, capsys):
+        # check runs every family that is defined on the geometry.
+        argv = ["check", "--geometry", "conv-quad", "--method", "moment"]
+        code, out, err = _outcome(capsys, main, argv)
+        assert (code, out) == (2, "") and "Traceback" not in err
+        assert err.startswith("usage: momentcoords") and "unrecognized arguments: --method" in err
 
     @pytest.mark.parametrize("geometry", ["conv-quad", "conv-hex"])
     def test_negative_seed_input_error(self, capsys, geometry):
@@ -758,8 +770,6 @@ class TestCramerOnFlatCorner:
         assert code == 0
         assert "cramer" not in out and "moment vs mean-value oracle" in out
         assert out.endswith("all 15 properties passed\n")
-        code, _, err = run(capsys, "check", "--geometry", path, "--samples", "50", "--method", "cramer")
-        assert (code, err) == (3, self.MESSAGE)
 
 
 @pytest.mark.parametrize("scale", [1e9, 1e12, 1e14, 1e100])
