@@ -21,7 +21,7 @@ import numpy as np
 
 from . import checks, coords1d, coords2d, coords3d, csvfmt, geometry
 from .errors import InvalidGeometry, MomentCoordsError, NotConvex
-from .geometry import CAUSES, EXTERIOR, OK, Hexahedron, NodeSet1D, Quadrilateral
+from .geometry import CAUSES, EXTERIOR, OK, BatchInfo, Hexahedron, NodeSet1D, Quadrilateral
 from .gradients import FD_STEP_RTOL, finite_difference_gradient_many
 from .shapes import BUILTINS
 
@@ -273,39 +273,20 @@ def _label_bytes(labels: list[str]) -> np.ndarray:
     return text.view(np.uint8).reshape(len(labels), text.itemsize)
 
 
-def _format_rows(outer, last, outer_index, last_index, fields, filled) -> bytes:
-    """CSV rows as bytes, in one formatting pass.  Row i is outer label
-    outer_index[i] (a newline and the outer axes' values), last-axis label
-    last_index[i] (outer and last from _label_bytes) and one field per value
-    of fields[i], ",%.17g" of the value (csvfmt.format17); the fields from
-    filled[i] on are left empty (",")."""
+def _format_rows(labels, fields, filled) -> bytes:
+    """CSV rows as bytes, in one formatting pass.  Row i is its label
+    labels[i] (zero-padded bytes, the newline and axis values of the
+    _label_bytes tables) and one field per value of fields[i], ",%.17g" of
+    the value (csvfmt.format17); the fields from filled[i] on are left
+    empty (",")."""
     m, width = fields.shape
     blank = np.arange(width) >= filled[:, None]
     text, keep = csvfmt.format17(np.where(blank, 1.0, fields))
     keep[blank.reshape(-1), 1:] = False
-    labels = np.concatenate(
-        [outer.take(outer_index, axis=0), last.take(last_index, axis=0)], axis=1
-    )
     shape = (m, width * csvfmt.WIDTH)
     row_text = np.concatenate([labels, text.reshape(shape)], axis=1)
     row_keep = np.concatenate([labels != 0, keep.reshape(shape)], axis=1)
     return np.compress(row_keep.reshape(-1), row_text.reshape(-1)).tobytes()
-
-
-def _outer_labels(axes, start: int, stop: int) -> list[str]:
-    """The row prefixes of the outer indices start to stop - 1: a newline
-    and, per outer axis, its label at the index's digit.
-
-    axes holds each outer axis's formatted values with their commas (none
-    in 1D, whose one prefix is the newline); an outer index has one digit
-    per outer axis, in base n, the first axis most significant.
-    """
-    out = [""] * (stop - start)
-    index = np.arange(start, stop)
-    for axis in reversed(axes):
-        index, digit = np.divmod(index, len(axis))
-        out = [axis[d] + tail for d, tail in zip(digit.tolist(), out)]
-    return ["\n" + tail for tail in out]
 
 
 def cmd_grid(args) -> int:
@@ -327,24 +308,22 @@ def cmd_grid(args) -> int:
             for ax in axis_names:
                 header.append(f"dphi{i + 1}_d{ax}")
 
-    # Each axis value is formatted once.  A row is written as a newline, the
-    # label of its outer axes (none in 1D) and of its last axis, and its
-    # fields; the points are gathered from axes, so the labels are their
-    # digits.  Each chunk formats the outer labels of the outer indices it
-    # spans, so no list of labels grows with the grid, and writes its rows
-    # in passes of at most BATCH_CHUNK fields.
-    outer_axes = [["%.17g," % v for v in axis.tolist()] for axis in axes[:-1]]
-    last = _label_bytes(["%.17g" % v for v in axes[-1].tolist()])
+    # Each axis value is formatted once per command, into one table per
+    # axis: the first axis's values after a newline, the others' after a
+    # comma.  A row's label is each table's entry at the row's index along
+    # that axis, the index that gathers its point from axes.
+    tables = [
+        _label_bytes([form % v for v in axis.tolist()])
+        for form, axis in zip(["\n%.17g"] + [",%.17g"] * (dim - 1), axes)
+    ]
 
     h = FD_STEP_RTOL * diameter
     causes = np.zeros(len(GRID_CAUSES), dtype=int)
     gradient = GRADIENT_METHODS.get(_geometry_kind(geom), {}).get(args.method)
-    closed_form = args.derivatives and gradient is not None
-    finite_differences = args.derivatives and gradient is None
     # The finite differences evaluate 2 * dim offsets of each chunk's rows
     # in one stack, so a chunk that takes them holds that many times fewer.
     chunk = geometry.BATCH_CHUNK
-    if finite_differences:
+    if args.derivatives and gradient is None:
         chunk = max(chunk // (2 * dim), 1)
     total = n**dim
     try:
@@ -355,43 +334,40 @@ def cmd_grid(args) -> int:
                 axis_index = np.unravel_index(index, (n,) * dim)
                 points = np.stack([axis[i] for axis, i in zip(axes, axis_index)], axis=-1)
                 weights, ok, info = evaluate(points)
-                inside = info.cause != EXTERIOR
-                if closed_form:
-                    grad, grad_ok = (a[inside] for a in gradient(geom, points, info))
+                inside = np.flatnonzero(info.cause != EXTERIOR)
                 points, weights, ok = points[inside], weights[inside], ok[inside]
                 cause = info.cause[inside]
                 row_ok = _row_ok(weights, vertices, points, diameter)
                 cause[ok & ~row_ok] = ROW_CHECK
                 ok &= row_ok
                 fields, filled = weights, np.where(ok, nweights, 0)
-                if finite_differences:
-                    rows = np.flatnonzero(ok)
-                    grad = np.full((len(points), nweights, dim), np.nan)
-                    grad_ok = np.zeros(len(points), dtype=bool)
-                    grad[rows], grad_ok[rows], no_step = finite_difference_gradient_many(
-                        evaluate, points[rows], weights[rows], h
-                    )
-                    cause[rows] = np.where(
-                        no_step, NO_STEP, np.where(grad_ok[rows], OK, OFFSET_FAILED)
-                    )
-                elif closed_form:
-                    grad_ok &= ok
-                    cause[ok & ~grad_ok] = SINGULAR_GRADIENT
                 if args.derivatives:
-                    # Not reshape(m, -1): a chunk with no point inside has m = 0.
-                    fields = np.hstack([weights, grad.reshape(len(points), nweights * dim)])
-                    filled[grad_ok] = fields.shape[1]
+                    # The rows with weights; the others stay blank.
+                    rows = np.flatnonzero(ok)
+                    if gradient is None:
+                        part, part_ok, no_step = finite_difference_gradient_many(
+                            evaluate, points[rows], weights[rows], h
+                        )
+                        failure = np.where(no_step, NO_STEP, OFFSET_FAILED)
+                    else:
+                        sel = inside[rows]
+                        info = BatchInfo(info.code[sel], info.index[sel], info.cause[sel])
+                        part, part_ok = gradient(geom, points[rows], info)
+                        failure = SINGULAR_GRADIENT
+                    cause[rows] = np.where(part_ok, OK, failure)
+                    grad = np.full((len(points), nweights * dim), np.nan)
+                    # Not reshape(m, -1): a chunk with no row to take has m = 0.
+                    grad[rows] = part.reshape(len(rows), nweights * dim)
+                    fields = np.hstack([weights, grad])
+                    filled[rows[part_ok]] = fields.shape[1]
                 causes += np.bincount(cause, minlength=len(GRID_CAUSES))
-                outer_index, last_index = np.divmod(index[inside], n)
-                first = start // n
-                outer = _label_bytes(_outer_labels(outer_axes, first, index[-1] // n + 1))
-                outer_index -= first
+                labels = np.concatenate(
+                    [table.take(i[inside], axis=0) for table, i in zip(tables, axis_index)], axis=1
+                )
                 per_pass = max(geometry.BATCH_CHUNK // fields.shape[1], 1)
                 for lo in range(0, len(points), per_pass):
                     sl = slice(lo, lo + per_pass)
-                    fh.write(_format_rows(
-                        outer, last, outer_index[sl], last_index[sl], fields[sl], filled[sl]
-                    ))
+                    fh.write(_format_rows(labels[sl], fields[sl], filled[sl]))
             fh.write(b"\n")
     except OSError as exc:
         raise InputError(f"cannot write {args.out!r}: {exc}") from exc

@@ -3,8 +3,9 @@
 Derivatives are central where both offset points stay inside the domain
 and one-sided next to the boundary; the relative step follows the geometry
 diameter, and each difference divides by the step its rounded offsets
-span, so a far-translated geometry keeps its digits.  grid --derivatives takes them for hexahedra, intervals and the
-oracle methods.  The quadrilateral moment and Wachspress coordinates have
+span, so a far-translated geometry keeps its digits.  grid --derivatives
+takes them for hexahedra, intervals and the oracle methods, at the rows
+that have weights.  The quadrilateral moment and Wachspress coordinates have
 closed-form gradients instead (coords2d.moment_gradient_quad_many and
 wachspress_gradient_quad_many): grad phi = grad tau + grad alpha nu of
 phi = tau + alpha nu, exact at every point of the closed domain.  An edge
@@ -72,8 +73,9 @@ def finite_difference_gradient_many(evaluate_many, points, base, h: float):
 
     evaluate_many(points) returns (weights (k, n), ok (k,), info), as the
     batch evaluators do; an offset point may be evaluated where its
-    info.cause is not EXTERIOR and it does not round back onto its point.  All 2 * dim offset stacks are evaluated in one call, so
-    each offset is located once.  base (m, n) holds the weights at points
+    info.cause is not EXTERIOR and it does not round back onto its point.
+    All 2 * dim offset stacks are evaluated in one call, so each offset is
+    located once.  base (m, n) holds the weights at points
     themselves.  Each row takes the same central or one-sided difference as
     the single-point function, with the same arithmetic, over the same
     realized step.  Returns (grad (m, n, dim), ok (m,), no_step (m,)); ok

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .errors import InvalidGeometry
+from .errors import DomainError, InvalidGeometry
 from .geometry import (
     HEX_FACE_VERTICES,
     LOC_INTERIOR,
@@ -31,8 +31,9 @@ def _rejection_sample(rng, lo, hi, n: int, accept, margin: float):
     chunks of at most geometry.BATCH_CHUNK attempts are drawn and tested at
     once (accept maps (k, dim) points to a (k,) mask), and the chunk
     holding the n-th accepted point is redrawn from its saved state up to
-    that point only.  Raises ValueError
-    after 2000 * (n + 10) attempts, as the loop did.
+    that point only.  Raises DomainError after 2000 * (n + 10) attempts,
+    as the loop did: the geometry is valid, but too few of its points are
+    the margin inside it.
     """
     if n <= 0:
         return np.array([])
@@ -42,7 +43,7 @@ def _rejection_sample(rng, lo, hi, n: int, accept, margin: float):
     found = 0
     while found < n:
         if attempts == budget:
-            raise ValueError(
+            raise DomainError(
                 f"could not sample {n} interior points (margin {margin:g}"
                 " too large for this geometry?)"
             )
@@ -66,7 +67,7 @@ def interior_points_quad(quad: Quadrilateral, n: int, rng, margin: float = 1e-5)
     """n uniform interior points, kept margin * diameter away from the
     boundary (the local mean value formula loses accuracy right at it).
 
-    Raises ValueError when the acceptance rate collapses (e.g. a sliver
+    Raises DomainError when the acceptance rate collapses (e.g. a sliver
     thinner than the margin) instead of looping forever.  A point is kept
     when _locate_quad calls it interior, at least the margin from every
     edge; a chunk decides as one point at a time would.

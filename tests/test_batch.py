@@ -1173,33 +1173,81 @@ def test_grid_locates_each_point_once(capsys, tmp_path, monkeypatch, shape, meth
     assert max(located) <= chunk
 
 
-@pytest.mark.parametrize("shape, resolution", [("conv-hex", 9), ("nonconv-quad", 23)])
-def test_grid_formats_outer_labels_per_chunk(tmp_path, monkeypatch, shape, resolution):
-    # Each chunk formats the labels of the outer indices its rows span, at
-    # most chunk // n + 2 of them, not one per outer index of the grid.
+@pytest.mark.parametrize(
+    "shape, resolution", [("conv-hex", 9), ("nonconv-quad", 23), ("interval-7", 41)]
+)
+def test_grid_formats_each_axis_once(tmp_path, monkeypatch, shape, resolution):
+    # Each axis value is formatted once per command, into one label table
+    # of n entries per axis, however many chunks the grid takes; the
+    # interval's one table is the 1D label path.
+    arg, geom = _geometry(tmp_path, shape)
+    dim = 1 if isinstance(geom, NodeSet1D) else geom.vertices.shape[1]
     chunk = 40
+    assert resolution**dim > chunk
     monkeypatch.setattr(geometry, "BATCH_CHUNK", chunk)
-    counts = []
-    real = cli._outer_labels
+    tables = []
+    real = cli._label_bytes
 
-    def counting(labels, start, stop):
-        out = real(labels, start, stop)
-        counts.append(len(out))
-        return out
+    def counting(labels):
+        tables.append(len(labels))
+        return real(labels)
 
-    monkeypatch.setattr(cli, "_outer_labels", counting)
-    argv = ["grid", "--geometry", shape, "--resolution", str(resolution),
-            "--method", "moment", "--out", str(tmp_path / "grid.csv")]
+    monkeypatch.setattr(cli, "_label_bytes", counting)
+    out = tmp_path / "grid.csv"
+    argv = ["grid", "--geometry", arg, "--resolution", str(resolution),
+            "--method", "moment", "--out", str(out)]
     assert main(argv) == 0
-    dim = 3 if shape == "conv-hex" else 2
-    assert len(counts) == -(-(resolution**dim) // chunk)
-    assert max(counts) <= chunk // resolution + 2
-    assert sum(counts) < resolution ** (dim - 1) + len(counts)
+    assert tables == [resolution] * dim
     # The CSV is the one the default chunk writes.
-    patched = (tmp_path / "grid.csv").read_bytes()
+    patched = out.read_bytes()
     monkeypatch.undo()
     assert main(argv) == 0
-    assert (tmp_path / "grid.csv").read_bytes() == patched
+    assert out.read_bytes() == patched
+
+
+@pytest.mark.parametrize("shape, method", [("nonconv-quad", "moment"), ("conv-quad", "wachspress")])
+def test_grid_closed_form_gradient_takes_rows_with_weights(capsys, tmp_path, monkeypatch, shape, method):
+    # The closed-form gradient runs on the rows that have weights after the
+    # row check, with their slice of the chunk's BatchInfo: not on the
+    # exterior points of the bounding box, nor on an interior row whose
+    # evaluation failed (here every seventh, forced singular).
+    resolution = 21
+    out = tmp_path / "grid.csv"
+    argv = ["grid", "--geometry", shape, "--resolution", str(resolution),
+            "--method", method, "--derivatives", "--out", str(out)]
+    evaluate = cli.BATCH_METHODS["quad"][method]
+
+    def failing(quad, points):
+        phi, ok, info = evaluate(quad, points)
+        inside = np.flatnonzero(info.code != LOC_EXTERIOR)[::7]
+        phi[inside], ok[inside] = np.nan, False
+        cause = info.cause.copy()
+        cause[inside] = geometry.SINGULAR
+        return phi, ok, geometry.BatchInfo(info.code, info.index, cause)
+
+    real = cli.GRADIENT_METHODS["quad"][method]
+    seen = []
+
+    def recording(quad, points, info):
+        assert len(info.code) == len(points) and (info.cause == geometry.OK).all()
+        seen.append(np.array(points))
+        return real(quad, points, info)
+
+    for forced in [False, True]:
+        if forced:
+            monkeypatch.setitem(cli.BATCH_METHODS["quad"], method, failing)
+        assert main(argv) == 0
+        expected = out.read_bytes(), capsys.readouterr().err
+        seen.clear()
+        monkeypatch.setitem(cli.GRADIENT_METHODS["quad"], method, recording)
+        assert main(argv) == 0
+        assert (out.read_bytes(), capsys.readouterr().err) == expected
+        monkeypatch.setitem(cli.GRADIENT_METHODS["quad"], method, real)
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert len(rows) < resolution**2
+        filled = [[float(r[0]), float(r[1])] for r in rows if r[2] != ""]
+        assert len(filled) < len(rows) if forced else len(filled) == len(rows)
+        assert np.concatenate(seen).tolist() == filled
 
 
 @pytest.mark.parametrize("shape, resolution, fallback", [

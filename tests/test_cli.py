@@ -313,6 +313,35 @@ class TestEvaluatorFailureOnValidInput:
         assert code == 0 or err.startswith("domain error: ")
 
 
+    @pytest.mark.parametrize(
+        "kind, vertices, point, margin",
+        [("quad", [[0, 0], [1, 0], [1, 1e-7], [0, 1e-7]], "0.5,5e-8", "1e-05"),
+         ("hex", REFERENCE_CUBE * [1, 1, 1e-8], "0.5,0.5,0", "1e-07")],
+        ids=["thin-rectangle", "thin-slab"],
+    )
+    def test_check_sampler_without_interior_points_is_a_domain_error(
+        self, capsys, tmp_path, kind, vertices, point, margin
+    ):
+        # An element thinner than check's sampling margin is valid: eval and
+        # grid evaluate it.  check finds too few points that far inside it,
+        # an evaluator failure on a valid geometry, not an input error.
+        path = _geometry_file(tmp_path, kind, vertices)
+        code, out, err = run(capsys, "check", "--geometry", path, "--samples", "50")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"domain error: could not sample 50 interior points (margin {margin}"
+            " too large for this geometry?)\n"
+        )
+        code, out, err = run(
+            capsys, "eval", "--geometry", path, "--point", point, "--method", "moment"
+        )
+        assert code == 0 and json.loads(out)["weights"] and err == ""
+        code, _, err = run(
+            capsys, "grid", "--geometry", path, "--resolution", "5",
+            "--method", "moment", "--out", str(tmp_path / "grid.csv"),
+        )
+        assert (code, err) == (0, "")
+
 class TestCheckSmallScale:
     # The covariance maps act in element units about the vertex centroid.
     # With offsets drawn in absolute units, a square of side 2e-8 moved by

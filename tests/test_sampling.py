@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from momentcoords import geometry, sampling, shapes
-from momentcoords.errors import OutsideDomain
+from momentcoords.errors import DomainError, OutsideDomain
 from momentcoords.geometry import (
     LOC_INTERIOR,
     Quadrilateral,
@@ -25,7 +25,7 @@ def test_interior_points_quad_are_interior(biunit, rng):
 
 def test_interior_sampler_raises_instead_of_hanging(rng):
     sliver = Quadrilateral([(0, 0), (1, 0), (1, 1e-5), (0, 1e-5)])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         sampling.interior_points_quad(sliver, 3, rng, margin=1e-3)
 
 
@@ -147,14 +147,14 @@ def test_budget_exhaustion_after_the_same_attempts(n):
     budget = 2000 * (n + 10)
     sliver = Quadrilateral([(0, 0), (1, 0), (1, 1e-5), (0, 1e-5)])
     rng = np.random.default_rng(9)
-    with pytest.raises(ValueError, match="could not sample"):
+    with pytest.raises(DomainError, match="could not sample"):
         sampling.interior_points_quad(sliver, n, rng, margin=1e-3)
     lo, hi = sliver.vertices.min(axis=0), sliver.vertices.max(axis=0)
     assert rng.bit_generator.state == _state_after_attempts(9, lo, hi, budget)
 
     cube = shapes.cube()
     rng = np.random.default_rng(9)
-    with pytest.raises(ValueError, match="could not sample"):
+    with pytest.raises(DomainError, match="could not sample"):
         sampling.interior_points_hex(cube, n, rng, margin=1.0)
     lo, hi = cube.vertices.min(axis=0), cube.vertices.max(axis=0)
     assert rng.bit_generator.state == _state_after_attempts(9, lo, hi, budget)
