@@ -32,7 +32,7 @@ def _rejection_sample(rng, lo, hi, n: int, accept, margin: float):
     once (accept maps (k, dim) points to a (k,) mask), and the chunk
     holding the n-th accepted point is redrawn from its saved state up to
     that point only.  Raises DomainError after 2000 * (n + 10) attempts,
-    as the loop did: the geometry is valid, but too few of its points are
+    as the loop did: the geometry is valid, but too few of its points lie
     the margin inside it.
     """
     if n <= 0:
