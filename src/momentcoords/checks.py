@@ -15,6 +15,8 @@ one stack, each holding its face point.  A row that a batch fails is left
 out of every other property and counted, under its geometry.BatchInfo
 cause, in the evaluates property, which any failed row fails; so no
 evaluation raises out of a suite.
+The suites record the worst of the per-row axiom errors (_axiom_errors),
+and row_ok, grid's and eval's write-time check, holds each row to them.
 """
 
 from __future__ import annotations
@@ -103,25 +105,37 @@ def linear_precision_error(weights, vertices, points) -> np.ndarray:
     return np.abs(recon - (points - c)).max(axis=1)
 
 
+def _axiom_errors(weights, vertices, points):
+    """|sum - 1|, -min and linear_precision_error of each row of weights
+    (m, n) at points (m, dim): three arrays (m,)."""
+    return (
+        np.abs(weights.sum(axis=1) - 1.0),
+        -weights.min(axis=1),
+        linear_precision_error(weights, vertices, points),
+    )
+
+
+def row_ok(weights, vertices, points, diameter) -> np.ndarray:
+    """Whether each row's _axiom_errors are within PARTITION_TOL,
+    NONNEG_TOL and PRECISION_RTOL * diameter (m,); a NaN row is not."""
+    partition, neg, precision = _axiom_errors(weights, vertices, points)
+    within = (partition <= PARTITION_TOL) & (neg <= NONNEG_TOL)
+    return within & (precision <= PRECISION_RTOL * diameter)
+
+
 def _axioms(acc, prefix, weights, vertices, points, diameter, ok):
     """Partition of unity, nonnegativity and linear precision of the rows
     of weights (m, n) at points (m, dim) where ok (m,) is set; records the
-    worst of each (nothing when no row is set)."""
+    worst of each _axiom_errors (nothing when no row is set)."""
     if not ok.any():
         return
-    acc.record(
-        f"{prefix}partition of unity",
-        float(np.abs(weights.sum(axis=1) - 1.0).max(initial=0.0, where=ok)),
-        PARTITION_TOL,
+    partition, neg, precision = (
+        float(e.max(initial=-np.inf, where=ok)) for e in _axiom_errors(weights, vertices, points)
     )
-    lowest = float(weights.min(initial=np.inf, where=ok[:, None]))
-    acc.record(f"{prefix}nonnegativity", max(0.0, -lowest), NONNEG_TOL)
-    acc.record(
-        f"{prefix}linear precision",
-        float(linear_precision_error(weights, vertices, points).max(initial=0.0, where=ok))
-        / diameter,
-        PRECISION_RTOL,
-    )
+    acc.record(f"{prefix}partition of unity", partition, PARTITION_TOL)
+    # max(0.0, ...): -min is negative on a positive row, -0.0 on a row of zeros.
+    acc.record(f"{prefix}nonnegativity", max(0.0, neg), NONNEG_TOL)
+    acc.record(f"{prefix}linear precision", precision / diameter, PRECISION_RTOL)
 
 
 def _worst_gap(a, b, ok) -> float:

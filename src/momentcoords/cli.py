@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import checks, coords1d, coords2d, coords3d, csvfmt, geometry
-from .errors import InvalidGeometry, MomentCoordsError, NotConvex
+from .errors import InvalidGeometry, MomentCoordsError
 from .geometry import CAUSES, EXTERIOR, OK, BatchInfo, Hexahedron, NodeSet1D, Quadrilateral
 from .gradients import FD_STEP_RTOL, finite_difference_gradient_many
 from .shapes import BUILTINS
@@ -31,7 +31,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
 
 # Why a grid row is blank: the batch evaluators' causes (geometry.CAUSES),
-# then grid's own: the write-time row check (_row_ok), no admissible
+# then grid's own: the write-time row check (checks.row_ok), no admissible
 # finite-difference step along some axis, an offset that failed to evaluate,
 # a closed-form gradient that is singular or not finite at the point.
 GRID_CAUSES = CAUSES + (
@@ -169,8 +169,8 @@ def _require_defined(geom, method: str):
     on a nonconvex quadrilateral, Cramer on one with a flat corner."""
     if not isinstance(geom, Quadrilateral):
         return
-    if method.startswith("wachspress") and not geom.is_convex:
-        raise NotConvex("Wachspress coordinates are undefined on nonconvex quadrilaterals")
+    if method.startswith("wachspress"):
+        coords2d.require_convex(geom)
     if method == "cramer":
         coords2d.require_cramer(geom)
 
@@ -199,10 +199,6 @@ def _fmt(value) -> str:
     return json.dumps(value)
 
 
-def _geometry_dim(geom) -> int:
-    return {"quad": 2, "hex": 3, "interval": 1}[_geometry_kind(geom)]
-
-
 def _evaluate(geom, method_name: str, point: np.ndarray):
     """Weights plus the reference frame (hex only, None otherwise)."""
     kind = _geometry_kind(geom)
@@ -216,10 +212,10 @@ def _evaluate(geom, method_name: str, point: np.ndarray):
 
 def cmd_eval(args) -> int:
     geom = _load_geometry(args.geometry)
-    point = _parse_point(args.point, _geometry_dim(geom))
-    weights, frame = _evaluate(geom, args.method, point)
     diameter, vertices = _geometry_size(geom)
-    if not _row_ok(weights[None], vertices, point[None], diameter)[0]:
+    point = _parse_point(args.point, vertices.shape[1])
+    weights, frame = _evaluate(geom, args.method, point)
+    if not checks.row_ok(weights[None], vertices, point[None], diameter)[0]:
         raise MomentCoordsError("coordinate invariants violated at write time")
     record = {
         "point": point.tolist(),
@@ -250,21 +246,6 @@ def _geometry_size(geom) -> tuple[float, np.ndarray]:
     if kind == "interval":
         return geom.span, geom.nodes[:, None]
     return geom.diameter, geom.vertices
-
-
-def _row_ok(weights, vertices, points, diameter) -> np.ndarray:
-    """Write-time check of each row of weights (m, n) at points (m, dim):
-    partition of unity, nonnegativity, and linear precision about the
-    vertex centroid, against the check suites' axiom tolerances.  A row
-    beyond them is unpublishable."""
-    return (
-        (np.abs(weights.sum(axis=1) - 1.0) <= checks.PARTITION_TOL)
-        & (weights.min(axis=1) >= -checks.NONNEG_TOL)
-        & (
-            checks.linear_precision_error(weights, vertices, points)
-            <= checks.PRECISION_RTOL * diameter
-        )
-    )
 
 
 def _label_bytes(labels: list[str]) -> np.ndarray:
@@ -320,11 +301,7 @@ def cmd_grid(args) -> int:
     h = FD_STEP_RTOL * diameter
     causes = np.zeros(len(GRID_CAUSES), dtype=int)
     gradient = GRADIENT_METHODS.get(_geometry_kind(geom), {}).get(args.method)
-    # The finite differences evaluate 2 * dim offsets of each chunk's rows
-    # in one stack, so a chunk that takes them holds that many times fewer.
     chunk = geometry.BATCH_CHUNK
-    if args.derivatives and gradient is None:
-        chunk = max(chunk // (2 * dim), 1)
     total = n**dim
     try:
         with open(args.out, "wb") as fh:
@@ -337,7 +314,7 @@ def cmd_grid(args) -> int:
                 inside = np.flatnonzero(info.cause != EXTERIOR)
                 points, weights, ok = points[inside], weights[inside], ok[inside]
                 cause = info.cause[inside]
-                row_ok = _row_ok(weights, vertices, points, diameter)
+                row_ok = checks.row_ok(weights, vertices, points, diameter)
                 cause[ok & ~row_ok] = ROW_CHECK
                 ok &= row_ok
                 fields, filled = weights, np.where(ok, nweights, 0)

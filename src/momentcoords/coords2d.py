@@ -307,8 +307,7 @@ def moment_coords_quad_many(quad: Quadrilateral | QuadStack, points):
 
 def wachspress_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     """Wachspress coordinates of p on a convex quadrilateral (closed domain)."""
-    if not quad.is_convex:
-        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
+    require_convex(quad)
     return _coords_one(quad, p, wachspress=True)
 
 
@@ -320,8 +319,7 @@ def wachspress_coords_quad_many(quad: Quadrilateral | QuadStack, points):
     raises NotConvex, as the single-point function does, when the
     quadrilateral (or an element of the stack) is not convex.
     """
-    if not quad.is_convex:
-        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
+    require_convex(quad)
     return _coords_many(quad, points, True)
 
 
@@ -368,8 +366,7 @@ def wachspress_gradient_quad_many(quad: Quadrilateral, points, info: BatchInfo):
     smooth up to the boundary, so the formula at an edge point or a vertex
     is the gradient there.  Raises NotConvex on a nonconvex quadrilateral.
     """
-    if not quad.is_convex:
-        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
+    require_convex(quad)
     return _gradient_many(quad, points, info, True)
 
 
@@ -468,6 +465,13 @@ def cramer_defect(quad: Quadrilateral) -> str | None:
     return None
 
 
+def require_convex(quad: Quadrilateral | QuadStack):
+    """Raise NotConvex unless quad (every element of a stack) is convex,
+    as the Wachspress coordinates need."""
+    if not quad.is_convex:
+        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
+
+
 def require_cramer(quad: Quadrilateral):
     """Raise DegenerateTriangle with cramer_defect's reason, if it gives one."""
     defect = cramer_defect(quad)
@@ -563,8 +567,7 @@ def wachspress_oracle(quad: Quadrilateral, p) -> np.ndarray:
     normalized to sum one.  Denominators vanish on the boundary, so p must
     be strictly interior.
     """
-    if not quad.is_convex:
-        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
+    require_convex(quad)
     p = np.asarray(p, dtype=float)
     code = _locate_quad(quad, float(p[0]), float(p[1]))[0]
     if code == LOC_EXTERIOR:
@@ -586,8 +589,7 @@ def wachspress_oracle_many(quad: Quadrilateral, points):
     raises: off the open interior, or a vanishing edge triangle.  Elsewhere
     phi[s] is bitwise equal to wachspress_oracle(quad, points[s]).
     """
-    if not quad.is_convex:
-        raise NotConvex("Wachspress coordinates require a convex quadrilateral")
+    require_convex(quad)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     w, vanishes = _area_quotient(quad, pts)
     code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1])

@@ -62,6 +62,7 @@ CONVEXITY_RTOL = 1e-9
 # Vertices closer than this times max(diameter, 1) coincide.
 MIN_EDGE_LENGTH = 1e-13
 OVERFLOW_MESSAGE = "vertex coordinates too large: pairwise distances overflow"
+UNDERFLOW_MESSAGE = "vertex coordinates too small: pairwise distances underflow"
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,8 @@ def _check_quad(v):
     if not math.isfinite(diam):
         return [OVERFLOW_MESSAGE], None, None, None
     if diam == 0.0:
-        return ["all vertices coincide"], None, None, None
+        equal = len({(x0, y0), (x1, y1), (x2, y2), (x3, y3)}) == 1
+        return ["all vertices coincide" if equal else UNDERFLOW_MESSAGE], None, None, None
     close = MIN_EDGE_LENGTH * max(diam, 1.0)
     out = [
         f"vertices {i} and {j} coincide"
@@ -716,7 +718,8 @@ def _check_hex(v):
     if not math.isfinite(diam):
         return [OVERFLOW_MESSAGE], None
     if diam == 0.0:
-        return ["all vertices coincide"], None
+        equal = len(set(corners)) == 1
+        return ["all vertices coincide" if equal else UNDERFLOW_MESSAGE], None
     close = MIN_EDGE_LENGTH * max(diam, 1.0)
     out = [f"vertices {i} and {j} coincide" for (i, j), d in zip(_HEX_PAIRS, dist) if d <= close]
     if out:

@@ -74,14 +74,14 @@ def finite_difference_gradient_many(evaluate_many, points, base, h: float):
     evaluate_many(points) returns (weights (k, n), ok (k,), info), as the
     batch evaluators do; an offset point may be evaluated where its
     info.cause is not EXTERIOR and it does not round back onto its point.
-    All 2 * dim offset stacks are evaluated in one call, so each offset is
-    located once.  base (m, n) holds the weights at points
-    themselves.  Each row takes the same central or one-sided difference as
-    the single-point function, with the same arithmetic, over the same
-    realized step.  Returns (grad (m, n, dim), ok (m,), no_step (m,)); ok
-    is False (and the row NaN) where the single-point function raises: no
-    admissible step along some axis (no_step set), or an offset point that
-    fails to evaluate.
+    The 2 * dim offset stacks are evaluated one call per offset stack, so
+    each offset is located once and no call holds more than m points.
+    base (m, n) holds the weights at points themselves.  Each row takes
+    the same central or one-sided difference as the single-point function,
+    with the same arithmetic, over the same realized step.  Returns
+    (grad (m, n, dim), ok (m,), no_step (m,)); ok is False (and the row
+    NaN) where the single-point function raises: no admissible step along
+    some axis (no_step set), or an offset point that fails to evaluate.
     """
     points = np.asarray(points, dtype=float)
     m, dim = points.shape
@@ -91,13 +91,14 @@ def finite_difference_gradient_many(evaluate_many, points, base, h: float):
         step = np.zeros(dim)
         step[j] = h
         offsets += [points + step, points - step]
-    w, good, info = evaluate_many(np.concatenate(offsets))
+    w, good, info = zip(*map(evaluate_many, offsets))
     # Not reshape(..., -1): a stack with no points has m = 0.
-    w = w.reshape(2 * dim, m, n)
+    w = np.reshape(w, (2 * dim, m, n))
     # Offset k moves along axis k // 2, unless it rounds back onto its point.
     moved = np.array([o[:, k // 2] != points[:, k // 2] for k, o in enumerate(offsets)])
-    admissible = (info.cause != EXTERIOR).reshape(2 * dim, m) & moved.reshape(2 * dim, m)
-    ok = ~(admissible & ~good.reshape(2 * dim, m)).any(axis=0)
+    inside = np.array([i.cause != EXTERIOR for i in info])
+    admissible = inside.reshape(2 * dim, m) & moved.reshape(2 * dim, m)
+    ok = ~(admissible & ~np.reshape(good, (2 * dim, m))).any(axis=0)
     no_step = ~(admissible[0::2] | admissible[1::2]).all(axis=0)
     grad = np.full((m, n, dim), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):

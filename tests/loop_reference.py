@@ -29,6 +29,7 @@ from momentcoords.errors import NotConvex, OnBoundary, OutsideDomain
 from momentcoords.geometry import (
     MIN_EDGE_LENGTH,
     OVERFLOW_MESSAGE,
+    UNDERFLOW_MESSAGE,
     _crossing,
     _quad_area,
     _unit_scale,
@@ -61,7 +62,8 @@ def check_quad(v):
     if not math.isfinite(diam):
         return [OVERFLOW_MESSAGE], None, None, None
     if diam == 0.0:
-        return ["all vertices coincide"], None, None, None
+        equal = all(corner == c[0] for corner in c)
+        return ["all vertices coincide" if equal else UNDERFLOW_MESSAGE], None, None, None
     close = MIN_EDGE_LENGTH * max(diam, 1.0)
     out = [f"vertices {i} and {j} coincide" for (i, j), d in dist.items() if d <= close]
     area = _quad_area(c)
@@ -143,7 +145,8 @@ def check_hex(v):
     if not math.isfinite(diam):
         return [OVERFLOW_MESSAGE], None
     if diam == 0.0:
-        return ["all vertices coincide"], None
+        equal = all(corner == corners[0] for corner in corners)
+        return ["all vertices coincide" if equal else UNDERFLOW_MESSAGE], None
     close = MIN_EDGE_LENGTH * max(diam, 1.0)
     out = [f"vertices {i} and {j} coincide" for (i, j), d in zip(_HEX_PAIRS, dist) if d <= close]
     if out:

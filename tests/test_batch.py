@@ -21,6 +21,7 @@ from momentcoords.coords2d import (
     mvc_oracle_many,
     wachspress_coords_quad,
     wachspress_coords_quad_many,
+    wachspress_gradient_quad_many,
     wachspress_oracle,
     wachspress_oracle_many,
 )
@@ -220,7 +221,7 @@ def test_edge_snapped_rows_pass_row_check(name, scale):
             phi, ok, _ = many(quad, points[snapped])
             assert ok.all()
             if off < 1.0:
-                assert cli._row_ok(phi, v, points[snapped], quad.diameter).all(), (many, off)
+                assert checks.row_ok(phi, v, points[snapped], quad.diameter).all(), (many, off)
             recon = phi @ (v - c)
             assert np.abs(recon - (points[snapped] - c)).max(initial=0.0) <= (1 + 1e-5) * tol
 
@@ -306,9 +307,21 @@ def test_oracle_many_ok_mask():
 
 
 def test_wachspress_many_refuses_nonconvex():
-    for many in (wachspress_coords_quad_many, wachspress_oracle_many):
-        with pytest.raises(NotConvex):
-            many(QUADS["nonconvex"], np.zeros((1, 2)))
+    # The batch, single-point and gradient functions all refuse with
+    # coords2d.require_convex's one message.
+    quad, points = QUADS["nonconvex"], np.zeros((1, 2))
+    info = moment_coords_quad_many(quad, points)[2]
+    calls = [
+        (wachspress_coords_quad_many, points),
+        (wachspress_oracle_many, points),
+        (wachspress_coords_quad, points[0]),
+        (wachspress_oracle, points[0]),
+        (lambda q, p: wachspress_gradient_quad_many(q, p, info), points),
+    ]
+    for fn, arg in calls:
+        with pytest.raises(NotConvex) as err:
+            fn(quad, arg)
+        assert str(err.value) == "Wachspress coordinates require a convex quadrilateral"
 
 
 def test_many_empty_batch():
@@ -1019,10 +1032,10 @@ def test_grid_csv_independent_of_chunk_size(capsys, tmp_path, monkeypatch, name,
     # A hexahedron at resolution 8 has 8**3 = 512 grid points: one chunk at
     # the default BATCH_CHUNK, 73 chunks of 7 and a last chunk of one point,
     # or 512 chunks of one, in which every solved point is a stack of one
-    # system, entries of shape (1,).  With finite-difference derivatives grid divides
-    # the chunk by the 2 * dim offsets of each point: 7 gives chunks of one
-    # point in 3D and of three in 1D, and 42 chunks of 7, among them chunks
-    # with no point inside.
+    # system, entries of shape (1,).  With finite-difference derivatives each
+    # of a chunk's 2 * dim offset stacks is one more call of at most the
+    # chunk's size; 74 chunks of 7 of the hexahedron include 22 with no row
+    # to take derivatives at.
     # The quads (23**2 points) and the interval (41 points) pin the point
     # columns grid formats per axis and joins per chunk: two axes, and one
     # with no outer part.  The quads' closed-form gradients take no offsets,
@@ -1142,7 +1155,10 @@ def test_grid_locates_each_point_once(capsys, tmp_path, monkeypatch, shape, meth
     # name the package calls them by.  No stack, of grid points or of their
     # derivative offsets, holds more than BATCH_CHUNK points.  The quad
     # moment and Wachspress gradients are closed forms on the grid points'
-    # own location, so those grids locate each point exactly once.
+    # own location, so those grids locate each point exactly once.  The
+    # finite differences locate each of their 2 * dim offset stacks in a
+    # call of its own, so a grid takes as many chunks of grid points,
+    # ceil(n**dim / BATCH_CHUNK), with --derivatives as without.
     chunk = 48
     monkeypatch.setattr(geometry, "BATCH_CHUNK", chunk)
     located = []
@@ -1159,6 +1175,17 @@ def test_grid_locates_each_point_once(capsys, tmp_path, monkeypatch, shape, meth
         (coords1d, "_locate"),
     ]:
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    # The located calls each finite-difference call makes.
+    offset_calls = []
+    real = cli.finite_difference_gradient_many
+
+    def counting_differences(*args):
+        before = len(located)
+        result = real(*args)
+        offset_calls.append(len(located) - before)
+        return result
+
+    monkeypatch.setattr(cli, "finite_difference_gradient_many", counting_differences)
     arg, geom = _geometry(tmp_path, shape)
     dim = 1 if isinstance(geom, NodeSet1D) else geom.vertices.shape[1]
     rows = _grid_rows(capsys, tmp_path, arg, method, resolution, derivatives)
@@ -1171,6 +1198,8 @@ def test_grid_locates_each_point_once(capsys, tmp_path, monkeypatch, shape, meth
     expected = resolution**dim + (2 * dim * evaluated if fd else 0)
     assert sum(located) == expected
     assert max(located) <= chunk
+    assert len(located) - sum(offset_calls) == -(-(resolution**dim) // chunk)
+    assert set(offset_calls) == ({2 * dim} if fd else set())
 
 
 @pytest.mark.parametrize(

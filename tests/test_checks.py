@@ -1,10 +1,14 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from momentcoords import coords1d, coords2d, coords3d, geometry, sampling, shapes
+from momentcoords import checks, coords1d, coords2d, coords3d, geometry, sampling, shapes
 from momentcoords.checks import (
+    NONNEG_TOL,
+    PARTITION_TOL,
+    PRECISION_RTOL,
     hex_suite,
     interval_suite,
     linear_precision_error,
@@ -305,6 +309,74 @@ def test_linear_precision_error_far_from_the_origin():
     phi, ok, _ = coords2d.moment_coords_quad_many(quad, pts)
     assert ok.all()
     assert linear_precision_error(phi, quad.vertices, pts).max() <= 1e-14 * quad.diameter
+
+
+def _row_errors_within(weights, vertices, points, diameter):
+    """Each row's three axiom errors against their bounds, one row at a
+    time in Python floats, the sums in the order the checks take them."""
+    within = []
+    for phi, p in zip(weights.tolist(), points):
+        within.append(
+            abs(sum(phi) - 1.0) <= PARTITION_TOL
+            and -min(phi) <= NONNEG_TOL
+            and _precision(np.array(phi), vertices, p, 1.0) <= PRECISION_RTOL * diameter
+        )
+    return within
+
+
+def test_row_ok_is_the_three_axiom_bounds():
+    # Crafted rows on the biunit square, whose vertex centroid is 0: each
+    # point is its row's own reconstruction, except where a row tests linear
+    # precision.  Near 1, |sum - 1| is a multiple of 2**-52 or 2**-53, so
+    # the partition rows take the last sum within the tolerance and the
+    # next float.
+    square = shapes.BUILTINS["biunit-square"]()
+    v, d = square.vertices, square.diameter
+    ulp = 2.0**-52
+    top = 1.0 + math.floor(PARTITION_TOL / ulp) * ulp
+    neg = np.nextafter(NONNEG_TOL, 1.0)
+    bound = PRECISION_RTOL * d
+    rows = [
+        # (weights, point or None for the reconstruction, row_ok)
+        ([np.nan, 0.25, 0.25, 0.5], None, False),
+        ([-0.0, -0.0, 1.0, -0.0], None, True),
+        ([-0.0] * 4, None, False),
+        ([top, 0.0, 0.0, 0.0], None, True),
+        ([np.nextafter(top, 2.0), 0.0, 0.0, 0.0], None, False),
+        ([1.0 + NONNEG_TOL, -NONNEG_TOL, 0.0, 0.0], None, True),
+        ([1.0 + neg, -neg, 0.0, 0.0], None, False),
+        ([0.25] * 4, (bound, 0.0), True),
+        ([0.25] * 4, (np.nextafter(bound, 1.0), 0.0), False),
+    ]
+    weights = np.array([w for w, _, _ in rows])
+    points = np.array([weights[k] @ v if p is None else p for k, (_, p, _) in enumerate(rows)])
+    partition, negative, precision = checks._axiom_errors(weights, v, points)
+    assert partition[3] <= PARTITION_TOL < partition[4]
+    assert negative[5] == NONNEG_TOL and precision[7] == bound
+    got = checks.row_ok(weights, v, points, d).tolist()
+    assert got == [ok for _, _, ok in rows]
+    assert got == _row_errors_within(weights, v, points, d)
+    # The nonconvex quad moved by (1e6, -7e5): its interior rows pass, about
+    # the vertex centroid, where |phi @ v - p| would carry the rounding of
+    # the coordinates.
+    quad = Quadrilateral(shapes.nonconvex_quad().vertices + [1e6, -7e5])
+    pts = sampling.interior_points_quad(quad, 50, np.random.default_rng(3))
+    phi, ok, _ = coords2d.moment_coords_quad_many(quad, pts)
+    assert ok.all()
+    got = checks.row_ok(phi, quad.vertices, pts, quad.diameter).tolist()
+    assert got == _row_errors_within(phi, quad.vertices, pts, quad.diameter) == [True] * len(pts)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_check_prints_zero_not_negative_zero(capsys, tmp_path, seed):
+    # The 7-node interval's hat-like rows hold exact zeros, so every row's
+    # -min is -0.0 or less; check prints the worst as 0, not -0.
+    path = tmp_path / "interval-7.json"
+    path.write_text('{"kind": "interval", "nodes": [0, 0.13, 0.4, 0.55, 0.9, 1, 1.7]}')
+    argv = ["check", "--geometry", str(path), "--samples", "600", "--seed", str(seed)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "PASS nonnegativity: worst=0.000e+00 tol=1.0e-12\n" in out
 
 
 @pytest.mark.parametrize(

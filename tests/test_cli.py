@@ -12,6 +12,7 @@ from momentcoords.cli import main
 from momentcoords.geometry import (
     OVERFLOW_MESSAGE,
     REFERENCE_CUBE,
+    UNDERFLOW_MESSAGE,
     Hexahedron,
     Quadrilateral,
     classify_points_quad,
@@ -438,12 +439,21 @@ class TestGrid:
         assert [float(v) for v in rows[0].values()] == [0.0, 1.0, 0.0, 0.0, 0.0]
 
     def test_wachspress_on_nonconvex_refused(self, capsys, tmp_path):
+        # grid refuses with eval's line, coords2d.require_convex's message,
+        # and writes no file.
+        expected = "domain error: Wachspress coordinates require a convex quadrilateral\n"
+        code, out, err = run(
+            capsys, "eval", "--geometry", "nonconv-quad", "--point", "0.9,1.5",
+            "--method", "wachspress",
+        )
+        assert (code, out, err) == (3, "", expected)
         for method in ("wachspress", "wachspress-oracle"):
-            code, _, err = run(
+            code, out, err = run(
                 capsys, "grid", "--geometry", "nonconv-quad", "--resolution", "5",
                 "--method", method, "--out", str(tmp_path / "g.csv"),
             )
-            assert code == 3 and "domain error" in err
+            assert (code, out, err) == (3, "", expected)
+            assert not (tmp_path / "g.csv").exists()
 
     def test_unknown_method_before_convexity(self, capsys, tmp_path):
         # An unknown name is an input error whatever the geometry, as in eval
@@ -666,6 +676,33 @@ def test_overflowing_coordinates_one_message(capsys, tmp_path, kind):
             code, out, err = run(capsys, command[0], "--geometry", path, *command[1:])
         assert (code, out) == (2, "")
         assert err == f"error: invalid geometry: {OVERFLOW_MESSAGE}\n"
+
+
+@pytest.mark.parametrize("kind", ["quad", "hex"])
+def test_underflowing_coordinates_one_message(capsys, tmp_path, kind):
+    # Every squared distance of the square or cube scaled by 1e-170
+    # underflows to 0, though no two vertices are equal: that was reported
+    # as "all vertices coincide".  Intervals take differences, never squares.
+    shape, origin = {
+        "quad": ([(-1, -1), (1, -1), (1, 1), (-1, 1)], "0,0"),
+        "hex": (REFERENCE_CUBE, "0,0,0"),
+    }[kind]
+    out_csv = str(tmp_path / "tiny.csv")
+    coincident = np.full_like(np.asarray(shape, dtype=float), 1e-170)
+    for vertices, message in (
+        (np.asarray(shape, dtype=float) * 1e-170, UNDERFLOW_MESSAGE),
+        (coincident, "all vertices coincide"),
+    ):
+        path = _geometry_file(tmp_path, kind, vertices)
+        for command in (
+            ["check", "--samples", "5"],
+            ["eval", "--point", origin, "--method", "moment"],
+            ["grid", "--resolution", "3", "--method", "moment", "--out", out_csv],
+        ):
+            code, out, err = run(capsys, command[0], "--geometry", path, *command[1:])
+            assert (code, out) == (2, "")
+            assert err == f"error: invalid geometry: {message}\n"
+    assert not (tmp_path / "tiny.csv").exists()
 
 
 def test_zero_volume_hex_invalid_geometry(capsys, tmp_path):

@@ -205,7 +205,8 @@ def test_invalid_quad_violations_match_loop_form(name):
     v = np.array(INVALID_QUADS[name], dtype=float)
     expected = ref.check_quad(v)[0]
     assert expected
-    for scale, offset in ((1.0, 0.0), (1e-6, 1e6), (1e6, -3e5)):
+    # At 1e-170 every squared distance underflows: the underflow message.
+    for scale, offset in ((1.0, 0.0), (1e-6, 1e6), (1e6, -3e5), (1e-170, 0.0)):
         w = v * scale + offset
         assert geometry.quad_violations(w) == ref.check_quad(w)[0]
     assert geometry.quad_violations(v) == expected
@@ -217,7 +218,7 @@ def test_invalid_hex_violations_match_loop_form(name):
     expected = ref.check_hex(v)[0]
     kinds = {"twisted face": "simple", "flat": "flat", "non-planar face": "planar"}
     assert any(kinds[name] in m for m in expected), expected
-    for scale, offset in ((1.0, 0.0), (1e-3, 1e6), (1e6, -3e5)):
+    for scale, offset in ((1.0, 0.0), (1e-3, 1e6), (1e6, -3e5), (1e-170, 0.0)):
         w = v * scale + offset
         assert geometry.hex_violations(w) == ref.check_hex(w)[0]
     assert geometry.hex_violations(v) == expected
