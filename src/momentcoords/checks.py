@@ -297,19 +297,12 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int):
     v = hexa.vertices
 
     pts = sampling.interior_points_hex(hexa, samples, rng)
-    edges = sorted(
-        {
-            tuple(sorted((idx[i], idx[(i + 1) % 4])))
-            for idx in Hexahedron.FACES
-            for i in range(4)
-        }
-    )
-    t = rng.uniform(0.1, 0.9, (len(edges), 3))
-    expect = np.zeros((len(edges), 3, 8))
-    for e, (i, j) in enumerate(edges):
+    t = rng.uniform(0.1, 0.9, (len(geometry.HEX_EDGES), 3))
+    expect = np.zeros((len(geometry.HEX_EDGES), 3, 8))
+    for e, (i, j) in enumerate(geometry.HEX_EDGES):
         expect[e, :, i] = 1 - t[e]
         expect[e, :, j] = t[e]
-    ends = np.array(edges)
+    ends = np.array(geometry.HEX_EDGES)
     p = (1 - t)[:, :, None] * v[ends[:, 0], None] + t[:, :, None] * v[ends[:, 1], None]
     per_face = max(4, samples // 60)
     face = np.repeat(np.arange(6), per_face)
@@ -343,9 +336,9 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int):
     acc.record("kronecker delta", _worst_gap(vphi, np.eye(8), v_ok), KRONECKER_TOL)
     acc.record("edge reduction", _worst_gap(ephi, expect.reshape(-1, 8), e_ok), FACET_TOL)
     if len(face):
-        off = ~coords3d.FACE_VERTICES[face]
+        off = ~geometry.HEX_FACE_VERTICES[face]
         acc.record("facet off-face weights", float(np.abs(fphi[off]).max()), BOUNDARY_TOL)
-        on = np.take_along_axis(fphi, np.array(Hexahedron.FACES)[face], axis=1)
+        on = np.take_along_axis(fphi, np.array(geometry.HEX_FACES)[face], axis=1)
         acc.record("facet reduction", _worst_gap(on, psi, psi_ok), FACET_TOL)
     return acc.items()
 
@@ -371,7 +364,7 @@ def interval_suite(nodes: NodeSet1D, samples: int, seed: int):
 
 
 def run_suite(geometry, samples: int, seed: int):
-    """Dispatch to the suite for the geometry kind.
+    """Dispatch to the suite for the geometry's kind.
 
     Raises ValueError when samples < 1, which would leave the sampled
     axioms out of the result, and when seed is negative, which the random
@@ -381,10 +374,8 @@ def run_suite(geometry, samples: int, seed: int):
         raise ValueError(f"samples must be at least 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if isinstance(geometry, Quadrilateral):
-        return quad_suite(geometry, samples, seed)
-    if isinstance(geometry, Hexahedron):
-        return hex_suite(geometry, samples, seed)
-    if isinstance(geometry, NodeSet1D):
-        return interval_suite(geometry, samples, seed)
-    raise TypeError(f"unsupported geometry type {type(geometry).__name__}")
+    suites = {"quad": quad_suite, "hex": hex_suite, "interval": interval_suite}
+    suite = suites.get(getattr(geometry, "kind", None))
+    if suite is None:
+        raise TypeError(f"unsupported geometry type {type(geometry).__name__}")
+    return suite(geometry, samples, seed)

@@ -77,7 +77,7 @@ def _load_geometry(source: str):
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read geometry file {source!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"geometry file {source!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("geometry object needs a 'kind' field")
@@ -145,20 +145,11 @@ GRADIENT_METHODS = {
 }
 
 
-def _geometry_kind(geom) -> str:
-    if isinstance(geom, Quadrilateral):
-        return "quad"
-    if isinstance(geom, Hexahedron):
-        return "hex"
-    return "interval"
-
-
 def _resolve_method(geom, name: str, tables=METHODS):
-    kind = _geometry_kind(geom)
-    table = tables[kind]
+    table = tables[geom.kind]
     if name not in table:
         raise InputError(
-            f"method {name!r} is not available for {kind} geometry"
+            f"method {name!r} is not available for {geom.kind} geometry"
             f" (choose from {', '.join(sorted(table))})"
         )
     return table[name]
@@ -167,7 +158,7 @@ def _resolve_method(geom, name: str, tables=METHODS):
 def _require_defined(geom, method: str):
     """Refuse a quadrilateral family that is undefined on geom: Wachspress
     on a nonconvex quadrilateral, Cramer on one with a flat corner."""
-    if not isinstance(geom, Quadrilateral):
+    if geom.kind != "quad":
         return
     if method.startswith("wachspress"):
         coords2d.require_convex(geom)
@@ -201,11 +192,10 @@ def _fmt(value) -> str:
 
 def _evaluate(geom, method_name: str, point: np.ndarray):
     """Weights plus the reference frame (hex only, None otherwise)."""
-    kind = _geometry_kind(geom)
     fn = _resolve_method(geom, method_name)
-    if kind == "hex":
+    if geom.kind == "hex":
         return fn(geom, point, return_frame=True)
-    if kind == "interval":
+    if geom.kind == "interval":
         return fn(geom, float(point[0])), None
     return fn(geom, point), None
 
@@ -222,7 +212,7 @@ def cmd_eval(args) -> int:
         "method": args.method,
         "weights": weights.tolist(),
     }
-    if _geometry_kind(geom) == "hex":
+    if geom.kind == "hex":
         record["frame"] = (
             None
             if frame is None
@@ -242,8 +232,7 @@ def _grid_axes(vertices, n: int):
 
 
 def _geometry_size(geom) -> tuple[float, np.ndarray]:
-    kind = _geometry_kind(geom)
-    if kind == "interval":
+    if geom.kind == "interval":
         return geom.span, geom.nodes[:, None]
     return geom.diameter, geom.vertices
 
@@ -300,7 +289,7 @@ def cmd_grid(args) -> int:
 
     h = FD_STEP_RTOL * diameter
     causes = np.zeros(len(GRID_CAUSES), dtype=int)
-    gradient = GRADIENT_METHODS.get(_geometry_kind(geom), {}).get(args.method)
+    gradient = GRADIENT_METHODS.get(geom.kind, {}).get(args.method)
     chunk = geometry.BATCH_CHUNK
     total = n**dim
     try:

@@ -244,13 +244,21 @@ def _edge_weights(i, t) -> np.ndarray:
     return np.where(j == i, 1.0 - t, np.where(j == (i + 1) % 4, t, 0.0))
 
 
-def _coords_one(quad: Quadrilateral, p, wachspress: bool) -> np.ndarray:
-    """Shared body of moment_coords_quad and wachspress_coords_quad."""
+def _locate_one(quad: Quadrilateral, p):
+    """(x, y, code, index, t) of one point p: its coordinates as floats and
+    their _locate_quad location.  Raises OutsideDomain where p is exterior.
+    Every single-point function of this module enters through it."""
     p = np.asarray(p, dtype=float)
     x, y = float(p[0]), float(p[1])
     code, index, t, _ = _locate_quad(quad, x, y)
     if code == LOC_EXTERIOR:
         raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
+    return x, y, code, index, t
+
+
+def _coords_one(quad: Quadrilateral, p, wachspress: bool) -> np.ndarray:
+    """Shared body of moment_coords_quad and wachspress_coords_quad."""
+    x, y, code, index, t = _locate_one(quad, p)
     if code == LOC_INTERIOR:
         phi, r, ux, uy, _ = _closed_form(quad, x, y, wachspress)
         if __debug__:
@@ -395,10 +403,7 @@ def mvc_oracle(quad: Quadrilateral, p) -> np.ndarray:
     OnBoundary (use the system form there).
     """
     p = np.asarray(p, dtype=float)
-    code = _locate_quad(quad, float(p[0]), float(p[1]))[0]
-    if code == LOC_EXTERIOR:
-        raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
-    if code != LOC_INTERIOR:
+    if _locate_one(quad, p)[2] != LOC_INTERIOR:
         raise OnBoundary("the local mean value formula is undefined on the boundary")
     return _mean_value(quad, p)
 
@@ -512,10 +517,7 @@ def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     Raises DegenerateTriangle where cramer_defect names a flat corner.
     """
     require_cramer(quad)
-    p = np.asarray(p, dtype=float)
-    x, y = float(p[0]), float(p[1])
-    if _locate_quad(quad, x, y)[0] == LOC_EXTERIOR:
-        raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
+    x, y, _, _, _ = _locate_one(quad, p)
     return _cramer(quad, x, y)[0]
 
 
@@ -569,9 +571,7 @@ def wachspress_oracle(quad: Quadrilateral, p) -> np.ndarray:
     """
     require_convex(quad)
     p = np.asarray(p, dtype=float)
-    code = _locate_quad(quad, float(p[0]), float(p[1]))[0]
-    if code == LOC_EXTERIOR:
-        raise OutsideDomain(f"point {p.tolist()} lies outside the quadrilateral")
+    code = _locate_one(quad, p)[2]
     w, vanishes = _area_quotient(quad, p)
     if code != LOC_INTERIOR or vanishes:
         raise OnBoundary("area quotients are undefined on the boundary")

@@ -53,6 +53,8 @@ from .errors import FrameNotFound, OutsideDomain
 from .geometry import (
     FRAME,
     HEX_FACE_VERTICES,
+    HEX_FACES,
+    HEX_OPPOSITE_PAIRS,
     LOC_EXTERIOR,
     LOC_FACET,
     LOC_INTERIOR,
@@ -85,9 +87,6 @@ PATTERN_ZERO_RTOL = 1e-12
 # Lower bound on |det| of the unit frame basis.
 FRAME_DET_MIN = 1e-8
 
-# FACE_VERTICES[f, i] is True when vertex i lies on face f.
-FACE_VERTICES = HEX_FACE_VERTICES
-
 # Signs of the partial distances and the distance of each column (vertex)
 # i: DELTA_SIGNS[:, i] and DISTANCE_SIGNS[i] as floats.
 _VERTEX_SIGNS = tuple(
@@ -97,12 +96,12 @@ _VERTEX_SIGNS = tuple(
 # _ZEROED[f] marks the columns of face f, whose partial distances are 0.0
 # for a point on face f; _ZEROED[_NO_FACE] marks none, for any other point.
 _NO_FACE = 6
-_ZEROED = np.vstack([FACE_VERTICES, np.zeros(8, dtype=bool)])
+_ZEROED = np.vstack([HEX_FACE_VERTICES, np.zeros(8, dtype=bool)])
 
 # The frame rule's tables as Python numbers: the sign pattern's rows, and
 # the three faces that contain each vertex.
 _PATTERN_ROWS = tuple(map(tuple, SIGN_PATTERN.tolist()))
-_VERTEX_FACES = tuple(tuple(np.flatnonzero(col).tolist()) for col in FACE_VERTICES.T)
+_VERTEX_FACES = tuple(tuple(np.flatnonzero(col).tolist()) for col in HEX_FACE_VERTICES.T)
 
 # Right-hand side of the system: only the partition-of-unity row is 1.
 _RHS = [1.0] + [0.0] * 7
@@ -221,7 +220,7 @@ def _functionals(hexa: Hexahedron, px, py, pz, on):
     d = hexa.diameter
     rows = []
     found = True
-    for r, ((line, bisector), (fa, fb)) in enumerate(zip(hexa.pair_lines, hexa.OPPOSITE_PAIRS)):
+    for r, ((line, bisector), (fa, fb)) in enumerate(zip(hexa.pair_lines, HEX_OPPOSITE_PAIRS)):
         on_a, on_b = on[fa], on[fb]
         if line is None:
             row = bisector
@@ -342,7 +341,7 @@ def _induced_face_quad(f: int, w) -> Quadrilateral:
     facet-reduction property.
     """
     keep = [r for r in range(3) if r != f // 2]
-    verts2d = w[keep][:, list(Hexahedron.FACES[f])].T.copy()
+    verts2d = w[keep][:, list(HEX_FACES[f])].T.copy()
     if _quad_area(verts2d.tolist()) < 0:
         verts2d[:, 1] = -verts2d[:, 1]
     return Quadrilateral(verts2d)

@@ -19,7 +19,10 @@ each at a few points.
 
 The hexahedral conventions live here: REFERENCE_CUBE, the one table of
 the reference cube's vertices, and HEX_FACES, the faces' cyclic vertex
-order; every other hexahedral table derives from them.
+order; every other hexahedral table (HEX_EDGES, HEX_OPPOSITE_PAIRS,
+HEX_FACE_VERTICES, ...) derives from them, and each goes by that one name.
+Each element class names its kind ("quad", "hex", "interval") in kind, the
+key of the tables that dispatch on it.
 
 Point location is decided in one place per element kind (_locate_quad,
 _locate_hex), on Python floats for one point and arrays for a stack, so a
@@ -273,6 +276,8 @@ class Quadrilateral:
     validation; the tables the evaluators derive from them are taken on
     first use.
     """
+
+    kind = "quad"
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
@@ -563,6 +568,8 @@ class NodeSet1D:
     unit scale is taken on first use.
     """
 
+    kind = "interval"
+
     def __init__(self, nodes):
         x = np.asarray(nodes, dtype=float)
         violations, xs, span = _check_nodes(x)
@@ -614,6 +621,10 @@ HEX_FACES = (
     (3, 2, 6, 7),
     (0, 3, 7, 4),
     (1, 2, 6, 5),
+)
+# The 12 edges as sorted vertex pairs, in ascending order.
+HEX_EDGES = tuple(
+    sorted({tuple(sorted((f[i], f[(i + 1) % 4]))) for f in HEX_FACES for i in range(4)})
 )
 # Pair k holds the two faces of coordinate k, which sign-pattern row k separates.
 HEX_OPPOSITE_PAIRS = tuple((2 * k, 2 * k + 1) for k in range(3))
@@ -781,8 +792,7 @@ class Hexahedron:
     first use.
     """
 
-    FACES = HEX_FACES
-    OPPOSITE_PAIRS = HEX_OPPOSITE_PAIRS
+    kind = "hex"
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
@@ -817,7 +827,7 @@ class Hexahedron:
         u . x = 0 by Cramer's rule; all in Python floats.
         """
         out = []
-        for fa, fb in self.OPPOSITE_PAIRS:
+        for fa, fb in HEX_OPPOSITE_PAIRS:
             ax, ay, az, da = self.plane_rows[fa]
             bx, by, bz, db = self.plane_rows[fb]
             # u = n_a x n_b
@@ -852,12 +862,6 @@ class Hexahedron:
         kernel and the batch size: one point gets the same bits alone or in
         a batch."""
         return [a * x + b * y + c * z - d for a, b, c, d in self.plane_rows]
-
-    def face_signed_distances(self, p) -> np.ndarray:
-        """Outward signed distance of p (3,) or of each row of p (m, 3) to
-        each supporting face plane: shape (6,) or (m, 6)."""
-        p = np.asarray(p, dtype=float)
-        return np.stack(self._signed_distances(p[..., 0], p[..., 1], p[..., 2]), axis=-1)
 
     def __repr__(self):
         return f"Hexahedron({self.vertices.tolist()})"

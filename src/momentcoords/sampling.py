@@ -2,7 +2,8 @@
 
 The quadrilateral sampler decides with the point location of
 classify_point_quad (geometry._locate_quad), whose nearest-edge distance
-gives the margin.
+gives the margin; the hexahedral one with the face signed distances that
+geometry._locate_hex compares (Hexahedron._signed_distances).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from . import geometry
 from .errors import DomainError, InvalidGeometry
 from .geometry import (
     HEX_FACE_VERTICES,
+    HEX_FACES,
     LOC_INTERIOR,
     REFERENCE_CUBE,
     REFERENCE_NORMALS,
@@ -88,7 +90,7 @@ def interior_points_hex(hexa: Hexahedron, n: int, rng, margin: float = 1e-7):
     keep = margin * hexa.diameter
 
     def accept(pts):
-        return np.all(hexa.face_signed_distances(pts) < -keep, axis=1)
+        return np.all(np.array(hexa._signed_distances(*pts.T)) < -keep, axis=0)
 
     v = hexa.vertices
     return _rejection_sample(rng, v.min(axis=0), v.max(axis=0), n, accept, margin)
@@ -97,7 +99,7 @@ def interior_points_hex(hexa: Hexahedron, n: int, rng, margin: float = 1e-7):
 def face_points_hex(hexa: Hexahedron, f: int, n: int, rng, margin: float = 0.05):
     """n points (n, 3) on face f via bilinear corner blending, away from its
     edges; the same points and draws as a loop of one (s, t) pair each."""
-    corners = hexa.vertices[list(Hexahedron.FACES[f])]
+    corners = hexa.vertices[list(HEX_FACES[f])]
     s, t = rng.uniform(margin, 1.0 - margin, (n, 2)).T[:, :, None]
     return (
         (1 - s) * (1 - t) * corners[0]

@@ -24,9 +24,10 @@ from operator import add, mul
 import numpy as np
 
 from momentcoords import coords2d, coords3d, geometry
-from momentcoords.coords3d import DELTA_SIGNS, DISTANCE_SIGNS, FACE_VERTICES
+from momentcoords.coords3d import DELTA_SIGNS, DISTANCE_SIGNS
 from momentcoords.errors import NotConvex, OnBoundary, OutsideDomain
 from momentcoords.geometry import (
+    HEX_FACE_VERTICES,
     MIN_EDGE_LENGTH,
     OVERFLOW_MESSAGE,
     UNDERFLOW_MESSAGE,
@@ -263,7 +264,7 @@ def wachspress_oracle(quad, p) -> np.ndarray:
 # holds the same numbers per column as floats.
 _NO_FACE = 6
 _ROW_SIGNS = np.stack(
-    [np.vstack([np.where(zero, 0.0, DELTA_SIGNS), DISTANCE_SIGNS]) for zero in FACE_VERTICES]
+    [np.vstack([np.where(zero, 0.0, DELTA_SIGNS), DISTANCE_SIGNS]) for zero in HEX_FACE_VERTICES]
     + [np.vstack([DELTA_SIGNS, DISTANCE_SIGNS])],
     axis=-1,
 ).astype(float)

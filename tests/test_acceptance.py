@@ -25,7 +25,7 @@ from momentcoords.coords3d import (
 )
 from momentcoords.errors import SingularMatrix
 from momentcoords.geometry import (
-    Hexahedron,
+    HEX_FACES,
     classify_point_quad,
     classify_points_quad,
     face_of_point_hex,
@@ -256,7 +256,7 @@ def test_criterion_7_facet_reduction():
     rng = np.random.default_rng(1007)
     worst_face = worst_off = 0.0
     for f in range(6):
-        idx = list(Hexahedron.FACES[f])
+        idx = list(HEX_FACES[f])
         off = [i for i in range(8) if i not in idx]
         pts = sampling.face_points_hex(hexa, f, 100, rng)
         for p in pts:

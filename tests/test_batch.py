@@ -47,6 +47,8 @@ from momentcoords.geometry import (
     CLASSIFY_RTOL,
     EXTERIOR,
     FRAME,
+    HEX_EDGES,
+    HEX_FACES,
     HEX_KINDS,
     LOC_EXTERIOR,
     LOC_FACET,
@@ -695,8 +697,7 @@ def _hex_test_points(hexa, rng, n=7):
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     tol = CLASSIFY_RTOL * hexa.diameter
     v = hexa.vertices
-    edges = {tuple(sorted((f[i], f[(i + 1) % 4]))) for f in Hexahedron.FACES for i in range(4)}
-    boundary = [v, np.array([(v[i] + v[j]) / 2 for i, j in sorted(edges)])]
+    boundary = [v, np.array([(v[i] + v[j]) / 2 for i, j in HEX_EDGES])]
     for f in range(6):
         boundary.append(sampling.face_points_hex(hexa, f, 2, rng, margin=0.0))
     boundary = np.vstack(boundary)
@@ -724,11 +725,10 @@ def _hex_tolerance_points(hexa):
     tol = CLASSIFY_RTOL * hexa.diameter
     normals = np.array(hexa.face_normals)
     def faces_with(*corners):
-        return [f for f, idx in enumerate(Hexahedron.FACES) if set(corners) <= set(idx)]
+        return [f for f, idx in enumerate(HEX_FACES) if set(corners) <= set(idx)]
 
-    edges = {tuple(sorted((f[i], f[(i + 1) % 4]))) for f in Hexahedron.FACES for i in range(4)}
-    sites = [(v[list(idx)].mean(axis=0), [f]) for f, idx in enumerate(Hexahedron.FACES)]
-    sites += [((v[a] + v[b]) / 2, faces_with(a, b)) for a, b in sorted(edges)]
+    sites = [(v[list(idx)].mean(axis=0), [f]) for f, idx in enumerate(HEX_FACES)]
+    sites += [((v[a] + v[b]) / 2, faces_with(a, b)) for a, b in HEX_EDGES]
     sites += [(v[i], faces_with(i)) for i in range(8)]
     out = []
     for site, faces in sites:

@@ -27,7 +27,8 @@ from momentcoords.errors import (
 )
 from momentcoords.geometry import (
     CAUSES,
-    Hexahedron,
+    HEX_EDGES,
+    HEX_FACES,
     NodeSet1D,
     Quadrilateral,
     QuadStack,
@@ -42,6 +43,13 @@ def test_run_suite_rejects_nonpositive_samples(samples):
     # all passing.
     with pytest.raises(ValueError, match="samples"):
         run_suite(shapes.convex_quad(), samples, seed=0)
+
+
+def test_run_suite_refuses_an_object_without_a_kind():
+    # A QuadStack holds quadrilaterals but is no element kind of its own.
+    stack = QuadStack([shapes.convex_quad()], [0])
+    with pytest.raises(TypeError, match="^unsupported geometry type QuadStack$"):
+        run_suite(stack, 5, seed=0)
 
 
 # Per-point recomputations of the suites through the single-point functions:
@@ -187,7 +195,7 @@ def _reference_hex_suite(hexa, samples, seed):
         phi = worst.evaluate(coords3d.moment_coords_hex, hexa, v[i])
         if phi is not None:
             worst.record("kronecker delta", _gap(phi, np.eye(8)[i]))
-    for i, j in _hex_edges():
+    for i, j in HEX_EDGES:
         for t in rng.uniform(0.1, 0.9, 3):
             expect = np.zeros(8)
             expect[i], expect[j] = 1 - t, t
@@ -195,7 +203,7 @@ def _reference_hex_suite(hexa, samples, seed):
             if phi is not None:
                 worst.record("edge reduction", _gap(phi, expect))
     for f in range(6):
-        idx = list(Hexahedron.FACES[f])
+        idx = list(HEX_FACES[f])
         off = [i for i in range(8) if i not in idx]
         for p in sampling.face_points_hex(hexa, f, max(4, samples // 60), rng):
             loc = face_of_point_hex(hexa, p)
@@ -211,12 +219,6 @@ def _reference_hex_suite(hexa, samples, seed):
             if psi is not None:
                 worst.record("facet reduction", _gap(phi[idx], psi))
     return worst
-
-
-def _hex_edges():
-    return sorted(
-        {tuple(sorted((idx[i], idx[(i + 1) % 4]))) for idx in Hexahedron.FACES for i in range(4)}
-    )
 
 
 def _reference_interval_suite(nodes, samples, seed):
@@ -520,7 +522,7 @@ def _hex_points(hexa, samples, seed):
     rng = np.random.default_rng(seed)
     v = hexa.vertices
     pts = sampling.interior_points_hex(hexa, samples, rng)
-    ends = np.array(_hex_edges())
+    ends = np.array(HEX_EDGES)
     t = rng.uniform(0.1, 0.9, (len(ends), 3))
     edge = (1 - t)[:, :, None] * v[ends[:, 0], None] + t[:, :, None] * v[ends[:, 1], None]
     on_face = [
@@ -575,6 +577,78 @@ def test_evaluates_fails_on_one_failed_row(monkeypatch):
     _force(monkeypatch, coords3d, "moment_coords_hex", FrameNotFound, code, hexa.vertices, point)
     [evaluates] = [r for r in hex_suite(hexa, 30, 5) if r.name == "evaluates"]
     assert evaluates.tol == 0.5 and not evaluates.passed
+
+
+def _fail_every_row(monkeypatch, module, names, cause):
+    """Patch each module.name (a batch function) to fail every row it
+    evaluates, with the cause code."""
+    for name in names:
+
+        def many(geom, points, real=getattr(module, name), **kwargs):
+            *out, info = real(geom, points, **kwargs)
+            out[1][:] = False
+            for values in (out[0], *out[2:]):  # the weights, frame coordinates
+                values[:] = np.nan
+            info.cause[:] = cause
+            return (*out, info)
+
+        monkeypatch.setattr(module, name, many)
+
+
+# builtin: (module, the batch functions of its suite, the cause, the lines
+# check prints when every row fails).  evaluates counts every row (conv-quad
+# at 30 samples: two families of 30 samples, 4 vertices, 32 edge points and
+# 100 image points, and three oracles of 30; conv-hex: 30 samples, 8
+# vertices, 36 edge points, 24 face points).  The sampled axioms, and on a
+# hexahedron the sign pattern and the facet properties, which have no face
+# point left, are left out; the comparisons over no row read 0.
+EVERY_ROW_FAILS = {
+    "conv-quad": (
+        coords2d,
+        [
+            "moment_coords_quad_many",
+            "mvc_oracle_many",
+            "cramer_coords_quad_many",
+            "wachspress_coords_quad_many",
+            "wachspress_oracle_many",
+        ],
+        "singular",
+        [
+            "PASS moment vs mean-value oracle: worst=0.000e+00 tol=1.0e-10",
+            "PASS moment vs cramer oracle: worst=0.000e+00 tol=1.0e-10",
+            "PASS wachspress vs area oracle: worst=0.000e+00 tol=1.0e-10",
+            "PASS moment kronecker delta: worst=0.000e+00 tol=1.0e-10",
+            "PASS moment boundary reduction: worst=0.000e+00 tol=1.0e-10",
+            "PASS wachspress kronecker delta: worst=0.000e+00 tol=1.0e-10",
+            "PASS wachspress boundary reduction: worst=0.000e+00 tol=1.0e-10",
+            "PASS moment similarity covariance: worst=0.000e+00 tol=1.0e-09",
+            "PASS wachspress affine covariance: worst=0.000e+00 tol=1.0e-09",
+            "FAIL evaluates: worst=4.220e+02 tol=5.0e-01 (422 singular)",
+            "1 of 10 properties failed",
+        ],
+    ),
+    "conv-hex": (
+        coords3d,
+        ["moment_coords_hex_many"],
+        "frame",
+        [
+            "FAIL evaluates: worst=9.800e+01 tol=5.0e-01 (98 frame)",
+            "PASS kronecker delta: worst=0.000e+00 tol=1.0e-10",
+            "PASS edge reduction: worst=0.000e+00 tol=1.0e-09",
+            "1 of 3 properties failed",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("builtin", sorted(EVERY_ROW_FAILS))
+def test_check_with_every_row_failed(monkeypatch, capsys, builtin):
+    module, names, cause, lines = EVERY_ROW_FAILS[builtin]
+    _fail_every_row(monkeypatch, module, names, CAUSES.index(cause))
+    assert main(["check", "--geometry", builtin, "--samples", "30"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines
+    assert captured.err == ""
 
 
 def test_sign_pattern_miss_fails_check(monkeypatch, capsys):

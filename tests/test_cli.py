@@ -784,6 +784,40 @@ def test_non_number_coordinate_input_error(capsys, tmp_path, data, command):
     assert not (tmp_path / "bad.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"kind": "quad", "vertices": [[0, 0], [1, 0]', "geometry file {path!r} is not valid JSON: "),
+        (b'[[0, 0], [1, 0], [1, 1], [0, 1]]', "geometry object needs a 'kind' field"),
+        (b'"quad"', "geometry object needs a 'kind' field"),
+        (b'{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}', "geometry object needs a 'kind' field"),
+        (b'{"kind": "quad", "nodes": [0, 1, 2]}', "geometry of kind 'quad' is missing field 'vertices'"),
+        (b'{"kind": "tet", "vertices": []}', "unknown geometry kind 'tet' (quad, hex, or interval)"),
+        (b'{"kind": ["quad"], "vertices": []}', "unknown geometry kind ['quad'] (quad, hex, or interval)"),
+        (b'{"kind": "quad", "vertices": [[0, 0], [1, 0], [1, 1], [0]]}', "invalid geometry: "),
+        (b"\xff\xfe{}", "geometry file {path!r} is not valid JSON: 'utf-8' codec can't decode"),
+    ],
+    ids=["truncated", "list", "string", "no-kind", "no-vertices", "tet", "list-kind", "ragged",
+         "not-utf-8"],
+)
+@pytest.mark.parametrize("command", ["eval", "grid", "check"])
+def test_malformed_geometry_file_input_error(capsys, tmp_path, content, message, command):
+    # A non-UTF-8 file used to print the codec's message without the file's
+    # name.
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    args = {
+        "eval": ["--point", "0.5,0.5", "--method", "moment"],
+        "grid": ["--resolution", "5", "--method", "moment", "--out", str(tmp_path / "bad.csv")],
+        "check": ["--samples", "5"],
+    }[command]
+    code, out, err = run(capsys, command, "--geometry", str(path), *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(path=str(path))) and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_integer_beyond_float_range_input_error(capsys, tmp_path):
     # An integer too large for a float used to escape as an OverflowError
     # traceback with exit 1.

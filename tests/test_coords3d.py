@@ -17,14 +17,12 @@ from momentcoords.coords3d import (
     sign_pattern_ok,
 )
 from momentcoords.errors import FrameNotFound, OutsideDomain, SingularMatrix
-from momentcoords.geometry import Hexahedron, face_of_point_hex, faces_containing
-
-HEX_EDGES = sorted(
-    {
-        tuple(sorted((idx[i], idx[(i + 1) % 4])))
-        for idx in Hexahedron.FACES
-        for i in range(4)
-    }
+from momentcoords.geometry import (
+    HEX_EDGES,
+    HEX_FACES,
+    Hexahedron,
+    face_of_point_hex,
+    faces_containing,
 )
 
 
@@ -79,7 +77,7 @@ class TestPartialDistances:
         # at a time as floats and together as one stack: the same system and
         # frame coordinates, bit for bit, the zeroed columns included.
         hexa = hex_tapered
-        points = np.array([[0.1, 0.2, -0.3], hexa.vertices[list(hexa.FACES[2])].mean(axis=0)])
+        points = np.array([[0.1, 0.2, -0.3], hexa.vertices[list(HEX_FACES[2])].mean(axis=0)])
         locs = [face_of_point_hex(hexa, p) for p in points]
         assert [loc.kind for loc in locs] == ["interior", "on_face"]
         faces = [loc.index if loc.kind == "on_face" else _NO_FACE for loc in locs]
@@ -97,7 +95,7 @@ class TestPartialDistances:
             at_s = [[np.broadcast_to(e, (2,))[s] for e in row] for row in system]
             assert np.array(at_s).tobytes() == np.array(one).tobytes()
             assert np.array(w)[:, :, s].tobytes() == np.array(w_one).tobytes()
-        assert np.array(one)[4:7, list(hexa.FACES[2])].tobytes() == bytes(8 * 12)
+        assert np.array(one)[4:7, list(HEX_FACES[2])].tobytes() == bytes(8 * 12)
 
 
 class TestDistanceRow:
@@ -157,7 +155,7 @@ class TestReferenceFrame:
             for r in (frame.r1, frame.r2, frame.r3):
                 assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
             assert abs(frame.det) >= 1e-8
-            exempt = {i for f in faces for i in Hexahedron.FACES[f]}
+            exempt = {i for f in faces for i in HEX_FACES[f]}
             cols = [i for i in range(8) if i not in exempt]
             assert sign_pattern_ok(frame.coords(hexa.vertices), hexa.diameter, cols=cols)
 
@@ -285,7 +283,7 @@ class TestMomentCoordsHex:
 
     def test_facet_reduction(self, hex_tapered, rng):
         for f in range(6):
-            idx = list(Hexahedron.FACES[f])
+            idx = list(HEX_FACES[f])
             off = [i for i in range(8) if i not in idx]
             for p in sampling.face_points_hex(hex_tapered, f, 15, rng):
                 loc = face_of_point_hex(hex_tapered, p)

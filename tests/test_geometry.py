@@ -190,7 +190,7 @@ class TestFaceOfPointHex:
         for _ in range(10):
             hexa = sampling.random_affine_cube_hex(rng)
             for f in range(6):
-                idx = list(Hexahedron.FACES[f])
+                idx = list(geo.HEX_FACES[f])
                 for p in sampling.face_points_hex(hexa, f, 17, rng):
                     loc = face_of_point_hex(hexa, p)
                     assert loc.kind == "on_face" and loc.index == f

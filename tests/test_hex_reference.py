@@ -7,6 +7,7 @@ import pytest
 from momentcoords import coords3d, geometry, sampling, shapes
 from momentcoords.coords3d import moment_coords_hex
 from momentcoords.geometry import (
+    HEX_EDGES,
     HEX_FACE_VERTICES,
     HEX_FACES,
     HEX_OPPOSITE_PAIRS,
@@ -56,7 +57,17 @@ def test_face_vertices_match_the_face_connectivity():
     for f, idx in enumerate(HEX_FACES):
         expect[f, list(idx)] = True
     assert np.array_equal(HEX_FACE_VERTICES, expect)
-    assert coords3d.FACE_VERTICES is HEX_FACE_VERTICES
+
+
+def test_hex_edges_join_the_cube_vertices_one_coordinate_apart():
+    # Derived from the sign table, not from the faces.
+    expect = [
+        (i, j)
+        for i in range(8)
+        for j in range(i + 1, 8)
+        if np.count_nonzero(REFERENCE_CUBE[i] != REFERENCE_CUBE[j]) == 1
+    ]
+    assert HEX_EDGES == tuple(expect)
 
 
 def test_hex_faces_agree_with_the_sign_table():

@@ -64,7 +64,7 @@ def _loop_interior_points_hex(hexa, n, rng, margin=1e-7):
         if attempts > budget:
             raise ValueError("budget")
         p = rng.uniform(lo, hi)
-        if np.all(hexa.face_signed_distances(p) < -keep):
+        if np.all(np.array(hexa._signed_distances(*p)) < -keep):
             out.append(p)
     return np.array(out)
 
@@ -194,7 +194,7 @@ def test_random_plane_hexes_valid_and_nonparallel(rng):
     for _ in range(5):
         hexa = sampling.random_plane_hex(rng)
         assert hex_violations(hexa.vertices) == []
-        for fa, fb in hexa.OPPOSITE_PAIRS:
+        for fa, fb in geometry.HEX_OPPOSITE_PAIRS:
             na, nb = np.array(hexa.face_normals[fa]), np.array(hexa.face_normals[fb])
             if np.linalg.norm(np.cross(na, nb)) > 1e-6:
                 saw_nonparallel = True
@@ -202,7 +202,7 @@ def test_random_plane_hexes_valid_and_nonparallel(rng):
 
 
 def _loop_face_points_hex(hexa, f, n, rng, margin=0.05):
-    corners = hexa.vertices[list(geometry.Hexahedron.FACES[f])]
+    corners = hexa.vertices[list(geometry.HEX_FACES[f])]
     out = []
     for _ in range(n):
         s, t = rng.uniform(margin, 1.0 - margin, 2)
