@@ -44,6 +44,7 @@ from .errors import (
     OnBoundary,
     OutOfDomain,
     OutsideDomain,
+    ResidualExceeded,
     SingularMatrix,
 )
 from .geometry import (
@@ -92,6 +93,7 @@ __all__ = [
     "OnBoundary",
     "OutOfDomain",
     "OutsideDomain",
+    "ResidualExceeded",
     "SingularMatrix",
     "Hexahedron",
     "NodeSet1D",

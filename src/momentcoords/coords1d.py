@@ -26,8 +26,10 @@ units of a power of two next to the span (NodeSet1D.unit_scale), which is
 exact and leaves the weights unchanged, so every node set that validation
 accepts evaluates, whatever its size.  A determinant at or below
 smallsolve.PIVOT_RTOL times the sum of its six expansion terms is refused
-as SingularMatrix, and under __debug__ the residual of all n rows, in units
-of L, is held to the contract of smallsolve.solve_dense.
+as SingularMatrix, and the residual of all n rows, in units of L, is held
+to the contract of smallsolve.solve_dense at every evaluation
+(smallsolve._residual_held): one query beyond it raises ResidualExceeded,
+and a batch leaves that row blank with the cause residual.
 
 moment_coords_1d_many and hat_oracle_many evaluate a batch of queries and
 return the location as a geometry.BatchInfo with the weights.  The
@@ -46,8 +48,8 @@ from operator import add, mul
 import numpy as np
 
 from .errors import OutOfDomain, SingularMatrix
-from .geometry import EXTERIOR, SINGULAR, BatchInfo, NodeSet1D
-from .smallsolve import PIVOT_RTOL, _RESIDUAL_BOUND
+from .geometry import EXTERIOR, RESIDUAL, SINGULAR, BatchInfo, NodeSet1D
+from .smallsolve import PIVOT_RTOL, _residual_held
 
 DOMAIN_RTOL = 1e-12
 
@@ -129,22 +131,22 @@ def moment_coords_1d(nodes: NodeSet1D, x: float) -> np.ndarray:
     # changes no other value.
     phi = [t + 0.0, 0.0 - t] * (n // 2) + [t + 0.0] * (n % 2)
     phi[k], phi[k + 1] = a + 0.0, b + 0.0
-    if __debug__:
-        resid = max(map(abs, _residual_rows(d, phi, phi[:k] + phi[k + 2 :])))
-        assert resid <= _RESIDUAL_BOUND, f"folded residual {resid:.3e} exceeds contract"
+    _residual_held(max(map(abs, _residual_rows(d, phi, phi[:k] + phi[k + 2 :]))), 1.0, "folded")
     return np.array(phi)
 
 
 def moment_coords_1d_many(nodes: NodeSet1D, x):
     """moment_coords_1d at each query of x (m,) or (m, 1); returns (phi, ok,
     info), info the BatchInfo of _locate's result (code its ok,
-    geometry.LOC_EXTERIOR or LOC_INTERIOR; index its k; causes exterior and
-    singular).
+    geometry.LOC_EXTERIOR or LOC_INTERIOR; index its k; causes exterior,
+    singular and residual).
 
     The fold runs over the stack as moment_coords_1d runs it on one query,
     so phi[s] is bitwise equal to moment_coords_1d(nodes, x[s]) where ok[s]
     is set.  ok[s] is False (and phi[s] NaN) where the single-point function
-    raises: a query outside the nodes or not finite, or a singular system.
+    raises: a query outside the nodes or not finite, a singular system, or
+    a solution beyond the residual contract, which holds each row to it
+    alone.
     """
     k, xq, ok = _locate(nodes, np.asarray(x, dtype=float).reshape(-1))
     code, index = ok.astype(np.int8), k
@@ -164,16 +166,17 @@ def moment_coords_1d_many(nodes: NodeSet1D, x):
     a, b, t = a[:, None] + 0.0, b[:, None] + 0.0, t[:, None]
     w = np.where(j == col, a, np.where(j == col + 1, b, np.where(j % 2 == 0, t + 0.0, 0.0 - t)))
     w[singular] = np.nan
-    if __debug__:
-        order = np.where(j[: n - 2] < col, j[: n - 2], j[: n - 2] + 2)  # the outside nodes
-        chain = np.take_along_axis(w, order, axis=1)
-        resid = np.abs(_residual_rows(list(d.T), list(w.T), list(chain.T)))
-        resid = resid[:, ~singular].max(initial=0.0)
-        assert resid <= _RESIDUAL_BOUND, f"folded residual {resid:.3e} exceeds contract"
+    order = np.where(j[: n - 2] < col, j[: n - 2], j[: n - 2] + 2)  # the outside nodes
+    chain = np.take_along_axis(w, order, axis=1)
+    resid = np.abs(_residual_rows(list(d.T), list(w.T), list(chain.T))).max(axis=0)
+    held = _residual_held(resid, 1.0, "folded")
+    w[~held] = np.nan
     phi = np.full((len(xq), n), np.nan)
     phi[rows] = w
-    ok[rows] = ~singular
-    return phi, ok, BatchInfo.of(code, index, ok, SINGULAR)
+    ok[rows] = held
+    failure = np.full(len(xq), SINGULAR)
+    failure[rows[~held & ~singular]] = RESIDUAL
+    return phi, ok, BatchInfo.of(code, index, ok, failure)
 
 
 def _hat(xs, k, xq) -> np.ndarray:

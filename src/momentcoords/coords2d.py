@@ -12,8 +12,10 @@ largest corner triangle, zero at the vertex it leaves out, and alpha =
 offsets v_i - p and both rows are taken in units of a power of two next to
 the diameter, so nothing overflows and every quadrilateral that validation
 accepts evaluates, whatever its size.  A near-orthogonal row is refused as
-SingularMatrix, and under __debug__ the residual of the four rows is held
-to the contract of smallsolve.solve_dense.
+SingularMatrix, and the residual of the four rows is held to the contract
+of smallsolve.solve_dense at every evaluation (smallsolve._residual_held):
+one point beyond it raises ResidualExceeded, and a batch leaves that row
+blank with the cause residual.
 
 The gradients are closed forms too (moment_gradient_quad_many,
 wachspress_gradient_quad_many, on a stack of points and the BatchInfo of
@@ -74,6 +76,7 @@ from .geometry import (
     LOC_EXTERIOR,
     LOC_INTERIOR,
     LOC_VERTEX,
+    RESIDUAL,
     SINGULAR,
     BatchInfo,
     Quadrilateral,
@@ -81,7 +84,7 @@ from .geometry import (
     _locate_quad,
     signed_area,
 )
-from .smallsolve import PIVOT_RTOL, _RESIDUAL_BOUND
+from .smallsolve import PIVOT_RTOL, _residual_held
 
 _OTHERS = tuple(tuple(j for j in range(4) if j != i) for i in range(4))
 _NEXT = np.array([1, 2, 3, 0])
@@ -261,9 +264,7 @@ def _coords_one(quad: Quadrilateral, p, wachspress: bool) -> np.ndarray:
     x, y, code, index, t = _locate_one(quad, p)
     if code == LOC_INTERIOR:
         phi, r, ux, uy, _ = _closed_form(quad, x, y, wachspress)
-        if __debug__:
-            resid = max(map(abs, _residual(phi, r, ux, uy)))
-            assert resid <= _RESIDUAL_BOUND, f"closed-form residual {resid:.3e} exceeds contract"
+        _residual_held(max(map(abs, _residual(phi, r, ux, uy))), 1.0, "closed-form")
         return np.array(phi)
     return _edge_weights(index, 0.0 if code == LOC_VERTEX else t)
 
@@ -273,6 +274,7 @@ def _coords_many(quad: Quadrilateral | QuadStack, points, wachspress: bool):
     QuadStack), the interior points as one stack per kernel index."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     phi = np.full((len(pts), 4), np.nan)
+    failure = np.full(len(pts), SINGULAR)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         code, index, t, _ = _locate_quad(quad, *pts.T)
         solve = code == LOC_INTERIOR
@@ -280,15 +282,13 @@ def _coords_many(quad: Quadrilateral | QuadStack, points, wachspress: bool):
         edge = ok & ~solve
         for rows, group in quad.kernel_groups(np.flatnonzero(solve)):
             cols, r, ux, uy, singular = _closed_form(group, *pts[rows].T, wachspress)
-            if __debug__:
-                resid = np.abs(_residual(cols, r, ux, uy))[:, ~singular].max(initial=0.0)
-                assert resid <= _RESIDUAL_BOUND, (
-                    f"closed-form residual {resid:.3e} exceeds contract"
-                )
-            phi[rows] = np.where(singular[:, None], np.nan, np.array(cols).T)
-            ok[rows] = ~singular
+            resid = np.abs(_residual(cols, r, ux, uy)).max(axis=0)
+            held = _residual_held(resid, 1.0, "closed-form")
+            ok[rows] = held & ~singular
+            failure[rows[~held & ~singular]] = RESIDUAL
+            phi[rows] = np.where(ok[rows, None], np.array(cols).T, np.nan)
     phi[edge] = _edge_weights(index[edge], np.where(code[edge] == LOC_VERTEX, 0.0, t[edge]))
-    return phi, ok, BatchInfo.of(code, index, ok, SINGULAR)
+    return phi, ok, BatchInfo.of(code, index, ok, failure)
 
 
 def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
@@ -302,13 +302,14 @@ def moment_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
 
 def moment_coords_quad_many(quad: Quadrilateral | QuadStack, points):
     """moment_coords_quad at each row of points (m, 2); returns (phi, ok,
-    info), info the BatchInfo of the location it ran (causes exterior and
-    singular).
+    info), info the BatchInfo of the location it ran (causes exterior,
+    singular and residual).
 
     quad may be a QuadStack, whose row s holds the element of points[s].
     phi[s] is bitwise equal to moment_coords_quad(quad, points[s]) where
     ok[s] is set; ok[s] is False (and phi[s] NaN) where the single-point
-    function raises: an exterior point or a singular system.
+    function raises: an exterior point, a singular system or a solution
+    beyond the residual contract, which holds each row to it alone.
     """
     return _coords_many(quad, points, False)
 

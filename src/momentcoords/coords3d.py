@@ -60,6 +60,7 @@ from .geometry import (
     LOC_INTERIOR,
     LOC_VERTEX,
     REFERENCE_CUBE,
+    RESIDUAL,
     SINGULAR,
     BatchInfo,
     Hexahedron,
@@ -136,18 +137,13 @@ class Frame3:
         return bool(np.allclose(self.basis, np.eye(3), atol=1e-14))
 
 
-def sign_pattern_ok(w, diameter: float, cols=None):
+def sign_pattern_ok(w, diameter: float):
     """True where every entry of the 3 x 8 frame-coordinate array is bounded
     away from zero (beyond PATTERN_ZERO_RTOL * diameter) and carries the
     required sign: a bool for w (3, 8), a bool array for a stack (..., 3,
-    8).  cols restricts the test to a column subset."""
+    8)."""
     w = np.asarray(w, dtype=float)
-    pattern = SIGN_PATTERN
-    if cols is not None:
-        cols = list(cols)
-        w = w[..., cols]
-        pattern = pattern[:, cols]
-    ok = np.all(pattern * w > PATTERN_ZERO_RTOL * diameter, axis=(-2, -1))
+    ok = np.all(SIGN_PATTERN * w > PATTERN_ZERO_RTOL * diameter, axis=(-2, -1))
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -369,22 +365,23 @@ def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):
     offsets = [(vx - px, vy - py, vz - pz) for vx, vy, vz in hexa.corner_tuple]
     zeroed = _ZEROED[index if code == LOC_FACET else _NO_FACE]
     system, _ = _system(rows, offsets, hexa.unit_scale, zeroed)
-    phi, _ = _solve(system, _RHS)
+    phi = _solve(system, _RHS)[0]
     return (phi, Frame3(basis, rows, p, det)) if return_frame else phi
 
 
 def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool = False):
     """moment_coords_hex at each row of points (m, 3); returns (phi, ok,
     info), info the BatchInfo of the location it ran, with causes exterior,
-    frame (FrameNotFound) and singular (SingularMatrix).
+    frame (FrameNotFound), singular (SingularMatrix) and residual
+    (ResidualExceeded).
 
     Classification, frames, assembly and the LU solve each run once over
     the batch.  phi[s] is bitwise equal to moment_coords_hex(hexa,
     points[s]) where ok[s] is set; ok[s] is False (and phi[s] NaN) where
     the single-point function raises MomentCoordsError: an exterior point,
-    a frame that misses the sign pattern or the determinant bounds, or a
-    singular system.  The solver's residual contract runs as it does for
-    one point, over the whole batch.
+    a frame that misses the sign pattern or the determinant bounds, a
+    singular system, or a solution beyond the solver's residual contract,
+    which holds each row to it alone.
 
     With return_frame_coords, returns (phi, ok, w, info) where w[s] (3, 8)
     is frame.coords(hexa.vertices) of the frame moment_coords_hex(hexa,
@@ -410,7 +407,7 @@ def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool =
     offsets = [(vx - qx, vy - qy, vz - qz) for vx, vy, vz in hexa.corner_tuple]
     face = np.where(code[solve] == LOC_FACET, index[solve], _NO_FACE)
     system, w = _system(rows, offsets, hexa.unit_scale, _ZEROED.T[:, face])
-    phi[solve], ok[solve] = _solve(system, _RHS, len(solve))
+    phi[solve], ok[solve], over = _solve(system, _RHS, len(solve))
     out = (phi, ok)
     if return_frame_coords:
         frame_coords = np.full((len(pts), 3, 8), np.nan)
@@ -418,4 +415,5 @@ def moment_coords_hex_many(hexa: Hexahedron, points, return_frame_coords: bool =
         out += (frame_coords,)
     failure = np.full(len(pts), SINGULAR)
     failure[unframed] = FRAME
+    failure[solve[over]] = RESIDUAL
     return out + (BatchInfo.of(code, index, ok, failure),)

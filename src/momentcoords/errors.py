@@ -9,6 +9,11 @@ class SingularMatrix(MomentCoordsError):
     """A pivot fell below the singularity threshold during elimination."""
 
 
+class ResidualExceeded(MomentCoordsError):
+    """A solution misses the rows it solves by more than the residual
+    contract allows (smallsolve.RESIDUAL_RTOL)."""
+
+
 class InvalidGeometry(MomentCoordsError):
     """Vertex data violates a geometry invariant (simplicity, planarity, ...)."""
 

@@ -99,10 +99,11 @@ BATCH_CHUNK = 4096
 
 # Why a batch row has weights or not, by BatchInfo.cause code: ok; the point
 # is exterior; an oracle is undefined on the boundary; no reference frame
-# (FrameNotFound); a singular system or a vanishing closed-form denominator.
-# grid's warning and check's evaluates property name their counts by it.
-CAUSES = ("ok", "exterior", "boundary", "frame", "singular")
-OK, EXTERIOR, BOUNDARY, FRAME, SINGULAR = range(len(CAUSES))
+# (FrameNotFound); a singular system or a vanishing closed-form denominator;
+# a solution beyond the residual contract (ResidualExceeded).  grid's
+# warning and check's evaluates property name their counts by it.
+CAUSES = ("ok", "exterior", "boundary", "frame", "singular", "residual")
+OK, EXTERIOR, BOUNDARY, FRAME, SINGULAR, RESIDUAL = range(len(CAUSES))
 
 
 def named_counts(counts, names=CAUSES) -> str:

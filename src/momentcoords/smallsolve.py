@@ -22,6 +22,11 @@ entry, so no entry handed in is written into.  _solve runs it and checks
 the residual contract, once for both kinds, against the rows it was
 handed; solve_dense and solve_dense_many validate and convert their input
 for it, and coords3d hands it the hexahedral rows as it assembles them.
+
+_residual_held states the residual contract once, for this solve and the
+closed forms of coords1d and coords2d, checked on every evaluation in
+either interpreter mode: one system beyond it raises ResidualExceeded, and
+a stack clears ok (x NaN) in those rows alone.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .errors import SingularMatrix
+from .errors import ResidualExceeded, SingularMatrix
 
 # Pivot acceptance threshold, relative to the largest entry of the input
 # matrix.  Below it the geometry is degenerate or a sign-pattern assumption
@@ -39,9 +44,6 @@ from .errors import SingularMatrix
 PIVOT_RTOL = 1e-13
 # Post-solve residual contract: |Ax - b|_inf <= RESIDUAL_RTOL * (1 + |b|_inf).
 RESIDUAL_RTOL = 1e-10
-# The contract for a right-hand side of inf-norm 1, which the closed forms
-# of coords1d and coords2d hold their residuals to.
-_RESIDUAL_BOUND = 2.0 * RESIDUAL_RTOL
 # The sizes the kernels are written out for.
 _SIZES = range(3, 17)
 
@@ -190,25 +192,43 @@ def _eliminate(a, b, m):
     return _kernels(len(b), m is None)[0](a, b, m)
 
 
+def _residual_held(resid, scale, what: str):
+    """The residual contract, resid <= RESIDUAL_RTOL * (1 + scale), with
+    RESIDUAL_RTOL read at each call.
+
+    resid is max_i |sum_j a_ij x_j - b_i| and scale max_i |b_i|; the closed
+    forms of coords1d and coords2d pass scale 1.0, their right-hand side's.
+    One system (resid a float) raises ResidualExceeded where the contract
+    fails, naming what was solved; a stack (resid (m,)) returns where it
+    holds, which is nowhere that resid is NaN.
+    """
+    held = resid <= RESIDUAL_RTOL * (1.0 + scale)
+    if isinstance(resid, float) and not held:
+        raise ResidualExceeded(f"{what} residual {resid:.3e} exceeds contract")
+    return held
+
+
 def _solve(a, b, m=None):
-    """Solve the rows a (n rows of n entries) against b (n entries).
+    """Solve the rows a (n rows of n entries) against b (n entries); returns
+    (x, ok, over).
 
     With m None every entry is a Python float: one system, returned as x
-    (n,) and ok True, or SingularMatrix.  Otherwise the entries are floats
-    or (m,) arrays, a stack of m systems: returns x (m, n), NaN where ok
-    (m,) is False, which is exactly where the system alone would raise
-    SingularMatrix.  The inputs are never written into.  Under __debug__
-    the residual contract is checked against the rows a.
+    (n,), ok True and over False, or SingularMatrix, or ResidualExceeded
+    where x misses the rows a by more than the residual contract allows.
+    Otherwise the entries are floats or (m,) arrays, a stack of m systems:
+    x (m, n) is NaN where ok (m,) is False, which is exactly where the
+    system alone would raise, and over (m,) marks the rows among them that
+    would raise ResidualExceeded.  The inputs are never written into.
     """
     with nullcontext() if m is None else np.errstate(divide="ignore", invalid="ignore"):
         x, ok = _eliminate(a, b, m)
-        if __debug__:
-            resid, scale = _kernels(len(b), m is None)[1](a, b, x, m)
-            held = resid <= RESIDUAL_RTOL * (1.0 + scale)
-            assert held if m is None else (held | ~ok).all(), (
-                f"solve residual {np.max(np.where(ok, resid, 0.0)):.3e} exceeds contract"
-            )
-    return (np.array(x), ok) if m is None else (np.stack(x, axis=1), ok)
+        resid, scale = _kernels(len(b), m is None)[1](a, b, x, m)
+        held = _residual_held(resid, scale, "solve")
+    if m is None:
+        return np.array(x), True, False
+    x = np.stack(x, axis=1)
+    x[~held] = np.nan
+    return x, ok & held, ok & ~held
 
 
 def _check_size(n: int) -> None:
@@ -223,6 +243,8 @@ def solve_dense(matrix, rhs) -> np.ndarray:
     converted once by tolist; rhs is n numbers, n from 3 to 16.  Inputs are
     copied, never modified.  Raises SingularMatrix when partial pivoting
     meets a pivot below PIVOT_RTOL relative to the largest matrix entry.
+    Raises ResidualExceeded when the solution misses the rows by more than
+    the residual contract allows.
     Deterministic: identical inputs give bitwise identical results,
     whichever form they come in, and the same bits as the system in a
     stack of solve_dense_many.
@@ -251,9 +273,10 @@ def solve_dense_many(matrices, rhs) -> tuple[np.ndarray, np.ndarray]:
     matrices is (m, n, n) and rhs (m, n), n from 3 to 16, in any memory
     order.  Each system goes through the elimination of solve_dense, so
     every solution is bitwise equal to solve_dense's.  ok[s] is False
-    exactly where solve_dense would raise SingularMatrix (the pivot floor is
-    taken from each system's own max|A|); x[s] is then NaN.  Inputs are
-    never modified.
+    exactly where solve_dense would raise: SingularMatrix (the pivot floor
+    is taken from each system's own max|A|) or ResidualExceeded (each
+    system held to the residual contract alone); x[s] is then NaN.  Inputs
+    are never modified.
     """
     a = np.asarray(matrices, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -265,4 +288,4 @@ def solve_dense_many(matrices, rhs) -> tuple[np.ndarray, np.ndarray]:
     # Entry (i, j) of all m systems as one contiguous run of m floats.
     a = np.ascontiguousarray(np.moveaxis(a, 0, -1))
     b = np.ascontiguousarray(b.T)
-    return _solve([list(row) for row in a], list(b), b.shape[1])
+    return _solve([list(row) for row in a], list(b), b.shape[1])[:2]

@@ -23,6 +23,7 @@ from momentcoords.errors import (
     OnBoundary,
     OutOfDomain,
     OutsideDomain,
+    ResidualExceeded,
     SingularMatrix,
 )
 from momentcoords.geometry import (
@@ -67,6 +68,8 @@ def _cause(exc):
         return "frame"
     if isinstance(exc, SingularMatrix):
         return "singular"
+    if isinstance(exc, ResidualExceeded):
+        return "residual"
     raise exc
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from momentcoords import cli, sampling
+from momentcoords import cli, sampling, smallsolve
 from momentcoords.cli import main
 from momentcoords.geometry import (
     OVERFLOW_MESSAGE,
@@ -342,6 +342,69 @@ class TestEvaluatorFailureOnValidInput:
             "--method", "moment", "--out", str(tmp_path / "grid.csv"),
         )
         assert (code, err) == (0, "")
+
+
+class TestResidualContract:
+    # A solution beyond the residual contract, forced here through the one
+    # bound smallsolve.RESIDUAL_RTOL, is an evaluator failure like any
+    # other: eval exits 3 naming it, grid blanks its rows under the
+    # residual cause and exits 0, check counts them in evaluates and exits
+    # 1, and none of them prints a traceback.
+    INTERVAL = [0.0, 0.13, 0.4, 0.55, 0.9, 1.0, 1.7]
+
+    def _geometry(self, tmp_path, name):
+        if name == "interval":
+            return _geometry_file(tmp_path, "interval", self.INTERVAL)
+        return name
+
+    @pytest.mark.parametrize(
+        "name, point, what",
+        [("conv-hex", "0.1,0.5,0.2", "solve"), ("nonconv-quad", "0.3,0.3", "closed-form"),
+         ("interval", "0.3", "folded")],
+    )
+    def test_eval_exits_3_naming_the_residual(self, capsys, tmp_path, monkeypatch, name, point, what):
+        geometry = self._geometry(tmp_path, name)
+        monkeypatch.setattr(smallsolve, "RESIDUAL_RTOL", -1.0)
+        argv = ["eval", "--geometry", geometry, "--point", point, "--method", "moment"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and "Traceback" not in err
+        assert re.fullmatch(rf"domain error: {what} residual \S+ exceeds contract\n", err)
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [("conv-hex", ["--resolution", "5"]),
+         ("nonconv-quad", ["--resolution", "11", "--derivatives"]),
+         ("interval", ["--resolution", "21"])],
+    )
+    def test_grid_blanks_residual_rows(self, capsys, tmp_path, monkeypatch, name, options):
+        geometry = self._geometry(tmp_path, name)
+        out_path = tmp_path / "grid.csv"
+        argv = ["grid", "--geometry", geometry, "--method", "moment", "--out", str(out_path)]
+        assert run(capsys, *argv, *options) == (0, "", "")
+        reference = out_path.read_text().splitlines()
+        monkeypatch.setattr(smallsolve, "RESIDUAL_RTOL", -1.0)
+        code, out, err = run(capsys, *argv, *options)
+        assert (code, out) == (0, "")
+        rows = out_path.read_text().splitlines()
+        assert len(rows) == len(reference) and rows[0] == reference[0]
+        blank = [r for r in rows[1:] if "" in r.split(",")]
+        assert blank and err == (
+            f"warning: {len(blank)} grid points failed to evaluate ({len(blank)} residual)\n"
+        )
+        # A blank row keeps its point; every other row keeps its bytes.
+        dim = rows[0].split(",").index("phi1")
+        for row, ref in zip(rows[1:], reference[1:]):
+            assert row == ref or (row in blank and row.split(",")[:dim] == ref.split(",")[:dim])
+
+    @pytest.mark.parametrize("name", ["conv-hex", "nonconv-quad", "interval"])
+    def test_check_counts_residual_rows(self, capsys, tmp_path, monkeypatch, name):
+        geometry = self._geometry(tmp_path, name)
+        monkeypatch.setattr(smallsolve, "RESIDUAL_RTOL", -1.0)
+        code, out, err = run(capsys, "check", "--geometry", geometry, "--samples", "50")
+        assert (code, err) == (1, "") and "Traceback" not in out
+        [evaluates] = [line for line in out.splitlines() if "evaluates" in line]
+        assert re.fullmatch(r"FAIL evaluates: worst=\S+ tol=5.0e-01 \(\d+ residual\)", evaluates)
+
 
 class TestCheckSmallScale:
     # The covariance maps act in element units about the vertex centroid.

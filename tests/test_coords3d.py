@@ -6,6 +6,8 @@ from momentcoords.coords2d import moment_coords_quad
 from momentcoords.coords3d import (
     DELTA_SIGNS,
     DISTANCE_SIGNS,
+    PATTERN_ZERO_RTOL,
+    SIGN_PATTERN,
     _NO_FACE,
     _ZEROED,
     _frame,
@@ -157,7 +159,8 @@ class TestReferenceFrame:
             assert abs(frame.det) >= 1e-8
             exempt = {i for f in faces for i in HEX_FACES[f]}
             cols = [i for i in range(8) if i not in exempt]
-            assert sign_pattern_ok(frame.coords(hexa.vertices), hexa.diameter, cols=cols)
+            w = frame.coords(hexa.vertices)[:, cols]
+            assert np.all(SIGN_PATTERN[:, cols] * w > PATTERN_ZERO_RTOL * hexa.diameter)
 
         for maker in (sampling.random_affine_cube_hex, sampling.random_plane_hex):
             hexa = maker(rng)

@@ -1,12 +1,19 @@
+import json
 import linecache
+import os
+import pathlib
+import re
+import subprocess
+import sys
 import traceback
 
 import numpy as np
 import oracles
 import pytest
 
-from momentcoords import smallsolve
-from momentcoords.errors import SingularMatrix
+import momentcoords
+from momentcoords import coords1d, coords2d, coords3d, geometry, sampling, shapes, smallsolve
+from momentcoords.errors import ResidualExceeded, SingularMatrix
 from momentcoords.smallsolve import solve_dense, solve_dense_many
 
 
@@ -111,11 +118,11 @@ def test_singular_message_names_column():
         solve_dense(np.diag([1.0, 1e-20, 1.0]), np.ones(3))
 
 
-@pytest.mark.skipif(not __debug__, reason="the residual check runs only under __debug__")
 def test_residual_check_runs(monkeypatch):
-    # With a negative tolerance no residual passes, so the check must fire.
+    # With a negative tolerance no residual passes, so the check must fire,
+    # in either interpreter mode: it is a library error, not an assert.
     monkeypatch.setattr(smallsolve, "RESIDUAL_RTOL", -1.0)
-    with pytest.raises(AssertionError, match="residual"):
+    with pytest.raises(ResidualExceeded, match="^solve residual 0.000e[+]00 exceeds contract$"):
         solve_dense(np.eye(3), np.ones(3))
 
 
@@ -251,11 +258,18 @@ def test_many_shape_validation():
             solve_dense_many(np.eye(n)[None], np.ones((1, n)))
 
 
-@pytest.mark.skipif(not __debug__, reason="the residual check runs only under __debug__")
 def test_many_residual_check_runs(monkeypatch):
+    # A stack raises nothing: every system the elimination solved misses the
+    # contract, so each clears ok with NaN and is marked over the bound; the
+    # singular systems stay singular.
+    a, b = _special_stack(8)
+    _, ok_ref = solve_dense_many(a, b)
     monkeypatch.setattr(smallsolve, "RESIDUAL_RTOL", -1.0)
-    with pytest.raises(AssertionError, match="residual"):
-        solve_dense_many(np.eye(3)[None], np.ones((1, 3)))
+    x, ok = solve_dense_many(a, b)
+    assert not ok.any() and np.isnan(x).all()
+    rows, rhs = [list(row) for row in np.moveaxis(a, 0, -1)], list(b.T)
+    _, ok, over = smallsolve._solve(rows, rhs, len(a))
+    assert not ok.any() and np.array_equal(over, ok_ref)
 
 
 def _systems():
@@ -316,26 +330,142 @@ def test_list_input_shape_validation():
         solve_dense([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], [1.0, 2.0, 3.0])
 
 
-@pytest.mark.skipif(not __debug__, reason="the residual check runs only under __debug__")
+def _bump(value):
+    """value off by 1e-6: one float, or every third entry of an array (m,)."""
+    if isinstance(value, float):
+        return value + 1e-6
+    return np.where(_every_third(len(value)), value + 1e-6, value)
+
+
+def _every_third(m):
+    """The rows _bump moves in a stack of m."""
+    return np.arange(m) % 3 == 0
+
+
+def _bump_first(fn):
+    """fn with the first item of its result bumped (_bump): the last entry
+    where it is a list (a solution, entry by entry), else the item."""
+
+    def bumped(*args):
+        first, *rest = fn(*args)
+        first = [*first[:-1], _bump(first[-1])] if isinstance(first, list) else _bump(first)
+        return (first, *rest)
+
+    return bumped
+
+
 def test_residual_check_trips_on_a_perturbed_solution(monkeypatch):
     # The contract is checked against the input rows, not against whatever
     # the elimination returns: an x off by more than the contract allows
-    # fails for list and array inputs and for a stack alike.
-    eliminate = smallsolve._eliminate
-
-    def perturbed(a, b, m):
-        x, ok = eliminate(a, b, m)
-        x[-1] = x[-1] + 1e-6
-        return x, ok
-
-    monkeypatch.setattr(smallsolve, "_eliminate", perturbed)
-    a, b = next(_systems())
-    for rows, rhs in ((a, b), (a.tolist(), b.tolist())):
-        with pytest.raises(AssertionError, match="residual"):
+    # raises for list and array inputs, and in a stack clears ok with NaN in
+    # the perturbed systems alone, every other system keeping its bits.
+    a, b = _special_stack(8)
+    x_ref, ok_ref = solve_dense_many(a, b)
+    monkeypatch.setattr(smallsolve, "_eliminate", _bump_first(smallsolve._eliminate))
+    for rows, rhs in ((a[0], b[0]), (a[0].tolist(), b[0].tolist())):
+        with pytest.raises(ResidualExceeded, match="^solve residual .* exceeds contract$"):
             solve_dense(rows, rhs)
-    for stack, rhs in ((a[None], b[None]), _special_stack(8)):
-        with pytest.raises(AssertionError, match="residual"):
-            solve_dense_many(stack, rhs)
+    chosen = _every_third(len(a))
+    x, ok = solve_dense_many(a, b)
+    assert np.array_equal(ok, ok_ref & ~chosen)
+    assert np.isnan(x[chosen]).all()
+    assert x[~chosen].tobytes() == x_ref[~chosen].tobytes()
+
+
+def _residual_case(case):
+    """(single, many, geometry, interior points, the module and name of the
+    function whose first result _bump_first perturbs, the residual's name
+    in the message) for one family of evaluators."""
+    rng = np.random.default_rng(36)
+    if case == "hex":
+        hexa = shapes.convex_hex()
+        points = sampling.interior_points_hex(hexa, 30, rng)
+        return (coords3d.moment_coords_hex, coords3d.moment_coords_hex_many, hexa, points,
+                smallsolve, "_eliminate", "solve")
+    if case == "interval":
+        nodes = sampling.random_nodes(rng, 7)
+        points = rng.uniform(nodes.nodes[0], nodes.nodes[-1], 30)
+        return (coords1d.moment_coords_1d, coords1d.moment_coords_1d_many, nodes, points,
+                coords1d, "_fold", "folded")
+    family, builtin = case.split(" on ")
+    quad = shapes.BUILTINS[builtin]()
+    points = sampling.interior_points_quad(quad, 30, rng)
+    single = getattr(coords2d, f"{family}_coords_quad")
+    many = getattr(coords2d, f"{family}_coords_quad_many")
+    return single, many, quad, points, coords2d, "_closed_form", "closed-form"
+
+
+RESIDUAL_CASES = ["hex", "interval", "moment on nonconv-quad", "wachspress on conv-quad"]
+
+
+@pytest.mark.parametrize("case", RESIDUAL_CASES)
+def test_perturbed_rows_carry_the_residual_cause(monkeypatch, case):
+    # Each of the five checks (the LU, both closed forms, both folds) is the
+    # one contract: a perturbed point raises ResidualExceeded, and a batch
+    # blanks the perturbed rows alone under the residual cause, every other
+    # row keeping its bits.
+    single, many, geom, points, module, name, what = _residual_case(case)
+    phi_ref, ok_ref, _ = many(geom, points)
+    assert ok_ref.all()
+    monkeypatch.setattr(module, name, _bump_first(getattr(module, name)))
+    with pytest.raises(ResidualExceeded, match=f"^{what} residual .* exceeds contract$"):
+        single(geom, points[0])
+    chosen = _every_third(len(points))
+    phi, ok, info = many(geom, points)
+    assert np.array_equal(ok, ~chosen)
+    assert np.array_equal(info.cause, np.where(chosen, geometry.RESIDUAL, geometry.OK))
+    assert np.isnan(phi[chosen]).all()
+    assert phi[~chosen].tobytes() == phi_ref[~chosen].tobytes()
+
+
+@pytest.mark.parametrize("case", RESIDUAL_CASES)
+def test_one_bound_moves_every_check(monkeypatch, case):
+    # smallsolve.RESIDUAL_RTOL is read at every check: patching that one
+    # name fails every point and every solved row of every family.
+    single, many, geom, points, _, _, what = _residual_case(case)
+    monkeypatch.setattr(smallsolve, "RESIDUAL_RTOL", -1.0)
+    with pytest.raises(ResidualExceeded, match=f"^{what} residual "):
+        single(geom, points[0])
+    phi, ok, info = many(geom, points)
+    assert not ok.any() and np.isnan(phi).all()
+    assert (info.cause == geometry.RESIDUAL).all()
+
+
+# Runs cli.main on each argv of the JSON list argv[1] with the residual
+# bound forced to fail, and prints the interpreter's optimize flag and the
+# exit codes.
+_FORCED = """
+import json, sys
+from momentcoords import cli, smallsolve
+smallsolve.RESIDUAL_RTOL = -1.0
+print(json.dumps([sys.flags.optimize, [cli.main(a) for a in json.loads(sys.argv[1])]]))
+"""
+
+
+def test_forced_bound_alike_under_python_O(tmp_path):
+    # pytest drops the asserts of its own tests under -O, so a subprocess
+    # shows the contract holds there: eval exits 3 naming the residual, and
+    # grid blanks its rows as residual and exits 0, with the same codes and
+    # the same stderr as without -O.
+    out = str(tmp_path / "grid.csv")
+    argvs = [
+        ["eval", "--geometry", "conv-hex", "--point", "0.1,0.5,0.2", "--method", "moment"],
+        ["grid", "--geometry", "conv-hex", "--resolution", "5", "--method", "moment", "--out", out],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(momentcoords.__file__).parents[1])}
+    runs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _FORCED, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        runs.append((json.loads(proc.stdout), proc.stderr))
+    (plain, err), (optimized, err_o) = runs
+    assert plain == [0, [3, 0]] and optimized == [1, [3, 0]] and err == err_o
+    assert "Traceback" not in err
+    eval_line, grid_line = err.splitlines()
+    assert re.fullmatch(r"domain error: solve residual \S+ exceeds contract", eval_line)
+    assert re.fullmatch(r"warning: (\d+) grid points failed to evaluate \(\1 residual\)", grid_line)
 
 
 def _entry_rows(a, b):
@@ -361,8 +491,9 @@ def test_entry_solve_bitwise_equal_to_solve_dense(n):
     a, b = _special_stack(n)
     a[:, 0], b[:, 0] = 1.0, 1.0
     rows, rhs = _entry_rows(a, b)
-    x, ok = smallsolve._solve(rows, rhs, len(a))
+    x, ok, over = smallsolve._solve(rows, rhs, len(a))
     x_ref, ok_ref = _scalar_oracle(a, b)
+    assert not over.any()
     assert x.shape == (40, n) and ok.shape == (40,)
     assert x.tobytes() == x_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
     # The same bits as the loop form of the elimination on the same entries.
