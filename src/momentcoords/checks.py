@@ -17,6 +17,8 @@ cause, in the evaluates property, which any failed row fails; so no
 evaluation raises out of a suite.
 The suites record the worst of the per-row axiom errors (_axiom_errors),
 and row_ok, grid's and eval's write-time check, holds each row to them.
+Those errors are taken over the weight columns, not the rows: numpy's
+reductions along a short row cost more per row than the arithmetic.
 """
 
 from __future__ import annotations
@@ -94,23 +96,38 @@ def linear_precision_error(weights, vertices, points) -> np.ndarray:
 
     It is the same quantity as |phi @ v - p| whenever sum(phi) = 1, without
     the rounding of the absolute coordinates of far-translated geometry.
-    The sum over vertices runs in a fixed order, so a row's value does not
-    depend on its batch.
+    It runs over columns, not rows: each component is
+    0.0 + w_0 c_0d + w_1 c_1d + ... summed left to right over the vertices,
+    and the largest is taken across the components in order, so a row's
+    value does not depend on its batch.
     """
     c = vertices.mean(axis=0)
     centred = vertices - c
-    recon = np.zeros(points.shape)
-    for i in range(centred.shape[0]):
-        recon += weights[:, i, None] * centred[i]
-    return np.abs(recon - (points - c)).max(axis=1)
+    columns = weights.T
+    worst = None
+    for d in range(points.shape[1]):
+        recon = 0.0 + columns[0] * centred[0, d]
+        for i in range(1, len(centred)):
+            recon += columns[i] * centred[i, d]
+        error = np.abs(recon - (points[:, d] - c[d]))
+        worst = error if worst is None else np.maximum(worst, error, out=worst)
+    return worst
 
 
 def _axiom_errors(weights, vertices, points):
     """|sum - 1|, -min and linear_precision_error of each row of weights
-    (m, n) at points (m, dim): three arrays (m,)."""
+    (m, n) at points (m, dim): three arrays (m,).
+
+    The sum is weights.sum(axis=1), numpy's own order (pairwise from n = 8
+    on); the minimum runs over the columns left to right.
+    """
+    columns = weights.T
+    low = np.minimum(columns[0], columns[1])
+    for column in columns[2:]:
+        np.minimum(low, column, out=low)
     return (
         np.abs(weights.sum(axis=1) - 1.0),
-        -weights.min(axis=1),
+        -low,
         linear_precision_error(weights, vertices, points),
     )
 

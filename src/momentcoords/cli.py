@@ -248,11 +248,14 @@ def _format_rows(labels, fields, filled) -> bytes:
     labels[i] (zero-padded bytes, the newline and axis values of the
     _label_bytes tables) and one field per value of fields[i], ",%.17g" of
     the value (csvfmt.format17); the fields from filled[i] on are left
-    empty (",")."""
+    empty (","), and a pass whose rows are all full masks nothing."""
     m, width = fields.shape
-    blank = np.arange(width) >= filled[:, None]
-    text, keep = csvfmt.format17(np.where(blank, 1.0, fields))
-    keep[blank.reshape(-1), 1:] = False
+    if filled.min(initial=width) < width:
+        blank = np.arange(width) >= filled[:, None]
+        text, keep = csvfmt.format17(np.where(blank, 1.0, fields))
+        keep[blank.reshape(-1), 1:] = False
+    else:
+        text, keep = csvfmt.format17(fields)
     shape = (m, width * csvfmt.WIDTH)
     row_text = np.concatenate([labels, text.reshape(shape)], axis=1)
     row_keep = np.concatenate([labels != 0, keep.reshape(shape)], axis=1)

@@ -4,18 +4,31 @@ Seventeen correctly rounded digits lie past the floating-point fast path of
 Python's float-to-decimal conversion (Gay's dtoa, at most 14 digits), so
 every value pays for bignum arithmetic there.  For 1e-38 < |v| < 1e15,
 whose decimal exponents e10 run from -38 to 14, the digits are computed
-here for a whole stack in integer arithmetic: with v = M * 2**E (M < 2**53)
-and k = 16 - e10 <= 54,
+here for a whole stack, as round(v * 10**k) with k = 16 - e10, in one of
+two ways per formatting pass, chosen from the pass's own values:
 
-    v * 10**k = M * 5**k * 2**(E + k),
+* Double-double, when every value lies from 1e-6 up: then k <= 22, so
+  10**k is an exact double, and Dekker's TwoProduct on Veltkamp halves
+  gives v * 10**k = hi + lo exactly.  hi is an even integer whenever the
+  exponent is right (at least 10**16 > 2**53), so int(hi) + rint(lo)
+  rounds half to even, and the range checks against 10**16 and 10**17
+  are exact comparisons of hi, then of the sign of lo.
+* Integer words, for any other pass: with v = M * 2**E (M < 2**53) and
+  k <= 54,
 
-so the 17 digits are M * 5**k shifted right by -(E + k), rounded half to
-even on the exact remainder.  M * 5**k < 2**180 is held in three 64-bit
-words, from 32-bit limb products: 5**k = 5**a * 5**b with both factors
-below 2**64.  "%g" writes exponents -4 to 14 in fixed notation and -38 to
--5 as d.dddddddddddddddde-XX, and the kernel writes both; it writes exact
-zeros too.  Every other value (|v| <= 1e-38, |v| >= 1e15, subnormals,
-infinities, NaN) goes through "%.17g" itself.
+      v * 10**k = M * 5**k * 2**(E + k),
+
+  so the 17 digits are M * 5**k shifted right by -(E + k), rounded half
+  to even on the exact remainder.  M * 5**k < 2**180 is held in three
+  64-bit words, from 32-bit limb products: 5**k = 5**a * 5**b with both
+  factors below 2**64.
+
+A pass takes one way for all its values: a hexahedral pass holds face
+noise below 1e-6, and splitting it between both ways costs more than the
+integer words for all of it.  "%g" writes exponents -4 to 14 in fixed
+notation and -38 to -5 as d.dddddddddddddddde-XX, and the kernel writes
+both; it writes exact zeros too.  Every other value (|v| <= 1e-38,
+|v| >= 1e15, subnormals, infinities, NaN) goes through "%.17g" itself.
 
 Every uint64 operation takes unsigned operands only: numpy promotes uint64
 with a signed integer to float64.
@@ -55,6 +68,14 @@ _E10_MIN, _FIXED_MIN, _E10_MAX = -38, -4, 14
 _SPLIT = 27
 _POW5 = np.array([5 ** min(k, _SPLIT) for k in range(17 - _E10_MIN)], dtype=np.uint64)
 _POW5_HIGH = np.array([5 ** max(k - _SPLIT, 0) for k in range(17 - _E10_MIN)], dtype=np.uint64)
+# 10**k for the exponents of _round_double_double, k = 16 - e10 <= 22, and
+# the Veltkamp halves of each (26 bits and the rest).  The double nearest
+# 1e-6 lies below it, so the values above _EXACT_MIN are those from 1e-6 up.
+_EXACT_MIN, _EXACT_E10_MIN = 1e-6, -6
+_VELTKAMP = 2.0**27 + 1.0
+_POW10 = 10.0 ** np.arange(17 - _EXACT_E10_MIN)
+_POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 _LOW32 = np.uint64(0xFFFFFFFF)
 _ONE = np.uint64(1)
 _CARRY32 = np.uint64(1 << 32)
@@ -139,20 +160,50 @@ def _round_digits(mant, exp2, e10):
     return q, too_big, small
 
 
+def _round_double_double(v, e10):
+    """What _round_digits returns, for v (n,) with 10**(16 - e10) an exact
+    double: v * 10**k = hi + lo exactly (Dekker's TwoProduct on Veltkamp
+    halves), hi is an even integer (it is at least 2**53 whenever the
+    flags pass), so rint(lo) rounds the sum half to even."""
+    k = 16 - e10
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    t = _VELTKAMP * v
+    v_hi = t - (t - v)
+    v_lo = v - v_hi
+    hi = v * _POW10[k]
+    lo = v_hi * p_hi - hi
+    lo += v_hi * p_lo
+    lo += v_lo * p_hi
+    lo += v_lo * p_lo
+    big = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    small = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), big, small
+
+
 def _digits(v):
     """The 17 digits as an integer in [10**16, 10**17), and the decimal
-    exponent, of each positive v (n,) in (1e-38, 1e15)."""
-    mant, exp2 = np.frexp(v)
-    mant = (mant * 2.0**53).astype(np.uint64)
-    exp2 = exp2.astype(np.int64) - 53
-    e10 = np.clip(np.floor(np.log10(v)).astype(np.int64), _E10_MIN, _E10_MAX)
-    q, big, small = _round_digits(mant, exp2, e10)
+    exponent, of each positive v (n,) in (1e-38, 1e15).
+
+    A pass whose values all lie above _EXACT_MIN takes _round_double_double;
+    any other takes the integer words of _round_digits, for the whole pass.
+    """
+    e10 = np.floor(np.log10(v)).astype(np.int64)
+    if v.min(initial=1.0) > _EXACT_MIN:
+        round_, args = _round_double_double, (v,)
+        # The exponents are at least -6 here, so no estimate needs less.
+        np.clip(e10, _EXACT_E10_MIN, _E10_MAX, out=e10)
+    else:
+        mant, exp2 = np.frexp(v)
+        mant = (mant * 2.0**53).astype(np.uint64)
+        round_, args = _round_digits, (mant, exp2.astype(np.int64) - 53)
+        np.clip(e10, _E10_MIN, _E10_MAX, out=e10)
+    q, big, small = round_(*args, e10)
     redo = np.arange(len(v))
     while (wrong := big | small).any():
         # Near a power of ten: move the exponent by one and round again.
         redo = redo[wrong]
         e10[redo] += np.where(big[wrong], 1, -1)
-        q[redo], big, small = _round_digits(mant[redo], exp2[redo], e10[redo])
+        q[redo], big, small = round_(*(a[redo] for a in args), e10[redo])
     # A rounding up to 10**17 is 10**16 at the next exponent.
     carry = q == 10**17
     return np.where(carry, 10**16, q), e10 + carry

@@ -7,7 +7,9 @@ and Wachspress systems, the triangle coordinates, and the full relabeled
 n x n interval system.  They take the package's own helpers, so a row here
 is the row the closed form is built from.  smallsolve writes its
 elimination out per size and kind; eliminate_loops is the same elimination
-as loops over the rows, the bitwise reference for it.
+as loops over the rows, the bitwise reference for it.  axiom_errors is
+checks._axiom_errors in row form, numpy's axis reductions over each row, the
+reference for the column form the package runs.
 """
 
 from __future__ import annotations
@@ -153,3 +155,20 @@ def eliminate_loops(a, b, m):
     if not one:
         x = [np.where(ok, x_k, np.nan) for x_k in x]
     return x, ok
+
+
+def axiom_errors(weights, vertices, points):
+    """checks._axiom_errors in row form: |sum - 1|, -min and the linear
+    precision error of each row of weights (m, n) at points (m, dim), by
+    axis reductions; the reconstruction adds each vertex's term to a zero
+    array, vertex by vertex."""
+    c = vertices.mean(axis=0)
+    centred = vertices - c
+    recon = np.zeros(points.shape)
+    for i in range(centred.shape[0]):
+        recon += weights[:, i, None] * centred[i]
+    return (
+        np.abs(weights.sum(axis=1) - 1.0),
+        -weights.min(axis=1),
+        np.abs(recon - (points - c)).max(axis=1),
+    )

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import axiom_errors
 
 from momentcoords import checks, coords1d, coords2d, coords3d, geometry, sampling, shapes
 from momentcoords.checks import (
@@ -15,7 +16,7 @@ from momentcoords.checks import (
     quad_suite,
     run_suite,
 )
-from momentcoords.cli import main
+from momentcoords.cli import _evaluate, _geometry_size, main
 from momentcoords.errors import (
     DomainError,
     FrameNotFound,
@@ -370,6 +371,82 @@ def test_row_ok_is_the_three_axiom_bounds():
     assert ok.all()
     got = checks.row_ok(phi, quad.vertices, pts, quad.diameter).tolist()
     assert got == _row_errors_within(phi, quad.vertices, pts, quad.diameter) == [True] * len(pts)
+
+
+def _assert_same_bits(weights, vertices, points, diameter):
+    """_axiom_errors and row_ok equal the row form of tests/oracles.py bit
+    for bit."""
+    got = checks._axiom_errors(weights, vertices, points)
+    want = axiom_errors(weights, vertices, points)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (len(weights),)
+        assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
+    partition, neg, precision = want
+    within = (partition <= PARTITION_TOL) & (neg <= NONNEG_TOL)
+    within &= precision <= PRECISION_RTOL * diameter
+    assert checks.row_ok(weights, vertices, points, diameter).tolist() == within.tolist()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 4, 8, 12, 16])
+def test_axiom_errors_equal_the_row_form_bitwise(n, dim):
+    # Weight rows on random vertices, some far from the origin, with noise
+    # in the weights and the points, so each error spans a range of values
+    # and row_ok takes both answers.  Then rows with a NaN in each column,
+    # rows of +0.0 and of -0.0, and -0.0 entries beside positive weights
+    # or a negative one.  No row's minimum is a tie of +0.0 and -0.0: numpy
+    # takes such a tie in its own order over long rows, and its sign
+    # changes neither row_ok nor a printed worst value.
+    rng = np.random.default_rng([n, dim])
+    offset = rng.choice([0.0, 1e6], dim)
+    vertices = rng.uniform(-1.0, 1.0, (n, dim)) + offset
+    diameter = max(np.linalg.norm(a - b) for a in vertices for b in vertices)
+    weights = rng.dirichlet(np.ones(n), 200)
+    weights += rng.choice([0.0, 1e-14, 1e-11], (200, 1)) * rng.normal(size=(200, n))
+    weights[::5, -1] = -rng.uniform(0.0, 2e-12, 40)
+    points = weights @ (vertices - offset) + offset
+    points += rng.choice([0.0, 1e-12, 1e-9], (200, 1)) * rng.normal(size=(200, dim))
+    special = []
+    for j in range(n):
+        row = np.full(n, 1.0 / n)
+        row[j] = np.nan
+        special.append(row)
+        row = np.full(n, 1.0 / (n - 1))
+        row[j] = -0.0
+        special.append(row)
+        row = np.where(np.arange(n) % 2 == j % 2, -0.0, 0.5)
+        row[(j + 1) % n] = -1e-13
+        special.append(row)
+    special += [np.zeros(n), np.full(n, -0.0)]
+    special = np.array(special)
+    weights = np.concatenate([weights, special])
+    points = np.concatenate([points, vertices.mean(axis=0) + 0.0 * special[:, :dim]])
+    _assert_same_bits(weights, vertices, points, diameter)
+    # One row at a time, as eval and a batch of one check it.
+    for k in (0, 1, len(weights) - 1):
+        _assert_same_bits(weights[k : k + 1], vertices, points[k : k + 1], diameter)
+
+
+@pytest.mark.parametrize(
+    "geometry, point",
+    [
+        ("conv-hex", [0.0, 0.5, 0.0]),
+        ("conv-hex", [1.0, 1.0, 0.0]),
+        ("conv-hex", [0.0, 1.5, 0.0]),
+        ("nonconv-quad", [0.3, 0.3]),
+        ("interval-7", [0.3]),
+    ],
+)
+def test_axiom_errors_of_an_eval_row_equal_the_row_form_bitwise(geometry, point):
+    # The single row eval checks; on conv-hex's faces it holds -0.0 weights.
+    if geometry == "interval-7":
+        geom = NodeSet1D([0.0, 0.13, 0.4, 0.55, 0.9, 1.0, 1.7])
+    else:
+        geom = shapes.BUILTINS[geometry]()
+    diameter, vertices = _geometry_size(geom)
+    point = np.array(point)
+    weights, _ = _evaluate(geom, "moment", point)
+    _assert_same_bits(weights[None], vertices, point[None], diameter)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
