@@ -2,7 +2,8 @@
 
 Every float eval prints and every field of a grid CSV is format(v, ".17g")
 of its value, byte for byte; grid formats its weights and derivatives
-through the vectorized kernel csvfmt.format17.
+through the vectorized kernel csvfmt.format17, whose zero-marked slots it
+joins to its zero-padded row labels by deleting every zero byte.
 
 Exit codes: 0 ok, 1 property failure, 2 input error (the file, the point or
 the options: InputError, ValueError), 3 domain error (every other
@@ -247,19 +248,19 @@ def _format_rows(labels, fields, filled) -> bytes:
     """CSV rows as bytes, in one formatting pass.  Row i is its label
     labels[i] (zero-padded bytes, the newline and axis values of the
     _label_bytes tables) and one field per value of fields[i], ",%.17g" of
-    the value (csvfmt.format17); the fields from filled[i] on are left
-    empty (","), and a pass whose rows are all full masks nothing."""
+    the value (csvfmt.format17, zero-marked); the fields from filled[i] on
+    are left empty (",", their other bytes zeroed), and a pass whose rows
+    are all full blanks nothing.  No label or field byte is zero, so
+    deleting the zeros joins the rows."""
     m, width = fields.shape
     if filled.min(initial=width) < width:
         blank = np.arange(width) >= filled[:, None]
-        text, keep = csvfmt.format17(np.where(blank, 1.0, fields))
-        keep[blank.reshape(-1), 1:] = False
+        text = csvfmt.format17(np.where(blank, 1.0, fields))
+        text[blank.reshape(-1), 1:] = 0
     else:
-        text, keep = csvfmt.format17(fields)
-    shape = (m, width * csvfmt.WIDTH)
-    row_text = np.concatenate([labels, text.reshape(shape)], axis=1)
-    row_keep = np.concatenate([labels != 0, keep.reshape(shape)], axis=1)
-    return np.compress(row_keep.reshape(-1), row_text.reshape(-1)).tobytes()
+        text = csvfmt.format17(fields)
+    row_text = np.concatenate([labels, text.reshape(m, width * csvfmt.WIDTH)], axis=1)
+    return row_text.tobytes().translate(None, b"\0")
 
 
 def cmd_grid(args) -> int:

@@ -1279,7 +1279,7 @@ def test_grid_formats_at_most_batch_chunk_values_per_pass(capsys, tmp_path, monk
     # them, and the CSV is the one the default chunk writes.  conv-hex has
     # exact zeros and face rounding noise near 1e-17 among its derivatives,
     # which the kernel writes itself; every derivative on the 1e100 square
-    # is in exponent notation below 1e-38, which goes through "%.17g".
+    # is in exponent notation below 1e-29, which goes through "%.17g".
     arg, geom = _geometry(tmp_path, shape)
     out = tmp_path / "grid.csv"
     argv = ["grid", "--geometry", arg, "--resolution", str(resolution),
