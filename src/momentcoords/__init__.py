@@ -53,12 +53,10 @@ from .geometry import (
     PointLocation,
     Quadrilateral,
     classify_point_quad,
-    classify_points_quad,
     face_of_point_hex,
-    face_of_points_hex,
     signed_area,
 )
-from .smallsolve import solve_dense, solve_dense_many
+from .smallsolve import solve_dense
 
 __version__ = "0.1.0"
 
@@ -100,10 +98,7 @@ __all__ = [
     "PointLocation",
     "Quadrilateral",
     "classify_point_quad",
-    "classify_points_quad",
     "face_of_point_hex",
-    "face_of_points_hex",
     "signed_area",
     "solve_dense",
-    "solve_dense_many",
 ]

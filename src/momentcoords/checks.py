@@ -14,7 +14,9 @@ are one call, and the induced face quadrilaterals of the facet reduction
 one stack, each holding its face point.  A row that a batch fails is left
 out of every other property and counted, under its geometry.BatchInfo
 cause, in the evaluates property, which any failed row fails; so no
-evaluation raises out of a suite.
+evaluation raises out of a suite.  A face point is judged by the facet
+properties where its batch located it on its own face.  A comparison that
+judged no row reads NaN, and fails.
 The suites record the worst of the per-row axiom errors (_axiom_errors),
 and row_ok, grid's and eval's write-time check, holds each row to them.
 Those errors are taken over the weight columns, not the rows: numpy's
@@ -23,13 +25,14 @@ reductions along a short row cost more per row than the arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import coords1d, coords2d, coords3d, geometry, sampling
-from .geometry import LOC_FACET, Hexahedron, NodeSet1D, Quadrilateral, QuadStack, _locate_hex
+from .geometry import LOC_FACET, Hexahedron, NodeSet1D, Quadrilateral, QuadStack
 
 # Baseline tolerances for the standard axioms.
 PARTITION_TOL = 1e-12
@@ -67,10 +70,12 @@ class _Accumulator:
         self.failed = np.zeros(len(geometry.CAUSES), dtype=int)
 
     def record(self, name: str, value: float, tol: float):
+        """Keep the worst value recorded under name; a NaN value (no row
+        judged) is kept only until a record judges a row."""
         prev = self.results.get(name)
         if prev is None:
             self.results[name] = PropertyResult(name, float(value), tol)
-        elif value > prev.worst:
+        elif value > prev.worst or math.isnan(prev.worst):
             prev.worst = float(value)
 
     def count(self, cause):
@@ -156,21 +161,23 @@ def _axioms(acc, prefix, weights, vertices, points, diameter, ok):
 
 
 def _worst_gap(a, b, ok) -> float:
-    """Largest |a - b| over the rows (m, n) where ok (m,) is set (0 for
-    none)."""
+    """Largest |a - b| over the rows (m, n) where ok (m,) is set; NaN for
+    none, which fails the comparison."""
+    if not ok.any():
+        return math.nan
     return float(np.abs(a - b).max(initial=0.0, where=ok[:, None]))
 
 
 def _chunked(many, geom, points, **kwargs):
-    """many(geom, points, **kwargs) with its BatchInfo replaced by the cause
-    codes, run geometry.BATCH_CHUNK points at a time (and a QuadStack's rows
-    with them)."""
+    """many(geom, points, **kwargs) with its BatchInfo replaced by its
+    location codes, indices and cause codes, run geometry.BATCH_CHUNK points
+    at a time (and a QuadStack's rows with them)."""
     chunk = geometry.BATCH_CHUNK
     parts = []
     for start in range(0, max(len(points), 1), chunk):
         part = geom.take(slice(start, start + chunk)) if isinstance(geom, QuadStack) else geom
         *arrays, info = many(part, points[start : start + chunk], **kwargs)
-        parts.append((*arrays, info.cause))
+        parts.append((*arrays, info.code, info.index, info.cause))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -182,8 +189,8 @@ class _Segment(NamedTuple):
 
 
 def _evaluate_segments(acc, many, segments, **kwargs):
-    """The part of the batch tuple (weights (m, n), ok (m,), ..., cause
-    (m,)) of many on each of segments; kwargs go to the batch.
+    """The part of the batch tuple (weights (m, n), ok (m,), ..., code,
+    index, cause (m,)) of many on each of segments; kwargs go to the batch.
 
     many runs as one batch call over the segments: on their geometry when
     they share one, else on the QuadStack of their quadrilaterals, one
@@ -281,15 +288,15 @@ def quad_suite(quad: Quadrilateral, samples: int, seed: int):
 
     evaluated = []
     for fam, group in zip(families, groups):
-        (phi, ok, _), *parts = _evaluate_segments(acc, fam.many, group)
+        (phi, ok, *_), *parts = _evaluate_segments(acc, fam.many, group)
         _axioms(acc, f"{fam.name} ", phi, v, pts, d, ok)
         for oracle, many in fam.oracles:
-            [(ref, ref_ok, _)] = _evaluate_segments(acc, many, [sample])
+            [(ref, ref_ok, *_)] = _evaluate_segments(acc, many, [sample])
             gap = _worst_gap(phi, ref, ok & ref_ok)
             acc.record(f"{fam.name} vs {oracle} oracle", gap, ORACLE_TOL)
         evaluated.append((phi, ok, parts))
     for fam, t, (_, _, parts) in zip(families, ts, evaluated):
-        (kron, kron_ok, _), (edge, edge_ok, _) = parts[:2]
+        (kron, kron_ok, *_), (edge, edge_ok, *_) = parts[:2]
         expect = np.zeros((4, 8, 4))
         for i in range(4):
             expect[i, :, i] = 1 - t[i]
@@ -300,7 +307,7 @@ def quad_suite(quad: Quadrilateral, samples: int, seed: int):
         acc.record(f"{fam.name} boundary reduction", boundary, BOUNDARY_TOL)
     for fam, (phi, ok, parts) in zip(families, evaluated):
         name = f"{fam.name} {fam.covariance} covariance"
-        for mphi, mok, _ in parts[2:]:
+        for mphi, mok, *_ in parts[2:]:
             acc.record(name, _worst_gap(phi[first], mphi, ok[first] & mok), COVARIANCE_TOL)
     acc.evaluates()
     return acc.items()
@@ -324,16 +331,15 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int):
     per_face = max(4, samples // 60)
     face = np.repeat(np.arange(6), per_face)
     fpts = np.vstack([sampling.face_points_hex(hexa, f, per_face, rng) for f in range(6)])
-    code, index, _ = _locate_hex(hexa, *fpts.T)
-    on_face = (code == LOC_FACET) & (index == face)
-    face, fpts = face[on_face], fpts[on_face]
 
-    # Samples, vertices, edge points and face points in one batch.
+    # Samples, vertices, edge points and face points in one batch; the facet
+    # properties judge the face points it located on their own face.
     segments = [_Segment(hexa, group) for group in (pts, v, p.reshape(-1, 3), fpts)]
     many = coords3d.moment_coords_hex_many
     parts = _evaluate_segments(acc, many, segments, return_frame_coords=True)
-    (phi, ok, w, _), (vphi, v_ok, _, _), (ephi, e_ok, _, _), (fphi, f_ok, fw, _) = parts
-    face, fphi, fw = face[f_ok], fphi[f_ok], fw[f_ok]
+    (phi, ok, w, *_), (vphi, v_ok, *_), (ephi, e_ok, *_), (fphi, f_ok, fw, code, index, _) = parts
+    judged = f_ok & (code == LOC_FACET) & (index == face)
+    face, fphi, fw = face[judged], fphi[judged], fw[judged]
     if len(face):
         # The facet reduction: each face point's weights on its face against
         # the 2D moment coordinates of the origin on its induced face
@@ -344,7 +350,7 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int):
             for s, f in enumerate(face.tolist())
         ]
         parts = _evaluate_segments(acc, coords2d.moment_coords_quad_many, induced)
-        psi, psi_ok, _ = (np.concatenate(a) for a in zip(*parts))
+        psi, psi_ok, *_ = (np.concatenate(a) for a in zip(*parts))
     _axioms(acc, "moment ", phi, v, pts, d, ok)
     if ok.any():
         pattern = coords3d.sign_pattern_ok(w[ok], d)
@@ -368,10 +374,10 @@ def interval_suite(nodes: NodeSet1D, samples: int, seed: int):
     x = rng.uniform(xs[0], xs[-1], samples)
     # The samples and the nodes in one batch, the hat oracle on the samples.
     sample = _Segment(nodes, x)
-    [(phi, ok, _), (kron, kron_ok, _)] = _evaluate_segments(
+    [(phi, ok, *_), (kron, kron_ok, *_)] = _evaluate_segments(
         acc, coords1d.moment_coords_1d_many, [sample, _Segment(nodes, xs)]
     )
-    [(hat, hat_ok, _)] = _evaluate_segments(acc, coords1d.hat_oracle_many, [sample])
+    [(hat, hat_ok, *_)] = _evaluate_segments(acc, coords1d.hat_oracle_many, [sample])
     _axioms(acc, "", phi, xs[:, None], x[:, None], nodes.span, ok)
     if ok.any():
         acc.record("moment vs hat oracle", _worst_gap(phi, hat, ok & hat_ok), ORACLE_TOL)

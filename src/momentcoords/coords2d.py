@@ -45,8 +45,7 @@ geometry._locate_quad, and with it the edge parameter of the edge weights:
 a single-point function calls it on the point's floats as a batch function
 calls it on the stack, and both compare the location codes it returns
 (geometry.LOC_EXTERIOR ...); the kind names of geometry.PointLocation are
-for callers outside the package, through classify_point_quad and
-classify_points_quad.
+for callers outside the package, through classify_point_quad.
 
 moment_coords_quad_many and wachspress_coords_quad_many also take a
 geometry.QuadStack, many quadrilaterals with one element per row: the

@@ -30,11 +30,10 @@ point is located alike alone or in a stack.  Each locator takes its
 tolerance, CLASSIFY_RTOL times the diameter, from the element it is given
 and returns the location codes LOC_EXTERIOR, LOC_INTERIOR, LOC_FACET and
 LOC_VERTEX, an int for one point and int8 for a stack.  Every evaluator of
-the package, the quadrilateral sampler and the hexahedral check suite call
-a locator directly and compare its codes; the kind names (QUAD_KINDS, HEX_KINDS) and PointLocation
-are built only in the public classifiers (classify_point_quad,
-face_of_point_hex, faces_containing and the stacked classify_points_quad
-and face_of_points_hex), for callers outside the package.
+the package and the quadrilateral sampler call a locator directly and
+compare its codes; the kind names (QUAD_KINDS, HEX_KINDS) and PointLocation
+are built only in the single-point classifiers (classify_point_quad,
+face_of_point_hex, faces_containing), for callers outside the package.
 A QuadStack holds many quadrilaterals for one batch call, each row with a
 copy of its own element's tables as arrays in place of floats, so that
 _locate_quad (with each row's own tolerance) and the closed form of
@@ -526,17 +525,6 @@ def classify_point_quad(quad: Quadrilateral, p) -> PointLocation:
     return PointLocation(QUAD_KINDS[code], index, t)
 
 
-def classify_points_quad(quad: Quadrilateral, points) -> tuple[np.ndarray, np.ndarray]:
-    """Classify each row of points (m, 2); returns (kind, index) arrays.
-
-    kind[s] and index[s] (-1 where the location has none) are the kind and
-    index classify_point_quad gives for points[s]: both run _locate_quad.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1])
-    return np.array(QUAD_KINDS)[code], index
-
-
 def _check_nodes(x):
     """(violations, nodes, span) of a float node array, checked in one pass
     on Python floats: nodes is the array as a tuple of floats, and nodes and
@@ -948,14 +936,3 @@ def faces_containing(hexa: Hexahedron, p) -> list[int]:
     that of every plane; none at a vertex, which snapping takes first, or
     outside the solid."""
     return list(face_of_point_hex(hexa, p).faces)
-
-
-def face_of_points_hex(hexa: Hexahedron, points) -> tuple[np.ndarray, np.ndarray]:
-    """Classify each row of points (m, 3); returns (kind, index) arrays.
-
-    kind[s] and index[s] (-1 where the location has none) are the kind and
-    index face_of_point_hex gives for points[s]: both run _locate_hex.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    code, index, _ = _locate_hex(hexa, pts[:, 0], pts[:, 1], pts[:, 2])
-    return np.array(HEX_KINDS)[code], index

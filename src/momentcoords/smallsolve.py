@@ -20,8 +20,8 @@ per candidate row, or np.where where a system picked the row) and a pivot
 below the floor (SingularMatrix, or ok cleared).  An update builds a new
 entry, so no entry handed in is written into.  _solve runs it and checks
 the residual contract, once for both kinds, against the rows it was
-handed; solve_dense and solve_dense_many validate and convert their input
-for it, and coords3d hands it the hexahedral rows as it assembles them.
+handed; solve_dense validates and converts one system for it, and coords3d
+hands it each stack of hexahedral rows as it assembles them.
 
 _residual_held states the residual contract once, for this solve and the
 closed forms of coords1d and coords2d, checked on every evaluation in
@@ -247,7 +247,7 @@ def solve_dense(matrix, rhs) -> np.ndarray:
     the residual contract allows.
     Deterministic: identical inputs give bitwise identical results,
     whichever form they come in, and the same bits as the system in a
-    stack of solve_dense_many.
+    stack of _solve.
     """
     if isinstance(matrix, np.ndarray):
         matrix = matrix.tolist()
@@ -265,27 +265,3 @@ def solve_dense(matrix, rhs) -> np.ndarray:
         )
     _check_size(n)
     return _solve(a, b)[0]
-
-
-def solve_dense_many(matrices, rhs) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of systems matrices[s] @ x[s] = rhs[s]; returns (x, ok).
-
-    matrices is (m, n, n) and rhs (m, n), n from 3 to 16, in any memory
-    order.  Each system goes through the elimination of solve_dense, so
-    every solution is bitwise equal to solve_dense's.  ok[s] is False
-    exactly where solve_dense would raise: SingularMatrix (the pivot floor
-    is taken from each system's own max|A|) or ResidualExceeded (each
-    system held to the residual contract alone); x[s] is then NaN.  Inputs
-    are never modified.
-    """
-    a = np.asarray(matrices, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape[:2]:
-        raise ValueError(
-            f"need (m, n, n) matrices and (m, n) rhs, got {a.shape} / {b.shape}"
-        )
-    _check_size(a.shape[1])
-    # Entry (i, j) of all m systems as one contiguous run of m floats.
-    a = np.ascontiguousarray(np.moveaxis(a, 0, -1))
-    b = np.ascontiguousarray(b.T)
-    return _solve([list(row) for row in a], list(b), b.shape[1])[:2]

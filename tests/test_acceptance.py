@@ -26,8 +26,9 @@ from momentcoords.coords3d import (
 from momentcoords.errors import SingularMatrix
 from momentcoords.geometry import (
     HEX_FACES,
+    LOC_INTERIOR,
+    _locate_quad,
     classify_point_quad,
-    classify_points_quad,
     face_of_point_hex,
 )
 from momentcoords.gradients import finite_difference_gradient
@@ -181,7 +182,7 @@ def test_criterion_4_nonconvex_nonnegativity_and_printed_forms():
     hi = v.max(axis=0)
     gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], 201), np.linspace(lo[1], hi[1], 201))
     grid = np.column_stack([gx.ravel(), gy.ravel()])
-    interior = grid[classify_points_quad(quad, grid)[0] == "interior"]
+    interior = grid[_locate_quad(quad, *grid.T)[0] == LOC_INTERIOR]
     phi, ok, _ = moment_coords_quad_many(quad, interior)
     assert len(interior) > 10000 and ok.all()
     min_weight = phi.min()

@@ -67,9 +67,7 @@ from momentcoords.geometry import (
     _locate_hex,
     _locate_quad,
     classify_point_quad,
-    classify_points_quad,
     face_of_point_hex,
-    face_of_points_hex,
 )
 from momentcoords.gradients import (
     FD_STEP_RTOL,
@@ -141,10 +139,10 @@ QUADS = {
 
 
 def _assert_classify_equal(quad, points):
-    kind, index = classify_points_quad(quad, points)
+    code, index, t, _ = _locate_quad(quad, points[:, 0], points[:, 1])
+    kind = np.array(QUAD_KINDS)[code]
     # The edge parameter, which the edge weights take, is compared bit for
     # bit; the stack has NaN where one point has None.
-    t = _locate_quad(quad, points[:, 0], points[:, 1])[2]
     for s, p in enumerate(points):
         loc = classify_point_quad(quad, p)
         assert kind[s] == loc.kind, (p, kind[s], loc)
@@ -170,7 +168,7 @@ def _assert_many_equal(single, many, geom, points):
 
 
 @pytest.mark.parametrize("name", sorted(QUADS))
-def test_classify_points_quad_same_decisions(name):
+def test_locate_quad_stack_same_decisions(name):
     quad = QUADS[name]
     kind = _assert_classify_equal(quad, _test_points(quad))
     # The grids and edge offsets do reach every kind of location.
@@ -211,7 +209,7 @@ def test_edge_snapped_rows_pass_row_check(name, scale):
             for t in np.linspace(0.05, 0.95, 19):
                 points.append(a + t * e + off * tol * normal)
         points = np.array(points)
-        snapped = classify_points_quad(quad, points)[0] == "on_edge"
+        snapped = _locate_quad(quad, *points.T)[0] == LOC_FACET
         # Near 1e6 the coordinates round by up to 0.15 tol, which moves some
         # points past tol; from the full tol many points classify as exterior.
         assert off == 1.0 or snapped.sum() >= len(points) // 2
@@ -236,14 +234,14 @@ def _assert_any_scale(single, many, oracle, scale):
     base = sampling.random_simple_quad(np.random.default_rng(0))
     quad = Quadrilateral(base.vertices * scale)
     points = _bbox_grid(quad, 9)
-    kind, _ = classify_points_quad(quad, points)
-    inside = np.flatnonzero(kind != "exterior")
+    code = _locate_quad(quad, *points.T)[0]
+    inside = np.flatnonzero(code != LOC_EXTERIOR)
     phi, ok, _ = many(quad, points)
     assert ok[inside].all()
     for s in inside:
         ref = single(quad, points[s])
         assert np.array_equal(phi[s], ref)
-        if kind[s] == "interior":
+        if code[s] == LOC_INTERIOR:
             assert np.abs(ref - oracle(base, points[s] / scale)).max() <= 1e-14
 
 
@@ -267,7 +265,7 @@ def test_wachspress_oracle_any_scale(scale):
     points = _bbox_grid(quad, 9)
     _assert_many_equal(wachspress_oracle, wachspress_oracle_many, quad, points)
     phi, ok, _ = wachspress_oracle_many(quad, points)
-    interior = classify_points_quad(quad, points)[0] == "interior"
+    interior = _locate_quad(quad, *points.T)[0] == LOC_INTERIOR
     assert interior.any() and ok[interior].all()
     for s in np.flatnonzero(interior):
         assert np.abs(phi[s] - wachspress_oracle(base, points[s] / scale)).max() <= 1e-14
@@ -286,8 +284,8 @@ def test_oracle_many_bitwise_equal_to_single_point(name):
     # reaches the exterior, the edge points include the vertices.
     quad = QUADS[name]
     points = np.vstack([_test_points(quad), quad.vertices])
-    kind = classify_points_quad(quad, points)[0]
-    assert {"interior", "exterior", "on_edge", "at_vertex"} <= set(kind.tolist())
+    code = _locate_quad(quad, *points.T)[0]
+    assert {LOC_INTERIOR, LOC_EXTERIOR, LOC_FACET, LOC_VERTEX} <= set(code.tolist())
     _assert_oracles_equal(quad, points)
 
 
@@ -392,7 +390,7 @@ def test_batched_fd_equals_scalar_fd(name):
     quad = QUADS[name]
     h = FD_STEP_RTOL * quad.diameter
     points = _test_points(quad)
-    points = points[classify_points_quad(quad, points)[0] != "exterior"]
+    points = points[_locate_quad(quad, *points.T)[0] != LOC_EXTERIOR]
     base, ok, _ = moment_coords_quad_many(quad, points)
     points, base = points[ok], base[ok]
     grad, grad_ok, no_step = finite_difference_gradient_many(
@@ -703,9 +701,9 @@ def _hex_test_points(hexa, rng, n=7):
 
 
 def _assert_hex_classify_equal(hexa, points):
-    kind, index = face_of_points_hex(hexa, points)
+    code, index, on = _locate_hex(hexa, points[:, 0], points[:, 1], points[:, 2])
+    kind = np.array(HEX_KINDS)[code]
     # The containing-face flags, which the frame rule takes, against faces.
-    on = _locate_hex(hexa, points[:, 0], points[:, 1], points[:, 2])[2]
     for s, p in enumerate(points):
         loc = face_of_point_hex(hexa, p)
         assert kind[s] == loc.kind, (p, kind[s], loc)
@@ -863,16 +861,16 @@ def _composition_input(name):
     if name == "conv-hex":
         hexa = shapes.convex_hex()
         points = _hex_test_points(hexa, np.random.default_rng(5), n=4)
-        kinds = set(face_of_points_hex(hexa, points)[0].tolist())
-        assert kinds == {"interior", "exterior", "on_face", "at_vertex"}
+        codes = set(_locate_hex(hexa, *points.T)[0].tolist())
+        assert codes == {LOC_INTERIOR, LOC_EXTERIOR, LOC_FACET, LOC_VERTEX}
         return hexa, points
     if name == "random-12":
         nodes = NODE_SETS[name]
         return nodes, _interval_test_points(nodes, np.random.default_rng(5), count=60)
     quad = shapes.BUILTINS[name]()
     points = np.vstack([_bbox_grid(quad, 9), _edge_points(quad)[::2]])
-    kinds = set(classify_points_quad(quad, points)[0].tolist())
-    assert kinds == {"interior", "exterior", "on_edge", "at_vertex"}
+    codes = set(_locate_quad(quad, *points.T)[0].tolist())
+    assert codes == {LOC_INTERIOR, LOC_EXTERIOR, LOC_FACET, LOC_VERTEX}
     return quad, points
 
 
@@ -1049,23 +1047,14 @@ def test_grid_csv_independent_of_chunk_size(capsys, tmp_path, monkeypatch, name,
 
 
 def _locations(geom, points):
-    """(kind, index) of each point by the public classifier, or for an
+    """(code, index) of each point by the element's locator, or for an
     interval by coords1d._locate's ok and k."""
     if isinstance(geom, Quadrilateral):
-        return classify_points_quad(geom, points)
+        return _locate_quad(geom, *points.T)[:2]
     if isinstance(geom, Hexahedron):
-        return face_of_points_hex(geom, points)
+        return _locate_hex(geom, *points.T)[:2]
     k, _, inside = coords1d._locate(geom, np.asarray(points, dtype=float).reshape(-1))
-    return np.where(inside, "interior", "exterior"), k
-
-
-def _kind_names(geom, code):
-    """The kind name of each location code, as _locations names it."""
-    if isinstance(geom, Quadrilateral):
-        return np.array(QUAD_KINDS)[code]
-    if isinstance(geom, Hexahedron):
-        return np.array(HEX_KINDS)[code]
-    return np.array(["exterior", "interior"])[code]
+    return np.where(inside, LOC_INTERIOR, LOC_EXTERIOR), k
 
 
 # The exception the single-point function raises at a row of each cause.
@@ -1079,16 +1068,16 @@ CAUSE_ERRORS = {
 
 
 def _assert_record(kind, method, geom, points):
-    """The info record of a batch method against the classifier and the
+    """The info record of a batch method against the locator and the
     single-point function."""
     many = cli.BATCH_METHODS[kind][method]
     _, ok, info = many(geom, points)
-    loc_kind, loc_index = _locations(geom, points)
-    assert np.array_equal(_kind_names(geom, info.code), loc_kind)
+    loc_code, loc_index = _locations(geom, points)
+    assert np.array_equal(info.code, loc_code)
     assert np.array_equal(info.index, loc_index)
     assert info.cause.dtype == np.int8 and info.cause.shape == ok.shape
     assert np.array_equal(info.cause == OK, ok)
-    assert np.array_equal(info.cause == EXTERIOR, loc_kind == "exterior")
+    assert np.array_equal(info.cause == EXTERIOR, loc_code == LOC_EXTERIOR)
     single = cli.METHODS[kind][method]
     for p, cause in zip(points, info.cause.tolist()):
         if cause != OK:

@@ -29,6 +29,7 @@ from momentcoords.errors import (
 )
 from momentcoords.geometry import (
     CAUSES,
+    CLASSIFY_RTOL,
     HEX_EDGES,
     HEX_FACES,
     NodeSet1D,
@@ -210,11 +211,9 @@ def _reference_hex_suite(hexa, samples, seed):
         idx = list(HEX_FACES[f])
         off = [i for i in range(8) if i not in idx]
         for p in sampling.face_points_hex(hexa, f, max(4, samples // 60), rng):
-            loc = face_of_point_hex(hexa, p)
-            if loc.kind != "on_face" or loc.index != f:
-                continue
             out = worst.evaluate(coords3d.moment_coords_hex, hexa, p, return_frame=True)
-            if out is None:
+            loc = face_of_point_hex(hexa, p)
+            if out is None or loc.kind != "on_face" or loc.index != f:
                 continue
             phi, frame = out
             worst.record("facet off-face weights", float(np.abs(phi[off]).max()))
@@ -579,6 +578,24 @@ def test_quad_suite_counts_failed_rows_by_cause(monkeypatch, group):
     _assert_counted(quad_suite(quad, 23, 7), _reference_quad_suite(quad, 23, 7), cause)
 
 
+@pytest.mark.parametrize("image", [0, 4])
+def test_covariance_keeps_the_judged_worst_when_one_image_fails(monkeypatch, image):
+    # Every row of the first or the last similarity image fails: the images
+    # that evaluate still judge the property, which passes with their worst
+    # (a record over no row reads NaN only until another judges a row).
+    quad = shapes.convex_quad()
+    _, _, images = _quad_points(quad, 23, 7)
+    vertices, points = images[image]
+    code = CAUSES.index("singular")
+    for p in points:
+        _force(monkeypatch, coords2d, "moment_coords_quad", SingularMatrix, code, vertices, p)
+    results = quad_suite(quad, 23, 7)
+    reference = _reference_quad_suite(quad, 23, 7)
+    _assert_counted(results, reference, "singular", count=len(points))
+    [covariance] = [r for r in results if r.name == "moment similarity covariance"]
+    assert covariance.passed and covariance.worst == reference[covariance.name]
+
+
 @pytest.mark.parametrize("family", ["moment", "wachspress"])
 def test_quad_suite_reruns_stacked_images_in_loop_order(monkeypatch, family):
     # The five covariance images of a family are elements of its stack.
@@ -681,7 +698,7 @@ def _fail_every_row(monkeypatch, module, names, cause):
 # 100 image points, and three oracles of 30; conv-hex: 30 samples, 8
 # vertices, 36 edge points, 24 face points).  The sampled axioms, and on a
 # hexahedron the sign pattern and the facet properties, which have no face
-# point left, are left out; the comparisons over no row read 0.
+# point left, are left out; the comparisons over no row read NaN and fail.
 EVERY_ROW_FAILS = {
     "conv-quad": (
         coords2d,
@@ -694,17 +711,17 @@ EVERY_ROW_FAILS = {
         ],
         "singular",
         [
-            "PASS moment vs mean-value oracle: worst=0.000e+00 tol=1.0e-10",
-            "PASS moment vs cramer oracle: worst=0.000e+00 tol=1.0e-10",
-            "PASS wachspress vs area oracle: worst=0.000e+00 tol=1.0e-10",
-            "PASS moment kronecker delta: worst=0.000e+00 tol=1.0e-10",
-            "PASS moment boundary reduction: worst=0.000e+00 tol=1.0e-10",
-            "PASS wachspress kronecker delta: worst=0.000e+00 tol=1.0e-10",
-            "PASS wachspress boundary reduction: worst=0.000e+00 tol=1.0e-10",
-            "PASS moment similarity covariance: worst=0.000e+00 tol=1.0e-09",
-            "PASS wachspress affine covariance: worst=0.000e+00 tol=1.0e-09",
+            "FAIL moment vs mean-value oracle: worst=nan tol=1.0e-10",
+            "FAIL moment vs cramer oracle: worst=nan tol=1.0e-10",
+            "FAIL wachspress vs area oracle: worst=nan tol=1.0e-10",
+            "FAIL moment kronecker delta: worst=nan tol=1.0e-10",
+            "FAIL moment boundary reduction: worst=nan tol=1.0e-10",
+            "FAIL wachspress kronecker delta: worst=nan tol=1.0e-10",
+            "FAIL wachspress boundary reduction: worst=nan tol=1.0e-10",
+            "FAIL moment similarity covariance: worst=nan tol=1.0e-09",
+            "FAIL wachspress affine covariance: worst=nan tol=1.0e-09",
             "FAIL evaluates: worst=4.220e+02 tol=5.0e-01 (422 singular)",
-            "1 of 10 properties failed",
+            "10 of 10 properties failed",
         ],
     ),
     "conv-hex": (
@@ -713,9 +730,9 @@ EVERY_ROW_FAILS = {
         "frame",
         [
             "FAIL evaluates: worst=9.800e+01 tol=5.0e-01 (98 frame)",
-            "PASS kronecker delta: worst=0.000e+00 tol=1.0e-10",
-            "PASS edge reduction: worst=0.000e+00 tol=1.0e-09",
-            "1 of 3 properties failed",
+            "FAIL kronecker delta: worst=nan tol=1.0e-10",
+            "FAIL edge reduction: worst=nan tol=1.0e-09",
+            "3 of 3 properties failed",
         ],
     ),
 }
@@ -739,3 +756,25 @@ def test_sign_pattern_miss_fails_check(monkeypatch, capsys):
     assert line == "FAIL sign pattern verified: worst=1.000e+00 tol=5.0e-01"
     assert main(["check", "--geometry", "conv-hex", "--samples", "50"]) == 1
     assert "FAIL sign pattern verified: " in capsys.readouterr().out
+
+
+def test_check_counts_face_points_the_batch_locates_outside(monkeypatch, capsys):
+    # The drawn points of face 2 moved 10 tolerances outward: the batch
+    # locates them exterior, evaluates counts them under that cause, and the
+    # facet properties judge the other faces' points.
+    real = sampling.face_points_hex
+
+    def moved(hexa, f, n, rng, **kwargs):
+        points = real(hexa, f, n, rng, **kwargs)
+        if f == 2:
+            normal = np.asarray(hexa.face_normals[f])
+            points = points + 10 * CLASSIFY_RTOL * hexa.diameter * normal
+        return points
+
+    monkeypatch.setattr(sampling, "face_points_hex", moved)
+    assert main(["check", "--geometry", "conv-hex", "--samples", "50"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL evaluates: worst=4.000e+00 tol=5.0e-01 (4 exterior)" in lines
+    facet = [line for line in lines if " facet " in line]
+    assert len(facet) == 2 and all(line.startswith("PASS ") for line in facet)
+    assert lines[-1] == "1 of 9 properties failed"

@@ -10,12 +10,14 @@ import pytest
 from momentcoords import cli, sampling, smallsolve
 from momentcoords.cli import main
 from momentcoords.geometry import (
+    LOC_FACET,
+    LOC_VERTEX,
     OVERFLOW_MESSAGE,
     REFERENCE_CUBE,
     UNDERFLOW_MESSAGE,
     Hexahedron,
     Quadrilateral,
-    classify_points_quad,
+    _locate_quad,
 )
 from momentcoords.shapes import convex_hex, convex_quad, nonconvex_quad
 
@@ -583,8 +585,8 @@ class TestGrid:
         assert code == 0
         rows = [row.split(",") for row in out_path.read_text().splitlines()[1:]]
         blank = np.array([[float(r[0]), float(r[1])] for r in rows if r[2] == ""])
-        kinds = classify_points_quad(convex_quad(), blank)[0]
-        assert len(blank) > 0 and set(kinds.tolist()) == {"on_edge", "at_vertex"}
+        codes = _locate_quad(convex_quad(), *blank.T)[0]
+        assert len(blank) > 0 and set(codes.tolist()) == {LOC_FACET, LOC_VERTEX}
         assert err == f"warning: {len(blank)} grid points failed to evaluate ({len(blank)} boundary)\n"
 
     def test_failed_closed_form_gradient_named(self, capsys, tmp_path, monkeypatch):

@@ -28,7 +28,7 @@ from momentcoords.geometry import (
     LOC_INTERIOR,
     LOC_VERTEX,
     Quadrilateral,
-    classify_points_quad,
+    _locate_quad,
 )
 
 _NEXT = [1, 2, 3, 0]
@@ -159,8 +159,8 @@ def test_grid_gradients_reproduce_linear_fields(capsys, tmp_path, geometry, meth
     rows = _grid(capsys, tmp_path, geometry, method, 41)
     assert all("" not in row for row in rows)
     data = np.array(rows, dtype=float)
-    kinds = set(classify_points_quad(quad, data[:, :2])[0].tolist())
-    assert {"interior", "on_edge", "at_vertex"} <= kinds
+    codes = set(_locate_quad(quad, *data[:, :2].T)[0].tolist())
+    assert {LOC_INTERIOR, LOC_FACET, LOC_VERTEX} <= codes
     grad = data[:, 6:].reshape(-1, 4, 2)
     v = quad.vertices - quad.vertices.mean(axis=0)
     assert np.abs(grad.sum(axis=1)).max() <= 1e-12
