@@ -11,12 +11,25 @@ Wachspress coordinates) evaluate their samples, vertices, edge points and
 five covariance images as one element stack (geometry.QuadStack), each
 oracle its samples; a hexahedron's samples, vertices, edge and face points
 are one call, and the induced face quadrilaterals of the facet reduction
-one stack, each holding its face point.  A row that a batch fails is left
-out of every other property and counted, under its geometry.BatchInfo
-cause, in the evaluates property, which any failed row fails; so no
-evaluation raises out of a suite.  A face point is judged by the facet
-properties where its batch located it on its own face.  A comparison that
-judged no row reads NaN, and fails.
+one stack, built from their corners (QuadStack.from_corners), each
+holding its face point.
+
+Which calls locate their points: each quadrilateral family's call (on
+its own stack, so moment and Wachspress coordinates each locate the
+samples), the hexahedral call, the facet reduction's call on its stack,
+and an interval's two calls.  Which reuse a location: the quadrilateral
+oracles run through their located cores (coords2d._mvc_oracle_core and
+its twins) at the location, BatchInfo's code and index, that their
+family's call returned for the samples, and the facet properties read
+the hexahedral call's location of its face points.
+
+A row that a batch fails is left out of every other property and
+counted, under its geometry.BatchInfo cause, in the evaluates property,
+which any failed row fails; so no evaluation raises out of a suite.  A
+face point is judged by the facet properties where its batch located it
+on its own face, and their lines note how many of the drawn face points
+they judged when that is fewer.  A comparison that judged no row reads
+NaN, and fails.
 The suites record the worst of the per-row axiom errors (_axiom_errors),
 and row_ok, grid's and eval's write-time check, holds each row to them.
 Those errors are taken over the weight columns, not the rows: numpy's
@@ -69,12 +82,13 @@ class _Accumulator:
         self.results: dict[str, PropertyResult] = {}
         self.failed = np.zeros(len(geometry.CAUSES), dtype=int)
 
-    def record(self, name: str, value: float, tol: float):
+    def record(self, name: str, value: float, tol: float, note: str = ""):
         """Keep the worst value recorded under name; a NaN value (no row
-        judged) is kept only until a record judges a row."""
+        judged) is kept only until a record judges a row.  note is the
+        first record's."""
         prev = self.results.get(name)
         if prev is None:
-            self.results[name] = PropertyResult(name, float(value), tol)
+            self.results[name] = PropertyResult(name, float(value), tol, note)
         elif value > prev.worst or math.isnan(prev.worst):
             prev.worst = float(value)
 
@@ -160,6 +174,12 @@ def _axioms(acc, prefix, weights, vertices, points, diameter, ok):
     acc.record(f"{prefix}linear precision", precision / diameter, PRECISION_RTOL)
 
 
+def _judged(judged: int, drawn: int) -> str:
+    """The note of a property that judged fewer of its drawn points than
+    were drawn; none when it judged them all."""
+    return f"judged {judged} of {drawn} face points" if judged < drawn else ""
+
+
 def _worst_gap(a, b, ok) -> float:
     """Largest |a - b| over the rows (m, n) where ok (m,) is set; NaN for
     none, which fails the comparison."""
@@ -168,15 +188,17 @@ def _worst_gap(a, b, ok) -> float:
     return float(np.abs(a - b).max(initial=0.0, where=ok[:, None]))
 
 
-def _chunked(many, geom, points, **kwargs):
-    """many(geom, points, **kwargs) with its BatchInfo replaced by its
-    location codes, indices and cause codes, run geometry.BATCH_CHUNK points
-    at a time (and a QuadStack's rows with them)."""
+def _chunked(many, geom, points, *located, **kwargs):
+    """many(geom, points, *located, **kwargs) with its BatchInfo replaced by
+    its location codes, indices and cause codes, run geometry.BATCH_CHUNK
+    points at a time (and a QuadStack's rows, and the arrays (m,) of
+    located, with them)."""
     chunk = geometry.BATCH_CHUNK
     parts = []
     for start in range(0, max(len(points), 1), chunk):
-        part = geom.take(slice(start, start + chunk)) if isinstance(geom, QuadStack) else geom
-        *arrays, info = many(part, points[start : start + chunk], **kwargs)
+        rows = slice(start, start + chunk)
+        part = geom.take(rows) if isinstance(geom, QuadStack) else geom
+        *arrays, info = many(part, points[rows], *(a[rows] for a in located), **kwargs)
         parts.append((*arrays, info.code, info.index, info.cause))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
@@ -188,9 +210,10 @@ class _Segment(NamedTuple):
     points: np.ndarray
 
 
-def _evaluate_segments(acc, many, segments, **kwargs):
+def _evaluate_segments(acc, many, segments, *located, **kwargs):
     """The part of the batch tuple (weights (m, n), ok (m,), ..., code,
-    index, cause (m,)) of many on each of segments; kwargs go to the batch.
+    index, cause (m,)) of many on each of segments; located (arrays over
+    the segments' points) and kwargs go to the batch.
 
     many runs as one batch call over the segments: on their geometry when
     they share one, else on the QuadStack of their quadrilaterals, one
@@ -202,7 +225,8 @@ def _evaluate_segments(acc, many, segments, **kwargs):
     if any(seg.geom is not geom for seg in segments):
         element = np.repeat(np.arange(len(sizes)), sizes)
         geom = QuadStack([seg.geom for seg in segments], element)
-    result = _chunked(many, geom, np.concatenate([seg.points for seg in segments]), **kwargs)
+    points = np.concatenate([seg.points for seg in segments])
+    result = _chunked(many, geom, points, *located, **kwargs)
     acc.count(result[-1])
     starts = np.cumsum([0] + sizes).tolist()
     return [tuple(a[lo:hi] for a in result) for lo, hi in zip(starts, starts[1:])]
@@ -233,8 +257,8 @@ def _affine_map(rng):
 
 class _QuadCoords(NamedTuple):
     """Quadrilateral coordinates as the suite checks them: their batch
-    function, the oracles' batch functions they are compared with on the
-    samples, by name, and their covariance property and map."""
+    function, the located cores of the oracle batches they are compared
+    with on the samples, by name, and their covariance property and map."""
 
     name: str
     many: object
@@ -258,20 +282,21 @@ def quad_suite(quad: Quadrilateral, samples: int, seed: int):
     # Covariance under similarity maps holds for both coordinates; Wachspress
     # is additionally covariant under general affine maps (moment/mean value
     # coordinates are distance based and are not).
-    oracles = [("mean-value", coords2d.mvc_oracle_many)]
+    oracles = [("mean-value", coords2d._mvc_oracle_core)]
     if coords2d.cramer_defect(quad) is None:
-        oracles.append(("cramer", coords2d.cramer_coords_quad_many))
+        oracles.append(("cramer", coords2d._cramer_coords_quad_core))
     moment = coords2d.moment_coords_quad_many
     families = [_QuadCoords("moment", moment, oracles, "similarity", _similarity_map)]
     if quad.is_convex:
         wachspress = coords2d.wachspress_coords_quad_many
-        area = [("area", coords2d.wachspress_oracle_many)]
+        area = [("area", coords2d._wachspress_oracle_core)]
         families.append(_QuadCoords("wachspress", wachspress, area, "affine", _affine_map))
 
     # Drawn in this order: the samples, the edge parameters ts (moment, then
     # Wachspress), then five covariance maps each (in the same order).  Each
     # group, the samples, vertices, edge points and covariance images of the
-    # first samples, is one stacked call; each oracle runs on the samples.
+    # first samples, is one stacked call; each oracle runs on the samples,
+    # where that call located them.
     sample = _Segment(quad, pts)
     ts = [rng.uniform(0.05, 0.95, (4, 8)) for _ in families]
     groups = []
@@ -288,10 +313,10 @@ def quad_suite(quad: Quadrilateral, samples: int, seed: int):
 
     evaluated = []
     for fam, group in zip(families, groups):
-        (phi, ok, *_), *parts = _evaluate_segments(acc, fam.many, group)
+        (phi, ok, code, index, _), *parts = _evaluate_segments(acc, fam.many, group)
         _axioms(acc, f"{fam.name} ", phi, v, pts, d, ok)
-        for oracle, many in fam.oracles:
-            [(ref, ref_ok, *_)] = _evaluate_segments(acc, many, [sample])
+        for oracle, core in fam.oracles:
+            [(ref, ref_ok, *_)] = _evaluate_segments(acc, core, [sample], code, index)
             gap = _worst_gap(phi, ref, ok & ref_ok)
             acc.record(f"{fam.name} vs {oracle} oracle", gap, ORACLE_TOL)
         evaluated.append((phi, ok, parts))
@@ -343,14 +368,11 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int):
     if len(face):
         # The facet reduction: each face point's weights on its face against
         # the 2D moment coordinates of the origin on its induced face
-        # quadrilateral, all of them one stack.
-        origin = np.zeros((1, 2))
-        induced = [
-            _Segment(coords3d._induced_face_quad(f, fw[s]), origin)
-            for s, f in enumerate(face.tolist())
-        ]
-        parts = _evaluate_segments(acc, coords2d.moment_coords_quad_many, induced)
-        psi, psi_ok, *_ = (np.concatenate(a) for a in zip(*parts))
+        # quadrilateral, all of them one stack built from their corners.
+        induced = QuadStack.from_corners(coords3d._induced_corners(face, fw))
+        many = coords2d.moment_coords_quad_many
+        psi, psi_ok, *_, cause = _chunked(many, induced, np.zeros((len(face), 2)))
+        acc.count(cause)
     _axioms(acc, "moment ", phi, v, pts, d, ok)
     if ok.any():
         pattern = coords3d.sign_pattern_ok(w[ok], d)
@@ -360,9 +382,11 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int):
     acc.record("edge reduction", _worst_gap(ephi, expect.reshape(-1, 8), e_ok), FACET_TOL)
     if len(face):
         off = ~geometry.HEX_FACE_VERTICES[face]
-        acc.record("facet off-face weights", float(np.abs(fphi[off]).max()), BOUNDARY_TOL)
+        worst = float(np.abs(fphi[off]).max())
+        acc.record("facet off-face weights", worst, BOUNDARY_TOL, _judged(len(face), len(fpts)))
         on = np.take_along_axis(fphi, np.array(geometry.HEX_FACES)[face], axis=1)
-        acc.record("facet reduction", _worst_gap(on, psi, psi_ok), FACET_TOL)
+        worst = _worst_gap(on, psi, psi_ok)
+        acc.record("facet reduction", worst, FACET_TOL, _judged(int(psi_ok.sum()), len(fpts)))
     return acc.items()
 
 

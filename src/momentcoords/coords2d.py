@@ -54,7 +54,11 @@ the same elementwise code, the closed form once per kernel index among the
 interior rows (QuadStack.kernel_groups), so every row equals its own
 element's batch call bit for bit.  A Quadrilateral is the one-element case,
 one kernel-index group with float tables.  The oracle batches take one
-quadrilateral per call.
+quadrilateral per call.  Each locates its points and hands them, with
+their location, to a located core (_mvc_oracle_core,
+_cramer_coords_quad_core, _wachspress_oracle_core), which the check
+suite calls with the location a batch of the same points already
+returned.
 """
 
 from __future__ import annotations
@@ -408,6 +412,23 @@ def mvc_oracle(quad: Quadrilateral, p) -> np.ndarray:
     return _mean_value(quad, p)
 
 
+def _located(quad: Quadrilateral, points):
+    """(pts, code, index): points (m, 2) as floats and their _locate_quad
+    location, which the oracle batches hand to their cores."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1])
+    return pts, code, index
+
+
+def _mvc_oracle_core(quad: Quadrilateral, pts, code, index):
+    """mvc_oracle_many at the float points pts (m, 2), whose _locate_quad
+    location on quad is given: code and index (m,), as a batch of the same
+    points on quad returned them."""
+    ok = code == LOC_INTERIOR
+    phi = np.where(ok[:, None], _mean_value(quad, pts), np.nan)
+    return phi, ok, BatchInfo.of(code, index, ok, BOUNDARY)
+
+
 def mvc_oracle_many(quad: Quadrilateral, points):
     """mvc_oracle at each row of points (m, 2); returns (phi, ok, info),
     info the BatchInfo of the location it ran (causes exterior and
@@ -417,11 +438,7 @@ def mvc_oracle_many(quad: Quadrilateral, points):
     interior.  Elsewhere phi[s] is bitwise equal to mvc_oracle(quad,
     points[s]).
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1])
-    ok = code == LOC_INTERIOR
-    phi = np.where(ok[:, None], _mean_value(quad, pts), np.nan)
-    return phi, ok, BatchInfo.of(code, index, ok, BOUNDARY)
+    return _mvc_oracle_core(quad, *_located(quad, points))
 
 
 def _area2(ax, ay, bx, by, cx, cy):
@@ -521,6 +538,16 @@ def cramer_coords_quad(quad: Quadrilateral, p) -> np.ndarray:
     return _cramer(quad, x, y)[0]
 
 
+def _cramer_coords_quad_core(quad: Quadrilateral, pts, code, index):
+    """cramer_coords_quad_many at pts located as _mvc_oracle_core's are; the
+    caller has checked cramer_defect."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi, singular = _cramer(quad, *pts.T)
+    ok = (code != LOC_EXTERIOR) & ~singular
+    phi = np.where(ok[:, None], phi, np.nan)
+    return phi, ok, BatchInfo.of(code, index, ok, SINGULAR)
+
+
 def cramer_coords_quad_many(quad: Quadrilateral, points):
     """cramer_coords_quad at each row of points (m, 2); returns (phi, ok,
     info), info the BatchInfo of the location it ran (causes exterior and
@@ -533,13 +560,7 @@ def cramer_coords_quad_many(quad: Quadrilateral, points):
     every point, where cramer_defect names a flat corner.
     """
     require_cramer(quad)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi, singular = _cramer(quad, *pts.T)
-    code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1])
-    ok = (code != LOC_EXTERIOR) & ~singular
-    phi = np.where(ok[:, None], phi, np.nan)
-    return phi, ok, BatchInfo.of(code, index, ok, SINGULAR)
+    return _cramer_coords_quad_core(quad, *_located(quad, points))
 
 
 def _area_quotient(quad: Quadrilateral, p):
@@ -578,6 +599,16 @@ def wachspress_oracle(quad: Quadrilateral, p) -> np.ndarray:
     return w
 
 
+def _wachspress_oracle_core(quad: Quadrilateral, pts, code, index):
+    """wachspress_oracle_many at pts located as _mvc_oracle_core's are; the
+    caller has checked that quad is convex."""
+    w, vanishes = _area_quotient(quad, pts)
+    interior = code == LOC_INTERIOR
+    ok = interior & ~vanishes
+    phi = np.where(ok[:, None], w, np.nan)
+    return phi, ok, BatchInfo.of(code, index, ok, np.where(interior, SINGULAR, BOUNDARY))
+
+
 def wachspress_oracle_many(quad: Quadrilateral, points):
     """wachspress_oracle at each row of points (m, 2); returns (phi, ok,
     info), info the BatchInfo of the location it ran (causes exterior,
@@ -590,10 +621,4 @@ def wachspress_oracle_many(quad: Quadrilateral, points):
     phi[s] is bitwise equal to wachspress_oracle(quad, points[s]).
     """
     require_convex(quad)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    w, vanishes = _area_quotient(quad, pts)
-    code, index, _, _ = _locate_quad(quad, pts[:, 0], pts[:, 1])
-    interior = code == LOC_INTERIOR
-    ok = interior & ~vanishes
-    phi = np.where(ok[:, None], w, np.nan)
-    return phi, ok, BatchInfo.of(code, index, ok, np.where(interior, SINGULAR, BOUNDARY))
+    return _wachspress_oracle_core(quad, *_located(quad, points))

@@ -53,7 +53,6 @@ from .errors import FrameNotFound, OutsideDomain
 from .geometry import (
     FRAME,
     HEX_FACE_VERTICES,
-    HEX_FACES,
     HEX_OPPOSITE_PAIRS,
     LOC_EXTERIOR,
     LOC_FACET,
@@ -62,6 +61,7 @@ from .geometry import (
     REFERENCE_CUBE,
     RESIDUAL,
     SINGULAR,
+    _HEX_FACE_INDEX,
     BatchInfo,
     Hexahedron,
     Quadrilateral,
@@ -106,6 +106,10 @@ _VERTEX_FACES = tuple(tuple(np.flatnonzero(col).tolist()) for col in HEX_FACE_VE
 
 # Right-hand side of the system: only the partition-of-unity row is 1.
 _RHS = [1.0] + [0.0] * 7
+
+# The frame-coordinate rows that parameterize face f: the two that do not
+# belong to its opposite-face pair.
+_FACE_ROWS = np.array([[r for r in range(3) if r != f // 2] for f in range(6)])
 
 
 def _dot3(a, b):
@@ -324,6 +328,24 @@ def reference_frame(hexa: Hexahedron, p, faces=()) -> Frame3:
     return Frame3(basis, rows, p, det)
 
 
+def _induced_corners(face, w):
+    """The corners of the induced face quadrilateral (_induced_face_quad):
+    (4, 2) for a face f (an int) and frame coordinates w (3, 8), or (k, 4,
+    2) for faces (k,) and w (k, 3, 8), one face and point per row.
+
+    Each row takes the frame-coordinate rows of the two pairs other than
+    its face's (_FACE_ROWS) at the face's vertices in cyclic order, and
+    negates the second coordinate where the corners run clockwise
+    (_quad_area on the same floats, elementwise for a stack), so every
+    induced quadrilateral keeps the face's vertex order.
+    """
+    rows = np.take_along_axis(w, _FACE_ROWS[face][..., :, None], axis=-2)
+    xy = np.take_along_axis(rows, _HEX_FACE_INDEX[face][..., None, :], axis=-1)
+    x, y = xy[..., 0, :], xy[..., 1, :]
+    area = _quad_area(list(zip(x.T, y.T)))
+    return np.stack([x, np.where(np.asarray(area < 0)[..., None], -y, y)], axis=-1)
+
+
 def _induced_face_quad(f: int, w) -> Quadrilateral:
     """Face f as a 2D quadrilateral in the frame coordinates w (3, 8) of
     the vertices (frame.coords(hexa.vertices), or a row of
@@ -334,13 +356,10 @@ def _induced_face_quad(f: int, w) -> Quadrilateral:
     on the face (the frame pins that functional to the face normal); the
     other two rows parameterize it.  The vertex order matches the face
     connectivity, with the query point at the origin.  Used to state the
-    facet-reduction property.
+    facet-reduction property; geometry.QuadStack.from_corners of
+    _induced_corners builds many at once, row for row the same.
     """
-    keep = [r for r in range(3) if r != f // 2]
-    verts2d = w[keep][:, list(HEX_FACES[f])].T.copy()
-    if _quad_area(verts2d.tolist()) < 0:
-        verts2d[:, 1] = -verts2d[:, 1]
-    return Quadrilateral(verts2d)
+    return Quadrilateral(_induced_corners(f, w))
 
 
 def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):

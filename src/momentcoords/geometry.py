@@ -15,7 +15,9 @@ straight-line float arithmetic (_check_quad, the reproducing kernel,
 _face_is_simple, the tables of _check_hex, pair_lines): each quantity
 spelled out once, in the order of its formula, with no dict, closure or
 generator around it, because a mesh builds many elements and evaluates
-each at a few points.
+each at a few points.  A quadrilateral's validation and tables
+(_check_quad, _edge_rows, _reproducing_kernel) take (k,) arrays as well,
+elementwise in the same order, for QuadStack.from_corners.
 
 The hexahedral conventions live here: REFERENCE_CUBE, the one table of
 the reference cube's vertices, and HEX_FACES, the faces' cyclic vertex
@@ -34,8 +36,8 @@ the package and the quadrilateral sampler call a locator directly and
 compare its codes; the kind names (QUAD_KINDS, HEX_KINDS) and PointLocation
 are built only in the single-point classifiers (classify_point_quad,
 face_of_point_hex, faces_containing), for callers outside the package.
-A QuadStack holds many quadrilaterals for one batch call, each row with a
-copy of its own element's tables as arrays in place of floats, so that
+A QuadStack holds many quadrilaterals for one batch call, each row with
+its own element's tables as arrays in place of floats, so that
 _locate_quad (with each row's own tolerance) and the closed form of
 coords2d run on it unchanged.  Every batch evaluator returns the location
 it computed as a BatchInfo of codes, with a cause code per row, last in its
@@ -152,16 +154,31 @@ def signed_area(a, b, c) -> float:
     return 0.5 * float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
-def _on_segment(a, b, c) -> bool:
+def _on_segment(a, b, c):
     """True if collinear point c lies within the bounding box of segment ab
-    (points in the plane or in space)."""
-    return all(min(p, q) <= r <= max(p, q) for p, q, r in zip(a, b, c))
+    (points in the plane or in space): a bool for float coordinates, a bool
+    array for (k,) arrays, elementwise."""
+    if isinstance(c[0], float):
+        return all(min(p, q) <= r <= max(p, q) for p, q, r in zip(a, b, c))
+    inside = [(np.minimum(p, q) <= r) & (r <= np.maximum(p, q)) for p, q, r in zip(a, b, c)]
+    return reduce(np.logical_and, inside)
 
 
-def _crossing(d1, d2, d3, d4, p1, p2, q1, q2) -> bool:
+def _crossing(d1, d2, d3, d4, p1, p2, q1, q2):
     """True if segments p1p2 and q1q2 cross, touch, or overlap, given their
     orientations d1 = [q1 q2 p1], d2 = [q1 q2 p2], d3 = [p1 p2 q1] and
-    d4 = [p1 p2 q2] (twice signed triangle areas, all taken in one sense)."""
+    d4 = [p1 p2 q2] (twice signed triangle areas, all taken in one sense).
+
+    Takes floats, or (k,) arrays for a stack of segment pairs, which get the
+    same tests elementwise (every test taken, none short-circuited)."""
+    if not isinstance(d1, float):
+        return (
+            ((d1 * d2 < 0) & (d3 * d4 < 0))
+            | ((d1 == 0) & _on_segment(q1, q2, p1))
+            | ((d2 == 0) & _on_segment(q1, q2, p2))
+            | ((d3 == 0) & _on_segment(p1, p2, q1))
+            | ((d4 == 0) & _on_segment(p1, p2, q2))
+        )
     if d1 * d2 < 0 and d3 * d4 < 0:
         return True
     if d1 == 0 and _on_segment(q1, q2, p1):
@@ -180,11 +197,14 @@ def _crossing(d1, d2, d3, d4, p1, p2, q1, q2) -> bool:
 _QUAD_PAIRS = tuple(combinations(range(4), 2))
 
 
-def _unit_scale(length: float) -> float:
+def _unit_scale(length):
     """1 / L for L the power of two with length < L <= 2 * length, or 2**1023
-    for a subnormal length.  Multiplying by it is exact, so offsets taken in
-    units of L keep their bits and no product of them overflows."""
-    return math.ldexp(1.0, min(-math.frexp(length)[1], 1023))
+    for a subnormal length; a float, or an array for lengths (k,).
+    Multiplying by it is exact, so offsets taken in units of L keep their
+    bits and no product of them overflows."""
+    if isinstance(length, float):
+        return math.ldexp(1.0, min(-math.frexp(length)[1], 1023))
+    return np.ldexp(1.0, np.minimum(-np.frexp(length)[1], 1023))
 
 
 def _quad_area(c) -> float:
@@ -198,7 +218,7 @@ def _quad_area(c) -> float:
     )
 
 
-def _check_quad(v):
+def _check_quad(v, stack=False):
     """(violations, corners, diameter, area) of a float vertex array, checked
     in one pass on Python floats: corners are its rows as float pairs, and
     corners, diameter and area are None where it stopped before them.
@@ -207,40 +227,53 @@ def _check_quad(v):
     order, then per pair of opposite edges (0 and 2, 1 and 3) the four
     orientations d1 = [q1 q2 p1], d2 = [q1 q2 p2], d3 = [p1 p2 q1] and
     d4 = [p1 p2 q2] of edge p1p2 against edge q1q2, each (b - a) x (c - a)
-    for [a b c]."""
-    if v.shape != (4, 2):
-        return [f"expected 4 vertices with 2 coordinates, got shape {v.shape}"], None, None, None
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = v.tolist()
-    if not all(map(math.isfinite, (x0, y0, x1, y1, x2, y2, x3, y3))):
-        return ["vertex coordinates must be finite"], None, None, None
+    for [a b c].
+
+    With stack set, v is a stack of quadrilaterals (k, 4, 2), and the same
+    tests run on (k,) arrays to the end (the caller silences numpy's
+    warnings): in place of the violations it returns the rows (k,) that
+    have any, and corners (pairs of arrays), diameter and area are
+    meaningful on the others.  A row fails exactly where the float pass
+    on it finds violations, so quad_violations of the row names them.
+    """
+    one = not stack
+    if one:
+        if v.shape != (4, 2):
+            shape = f"expected 4 vertices with 2 coordinates, got shape {v.shape}"
+            return [shape], None, None, None
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = v.tolist()
+        if not all(map(math.isfinite, (x0, y0, x1, y1, x2, y2, x3, y3))):
+            return ["vertex coordinates must be finite"], None, None, None
+    else:
+        x0, y0, x1, y1, x2, y2, x3, y3 = v.reshape(-1, 8).T
+    sqrt = math.sqrt if one else np.sqrt
     dx, dy = x0 - x1, y0 - y1
-    d01 = math.sqrt(dx * dx + dy * dy)
+    d01 = sqrt(dx * dx + dy * dy)
     dx, dy = x0 - x2, y0 - y2
-    d02 = math.sqrt(dx * dx + dy * dy)
+    d02 = sqrt(dx * dx + dy * dy)
     dx, dy = x0 - x3, y0 - y3
-    d03 = math.sqrt(dx * dx + dy * dy)
+    d03 = sqrt(dx * dx + dy * dy)
     dx, dy = x1 - x2, y1 - y2
-    d12 = math.sqrt(dx * dx + dy * dy)
+    d12 = sqrt(dx * dx + dy * dy)
     dx, dy = x1 - x3, y1 - y3
-    d13 = math.sqrt(dx * dx + dy * dy)
+    d13 = sqrt(dx * dx + dy * dy)
     dx, dy = x2 - x3, y2 - y3
-    d23 = math.sqrt(dx * dx + dy * dy)
-    diam = max(d01, d02, d03, d12, d13, d23)
-    if not math.isfinite(diam):
-        return [OVERFLOW_MESSAGE], None, None, None
-    if diam == 0.0:
-        equal = len({(x0, y0), (x1, y1), (x2, y2), (x3, y3)}) == 1
-        return ["all vertices coincide" if equal else UNDERFLOW_MESSAGE], None, None, None
-    close = MIN_EDGE_LENGTH * max(diam, 1.0)
-    out = [
-        f"vertices {i} and {j} coincide"
-        for (i, j), d in zip(_QUAD_PAIRS, (d01, d02, d03, d12, d13, d23))
-        if d <= close
-    ]
+    d23 = sqrt(dx * dx + dy * dy)
+    if one:
+        diam = max(d01, d02, d03, d12, d13, d23)
+        if not math.isfinite(diam):
+            return [OVERFLOW_MESSAGE], None, None, None
+        if diam == 0.0:
+            equal = len({(x0, y0), (x1, y1), (x2, y2), (x3, y3)}) == 1
+            return ["all vertices coincide" if equal else UNDERFLOW_MESSAGE], None, None, None
+        close = MIN_EDGE_LENGTH * max(diam, 1.0)
+    else:
+        diam = reduce(np.maximum, (d01, d02, d03, d12, d13, d23))
+        close = MIN_EDGE_LENGTH * np.maximum(diam, 1.0)
+    coincide = (d01 <= close, d02 <= close, d03 <= close, d12 <= close, d13 <= close, d23 <= close)
     c = [(x0, y0), (x1, y1), (x2, y2), (x3, y3)]
     area = _quad_area(c)
-    if abs(area) <= 1e-12 * diam**2:
-        out.append("vertices are collinear (zero total area)")
+    collinear = abs(area) <= 1e-12 * (diam * diam)
     # Simplicity: the two pairs of opposite edges must not cross or touch.
     # Edges 0 and 2: p1p2 = v0 v1, q1q2 = v2 v3.
     ex, ey, fx, fy = x3 - x2, y3 - y2, x1 - x0, y1 - y0
@@ -248,15 +281,24 @@ def _check_quad(v):
     d2 = ex * (y1 - y2) - ey * (x1 - x2)
     d3 = fx * (y2 - y0) - fy * (x2 - x0)
     d4 = fx * (y3 - y0) - fy * (x3 - x0)
-    if _crossing(d1, d2, d3, d4, c[0], c[1], c[2], c[3]):
-        out.append("edges 0 and 2 intersect (polygon is not simple)")
+    cross02 = _crossing(d1, d2, d3, d4, c[0], c[1], c[2], c[3])
     # Edges 1 and 3: p1p2 = v1 v2, q1q2 = v3 v0.
     ex, ey, fx, fy = x0 - x3, y0 - y3, x2 - x1, y2 - y1
     d1 = ex * (y1 - y3) - ey * (x1 - x3)
     d2 = ex * (y2 - y3) - ey * (x2 - x3)
     d3 = fx * (y3 - y1) - fy * (x3 - x1)
     d4 = fx * (y0 - y1) - fy * (x0 - x1)
-    if _crossing(d1, d2, d3, d4, c[1], c[2], c[3], c[0]):
+    cross13 = _crossing(d1, d2, d3, d4, c[1], c[2], c[3], c[0])
+    if not one:
+        failed = ~np.isfinite(v).all(axis=(1, 2)) | ~np.isfinite(diam) | (diam == 0.0)
+        failed = reduce(np.logical_or, coincide, failed | collinear | cross02 | cross13)
+        return failed, c, diam, area
+    out = [f"vertices {i} and {j} coincide" for (i, j), hit in zip(_QUAD_PAIRS, coincide) if hit]
+    if collinear:
+        out.append("vertices are collinear (zero total area)")
+    if cross02:
+        out.append("edges 0 and 2 intersect (polygon is not simple)")
+    if cross13:
         out.append("edges 1 and 3 intersect (polygon is not simple)")
     return out, c, diam, area
 
@@ -296,64 +338,24 @@ class Quadrilateral:
 
     @cached_property
     def edge_rows(self) -> tuple:
-        """Per edge i, (ax, ay, by, ex, ey, |e|**2) as floats: vertex i,
-        the y of vertex i + 1 and e = vertex i + 1 - vertex i."""
-        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = self.corner_tuple
-        ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x1, y2 - y1
-        cx, cy, dx, dy = x3 - x2, y3 - y2, x0 - x3, y0 - y3
-        return (
-            (x0, y0, y1, ax, ay, ax * ax + ay * ay),
-            (x1, y1, y2, bx, by, bx * bx + by * by),
-            (x2, y2, y3, cx, cy, cx * cx + cy * cy),
-            (x3, y3, y0, dx, dy, dx * dx + dy * dy),
-        )
+        """Per edge i, (ax, ay, by, ex, ey, |e|**2) as floats (_edge_rows)."""
+        return _edge_rows(self.corner_tuple)
 
     @cached_property
     def reproducing_kernel(self) -> tuple:
         """(nu, k, area2, scale), plain floats, for the closed-form
-        coordinates.
-
-        scale is 1 / L for L the power of two next to the diameter
-        (_unit_scale).  nu spans the kernel of the constant and linear
-        reproducing rows: nu_i is (-1)**i times twice the signed area of the
-        corner triangle that leaves vertex i out (the other three in
-        increasing order), in units of L**2.  k is the first
-        index of the largest |nu_i|, and area2 = (-1)**k * nu_k is that
-        triangle's twice signed area.  A simple quadrilateral has an
-        interior diagonal, which splits it into two corner triangles, so
-        triangle k holds at least half the area and is never flat.
-        """
-        s = _unit_scale(self.diameter)
-        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = self.corner_tuple
-        # Twice the signed areas of the corner triangles (1, 2, 3), (0, 2, 3),
-        # (0, 1, 3) and (0, 1, 2), in units of L**2.
-        t0 = ((x2 - x1) * s) * ((y3 - y1) * s) - ((y2 - y1) * s) * ((x3 - x1) * s)
-        t1 = ((x2 - x0) * s) * ((y3 - y0) * s) - ((y2 - y0) * s) * ((x3 - x0) * s)
-        t2 = ((x1 - x0) * s) * ((y3 - y0) * s) - ((y1 - y0) * s) * ((x3 - x0) * s)
-        t3 = ((x1 - x0) * s) * ((y2 - y0) * s) - ((y1 - y0) * s) * ((x2 - x0) * s)
-        # The first largest |nu_i|: a later one replaces it only if larger.
-        k, area2, best = 0, t0, abs(t0)
-        if abs(t1) > best:
-            k, area2, best = 1, t1, abs(t1)
-        if abs(t2) > best:
-            k, area2, best = 2, t2, abs(t2)
-        if abs(t3) > best:
-            k, area2 = 3, t3
-        return (t0, -t1, t2, -t3), k, area2, s
+        coordinates (_reproducing_kernel)."""
+        return _reproducing_kernel(self.corner_tuple, self.diameter)
 
     @cached_property
     def _corner_crosses(self) -> tuple:
         """Per corner i + 1, the cross product e_i x e_(i+1) of the edges that
-        meet there, as floats; negative at a reflex corner.  The edges are
-        edge_rows' e_i."""
-        (_, _, _, ax, ay, _), (_, _, _, bx, by, _), (_, _, _, cx, cy, _), (_, _, _, dx, dy, _) = (
-            self.edge_rows
-        )
-        return (ax * by - ay * bx, bx * cy - by * cx, cx * dy - cy * dx, dx * ay - dy * ax)
+        meet there, as floats (_corner_crosses)."""
+        return _corner_crosses(self.edge_rows)
 
     @cached_property
     def is_convex(self) -> bool:
-        return min(self._corner_crosses) >= -1e-12 * self.diameter**2
+        return _convex(self._corner_crosses, self.diameter)
 
     @cached_property
     def inward_bisectors(self) -> tuple:
@@ -381,17 +383,87 @@ class Quadrilateral:
         return f"Quadrilateral({self.vertices.tolist()})"
 
 
-def _quad_tables(quad: Quadrilateral) -> list:
-    """A quadrilateral's evaluator tables as one list of 40 floats, in the
-    order QuadStack unpacks them: edge_rows, corner_tuple,
-    reproducing_kernel (k as a float) and the diameter."""
-    nu, k, area2, s = quad.reproducing_kernel
-    return [*chain(*quad.edge_rows), *chain(*quad.corner_tuple), *nu, k, area2, s, quad.diameter]
+def _edge_rows(corners) -> tuple:
+    """Per edge i, (ax, ay, by, ex, ey, |e|**2): vertex i, the y of vertex
+    i + 1 and e = vertex i + 1 - vertex i, from the corners (float pairs, or
+    pairs of (k,) arrays for a stack)."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = corners
+    ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x1, y2 - y1
+    cx, cy, dx, dy = x3 - x2, y3 - y2, x0 - x3, y0 - y3
+    return (
+        (x0, y0, y1, ax, ay, ax * ax + ay * ay),
+        (x1, y1, y2, bx, by, bx * bx + by * by),
+        (x2, y2, y3, cx, cy, cx * cx + cy * cy),
+        (x3, y3, y0, dx, dy, dx * dx + dy * dy),
+    )
+
+
+def _reproducing_kernel(corners, diameter) -> tuple:
+    """(nu, k, area2, scale) from the corners and the diameter, floats (k an
+    int), or (k,) arrays for a stack (k an int array).
+
+    scale is 1 / L for L the power of two next to the diameter
+    (_unit_scale).  nu spans the kernel of the constant and linear
+    reproducing rows: nu_i is (-1)**i times twice the signed area of the
+    corner triangle that leaves vertex i out (the other three in increasing
+    order), in units of L**2.  k is the first index of the largest |nu_i|,
+    and area2 = (-1)**k * nu_k is that triangle's twice signed area.  A
+    simple quadrilateral has an interior diagonal, which splits it into two
+    corner triangles, so triangle k holds at least half the area and is
+    never flat.
+    """
+    s = _unit_scale(diameter)
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = corners
+    # Twice the signed areas of the corner triangles (1, 2, 3), (0, 2, 3),
+    # (0, 1, 3) and (0, 1, 2), in units of L**2.
+    t0 = ((x2 - x1) * s) * ((y3 - y1) * s) - ((y2 - y1) * s) * ((x3 - x1) * s)
+    t1 = ((x2 - x0) * s) * ((y3 - y0) * s) - ((y2 - y0) * s) * ((x3 - x0) * s)
+    t2 = ((x1 - x0) * s) * ((y3 - y0) * s) - ((y1 - y0) * s) * ((x3 - x0) * s)
+    t3 = ((x1 - x0) * s) * ((y2 - y0) * s) - ((y1 - y0) * s) * ((x2 - x0) * s)
+    if isinstance(t0, float):
+        # The first largest |nu_i|: a later one replaces it only if larger.
+        k, area2, best = 0, t0, abs(t0)
+        if abs(t1) > best:
+            k, area2, best = 1, t1, abs(t1)
+        if abs(t2) > best:
+            k, area2, best = 2, t2, abs(t2)
+        if abs(t3) > best:
+            k, area2 = 3, t3
+    else:
+        # argmax takes the first largest, as the float comparisons do.
+        areas = np.array([t0, t1, t2, t3])
+        k = np.abs(areas).argmax(axis=0)
+        area2 = np.take_along_axis(areas, k[None], axis=0)[0]
+    return (t0, -t1, t2, -t3), k, area2, s
+
+
+def _corner_crosses(edge_rows) -> tuple:
+    """Per corner i + 1, the cross product e_i x e_(i+1) of the edges that
+    meet there, negative at a reflex corner; the edges are edge_rows' e_i
+    (floats, or (k,) arrays for a stack)."""
+    (_, _, _, ax, ay, _), (_, _, _, bx, by, _), (_, _, _, cx, cy, _), (_, _, _, dx, dy, _) = (
+        edge_rows
+    )
+    return (ax * by - ay * bx, bx * cy - by * cx, cx * dy - cy * dx, dx * ay - dy * ax)
+
+
+def _convex(crosses, diameter):
+    """Whether no corner cross is below -1e-12 * diameter**2 (taken as a
+    product): a bool, or a bool array (k,) for a stack."""
+    return _smallest(crosses) >= -1e-12 * (diameter * diameter)
+
+
+def _quad_tables(edge_rows, corners, kernel, diameter) -> list:
+    """A quadrilateral's evaluator tables as one list of 40 entries, in the
+    order QuadStack unpacks them: edge_rows, corners, the reproducing
+    kernel (nu, k, area2, scale) and the diameter; floats for one
+    quadrilateral, (k,) arrays for a stack's rows."""
+    nu, k, area2, s = kernel
+    return [*chain(*edge_rows), *chain(*corners), *nu, k, area2, s, diameter]
 
 
 class QuadStack:
-    """Quadrilaterals stacked row by row for one batch call: row s of the
-    batch belongs to quads[element[s]].
+    """Quadrilaterals stacked row by row for one batch call.
 
     Holds per row a copy of its element's tables, each float of a
     Quadrilateral's an array (m,) here: edge_rows, corner_tuple,
@@ -402,13 +474,52 @@ class QuadStack:
     closed form picks its corner triangle by the kernel index k, an int
     array here; kernel_groups splits rows into stacks of one k each, whose
     k is that int.
+
+    Two constructors, one arithmetic.  QuadStack(quads, element) stacks
+    validated Quadrilaterals, row s on quads[element[s]], and copies each
+    element's float tables.  QuadStack.from_corners(corners) makes each row
+    of a corner stack (k, 4, 2) an element of its own (quads is None
+    there): it validates, orients and tabulates the k rows at once, as
+    (k,) arrays through the functions a Quadrilateral takes its floats
+    from (_check_quad, _edge_rows, _reproducing_kernel), so row s holds the
+    bits of Quadrilateral(corners[s])'s tables.  That is the cheaper build
+    for many elements; a few are cheaper through their Quadrilaterals.
     """
 
     def __init__(self, quads, element):
         self.quads = tuple(quads)
         self.element = np.asarray(element, dtype=np.intp)
-        tables = np.array([_quad_tables(q) for q in self.quads]).reshape(-1, 40)
+        tables = [
+            _quad_tables(q.edge_rows, q.corner_tuple, q.reproducing_kernel, q.diameter)
+            for q in self.quads
+        ]
+        tables = np.array(tables).reshape(-1, 40)
         self._set(np.ascontiguousarray(tables.T[:, self.element]))
+
+    @classmethod
+    def from_corners(cls, corners) -> QuadStack:
+        """The stack of Quadrilateral(corners[s]) for each row s of corners
+        (k, 4, 2), without building them.  Raises InvalidGeometry, with
+        quad_violations of the first row that has any, where
+        Quadrilateral(corners[s]) would raise for some row."""
+        v = np.asarray(corners, dtype=float)
+        if v.ndim != 3 or v.shape[1:] != (4, 2):
+            raise InvalidGeometry([f"expected a stack of 4 x 2 vertex arrays, got shape {v.shape}"])
+        with np.errstate(all="ignore"):
+            failed, c, diameter, area = _check_quad(v, stack=True)
+        if failed.any():
+            raise InvalidGeometry(quad_violations(v[failed.argmax()]))
+        # A clockwise row is reversed, keeping vertex 0 first, as
+        # Quadrilateral reverses it: corners 1 and 3 trade places.
+        cw = area < 0.0
+        (x1, y1), (x3, y3) = c[1], c[3]
+        c[1] = np.where(cw, x3, x1), np.where(cw, y3, y1)
+        c[3] = np.where(cw, x1, x3), np.where(cw, y1, y3)
+        kernel = _reproducing_kernel(c, diameter)
+        out = cls.__new__(cls)
+        out.quads, out.element = None, np.arange(len(v))
+        out._set(np.array(_quad_tables(_edge_rows(c), c, kernel, diameter)))
+        return out
 
     def _set(self, table, k=None):
         """Unpack table (40, m), one column per row; k is the kernel index
@@ -439,8 +550,9 @@ class QuadStack:
 
     @property
     def is_convex(self) -> bool:
-        """Whether every element is convex."""
-        return all(q.is_convex for q in self.quads)
+        """Whether the element of every row is convex, by the test of
+        Quadrilateral.is_convex on the rows' tables."""
+        return bool(np.all(_convex(_corner_crosses(self.edge_rows), self.diameter)))
 
 
 def _smallest(values):

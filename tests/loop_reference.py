@@ -68,7 +68,7 @@ def check_quad(v):
     close = MIN_EDGE_LENGTH * max(diam, 1.0)
     out = [f"vertices {i} and {j} coincide" for (i, j), d in dist.items() if d <= close]
     area = _quad_area(c)
-    if abs(area) <= 1e-12 * diam**2:
+    if abs(area) <= 1e-12 * (diam * diam):
         out.append("vertices are collinear (zero total area)")
     for i, j in ((0, 2), (1, 3)):
         if segments_intersect(c[i], c[(i + 1) % 4], c[j], c[(j + 1) % 4]):

@@ -289,6 +289,29 @@ def test_oracle_many_bitwise_equal_to_single_point(name):
     _assert_oracles_equal(quad, points)
 
 
+@pytest.mark.parametrize("name", sorted(QUADS))
+def test_located_oracle_cores_equal_their_batches(name):
+    # check hands each oracle's core the location its family batch computed
+    # for the samples; given _locate_quad's codes, the core returns the
+    # public batch's (phi, ok, info), bit for bit, on every kind of row.
+    quad = QUADS[name]
+    points = np.vstack([_test_points(quad), quad.vertices])
+    code, index, _, _ = _locate_quad(quad, *points.T)
+    assert {LOC_INTERIOR, LOC_EXTERIOR, LOC_FACET, LOC_VERTEX} <= set(code.tolist())
+    cores = [(mvc_oracle_many, coords2d._mvc_oracle_core)]
+    if coords2d.cramer_defect(quad) is None:
+        cores.append((cramer_coords_quad_many, coords2d._cramer_coords_quad_core))
+    if quad.is_convex:
+        cores.append((wachspress_oracle_many, coords2d._wachspress_oracle_core))
+    for many, core in cores:
+        phi, ok, info = core(quad, points, code, index)
+        ref_phi, ref_ok, ref_info = many(quad, points)
+        assert phi.tobytes() == ref_phi.tobytes(), many.__name__
+        assert np.array_equal(ok, ref_ok), many.__name__
+        for field in ("code", "index", "cause"):
+            assert np.array_equal(getattr(info, field), getattr(ref_info, field)), field
+
+
 def test_oracle_many_ok_mask():
     quad = QUADS["convex"]
     points = np.array([[0.3, 1.0], [0.5, 0.0], [0.0, 0.0], [5.0, 5.0]])

@@ -32,6 +32,7 @@ from momentcoords.geometry import (
     CLASSIFY_RTOL,
     HEX_EDGES,
     HEX_FACES,
+    Hexahedron,
     NodeSet1D,
     Quadrilateral,
     QuadStack,
@@ -464,15 +465,18 @@ def test_check_prints_zero_not_negative_zero(capsys, tmp_path, seed):
     "make",
     [
         shapes.convex_quad,
+        shapes.nonconvex_quad,
+        shapes.biunit_square,
         shapes.convex_hex,
         lambda: NodeSet1D([0.0, 0.13, 0.4, 0.55, 0.9, 1.0, 1.7]),
     ],
-    ids=["conv-quad", "conv-hex", "interval-7"],
+    ids=["conv-quad", "nonconv-quad", "biunit-square", "conv-hex", "interval-7"],
 )
 def test_suite_results_independent_of_chunk_size(monkeypatch, make):
     # 50 samples are one chunk at the default BATCH_CHUNK, seven chunks of 7
     # and a last chunk of one, or 50 chunks of one point; the samplers draw
-    # their attempts in chunks of the same size.
+    # their attempts in chunks of the same size.  A quadrilateral's oracles
+    # take the samples' location in the same chunks.
     geom = make()
 
     def results():
@@ -484,24 +488,57 @@ def test_suite_results_independent_of_chunk_size(monkeypatch, make):
         assert results() == default
 
 
+def test_oracle_cores_take_the_location_of_their_chunk(monkeypatch):
+    # quad_suite hands each oracle core the location its family batch
+    # computed; with BATCH_CHUNK below the sample count, every chunk of
+    # samples comes with its own rows of that location.
+    quad = shapes.convex_quad()
+    sizes = []
+    for name in ("_mvc_oracle_core", "_cramer_coords_quad_core", "_wachspress_oracle_core"):
+
+        def core(q, pts, code, index, real=getattr(coords2d, name)):
+            own_code, own_index, _, _ = geometry._locate_quad(q, *pts.T)
+            assert np.array_equal(code, own_code) and np.array_equal(index, own_index)
+            sizes.append(len(pts))
+            return real(q, pts, code, index)
+
+        monkeypatch.setattr(coords2d, name, core)
+    default = [(r.name, r.worst, r.tol) for r in quad_suite(quad, 50, 3)]
+    assert sizes == [50] * 3
+    monkeypatch.setattr(geometry, "BATCH_CHUNK", 7)
+    sizes.clear()
+    assert [(r.name, r.worst, r.tol) for r in quad_suite(quad, 50, 3)] == default
+    assert sizes == ([7] * 7 + [1]) * 3
+
+
 # Forced failures: a batch fails one row, with a cause, and its single-point
 # function raises the matching exception at the same point.  The suite
 # leaves the row out of every other property and counts it under its cause
 # in the evaluates property; its per-point recomputation does the same.
 
 
+# The quadrilateral oracles run in quad_suite through their located cores.
+_ORACLE_CORES = {
+    "mvc_oracle": "_mvc_oracle_core",
+    "cramer_coords_quad": "_cramer_coords_quad_core",
+    "wachspress_oracle": "_wachspress_oracle_core",
+}
+
+
 def _force(monkeypatch, module, name, error, cause, element, point):
-    """Patch module's name_many to fail, with the cause code, every row at
-    point on element (its vertices, or an interval's nodes), and name to
-    raise error there."""
-    real_many, real_single = getattr(module, f"{name}_many"), getattr(module, name)
+    """Patch the batch function the suites call for name (name_many, or an
+    oracle's located core) to fail, with the cause code, every row at point
+    on element (its vertices, or an interval's nodes), and name to raise
+    error there."""
+    batch = _ORACLE_CORES.get(name, f"{name}_many")
+    real_many, real_single = getattr(module, batch), getattr(module, name)
 
     def hit(geom, p):
         own = geom.nodes if isinstance(geom, NodeSet1D) else geom.vertices
         return np.array_equal(own, element) and np.array_equal(p, point)
 
-    def many(geom, points, **kwargs):
-        *out, info = real_many(geom, points, **kwargs)
+    def many(geom, points, *located, **kwargs):
+        *out, info = real_many(geom, points, *located, **kwargs)
         for s, p in enumerate(points):
             own = geom.quads[geom.element[s]] if isinstance(geom, QuadStack) else geom
             if hit(own, p):
@@ -516,7 +553,7 @@ def _force(monkeypatch, module, name, error, cause, element, point):
             raise error("forced")
         return real_single(geom, p, **kwargs)
 
-    monkeypatch.setattr(module, f"{name}_many", many)
+    monkeypatch.setattr(module, batch, many)
     monkeypatch.setattr(module, name, single)
 
 
@@ -681,8 +718,8 @@ def _fail_every_row(monkeypatch, module, names, cause):
     evaluates, with the cause code."""
     for name in names:
 
-        def many(geom, points, real=getattr(module, name), **kwargs):
-            *out, info = real(geom, points, **kwargs)
+        def many(geom, points, *located, real=getattr(module, name), **kwargs):
+            *out, info = real(geom, points, *located, **kwargs)
             out[1][:] = False
             for values in (out[0], *out[2:]):  # the weights, frame coordinates
                 values[:] = np.nan
@@ -692,22 +729,23 @@ def _fail_every_row(monkeypatch, module, names, cause):
         monkeypatch.setattr(module, name, many)
 
 
-# builtin: (module, the batch functions of its suite, the cause, the lines
-# check prints when every row fails).  evaluates counts every row (conv-quad
-# at 30 samples: two families of 30 samples, 4 vertices, 32 edge points and
-# 100 image points, and three oracles of 30; conv-hex: 30 samples, 8
-# vertices, 36 edge points, 24 face points).  The sampled axioms, and on a
-# hexahedron the sign pattern and the facet properties, which have no face
-# point left, are left out; the comparisons over no row read NaN and fail.
+# builtin: (module, the batch functions of its suite, an oracle's by its
+# located core, the cause, the lines check prints when every row fails).
+# evaluates counts every row (conv-quad at 30 samples: two families of 30
+# samples, 4 vertices, 32 edge points and 100 image points, and three
+# oracles of 30; conv-hex: 30 samples, 8 vertices, 36 edge points, 24 face
+# points).  The sampled axioms, and on a hexahedron the sign pattern and
+# the facet properties, which have no face point left, are left out; the
+# comparisons over no row read NaN and fail.
 EVERY_ROW_FAILS = {
     "conv-quad": (
         coords2d,
         [
             "moment_coords_quad_many",
-            "mvc_oracle_many",
-            "cramer_coords_quad_many",
+            "_mvc_oracle_core",
+            "_cramer_coords_quad_core",
             "wachspress_coords_quad_many",
-            "wachspress_oracle_many",
+            "_wachspress_oracle_core",
         ],
         "singular",
         [
@@ -778,3 +816,39 @@ def test_check_counts_face_points_the_batch_locates_outside(monkeypatch, capsys)
     facet = [line for line in lines if " facet " in line]
     assert len(facet) == 2 and all(line.startswith("PASS ") for line in facet)
     assert lines[-1] == "1 of 9 properties failed"
+
+
+def _far_hex():
+    """The small, far hexahedron of the tier-1 workflow, on which some drawn
+    face points are located interior."""
+    hexa = sampling.random_affine_cube_hex(np.random.default_rng(0))
+    return Hexahedron(hexa.vertices * 10**-1.75 + [0, 0, 167410])
+
+
+@pytest.mark.parametrize("samples, seed", [(200, 7), (600, 0)])
+def test_facet_lines_count_the_face_points_they_judge(samples, seed):
+    # A face point the batch fails, or locates elsewhere than on its own
+    # face, is judged by no facet property; both facet lines say how many
+    # of the drawn face points they judged.
+    hexa = _far_hex()
+    rng = np.random.default_rng(seed)
+    sampling.interior_points_hex(hexa, samples, rng)
+    rng.uniform(0.1, 0.9, (len(HEX_EDGES), 3))
+    per_face = max(4, samples // 60)
+    points = np.vstack([sampling.face_points_hex(hexa, f, per_face, rng) for f in range(6)])
+    judged = 0
+    for f, p in zip(np.repeat(np.arange(6), per_face), points):
+        loc = face_of_point_hex(hexa, p)
+        try:
+            coords3d.moment_coords_hex(hexa, p)
+        except MomentCoordsError:
+            continue
+        judged += loc.kind == "on_face" and loc.index == f
+    assert judged < len(points)
+    lines = {r.name: r.line() for r in hex_suite(hexa, samples, seed)}
+    note = f" (judged {judged} of {len(points)} face points)"
+    assert lines["facet off-face weights"].endswith(note)
+    assert lines["facet reduction"].endswith(note)
+    # Where every face point is judged, the lines carry no note.
+    for r in hex_suite(shapes.convex_hex(), samples, seed):
+        assert r.note == "" or r.name == "evaluates"

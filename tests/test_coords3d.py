@@ -11,6 +11,7 @@ from momentcoords.coords3d import (
     _NO_FACE,
     _ZEROED,
     _frame,
+    _induced_corners,
     _induced_face_quad,
     _system,
     moment_coords_hex,
@@ -22,7 +23,11 @@ from momentcoords.errors import FrameNotFound, OutsideDomain, SingularMatrix
 from momentcoords.geometry import (
     HEX_EDGES,
     HEX_FACES,
+    LOC_FACET,
     Hexahedron,
+    QuadStack,
+    _quad_area,
+    _quad_tables,
     face_of_point_hex,
     faces_containing,
 )
@@ -371,3 +376,38 @@ def test_hex_any_scale_evaluates(scale, offset):
     assert phi.min() >= -checks.NONNEG_TOL
     lp = checks.linear_precision_error(phi, hexa.vertices, pts).max()
     assert lp <= checks.PRECISION_RTOL * hexa.diameter
+
+
+def test_induced_corner_stack_matches_the_one_point_form():
+    # The facet reduction builds its induced quadrilaterals as one stack:
+    # each row, reflected where the face runs clockwise in the frame, holds
+    # the corners and the table bits of _induced_face_quad's Quadrilateral,
+    # which the tests take as the reference.
+    rng = np.random.default_rng(40)
+    hexahedra = [shapes.convex_hex(), sampling.random_plane_hex(rng, tilt=0.3)]
+    hexahedra += [sampling.random_affine_cube_hex(rng) for _ in range(2)]
+    reflected = set()
+    for hexa in hexahedra:
+        face = np.repeat(np.arange(6), 6)
+        points = np.vstack([sampling.face_points_hex(hexa, f, 6, rng) for f in range(6)])
+        _, ok, w, info = moment_coords_hex_many(hexa, points, return_frame_coords=True)
+        judged = ok & (info.code == LOC_FACET) & (info.index == face)
+        face, w = face[judged], w[judged]
+        # Every induced face of these runs clockwise; the same rows with the
+        # first of their face's two frame rows negated run counterclockwise.
+        mirrored = w.copy()
+        for s, f in enumerate(face.tolist()):
+            mirrored[s, min({0, 1, 2} - {f // 2})] *= -1.0
+        face, w = np.concatenate([face, face]), np.concatenate([w, mirrored])
+        corners = _induced_corners(face, w)
+        stack = QuadStack.from_corners(corners)
+        for s, f in enumerate(face.tolist()):
+            quad = _induced_face_quad(f, w[s])
+            assert corners[s].tobytes() == quad.vertices.tobytes()
+            kernel = quad.reproducing_kernel
+            ref = _quad_tables(quad.edge_rows, quad.corner_tuple, kernel, quad.diameter)
+            assert stack._table[:, s].tobytes() == np.array(ref).tobytes()
+            keep = [r for r in range(3) if r != f // 2]
+            raw = w[s][keep][:, list(HEX_FACES[f])].T
+            reflected.add(_quad_area(raw.tolist()) < 0)
+    assert reflected == {False, True}

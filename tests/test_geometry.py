@@ -552,7 +552,7 @@ def test_quadrilateral_keeps_its_tables_bitwise():
             crosses = _reference_corner_crosses(quad.vertices)
             assert _as_bytes(quad.corner_tuple) == _as_bytes(tuple(map(tuple, quad.vertices.tolist())))
             assert _as_bytes(quad._corner_crosses) == _as_bytes(tuple(crosses.tolist()))
-            assert quad.is_convex is bool(crosses.min() >= -1e-12 * quad.diameter**2)
+            assert quad.is_convex is bool(crosses.min() >= -1e-12 * (quad.diameter * quad.diameter))
             seen.add(quad.is_convex)
     assert seen == {False, True}
 
@@ -566,3 +566,71 @@ def test_node_set_keeps_its_tables_bitwise():
             nodes = NodeSet1D(x)
             assert _as_bytes(nodes.node_tuple) == _as_bytes(tuple(x.tolist()))
             assert _as_bytes(nodes.span) == _as_bytes(float(x[-1] - x[0]))
+
+
+def _stack_corpus(rng):
+    """_quad_corpus's quads, as drawn, moved by 1e6 and scaled by 1e-12 and
+    by 1e150 (valid and invalid), quads on a 3 x 3 grid of integer points,
+    whose edges touch and overlap with exactly zero orientations, and rows
+    validation stops on early."""
+    base = [v for _, v in _quad_corpus(rng, 200)]
+    corpus = base + [v + 1e6 for v in base] + [v * 1e-12 for v in base] + [v * 1e150 for v in base]
+    corpus += [rng.integers(0, 3, (4, 2)).astype(float) for _ in range(300)]
+    square = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+    nan, inf = square.copy(), square.copy()
+    nan[2, 0], inf[1, 1] = np.nan, np.inf
+    return corpus + [nan, inf, square * 1e200, square * 1e-170, np.zeros((4, 2))]
+
+
+def _tables_bytes(quad):
+    kernel = quad.reproducing_kernel
+    tables = geo._quad_tables(quad.edge_rows, quad.corner_tuple, kernel, quad.diameter)
+    return np.array(tables, dtype=float).tobytes()
+
+
+def test_stacked_validation_fails_the_rows_the_float_pass_fails():
+    corpus = _stack_corpus(np.random.default_rng(40))
+    with np.errstate(all="ignore"):
+        failed = geo._check_quad(np.array(corpus), stack=True)[0]
+    assert failed.tolist() == [bool(geo.quad_violations(v)) for v in corpus]
+    assert 0 < failed.sum() < len(corpus)
+
+
+def test_corner_stack_rows_equal_their_quadrilaterals():
+    # Every row of a stack built from corners holds the table bits of
+    # Quadrilateral(row): clockwise rows reversed, every kernel index.
+    corpus = [v for v in _stack_corpus(np.random.default_rng(41)) if not geo.quad_violations(v)]
+    stack = geo.QuadStack.from_corners(np.array(corpus))
+    assert stack.quads is None and stack.element.tolist() == list(range(len(corpus)))
+    quads = [Quadrilateral(v) for v in corpus]
+    for s, quad in enumerate(quads):
+        assert stack._table[:, s].tobytes() == _tables_bytes(quad), corpus[s]
+    assert stack._table.tobytes() == geo.QuadStack(quads, range(len(quads)))._table.tobytes()
+    assert {_reference_polygon_area(v) < 0.0 for v in corpus} == {False, True}
+    assert {q.reproducing_kernel[1] for q in quads} == {0, 1, 2, 3}
+    assert stack.is_convex is False
+    convex = [v for v, q in zip(corpus, quads) if q.is_convex]
+    assert geo.QuadStack.from_corners(np.array(convex)).is_convex is True
+
+
+def test_corner_stack_raises_the_first_invalid_rows_violations():
+    rng = np.random.default_rng(42)
+    corpus = _stack_corpus(rng)
+    valid = [v for v in corpus if not geo.quad_violations(v)]
+    invalid = [v for v in corpus if geo.quad_violations(v)]
+    seen = set()
+    for s, bad in enumerate(invalid):
+        after = invalid[(s + 1) % len(invalid)]
+        rows = [valid[s % len(valid)], bad, valid[(s + 1) % len(valid)], after]
+        with pytest.raises(InvalidGeometry) as err:
+            geo.QuadStack.from_corners(np.array(rows))
+        assert err.value.violations == geo.quad_violations(bad)
+        seen.update(err.value.violations)
+    for kind in ("coincide", "collinear", "simple", "finite", "overflow", "underflow"):
+        assert any(kind in message for message in seen), kind
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3, 2), (2, 4, 3)])
+def test_corner_stack_refuses_other_shapes(shape):
+    with pytest.raises(InvalidGeometry, match=r"expected a stack of 4 x 2 vertex arrays"):
+        geo.QuadStack.from_corners(np.zeros(shape))
