@@ -28,8 +28,13 @@ counted, under its geometry.BatchInfo cause, in the evaluates property,
 which any failed row fails; so no evaluation raises out of a suite.  A
 face point is judged by the facet properties where its batch located it
 on its own face, and their lines note how many of the drawn face points
-they judged when that is fewer.  A comparison that judged no row reads
-NaN, and fails.
+they judged when that is fewer.
+
+Each property is recorded once, whatever the points do: a quadrilateral
+suite records 16 when it is convex (moment and Wachspress coordinates),
+else 9, one fewer where the Cramer oracle is undefined; a hexahedral one
+9, an interval one 6.  A property that judged no row reads NaN, and fails.
+
 The suites record the worst of the per-row axiom errors (_axiom_errors),
 and row_ok, grid's and eval's write-time check, holds each row to them.
 Those errors are taken over the weight columns, not the rows: numpy's
@@ -79,18 +84,11 @@ class PropertyResult:
 
 class _Accumulator:
     def __init__(self):
-        self.results: dict[str, PropertyResult] = {}
+        self.results: list[PropertyResult] = []
         self.failed = np.zeros(len(geometry.CAUSES), dtype=int)
 
     def record(self, name: str, value: float, tol: float, note: str = ""):
-        """Keep the worst value recorded under name; a NaN value (no row
-        judged) is kept only until a record judges a row.  note is the
-        first record's."""
-        prev = self.results.get(name)
-        if prev is None:
-            self.results[name] = PropertyResult(name, float(value), tol, note)
-        elif value > prev.worst or math.isnan(prev.worst):
-            prev.worst = float(value)
+        self.results.append(PropertyResult(name, float(value), tol, note))
 
     def count(self, cause):
         """Count the failed rows of a batch by their cause codes (m,)."""
@@ -100,12 +98,7 @@ class _Accumulator:
         """Record the evaluates property: the failed rows counted so far,
         named by cause."""
         note = geometry.named_counts(self.failed.tolist())
-        self.results["evaluates"] = PropertyResult(
-            "evaluates", float(self.failed.sum()), EVALUATES_TOL, note
-        )
-
-    def items(self) -> list[PropertyResult]:
-        return list(self.results.values())
+        self.record("evaluates", self.failed.sum(), EVALUATES_TOL, note)
 
 
 def linear_precision_error(weights, vertices, points) -> np.ndarray:
@@ -161,16 +154,11 @@ def row_ok(weights, vertices, points, diameter) -> np.ndarray:
 
 def _axioms(acc, prefix, weights, vertices, points, diameter, ok):
     """Partition of unity, nonnegativity and linear precision of the rows
-    of weights (m, n) at points (m, dim) where ok (m,) is set; records the
-    worst of each _axiom_errors (nothing when no row is set)."""
-    if not ok.any():
-        return
-    partition, neg, precision = (
-        float(e.max(initial=-np.inf, where=ok)) for e in _axiom_errors(weights, vertices, points)
-    )
+    of weights (m, n) at points (m, dim) where ok (m,) is set: the _worst
+    of each _axiom_errors."""
+    partition, neg, precision = (_worst(e, ok) for e in _axiom_errors(weights, vertices, points))
     acc.record(f"{prefix}partition of unity", partition, PARTITION_TOL)
-    # max(0.0, ...): -min is negative on a positive row, -0.0 on a row of zeros.
-    acc.record(f"{prefix}nonnegativity", max(0.0, neg), NONNEG_TOL)
+    acc.record(f"{prefix}nonnegativity", neg, NONNEG_TOL)
     acc.record(f"{prefix}linear precision", precision / diameter, PRECISION_RTOL)
 
 
@@ -180,12 +168,19 @@ def _judged(judged: int, drawn: int) -> str:
     return f"judged {judged} of {drawn} face points" if judged < drawn else ""
 
 
-def _worst_gap(a, b, ok) -> float:
-    """Largest |a - b| over the rows (m, n) where ok (m,) is set; NaN for
-    none, which fails the comparison."""
+def _worst(errors, ok) -> float:
+    """Largest of 0.0 and errors (m,) or (m, n) over the rows where ok (m,)
+    is set (errors.T puts the rows last, where ok broadcasts); NaN for
+    none, which fails the property.  Never -0.0 (the -min of a row of
+    zeros), which would print as -0."""
     if not ok.any():
         return math.nan
-    return float(np.abs(a - b).max(initial=0.0, where=ok[:, None]))
+    return float(errors.T.max(initial=0.0, where=ok)) + 0.0
+
+
+def _worst_gap(a, b, ok) -> float:
+    """The _worst of |a - b| over the rows (m, n) where ok (m,) is set."""
+    return _worst(np.abs(a - b), ok)
 
 
 def _chunked(many, geom, points, *located, **kwargs):
@@ -331,11 +326,14 @@ def quad_suite(quad: Quadrilateral, samples: int, seed: int):
         boundary = _worst_gap(edge, expect.reshape(-1, 4), edge_ok)
         acc.record(f"{fam.name} boundary reduction", boundary, BOUNDARY_TOL)
     for fam, (phi, ok, parts) in zip(families, evaluated):
-        name = f"{fam.name} {fam.covariance} covariance"
-        for mphi, mok, *_ in parts[2:]:
-            acc.record(name, _worst_gap(phi[first], mphi, ok[first] & mok), COVARIANCE_TOL)
+        # The five images against the first samples, as one comparison.
+        images = parts[2:]
+        mphi = np.concatenate([image[0] for image in images])
+        mok = np.concatenate([image[1] for image in images])
+        gap = _worst_gap(np.tile(phi[first], (5, 1)), mphi, np.tile(ok[first], 5) & mok)
+        acc.record(f"{fam.name} {fam.covariance} covariance", gap, COVARIANCE_TOL)
     acc.evaluates()
-    return acc.items()
+    return acc.results
 
 
 def hex_suite(hexa: Hexahedron, samples: int, seed: int):
@@ -364,30 +362,26 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int):
     parts = _evaluate_segments(acc, many, segments, return_frame_coords=True)
     (phi, ok, w, *_), (vphi, v_ok, *_), (ephi, e_ok, *_), (fphi, f_ok, fw, code, index, _) = parts
     judged = f_ok & (code == LOC_FACET) & (index == face)
-    face, fphi, fw = face[judged], fphi[judged], fw[judged]
-    if len(face):
-        # The facet reduction: each face point's weights on its face against
-        # the 2D moment coordinates of the origin on its induced face
-        # quadrilateral, all of them one stack built from their corners.
-        induced = QuadStack.from_corners(coords3d._induced_corners(face, fw))
-        many = coords2d.moment_coords_quad_many
-        psi, psi_ok, *_, cause = _chunked(many, induced, np.zeros((len(face), 2)))
-        acc.count(cause)
+    # The facet reduction: each judged face point's weights on its face
+    # against the 2D moment coordinates of the origin on its induced face
+    # quadrilateral, all of them one stack built from their corners.
+    induced = QuadStack.from_corners(coords3d._induced_corners(face[judged], fw[judged]))
+    many = coords2d.moment_coords_quad_many
+    psi, psi_ok, *_, cause = _chunked(many, induced, np.zeros((judged.sum(), 2)))
+    acc.count(cause)
     _axioms(acc, "moment ", phi, v, pts, d, ok)
-    if ok.any():
-        pattern = coords3d.sign_pattern_ok(w[ok], d)
-        acc.record("sign pattern verified", 0.0 if pattern.all() else 1.0, 0.5)
+    pattern = coords3d.sign_pattern_ok(w, d)
+    acc.record("sign pattern verified", _worst(1.0 - pattern, ok), 0.5)
     acc.evaluates()
     acc.record("kronecker delta", _worst_gap(vphi, np.eye(8), v_ok), KRONECKER_TOL)
     acc.record("edge reduction", _worst_gap(ephi, expect.reshape(-1, 8), e_ok), FACET_TOL)
-    if len(face):
-        off = ~geometry.HEX_FACE_VERTICES[face]
-        worst = float(np.abs(fphi[off]).max())
-        acc.record("facet off-face weights", worst, BOUNDARY_TOL, _judged(len(face), len(fpts)))
-        on = np.take_along_axis(fphi, np.array(geometry.HEX_FACES)[face], axis=1)
-        worst = _worst_gap(on, psi, psi_ok)
-        acc.record("facet reduction", worst, FACET_TOL, _judged(int(psi_ok.sum()), len(fpts)))
-    return acc.items()
+    off = np.abs(fphi[~geometry.HEX_FACE_VERTICES[face]]).reshape(-1, 4)
+    note = _judged(int(judged.sum()), len(fpts))
+    acc.record("facet off-face weights", _worst(off, judged), BOUNDARY_TOL, note)
+    on = np.take_along_axis(fphi, np.array(geometry.HEX_FACES)[face], axis=1)[judged]
+    worst = _worst_gap(on, psi, psi_ok)
+    acc.record("facet reduction", worst, FACET_TOL, _judged(int(psi_ok.sum()), len(fpts)))
+    return acc.results
 
 
 def interval_suite(nodes: NodeSet1D, samples: int, seed: int):
@@ -403,11 +397,10 @@ def interval_suite(nodes: NodeSet1D, samples: int, seed: int):
     )
     [(hat, hat_ok, *_)] = _evaluate_segments(acc, coords1d.hat_oracle_many, [sample])
     _axioms(acc, "", phi, xs[:, None], x[:, None], nodes.span, ok)
-    if ok.any():
-        acc.record("moment vs hat oracle", _worst_gap(phi, hat, ok & hat_ok), ORACLE_TOL)
+    acc.record("moment vs hat oracle", _worst_gap(phi, hat, ok & hat_ok), ORACLE_TOL)
     acc.evaluates()
     acc.record("kronecker delta", _worst_gap(kron, np.eye(len(xs)), kron_ok), KRONECKER_TOL)
-    return acc.items()
+    return acc.results
 
 
 def run_suite(geometry, samples: int, seed: int):

@@ -80,6 +80,8 @@ def _load_geometry(source: str):
         raise InputError(f"cannot read geometry file {source!r}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"geometry file {source!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"geometry file {source!r} is nested too deeply to read") from None
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("geometry object needs a 'kind' field")
     kind = data["kind"]

@@ -454,7 +454,7 @@ def test_check_prints_zero_not_negative_zero(capsys, tmp_path, seed):
     # The 7-node interval's hat-like rows hold exact zeros, so every row's
     # -min is -0.0 or less; check prints the worst as 0, not -0.
     path = tmp_path / "interval-7.json"
-    path.write_text('{"kind": "interval", "nodes": [0, 0.13, 0.4, 0.55, 0.9, 1, 1.7]}')
+    path.write_text(INTERVAL_7)
     argv = ["check", "--geometry", str(path), "--samples", "600", "--seed", str(seed)]
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -619,7 +619,7 @@ def test_quad_suite_counts_failed_rows_by_cause(monkeypatch, group):
 def test_covariance_keeps_the_judged_worst_when_one_image_fails(monkeypatch, image):
     # Every row of the first or the last similarity image fails: the images
     # that evaluate still judge the property, which passes with their worst
-    # (a record over no row reads NaN only until another judges a row).
+    # (the five images are one comparison, NaN only where none judges a row).
     quad = shapes.convex_quad()
     _, _, images = _quad_points(quad, 23, 7)
     vertices, points = images[image]
@@ -729,16 +729,9 @@ def _fail_every_row(monkeypatch, module, names, cause):
         monkeypatch.setattr(module, name, many)
 
 
-# builtin: (module, the batch functions of its suite, an oracle's by its
-# located core, the cause, the lines check prints when every row fails).
-# evaluates counts every row (conv-quad at 30 samples: two families of 30
-# samples, 4 vertices, 32 edge points and 100 image points, and three
-# oracles of 30; conv-hex: 30 samples, 8 vertices, 36 edge points, 24 face
-# points).  The sampled axioms, and on a hexahedron the sign pattern and
-# the facet properties, which have no face point left, are left out; the
-# comparisons over no row read NaN and fail.
-EVERY_ROW_FAILS = {
-    "conv-quad": (
+# The batch functions of each kind's suite, an oracle's by its located core.
+SUITE_BATCHES = {
+    "quad": (
         coords2d,
         [
             "moment_coords_quad_many",
@@ -747,10 +740,33 @@ EVERY_ROW_FAILS = {
             "wachspress_coords_quad_many",
             "_wachspress_oracle_core",
         ],
+    ),
+    "hex": (coords3d, ["moment_coords_hex_many"]),
+    "interval": (coords1d, ["moment_coords_1d_many", "hat_oracle_many"]),
+}
+
+INTERVAL_7 = '{"kind": "interval", "nodes": [0, 0.13, 0.4, 0.55, 0.9, 1, 1.7]}'
+
+# geometry: (its kind, the cause, the lines check prints when every row
+# fails).  evaluates counts every row (conv-quad at 30 samples: two
+# families of 30 samples, 4 vertices, 32 edge points and 100 image points,
+# and three oracles of 30; conv-hex: 30 samples, 8 vertices, 36 edge
+# points, 24 face points; interval-7: 30 samples, 7 nodes and the hat
+# oracle's 30 samples).  Every property of the kind is printed, and each
+# that judged no row reads NaN and fails.
+EVERY_ROW_FAILS = {
+    "conv-quad": (
+        "quad",
         "singular",
         [
+            "FAIL moment partition of unity: worst=nan tol=1.0e-12",
+            "FAIL moment nonnegativity: worst=nan tol=1.0e-12",
+            "FAIL moment linear precision: worst=nan tol=1.0e-10",
             "FAIL moment vs mean-value oracle: worst=nan tol=1.0e-10",
             "FAIL moment vs cramer oracle: worst=nan tol=1.0e-10",
+            "FAIL wachspress partition of unity: worst=nan tol=1.0e-12",
+            "FAIL wachspress nonnegativity: worst=nan tol=1.0e-12",
+            "FAIL wachspress linear precision: worst=nan tol=1.0e-10",
             "FAIL wachspress vs area oracle: worst=nan tol=1.0e-10",
             "FAIL moment kronecker delta: worst=nan tol=1.0e-10",
             "FAIL moment boundary reduction: worst=nan tol=1.0e-10",
@@ -759,31 +775,85 @@ EVERY_ROW_FAILS = {
             "FAIL moment similarity covariance: worst=nan tol=1.0e-09",
             "FAIL wachspress affine covariance: worst=nan tol=1.0e-09",
             "FAIL evaluates: worst=4.220e+02 tol=5.0e-01 (422 singular)",
-            "10 of 10 properties failed",
+            "16 of 16 properties failed",
         ],
     ),
     "conv-hex": (
-        coords3d,
-        ["moment_coords_hex_many"],
+        "hex",
         "frame",
         [
+            "FAIL moment partition of unity: worst=nan tol=1.0e-12",
+            "FAIL moment nonnegativity: worst=nan tol=1.0e-12",
+            "FAIL moment linear precision: worst=nan tol=1.0e-10",
+            "FAIL sign pattern verified: worst=nan tol=5.0e-01",
             "FAIL evaluates: worst=9.800e+01 tol=5.0e-01 (98 frame)",
             "FAIL kronecker delta: worst=nan tol=1.0e-10",
             "FAIL edge reduction: worst=nan tol=1.0e-09",
-            "3 of 3 properties failed",
+            "FAIL facet off-face weights: worst=nan tol=1.0e-10 (judged 0 of 24 face points)",
+            "FAIL facet reduction: worst=nan tol=1.0e-09 (judged 0 of 24 face points)",
+            "9 of 9 properties failed",
+        ],
+    ),
+    "interval-7": (
+        "interval",
+        "singular",
+        [
+            "FAIL partition of unity: worst=nan tol=1.0e-12",
+            "FAIL nonnegativity: worst=nan tol=1.0e-12",
+            "FAIL linear precision: worst=nan tol=1.0e-10",
+            "FAIL moment vs hat oracle: worst=nan tol=1.0e-10",
+            "FAIL evaluates: worst=6.700e+01 tol=5.0e-01 (67 singular)",
+            "FAIL kronecker delta: worst=nan tol=1.0e-10",
+            "6 of 6 properties failed",
         ],
     ),
 }
 
 
-@pytest.mark.parametrize("builtin", sorted(EVERY_ROW_FAILS))
-def test_check_with_every_row_failed(monkeypatch, capsys, builtin):
-    module, names, cause, lines = EVERY_ROW_FAILS[builtin]
-    _fail_every_row(monkeypatch, module, names, CAUSES.index(cause))
-    assert main(["check", "--geometry", builtin, "--samples", "30"]) == 1
+@pytest.mark.parametrize("name", sorted(EVERY_ROW_FAILS))
+def test_check_with_every_row_failed(monkeypatch, capsys, tmp_path, name):
+    kind, cause, lines = EVERY_ROW_FAILS[name]
+    _fail_every_row(monkeypatch, *SUITE_BATCHES[kind], CAUSES.index(cause))
+    geometry_arg = name
+    if name == "interval-7":
+        geometry_arg = tmp_path / "interval-7.json"
+        geometry_arg.write_text(INTERVAL_7)
+    assert main(["check", "--geometry", str(geometry_arg), "--samples", "30"]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == lines
     assert captured.err == ""
+
+
+# geometry: (its constructor, the number of properties its suite records).
+PROPERTY_COUNTS = {
+    "biunit-square": (shapes.biunit_square, 16),
+    "conv-quad": (shapes.convex_quad, 16),
+    "nonconv-quad": (shapes.nonconvex_quad, 9),
+    # Convex, with a corner too flat for the Cramer oracle.
+    "flat-corner-quad": (lambda: Quadrilateral([(0, 0), (1, 0), (2, 1e-14), (1, 1)]), 15),
+    "conv-hex": (shapes.convex_hex, 9),
+    "interval-12": (lambda: sampling.random_nodes(np.random.default_rng(7), 12), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_COUNTS))
+def test_property_list_is_fixed_by_the_geometry(monkeypatch, name):
+    # Every property is recorded whatever the points do: the same names, in
+    # the same order, at every seed and sample count, and when every row
+    # fails.
+    make, count = PROPERTY_COUNTS[name]
+    geom = make()
+    lists = {
+        (samples, seed): [r.name for r in run_suite(geom, samples, seed)]
+        for samples in (1, 50, 600)
+        for seed in (0, 7, 23)
+    }
+    _fail_every_row(monkeypatch, *SUITE_BATCHES[geom.kind], CAUSES.index("singular"))
+    failed = run_suite(geom, 30, 0)
+    assert not any(r.passed for r in failed)
+    names = [r.name for r in failed]
+    assert len(names) == count
+    assert all(found == names for found in lists.values()), lists
 
 
 def test_sign_pattern_miss_fails_check(monkeypatch, capsys):

@@ -861,14 +861,19 @@ def test_non_number_coordinate_input_error(capsys, tmp_path, data, command):
         (b'{"kind": ["quad"], "vertices": []}', "unknown geometry kind ['quad'] (quad, hex, or interval)"),
         (b'{"kind": "quad", "vertices": [[0, 0], [1, 0], [1, 1], [0]]}', "invalid geometry: "),
         (b"\xff\xfe{}", "geometry file {path!r} is not valid JSON: 'utf-8' codec can't decode"),
+        (
+            b'{"kind": "quad", "vertices": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+            "geometry file {path!r} is nested too deeply to read",
+        ),
     ],
     ids=["truncated", "list", "string", "no-kind", "no-vertices", "tet", "list-kind", "ragged",
-         "not-utf-8"],
+         "not-utf-8", "nested-100000"],
 )
 @pytest.mark.parametrize("command", ["eval", "grid", "check"])
 def test_malformed_geometry_file_input_error(capsys, tmp_path, content, message, command):
     # A non-UTF-8 file used to print the codec's message without the file's
-    # name.
+    # name, and a file nested 100,000 brackets deep a RecursionError
+    # traceback with exit 1.
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     args = {
