@@ -198,32 +198,15 @@ def _chunked(many, geom, points, *located, **kwargs):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-class _Segment(NamedTuple):
-    """A group of points the suite evaluates on one geometry."""
-
-    geom: object
-    points: np.ndarray
-
-
-def _evaluate_segments(acc, many, segments, *located, **kwargs):
+def _evaluate_groups(acc, many, geom, groups, *located, **kwargs):
     """The part of the batch tuple (weights (m, n), ok (m,), ..., code,
-    index, cause (m,)) of many on each of segments; located (arrays over
-    the segments' points) and kwargs go to the batch.
-
-    many runs as one batch call over the segments: on their geometry when
-    they share one, else on the QuadStack of their quadrilaterals, one
-    element per segment (each built, so validated, before any point is
-    evaluated).  The rows the batch fails are counted in acc by cause.
-    """
-    sizes = [len(seg.points) for seg in segments]
-    geom = segments[0].geom
-    if any(seg.geom is not geom for seg in segments):
-        element = np.repeat(np.arange(len(sizes)), sizes)
-        geom = QuadStack([seg.geom for seg in segments], element)
-    points = np.concatenate([seg.points for seg in segments])
-    result = _chunked(many, geom, points, *located, **kwargs)
+    index, cause (m,)) of many on geom at each of the point groups, in one
+    batch call on their concatenation (a QuadStack geom holds a row per
+    point); located (arrays over all the groups' points) and kwargs go to
+    the batch.  The rows the batch fails are counted in acc by cause."""
+    result = _chunked(many, geom, np.concatenate(groups), *located, **kwargs)
     acc.count(result[-1])
-    starts = np.cumsum([0] + sizes).tolist()
+    starts = np.cumsum([0] + [len(group) for group in groups]).tolist()
     return [tuple(a[lo:hi] for a in result) for lo, hi in zip(starts, starts[1:])]
 
 
@@ -289,29 +272,31 @@ def quad_suite(quad: Quadrilateral, samples: int, seed: int):
 
     # Drawn in this order: the samples, the edge parameters ts (moment, then
     # Wachspress), then five covariance maps each (in the same order).  Each
-    # group, the samples, vertices, edge points and covariance images of the
-    # first samples, is one stacked call; each oracle runs on the samples,
-    # where that call located them.
-    sample = _Segment(quad, pts)
+    # family evaluates its samples, vertices, edge points and covariance
+    # images of the first samples in one call, on the stack of quad and its
+    # five images, built at the call (building both first ran 2% slower); each
+    # oracle runs on the samples, where that call located them.
     ts = [rng.uniform(0.05, 0.95, (4, 8)) for _ in families]
-    groups = []
-    for t in ts:
-        p = (1 - t)[:, :, None] * v[:, None] + t[:, :, None] * v[[1, 2, 3, 0], None]
-        groups.append([sample, _Segment(quad, v), _Segment(quad, p.reshape(-1, 2))])
     first = slice(0, min(len(pts), 20))
     c = v.mean(axis=0)
-    for group, fam in zip(groups, families):
+    calls = []
+    for fam, t in zip(families, ts):
+        p = (1 - t)[:, :, None] * v[:, None] + t[:, :, None] * v[[1, 2, 3, 0], None]
+        quads, groups = [quad], [pts, v, p.reshape(-1, 2)]
         for _ in range(5):
             a, b = fam.draw_map(rng)
-            mapped = Quadrilateral(_element_map(a, b, c, d, v))
-            group.append(_Segment(mapped, _element_map(a, b, c, d, pts[first])))
+            quads.append(Quadrilateral(_element_map(a, b, c, d, v)))
+            groups.append(_element_map(a, b, c, d, pts[first]))
+        calls.append((quads, groups))
 
     evaluated = []
-    for fam, group in zip(families, groups):
-        (phi, ok, code, index, _), *parts = _evaluate_segments(acc, fam.many, group)
+    for fam, (quads, groups) in zip(families, calls):
+        element = np.repeat([0, 0, 0, 1, 2, 3, 4, 5], [len(g) for g in groups])
+        stack = QuadStack(quads, element)
+        (phi, ok, code, index, _), *parts = _evaluate_groups(acc, fam.many, stack, groups)
         _axioms(acc, f"{fam.name} ", phi, v, pts, d, ok)
         for oracle, core in fam.oracles:
-            [(ref, ref_ok, *_)] = _evaluate_segments(acc, core, [sample], code, index)
+            [(ref, ref_ok, *_)] = _evaluate_groups(acc, core, quad, [pts], code, index)
             gap = _worst_gap(phi, ref, ok & ref_ok)
             acc.record(f"{fam.name} vs {oracle} oracle", gap, ORACLE_TOL)
         evaluated.append((phi, ok, parts))
@@ -357,18 +342,17 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int):
 
     # Samples, vertices, edge points and face points in one batch; the facet
     # properties judge the face points it located on their own face.
-    segments = [_Segment(hexa, group) for group in (pts, v, p.reshape(-1, 3), fpts)]
+    groups = [pts, v, p.reshape(-1, 3), fpts]
     many = coords3d.moment_coords_hex_many
-    parts = _evaluate_segments(acc, many, segments, return_frame_coords=True)
+    parts = _evaluate_groups(acc, many, hexa, groups, return_frame_coords=True)
     (phi, ok, w, *_), (vphi, v_ok, *_), (ephi, e_ok, *_), (fphi, f_ok, fw, code, index, _) = parts
     judged = f_ok & (code == LOC_FACET) & (index == face)
     # The facet reduction: each judged face point's weights on its face
     # against the 2D moment coordinates of the origin on its induced face
     # quadrilateral, all of them one stack built from their corners.
     induced = QuadStack.from_corners(coords3d._induced_corners(face[judged], fw[judged]))
-    many = coords2d.moment_coords_quad_many
-    psi, psi_ok, *_, cause = _chunked(many, induced, np.zeros((judged.sum(), 2)))
-    acc.count(cause)
+    origins = [np.zeros((judged.sum(), 2))]
+    [(psi, psi_ok, *_)] = _evaluate_groups(acc, coords2d.moment_coords_quad_many, induced, origins)
     _axioms(acc, "moment ", phi, v, pts, d, ok)
     pattern = coords3d.sign_pattern_ok(w, d)
     acc.record("sign pattern verified", _worst(1.0 - pattern, ok), 0.5)
@@ -391,11 +375,9 @@ def interval_suite(nodes: NodeSet1D, samples: int, seed: int):
     xs = nodes.nodes
     x = rng.uniform(xs[0], xs[-1], samples)
     # The samples and the nodes in one batch, the hat oracle on the samples.
-    sample = _Segment(nodes, x)
-    [(phi, ok, *_), (kron, kron_ok, *_)] = _evaluate_segments(
-        acc, coords1d.moment_coords_1d_many, [sample, _Segment(nodes, xs)]
-    )
-    [(hat, hat_ok, *_)] = _evaluate_segments(acc, coords1d.hat_oracle_many, [sample])
+    many = coords1d.moment_coords_1d_many
+    [(phi, ok, *_), (kron, kron_ok, *_)] = _evaluate_groups(acc, many, nodes, [x, xs])
+    [(hat, hat_ok, *_)] = _evaluate_groups(acc, coords1d.hat_oracle_many, nodes, [x])
     _axioms(acc, "", phi, xs[:, None], x[:, None], nodes.span, ok)
     acc.record("moment vs hat oracle", _worst_gap(phi, hat, ok & hat_ok), ORACLE_TOL)
     acc.evaluates()

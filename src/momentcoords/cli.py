@@ -13,6 +13,7 @@ MomentCoordsError: an evaluator that fails on a valid geometry).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -158,17 +159,6 @@ def _resolve_method(geom, name: str, tables=METHODS):
     return table[name]
 
 
-def _require_defined(geom, method: str):
-    """Refuse a quadrilateral family that is undefined on geom: Wachspress
-    on a nonconvex quadrilateral, Cramer on one with a flat corner."""
-    if geom.kind != "quad":
-        return
-    if method.startswith("wachspress"):
-        coords2d.require_convex(geom)
-    if method == "cramer":
-        coords2d.require_cramer(geom)
-
-
 def _parse_point(text: str, dim: int) -> np.ndarray:
     try:
         values = [float(part) for part in text.split(",")]
@@ -270,7 +260,6 @@ def cmd_grid(args) -> int:
     if args.resolution < 2:
         raise InputError("resolution must be at least 2")
     evaluate = functools.partial(_resolve_method(geom, args.method, BATCH_METHODS), geom)
-    _require_defined(geom, args.method)
     diameter, vertices = _geometry_size(geom)
     n = args.resolution
     axes = _grid_axes(vertices, n)
@@ -299,13 +288,17 @@ def cmd_grid(args) -> int:
     chunk = geometry.BATCH_CHUNK
     total = n**dim
     try:
-        with open(args.out, "wb") as fh:
-            fh.write(",".join(header).encode("ascii"))
+        with contextlib.ExitStack() as files:
             for start in range(0, total, chunk):
                 index = np.arange(start, min(start + chunk, total))
                 axis_index = np.unravel_index(index, (n,) * dim)
                 points = np.stack([axis[i] for axis, i in zip(axes, axis_index)], axis=-1)
                 weights, ok, info = evaluate(points)
+                if start == 0:
+                    # Opened once the first chunk has evaluated: a family
+                    # undefined on geom refuses in its batch, leaving no file.
+                    fh = files.enter_context(open(args.out, "wb"))
+                    fh.write(",".join(header).encode("ascii"))
                 inside = np.flatnonzero(info.cause != EXTERIOR)
                 points, weights, ok = points[inside], weights[inside], ok[inside]
                 cause = info.cause[inside]

@@ -64,7 +64,6 @@ from .geometry import (
     _HEX_FACE_INDEX,
     BatchInfo,
     Hexahedron,
-    Quadrilateral,
     _locate_hex,
     _quad_area,
 )
@@ -329,12 +328,18 @@ def reference_frame(hexa: Hexahedron, p, faces=()) -> Frame3:
 
 
 def _induced_corners(face, w):
-    """The corners of the induced face quadrilateral (_induced_face_quad):
-    (4, 2) for a face f (an int) and frame coordinates w (3, 8), or (k, 4,
-    2) for faces (k,) and w (k, 3, 8), one face and point per row.
+    """The corners of the induced face quadrilateral: face f as a 2D
+    quadrilateral in the frame coordinates w (3, 8) of the vertices
+    (frame.coords(hexa.vertices), or a row of moment_coords_hex_many's frame
+    coordinates) when the query point lies on face f.  (4, 2) for a face f
+    (an int) and w (3, 8), or (k, 4, 2) for faces (k,) and w (k, 3, 8), one
+    face and point per row.  Quadrilateral of them, or QuadStack.from_corners
+    for many, states the facet-reduction property.
 
-    Each row takes the frame-coordinate rows of the two pairs other than
-    its face's (_FACE_ROWS) at the face's vertices in cyclic order, and
+    The coordinate row belonging to the face's opposite-face pair vanishes
+    on the face (the frame pins that functional to the face normal); each
+    row takes the rows of the two other pairs (_FACE_ROWS) at the face's
+    vertices in cyclic order, with the query point at the origin, and
     negates the second coordinate where the corners run clockwise
     (_quad_area on the same floats, elementwise for a stack), so every
     induced quadrilateral keeps the face's vertex order.
@@ -344,22 +349,6 @@ def _induced_corners(face, w):
     x, y = xy[..., 0, :], xy[..., 1, :]
     area = _quad_area(list(zip(x.T, y.T)))
     return np.stack([x, np.where(np.asarray(area < 0)[..., None], -y, y)], axis=-1)
-
-
-def _induced_face_quad(f: int, w) -> Quadrilateral:
-    """Face f as a 2D quadrilateral in the frame coordinates w (3, 8) of
-    the vertices (frame.coords(hexa.vertices), or a row of
-    moment_coords_hex_many's frame coordinates) when the query point lies
-    on face f.
-
-    The coordinate row belonging to the face's opposite-face pair vanishes
-    on the face (the frame pins that functional to the face normal); the
-    other two rows parameterize it.  The vertex order matches the face
-    connectivity, with the query point at the origin.  Used to state the
-    facet-reduction property; geometry.QuadStack.from_corners of
-    _induced_corners builds many at once, row for row the same.
-    """
-    return Quadrilateral(_induced_corners(f, w))
 
 
 def moment_coords_hex(hexa: Hexahedron, p, return_frame: bool = False):

@@ -478,8 +478,8 @@ class QuadStack:
     Two constructors, one arithmetic.  QuadStack(quads, element) stacks
     validated Quadrilaterals, row s on quads[element[s]], and copies each
     element's float tables.  QuadStack.from_corners(corners) makes each row
-    of a corner stack (k, 4, 2) an element of its own (quads is None
-    there): it validates, orients and tabulates the k rows at once, as
+    of a corner stack (k, 4, 2) an element of its own, without a
+    Quadrilateral: it validates, orients and tabulates the k rows at once, as
     (k,) arrays through the functions a Quadrilateral takes its floats
     from (_check_quad, _edge_rows, _reproducing_kernel), so row s holds the
     bits of Quadrilateral(corners[s])'s tables.  That is the cheaper build
@@ -487,14 +487,13 @@ class QuadStack:
     """
 
     def __init__(self, quads, element):
-        self.quads = tuple(quads)
-        self.element = np.asarray(element, dtype=np.intp)
         tables = [
             _quad_tables(q.edge_rows, q.corner_tuple, q.reproducing_kernel, q.diameter)
-            for q in self.quads
+            for q in quads
         ]
-        tables = np.array(tables).reshape(-1, 40)
-        self._set(np.ascontiguousarray(tables.T[:, self.element]))
+        # take writes the gathered columns C-ordered, several times faster
+        # than fancy indexing followed by a contiguous copy.
+        self._set(np.array(tables).reshape(-1, 40).T.take(element, axis=1))
 
     @classmethod
     def from_corners(cls, corners) -> QuadStack:
@@ -517,7 +516,6 @@ class QuadStack:
         c[3] = np.where(cw, x1, x3), np.where(cw, y1, y3)
         kernel = _reproducing_kernel(c, diameter)
         out = cls.__new__(cls)
-        out.quads, out.element = None, np.arange(len(v))
         out._set(np.array(_quad_tables(_edge_rows(c), c, kernel, diameter)))
         return out
 
@@ -536,7 +534,6 @@ class QuadStack:
         """The stack of the given rows (an index array or a slice), in that
         order; k is their kernel index when they share one."""
         out = QuadStack.__new__(QuadStack)
-        out.quads, out.element = self.quads, self.element[rows]
         out._set(self._table[:, rows], k)
         return out
 

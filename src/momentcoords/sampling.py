@@ -1,9 +1,9 @@
 """Seeded random geometry and point generators shared by checks and tests.
 
 The quadrilateral sampler decides with the point location of
-classify_point_quad (geometry._locate_quad), whose nearest-edge distance
-gives the margin; the hexahedral one with the face signed distances that
-geometry._locate_hex compares (Hexahedron._signed_distances).
+geometry._locate_quad, whose nearest-edge distance gives the margin; the
+hexahedral one with the face signed distances that geometry._locate_hex
+compares (Hexahedron._signed_distances).
 """
 
 from __future__ import annotations

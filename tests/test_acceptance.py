@@ -18,7 +18,7 @@ from momentcoords.coords2d import (
     wachspress_coords_quad,
 )
 from momentcoords.coords3d import (
-    _induced_face_quad,
+    _induced_corners,
     moment_coords_hex,
     moment_coords_hex_many,
     sign_pattern_ok,
@@ -27,6 +27,7 @@ from momentcoords.errors import SingularMatrix
 from momentcoords.geometry import (
     HEX_FACES,
     LOC_INTERIOR,
+    Quadrilateral,
     _locate_quad,
     classify_point_quad,
     face_of_point_hex,
@@ -265,7 +266,8 @@ def test_criterion_7_facet_reduction():
             assert loc.kind == "on_face" and loc.index == f
             phi, frame = moment_coords_hex(hexa, p, return_frame=True)
             worst_off = max(worst_off, np.abs(phi[off]).max())
-            psi = moment_coords_quad(_induced_face_quad(f, frame.coords(hexa.vertices)), np.zeros(2))
+            induced = Quadrilateral(_induced_corners(f, frame.coords(hexa.vertices)))
+            psi = moment_coords_quad(induced, np.zeros(2))
             worst_face = max(worst_face, np.abs(phi[idx] - psi).max())
     _report(7, "facet reduction to 2D moment coordinates", worst_face, 1e-9)
     _report(7, "off-face weights vanish", worst_off, 1e-10)

@@ -218,7 +218,7 @@ def _reference_hex_suite(hexa, samples, seed):
                 continue
             phi, frame = out
             worst.record("facet off-face weights", float(np.abs(phi[off]).max()))
-            induced = coords3d._induced_face_quad(f, frame.coords(v))
+            induced = Quadrilateral(coords3d._induced_corners(f, frame.coords(v)))
             psi = worst.evaluate(coords2d.moment_coords_quad, induced, [0, 0])
             if psi is not None:
                 worst.record("facet reduction", _gap(phi[idx], psi))
@@ -528,20 +528,22 @@ _ORACLE_CORES = {
 def _force(monkeypatch, module, name, error, cause, element, point):
     """Patch the batch function the suites call for name (name_many, or an
     oracle's located core) to fail, with the cause code, every row at point
-    on element (its vertices, or an interval's nodes), and name to raise
-    error there."""
+    on element (its vertices, or an interval's nodes; a stack row's
+    corners), and name to raise error there."""
     batch = _ORACLE_CORES.get(name, f"{name}_many")
     real_many, real_single = getattr(module, batch), getattr(module, name)
 
-    def hit(geom, p):
-        own = geom.nodes if isinstance(geom, NodeSet1D) else geom.vertices
+    def hit(geom, p, s=None):
+        if isinstance(geom, QuadStack):
+            own = [(x[s], y[s]) for x, y in geom.corner_tuple]
+        else:
+            own = geom.nodes if isinstance(geom, NodeSet1D) else geom.vertices
         return np.array_equal(own, element) and np.array_equal(p, point)
 
     def many(geom, points, *located, **kwargs):
         *out, info = real_many(geom, points, *located, **kwargs)
         for s, p in enumerate(points):
-            own = geom.quads[geom.element[s]] if isinstance(geom, QuadStack) else geom
-            if hit(own, p):
+            if hit(geom, p, s):
                 out[1][s] = False
                 for values in (out[0], *out[2:]):  # the weights, frame coordinates
                     values[s] = np.nan
@@ -686,6 +688,19 @@ def test_hex_suite_counts_failed_rows_by_cause(monkeypatch, group):
     _assert_counted(hex_suite(hexa, 30, 5), _reference_hex_suite(hexa, 30, 5), cause)
 
 
+def test_hex_suite_counts_a_failed_facet_stack_row(monkeypatch):
+    # The facet reduction's stack is built from corners: its row at the
+    # first judged face point fails, and is counted like a hexahedral row.
+    hexa = shapes.convex_hex()
+    point = _hex_points(hexa, 30, 5)[3]
+    _, frame = coords3d.moment_coords_hex(hexa, point, return_frame=True)
+    f = face_of_point_hex(hexa, point).index
+    induced = Quadrilateral(coords3d._induced_corners(f, frame.coords(hexa.vertices)))
+    name, code = "moment_coords_quad", CAUSES.index("singular")
+    _force(monkeypatch, coords2d, name, SingularMatrix, code, induced.vertices, [0, 0])
+    _assert_counted(hex_suite(hexa, 30, 5), _reference_hex_suite(hexa, 30, 5), "singular")
+
+
 INTERVAL_FORCED = {
     "sample": ("moment_coords_1d", SingularMatrix, "singular", lambda x, xs: x[6]),
     "node": ("moment_coords_1d", SingularMatrix, "singular", lambda x, xs: xs[2]),
@@ -744,6 +759,42 @@ SUITE_BATCHES = {
     "hex": (coords3d, ["moment_coords_hex_many"]),
     "interval": (coords1d, ["moment_coords_1d_many", "hat_oracle_many"]),
 }
+
+
+@pytest.mark.parametrize(
+    "geom, calls, passes",
+    [
+        ("biunit-square", 5, 2),  # two families, three oracle cores
+        ("conv-quad", 5, 2),
+        ("nonconv-quad", 3, 1),
+        ("conv-hex", 2, 1),  # the hexahedral batch, the facet stack
+        ("interval-12", 2, 0),
+    ],
+)
+def test_suite_batch_calls(monkeypatch, geom, calls, passes):
+    # Every batch call of a suite takes all its points on one geometry; a
+    # quadrilateral oracle reuses its family's location, so coords2d
+    # locates points once per family (and once for the facet stack).
+    if geom == "interval-12":
+        geom = sampling.random_nodes(np.random.default_rng(7), 12)
+    else:
+        geom = shapes.BUILTINS[geom]()
+    counts = Counter()
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for module, names in SUITE_BATCHES.values():
+        for name in names:
+            monkeypatch.setattr(module, name, counted("batch", getattr(module, name)))
+    monkeypatch.setattr(coords2d, "_locate_quad", counted("locate", coords2d._locate_quad))
+    run_suite(geom, 600, 7)
+    assert (counts["batch"], counts["locate"]) == (calls, passes)
+
 
 INTERVAL_7 = '{"kind": "interval", "nodes": [0, 0.13, 0.4, 0.55, 0.9, 1, 1.7]}'
 

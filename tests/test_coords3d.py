@@ -12,7 +12,6 @@ from momentcoords.coords3d import (
     _ZEROED,
     _frame,
     _induced_corners,
-    _induced_face_quad,
     _system,
     moment_coords_hex,
     moment_coords_hex_many,
@@ -25,6 +24,7 @@ from momentcoords.geometry import (
     HEX_FACES,
     LOC_FACET,
     Hexahedron,
+    Quadrilateral,
     QuadStack,
     _quad_area,
     _quad_tables,
@@ -298,7 +298,7 @@ class TestMomentCoordsHex:
                 assert loc.kind == "on_face" and loc.index == f
                 phi, frame = moment_coords_hex(hex_tapered, p, return_frame=True)
                 assert np.abs(phi[off]).max() <= 1e-10
-                quad2d = _induced_face_quad(f, frame.coords(hex_tapered.vertices))
+                quad2d = Quadrilateral(_induced_corners(f, frame.coords(hex_tapered.vertices)))
                 psi = moment_coords_quad(quad2d, np.zeros(2))
                 assert np.abs(phi[idx] - psi).max() <= 1e-9
 
@@ -381,8 +381,8 @@ def test_hex_any_scale_evaluates(scale, offset):
 def test_induced_corner_stack_matches_the_one_point_form():
     # The facet reduction builds its induced quadrilaterals as one stack:
     # each row, reflected where the face runs clockwise in the frame, holds
-    # the corners and the table bits of _induced_face_quad's Quadrilateral,
-    # which the tests take as the reference.
+    # the corners and the table bits of the Quadrilateral of its one-point
+    # corners, which the tests take as the reference.
     rng = np.random.default_rng(40)
     hexahedra = [shapes.convex_hex(), sampling.random_plane_hex(rng, tilt=0.3)]
     hexahedra += [sampling.random_affine_cube_hex(rng) for _ in range(2)]
@@ -402,7 +402,7 @@ def test_induced_corner_stack_matches_the_one_point_form():
         corners = _induced_corners(face, w)
         stack = QuadStack.from_corners(corners)
         for s, f in enumerate(face.tolist()):
-            quad = _induced_face_quad(f, w[s])
+            quad = Quadrilateral(_induced_corners(f, w[s]))
             assert corners[s].tobytes() == quad.vertices.tobytes()
             kernel = quad.reproducing_kernel
             ref = _quad_tables(quad.edge_rows, quad.corner_tuple, kernel, quad.diameter)
