@@ -4,7 +4,7 @@ Each suite evaluates the coordinate axioms (partition of unity, linear
 precision, nonnegativity, Kronecker delta at the nodes), the boundary and
 facet reduction properties, and the agreement between the system solutions
 and their independent closed-form oracles, over a seeded random sample,
-against the fixed tolerances below (relative to the diameter where noted).
+against the fixed tolerances of momentcoords.tolerances.
 The points go through the batch functions in a few calls per suite, one
 per batch function: moment coordinates (and, on a convex quadrilateral,
 Wachspress coordinates) evaluate their samples, vertices, edge points and
@@ -51,18 +51,17 @@ import numpy as np
 
 from . import coords1d, coords2d, coords3d, geometry, sampling
 from .geometry import LOC_FACET, Hexahedron, NodeSet1D, Quadrilateral, QuadStack
-
-# Baseline tolerances for the standard axioms.
-PARTITION_TOL = 1e-12
-NONNEG_TOL = 1e-12
-PRECISION_RTOL = 1e-10  # times the diameter
-ORACLE_TOL = 1e-10
-KRONECKER_TOL = 1e-10
-BOUNDARY_TOL = 1e-10
-FACET_TOL = 1e-9
-COVARIANCE_TOL = 1e-9
-# The evaluates property counts failed rows; one fails it.
-EVALUATES_TOL = 0.5
+from .tolerances import (
+    BOUNDARY_TOL,
+    COVARIANCE_TOL,
+    EVALUATES_TOL,
+    FACET_TOL,
+    KRONECKER_TOL,
+    NONNEG_TOL,
+    ORACLE_TOL,
+    PARTITION_TOL,
+    PRECISION_RTOL,
+)
 
 
 @dataclass
@@ -355,7 +354,7 @@ def hex_suite(hexa: Hexahedron, samples: int, seed: int):
     [(psi, psi_ok, *_)] = _evaluate_groups(acc, coords2d.moment_coords_quad_many, induced, origins)
     _axioms(acc, "moment ", phi, v, pts, d, ok)
     pattern = coords3d.sign_pattern_ok(w, d)
-    acc.record("sign pattern verified", _worst(1.0 - pattern, ok), 0.5)
+    acc.record("sign pattern verified", _worst(1.0 - pattern, ok), EVALUATES_TOL)
     acc.evaluates()
     acc.record("kronecker delta", _worst_gap(vphi, np.eye(8), v_ok), KRONECKER_TOL)
     acc.record("edge reduction", _worst_gap(ephi, expect.reshape(-1, 8), e_ok), FACET_TOL)

@@ -24,8 +24,9 @@ import numpy as np
 from . import checks, coords1d, coords2d, coords3d, csvfmt, geometry
 from .errors import InvalidGeometry, MomentCoordsError
 from .geometry import CAUSES, EXTERIOR, OK, BatchInfo, Hexahedron, NodeSet1D, Quadrilateral
-from .gradients import FD_STEP_RTOL, finite_difference_gradient_many
+from .gradients import finite_difference_gradient_many
 from .shapes import BUILTINS
+from .tolerances import FD_STEP_RTOL
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1

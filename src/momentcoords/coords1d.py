@@ -25,7 +25,7 @@ closed form by expanding along its first row.  The offsets are taken in
 units of a power of two next to the span (NodeSet1D.unit_scale), which is
 exact and leaves the weights unchanged, so every node set that validation
 accepts evaluates, whatever its size.  A determinant at or below
-smallsolve.PIVOT_RTOL times the sum of its six expansion terms is refused
+tolerances.PIVOT_RTOL times the sum of its six expansion terms is refused
 as SingularMatrix, and the residual of all n rows, in units of L, is held
 to the contract of smallsolve.solve_dense at every evaluation
 (smallsolve._residual_held): one query beyond it raises ResidualExceeded,
@@ -49,9 +49,8 @@ import numpy as np
 
 from .errors import OutOfDomain, SingularMatrix
 from .geometry import EXTERIOR, RESIDUAL, SINGULAR, BatchInfo, NodeSet1D
-from .smallsolve import PIVOT_RTOL, _residual_held
-
-DOMAIN_RTOL = 1e-12
+from .smallsolve import _residual_held
+from .tolerances import DOMAIN_RTOL, PIVOT_RTOL
 
 
 def _locate(nodes: NodeSet1D, x):

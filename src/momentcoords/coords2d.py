@@ -87,7 +87,8 @@ from .geometry import (
     _locate_quad,
     signed_area,
 )
-from .smallsolve import PIVOT_RTOL, _residual_held
+from .smallsolve import _residual_held
+from .tolerances import CRAMER_SINGULAR_RTOL, FLAT_TRIANGLE_RTOL, PIVOT_RTOL
 
 _OTHERS = tuple(tuple(j for j in range(4) if j != i) for i in range(4))
 _NEXT = np.array([1, 2, 3, 0])
@@ -456,7 +457,7 @@ def _tri_area2(a, b, c):
         (ax - cx) ** 2 + (ay - cy) ** 2,
         (bx - cx) ** 2 + (by - cy) ** 2,
     )
-    return area2, abs(area2) <= 2e-13 * scale2
+    return area2, abs(area2) <= FLAT_TRIANGLE_RTOL * scale2
 
 
 def _tri_bary(a, b, c, px, py):
@@ -505,15 +506,15 @@ def _cramer(quad: Quadrilateral, x, y):
     """(phi, singular) at (x, y), floats or arrays (m,), with d the moment row
     and nu the reproducing kernel, in units of L and L**2: phi_i = -nu_i *
     <d, tau_i> / <d, nu>, and singular where the moment row is orthogonal to
-    the reproducing kernel, |<d, nu>| <= 2e-14 * (diameter / L)**3, which is
-    |<d, nu>| <= 1e-14 * diameter**3 with d in lengths and nu in areas (one
-    point raises SingularMatrix instead, before any triangle).  Raises
-    DegenerateTriangle."""
+    the reproducing kernel, |<d, nu>| <= CRAMER_SINGULAR_RTOL * (diameter /
+    L)**3, which is half that times diameter**3 with d in lengths and nu in
+    areas (one point raises SingularMatrix instead, before any triangle).
+    Raises DegenerateTriangle."""
     c = quad.corner_tuple
     nu, _, _, s = quad.reproducing_kernel
     d = _moment_weights(*_unit_offsets(quad, x, y))
     den = d[0] * nu[0] + d[1] * nu[1] + d[2] * nu[2] + d[3] * nu[3]
-    singular = abs(den) <= 2e-14 * (quad.diameter * s) ** 3
+    singular = abs(den) <= CRAMER_SINGULAR_RTOL * (quad.diameter * s) ** 3
     if np.ndim(den) == 0 and singular:
         raise SingularMatrix("moment row is orthogonal to the reproducing kernel")
     phi = []

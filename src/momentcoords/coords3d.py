@@ -68,6 +68,13 @@ from .geometry import (
     _quad_area,
 )
 from .smallsolve import _solve
+from .tolerances import (
+    FRAME_DET_MIN,
+    FRAME_INDEPENDENCE_TOL,
+    PATTERN_ZERO_RTOL,
+    WEDGE_DISTANCE_RTOL,
+    WEDGE_NORMAL_RTOL,
+)
 
 # Required signs of the frame coordinates of v_i - p (rows) per vertex
 # (columns), column i being REFERENCE_CUBE[i]; row r separates the
@@ -80,12 +87,6 @@ DISTANCE_SIGNS = SIGN_PATTERN.prod(axis=0)
 # Signs applied to the partial-distance block: row r is the product of the
 # pattern rows other than r.
 DELTA_SIGNS = DISTANCE_SIGNS * SIGN_PATTERN
-
-# Entries closer to zero than this (relative to the diameter) fail the
-# strict sign test.
-PATTERN_ZERO_RTOL = 1e-12
-# Lower bound on |det| of the unit frame basis.
-FRAME_DET_MIN = 1e-8
 
 # Signs of the partial distances and the distance of each column (vertex)
 # i: DELTA_SIGNS[:, i] and DISTANCE_SIGNS[i] as floats.
@@ -214,7 +215,8 @@ def _wedge_normal(line, px, py, pz):
 def _functionals(hexa: Hexahedron, px, py, pz, on):
     """(functionals, found): each pair's unit functional as a triple, picked
     as reference_frame says, and where every wedge normal was found (not
-    within 1e-12 diameters of its line; one point raises there)."""
+    within WEDGE_DISTANCE_RTOL diameters of its line, nor shorter than
+    WEDGE_NORMAL_RTOL diameters; one point raises there)."""
     one = isinstance(px, float)
     d = hexa.diameter
     rows = []
@@ -227,7 +229,7 @@ def _functionals(hexa: Hexahedron, px, py, pz, on):
             row = None  # the face normal below; one point skips the wedge
         else:
             (mx, my, mz), dist, norm_m = _wedge_normal(line, px, py, pz)
-            hit = (dist >= 1e-12 * d) & (norm_m >= 1e-14 * d)
+            hit = (dist >= WEDGE_DISTANCE_RTOL * d) & (norm_m >= WEDGE_NORMAL_RTOL * d)
             if one and not hit:
                 raise FrameNotFound(f"pair {r} has no wedge functional at {[px, py, pz]}")
             found = found & (hit | on_a | on_b)
@@ -245,8 +247,8 @@ def _unit_frame(functionals):
     f_j, by cofactors.  With c_j the adjugate's columns (c_0 = f_1 x f_2,
     c_1 = f_2 x f_0, c_2 = f_0 x f_1) and D = f_0 . c_0, basis column j is
     c_j / (sign(D) |c_j|), row j is f_j |c_j| / |D| and det = D |D| / (|c_0|
-    |c_1| |c_2|).  independent is |D| >= 1e-12; the rest is undefined where
-    it fails, and one point returns None for it there."""
+    |c_1| |c_2|).  independent is |D| >= FRAME_INDEPENDENCE_TOL; the rest
+    is undefined where it fails, and one point returns None for it there."""
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = functionals
     adj = (
         (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0),
@@ -256,7 +258,7 @@ def _unit_frame(functionals):
     x, y, z = adj[0]
     det_f = a0 * x + a1 * y + a2 * z
     size = abs(det_f)
-    independent = size >= 1e-12
+    independent = size >= FRAME_INDEPENDENCE_TOL
     if isinstance(size, float) and not independent:
         return None, None, None, False
     sqrt = math.sqrt if isinstance(size, float) else np.sqrt

@@ -11,7 +11,7 @@ class SingularMatrix(MomentCoordsError):
 
 class ResidualExceeded(MomentCoordsError):
     """A solution misses the rows it solves by more than the residual
-    contract allows (smallsolve.RESIDUAL_RTOL)."""
+    contract allows (tolerances.RESIDUAL_RTOL)."""
 
 
 class InvalidGeometry(MomentCoordsError):

@@ -1,7 +1,7 @@
 """Geometric primitives and predicates for the supported node sets.
 
-Tolerances are relative to the geometry diameter (the largest pairwise
-vertex distance) so that every predicate is scale invariant.  Geometry
+The tolerances the predicates read, each with its unit, are lines of
+the table in momentcoords.tolerances, not constants here.  Geometry
 objects validate their invariants at construction, in one pass per element
 kind on Python floats (_check_quad, _check_hex, _check_nodes), and are
 treated as immutable afterwards.  Each keeps from that pass the diameter
@@ -57,14 +57,17 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InvalidGeometry
+from .tolerances import (
+    CLASSIFY_RTOL,
+    CONVEXITY_RTOL,
+    CONVEX_CORNER_RTOL,
+    MIN_EDGE_LENGTH,
+    PARALLEL_TOL,
+    PLANARITY_RTOL,
+    SLACK_FLOOR_ULPS,
+    ZERO_AREA_RTOL,
+)
 
-# Default classification tolerance, relative to the diameter.
-CLASSIFY_RTOL = 1e-10
-# Face planarity / solid convexity slack, relative to the diameter.
-PLANARITY_RTOL = 1e-9
-CONVEXITY_RTOL = 1e-9
-# Vertices closer than this times max(diameter, 1) coincide.
-MIN_EDGE_LENGTH = 1e-13
 OVERFLOW_MESSAGE = "vertex coordinates too large: pairwise distances overflow"
 UNDERFLOW_MESSAGE = "vertex coordinates too small: pairwise distances underflow"
 
@@ -273,7 +276,7 @@ def _check_quad(v, stack=False):
     coincide = (d01 <= close, d02 <= close, d03 <= close, d12 <= close, d13 <= close, d23 <= close)
     c = [(x0, y0), (x1, y1), (x2, y2), (x3, y3)]
     area = _quad_area(c)
-    collinear = abs(area) <= 1e-12 * (diam * diam)
+    collinear = abs(area) <= ZERO_AREA_RTOL * (diam * diam)
     # Simplicity: the two pairs of opposite edges must not cross or touch.
     # Edges 0 and 2: p1p2 = v0 v1, q1q2 = v2 v3.
     ex, ey, fx, fy = x3 - x2, y3 - y2, x1 - x0, y1 - y0
@@ -448,9 +451,9 @@ def _corner_crosses(edge_rows) -> tuple:
 
 
 def _convex(crosses, diameter):
-    """Whether no corner cross is below -1e-12 * diameter**2 (taken as a
-    product): a bool, or a bool array (k,) for a stack."""
-    return _smallest(crosses) >= -1e-12 * (diameter * diameter)
+    """Whether no corner cross is below -CONVEX_CORNER_RTOL * diameter**2
+    (taken as a product): a bool, or a bool array (k,) for a stack."""
+    return _smallest(crosses) >= -CONVEX_CORNER_RTOL * (diameter * diameter)
 
 
 def _quad_tables(edge_rows, corners, kernel, diameter) -> list:
@@ -785,7 +788,7 @@ def _face_is_simple(n, corners, diam) -> bool:
     ux, uy, uz = cx - bx, cy - by, cz - bz
     mx, my, mz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
     bcd = (dx - bx) * mx + (dy - by) * my + (dz - bz) * mz
-    if abs(0.5 * (abc + acd)) <= 1e-12 * diam * diam:
+    if abs(0.5 * (abc + acd)) <= ZERO_AREA_RTOL * diam * diam:
         return False
     # Edges ab and cd, then bc and da, as _check_quad pairs them.
     return not (
@@ -804,9 +807,9 @@ def _check_hex(v):
     points outward (away from the vertex centroid) the largest distance is
     how far the solid protrudes beyond it and the deepest vertex how thick
     the solid is behind it; a solid no thicker than the planarity slack is
-    flat (zero volume) and rejected.  The planarity and convexity
-    slacks are no finer than 4 ulps of the largest coordinate, which
-    rounding the vertices alone can cost (Shewchuk 1997).
+    flat (zero volume) and rejected.  The planarity and convexity slacks
+    are no finer than SLACK_FLOOR_ULPS ulps of the largest coordinate,
+    which rounding the vertices alone can cost (Shewchuk 1997).
 
     tables is None unless v is valid; then it holds what a Hexahedron keeps:
     (corner_tuple, the centroids as float triples, face_normals, plane_rows,
@@ -833,7 +836,7 @@ def _check_hex(v):
     out = [f"vertices {i} and {j} coincide" for (i, j), d in zip(_HEX_PAIRS, dist) if d <= close]
     if out:
         return out, None
-    floor = 4.0 * sys.float_info.epsilon * max(map(abs, coords))
+    floor = SLACK_FLOOR_ULPS * sys.float_info.epsilon * max(map(abs, coords))
     planar_tol = max(PLANARITY_RTOL * diam, floor)
     convex_tol = max(CONVEXITY_RTOL * diam, floor)
     c, basis = _fit_planes(v[_HEX_FACE_INDEX])
@@ -917,9 +920,9 @@ class Hexahedron:
 
         line is (unit direction, point on the line, positive-face centroid)
         of the line where the pair's supporting planes meet, each a tuple of
-        floats; when the planes are parallel (|n_a x n_b| < 1e-9) it is None
-        and bisector is the unit normal bisector n_a - n_b instead, also a
-        tuple of floats.  With u = n_a x n_b and d = n . c the planes'
+        floats; when the planes are parallel (|n_a x n_b| < PARALLEL_TOL) it
+        is None and bisector is the unit normal bisector n_a - n_b instead,
+        also a tuple of floats.  With u = n_a x n_b and d = n . c the planes'
         offsets (plane_rows), the point is x0 = (d_a (n_b x u) + d_b (u x
         n_a)) / |u|**2, the solution of n_a . x = d_a, n_b . x = d_b,
         u . x = 0 by Cramer's rule; all in Python floats.
@@ -932,7 +935,7 @@ class Hexahedron:
             ux, uy, uz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
             uu = ux * ux + uy * uy + uz * uz
             norm_u = math.sqrt(uu)
-            if norm_u < 1e-9:
+            if norm_u < PARALLEL_TOL:
                 mx, my, mz = ax - bx, ay - by, az - bz
                 norm_m = math.sqrt(mx * mx + my * my + mz * mz)
                 out.append((None, (mx / norm_m, my / norm_m, mz / norm_m)))

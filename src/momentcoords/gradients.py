@@ -23,9 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import EXTERIOR
-
-# Relative finite-difference step (times the geometry diameter).
-FD_STEP_RTOL = 1e-6
+from .tolerances import FD_STEP_RTOL  # noqa: F401  (the benchmark reads gradients.FD_STEP_RTOL)
 
 
 def finite_difference_gradient(evaluate, inside, p, h: float) -> np.ndarray:

@@ -37,13 +37,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .errors import ResidualExceeded, SingularMatrix
-
-# Pivot acceptance threshold, relative to the largest entry of the input
-# matrix.  Below it the geometry is degenerate or a sign-pattern assumption
-# was violated.
-PIVOT_RTOL = 1e-13
-# Post-solve residual contract: |Ax - b|_inf <= RESIDUAL_RTOL * (1 + |b|_inf).
-RESIDUAL_RTOL = 1e-10
+from .tolerances import PIVOT_RTOL, RESIDUAL_RTOL
 # The sizes the kernels are written out for.
 _SIZES = range(3, 17)
 

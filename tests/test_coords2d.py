@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from momentcoords import sampling
+from momentcoords import coords2d, sampling
 from momentcoords.coords2d import (
     cramer_coords_quad,
+    cramer_coords_quad_many,
     moment_coords_quad,
     moment_coords_quad_many,
     mvc_oracle,
@@ -20,8 +21,9 @@ from momentcoords.errors import (
     NotConvex,
     OnBoundary,
     OutsideDomain,
+    SingularMatrix,
 )
-from momentcoords.geometry import Quadrilateral
+from momentcoords.geometry import LOC_INTERIOR, SINGULAR, Quadrilateral
 from momentcoords.smallsolve import solve_dense
 from oracles import moment_row, triangle_barycentric, wachspress_row
 
@@ -293,6 +295,50 @@ def test_square_of_any_size(family, side):
         for p, row, want in zip(points, phi, expect):
             assert np.array_equal(single(quad, p), row)
             assert np.abs(row - want).max() <= 1e-14
+
+
+def _closed_points(quad, rng):
+    """The vertices, edge midpoints and 8 interior points of quad."""
+    v = quad.vertices
+    edges = 0.5 * (v + np.roll(v, -1, axis=0))
+    return np.vstack([v, edges, sampling.interior_points_quad(quad, 8, rng)])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_pivot_bound_fails_every_closed_form(monkeypatch, quad_convex, rng, family):
+    # |<r, nu>| <= sum |r_i nu_i|, so PIVOT_RTOL = 2 makes every closed form
+    # singular.  One point raises with its message; the batch fails its
+    # interior rows with cause singular, and its vertex and edge rows, which
+    # take the edge weights and no solve, keep their bits.
+    single, many = FAMILIES[family]
+    points = _closed_points(quad_convex, rng)
+    before, ok, _ = many(quad_convex, points)
+    assert ok.all()
+    monkeypatch.setattr(coords2d, "PIVOT_RTOL", 2.0)
+    phi, ok, info = many(quad_convex, points)
+    interior = info.code == LOC_INTERIOR
+    assert np.array_equal(ok, ~interior) and interior.sum() == 8
+    assert phi[ok].tobytes() == before[ok].tobytes()
+    assert (info.cause[interior] == SINGULAR).all()
+    message = "^weight row is orthogonal to the reproducing kernel"
+    for p in points[interior]:
+        with pytest.raises(SingularMatrix, match=message):
+            single(quad_convex, p)
+
+
+def test_cramer_singular_bound_fails_every_row(monkeypatch, quad_convex, rng):
+    # The Cramer expansion tests every point of the closed domain against
+    # CRAMER_SINGULAR_RTOL, so an infinite bound fails every row, with
+    # cause singular in the batch and SingularMatrix at one point.
+    points = _closed_points(quad_convex, rng)
+    assert cramer_coords_quad_many(quad_convex, points)[1].all()
+    monkeypatch.setattr(coords2d, "CRAMER_SINGULAR_RTOL", math.inf)
+    _, ok, info = cramer_coords_quad_many(quad_convex, points)
+    assert not ok.any() and (info.cause == SINGULAR).all()
+    message = "^moment row is orthogonal to the reproducing kernel$"
+    for p in points:
+        with pytest.raises(SingularMatrix, match=message):
+            cramer_coords_quad(quad_convex, p)
 
 
 def _lu_coords(quad, p, wachspress):

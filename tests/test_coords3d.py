@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentcoords import checks, sampling, shapes
+from momentcoords import checks, coords3d, sampling, shapes
 from momentcoords.coords2d import moment_coords_quad
 from momentcoords.coords3d import (
     DELTA_SIGNS,
@@ -20,9 +20,11 @@ from momentcoords.coords3d import (
 )
 from momentcoords.errors import FrameNotFound, OutsideDomain, SingularMatrix
 from momentcoords.geometry import (
+    FRAME,
     HEX_EDGES,
     HEX_FACES,
     LOC_FACET,
+    LOC_VERTEX,
     Hexahedron,
     Quadrilateral,
     QuadStack,
@@ -215,6 +217,25 @@ class TestReferenceFrame:
             assert ok[s] and np.array_equal(frame.rows, rows[s]), p
         assert 0 < raised < len(pts)
 
+    def test_no_wedge_on_a_pair_line(self):
+        # A point on the line where a pair's planes meet lies within
+        # WEDGE_DISTANCE_RTOL diameters of it, so no plane through the line
+        # and the point is defined.  One point raises; in a stack of it and
+        # interior points only its ok clears, and the interior rows keep the
+        # bits they have alone.
+        hexa = sampling.random_plane_hex(np.random.default_rng(7), tilt=0.4)
+        r, line = next((r, line) for r, (line, _) in enumerate(hexa.pair_lines) if line)
+        p = list(line[1])
+        with pytest.raises(FrameNotFound, match=f"^pair {r} has no wedge functional at "):
+            _frame(hexa, *p, (False,) * 6)
+        pts = np.vstack([p, sampling.interior_points_hex(hexa, 4, np.random.default_rng(0))])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, rows, _, ok = _frame(hexa, *pts.T, np.zeros((6, len(pts)), dtype=bool))
+        assert ok.tolist() == [False, True, True, True, True]
+        rows = np.moveaxis(np.array(rows), -1, 0)
+        for s, q in enumerate(pts[1:].tolist(), 1):
+            assert np.array_equal(_frame(hexa, *q, (False,) * 6)[1], rows[s])
+
     def test_continuous_across_parallel_cutoff(self, cube):
         # Tilt face x = +1 to x = 1 + e*y: pair 0 switches from the wedge
         # functional to the normal bisector once its planes are parallel
@@ -350,6 +371,39 @@ class TestMomentCoordsHex:
             for perm, flip in perms.values():
                 mirrored = moment_coords_hex(cube, p * flip)
                 assert np.abs(mirrored - phi[perm]).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("FRAME_INDEPENDENCE_TOL", "^frame functionals are linearly dependent$"),
+        ("FRAME_DET_MIN", r"^frame determinant -?\d\.\d{3}e[+-]\d+ below bound$"),
+    ],
+)
+def test_frame_bound_fails_every_framed_row(monkeypatch, name, message):
+    # Unit functionals and a unit basis have |det| <= 1, so a bound of 2
+    # fails every frame.  One point raises with the bound's message; the
+    # batch fails the same rows with cause frame, and its vertex rows, which
+    # take no frame, keep their bits.
+    hexa = shapes.convex_hex()
+    rng = np.random.default_rng(43)
+    v = hexa.vertices
+    pts = np.vstack(
+        [v, [0.5 * (v[i] + v[j]) for i, j in HEX_EDGES]]
+        + [sampling.face_points_hex(hexa, f, 2, rng) for f in range(6)]
+        + [sampling.interior_points_hex(hexa, 8, rng)]
+    )
+    before, ok, _ = moment_coords_hex_many(hexa, pts)
+    assert ok.all()
+    monkeypatch.setattr(coords3d, name, 2.0)
+    phi, ok, info = moment_coords_hex_many(hexa, pts)
+    vertex = info.code == LOC_VERTEX
+    assert np.array_equal(ok, vertex) and vertex.sum() == 8
+    assert phi[vertex].tobytes() == before[vertex].tobytes()
+    assert (info.cause[~vertex] == FRAME).all()
+    for p in pts[~vertex]:
+        with pytest.raises(FrameNotFound, match=message):
+            moment_coords_hex(hexa, p)
 
 
 HEX_SCALES = [1e-12, 1e-6, 1e6, 1e9, 1e12, 1e15, 1e100]
